@@ -237,8 +237,8 @@ def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path,
         series_rows,
     )
 
-    report = evaluate_detection(streams, truth) if streams else None
-    if report is not None:
+    if streams or truth:
+        report = evaluate_detection(streams, truth)
         (out_dir / "detection_report.txt").write_text(report.to_text())
         _write_csv(out_dir / "roc.csv", ["threshold", "tpr", "fpr"],
                    [[_fmt(t if t not in (float("inf"), float("-inf")) else None),

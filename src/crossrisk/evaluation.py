@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .gpr import GprModelPair, RolloutConfig, rollout
-from .maneuver import ForestModel
+from .gpr import RolloutConfig, rollout
+from .maneuver import ForestModel, ManeuverDistribution, extract_features
 from .risk import (
     dynamic_model_predict,
     estimate_risk,
@@ -19,7 +19,7 @@ from .risk import (
     trajectory_error,
 )
 from .ssm import compute_ttc, co_present_pairs
-from .trajectory import Dataset, Maneuver, SUPPORTED_MANEUVERS, Trajectory
+from .trajectory import Dataset, Direction, Maneuver, SUPPORTED_MANEUVERS, Trajectory
 
 
 @dataclass
@@ -42,50 +42,46 @@ def _window_is_valid(traj: Trajectory, start_index: int, steps: int) -> bool:
     return all(p.valid for p in traj.points[start_index - 1 : start_index + steps + 1])
 
 
-def _vehicle_errors(traj: Trajectory, pair: GprModelPair, start_point: int,
-                    steps: int, dt: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Per-step distances of the rollout and the kinematic baseline for one
-    vehicle, predicting ``steps`` frames from 1-based ``start_point``."""
-    idx = start_point - 1
-    if not _window_is_valid(traj, idx, steps):
-        return None
-    start = traj.points[idx]
-    actual = np.array([[p.x, p.y] for p in traj.points[idx + 1 : idx + 1 + steps]])
-    _, predicted = rollout(pair, start.position, RolloutConfig(steps=steps, dt=dt))
-    gpr_err = trajectory_error(predicted, actual).distances
-    baseline = dynamic_model_predict(state_from_trajectory(traj, idx), dt, steps)
-    dyn_err = trajectory_error(baseline, actual).distances
-    return gpr_err, dyn_err
-
-
 def _pooled_rows(dataset: Dataset, models: dict, start_point: int, steps: int,
                  group_value: int) -> list:
-    """One row per maneuver, pooling per-step distances across vehicles."""
+    """One row per maneuver, pooling per-step distances across vehicles.
+
+    Each vehicle predicts ``steps`` frames from 1-based ``start_point``; the
+    vehicles of one cluster are rolled out in a single batch.
+    """
     rows = []
     dt = dataset.frame_interval
+    idx = start_point - 1
+    cfg = RolloutConfig(steps=steps, dt=dt)
     for maneuver in SUPPORTED_MANEUVERS:
-        gpr_all, dyn_all, n_veh = [], [], 0
-        for traj in dataset.vehicles:
-            if traj.maneuver != maneuver or traj.entering_direction is None:
-                continue
-            pair = models.get((traj.entering_direction, maneuver))
-            if pair is None:
-                continue
-            res = _vehicle_errors(traj, pair, start_point, steps, dt)
-            if res is None:
-                continue
-            gpr_all.append(res[0])
-            dyn_all.append(res[1])
-            n_veh += 1
-        if not gpr_all:
+        vehicles = [
+            traj for traj in dataset.vehicles
+            if traj.maneuver == maneuver and traj.entering_direction is not None
+            and (traj.entering_direction, maneuver) in models
+            and _window_is_valid(traj, idx, steps)
+        ]
+        if not vehicles:
             continue
+        predicted = {}
+        for direction in Direction:
+            batch = [traj for traj in vehicles if traj.entering_direction == direction]
+            if batch:
+                starts = np.array([traj.points[idx].position for traj in batch])
+                _, paths = rollout(models[(direction, maneuver)], starts, cfg)
+                predicted.update(zip((traj.id for traj in batch), paths))
+        gpr_all, dyn_all = [], []
+        for traj in vehicles:
+            actual = np.array([[p.x, p.y] for p in traj.points[idx + 1 : idx + 1 + steps]])
+            gpr_all.append(trajectory_error(predicted[traj.id], actual).distances)
+            baseline = dynamic_model_predict(state_from_trajectory(traj, idx), dt, steps)
+            dyn_all.append(trajectory_error(baseline, actual).distances)
         g = np.concatenate(gpr_all)
         d = np.concatenate(dyn_all)
         rows.append(ErrorRow(group=group_value, maneuver=maneuver,
                              gpr_mean=float(np.mean(g)), gpr_std=float(np.std(g)),
                              dynamic_mean=float(np.mean(d)),
                              dynamic_std=float(np.std(d)),
-                             n_vehicles=n_veh, n_points=int(g.size)))
+                             n_vehicles=len(vehicles), n_points=int(g.size)))
     return rows
 
 
@@ -128,35 +124,63 @@ def compute_risk_streams(
     """Risk profile time series for every co-present vehicle-pedestrian pair.
 
     Frames are matched on identical timestamps (the shared frame grid).
-    Pairs whose vehicle lacks every cluster model are skipped.
+    Pairs whose vehicle lacks every cluster model are skipped. The vehicle
+    side is computed once per vehicle: one forest call over every frame some
+    co-present pedestrian shares, and one batched rollout per maneuver over
+    those frames' positions. Only the conflict search runs per pedestrian.
     """
-    streams: dict = {}
     ped_index = {
         ped.id: {round(p.t, 6): i for i, p in enumerate(ped.points) if p.valid}
         for ped in dataset.pedestrians
     }
+    peds_of: dict = {}
     for veh, ped in co_present_pairs(dataset):
-        if veh.entering_direction is None:
+        peds_of.setdefault(veh.id, (veh, []))[1].append(ped)
+
+    streams: dict = {}
+    for veh, peds in peds_of.values():
+        direction = veh.entering_direction
+        if direction is None:
             continue
-        if not any((veh.entering_direction, m) in models for m in SUPPORTED_MANEUVERS):
+        pairs = {m: models[(direction, m)] for m in SUPPORTED_MANEUVERS
+                 if (direction, m) in models}
+        if not pairs:
             continue
-        lookup = ped_index[ped.id]
-        profile_list = []
-        for vi in range(0, len(veh.points), frame_stride):
-            vp = veh.points[vi]
-            if not vp.valid or not math.isfinite(vp.yaw_rate):
-                continue
-            pi = lookup.get(round(vp.t, 6))
-            if pi is None:
-                continue
-            ped_state = state_from_trajectory(ped, pi)
-            veh_state = state_from_trajectory(veh, vi)
-            ttc = compute_ttc(veh_state, ped_state, ttc_radius)
-            profile_list.append(
-                estimate_risk(vp, veh.entering_direction, ped_state, models, forest,
-                              rollout_cfg, radius=conflict_radius, ttc_baseline=ttc,
-                              use_velocity_components=use_velocity_components)
-            )
-        if profile_list:
-            streams[(veh.id, ped.id)] = profile_list
+        lookups = [ped_index[ped.id] for ped in peds]
+        frames = [
+            (vi, vp) for vi, vp in enumerate(veh.points)
+            if vi % frame_stride == 0 and vp.valid and math.isfinite(vp.yaw_rate)
+            and any(round(vp.t, 6) in lookup for lookup in lookups)
+        ]
+        if not frames:
+            continue
+        probs = forest.predict_proba(np.array([
+            extract_features(vp, direction, use_velocity_components) for _, vp in frames
+        ]))
+        probs = probs / probs.sum(axis=1, keepdims=True)
+        starts = np.array([vp.position for _, vp in frames])
+        paths = {
+            m: np.concatenate([starts[:, None, :], rollout(pair, starts, rollout_cfg)[1]],
+                              axis=1)
+            for m, pair in pairs.items()
+        }
+        hypotheses = [
+            (vp, state_from_trajectory(veh, vi), ManeuverDistribution.from_array(probs[row]),
+             {m: path[row] for m, path in paths.items()})
+            for row, (vi, vp) in enumerate(frames)
+        ]
+        for ped, lookup in zip(peds, lookups):
+            profile_list = []
+            for vp, veh_state, frame_probs, frame_paths in hypotheses:
+                pi = lookup.get(round(vp.t, 6))
+                if pi is None:
+                    continue
+                ped_state = state_from_trajectory(ped, pi)
+                profile_list.append(estimate_risk(
+                    vp, ped_state, frame_probs, frame_paths, rollout_cfg,
+                    radius=conflict_radius,
+                    ttc_baseline=compute_ttc(veh_state, ped_state, ttc_radius),
+                ))
+            if profile_list:
+                streams[(veh.id, ped.id)] = profile_list
     return streams

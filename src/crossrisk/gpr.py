@@ -58,12 +58,15 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def kernel_matrix(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d2 = _sq_dists(a, b)
+def _kernel_from_d2(cfg: KernelConfig, d2: np.ndarray) -> np.ndarray:
     if cfg.kind == "rbf":
         return np.exp(-d2 / (2.0 * cfg.length_scale**2))
     base = 1.0 + d2 / (2.0 * cfg.rq_alpha * cfg.length_scale**2)
     return base ** (-cfg.rq_alpha)
+
+
+def kernel_matrix(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _kernel_from_d2(cfg, _sq_dists(a, b))
 
 
 def kernel_eval(cfg: KernelConfig, a: Sequence[float], b: Sequence[float]) -> float:
@@ -95,17 +98,14 @@ class GprModel:
         return self.train_x.shape[0]
 
 
-def _factorize(cfg: KernelConfig, x: np.ndarray, y_standardized: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cholesky of K + (noise + jitter) I, escalating jitter up to MAX_JITTER."""
-    k = kernel_matrix(cfg, x, x)
-    jitter = cfg.jitter
+def _jittered_cholesky(k: np.ndarray, noise_variance: float, jitter: float
+                       ) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of k + (noise + jitter) I and the jitter used,
+    escalating the jitter tenfold up to MAX_JITTER."""
     while True:
         try:
-            chol = cholesky(
-                k + (cfg.noise_variance + jitter) * np.eye(len(x)), lower=True
-            )
-            break
+            chol = cholesky(k + (noise_variance + jitter) * np.eye(len(k)), lower=True)
+            return chol, jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
             if jitter > MAX_JITTER:
@@ -113,6 +113,13 @@ def _factorize(cfg: KernelConfig, x: np.ndarray, y_standardized: np.ndarray
                     "covariance matrix is not positive definite even at "
                     f"jitter={MAX_JITTER}"
                 )
+
+
+def _factorize(cfg: KernelConfig, x: np.ndarray, y_standardized: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Cholesky of K + (noise + jitter) I, escalating jitter up to MAX_JITTER."""
+    chol, jitter = _jittered_cholesky(kernel_matrix(cfg, x, x), cfg.noise_variance,
+                                      cfg.jitter)
     alpha_vec = cho_solve((chol, True), y_standardized)
     return chol, alpha_vec, jitter
 
@@ -150,14 +157,10 @@ def log_marginal_likelihood(model: GprModel) -> float:
     return -0.5 * quad - 0.5 * logdet - 0.5 * n * math.log(2.0 * math.pi)
 
 
-def posterior_predict(model: GprModel, query: Sequence[float]) -> tuple[float, float]:
-    """Predictive mean and variance (including observation noise) at one position."""
-    means, variances = posterior_predict_batch(model, np.asarray(query, dtype=float)[None, :])
-    return float(means[0]), float(variances[0])
-
-
-def posterior_predict_batch(model: GprModel, queries: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray]:
+def posterior_predict(model: GprModel, queries: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive means and variances (including observation noise) at
+    ``(m, 2)`` query positions; both results have shape ``(m,)``."""
     q = np.asarray(queries, dtype=float).reshape(-1, 2)
     k_star = kernel_matrix(model.kernel, model.train_x, q)  # (n, m)
     mean_std = k_star.T @ model.alpha_vec
@@ -217,18 +220,7 @@ def gpr_loss_and_grad(theta: np.ndarray, x: np.ndarray, ys: np.ndarray,
         d_alpha = k_f * cfg.rq_alpha * inner
         dk = [d_ls, d_alpha]
 
-    level = jitter
-    while True:
-        try:
-            chol = cholesky(k_f + (cfg.noise_variance + level) * np.eye(n), lower=True)
-            break
-        except np.linalg.LinAlgError:
-            level *= 10.0
-            if level > MAX_JITTER:
-                raise NumericalError(
-                    "covariance factorization failed during optimization even "
-                    f"at jitter={MAX_JITTER}"
-                )
+    chol, _ = _jittered_cholesky(k_f, cfg.noise_variance, jitter)
     alpha_vec = cho_solve((chol, True), ys)
     lml = (
         -0.5 * float(ys @ alpha_vec)
@@ -354,38 +346,35 @@ class RolloutConfig:
             raise InputError(f"unknown rollout mode: {self.mode!r}")
 
 
-def _predict_mean(model: GprModel, pos: np.ndarray) -> float:
-    """Posterior mean only; skips the variance solve on the rollout hot path."""
-    k_star = kernel_matrix(model.kernel, model.train_x, pos[None, :])[:, 0]
-    return model.y_mean + model.y_std * float(k_star @ model.alpha_vec)
-
-
-def rollout(pair: GprModelPair, start: Sequence[float], cfg: RolloutConfig
+def rollout(pair: GprModelPair, starts: np.ndarray, cfg: RolloutConfig
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the predicted velocity field forward from ``start``.
+    """Integrate the predicted velocity field forward from ``(B, 2)`` starts.
 
-    Each step queries both component GPs at the current position and Euler
-    steps by ``dt``. Returns ``(times, positions)`` of the ``steps`` predicted
-    points, with times relative to the start. Mean mode is deterministic;
-    sample mode draws each component from its predictive normal.
+    Each step queries both component GPs at the ``B`` current positions and
+    Euler steps by ``dt``; the two GPs share their training inputs, so one
+    distance matrix serves both. Returns ``(times, positions)``: the ``steps``
+    times relative to the start and the ``(B, steps, 2)`` predicted points.
+    Mean mode is deterministic; sample mode draws each component from its
+    predictive normal, independently per start and step.
     """
-    pos = np.asarray(start, dtype=float).copy()
-    if pos.shape != (2,) or not np.all(np.isfinite(pos)):
-        raise ValueError("start must be a finite (x, y) position")
+    pos = np.asarray(starts, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 2 or not np.all(np.isfinite(pos)):
+        raise ValueError("starts must be finite (x, y) rows of shape (B, 2)")
+    gps = (pair.gp_x, pair.gp_y)
     rng = np.random.default_rng(cfg.seed) if cfg.mode == "sample" else None
     times = np.arange(1, cfg.steps + 1, dtype=float) * cfg.dt
-    out = np.empty((cfg.steps, 2), dtype=float)
+    out = np.empty((len(pos), cfg.steps, 2), dtype=float)
     for i in range(cfg.steps):
-        if rng is None:
-            vx = _predict_mean(pair.gp_x, pos)
-            vy = _predict_mean(pair.gp_y, pos)
-        else:
-            mx, vx_var = posterior_predict(pair.gp_x, pos)
-            my, vy_var = posterior_predict(pair.gp_y, pos)
-            vx = rng.normal(mx, math.sqrt(max(vx_var, 0.0)))
-            vy = rng.normal(my, math.sqrt(max(vy_var, 0.0)))
-        pos = pos + np.array([vx, vy]) * cfg.dt
-        out[i] = pos
+        d2 = _sq_dists(pos, pair.gp_x.train_x)  # (B, n)
+        vel = np.column_stack([
+            gp.y_mean + gp.y_std * (_kernel_from_d2(gp.kernel, d2) @ gp.alpha_vec)
+            for gp in gps
+        ])
+        if rng is not None:
+            variances = np.column_stack([posterior_predict(gp, pos)[1] for gp in gps])
+            vel = rng.normal(vel, np.sqrt(variances))
+        pos = pos + vel * cfg.dt
+        out[:, i] = pos
     return times, out
 
 

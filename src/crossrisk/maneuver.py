@@ -99,9 +99,6 @@ class ManeuverDistribution:
     def for_maneuver(self, m: Maneuver) -> float:
         return (self.p_left, self.p_right, self.p_straight)[MANEUVER_CODES[m]]
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_left, self.p_right, self.p_straight])
-
 
 # ---------------------------------------------------------------------------
 # Synthetic minority oversampling
@@ -305,14 +302,6 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
         )
     return ForestModel(trees=trees, n_trees=n_trees, max_depth=max_depth,
                        seed=seed, n_classes=n_classes, n_features=X.shape[1])
-
-
-def predict_maneuver_proba(model: ForestModel, features: Sequence[float]
-                           ) -> ManeuverDistribution:
-    """Averaged leaf class frequencies for one frame; sums to one."""
-    probs = model.predict_proba(np.asarray(features, dtype=float)[None, :])[0]
-    probs = probs / probs.sum()
-    return ManeuverDistribution.from_array(probs)
 
 
 # ---------------------------------------------------------------------------

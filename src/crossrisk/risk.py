@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .gpr import RolloutConfig, rollout
-from .maneuver import ForestModel, ManeuverDistribution, extract_features, predict_maneuver_proba
-from .trajectory import Direction, Maneuver, SUPPORTED_MANEUVERS, TrackPoint, Trajectory
+from .gpr import RolloutConfig
+from .maneuver import ManeuverDistribution
+from .trajectory import Maneuver, SUPPORTED_MANEUVERS, TrackPoint, Trajectory
 
 
 @dataclass(frozen=True)
@@ -73,23 +73,15 @@ def predict_pedestrian(state: KinematicState, dt: float, steps: int) -> np.ndarr
 
 
 def dynamic_model_predict(state: KinematicState, dt: float, steps: int) -> np.ndarray:
-    """Constant-acceleration extrapolation applied cumulatively per step.
-
-    The per-step update with a fixed acceleration telescopes to the closed
-    form ``x0 + v0 t + a t^2 / 2``; with zero acceleration this reduces
+    """Constant-acceleration extrapolation ``x0 + v0 t + a t^2 / 2`` at
+    ``t = dt, 2 dt, ..., steps dt``; with zero acceleration this reduces
     exactly to :func:`predict_pedestrian`.
     """
     if dt <= 0 or steps < 1:
         raise ValueError("dt must be positive and steps >= 1")
-    out = np.empty((steps, 2), dtype=float)
-    x, y, vx, vy = state.x, state.y, state.vx, state.vy
-    for i in range(steps):
-        x = x + vx * dt + 0.5 * state.ax * dt * dt
-        y = y + vy * dt + 0.5 * state.ay * dt * dt
-        vx += state.ax * dt
-        vy += state.ay * dt
-        out[i] = (x, y)
-    return out
+    t = np.arange(1, steps + 1, dtype=float)[:, None] * dt
+    return (np.array([state.x, state.y]) + np.array([state.vx, state.vy]) * t
+            + 0.5 * np.array([state.ax, state.ay]) * t * t)
 
 
 # ---------------------------------------------------------------------------
@@ -166,47 +158,39 @@ class RiskProfile:
 
 def estimate_risk(
     vehicle_point: TrackPoint,
-    entering_direction: Direction,
     pedestrian: KinematicState,
-    models: dict,
-    forest: ForestModel,
+    probs: Optional[ManeuverDistribution],
+    paths: dict,
     cfg: RolloutConfig,
     radius: float = 1.0,
     ttc_baseline: Optional[float] = None,
-    use_velocity_components: bool = False,
 ) -> RiskProfile:
-    """Blend per-maneuver conflict risks with maneuver probabilities.
+    """Score one pedestrian against one vehicle frame's maneuver hypotheses.
 
-    ``models`` maps (direction, maneuver) to a fitted velocity-field pair;
-    maneuvers whose cluster model is missing contribute zero risk and are
-    flagged on their assessment. Deterministic in mean rollout mode.
+    ``probs`` are the frame's maneuver probabilities from the trained
+    maneuver model; without them (no model) the call raises. ``paths`` maps each maneuver whose cluster model exists
+    to the vehicle's predicted path, ``cfg.steps + 1`` rows with the vehicle
+    position first; maneuvers without a path contribute zero risk and are
+    flagged on their assessment.
     """
-    if forest is None:
-        raise ValueError("a trained maneuver model is required")
+    if probs is None:
+        raise ValueError("maneuver probabilities from a trained maneuver model are required")
     if not vehicle_point.valid:
         raise ValueError("vehicle point must be valid")
-    available = [m for m in SUPPORTED_MANEUVERS if (entering_direction, m) in models]
-    if not available:
-        raise ValueError(
-            f"no cluster models available for direction {entering_direction.value}"
-        )
+    if not paths:
+        raise ValueError("no cluster models available for the vehicle's direction")
 
-    features = extract_features(vehicle_point, entering_direction,
-                                use_velocity_components)
-    probs = predict_maneuver_proba(forest, features)
     ped_path = predict_pedestrian(pedestrian, cfg.dt, cfg.steps)
     ped_path_full = np.vstack([[pedestrian.x, pedestrian.y], ped_path])
 
     assessments = []
     total = 0.0
     for m in SUPPORTED_MANEUVERS:
-        pair = models.get((entering_direction, m))
-        if pair is None:
+        veh_path = paths.get(m)
+        if veh_path is None:
             assessments.append(ConflictAssessment(maneuver=m, model_absent=True))
             continue
-        _, veh_path = rollout(pair, vehicle_point.position, cfg)
-        veh_path_full = np.vstack([[vehicle_point.x, vehicle_point.y], veh_path])
-        hit = find_conflict_point(veh_path_full, ped_path_full, cfg.dt, radius)
+        hit = find_conflict_point(veh_path, ped_path_full, cfg.dt, radius)
         if hit is None:
             assessments.append(ConflictAssessment(maneuver=m))
             continue

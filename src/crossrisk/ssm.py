@@ -181,18 +181,18 @@ def evaluate_detection(pair_streams: Mapping, truth: Sequence) -> DetectionRepor
     ``pair_streams`` maps (vehicle id, pedestrian id) to a risk stream (risk
     profiles or floats) or a precomputed score; each pair is one sample scored
     by its maximum risk. ``truth`` holds :class:`ConflictEvent` instances or
-    raw pairs. The operating point declares a conflict whenever the score
-    exceeds zero; the ROC sweeps the threshold over all observed scores.
+    raw pairs; a ground-truth pair without a stream (no frame of it was
+    scored) scores 0, a miss. The operating point declares a conflict
+    whenever the score exceeds zero; the ROC sweeps the threshold over all
+    observed scores.
     """
     truth_pairs = set()
     for item in truth:
         truth_pairs.add(item.pair if isinstance(item, ConflictEvent) else tuple(item))
-    missing = [p for p in truth_pairs if p not in pair_streams]
-    if missing:
-        raise InputError(f"ground-truth pairs without risk streams: {sorted(missing)}")
 
-    pairs = sorted(pair_streams)
-    scores = np.array([_pair_score(pair_streams[p]) for p in pairs])
+    pairs = sorted(set(pair_streams) | truth_pairs)
+    scores = np.array([_pair_score(pair_streams[p]) if p in pair_streams else 0.0
+                       for p in pairs])
     labels = np.array([p in truth_pairs for p in pairs], dtype=bool)
 
     predicted = scores > 0.0

@@ -162,10 +162,6 @@ class Trajectory:
         pts = self.valid_points() if valid_only else self.points
         return np.array([p.t for p in pts], dtype=float)
 
-    def velocities(self, valid_only: bool = True) -> np.ndarray:
-        pts = self.valid_points() if valid_only else self.points
-        return np.array([[p.vx, p.vy] for p in pts], dtype=float)
-
     def with_labels(self, entering_direction: Optional[Direction] = None,
                     maneuver: Optional[Maneuver] = None) -> "Trajectory":
         return replace(self, entering_direction=entering_direction, maneuver=maneuver)

@@ -89,7 +89,7 @@ def test_ac1_gpr_numerical_core():
             psd_ok = False
         model = build_gpr_model(x, y, cfg, standardize=False)
         q = rng.uniform(-8, 8, size=2)
-        mean, var = posterior_predict(model, q)
+        (mean,), (var,) = posterior_predict(model, [q])
         k_full = k + cfg.noise_variance * np.eye(n)
         k_inv = np.linalg.inv(k_full)
         k_star = kernel_matrix(cfg, x, q[None, :])[:, 0]

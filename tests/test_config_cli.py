@@ -2,12 +2,24 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crossrisk.cli import main
 from crossrisk.config import RunConfig, load_config
 from crossrisk.errors import InputError
+from crossrisk.gpr import GprModelPair, KernelConfig, build_gpr_model, save_cluster_models
+from crossrisk.maneuver import save_forest, train_forest
 from crossrisk.synth import canonical_endpoints
+from crossrisk.trajectory import (
+    Dataset,
+    Direction,
+    Maneuver,
+    ObjectClass,
+    TrackPoint,
+    Trajectory,
+    save_dataset,
+)
 
 
 class TestConfig:
@@ -156,3 +168,37 @@ class TestCli:
                      "--out", str(tmp_path / "prep")]) == 0
         report = (tmp_path / "prep" / "preprocess_report.txt").read_text()
         assert "vehicles labeled: 12" in report
+
+    def test_truth_pair_skipped_by_stride_is_a_miss(self, tmp_path):
+        # the pedestrian shares only the vehicle's frame 3, which stride 2 skips
+        veh = Trajectory(
+            id="v1", object_class=ObjectClass.VEHICLE,
+            points=tuple(TrackPoint.create(0.1 * i, 0.1 * i, 0.0, 1.0, 0.0, 0.0)
+                         for i in range(4)),
+            entering_direction=Direction.W, maneuver=Maneuver.STRAIGHT,
+        )
+        ped = Trajectory(
+            id="p1", object_class=ObjectClass.PEDESTRIAN,
+            points=tuple(TrackPoint.create(0.1 * i, 0.3, 0.0, 0.0, 0.0)
+                         for i in range(3, 7)),
+        )
+        save_dataset(Dataset(trajectories=[veh, ped]), tmp_path / "labeled.csv")
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-2, 2, size=(10, 2))
+        kernel = KernelConfig(kind="rbf", length_scale=2.0, noise_variance=1e-4)
+        cell = (Direction.W, Maneuver.STRAIGHT)
+        save_cluster_models({cell: GprModelPair(
+            gp_x=build_gpr_model(x, np.ones(10), kernel),
+            gp_y=build_gpr_model(x, np.zeros(10), kernel), cluster=cell,
+        )}, tmp_path / "models" / "gpr_models.json")
+        X = rng.normal(size=(30, 5))
+        save_forest(train_forest(X, np.arange(30) % 3, n_trees=2, seed=0),
+                    tmp_path / "models" / "forest.json")
+        cfg = tmp_path / "stride.json"
+        cfg.write_text(json.dumps({"risk": {"frame_stride": 2}}))
+        assert main(["risk", "--config", str(cfg), "--in", str(tmp_path / "labeled.csv"),
+                     "--models", str(tmp_path / "models"),
+                     "--out", str(tmp_path / "risk")]) == 0
+        report = (tmp_path / "risk" / "detection_report.txt").read_text()
+        assert "positives: 1  negatives: 0" in report  # tp + fn == 1
+        assert "sensitivity (risk > 0): 0.0000" in report  # tp == 0, so fn == 1

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossrisk.errors import NumericalError
 from crossrisk.gpr import (
     GprModelPair,
     KernelConfig,
     OptimizerSettings,
     RolloutConfig,
+    _jittered_cholesky,
     build_gpr_model,
     fit_gpr,
     gpr_loss_and_grad,
@@ -161,7 +163,7 @@ class TestPosterior:
         y = rng.normal(size=3)
         model = build_gpr_model(x, y, cfg, standardize=False)
         q = (0.25, -0.5)
-        mean, var = posterior_predict(model, q)
+        (mean,), (var,) = posterior_predict(model, [q])
         want_mean, want_var = naive_posterior(cfg, x, y, q)
         assert mean == pytest.approx(want_mean, abs=1e-8)
         assert var == pytest.approx(want_var, abs=1e-8)
@@ -178,7 +180,7 @@ class TestPosterior:
                            jitter=0.0)
         model = build_gpr_model(x, y, cfg, standardize=False)
         q = tuple(rng.uniform(-8, 8, size=2))
-        mean, var = posterior_predict(model, q)
+        (mean,), (var,) = posterior_predict(model, [q])
         want_mean, want_var = naive_posterior(cfg, x, y, q)
         assert mean == pytest.approx(want_mean, abs=1e-8)
         assert var == pytest.approx(want_var, abs=1e-8)
@@ -189,7 +191,7 @@ class TestPosterior:
         x = np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 2.0]])
         y = np.array([1.5, -0.7, 0.2])
         model = build_gpr_model(x, y, cfg, standardize=False)
-        mean, _ = posterior_predict(model, (3.0, 1.0))
+        (mean,), _ = posterior_predict(model, [(3.0, 1.0)])
         assert mean == pytest.approx(-0.7, abs=1e-6)
 
     def test_reverts_to_prior_far_away(self):
@@ -198,7 +200,7 @@ class TestPosterior:
         x = np.array([[0.0, 0.0], [1.0, 0.0]])
         y = np.array([2.0, -2.0])  # zero mean
         model = build_gpr_model(x, y, cfg, standardize=False)
-        mean, var = posterior_predict(model, (500.0, 500.0))
+        (mean,), (var,) = posterior_predict(model, [(500.0, 500.0)])
         assert mean == pytest.approx(0.0, abs=1e-9)
         assert var == pytest.approx(1.0 + 0.2, abs=1e-9)
 
@@ -206,7 +208,7 @@ class TestPosterior:
         cfg = KernelConfig(kind="rbf", length_scale=1.0, noise_variance=0.0)
         x = np.zeros((3, 2)) + np.arange(3)[:, None] * 1e-8
         model = build_gpr_model(x, np.zeros(3), cfg)
-        _, var = posterior_predict(model, (0.0, 0.0))
+        _, (var,) = posterior_predict(model, [(0.0, 0.0)])
         assert var >= 0.0
 
 
@@ -216,7 +218,7 @@ class TestFit:
         x = rng.uniform(-3, 3, size=(12, 2))
         model = fit_gpr(x, np.zeros(12), kind="rq",
                         opt=OptimizerSettings(iterations=40))
-        mean, _ = posterior_predict(model, (0.5, 0.5))
+        (mean,), _ = posterior_predict(model, [(0.5, 0.5)])
         assert mean == 0.0
         # loss settles after the opening iterations
         trace = model.loss_trace
@@ -246,7 +248,7 @@ class TestFit:
         initial = build_gpr_model(x, y, cfg0)
 
         def rmse(model):
-            preds = np.array([posterior_predict(model, q)[0] for q in x_test])
+            preds = posterior_predict(model, x_test)[0]
             return float(np.sqrt(np.mean((preds - y_test) ** 2)))
 
         assert rmse(fitted) < rmse(initial)
@@ -258,6 +260,17 @@ class TestFit:
     def test_non_finite_targets_raise(self):
         with pytest.raises(ValueError):
             fit_gpr(np.zeros((3, 2)), np.array([0.0, float("nan"), 1.0]))
+
+
+class TestJitter:
+    def test_escalates_tenfold_until_factorizable(self):
+        chol, jitter = _jittered_cholesky(-5e-5 * np.eye(3), 0.0, 1e-6)
+        assert jitter == pytest.approx(1e-4)
+        assert np.allclose(chol @ chol.T, (jitter - 5e-5) * np.eye(3))
+
+    def test_gives_up_past_max_jitter(self):
+        with pytest.raises(NumericalError):
+            _jittered_cholesky(-np.eye(3), 0.0, 1e-6)
 
 
 class TestRollout:
@@ -273,34 +286,77 @@ class TestRollout:
 
     def test_constant_field_integrates_linearly(self):
         pair = self._constant_field_pair()
-        times, pos = rollout(pair, (0.0, 0.0), RolloutConfig(steps=10, dt=0.1))
+        times, (pos,) = rollout(pair, [(0.0, 0.0)], RolloutConfig(steps=10, dt=0.1))
         assert pos[-1][0] == pytest.approx(1.0, abs=1e-6)
         assert pos[-1][1] == pytest.approx(0.0, abs=1e-6)
         assert times[-1] == pytest.approx(1.0)
 
     def test_single_step(self):
         pair = self._constant_field_pair(vx=2.0, vy=-1.0)
-        _, pos = rollout(pair, (1.0, 1.0), RolloutConfig(steps=1, dt=0.1))
-        assert pos.shape == (1, 2)
+        _, paths = rollout(pair, [(1.0, 1.0)], RolloutConfig(steps=1, dt=0.1))
+        assert paths.shape == (1, 1, 2)
+        pos = paths[0]
         assert pos[0][0] == pytest.approx(1.2, abs=1e-6)
         assert pos[0][1] == pytest.approx(0.9, abs=1e-6)
 
     def test_sampling_deterministic_per_seed(self):
         pair = self._constant_field_pair()
         cfg = RolloutConfig(steps=8, dt=0.1, mode="sample", seed=99)
-        _, a = rollout(pair, (0.0, 0.0), cfg)
-        _, b = rollout(pair, (0.0, 0.0), cfg)
+        _, a = rollout(pair, [(0.0, 0.0)], cfg)
+        _, b = rollout(pair, [(0.0, 0.0)], cfg)
         assert np.array_equal(a, b)
-        _, c = rollout(pair, (0.0, 0.0),
+        _, c = rollout(pair, [(0.0, 0.0)],
                        RolloutConfig(steps=8, dt=0.1, mode="sample", seed=100))
         assert not np.array_equal(a, c)
 
     def test_mean_mode_is_pure(self):
         pair = self._constant_field_pair()
         cfg = RolloutConfig(steps=5, dt=0.1)
-        _, a = rollout(pair, (0.5, 0.5), cfg)
-        _, b = rollout(pair, (0.5, 0.5), cfg)
+        _, a = rollout(pair, [(0.5, 0.5)], cfg)
+        _, b = rollout(pair, [(0.5, 0.5)], cfg)
         assert np.array_equal(a, b)
+
+    def test_sample_mode_draws_per_start(self):
+        pair = self._constant_field_pair()
+        cfg = RolloutConfig(steps=8, dt=0.1, mode="sample", seed=7)
+        starts = [(0.0, 0.0), (0.0, 0.0)]
+        _, a = rollout(pair, starts, cfg)
+        _, b = rollout(pair, starts, cfg)
+        assert not np.array_equal(a[0], a[1])
+        assert np.array_equal(a, b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["rbf", "rq"]), st.integers(1, 16), st.integers(0, 10_000))
+    def test_batch_rows_match_single_start_reference(self, kind, batch, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-10, 10, size=(25, 2))
+        cfg = KernelConfig(kind=kind, length_scale=float(rng.uniform(2.0, 6.0)),
+                           rq_alpha=float(rng.uniform(0.5, 2.0)), noise_variance=0.05)
+        pair = GprModelPair(gp_x=build_gpr_model(x, rng.normal(1.0, 0.5, 25), cfg),
+                            gp_y=build_gpr_model(x, rng.normal(-0.5, 0.5, 25), cfg),
+                            cluster=(Direction.N, Maneuver.LEFT))
+        starts = rng.uniform(-8, 8, size=(batch, 2))
+        rcfg = RolloutConfig(steps=20, dt=0.1)
+        _, paths = rollout(pair, starts, rcfg)
+        assert paths.shape == (batch, 20, 2)
+        for start, path in zip(starts, paths):
+            assert np.max(np.abs(path - reference_rollout(pair, start, rcfg))) <= 1e-9
+
+
+def reference_rollout(pair, start, cfg):
+    """Mean-mode Euler rollout from one start, one kernel row per component
+    and step: the single-start loop the batched rollout replaced."""
+    pos = np.asarray(start, dtype=float).copy()
+    out = np.empty((cfg.steps, 2))
+    for i in range(cfg.steps):
+        vel = [
+            gp.y_mean + gp.y_std * float(
+                kernel_matrix(gp.kernel, gp.train_x, pos[None, :])[:, 0] @ gp.alpha_vec)
+            for gp in (pair.gp_x, pair.gp_y)
+        ]
+        pos = pos + np.array(vel) * cfg.dt
+        out[i] = pos
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -348,8 +404,8 @@ class TestClusterTraining:
         assert set(back) == set(models)
         for cell in models:
             q = (1.0, -12.0)
-            assert posterior_predict(back[cell].gp_x, q) == pytest.approx(
-                posterior_predict(models[cell].gp_x, q), abs=1e-12
+            assert np.concatenate(posterior_predict(back[cell].gp_x, [q])) == pytest.approx(
+                np.concatenate(posterior_predict(models[cell].gp_x, [q])), abs=1e-12
             )
 
     def test_version_check(self, tmp_path):

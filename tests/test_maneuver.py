@@ -9,7 +9,6 @@ from crossrisk.maneuver import (
     evaluate_classifier,
     extract_features,
     load_forest,
-    predict_maneuver_proba,
     run_split_protocol,
     save_forest,
     smote_oversample,
@@ -170,15 +169,16 @@ class TestForest:
         X, y = make_clusters((50, 50, 50), seed=4)
         model = train_forest(X, y, n_trees=30, seed=3)
         deep_inside = np.array([0.0, 8.0, 11.0, 0.0, 1.0])  # straight center
-        dist = predict_maneuver_proba(model, deep_inside)
-        assert dist.p_straight == 1.0
-        assert dist.p_left == 0.0 and dist.p_right == 0.0
+        p_left, p_right, p_straight = model.predict_proba(deep_inside[None, :])[0]
+        assert p_straight == 1.0
+        assert p_left == 0.0 and p_right == 0.0
 
     def test_cluster_membership_reflected_in_argmax(self):
         X, y = make_clusters((60, 60, 60), seed=5)
         model = train_forest(X, y, n_trees=30, seed=4)
-        dist = predict_maneuver_proba(model, np.array([-6.0, 0.0, 5.0, 0.6, 2.0]))
-        assert dist.p_left == max(dist.p_left, dist.p_right, dist.p_straight)
+        p_left, p_right, p_straight = model.predict_proba(
+            np.array([[-6.0, 0.0, 5.0, 0.6, 2.0]]))[0]
+        assert p_left == max(p_left, p_right, p_straight)
 
     def test_persistence_roundtrip(self, tmp_path):
         X, y = make_clusters((30, 30, 30), seed=6)

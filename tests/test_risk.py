@@ -4,8 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossrisk.gpr import GprModelPair, KernelConfig, RolloutConfig, build_gpr_model
-from crossrisk.maneuver import ForestModel, _TreeNode, train_forest
+from crossrisk import evaluation
+from crossrisk.evaluation import compute_risk_streams
+from crossrisk.geometry import IntersectionGeometry
+from crossrisk.gpr import (
+    GprModelPair,
+    KernelConfig,
+    OptimizerSettings,
+    RolloutConfig,
+    build_gpr_model,
+    rollout,
+    train_cluster_models,
+)
+from crossrisk.maneuver import (
+    ForestModel,
+    ManeuverDistribution,
+    _TreeNode,
+    build_feature_table,
+    extract_features,
+    train_forest,
+)
+from crossrisk.preprocess import preprocess_dataset
 from crossrisk.risk import (
     KinematicState,
     dynamic_model_predict,
@@ -16,6 +35,7 @@ from crossrisk.risk import (
     state_from_trajectory,
     trajectory_error,
 )
+from crossrisk.synth import ScenarioSpec, canonical_endpoints, generate_scenario
 from crossrisk.trajectory import (
     Direction,
     Maneuver,
@@ -38,6 +58,19 @@ def brute_force_conflict(veh, ped, dt, radius):
                     mid = ((veh[j][0] + ped[k][0]) / 2, (veh[j][1] + ped[k][1]) / 2)
                     best = (key, (mid, j * dt, k * dt))
     return None if best is None else best[1]
+
+
+def cumulative_dynamic_model(state, dt, steps):
+    """Per-step constant-acceleration update, the loop the closed form replaced."""
+    out = np.empty((steps, 2))
+    x, y, vx, vy = state.x, state.y, state.vx, state.vy
+    for i in range(steps):
+        x = x + vx * dt + 0.5 * state.ax * dt * dt
+        y = y + vy * dt + 0.5 * state.ay * dt * dt
+        vx += state.ax * dt
+        vy += state.ay * dt
+        out[i] = (x, y)
+    return out
 
 
 class TestPedestrianPrediction:
@@ -80,6 +113,15 @@ class TestDynamicModel:
         assert path[-1][0] == pytest.approx(want_x, abs=1e-9)
         assert path[-1][1] == pytest.approx(want_y, abs=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(-15, 15),
+                     st.floats(-15, 15), st.floats(-5, 5), st.floats(-5, 5)),
+           st.floats(0.05, 0.2), st.integers(1, 30))
+    def test_closed_form_matches_cumulative_loop(self, fields, dt, steps):
+        s = KinematicState(*fields)
+        got = dynamic_model_predict(s, dt, steps)
+        assert np.max(np.abs(got - cumulative_dynamic_model(s, dt, steps))) <= 1e-12
+
     def test_state_from_trajectory_backward_difference(self):
         pts = (
             TrackPoint.create(0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
@@ -120,6 +162,16 @@ class TestConflictPoint:
     def test_mismatched_lengths_raise(self):
         with pytest.raises(ValueError):
             find_conflict_point(np.zeros((5, 2)), np.zeros((6, 2)), 0.1, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.floats(0.05, 3.0), st.integers(0, 10_000))
+    def test_none_exactly_when_paths_stay_apart(self, n, radius, seed):
+        rng = np.random.default_rng(seed)
+        veh = rng.uniform(-5, 5, size=(n, 2))
+        ped = rng.uniform(-5, 5, size=(n, 2))
+        closest = min(math.hypot(*(a - b)) for a in veh for b in ped)
+        got = find_conflict_point(veh, ped, dt=0.1, radius=radius)
+        assert (got is None) == (closest > radius)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
@@ -191,6 +243,23 @@ def certain_forest(target_class):
     return train_forest(X, y, n_trees=20, seed=0), target_class
 
 
+def frame_hypotheses(vp, direction, models, forest, cfg):
+    """Maneuver probabilities of one vehicle frame and, per maneuver with a
+    cluster model, its predicted path with the vehicle position first."""
+    probs = forest.predict_proba(extract_features(vp, direction)[None, :])[0]
+    paths = {}
+    for m in SUPPORTED_MANEUVERS:
+        if (direction, m) in models:
+            _, (path,) = rollout(models[(direction, m)], [vp.position], cfg)
+            paths[m] = np.vstack([vp.position, path])
+    return ManeuverDistribution.from_array(probs / probs.sum()), paths
+
+
+def score(vp, direction, ped, models, forest, cfg, **kwargs):
+    return estimate_risk(vp, ped, *frame_hypotheses(vp, direction, models, forest, cfg),
+                         cfg, **kwargs)
+
+
 class TestEstimateRisk:
     def _vehicle_point(self, x=0.0, y=0.0, vx=1.0, vy=0.0):
         return TrackPoint.create(t=12.3, x=x, y=y, vx=vx, vy=vy, yaw_rate=0.0)
@@ -200,8 +269,8 @@ class TestEstimateRisk:
                   for m in SUPPORTED_MANEUVERS}
         forest, _ = certain_forest(2)
         ped = KinematicState(x=500.0, y=500.0, vx=0.0, vy=0.0)
-        profile = estimate_risk(self._vehicle_point(), Direction.S, ped, models,
-                                forest, RolloutConfig(steps=30, dt=0.1))
+        profile = score(self._vehicle_point(), Direction.S, ped, models,
+                        forest, RolloutConfig(steps=30, dt=0.1))
         assert profile.risk == 0.0
         assert all(a.conflict_point is None for a in profile.assessments)
 
@@ -217,8 +286,8 @@ class TestEstimateRisk:
         y = np.repeat([2, 0, 1], 40)
         forest = train_forest(X, y, n_trees=25, seed=0)
         ped = KinematicState(x=1.0, y=-1.0, vx=0.0, vy=1.0)  # meets at (1, 0), t=1
-        profile = estimate_risk(self._vehicle_point(), Direction.S, ped, models,
-                                forest, RolloutConfig(steps=30, dt=0.1), radius=0.4)
+        profile = score(self._vehicle_point(), Direction.S, ped, models,
+                        forest, RolloutConfig(steps=30, dt=0.1), radius=0.4)
         straight = profile.assessment(Maneuver.STRAIGHT)
         assert straight.risk == pytest.approx(1.0, abs=1e-6)
         assert profile.maneuver_probs.p_straight == 1.0
@@ -244,8 +313,8 @@ class TestEstimateRisk:
         )
         ped = KinematicState(x=2.0, y=-1.0, vx=0.0, vy=1.0)  # at (2, 0) after 1 s
         # vehicle reaches x=2 after 2 s; tiny radius pins the exact-hit pair
-        profile = estimate_risk(self._vehicle_point(), Direction.S, ped, models,
-                                forest, RolloutConfig(steps=30, dt=0.1), radius=0.04)
+        profile = score(self._vehicle_point(), Direction.S, ped, models,
+                        forest, RolloutConfig(steps=30, dt=0.1), radius=0.04)
         straight = profile.assessment(Maneuver.STRAIGHT)
         assert straight.risk == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert profile.maneuver_probs.p_left == 0.5
@@ -260,16 +329,30 @@ class TestEstimateRisk:
         forest, _ = certain_forest(0)
         ped = KinematicState(x=2.0, y=-0.5, vx=0.0, vy=0.5)
         cfg = RolloutConfig(steps=20, dt=0.1)
-        a = estimate_risk(self._vehicle_point(), Direction.S, ped, models, forest, cfg)
-        b = estimate_risk(self._vehicle_point(), Direction.S, ped, models, forest, cfg)
+        a = score(self._vehicle_point(), Direction.S, ped, models, forest, cfg)
+        b = score(self._vehicle_point(), Direction.S, ped, models, forest, cfg)
         assert a.risk == b.risk
 
     def test_all_models_absent_raises(self):
         forest, _ = certain_forest(0)
         ped = KinematicState(x=2.0, y=-0.5, vx=0.0, vy=0.5)
         with pytest.raises(ValueError):
-            estimate_risk(self._vehicle_point(), Direction.S, ped, {}, forest,
-                          RolloutConfig(steps=10, dt=0.1))
+            score(self._vehicle_point(), Direction.S, ped, {}, forest,
+                  RolloutConfig(steps=10, dt=0.1))
+
+    def test_missing_probabilities_or_invalid_point_raise(self):
+        models = {(Direction.S, Maneuver.STRAIGHT):
+                  constant_pair(Direction.S, Maneuver.STRAIGHT, 1.0, 0.0)}
+        forest, _ = certain_forest(0)
+        cfg = RolloutConfig(steps=10, dt=0.1)
+        vp = self._vehicle_point()
+        ped = KinematicState(x=2.0, y=-0.5, vx=0.0, vy=0.5)
+        probs, paths = frame_hypotheses(vp, Direction.S, models, forest, cfg)
+        with pytest.raises(ValueError):
+            estimate_risk(vp, ped, None, paths, cfg)
+        invalid = TrackPoint.create(t=12.3, x=float("nan"), y=0.0, vx=1.0, vy=0.0)
+        with pytest.raises(ValueError):
+            estimate_risk(invalid, ped, probs, paths, cfg)
 
     def test_risk_stays_in_unit_interval(self):
         models = {(Direction.S, m): constant_pair(Direction.S, m, 1.0, (i - 1) * 0.3)
@@ -281,12 +364,67 @@ class TestEstimateRisk:
                                  y=float(rng.uniform(-3, 3)),
                                  vx=float(rng.uniform(-1, 1)),
                                  vy=float(rng.uniform(-1, 1)))
-            profile = estimate_risk(self._vehicle_point(), Direction.S, ped,
-                                    models, forest, RolloutConfig(steps=15, dt=0.1))
+            profile = score(self._vehicle_point(), Direction.S, ped,
+                            models, forest, RolloutConfig(steps=15, dt=0.1))
             assert 0.0 <= profile.risk <= 1.0
             mix = sum(a.risk * profile.maneuver_probs.for_maneuver(a.maneuver)
                       for a in profile.assessments)
             assert profile.risk == pytest.approx(mix, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def small_scene():
+    spec = ScenarioSpec(seed=5, n_vehicles_per_cell=1, n_pedestrians_per_crosswalk=3,
+                        n_engineered_conflicts=2)
+    dataset, _ = generate_scenario(spec)
+    labeled, _ = preprocess_dataset(dataset,
+                                    IntersectionGeometry(endpoints=canonical_endpoints()))
+    X, y, _ = build_feature_table(labeled)
+    forest = train_forest(X, y, n_trees=3, seed=0)
+    models = train_cluster_models(labeled, max_points=60,
+                                  opt=OptimizerSettings(iterations=3))
+    return labeled, models, forest
+
+
+class TestRiskStreams:
+    CFG = RolloutConfig(steps=15, dt=0.1)
+
+    def test_vehicle_side_computed_once_per_vehicle(self, small_scene, monkeypatch):
+        labeled, models, forest = small_scene
+        rollouts, predicts = [], []
+        real_rollout, real_predict = evaluation.rollout, ForestModel.predict_proba
+
+        def counting_rollout(pair, starts, cfg):
+            rollouts.append(pair.cluster)
+            return real_rollout(pair, starts, cfg)
+
+        def counting_predict(model, X):
+            predicts.append(len(X))
+            return real_predict(model, X)
+
+        monkeypatch.setattr(evaluation, "rollout", counting_rollout)
+        monkeypatch.setattr(ForestModel, "predict_proba", counting_predict)
+        streams = compute_risk_streams(labeled, models, forest, self.CFG, frame_stride=5)
+        scored = {v for v, _ in streams}
+        assert len(streams) > len(scored)  # some vehicle is scored against several pedestrians
+        direction = {t.id: t.entering_direction for t in labeled.vehicles}
+        hypotheses = sum((direction[v], m) in models for v in scored for m in SUPPORTED_MANEUVERS)
+        assert len(predicts) == len(scored)
+        assert len(rollouts) == hypotheses
+
+    def test_streams_match_per_frame_scoring(self, small_scene):
+        labeled, models, forest = small_scene
+        streams = compute_risk_streams(labeled, models, forest, self.CFG, frame_stride=5)
+        assert streams
+        for (vid, pid), profiles in streams.items():
+            veh, ped = labeled.by_id(vid), labeled.by_id(pid)
+            ped_index = {round(p.t, 6): i for i, p in enumerate(ped.points)}
+            for profile in profiles:
+                vp = next(p for p in veh.points if p.t == profile.t)
+                ped_state = state_from_trajectory(ped, ped_index[round(vp.t, 6)])
+                want = score(vp, veh.entering_direction, ped_state, models, forest, self.CFG)
+                assert profile.maneuver_probs == want.maneuver_probs
+                assert profile.risk == pytest.approx(want.risk, abs=1e-12)
 
 
 class TestTrajectoryError:

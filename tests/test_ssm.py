@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossrisk.errors import InputError
 from crossrisk.risk import KinematicState
 from crossrisk.ssm import (
     ConflictEvent,
@@ -231,9 +230,10 @@ class TestEvaluateDetection:
         report = evaluate_detection(scores, [("v1", "p1")])
         assert report.sensitivity == 1.0 and report.false_alarm_rate == 0.0
 
-    def test_missing_truth_stream_raises(self):
-        with pytest.raises(InputError):
-            evaluate_detection({("v1", "p1"): 1.0}, [("v9", "p9")])
+    def test_missing_truth_stream_is_a_false_negative(self):
+        report = evaluate_detection({("v1", "p1"): 1.0}, [("v9", "p9")])
+        assert (report.tp, report.fn, report.fp, report.tn) == (0, 1, 1, 0)
+        assert report.sensitivity == 0.0
 
     def test_empty_truth_reports_far_only(self):
         scores = {("v1", "p1"): 0.0, ("v2", "p2"): 0.4}
