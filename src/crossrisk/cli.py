@@ -125,7 +125,7 @@ def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path, seed: int | None) ->
 
     # Maneuver classifier: repeated-split evaluation, then a final model on
     # the full balanced table with the most frequently chosen grid point.
-    X, y, groups = build_feature_table(dataset, cfg.forest.use_velocity_components)
+    X, y, groups = build_feature_table(dataset)
     grid = ForestGrid(n_trees=tuple(cfg.forest.n_trees_grid),
                       max_depth=tuple(cfg.forest.max_depth_grid))
     protocol = run_split_protocol(X, y, grid=grid, n_splits=cfg.forest.n_splits,
@@ -214,7 +214,6 @@ def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path,
         conflict_radius=cfg.risk.conflict_radius,
         ttc_radius=cfg.ssm.ttc_radius,
         frame_stride=cfg.risk.frame_stride,
-        use_velocity_components=cfg.forest.use_velocity_components,
     )
 
     series_rows = []

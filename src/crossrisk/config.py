@@ -113,7 +113,6 @@ class ForestConfig:
     smote_k: int = 5
     n_splits: int = 10
     seed: int = 0
-    use_velocity_components: bool = False
 
     @staticmethod
     def from_dict(data: dict) -> "ForestConfig":

@@ -5,13 +5,13 @@ streams over a whole scene."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .gpr import RolloutConfig, rollout
-from .maneuver import ForestModel, ManeuverDistribution, extract_features
+from .maneuver import MANEUVER_CODES, ForestModel, ManeuverDistribution, extract_features
 from .risk import (
     dynamic_model_predict,
     estimate_risk,
@@ -119,7 +119,6 @@ def compute_risk_streams(
     conflict_radius: float = 1.0,
     ttc_radius: float = 1.0,
     frame_stride: int = 1,
-    use_velocity_components: bool = False,
 ) -> dict:
     """Risk profile time series for every co-present vehicle-pedestrian pair.
 
@@ -128,11 +127,15 @@ def compute_risk_streams(
     side is computed once per vehicle: one forest call over every frame some
     co-present pedestrian shares, and one batched rollout per maneuver over
     those frames' positions. Only the conflict search runs per pedestrian.
+    In sample mode each (vehicle, maneuver) rollout draws its own noise
+    stream, seeded by the rollout seed, the vehicle's ordinal in
+    ``dataset.vehicles`` and the maneuver code.
     """
     ped_index = {
         ped.id: {round(p.t, 6): i for i, p in enumerate(ped.points) if p.valid}
         for ped in dataset.pedestrians
     }
+    ordinal = {veh.id: i for i, veh in enumerate(dataset.vehicles)}
     peds_of: dict = {}
     for veh, ped in co_present_pairs(dataset):
         peds_of.setdefault(veh.id, (veh, []))[1].append(ped)
@@ -155,15 +158,16 @@ def compute_risk_streams(
         if not frames:
             continue
         probs = forest.predict_proba(np.array([
-            extract_features(vp, direction, use_velocity_components) for _, vp in frames
+            extract_features(vp, direction) for _, vp in frames
         ]))
         probs = probs / probs.sum(axis=1, keepdims=True)
         starts = np.array([vp.position for _, vp in frames])
-        paths = {
-            m: np.concatenate([starts[:, None, :], rollout(pair, starts, rollout_cfg)[1]],
-                              axis=1)
-            for m, pair in pairs.items()
-        }
+        paths = {}
+        for m, pair in pairs.items():
+            cfg = replace(rollout_cfg,
+                          seed=(rollout_cfg.seed, ordinal[veh.id], MANEUVER_CODES[m]))
+            paths[m] = np.concatenate([starts[:, None, :], rollout(pair, starts, cfg)[1]],
+                                      axis=1)
         hypotheses = [
             (vp, state_from_trajectory(veh, vi), ManeuverDistribution.from_array(probs[row]),
              {m: path[row] for m, path in paths.items()})

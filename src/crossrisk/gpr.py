@@ -27,7 +27,7 @@ KERNEL_KINDS = ("rbf", "rq")
 #: Hard ceiling for jitter escalation when a covariance resists factorization.
 MAX_JITTER = 1e-4
 
-MODEL_FILE_VERSION = 1
+MODEL_FILE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,7 @@ class RolloutConfig:
     steps: int
     dt: float = 0.1
     mode: str = "mean"  # "mean" | "sample"
-    seed: int = 0
+    seed: int | tuple = 0  # entropy of the sample-mode noise (ints)
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -437,36 +437,47 @@ def _model_to_dict(model: GprModel) -> dict:
         "jitter": model.jitter_used,
         "y_mean": model.y_mean,
         "y_std": model.y_std,
-        "train_x": model.train_x.tolist(),
         "train_y": model.train_y.tolist(),
         "loss_trace": list(model.loss_trace),
     }
 
 
-def _model_from_dict(data: dict) -> GprModel:
-    cfg = KernelConfig(
-        kind=data["kind"],
-        length_scale=data["length_scale"],
-        rq_alpha=data.get("rq_alpha", 1.0),
-        noise_variance=data["noise_variance"],
-        jitter=data["jitter"],
-    )
-    x = np.asarray(data["train_x"], dtype=float)
-    y = np.asarray(data["train_y"], dtype=float)
-    ys = (y - data["y_mean"]) / data["y_std"]
+def _model_from_dict(data: dict, x: np.ndarray) -> GprModel:
+    """Rebuild one GP on the cluster's shared ``(n, 2)`` training inputs."""
+    try:
+        params = {k: float(data[k]) for k in ("length_scale", "rq_alpha",
+                                              "noise_variance", "y_std")}
+        jitter, y_mean = float(data["jitter"]), float(data["y_mean"])
+        y = np.asarray(data["train_y"], dtype=float)
+        kind = data["kind"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed GP entry in model file: {exc!r}") from exc
+    bad = [k for k, v in params.items() if not (math.isfinite(v) and v > 0)]
+    if bad:
+        raise InputError(f"GP parameters {bad} must be positive and finite")
+    if not (math.isfinite(jitter) and jitter >= 0 and math.isfinite(y_mean)):
+        raise InputError("GP jitter must be nonnegative and y_mean finite")
+    if y.shape != (len(x),) or not np.all(np.isfinite(y)):
+        raise InputError(f"GP train_y must hold {len(x)} finite values")
+    cfg = KernelConfig(kind=kind, length_scale=params["length_scale"],
+                       rq_alpha=params["rq_alpha"],
+                       noise_variance=params["noise_variance"], jitter=jitter)
+    ys = (y - y_mean) / params["y_std"]
     chol, alpha_vec, jitter_used = _factorize(cfg, x, ys)
-    return GprModel(kernel=cfg, train_x=x, train_y=y, y_mean=data["y_mean"],
-                    y_std=data["y_std"], chol=chol, alpha_vec=alpha_vec,
+    return GprModel(kernel=cfg, train_x=x, train_y=y, y_mean=y_mean,
+                    y_std=params["y_std"], chol=chol, alpha_vec=alpha_vec,
                     jitter_used=jitter_used, loss_trace=list(data.get("loss_trace", [])))
 
 
 def save_cluster_models(models: dict, path: str | Path) -> None:
+    """Write every cluster's shared training inputs once, then its two GPs."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": MODEL_FILE_VERSION,
         "clusters": {
             cluster_key(d, m): {
+                "train_x": pair.gp_x.train_x.tolist(),
                 "gp_x": _model_to_dict(pair.gp_x),
                 "gp_y": _model_to_dict(pair.gp_y),
             }
@@ -483,17 +494,25 @@ def load_cluster_models(path: str | Path) -> dict:
     if not path.exists():
         raise InputError(f"model file not found: {path}")
     payload = json.loads(path.read_text())
-    if payload.get("version") != MODEL_FILE_VERSION:
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != MODEL_FILE_VERSION:
         raise InputError(
-            f"unsupported model file version: {payload.get('version')!r}"
+            f"unsupported model file version {version!r} (expected "
+            f"{MODEL_FILE_VERSION}); re-run `crossrisk train` to regenerate {path}"
         )
     models = {}
     for key, entry in payload["clusters"].items():
         d_str, m_str = key.split(":")
         cell = (Direction(d_str), Maneuver(m_str))
+        try:
+            x = np.asarray(entry["train_x"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed train_x for cluster {key}: {exc!r}") from exc
+        if x.ndim != 2 or x.shape[1] != 2 or len(x) == 0 or not np.all(np.isfinite(x)):
+            raise InputError(f"train_x for cluster {key} must be finite (n, 2) rows")
         models[cell] = GprModelPair(
-            gp_x=_model_from_dict(entry["gp_x"]),
-            gp_y=_model_from_dict(entry["gp_y"]),
+            gp_x=_model_from_dict(entry["gp_x"], x),
+            gp_y=_model_from_dict(entry["gp_y"], x),
             cluster=cell,
         )
     return models

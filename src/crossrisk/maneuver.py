@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -34,29 +34,20 @@ MANEUVER_CODES = {m: i for i, m in enumerate(SUPPORTED_MANEUVERS)}
 #: Column index of the integer-coded entering direction in the feature row.
 DIRECTION_FEATURE_INDEX = 4
 
-FOREST_FILE_VERSION = 1
+FOREST_FILE_VERSION = 2
 
 
-def extract_features(p: TrackPoint, direction: Direction,
-                     use_velocity_components: bool = False) -> np.ndarray:
-    """Feature row for one frame: (x, y, speed, yaw_rate, direction code).
-
-    With ``use_velocity_components`` the speed magnitude is replaced by the
-    raw (vx, vy) pair, giving six features; the default five-feature form is
-    what the rest of the pipeline trains on.
-    """
+def extract_features(p: TrackPoint, direction: Direction) -> np.ndarray:
+    """Feature row for one frame: (x, y, speed, yaw_rate, direction code)."""
     if not p.valid:
         raise ValueError("cannot extract features from an invalid point")
     if not math.isfinite(p.yaw_rate):
         raise ValueError("yaw rate must be finite for feature extraction")
     code = float(DIRECTION_CODES[direction])
-    if use_velocity_components:
-        return np.array([p.x, p.y, p.vx, p.vy, p.yaw_rate, code], dtype=float)
     return np.array([p.x, p.y, p.speed, p.yaw_rate, code], dtype=float)
 
 
-def build_feature_table(dataset: Dataset, use_velocity_components: bool = False
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def build_feature_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack features over all labeled vehicle frames.
 
     Returns ``(X, y, groups)`` where ``y`` holds maneuver class codes and
@@ -70,8 +61,7 @@ def build_feature_table(dataset: Dataset, use_velocity_components: bool = False
         for p in traj.valid_points():
             if not math.isfinite(p.yaw_rate):
                 continue
-            rows.append(extract_features(p, traj.entering_direction,
-                                          use_velocity_components))
+            rows.append(extract_features(p, traj.entering_direction))
             labels.append(MANEUVER_CODES[traj.maneuver])
             groups.append(g)
     if not rows:
@@ -166,20 +156,37 @@ def smote_oversample(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "histogram")
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """One fitted tree as preorder node arrays; node 0 is the root.
 
-    def __init__(self, feature=None, threshold=None, left=None, right=None,
-                 histogram=None):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.histogram = histogram  # leaf class counts
+    Node ``i`` sends a row left when ``row[feature[i]] <= threshold[i]``.
+    ``left[i]`` and ``right[i]`` are child indices, -1 at a leaf (whose feature
+    is -1 too). ``counts[i]`` holds the class counts of the bootstrap rows that
+    reached node ``i``; ``proba`` is that table normalized per node.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.histogram is not None
+    feature: tuple
+    threshold: tuple
+    left: tuple
+    right: tuple
+    counts: np.ndarray
+    proba: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "proba",
+                           self.counts / self.counts.sum(axis=1, keepdims=True))
+
+    def leaves(self, rows: list) -> list:
+        """Index of the leaf each row (a list of floats) falls into."""
+        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
+        out = []
+        for row in rows:
+            node = 0
+            while (child := left[node]) >= 0:
+                node = child if row[feature[node]] <= threshold[node] else right[node]
+            out.append(node)
+        return out
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int],
@@ -215,39 +222,33 @@ def _best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int],
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, depth: int, max_depth: Optional[int],
-               mtry: int, n_classes: int, rng: np.random.Generator) -> _TreeNode:
+               mtry: int, n_classes: int, rng: np.random.Generator,
+               nodes: list) -> None:
+    """Append the subtree fitted to (X, y) to ``nodes`` in preorder, one
+    ``[feature, threshold, left, right, counts]`` row per node."""
     counts = np.bincount(y, minlength=n_classes)
+    node = [-1, 0.0, -1, -1, counts]
+    nodes.append(node)
     if (
         len(y) < 2
         or np.count_nonzero(counts) == 1
         or (max_depth is not None and depth >= max_depth)
     ):
-        return _TreeNode(histogram=counts)
+        return
     features = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
     split = _best_split(X, y, features, n_classes)
     if split is None:
         # the sampled features are constant here; fall back to all features
         split = _best_split(X, y, range(X.shape[1]), n_classes)
     if split is None:
-        return _TreeNode(histogram=counts)
+        return
     _, f, threshold = split
     mask = X[:, f] <= threshold
-    left = _grow_tree(X[mask], y[mask], depth + 1, max_depth, mtry, n_classes, rng)
-    right = _grow_tree(X[~mask], y[~mask], depth + 1, max_depth, mtry, n_classes, rng)
-    return _TreeNode(feature=f, threshold=threshold, left=left, right=right)
-
-
-def _tree_proba(node: _TreeNode, X: np.ndarray, out: np.ndarray,
-                idx: np.ndarray) -> None:
-    if idx.size == 0:
-        return
-    if node.is_leaf:
-        total = node.histogram.sum()
-        out[idx] = node.histogram / total if total > 0 else 1.0 / len(node.histogram)
-        return
-    mask = X[idx, node.feature] <= node.threshold
-    _tree_proba(node.left, X, out, idx[mask])
-    _tree_proba(node.right, X, out, idx[~mask])
+    node[0], node[1] = int(f), threshold
+    node[2] = len(nodes)  # the left child comes next in preorder
+    _grow_tree(X[mask], y[mask], depth + 1, max_depth, mtry, n_classes, rng, nodes)
+    node[3] = len(nodes)
+    _grow_tree(X[~mask], y[~mask], depth + 1, max_depth, mtry, n_classes, rng, nodes)
 
 
 @dataclass
@@ -255,11 +256,11 @@ class ForestModel:
     """Bagged Gini trees with class-frequency leaves."""
 
     trees: list
-    n_trees: int
-    max_depth: Optional[int]
-    seed: int
-    n_classes: int
     n_features: int
+
+    @property
+    def n_classes(self) -> int:
+        return self.trees[0].counts.shape[1]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -267,13 +268,10 @@ class ForestModel:
             raise ValueError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
-        acc = np.zeros((X.shape[0], self.n_classes))
-        buf = np.zeros_like(acc)
-        idx = np.arange(X.shape[0])
+        rows = X.tolist()
+        acc = np.zeros((len(rows), self.n_classes))
         for tree in self.trees:
-            buf[:] = 0.0
-            _tree_proba(tree, X, buf, idx)
-            acc += buf
+            acc += tree.proba[tree.leaves(rows)]
         return acc / len(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -297,11 +295,11 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
     for ts in tree_seeds:
         tree_rng = np.random.default_rng(int(ts))
         boot = tree_rng.integers(0, len(y), size=len(y))
-        trees.append(
-            _grow_tree(X[boot], y[boot], 0, max_depth, mtry, n_classes, tree_rng)
-        )
-    return ForestModel(trees=trees, n_trees=n_trees, max_depth=max_depth,
-                       seed=seed, n_classes=n_classes, n_features=X.shape[1])
+        nodes = []
+        _grow_tree(X[boot], y[boot], 0, max_depth, mtry, n_classes, tree_rng, nodes)
+        feature, threshold, left, right, counts = zip(*nodes)
+        trees.append(Tree(feature, threshold, left, right, np.array(counts)))
+    return ForestModel(trees=trees, n_features=X.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -507,41 +505,56 @@ def run_split_protocol(X: np.ndarray, y: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _node_to_dict(node: _TreeNode) -> dict:
-    if node.is_leaf:
-        return {"histogram": [int(c) for c in node.histogram]}
-    return {
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(data: dict) -> _TreeNode:
-    if "histogram" in data:
-        return _TreeNode(histogram=np.asarray(data["histogram"], dtype=float))
-    return _TreeNode(
-        feature=data["feature"],
-        threshold=data["threshold"],
-        left=_node_from_dict(data["left"]),
-        right=_node_from_dict(data["right"]),
-    )
-
-
 def save_forest(model: ForestModel, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": FOREST_FILE_VERSION,
-        "n_trees": model.n_trees,
-        "max_depth": model.max_depth,
-        "seed": model.seed,
         "n_classes": model.n_classes,
         "n_features": model.n_features,
-        "trees": [_node_to_dict(t) for t in model.trees],
+        "trees": [
+            {"feature": list(t.feature), "threshold": list(t.threshold),
+             "left": list(t.left), "right": list(t.right),
+             "counts": t.counts.tolist()}
+            for t in model.trees
+        ],
     }
     path.write_text(json.dumps(payload, sort_keys=True))
+
+
+def _tree_from_dict(data: dict, n_features: int, n_classes: int) -> Tree:
+    """Rebuild one tree, rejecting arrays that could not have come from
+    ``train_forest``."""
+    try:
+        feature, left, right = (np.asarray(data[k]) for k in ("feature", "left", "right"))
+        threshold = np.asarray(data["threshold"], dtype=float)
+        counts = np.asarray(data["counts"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed tree in forest file: {exc!r}") from exc
+    n = len(feature) if feature.ndim == 1 else 0
+    if n == 0 or any(a.shape != (n,) for a in (threshold, left, right)):
+        raise InputError("tree arrays must be nonempty and of equal length")
+    if any(a.dtype.kind != "i" for a in (feature, left, right)):
+        raise InputError("tree features and child indices must be integers")
+    idx = np.arange(n)
+    internal = left != -1
+    children_ok = np.where(internal,
+                           (idx < left) & (left < n) & (idx < right) & (right < n),
+                           right == -1)
+    if not children_ok.all():
+        raise InputError("tree child indices must lie after their parent and "
+                         "inside the tree, or both be -1 at a leaf")
+    split_f = feature[internal]
+    if np.any((split_f < 0) | (split_f >= n_features)):
+        raise InputError(f"tree split features must lie in [0, {n_features})")
+    if not np.all(np.isfinite(threshold[internal])):
+        raise InputError("tree split thresholds must be finite")
+    if counts.shape != (n, n_classes):
+        raise InputError(f"tree counts must be {n} rows of {n_classes} classes")
+    if not np.all(np.isfinite(counts)) or np.any(counts < 0) or np.any(counts.sum(axis=1) <= 0):
+        raise InputError("tree counts must be finite, nonnegative and nonzero per node")
+    return Tree(tuple(feature.tolist()), tuple(threshold.tolist()),
+                tuple(left.tolist()), tuple(right.tolist()), counts)
 
 
 def load_forest(path: str | Path) -> ForestModel:
@@ -549,13 +562,16 @@ def load_forest(path: str | Path) -> ForestModel:
     if not path.exists():
         raise InputError(f"forest file not found: {path}")
     payload = json.loads(path.read_text())
-    if payload.get("version") != FOREST_FILE_VERSION:
-        raise InputError(f"unsupported forest file version: {payload.get('version')!r}")
-    return ForestModel(
-        trees=[_node_from_dict(t) for t in payload["trees"]],
-        n_trees=payload["n_trees"],
-        max_depth=payload["max_depth"],
-        seed=payload["seed"],
-        n_classes=payload["n_classes"],
-        n_features=payload["n_features"],
-    )
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != FOREST_FILE_VERSION:
+        raise InputError(
+            f"unsupported forest file version {version!r} (expected "
+            f"{FOREST_FILE_VERSION}); re-run `crossrisk train` to regenerate {path}"
+        )
+    n_features, n_classes, trees = (payload.get(k) for k in ("n_features", "n_classes", "trees"))
+    if not all(type(v) is int and v > 0 for v in (n_features, n_classes)):
+        raise InputError("forest n_features and n_classes must be positive integers")
+    if not isinstance(trees, list) or not trees:
+        raise InputError("forest file holds no trees")
+    return ForestModel(trees=[_tree_from_dict(t, n_features, n_classes) for t in trees],
+                       n_features=n_features)

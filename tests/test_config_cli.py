@@ -49,6 +49,12 @@ class TestConfig:
         with pytest.raises(InputError, match="learning_rte"):
             load_config(path)
 
+    def test_removed_forest_key_named(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"forest": {"use_velocity_components": False}}))
+        with pytest.raises(InputError, match="use_velocity_components"):
+            load_config(path)
+
     def test_unknown_merge_key_named(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"preprocess": {"merge": {"max_gap": 1}}}))

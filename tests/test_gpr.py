@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossrisk.errors import NumericalError
+from crossrisk.errors import InputError, NumericalError
 from crossrisk.gpr import (
     GprModelPair,
     KernelConfig,
@@ -407,6 +407,12 @@ class TestClusterTraining:
             assert np.concatenate(posterior_predict(back[cell].gp_x, [q])) == pytest.approx(
                 np.concatenate(posterior_predict(models[cell].gp_x, [q])), abs=1e-12
             )
+            assert back[cell].gp_x.train_x is back[cell].gp_y.train_x
+            for name in ("gp_x", "gp_y"):
+                a, b = getattr(models[cell], name), getattr(back[cell], name)
+                for field in ("train_x", "train_y", "chol", "alpha_vec"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field))
+                assert a.kernel == b.kernel
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -414,3 +420,66 @@ class TestClusterTraining:
         from crossrisk.errors import InputError
         with pytest.raises(InputError):
             load_cluster_models(path)
+
+    def test_train_x_written_once_per_cluster(self, tmp_path):
+        path = tmp_path / "models.json"
+        save_cluster_models(_small_models(), path)
+        for entry in json.loads(path.read_text())["clusters"].values():
+            assert len(entry["train_x"]) == 6
+            assert "train_x" not in entry["gp_x"] and "train_x" not in entry["gp_y"]
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda p: p.update(version=1), id="v1-file"),
+        pytest.param(lambda p: _cluster(p)["train_x"][0].__setitem__(0, float("nan")),
+                     id="train-x-nan"),
+        pytest.param(lambda p: _cluster(p)["train_x"][0].__setitem__(1, float("inf")),
+                     id="train-x-inf"),
+        pytest.param(lambda p: _cluster(p).update(
+            train_x=[r + [0.0] for r in _cluster(p)["train_x"]]), id="train-x-three-columns"),
+        pytest.param(lambda p: _cluster(p).update(train_x=[]), id="train-x-empty"),
+        pytest.param(lambda p: _cluster(p).pop("train_x"), id="train-x-missing"),
+        pytest.param(lambda p: _cluster(p)["gp_x"]["train_y"].__setitem__(0, float("nan")),
+                     id="train-y-nan"),
+        pytest.param(lambda p: _cluster(p)["gp_y"]["train_y"].pop(), id="train-y-short"),
+        pytest.param(lambda p: _cluster(p)["gp_x"].update(length_scale=0.0),
+                     id="length-scale-zero"),
+        pytest.param(lambda p: _cluster(p)["gp_x"].update(rq_alpha=-1.0), id="rq-alpha-negative"),
+        pytest.param(lambda p: _cluster(p)["gp_y"].update(noise_variance=float("inf")),
+                     id="noise-variance-inf"),
+        pytest.param(lambda p: _cluster(p)["gp_x"].update(y_std=0.0), id="y-std-zero"),
+        pytest.param(lambda p: _cluster(p)["gp_y"].update(y_std=float("nan")), id="y-std-nan"),
+    ])
+    def test_loader_rejects(self, tmp_path, mutate):
+        path = tmp_path / "models.json"
+        save_cluster_models(_small_models(), path)
+        payload = json.loads(path.read_text())
+        mutate(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputError):
+            load_cluster_models(path)
+
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(InputError):
+            load_cluster_models(path)
+
+    def test_v1_file_asks_for_retraining(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"version": 1, "clusters": {}}))
+        with pytest.raises(InputError, match="crossrisk train"):
+            load_cluster_models(path)
+
+
+def _small_models():
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-3, 3, size=(6, 2))
+    cfg = KernelConfig(kind="rq", length_scale=1.5, rq_alpha=0.7, noise_variance=0.1)
+    cell = (Direction.N, Maneuver.LEFT)
+    return {cell: GprModelPair(gp_x=build_gpr_model(x, rng.normal(size=6), cfg),
+                               gp_y=build_gpr_model(x, rng.normal(size=6), cfg),
+                               cluster=cell)}
+
+
+def _cluster(payload):
+    return payload["clusters"]["N:left"]

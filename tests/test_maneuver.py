@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from crossrisk.errors import InputError
 from crossrisk.maneuver import (
     DIRECTION_FEATURE_INDEX,
     ForestGrid,
@@ -35,6 +39,27 @@ def make_clusters(n_per_class=(60, 60, 60), seed=0, spread=0.4):
     return np.vstack(rows), np.concatenate(labels).astype(int)
 
 
+def reference_proba(model, X):
+    """Scalar walk of each row down each tree, leaf counts normalized in place."""
+    out = np.zeros((len(X), model.n_classes))
+    for r, row in enumerate(np.asarray(X, dtype=float)):
+        for tree in model.trees:
+            node = 0
+            while tree.left[node] != -1:
+                go_left = row[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            out[r] += tree.counts[node] / tree.counts[node].sum()
+    return out / len(model.trees)
+
+
+def tied_table(seed, n, n_features):
+    """Small-integer features (many ties) and random labels of 2-3 classes."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(n, n_features)).astype(float)
+    y = rng.integers(0, 3, size=n)
+    return X, y
+
+
 class TestFeatures:
     def test_speed_is_magnitude(self):
         p = TrackPoint.create(0.0, 1.0, 2.0, 3.0, 4.0, yaw_rate=0.2)
@@ -50,11 +75,6 @@ class TestFeatures:
         codes = [extract_features(p, d)[DIRECTION_FEATURE_INDEX] for d in
                  (Direction.N, Direction.E, Direction.S, Direction.W)]
         assert codes == [0.0, 1.0, 2.0, 3.0]
-
-    def test_velocity_component_variant_has_six(self):
-        p = TrackPoint.create(0.0, 1.0, 2.0, 3.0, 4.0, yaw_rate=0.2)
-        f = extract_features(p, Direction.E, use_velocity_components=True)
-        assert f.tolist() == [1.0, 2.0, 3.0, 4.0, 0.2, 1.0]
 
     def test_invalid_point_rejected(self):
         p = TrackPoint.create(0.0, float("nan"), 2.0, 3.0, 4.0, yaw_rate=0.2)
@@ -187,7 +207,112 @@ class TestForest:
         save_forest(model, path)
         back = load_forest(path)
         q = X[::4]
-        assert np.allclose(back.predict_proba(q), model.predict_proba(q), atol=1e-15)
+        assert np.array_equal(back.predict_proba(q), model.predict_proba(q))
+        for a, b in zip(model.trees, back.trees):
+            assert (a.feature, a.threshold, a.left, a.right) == (b.feature, b.threshold,
+                                                                 b.left, b.right)
+            assert np.array_equal(a.counts, b.counts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 60), st.sampled_from([None, 1, 3]),
+           st.integers(1, 6))
+    def test_predict_matches_scalar_reference(self, seed, n, max_depth, n_trees):
+        X, y = tied_table(seed, n, 5)
+        assume(np.unique(y).size > 1)
+        model = train_forest(X, y, n_trees=n_trees, max_depth=max_depth, seed=seed)
+        q = np.vstack([X, np.random.default_rng(seed).uniform(-1, 5, size=(7, 5))])
+        assert np.array_equal(model.predict_proba(q), reference_proba(model, q))
+        assert np.array_equal(model.predict_proba(q[:1]), reference_proba(model, q[:1]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 60), st.integers(1, 7))
+    def test_unbounded_trees_on_distinct_rows_vote_whole_trees(self, seed, n, n_trees):
+        # distinct rows can always be split apart, so every leaf is pure and
+        # each tree casts one whole vote
+        X, y = tied_table(seed, n, 3)
+        X, first = np.unique(X, axis=0, return_index=True)
+        y = y[first]
+        assume(np.unique(y).size > 1)
+        probs = train_forest(X, y, n_trees=n_trees, seed=seed).predict_proba(X)
+        votes = probs * n_trees
+        assert np.array_equal(votes, np.round(votes))
+        assert np.array_equal(probs, np.round(votes) / n_trees)
+
+
+def _forest_payload(tmp_path):
+    X, y = make_clusters((20, 20, 20), seed=11)
+    path = tmp_path / "forest.json"
+    save_forest(train_forest(X, y, n_trees=2, max_depth=3, seed=0), path)
+    return json.loads(path.read_text())
+
+
+def _set(key, value, tree=0):
+    def mutate(payload):
+        payload["trees"][tree][key] = value
+    return mutate
+
+
+def _set_at(key, node, value):
+    def mutate(payload):
+        payload["trees"][0][key][node] = value
+    return mutate
+
+
+def _first_leaf(payload):
+    return payload["trees"][0]["left"].index(-1)
+
+
+class TestForestFile:
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda p: p.update(version=1), id="v1-file"),
+        pytest.param(lambda p: p.update(version=3), id="unknown-version"),
+        pytest.param(lambda p: p["trees"][0]["threshold"].pop(), id="arrays-differ-in-length"),
+        pytest.param(lambda p: p["trees"][0].update(
+            feature=[], threshold=[], left=[], right=[], counts=[]), id="empty-tree"),
+        pytest.param(lambda p: p["trees"][0].update(
+            left=[len(p["trees"][0]["left"])] + p["trees"][0]["left"][1:]),
+            id="child-out-of-range"),
+        pytest.param(_set_at("right", 0, 0), id="child-not-after-parent"),
+        pytest.param(_set_at("left", 0, -2), id="negative-child"),
+        pytest.param(_set_at("feature", 0, 5), id="feature-too-large"),
+        pytest.param(_set_at("feature", 0, -1), id="internal-feature-negative"),
+        pytest.param(_set_at("threshold", 0, float("nan")), id="threshold-nan"),
+        pytest.param(_set_at("threshold", 0, float("inf")), id="threshold-inf"),
+        pytest.param(lambda p: p["trees"][0]["counts"][_first_leaf(p)].__setitem__(0, -1),
+                     id="negative-count"),
+        pytest.param(lambda p: p["trees"][0]["counts"].__setitem__(
+            _first_leaf(p), [0, 0, 0]), id="counts-sum-to-zero"),
+        pytest.param(lambda p: p["trees"][0]["counts"][_first_leaf(p)].append(1),
+                     id="count-row-too-wide"),
+        pytest.param(lambda p: p.update(n_classes=2), id="count-rows-not-n-classes-wide"),
+        pytest.param(_set_at("left", 0, 1.5), id="fractional-child"),
+        pytest.param(lambda p: p["trees"][0].pop("counts"), id="missing-array"),
+        pytest.param(lambda p: p.update(trees=[]), id="no-trees"),
+    ])
+    def test_loader_rejects(self, tmp_path, mutate):
+        payload = _forest_payload(tmp_path)
+        mutate(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputError):
+            load_forest(path)
+
+    def test_v1_file_asks_for_retraining(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"version": 1, "trees": []}))
+        with pytest.raises(InputError, match="crossrisk train"):
+            load_forest(path)
+
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(InputError):
+            load_forest(path)
+
+    def test_unmutated_payload_loads(self, tmp_path):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(_forest_payload(tmp_path)))
+        assert load_forest(path).n_classes == 3
 
 
 class TestManeuverDistribution:

@@ -19,7 +19,7 @@ from crossrisk.gpr import (
 from crossrisk.maneuver import (
     ForestModel,
     ManeuverDistribution,
-    _TreeNode,
+    Tree,
     build_feature_table,
     extract_features,
     train_forest,
@@ -37,6 +37,7 @@ from crossrisk.risk import (
 )
 from crossrisk.synth import ScenarioSpec, canonical_endpoints, generate_scenario
 from crossrisk.trajectory import (
+    Dataset,
     Direction,
     Maneuver,
     ObjectClass,
@@ -306,11 +307,9 @@ class TestEstimateRisk:
                 constant_pair(Direction.S, Maneuver.RIGHT, -1.0, 0.0),
         }
         # two single-leaf trees voting left and straight: p = (0.5, 0, 0.5)
-        forest = ForestModel(
-            trees=[_TreeNode(histogram=np.array([1.0, 0.0, 0.0])),
-                   _TreeNode(histogram=np.array([0.0, 0.0, 1.0]))],
-            n_trees=2, max_depth=None, seed=0, n_classes=3, n_features=5,
-        )
+        leaf = lambda counts: Tree(feature=(-1,), threshold=(0.0,), left=(-1,), right=(-1,),
+                                   counts=np.array([counts]))
+        forest = ForestModel(trees=[leaf([1, 0, 0]), leaf([0, 0, 1])], n_features=5)
         ped = KinematicState(x=2.0, y=-1.0, vx=0.0, vy=1.0)  # at (2, 0) after 1 s
         # vehicle reaches x=2 after 2 s; tiny radius pins the exact-hit pair
         profile = score(self._vehicle_point(), Direction.S, ped, models,
@@ -425,6 +424,47 @@ class TestRiskStreams:
                 want = score(vp, veh.entering_direction, ped_state, models, forest, self.CFG)
                 assert profile.maneuver_probs == want.maneuver_probs
                 assert profile.risk == pytest.approx(want.risk, abs=1e-12)
+
+    def test_sample_mode_draws_per_vehicle(self, monkeypatch):
+        # two vehicles on identical tracks share one cluster: each draws its
+        # own sample paths, and a rerun repeats them byte for byte
+        track = tuple(TrackPoint.create(0.1 * i, 0.5 * i, 0.0, 5.0, 0.0, 0.0)
+                      for i in range(5))
+        vehicles = [Trajectory(id=vid, object_class=ObjectClass.VEHICLE, points=track,
+                               entering_direction=Direction.W, maneuver=Maneuver.STRAIGHT)
+                    for vid in ("v1", "v2")]
+        ped = Trajectory(id="p1", object_class=ObjectClass.PEDESTRIAN,
+                         points=tuple(TrackPoint.create(0.1 * i, 2.0, -1.0, 0.0, 1.0)
+                                      for i in range(5)))
+        dataset = Dataset(trajectories=vehicles + [ped])
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-2, 4, size=(10, 2))
+        kernel = KernelConfig(kind="rbf", length_scale=2.0, noise_variance=0.05)
+        cell = (Direction.W, Maneuver.STRAIGHT)
+        models = {cell: GprModelPair(gp_x=build_gpr_model(x, 5.0 + rng.normal(size=10), kernel),
+                                     gp_y=build_gpr_model(x, rng.normal(size=10), kernel),
+                                     cluster=cell)}
+        forest, _ = certain_forest(2)
+        real_rollout = evaluation.rollout
+
+        def drawn_paths(mode):
+            paths = []
+
+            def recording_rollout(pair, starts, cfg):
+                out = real_rollout(pair, starts, cfg)
+                paths.append(out[1])
+                return out
+
+            monkeypatch.setattr(evaluation, "rollout", recording_rollout)
+            cfg = RolloutConfig(steps=10, dt=0.1, mode=mode, seed=3)
+            assert len(compute_risk_streams(dataset, models, forest, cfg)) == 2
+            return paths
+
+        first, again, mean = drawn_paths("sample"), drawn_paths("sample"), drawn_paths("mean")
+        assert len(first) == 2  # one rollout per vehicle
+        assert not np.array_equal(first[0], first[1])
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in again]
+        assert np.array_equal(mean[0], mean[1])
 
 
 class TestTrajectoryError:
