@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""SHA-256 of every stage output on the benchmark scenes of ``perfbench/workloads.py``,
+with preprocess, train and risk run in process through ``crossrisk.cli.main``:
+
+    python scripts/output_digests.py --src OTHER_CHECKOUT/src --out old.json
+    python scripts/output_digests.py --out new.json [--workloads fit --seeds 1 2]
+    python scripts/output_digests.py --compare old.json new.json  # differing files; exit 1 if any
+"""
+import argparse, contextlib, io, json, os, sys, tempfile  # noqa: E401
+from hashlib import sha256
+from pathlib import Path
+
+# One BLAS thread in this process, so that digests do not depend on the host.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1"))
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def digests(workload: str, seed: int) -> dict:
+    from crossrisk.cli import main
+    from perfbench.workloads import WORKLOADS, build_scene
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        scene = build_scene(WORKLOADS[workload], seed, work / "scene")
+        prep, models = work / "prep", work / "models"
+        for argv in (["preprocess", "--in", scene.input_csv, "--out", prep],
+                     ["train", "--in", prep / "labeled.csv", "--out", models],
+                     ["risk", "--in", prep / "labeled.csv", "--models", models,
+                      "--out", work / "risk"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                if main([*map(str, argv), "--config", str(scene.config_json)]) != 0:
+                    raise SystemExit(f"{workload} seed {seed}: {argv[0]} failed")
+        return {f"{workload}/{seed}/{p.relative_to(work)}": sha256(p.read_bytes()).hexdigest()
+                for p in sorted(work.rglob("*")) if p.is_file() and "scene" not in p.parts}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workloads", nargs="+", default=["fit", "risk_crowded", "ingest_fragmented"])
+    ap.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)))
+    ap.add_argument("--src", type=Path, default=ROOT / "src")
+    ap.add_argument("--out", type=Path)
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    args = ap.parse_args()
+    if args.compare:
+        a, b = (json.loads(p.read_text()) for p in args.compare)
+        differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        print("\n".join(differ) or f"all {len(a)} digests equal")
+        return 1 if differ else 0
+    if args.out is None:
+        ap.error("--out is required without --compare")
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT)]
+    result = {k: v for w in args.workloads for s in args.seeds for k, v in digests(w, s).items()}
+    args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    print(f"{len(result)} digests -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

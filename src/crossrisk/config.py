@@ -103,6 +103,8 @@ class GprConfig:
         cfg = GprConfig(**data)
         if cfg.kernel not in ("rbf", "rq"):
             raise InputError(f"unknown kernel: {cfg.kernel!r}")
+        if cfg.iterations < 1:
+            raise InputError("gpr.iterations must be at least 1")
         return cfg
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 
 from .errors import InputError, NumericalError
 from .trajectory import Dataset, Direction, Maneuver, SUPPORTED_MANEUVERS
@@ -115,10 +115,11 @@ def _jittered_cholesky(k: np.ndarray, noise_variance: float, jitter: float
                 )
 
 
-def _factorize(cfg: KernelConfig, x: np.ndarray, y_standardized: np.ndarray
+def _factorize(cfg: KernelConfig, d2: np.ndarray, y_standardized: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cholesky of K + (noise + jitter) I, escalating jitter up to MAX_JITTER."""
-    chol, jitter = _jittered_cholesky(kernel_matrix(cfg, x, x), cfg.noise_variance,
+    """Cholesky of K + (noise + jitter) I from the training inputs' squared
+    distances, escalating jitter up to MAX_JITTER."""
+    chol, jitter = _jittered_cholesky(_kernel_from_d2(cfg, d2), cfg.noise_variance,
                                       cfg.jitter)
     alpha_vec = cho_solve((chol, True), y_standardized)
     return chol, alpha_vec, jitter
@@ -143,7 +144,7 @@ def build_gpr_model(inputs: np.ndarray, targets: np.ndarray, cfg: KernelConfig,
     else:
         y_mean, y_std = 0.0, 1.0
     ys = (y - y_mean) / y_std
-    chol, alpha_vec, jitter = _factorize(cfg, x, ys)
+    chol, alpha_vec, jitter = _factorize(cfg, _sq_dists(x, x), ys)
     return GprModel(kernel=cfg, train_x=x, train_y=y, y_mean=y_mean, y_std=y_std,
                     chol=chol, alpha_vec=alpha_vec, jitter_used=jitter)
 
@@ -187,6 +188,10 @@ class OptimizerSettings:
     init_noise: float = 0.1
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.iterations < 1:
+            raise InputError("the optimizer needs at least one iteration")
+
 
 def _theta_to_config(theta: np.ndarray, kind: str, jitter: float) -> KernelConfig:
     if kind == "rq":
@@ -199,53 +204,78 @@ def _theta_to_config(theta: np.ndarray, kind: str, jitter: float) -> KernelConfi
                         noise_variance=math.exp(log_noise), jitter=jitter)
 
 
-def gpr_loss_and_grad(theta: np.ndarray, x: np.ndarray, ys: np.ndarray,
-                      kind: str, jitter: float) -> tuple[float, np.ndarray]:
-    """Negated log marginal likelihood and its gradient in log-parameter space.
+def _neg_lml(theta: np.ndarray, d2: np.ndarray, ys: np.ndarray, kind: str,
+             jitter: float) -> tuple[float, np.ndarray, tuple]:
+    """Negated log marginal likelihood, its gradient and the factorization
+    ``(chol, alpha_vec, jitter_used)`` they were computed from.
 
-    Parameters are ``(log length_scale, [log rq_alpha,] log noise_variance)``.
+    Each gradient entry is ``-(alpha' dK alpha - tr(K^-1 dK)) / 2`` (Rasmussen &
+    Williams 2006, eq. 5.9). The trace reads the lower triangle of ``K^-1``,
+    which LAPACK ``potri`` forms from the Cholesky factor, with the
+    off-diagonal part counted twice.
     """
     cfg = _theta_to_config(theta, kind, jitter)
-    n = x.shape[0]
-    d2 = _sq_dists(x, x)
+    n = d2.shape[0]
+    k_f = _kernel_from_d2(cfg, d2)
     ls2 = cfg.length_scale**2
     if kind == "rbf":
-        k_f = np.exp(-d2 / (2.0 * ls2))
         dk = [k_f * d2 / ls2]  # d/d log length_scale
     else:
         base = 1.0 + d2 / (2.0 * cfg.rq_alpha * ls2)
-        k_f = base ** (-cfg.rq_alpha)
-        d_ls = base ** (-cfg.rq_alpha - 1.0) * d2 / ls2
+        d_ls = k_f / base * d2 / ls2
         inner = -np.log(base) + d2 / (2.0 * cfg.rq_alpha * ls2 * base)
         d_alpha = k_f * cfg.rq_alpha * inner
         dk = [d_ls, d_alpha]
 
-    chol, _ = _jittered_cholesky(k_f, cfg.noise_variance, jitter)
+    chol, jitter_used = _jittered_cholesky(k_f, cfg.noise_variance, jitter)
     alpha_vec = cho_solve((chol, True), ys)
     lml = (
         -0.5 * float(ys @ alpha_vec)
         - float(np.sum(np.log(np.diag(chol))))
         - 0.5 * n * math.log(2.0 * math.pi)
     )
-    k_inv = cho_solve((chol, True), np.eye(n))
-    w = np.outer(alpha_vec, alpha_vec) - k_inv
-    dk.append(cfg.noise_variance * np.eye(n))  # d/d log noise_variance
-    grad_lml = np.array([0.5 * float(np.sum(w * dk_j)) for dk_j in dk])
-    return -lml, -grad_lml
+    k_inv, info = lapack.dpotri(chol, lower=1)  # lower triangle, zeros above
+    if info != 0:
+        raise NumericalError(f"covariance inverse failed (LAPACK potri info={info})")
+    k_inv_diag = np.diag(k_inv)
+    # dK is symmetric, so the transpose (a view) sums the same entries.
+    grad_lml = [
+        0.5 * (float(alpha_vec @ (dk_j @ alpha_vec))
+               - (2.0 * float(np.vdot(k_inv.T, dk_j))
+                  - float(k_inv_diag @ np.diag(dk_j))))
+        for dk_j in dk
+    ]
+    # d/d log noise_variance: dK = noise * I
+    grad_lml.append(0.5 * cfg.noise_variance
+                    * (float(alpha_vec @ alpha_vec) - float(np.sum(k_inv_diag))))
+    return -lml, -np.array(grad_lml), (chol, alpha_vec, jitter_used)
+
+
+def gpr_loss_and_grad(theta: np.ndarray, d2: np.ndarray, ys: np.ndarray,
+                      kind: str, jitter: float) -> tuple[float, np.ndarray]:
+    """Negated log marginal likelihood and its gradient in log-parameter space,
+    given the training inputs' squared distances ``d2``.
+
+    Parameters are ``(log length_scale, [log rq_alpha,] log noise_variance)``.
+    """
+    loss, grad, _ = _neg_lml(theta, d2, ys, kind, jitter)
+    return loss, grad
 
 
 def _adam_minimize(fun, theta0: np.ndarray, opt: OptimizerSettings
-                   ) -> tuple[np.ndarray, list]:
-    """Adam with early stopping; returns the best iterate and the loss trace."""
+                   ) -> tuple[np.ndarray, list, object]:
+    """Adam with early stopping on ``fun(theta) -> (loss, grad, state)``;
+    returns the best iterate, the loss trace and the best iterate's state."""
     theta = theta0.astype(float).copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     trace: list[float] = []
     best_theta = theta.copy()
     best_loss = math.inf
+    best_state = None
     last_improvement = 0
     for it in range(1, opt.iterations + 1):
-        loss, grad = fun(theta)
+        loss, grad, state = fun(theta)
         if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise NumericalError("non-finite loss during hyperparameter optimization")
         trace.append(loss)
@@ -254,6 +284,7 @@ def _adam_minimize(fun, theta0: np.ndarray, opt: OptimizerSettings
         if loss < best_loss:
             best_loss = loss
             best_theta = theta.copy()
+            best_state = state
         if it - last_improvement >= opt.early_stop_window:
             break
         m = opt.beta1 * m + (1.0 - opt.beta1) * grad
@@ -261,7 +292,7 @@ def _adam_minimize(fun, theta0: np.ndarray, opt: OptimizerSettings
         m_hat = m / (1.0 - opt.beta1**it)
         v_hat = v / (1.0 - opt.beta2**it)
         theta = theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
-    return best_theta, trace
+    return best_theta, trace, best_state
 
 
 def _initial_length_scale(x: np.ndarray, seed: int) -> float:
@@ -278,7 +309,8 @@ def fit_gpr(inputs: np.ndarray, targets: np.ndarray, kind: str = "rq",
             opt: OptimizerSettings = OptimizerSettings(),
             jitter: float = 1e-6) -> GprModel:
     """Standardize targets, optimize hyperparameters with Adam, and return the
-    conditioned model at the best loss seen."""
+    model conditioned at the best loss seen, with the factorization that loss
+    was computed from."""
     x = np.asarray(inputs, dtype=float).reshape(-1, 2)
     y = np.asarray(targets, dtype=float).reshape(-1)
     if x.shape[0] < 2:
@@ -300,11 +332,11 @@ def fit_gpr(inputs: np.ndarray, targets: np.ndarray, kind: str = "rq",
     else:
         raise InputError(f"unknown kernel kind: {kind!r}")
 
-    best_theta, trace = _adam_minimize(
-        lambda th: gpr_loss_and_grad(th, x, ys, kind, jitter), theta0, opt
+    d2 = _sq_dists(x, x)
+    best_theta, trace, (chol, alpha_vec, jitter_used) = _adam_minimize(
+        lambda th: _neg_lml(th, d2, ys, kind, jitter), theta0, opt
     )
     cfg = _theta_to_config(best_theta, kind, jitter)
-    chol, alpha_vec, jitter_used = _factorize(cfg, x, ys)
     return GprModel(kernel=cfg, train_x=x, train_y=y, y_mean=y_mean, y_std=y_std,
                     chol=chol, alpha_vec=alpha_vec, jitter_used=jitter_used,
                     loss_trace=trace)
@@ -442,8 +474,9 @@ def _model_to_dict(model: GprModel) -> dict:
     }
 
 
-def _model_from_dict(data: dict, x: np.ndarray) -> GprModel:
-    """Rebuild one GP on the cluster's shared ``(n, 2)`` training inputs."""
+def _model_from_dict(data: dict, x: np.ndarray, d2: np.ndarray) -> GprModel:
+    """Rebuild one GP on the cluster's shared ``(n, 2)`` training inputs and
+    their squared distances ``d2``."""
     try:
         params = {k: float(data[k]) for k in ("length_scale", "rq_alpha",
                                               "noise_variance", "y_std")}
@@ -463,14 +496,15 @@ def _model_from_dict(data: dict, x: np.ndarray) -> GprModel:
                        rq_alpha=params["rq_alpha"],
                        noise_variance=params["noise_variance"], jitter=jitter)
     ys = (y - y_mean) / params["y_std"]
-    chol, alpha_vec, jitter_used = _factorize(cfg, x, ys)
+    chol, alpha_vec, jitter_used = _factorize(cfg, d2, ys)
     return GprModel(kernel=cfg, train_x=x, train_y=y, y_mean=y_mean,
                     y_std=params["y_std"], chol=chol, alpha_vec=alpha_vec,
                     jitter_used=jitter_used, loss_trace=list(data.get("loss_trace", [])))
 
 
 def save_cluster_models(models: dict, path: str | Path) -> None:
-    """Write every cluster's shared training inputs once, then its two GPs."""
+    """Write every cluster's shared training inputs once, then its two GPs,
+    as compact JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -486,7 +520,7 @@ def save_cluster_models(models: dict, path: str | Path) -> None:
             )
         },
     }
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+    path.write_text(json.dumps(payload, sort_keys=True))
 
 
 def load_cluster_models(path: str | Path) -> dict:
@@ -510,9 +544,10 @@ def load_cluster_models(path: str | Path) -> dict:
             raise InputError(f"malformed train_x for cluster {key}: {exc!r}") from exc
         if x.ndim != 2 or x.shape[1] != 2 or len(x) == 0 or not np.all(np.isfinite(x)):
             raise InputError(f"train_x for cluster {key} must be finite (n, 2) rows")
+        d2 = _sq_dists(x, x)
         models[cell] = GprModelPair(
-            gp_x=_model_from_dict(entry["gp_x"], x),
-            gp_y=_model_from_dict(entry["gp_y"], x),
+            gp_x=_model_from_dict(entry["gp_x"], x, d2),
+            gp_y=_model_from_dict(entry["gp_y"], x, d2),
             cluster=cell,
         )
     return models

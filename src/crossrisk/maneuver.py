@@ -95,6 +95,33 @@ class ManeuverDistribution:
 # ---------------------------------------------------------------------------
 
 
+#: Rows per block of the same-class neighbour search in ``smote_oversample``.
+_KNN_BLOCK_ROWS = 256
+
+
+def _nearest_neighbors(sub: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` nearest other rows of every row of ``sub``, nearest first and
+    ties broken by row index: the first ``k`` columns of a stable argsort of
+    the squared-distance matrix, computed ``_KNN_BLOCK_ROWS`` rows at a time."""
+    n = len(sub)
+    sq = np.sum(sub * sub, axis=1)
+    out = np.empty((n, k), dtype=np.intp)
+    for lo in range(0, n, _KNN_BLOCK_ROWS):
+        hi = min(lo + _KNN_BLOCK_ROWS, n)
+        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (sub[lo:hi] @ sub.T)
+        rows = np.arange(hi - lo)
+        d2[rows, rows + lo] = np.inf
+        cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        cand_d2 = np.take_along_axis(d2, cand, axis=1)
+        order = np.lexsort((cand, cand_d2), axis=1)
+        out[lo:hi] = np.take_along_axis(cand, order, axis=1)
+        # Rows whose k-th distance is tied (or NaN) have no unique candidate set.
+        kth = cand_d2.max(axis=1, keepdims=True)
+        for r in np.flatnonzero(np.sum(d2 <= kth, axis=1) != k):
+            out[lo + r] = np.argsort(d2[r], kind="stable")[:k]
+    return out
+
+
 def smote_oversample(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0,
                      categorical: Sequence[int] = (DIRECTION_FEATURE_INDEX,)
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -117,38 +144,29 @@ def smote_oversample(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0,
     counts = Counter(y.tolist())
     majority = max(counts.values())
 
-    new_rows, new_labels = [], []
+    new_rows, new_labels = [X], [y]
     for cls in sorted(counts):
         need = majority - counts[cls]
         if need == 0:
             continue
         rows = X[y == cls]
         if len(rows) == 1:
-            for _ in range(need):
-                new_rows.append(rows[0].copy())
-                new_labels.append(cls)
-            continue
-        k_eff = max(1, min(k, len(rows) - 1))
-        sub = rows[:, cont]
-        d2 = (
-            np.sum(sub * sub, axis=1)[:, None]
-            + np.sum(sub * sub, axis=1)[None, :]
-            - 2.0 * (sub @ sub.T)
-        )
-        np.fill_diagonal(d2, np.inf)
-        neighbor_idx = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
-        for _ in range(need):
-            s = int(rng.integers(len(rows)))
-            nn = int(neighbor_idx[s, int(rng.integers(k_eff))])
-            u = rng.random()
-            row = rows[s].copy()
-            row[cont] = rows[s][cont] + u * (rows[nn][cont] - rows[s][cont])
-            new_rows.append(row)
-            new_labels.append(cls)
-
-    if not new_rows:
-        return X.copy(), y.copy()
-    return np.vstack([X, np.asarray(new_rows)]), np.concatenate([y, np.asarray(new_labels, dtype=int)])
+            new_rows.append(np.repeat(rows, need, axis=0))
+        else:
+            k_eff = max(1, min(k, len(rows) - 1))
+            neighbor_idx = _nearest_neighbors(rows[:, cont], k_eff)
+            s = np.empty(need, dtype=np.intp)
+            nn = np.empty(need, dtype=np.intp)
+            u = np.empty((need, 1))
+            for i in range(need):  # scalar draws, in the seeded order
+                s[i] = rng.integers(len(rows))
+                nn[i] = neighbor_idx[s[i], rng.integers(k_eff)]
+                u[i] = rng.random()
+            synthetic = rows[s]
+            synthetic[:, cont] += u * (rows[nn][:, cont] - synthetic[:, cont])
+            new_rows.append(synthetic)
+        new_labels.append(np.full(need, cls, dtype=int))
+    return np.vstack(new_rows), np.concatenate(new_labels)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from crossrisk.gpr import (
     KernelConfig,
     OptimizerSettings,
     RolloutConfig,
+    _sq_dists,
     build_gpr_model,
     gpr_loss_and_grad,
     kernel_matrix,
@@ -104,15 +105,16 @@ def test_ac1_gpr_numerical_core():
         x = rng.uniform(-5, 5, size=(5, 2))
         ys = rng.normal(size=5)
         theta = rng.uniform(-1, 1, size=3 if kind == "rq" else 2)
-        _, grad = gpr_loss_and_grad(theta, x, ys, kind, 1e-6)
+        d2 = _sq_dists(x, x)
+        _, grad = gpr_loss_and_grad(theta, d2, ys, kind, 1e-6)
         fd = np.zeros_like(theta)
         h = 1e-6
         for j in range(len(theta)):
             tp, tm = theta.copy(), theta.copy()
             tp[j] += h
             tm[j] -= h
-            fd[j] = (gpr_loss_and_grad(tp, x, ys, kind, 1e-6)[0]
-                     - gpr_loss_and_grad(tm, x, ys, kind, 1e-6)[0]) / (2 * h)
+            fd[j] = (gpr_loss_and_grad(tp, d2, ys, kind, 1e-6)[0]
+                     - gpr_loss_and_grad(tm, d2, ys, kind, 1e-6)[0]) / (2 * h)
         rel = np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-4))
         worst_grad = max(worst_grad, float(rel))
 

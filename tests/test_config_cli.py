@@ -80,6 +80,12 @@ class TestConfig:
         with pytest.raises(InputError):
             load_config(path)
 
+    def test_zero_gpr_iterations_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"gpr": {"iterations": 0}}))
+        with pytest.raises(InputError, match="iterations"):
+            load_config(path)
+
 
 def _pipeline_config(tmp_path, seed=3):
     cfg = {

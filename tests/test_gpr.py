@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_solve
 
 from crossrisk.errors import InputError, NumericalError
 from crossrisk.gpr import (
@@ -11,7 +12,11 @@ from crossrisk.gpr import (
     KernelConfig,
     OptimizerSettings,
     RolloutConfig,
+    _factorize,
     _jittered_cholesky,
+    _neg_lml,
+    _sq_dists,
+    _theta_to_config,
     build_gpr_model,
     fit_gpr,
     gpr_loss_and_grad,
@@ -52,15 +57,41 @@ def naive_lml(cfg, train_x, train_y, jitter=0.0):
 
 def fd_gradient(theta, x, ys, kind, jitter, h=1e-6):
     grad = np.zeros_like(theta)
+    d2 = _sq_dists(x, x)
     for j in range(len(theta)):
         tp, tm = theta.copy(), theta.copy()
         tp[j] += h
         tm[j] -= h
         grad[j] = (
-            gpr_loss_and_grad(tp, x, ys, kind, jitter)[0]
-            - gpr_loss_and_grad(tm, x, ys, kind, jitter)[0]
+            gpr_loss_and_grad(tp, d2, ys, kind, jitter)[0]
+            - gpr_loss_and_grad(tm, d2, ys, kind, jitter)[0]
         ) / (2 * h)
     return grad
+
+
+def reference_loss_and_grad(theta, x, ys, kind, jitter):
+    """Explicit-inverse loss the inverse-free gradient replaced: W = aa' - K^-1
+    summed against every dK, with K^-1 from solving against the identity."""
+    cfg = _theta_to_config(theta, kind, jitter)
+    n = x.shape[0]
+    d2 = _sq_dists(x, x)
+    ls2 = cfg.length_scale**2
+    if kind == "rbf":
+        k_f = np.exp(-d2 / (2.0 * ls2))
+        dk = [k_f * d2 / ls2]
+    else:
+        base = 1.0 + d2 / (2.0 * cfg.rq_alpha * ls2)
+        k_f = base ** (-cfg.rq_alpha)
+        d_ls = base ** (-cfg.rq_alpha - 1.0) * d2 / ls2
+        inner = -np.log(base) + d2 / (2.0 * cfg.rq_alpha * ls2 * base)
+        dk = [d_ls, k_f * cfg.rq_alpha * inner]
+    chol, _ = _jittered_cholesky(k_f, cfg.noise_variance, jitter)
+    alpha_vec = cho_solve((chol, True), ys)
+    lml = (-0.5 * float(ys @ alpha_vec) - float(np.sum(np.log(np.diag(chol))))
+           - 0.5 * n * math.log(2.0 * math.pi))
+    w = np.outer(alpha_vec, alpha_vec) - cho_solve((chol, True), np.eye(n))
+    dk.append(cfg.noise_variance * np.eye(n))
+    return -lml, -np.array([0.5 * float(np.sum(w * dk_j)) for dk_j in dk])
 
 
 class TestKernels:
@@ -148,10 +179,39 @@ class TestGradients:
         ys = rng.normal(size=5)
         n_par = 3 if kind == "rq" else 2
         theta = rng.uniform(-1.0, 1.0, size=n_par)
-        _, grad = gpr_loss_and_grad(theta, x, ys, kind, 1e-6)
+        _, grad = gpr_loss_and_grad(theta, _sq_dists(x, x), ys, kind, 1e-6)
         fd = fd_gradient(theta, x, ys, kind, 1e-6)
         scale = np.maximum(np.abs(fd), 1e-4)
         assert np.max(np.abs(grad - fd) / scale) < 1e-4
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(["rbf", "rq"]), st.integers(2, 40))
+    def test_matches_explicit_inverse_reference(self, seed, kind, n):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-5, 5, size=(n, 2))
+        ys = rng.normal(size=n)
+        theta = rng.uniform(-1.5, 1.5, size=3 if kind == "rq" else 2)
+        loss, grad = gpr_loss_and_grad(theta, _sq_dists(x, x), ys, kind, 1e-6)
+        want_loss, want_grad = reference_loss_and_grad(theta, x, ys, kind, 1e-6)
+        assert loss == pytest.approx(want_loss, rel=1e-10)
+        assert np.max(np.abs(grad - want_grad) / np.abs(want_grad)) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["rbf", "rq"])
+    def test_matches_reference_with_escalated_jitter(self, kind):
+        # every point three times, 1e6 m from the origin, negligible noise: the
+        # expanded squared distances are off by ~1e-5, K is indefinite, and
+        # the jitter escalates from 1e-8
+        rng = np.random.default_rng(3)
+        x = 1e6 + np.repeat(rng.uniform(-1, 1, size=(10, 2)), 3, axis=0)
+        ys = rng.normal(size=30)
+        theta = np.array([1.0, 0.0, -20.0] if kind == "rq" else [1.0, -20.0])
+        d2 = _sq_dists(x, x)
+        *_, (_, _, jitter_used) = _neg_lml(theta, d2, ys, kind, 1e-8)
+        assert jitter_used >= 1e-6
+        loss, grad = gpr_loss_and_grad(theta, d2, ys, kind, 1e-8)
+        want_loss, want_grad = reference_loss_and_grad(theta, x, ys, kind, 1e-8)
+        assert loss == pytest.approx(want_loss, rel=1e-10)
+        assert np.max(np.abs(grad - want_grad) / np.abs(want_grad)) < 1e-10
 
 
 class TestPosterior:
@@ -252,6 +312,29 @@ class TestFit:
             return float(np.sqrt(np.mean((preds - y_test) ** 2)))
 
         assert rmse(fitted) < rmse(initial)
+
+    @pytest.mark.parametrize("kind", ["rbf", "rq"])
+    @pytest.mark.parametrize("escalated", [False, True])
+    def test_factorization_is_the_best_iterates(self, kind, escalated):
+        rng = np.random.default_rng(3)
+        if escalated:  # as in the gradient test: tripled points 1e6 m out
+            x = 1e6 + np.repeat(rng.uniform(-1, 1, size=(10, 2)), 3, axis=0)
+            opt = OptimizerSettings(iterations=20, init_noise=1e-12)
+        else:
+            x = rng.uniform(-4, 4, size=(25, 2))
+            opt = OptimizerSettings(iterations=30)
+        y = np.cos(0.7 * x[:, 0]) + 0.05 * rng.normal(size=len(x))
+        model = fit_gpr(x, y, kind=kind, opt=opt, jitter=1e-8)
+        assert (model.jitter_used > 1e-8) == escalated
+        ys = (y - model.y_mean) / model.y_std
+        chol, alpha_vec, jitter_used = _factorize(model.kernel, _sq_dists(x, x), ys)
+        assert model.chol.tobytes() == chol.tobytes()
+        assert model.alpha_vec.tobytes() == alpha_vec.tobytes()
+        assert model.jitter_used == jitter_used
+
+    def test_needs_an_iteration(self):
+        with pytest.raises(InputError):
+            OptimizerSettings(iterations=0)
 
     def test_too_few_points_raises(self):
         with pytest.raises(ValueError):

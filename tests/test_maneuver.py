@@ -1,14 +1,17 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from crossrisk import maneuver
 from crossrisk.errors import InputError
 from crossrisk.maneuver import (
     DIRECTION_FEATURE_INDEX,
     ForestGrid,
     ManeuverDistribution,
+    _nearest_neighbors,
     classification_metrics,
     evaluate_classifier,
     extract_features,
@@ -57,6 +60,65 @@ def tied_table(seed, n, n_features):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 4, size=(n, n_features)).astype(float)
     y = rng.integers(0, 3, size=n)
+    return X, y
+
+
+def reference_neighbors(sub, k):
+    """Full-matrix kNN the blocked search replaced: the first ``k`` columns of
+    a stable argsort of every squared distance, self excluded."""
+    d2 = (np.sum(sub * sub, axis=1)[:, None] + np.sum(sub * sub, axis=1)[None, :]
+          - 2.0 * (sub @ sub.T))
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def reference_smote(X, y, k, seed, categorical=(DIRECTION_FEATURE_INDEX,)):
+    """Row-at-a-time oversampler on the full-matrix kNN, as it stood before
+    the blocked search and the vectorized interpolation."""
+    rng = np.random.default_rng(seed)
+    cont = [j for j in range(X.shape[1]) if j not in set(categorical)]
+    counts = Counter(y.tolist())
+    majority = max(counts.values())
+    new_rows, new_labels = [], []
+    for cls in sorted(counts):
+        need = majority - counts[cls]
+        if need == 0:
+            continue
+        rows = X[y == cls]
+        if len(rows) == 1:
+            new_rows += [rows[0].copy() for _ in range(need)]
+            new_labels += [cls] * need
+            continue
+        k_eff = max(1, min(k, len(rows) - 1))
+        neighbor_idx = reference_neighbors(rows[:, cont], k_eff)
+        for _ in range(need):
+            s = int(rng.integers(len(rows)))
+            nn = int(neighbor_idx[s, int(rng.integers(k_eff))])
+            u = rng.random()
+            row = rows[s].copy()
+            row[cont] = rows[s][cont] + u * (rows[nn][cont] - rows[s][cont])
+            new_rows.append(row)
+            new_labels.append(cls)
+    if not new_rows:
+        return X.copy(), y.copy()
+    return (np.vstack([X, np.asarray(new_rows)]),
+            np.concatenate([y, np.asarray(new_labels, dtype=int)]))
+
+
+@st.composite
+def smote_tables(draw):
+    """Class sizes 1-40 over 1-3 classes; 5 features whose continuous columns
+    are small integers (exact distance ties) or bounded floats."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    if draw(st.booleans()):
+        cont = rng.integers(-2, 3, size=(n, 4)).astype(float)
+    else:
+        cont = rng.uniform(-50.0, 50.0, size=(n, 4))
+    X = np.column_stack([cont, rng.integers(0, 4, size=n).astype(float)])
+    y = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
     return X, y
 
 
@@ -122,6 +184,32 @@ class TestSmote:
         bx, by = smote_oversample(X, y, seed=5)
         assert np.bincount(by).tolist() == [3, 3]
         assert np.array_equal(bx[by == 0], np.repeat(X[:1], 3, axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(smote_tables(), st.integers(1, 6), st.integers(0, 1000))
+    def test_blocked_equals_full_matrix_reference(self, table, k, seed):
+        X, y = table
+        cont = [j for j in range(X.shape[1]) if j != DIRECTION_FEATURE_INDEX]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(maneuver, "_KNN_BLOCK_ROWS", 3)  # many block edges
+            for cls in np.unique(y):
+                sub = X[y == cls][:, cont]
+                if len(sub) > 1:
+                    k_eff = min(k, len(sub) - 1)
+                    assert np.array_equal(_nearest_neighbors(sub, k_eff),
+                                          reference_neighbors(sub, k_eff))
+            bx, by = smote_oversample(X, y, k=k, seed=seed)
+        ref_x, ref_y = reference_smote(X, y, k, seed)
+        assert bx.tobytes() == ref_x.tobytes() and bx.shape == ref_x.shape
+        assert np.array_equal(by, ref_y) and by.dtype == ref_y.dtype
+
+    @pytest.mark.parametrize("integer_valued", [True, False])
+    def test_neighbors_across_default_blocks(self, integer_valued):
+        rng = np.random.default_rng(8)
+        sub = rng.uniform(-20.0, 20.0, size=(700, 4))  # three 256-row blocks
+        if integer_valued:
+            sub = np.round(sub / 5.0)
+        assert np.array_equal(_nearest_neighbors(sub, 5), reference_neighbors(sub, 5))
 
     def test_deterministic_under_seed(self):
         X, y = make_clusters((70, 30, 50))

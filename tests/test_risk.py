@@ -370,6 +370,29 @@ class TestEstimateRisk:
                       for a in profile.assessments)
             assert profile.risk == pytest.approx(mix, abs=1e-12)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 0),
+        st.lists(st.one_of(st.none(), st.tuples(st.floats(-6, 6), st.floats(-6, 6))),
+                 min_size=3, max_size=3),
+        st.tuples(*[st.floats(-4, 4)] * 2, *[st.floats(-2, 2)] * 2),
+        st.floats(0.2, 2.0),
+    )
+    def test_mixture_bounded_by_largest_maneuver_risk(self, weights, vels, ped_state,
+                                                      radius):
+        cfg = RolloutConfig(steps=20, dt=0.1)
+        w = np.asarray(weights)
+        probs = ManeuverDistribution.from_array(w / w.sum())
+        steps = np.arange(cfg.steps + 1)[:, None] * cfg.dt
+        paths = {m: steps * np.asarray(v) for m, v in zip(SUPPORTED_MANEUVERS, vels)
+                 if v is not None}
+        if not paths:  # one hypothesis at least, as the caller guarantees
+            paths = {Maneuver.STRAIGHT: steps * np.array([1.0, 0.0])}
+        profile = estimate_risk(self._vehicle_point(), KinematicState(*ped_state),
+                                probs, paths, cfg, radius=radius)
+        assert 0.0 <= profile.risk <= 1.0
+        assert profile.risk <= max(a.risk for a in profile.assessments) + 1e-12
+
 
 @pytest.fixture(scope="module")
 def small_scene():
