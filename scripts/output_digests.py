@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""SHA-256 of every stage output on the benchmark scenes of ``perfbench/workloads.py``,
-with preprocess, train and risk run in process through ``crossrisk.cli.main``:
+"""SHA-256 of the scene (``scene/input.csv``, ``scene/config.json``) and of every stage
+output on the benchmark scenes of ``perfbench/workloads.py``, with preprocess, train
+and risk run in process through ``crossrisk.cli.main``:
 
     python scripts/output_digests.py --src OTHER_CHECKOUT/src --out old.json
     python scripts/output_digests.py --out new.json [--workloads fit --seeds 1 2]
@@ -30,7 +31,7 @@ def digests(workload: str, seed: int) -> dict:
                 if main([*map(str, argv), "--config", str(scene.config_json)]) != 0:
                     raise SystemExit(f"{workload} seed {seed}: {argv[0]} failed")
         return {f"{workload}/{seed}/{p.relative_to(work)}": sha256(p.read_bytes()).hexdigest()
-                for p in sorted(work.rglob("*")) if p.is_file() and "scene" not in p.parts}
+                for p in sorted(work.rglob("*")) if p.is_file()}
 
 
 def main() -> int:

@@ -8,6 +8,7 @@ loudly instead of silently falling back to defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -105,6 +106,8 @@ class GprConfig:
             raise InputError(f"unknown kernel: {cfg.kernel!r}")
         if cfg.iterations < 1:
             raise InputError("gpr.iterations must be at least 1")
+        if not (math.isfinite(cfg.jitter) and cfg.jitter >= 0):
+            raise InputError("gpr.jitter must be nonnegative and finite")
         return cfg
 
 

@@ -26,6 +26,9 @@ KERNEL_KINDS = ("rbf", "rq")
 
 #: Hard ceiling for jitter escalation when a covariance resists factorization.
 MAX_JITTER = 1e-4
+#: First escalation rung when the starting jitter is 0, which tenfold steps
+#: alone would never raise.
+MIN_ESCALATED_JITTER = 1e-10
 
 MODEL_FILE_VERSION = 2
 
@@ -101,13 +104,14 @@ class GprModel:
 def _jittered_cholesky(k: np.ndarray, noise_variance: float, jitter: float
                        ) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of k + (noise + jitter) I and the jitter used,
-    escalating the jitter tenfold up to MAX_JITTER."""
+    escalating the jitter tenfold up to MAX_JITTER (from MIN_ESCALATED_JITTER
+    when it starts at 0)."""
     while True:
         try:
             chol = cholesky(k + (noise_variance + jitter) * np.eye(len(k)), lower=True)
             return chol, jitter
         except np.linalg.LinAlgError:
-            jitter *= 10.0
+            jitter = jitter * 10.0 if jitter > 0 else MIN_ESCALATED_JITTER
             if jitter > MAX_JITTER:
                 raise NumericalError(
                     "covariance matrix is not positive definite even at "

@@ -13,6 +13,7 @@ time to stay conflict-free.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -216,16 +217,17 @@ class _Segment:
             self.theta1 = float(kw["theta1"])
             self.length = self.radius * abs(self.theta1 - self.theta0)
 
-    def at(self, s: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """(position, unit tangent, curvature) at arc length ``s``."""
-        if self.kind == "line":
-            return self.p0 + self._dir * s, self._dir, 0.0
-        frac = s / self.length if self.length > 0 else 0.0
-        theta = self.theta0 + (self.theta1 - self.theta0) * frac
-        pos = self.center + self.radius * np.array([math.cos(theta), math.sin(theta)])
+    def arc_sample(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, unit tangents) at arc lengths ``s`` along an arc."""
+        theta = (self.theta0 + (self.theta1 - self.theta0) * (s / self.length)).tolist()
+        # math, not np.cos/np.sin: numpy's float64 kernels may differ from
+        # libm in the last bit on some builds, and a scene's bytes must not
+        # depend on the build
+        cos = np.array([math.cos(x) for x in theta])
+        sin = np.array([math.sin(x) for x in theta])
+        pos = self.center + self.radius * np.column_stack([cos, sin])
         sign = 1.0 if self.theta1 > self.theta0 else -1.0
-        tangent = sign * np.array([-math.sin(theta), math.cos(theta)])
-        return pos, tangent, 1.0 / self.radius
+        return pos, sign * np.column_stack([-sin, cos])
 
 
 class _Path:
@@ -233,18 +235,47 @@ class _Path:
         self.segments = [s for s in segments if s.length > 1e-9]
         self.cum = np.concatenate([[0.0], np.cumsum([s.length for s in self.segments])])
         self.total = float(self.cum[-1])
+        # line origins and directions by segment; arc rows stay zero
+        self._p0 = np.zeros((len(self.segments), 2))
+        self._dir = np.zeros((len(self.segments), 2))
+        self._arcs = []
+        for k, seg in enumerate(self.segments):
+            if seg.kind == "line":
+                self._p0[k], self._dir[k] = seg.p0, seg._dir
+            else:
+                self._arcs.append(k)
 
-    def at(self, s: float) -> tuple[np.ndarray, np.ndarray, float]:
-        s = min(max(s, 0.0), self.total)
-        i = int(np.searchsorted(self.cum, s, side="right")) - 1
-        i = min(i, len(self.segments) - 1)
-        return self.segments[i].at(s - self.cum[i])
+    def sample(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(positions, unit tangents, curvatures) at arc lengths ``s``,
+        clamped to the path."""
+        s = np.clip(s, 0.0, self.total)
+        i = np.minimum(np.searchsorted(self.cum, s, side="right") - 1,
+                       len(self.segments) - 1)
+        local = s - self.cum[i]
+        pos = self._p0[i] + self._dir[i] * local[:, None]
+        tangent = self._dir[i]
+        curvature = np.zeros(len(s))
+        for k in self._arcs:
+            on = i == k
+            pos[on], tangent[on] = self.segments[k].arc_sample(local[on])
+            curvature[on] = 1.0 / self.segments[k].radius
+        return pos, tangent, curvature
 
 
 def _rotate(points: np.ndarray, angle: float) -> np.ndarray:
+    """Rotate each ``(x, y)`` row by ``angle``. Every row is its own
+    (1, 2) @ (2, 2) product, the BLAS call that rotating one point makes, so a
+    row rounds the same in any batch."""
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s], [s, c]])
-    return points @ rot.T
+    return (points[:, None, :] @ rot.T)[:, 0, :]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with ``b`` (one vector, or one row
+    each). Every row goes through the BLAS dot that ``np.dot`` of two
+    2-vectors uses, which can round differently from ``(a * b).sum(1)``."""
+    return (a[:, None, :] @ b[..., :, None])[:, 0, 0]
 
 
 class _SpeedProfile:
@@ -310,25 +341,16 @@ class _RotatedPath:
         self.angle = angle
         self.total = path.total
 
-    def at(self, s: float) -> tuple[np.ndarray, np.ndarray, float]:
-        pos, tangent, curv = self.path.at(s)
-        return (_rotate(pos[None, :], self.angle)[0],
-                _rotate(tangent[None, :], self.angle)[0], curv)
+    def sample(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        pos, tangent, curvature = self.path.sample(s)
+        return _rotate(pos, self.angle), _rotate(tangent, self.angle), curvature
 
 
 def _pedestrian_path(crosswalk: Direction, reverse: bool, lateral_offset: float,
                      approach_angle: float) -> _Path:
     """Polyline from an approach fan through one endpoint, across the
     crosswalk with a sinusoidal lateral bow, out past the far endpoint."""
-    endpoints = canonical_endpoints()
-    key_a, key_b = {
-        Direction.N: ("N_NW", "N_NE"),
-        Direction.E: ("E_NE", "E_SE"),
-        Direction.S: ("S_SE", "S_SW"),
-        Direction.W: ("W_SW", "W_NW"),
-    }[crosswalk]
-    a = np.asarray(endpoints[key_a], dtype=float)
-    b = np.asarray(endpoints[key_b], dtype=float)
+    a, b = _crosswalk_axis(crosswalk)
     if reverse:
         a, b = b, a
     axis = (b - a) / np.linalg.norm(b - a)
@@ -357,25 +379,53 @@ def _pedestrian_path(crosswalk: Direction, reverse: bool, lateral_offset: float,
 # ---------------------------------------------------------------------------
 
 
-def _integrate_motion(total_length: float, speed_of_s, dt: float,
+def _integrate_motion(total_length: float, profile: _SpeedProfile, dt: float,
                       substeps: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (time, arc length) table for motion along a path."""
+    """Dense (time, arc length) table for motion along a path.
+
+    Each substep h moves ``s <- min(total, s + v(s) h)``, with v the profile's
+    ``np.interp`` formula evaluated inline, until ``s`` reaches the end or the
+    speed drops to 1e-6. Where the speed is constant between two knots, the
+    steps are one ``np.add.accumulate``, which adds in sequence like a loop.
+    """
     h = dt / substeps
-    t_list = [0.0]
-    s_list = [0.0]
-    s = 0.0
-    t = 0.0
-    while s < total_length:
-        v = float(speed_of_s(s))
-        if v <= 1e-6:
-            break
-        s = min(total_length, s + v * h)
-        t += h
-        t_list.append(t)
-        s_list.append(s)
-        if t > 3600.0:
-            raise InputError("path integration exceeded one hour; bad speed profile")
-    return np.asarray(t_list), np.asarray(s_list)
+    max_steps = int(3600.0 / h) + 2  # t is past one hour after this many steps
+    # np.interp holds the end values beyond the knots: pad with constant pieces
+    knots_s, knots_v = profile.s.tolist(), profile.v.tolist()
+    knots_s, knots_v = [-math.inf, *knots_s, math.inf], [knots_v[0], *knots_v, knots_v[-1]]
+    pieces = [np.zeros(1)]
+    s, n = 0.0, 0
+    while s < total_length and n <= max_steps:
+        j = bisect.bisect_right(knots_s, s) - 1
+        x0, v0 = knots_s[j], knots_v[j]
+        slope = (knots_v[j + 1] - v0) / (knots_s[j + 1] - x0)
+        stop = min(knots_s[j + 1], total_length)
+        budget = max_steps + 1 - n
+        if slope == 0.0:
+            if v0 <= 1e-6:
+                break
+            inc = v0 * h
+            m = min(int((stop - s) / inc) + 2, budget)
+            run = np.add.accumulate(np.concatenate([[s], np.full(m, inc)]))[1:]
+            run = run[:int(np.searchsorted(run, stop)) + 1]  # through the first >= stop
+            run[-1] = min(total_length, run[-1])
+        else:
+            run = []
+            v = slope * (s - x0) + v0
+            while v > 1e-6 and s < stop and len(run) < budget:
+                s = min(total_length, s + v * h)
+                run.append(s)
+                v = slope * (s - x0) + v0
+            if not run:
+                break
+            run = np.asarray(run)
+        pieces.append(run)
+        n += len(run)
+        s = float(run[-1])
+    t = np.add.accumulate(np.concatenate([[0.0], np.full(n, h)]))
+    if t[-1] > 3600.0:
+        raise InputError("path integration exceeded one hour; bad speed profile")
+    return t, np.concatenate(pieces)
 
 
 def _time_at_arclength(s_star: float, t_dense: np.ndarray, s_dense: np.ndarray) -> float:
@@ -387,33 +437,32 @@ class _Entity:
     entity_id: str
     object_class: ObjectClass
     path: object  # _Path or _RotatedPath
-    speed_of_s: object
+    speed_of_s: _SpeedProfile
     launch_frame: int = 0
     noise_seed: int = 0
 
     def sample(self, dt: float, noise_pos: float, noise_vel: float,
                t_dense: np.ndarray, s_dense: np.ndarray) -> Trajectory:
-        rng = np.random.default_rng(self.noise_seed)
         n_frames = int(math.floor(t_dense[-1] / dt)) + 1
-        points = []
-        for k in range(n_frames):
-            s = float(np.interp(k * dt, t_dense, s_dense))
-            pos, tangent, curv = self.path.at(s)
-            v = float(self.speed_of_s(s))
-            vel = v * tangent
-            if noise_pos > 0:
-                pos = pos + rng.normal(0.0, noise_pos, size=2)
-            if noise_vel > 0:
-                vel = vel + rng.normal(0.0, noise_vel, size=2)
-            x, y = pos
-            vx, vy = vel
-            points.append(
-                TrackPoint.create(
-                    t=round((self.launch_frame + k) * dt, 6),
-                    x=float(x), y=float(y), vx=float(vx), vy=float(vy),
-                    yaw_rate=abs(v * curv),
-                )
-            )
+        s = np.interp(np.arange(n_frames) * dt, t_dense, s_dense)
+        pos, tangent, curvature = self.path.sample(s)
+        v = self.speed_of_s(s)
+        vel = v[:, None] * tangent
+        # Per frame, position noise then velocity noise: the same draws, in
+        # the same order and with the same values, as rng.normal(0, scale, 2)
+        # twice a frame.
+        z = np.random.default_rng(self.noise_seed).standard_normal(
+            (n_frames, 2 * (noise_pos > 0) + 2 * (noise_vel > 0)))
+        if noise_pos > 0:
+            pos = pos + (0.0 + noise_pos * z[:, :2])
+        if noise_vel > 0:
+            vel = vel + (0.0 + noise_vel * z[:, -2:])
+        columns = zip(*pos.T.tolist(), *vel.T.tolist(), np.abs(v * curvature).tolist())
+        points = [
+            TrackPoint.create(t=round((self.launch_frame + k) * dt, 6),
+                              x=x, y=y, vx=vx, vy=vy, yaw_rate=yaw_rate)
+            for k, (x, y, vx, vy, yaw_rate) in enumerate(columns)
+        ]
         return Trajectory(id=self.entity_id, object_class=self.object_class,
                           points=tuple(points))
 
@@ -433,7 +482,7 @@ _CROSSWALK_LINES = {
 def _vehicle_crossings(path, step: float = 0.25) -> list:
     """(crosswalk, arc length, spot) for each crosswalk line the path crosses."""
     s_grid = np.arange(0.0, path.total + step, step)
-    pts = np.array([path.at(min(s, path.total))[0] for s in s_grid])
+    pts = path.sample(s_grid)[0]
     crossings = []
     for cw, (axis, level) in _CROSSWALK_LINES.items():
         coord = pts[:, 0] if axis == "x" else pts[:, 1]
@@ -460,6 +509,13 @@ def _crosswalk_axis(cw: Direction) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(endpoints[key_a], float), np.asarray(endpoints[key_b], float)
 
 
+def _fractions_along(spots: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where each spot projects onto the segment a->b, as a fraction of the
+    way from a to b clamped to [0, 1]."""
+    seg = b - a
+    return np.clip(_row_dots(spots - a, seg) / np.dot(seg, seg), 0.0, 1.0)
+
+
 class _Schedule:
     """Reserved crossing times; keeps unrelated vehicle/pedestrian crossings
     separated by the scenario's minimum time gap."""
@@ -469,31 +525,31 @@ class _Schedule:
         self.vehicle_crossings: list = []  # (crosswalk, spot, t_abs)
         self.ped_traversals: list = []  # (crosswalk, t_at_a, t_at_b, a, b)
 
-    def _ped_time_at(self, traversal, spot) -> float:
-        """When a traversing pedestrian passes the projection of ``spot``."""
-        _, t_a, t_b, a, b = traversal
-        seg = b - a
-        frac = float(np.dot(np.asarray(spot) - a, seg) / np.dot(seg, seg))
-        frac = min(1.0, max(0.0, frac))
-        return t_a + frac * (t_b - t_a)
+    def clear(self, t_vehicle: np.ndarray, fractions: np.ndarray,
+              t_a: float, t_b: float) -> bool:
+        """Whether vehicle crossings at times ``t_vehicle`` all keep the
+        minimum gap to a pedestrian who passes each crossing spot a fraction
+        ``fractions`` of the way through a traversal from t_a to t_b."""
+        t_ped = t_a + fractions * (t_b - t_a)
+        return not np.any(np.abs(t_vehicle - t_ped) < self.min_separation)
 
     def vehicle_ok(self, crossings_abs) -> bool:
-        for cw, spot, t in crossings_abs:
-            for trav in self.ped_traversals:
-                if trav[0] != cw:
-                    continue
-                if abs(t - self._ped_time_at(trav, spot)) < self.min_separation:
+        for cw, t_a, t_b, a, b in self.ped_traversals:
+            mine = [(spot, t) for c, spot, t in crossings_abs if c == cw]
+            if mine:
+                spots, times = zip(*mine)
+                if not self.clear(np.array(times), _fractions_along(np.array(spots), a, b),
+                                  t_a, t_b):
                     return False
         return True
 
-    def ped_ok(self, cw, t_a, t_b, a, b) -> bool:
-        trav = (cw, t_a, t_b, a, b)
-        for vcw, spot, t in self.vehicle_crossings:
-            if vcw != cw:
-                continue
-            if abs(t - self._ped_time_at(trav, spot)) < self.min_separation:
-                return False
-        return True
+    def vehicles_on(self, cw, a: np.ndarray, b: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Times of the reserved vehicle crossings of ``cw`` and the fraction
+        of the way from a to b at which each crosses."""
+        mine = [(spot, t) for c, spot, t in self.vehicle_crossings if c == cw]
+        spots = np.array([spot for spot, _ in mine]).reshape(-1, 2)
+        return np.array([t for _, t in mine]), _fractions_along(spots, a, b)
 
     def add_vehicle(self, crossings_abs) -> None:
         self.vehicle_crossings.extend(crossings_abs)
@@ -531,6 +587,8 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
     def jitter(base: float, frac: float = 0.03) -> float:
         return base * (1.0 + frac * (2.0 * rng.random() - 1.0))
 
+    route_crossings: dict = {}  # (direction, maneuver) -> crossings of its path
+
     def make_vehicle(direction: Direction, maneuver: Maneuver):
         """Build one vehicle plus the crossing times of its whole maneuver
         hypothesis fan; scheduling against the counterfactual paths keeps the
@@ -543,7 +601,9 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
             path_c, profile_m = _vehicle_geometry(m, cruise, turn)
             path_m = _RotatedPath(path_c, _ENTRY_ROTATION[direction])
             t_m, s_m = _integrate_motion(path_m.total, profile_m, dt)
-            crossings_m = _vehicle_crossings(path_m)
+            if (direction, m) not in route_crossings:
+                route_crossings[direction, m] = _vehicle_crossings(path_m)
+            crossings_m = route_crossings[direction, m]
             for cw, s_star, spot in crossings_m:
                 hypothesis_crossings.append(
                     (cw, _time_at_arclength(s_star, t_m, s_m), spot)
@@ -567,8 +627,7 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
         ped_counter += 1
         return entity_id, path, profile, t_dense, s_dense
 
-    def emit(entity_id, object_class, path, profile, launch_frame):
-        t_dense, s_dense = _integrate_motion(path.total, profile, dt)
+    def emit(entity_id, object_class, path, profile, t_dense, s_dense, launch_frame):
         entity = _Entity(entity_id=entity_id, object_class=object_class, path=path,
                          speed_of_s=profile, launch_frame=launch_frame,
                          noise_seed=spec.seed * 1_000_003 + len(trajectories))
@@ -605,8 +664,8 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
 
         # Arc length at the spot: the bow is zero, so scan for closest approach.
         s_scan = np.linspace(0.0, ppath.total, 2000)
-        d_scan = [np.linalg.norm(ppath.at(s)[0] - np.asarray(spot)) for s in s_scan]
-        s_spot = float(s_scan[int(np.argmin(d_scan))])
+        offsets = ppath.sample(s_scan)[0] - np.asarray(spot)
+        s_spot = float(s_scan[int(np.argmin(np.sqrt(_row_dots(offsets, offsets))))])
         t_ped_rel = _time_at_arclength(s_spot, pt, ps)
 
         v_veh_spot = float(vprofile(s_star))
@@ -629,8 +688,8 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
         t_b = t_a + float(np.linalg.norm(pb - pa)) / ped_speed
         schedule.add_ped(cw, t_a, t_b, pa, pb)
 
-        emit(vid, ObjectClass.VEHICLE, vpath, vprofile, launch_v)
-        emit(pid, ObjectClass.PEDESTRIAN, ppath, pprofile, launch_p)
+        emit(vid, ObjectClass.VEHICLE, vpath, vprofile, vt, vs, launch_v)
+        emit(pid, ObjectClass.PEDESTRIAN, ppath, pprofile, pt, ps, launch_p)
         truth.vehicles[vid] = (direction, maneuver)
         truth.pedestrian_crosswalks[pid] = cw
         truth.conflicts.append(
@@ -662,7 +721,7 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
                         break
                 if launch is None:
                     raise InputError("could not schedule a conflict-free vehicle")
-                emit(vid, ObjectClass.VEHICLE, vpath, vprofile, launch)
+                emit(vid, ObjectClass.VEHICLE, vpath, vprofile, vt, vs, launch)
                 truth.vehicles[vid] = (direction, maneuver)
 
     # -- background pedestrians ----------------------------------------------
@@ -676,6 +735,8 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
         pid, ppath, pprofile, pt, ps = make_ped(cw, reverse, offset, speed)
         a, b = _crosswalk_axis(cw)
         pa, pb = (b, a) if reverse else (a, b)
+        crossing_time = float(np.linalg.norm(pb - pa)) / speed
+        t_vehicle, fractions = schedule.vehicles_on(cw, pa, pb)
         base = (ped_counter * 9.1) % max(horizon - 30.0, 1.0)
         launch = None
         for attempt in range(600):
@@ -683,14 +744,14 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
             if cand * dt + pt[-1] > horizon + 60.0:
                 cand = _quantize_frame((attempt * 1.7) % horizon, dt)
             t_a = cand * dt + PED_APPROACH_LENGTH / speed
-            t_b = t_a + float(np.linalg.norm(pb - pa)) / speed
-            if schedule.ped_ok(cw, t_a, t_b, pa, pb):
+            t_b = t_a + crossing_time
+            if schedule.clear(t_vehicle, fractions, t_a, t_b):
                 schedule.add_ped(cw, t_a, t_b, pa, pb)
                 launch = cand
                 break
         if launch is None:
             raise InputError("could not schedule a conflict-free pedestrian")
-        emit(pid, ObjectClass.PEDESTRIAN, ppath, pprofile, launch)
+        emit(pid, ObjectClass.PEDESTRIAN, ppath, pprofile, pt, ps, launch)
         truth.pedestrian_crosswalks[pid] = cw
 
     dataset = Dataset(trajectories=trajectories, frame_interval=dt)

@@ -86,6 +86,18 @@ class TestConfig:
         with pytest.raises(InputError, match="iterations"):
             load_config(path)
 
+    @pytest.mark.parametrize("jitter", [-1e-6, float("nan"), float("inf")])
+    def test_bad_gpr_jitter_rejected(self, tmp_path, jitter):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"gpr": {"jitter": jitter}}))
+        with pytest.raises(InputError, match="jitter"):
+            load_config(path)
+
+    def test_zero_gpr_jitter_allowed(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"gpr": {"jitter": 0.0}}))
+        assert load_config(path).gpr.jitter == 0.0
+
 
 def _pipeline_config(tmp_path, seed=3):
     cfg = {

@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -354,6 +355,24 @@ class TestJitter:
     def test_gives_up_past_max_jitter(self):
         with pytest.raises(NumericalError):
             _jittered_cholesky(-np.eye(3), 0.0, 1e-6)
+
+    def test_zero_starting_jitter_escalates_and_gives_up(self):
+        # a zero jitter used to stay zero under tenfold steps and loop forever;
+        # the alarm turns a hang into a failure
+        def hang(signum, frame):
+            raise AssertionError("_jittered_cholesky did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            with pytest.raises(NumericalError):
+                _jittered_cholesky(-np.eye(2), 0.0, 0.0)
+            chol, jitter = _jittered_cholesky(-5e-9 * np.eye(2), 0.0, 0.0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert jitter == pytest.approx(1e-8)
+        assert np.allclose(chol @ chol.T, (jitter - 5e-9) * np.eye(2))
 
 
 class TestRollout:
