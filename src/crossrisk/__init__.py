@@ -7,7 +7,6 @@ from .trajectory import (  # noqa: F401
     Direction,
     Maneuver,
     ObjectClass,
-    TrackPoint,
     Trajectory,
     load_dataset,
     majority_vote_label,

@@ -2,7 +2,9 @@
 
 Each command reads one JSON config (``--config``), takes its inputs and
 output directory from flags, and writes machine-readable reports. Exit codes:
-0 success, 1 input error, 2 numerical failure.
+0 success, 1 input error (bad files, config or data too small to use), 2
+numerical failure; any other exception is a program bug and propagates with
+its traceback.
 """
 
 from __future__ import annotations
@@ -237,7 +239,8 @@ def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path,
     )
 
     if streams or truth:
-        report = evaluate_detection(streams, truth)
+        report = evaluate_detection(
+            {pair: max(p.risk for p in stream) for pair, stream in streams.items()}, truth)
         (out_dir / "detection_report.txt").write_text(report.to_text())
         _write_csv(out_dir / "roc.csv", ["threshold", "tpr", "fpr"],
                    [[_fmt(t if t not in (float("inf"), float("-inf")) else None),
@@ -301,7 +304,7 @@ def main(argv: list | None = None) -> int:
         elif args.command == "risk":
             models_dir = args.models if args.models is not None else args.in_path.parent
             cmd_risk(cfg, args.in_path, models_dir, args.out, args.seed)
-    except (InputError, ValueError, KeyError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

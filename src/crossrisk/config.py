@@ -122,7 +122,12 @@ class ForestConfig:
     @staticmethod
     def from_dict(data: dict) -> "ForestConfig":
         _check_keys(data, [f.name for f in fields(ForestConfig)], "forest")
-        return ForestConfig(**data)
+        cfg = ForestConfig(**data)
+        if not cfg.n_trees_grid or not cfg.max_depth_grid:
+            raise InputError("forest.n_trees_grid and forest.max_depth_grid must not be empty")
+        if cfg.n_splits < 1:
+            raise InputError("forest.n_splits must be at least 1")
+        return cfg
 
 
 @dataclass

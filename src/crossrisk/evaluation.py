@@ -4,7 +4,6 @@ streams over a whole scene."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -37,9 +36,9 @@ class ErrorRow:
 
 
 def _window_is_valid(traj: Trajectory, start_index: int, steps: int) -> bool:
-    if start_index < 1 or start_index + steps >= len(traj.points):
+    if start_index < 1 or start_index + steps >= len(traj):
         return False
-    return all(p.valid for p in traj.points[start_index - 1 : start_index + steps + 1])
+    return bool(traj.valid[start_index - 1 : start_index + steps + 1].all())
 
 
 def _pooled_rows(dataset: Dataset, models: dict, start_point: int, steps: int,
@@ -66,12 +65,12 @@ def _pooled_rows(dataset: Dataset, models: dict, start_point: int, steps: int,
         for direction in Direction:
             batch = [traj for traj in vehicles if traj.entering_direction == direction]
             if batch:
-                starts = np.array([traj.points[idx].position for traj in batch])
+                starts = np.array([traj.xy[idx] for traj in batch])
                 _, paths = rollout(models[(direction, maneuver)], starts, cfg)
                 predicted.update(zip((traj.id for traj in batch), paths))
         gpr_all, dyn_all = [], []
         for traj in vehicles:
-            actual = np.array([[p.x, p.y] for p in traj.points[idx + 1 : idx + 1 + steps]])
+            actual = traj.xy[idx + 1 : idx + 1 + steps]
             gpr_all.append(trajectory_error(predicted[traj.id], actual).distances)
             baseline = dynamic_model_predict(state_from_trajectory(traj, idx), dt, steps)
             dyn_all.append(trajectory_error(baseline, actual).distances)
@@ -131,10 +130,10 @@ def compute_risk_streams(
     stream, seeded by the rollout seed, the vehicle's ordinal in
     ``dataset.vehicles`` and the maneuver code.
     """
-    ped_index = {
-        ped.id: {round(p.t, 6): i for i, p in enumerate(ped.points) if p.valid}
-        for ped in dataset.pedestrians
-    }
+    ped_index = {}
+    for ped in dataset.pedestrians:
+        rows = np.flatnonzero(ped.valid).tolist()
+        ped_index[ped.id] = {round(t, 6): i for i, t in zip(rows, ped.t[rows].tolist())}
     ordinal = {veh.id: i for i, veh in enumerate(dataset.vehicles)}
     peds_of: dict = {}
     for veh, ped in co_present_pairs(dataset):
@@ -150,18 +149,17 @@ def compute_risk_streams(
         if not pairs:
             continue
         lookups = [ped_index[ped.id] for ped in peds]
+        times = veh.t.tolist()
+        usable = (veh.valid & np.isfinite(veh.yaw_rate)).tolist()
         frames = [
-            (vi, vp) for vi, vp in enumerate(veh.points)
-            if vi % frame_stride == 0 and vp.valid and math.isfinite(vp.yaw_rate)
-            and any(round(vp.t, 6) in lookup for lookup in lookups)
+            vi for vi in range(0, len(veh), frame_stride)
+            if usable[vi] and any(round(times[vi], 6) in lookup for lookup in lookups)
         ]
         if not frames:
             continue
-        probs = forest.predict_proba(np.array([
-            extract_features(vp, direction) for _, vp in frames
-        ]))
+        probs = forest.predict_proba(extract_features(veh, frames, direction))
         probs = probs / probs.sum(axis=1, keepdims=True)
-        starts = np.array([vp.position for _, vp in frames])
+        starts = veh.xy[frames]
         paths = {}
         for m, pair in pairs.items():
             cfg = replace(rollout_cfg,
@@ -169,19 +167,20 @@ def compute_risk_streams(
             paths[m] = np.concatenate([starts[:, None, :], rollout(pair, starts, cfg)[1]],
                                       axis=1)
         hypotheses = [
-            (vp, state_from_trajectory(veh, vi), ManeuverDistribution.from_array(probs[row]),
+            (times[vi], state_from_trajectory(veh, vi),
+             ManeuverDistribution.from_array(probs[row]),
              {m: path[row] for m, path in paths.items()})
-            for row, (vi, vp) in enumerate(frames)
+            for row, vi in enumerate(frames)
         ]
         for ped, lookup in zip(peds, lookups):
             profile_list = []
-            for vp, veh_state, frame_probs, frame_paths in hypotheses:
-                pi = lookup.get(round(vp.t, 6))
+            for t, veh_state, frame_probs, frame_paths in hypotheses:
+                pi = lookup.get(round(t, 6))
                 if pi is None:
                     continue
                 ped_state = state_from_trajectory(ped, pi)
                 profile_list.append(estimate_risk(
-                    vp, ped_state, frame_probs, frame_paths, rollout_cfg,
+                    t, veh_state, ped_state, frame_probs, frame_paths, rollout_cfg,
                     radius=conflict_radius,
                     ttc_baseline=compute_ttc(veh_state, ped_state, ttc_radius),
                 ))

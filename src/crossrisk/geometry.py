@@ -114,7 +114,6 @@ class IntersectionGeometry:
         rel = {n: (angles[n] - angles["NE"]) % (2 * math.pi) for n in ("NW", "SW", "SE")}
         if not (0.0 < rel["NW"] < rel["SW"] < rel["SE"] < 2 * math.pi):
             raise InputError("corner points are not in counterclockwise order")
-        object.__setattr__(self, "_corners", corners)
         object.__setattr__(self, "_center", center)
         object.__setattr__(self, "_angle_ne", angles["NE"])
         object.__setattr__(self, "_bounds", (rel["NW"], rel["SW"], rel["SE"]))
@@ -122,10 +121,6 @@ class IntersectionGeometry:
     @property
     def center(self) -> Point:
         return self._center
-
-    @property
-    def corners(self) -> dict:
-        return dict(self._corners)
 
     def quadrant(self, point: Point) -> Direction:
         """Quadrant of a point; sector boundaries belong to the sector
@@ -177,12 +172,6 @@ class DensityGrid:
     origin: Point
     counts: np.ndarray  # shape (nx, ny), int
 
-    def cell_index(self, p: Point) -> tuple[int, int]:
-        return (
-            int(math.floor((p[0] - self.origin[0]) / self.cell_size)),
-            int(math.floor((p[1] - self.origin[1]) / self.cell_size)),
-        )
-
     def cell_center(self, ix: int, iy: int) -> Point:
         return (
             self.origin[0] + (ix + 0.5) * self.cell_size,
@@ -207,23 +196,17 @@ class DensityGrid:
 def build_density_grid(trajectories: Sequence[Trajectory], cell_size: float) -> DensityGrid:
     if cell_size <= 0:
         raise InputError("cell_size must be positive")
-    all_pts = [p for t in trajectories for p in t.valid_points()]
-    if not all_pts:
+    tracks = [t.xy[t.valid] for t in trajectories]
+    all_pts = np.concatenate([np.empty((0, 2))] + tracks)
+    if len(all_pts) == 0:
         raise InputError("no valid points to grid")
-    xs = [p.x for p in all_pts]
-    ys = [p.y for p in all_pts]
-    origin = (min(xs), min(ys))
-    nx = int(math.floor((max(xs) - origin[0]) / cell_size)) + 1
-    ny = int(math.floor((max(ys) - origin[1]) / cell_size)) + 1
-    counts = np.zeros((nx, ny), dtype=int)
-    for traj in trajectories:
-        seen: set[tuple[int, int]] = set()
-        for p in traj.valid_points():
-            ix = int(math.floor((p.x - origin[0]) / cell_size))
-            iy = int(math.floor((p.y - origin[1]) / cell_size))
-            seen.add((ix, iy))
-        for ix, iy in seen:
-            counts[ix, iy] += 1
+    origin = (float(all_pts[:, 0].min()), float(all_pts[:, 1].min()))
+    nx, ny = np.floor((all_pts.max(axis=0) - origin) / cell_size).astype(int) + 1
+    cells = []
+    for xy in tracks:  # each trajectory counts once per cell it visits
+        ix, iy = np.floor((xy - origin) / cell_size).astype(int).T
+        cells.append(np.unique(ix * ny + iy))
+    counts = np.bincount(np.concatenate(cells), minlength=nx * ny).reshape(nx, ny)
     return DensityGrid(cell_size=cell_size, origin=origin, counts=counts)
 
 

@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
@@ -70,11 +69,6 @@ def _kernel_from_d2(cfg: KernelConfig, d2: np.ndarray) -> np.ndarray:
 
 def kernel_matrix(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _kernel_from_d2(cfg, _sq_dists(a, b))
-
-
-def kernel_eval(cfg: KernelConfig, a: Sequence[float], b: Sequence[float]) -> float:
-    """Covariance between two positions; 1.0 at zero distance."""
-    return float(kernel_matrix(cfg, np.asarray(a)[None, :], np.asarray(b)[None, :])[0, 0])
 
 
 @dataclass
@@ -443,17 +437,15 @@ def train_cluster_models(
             continue
         if traj.maneuver not in SUPPORTED_MANEUVERS:
             continue
-        rows = buckets.setdefault((traj.entering_direction, traj.maneuver), [])
-        for p in traj.valid_points():
-            rows.append((p.x, p.y, p.vx, p.vy))
+        buckets.setdefault((traj.entering_direction, traj.maneuver), []).append(
+            traj.points[traj.valid, 1:5])  # x, y, vx, vy
 
     models: dict = {}
     cells = [(d, m) for d in Direction for m in SUPPORTED_MANEUVERS]
     for idx, cell in enumerate(cells):
-        rows = buckets.get(cell)
-        if not rows or len(rows) < 2:
+        data = np.concatenate(buckets.get(cell, [np.empty((0, 4))]))
+        if len(data) < 2:
             continue
-        data = np.asarray(rows, dtype=float)
         if len(data) > max_points:
             rng = np.random.default_rng(seed + idx)
             pick = np.sort(rng.choice(len(data), max_points, replace=False))
@@ -531,27 +523,34 @@ def load_cluster_models(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise InputError(f"model file not found: {path}")
-    payload = json.loads(path.read_text())
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != MODEL_FILE_VERSION:
         raise InputError(
             f"unsupported model file version {version!r} (expected "
             f"{MODEL_FILE_VERSION}); re-run `crossrisk train` to regenerate {path}"
         )
+    clusters = payload.get("clusters")
+    if not isinstance(clusters, dict):
+        raise InputError(f"model file {path} holds no clusters mapping")
     models = {}
-    for key, entry in payload["clusters"].items():
-        d_str, m_str = key.split(":")
-        cell = (Direction(d_str), Maneuver(m_str))
+    for key, entry in clusters.items():
         try:
+            d_str, m_str = key.split(":")
+            cell = (Direction(d_str), Maneuver(m_str))
             x = np.asarray(entry["train_x"], dtype=float)
+            gp_x, gp_y = entry["gp_x"], entry["gp_y"]
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed train_x for cluster {key}: {exc!r}") from exc
+            raise InputError(f"malformed cluster {key!r} in model file: {exc!r}") from exc
         if x.ndim != 2 or x.shape[1] != 2 or len(x) == 0 or not np.all(np.isfinite(x)):
             raise InputError(f"train_x for cluster {key} must be finite (n, 2) rows")
         d2 = _sq_dists(x, x)
         models[cell] = GprModelPair(
-            gp_x=_model_from_dict(entry["gp_x"], x, d2),
-            gp_y=_model_from_dict(entry["gp_y"], x, d2),
+            gp_x=_model_from_dict(gp_x, x, d2),
+            gp_y=_model_from_dict(gp_y, x, d2),
             cluster=cell,
         )
     return models

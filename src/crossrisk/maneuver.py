@@ -25,7 +25,7 @@ from .trajectory import (
     Direction,
     Maneuver,
     SUPPORTED_MANEUVERS,
-    TrackPoint,
+    Trajectory,
 )
 
 #: Class codes: left=0, right=1, straight=2.
@@ -37,14 +37,17 @@ DIRECTION_FEATURE_INDEX = 4
 FOREST_FILE_VERSION = 2
 
 
-def extract_features(p: TrackPoint, direction: Direction) -> np.ndarray:
-    """Feature row for one frame: (x, y, speed, yaw_rate, direction code)."""
-    if not p.valid:
+def extract_features(traj: Trajectory, rows: Sequence[int], direction: Direction
+                     ) -> np.ndarray:
+    """Feature rows of the given frames: (x, y, speed, yaw_rate, direction code)."""
+    rows = np.asarray(rows, dtype=int)
+    if not traj.valid[rows].all():
         raise ValueError("cannot extract features from an invalid point")
-    if not math.isfinite(p.yaw_rate):
+    yaw_rate = traj.yaw_rate[rows]
+    if not np.isfinite(yaw_rate).all():
         raise ValueError("yaw rate must be finite for feature extraction")
-    code = float(DIRECTION_CODES[direction])
-    return np.array([p.x, p.y, p.speed, p.yaw_rate, code], dtype=float)
+    code = np.full(len(rows), float(DIRECTION_CODES[direction]))
+    return np.column_stack([traj.xy[rows], traj.speed[rows], yaw_rate, code])
 
 
 def build_feature_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -54,19 +57,17 @@ def build_feature_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.nd
     ``groups`` the row's trajectory index (for leakage-free splitting).
     Frames without finite yaw rate are skipped.
     """
-    rows, labels, groups = [], [], []
+    tables, labels, groups = [], [], []
     for g, traj in enumerate(dataset.vehicles):
         if traj.entering_direction is None or traj.maneuver not in MANEUVER_CODES:
             continue
-        for p in traj.valid_points():
-            if not math.isfinite(p.yaw_rate):
-                continue
-            rows.append(extract_features(p, traj.entering_direction))
-            labels.append(MANEUVER_CODES[traj.maneuver])
-            groups.append(g)
-    if not rows:
+        rows = np.flatnonzero(traj.valid & np.isfinite(traj.yaw_rate))
+        tables.append(extract_features(traj, rows, traj.entering_direction))
+        labels += [MANEUVER_CODES[traj.maneuver]] * len(rows)
+        groups += [g] * len(rows)
+    if not labels:
         raise InputError("no labeled vehicle frames available for training")
-    return np.asarray(rows), np.asarray(labels, dtype=int), np.asarray(groups, dtype=int)
+    return np.concatenate(tables), np.asarray(labels, dtype=int), np.asarray(groups, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def smote_oversample(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0,
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y disagree in length")
     if X.shape[0] == 0:
-        raise ValueError("cannot oversample an empty table")
+        raise InputError("cannot oversample an empty table")
     rng = np.random.default_rng(seed)
     cont = [j for j in range(X.shape[1]) if j not in set(categorical)]
     counts = Counter(y.tolist())
@@ -305,7 +306,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
     if len(y) == 0:
         raise ValueError("cannot train on an empty split")
     if np.unique(y).size < 2:
-        raise ValueError("training split contains a single class")
+        raise InputError("training split contains a single class")
     mtry = max(1, int(round(math.sqrt(X.shape[1]))))
     rng = np.random.default_rng(seed)
     tree_seeds = rng.integers(0, 2**63 - 1, size=n_trees)
@@ -508,7 +509,7 @@ def run_split_protocol(X: np.ndarray, y: np.ndarray,
         rng = np.random.default_rng(seed + s)
         tr, va, te = split_indices(len(y), ratios, rng, groups)
         if min(len(tr), len(va), len(te)) == 0:
-            raise ValueError("split produced an empty partition; need more data")
+            raise InputError("split produced an empty partition; need more data")
         bal_X, bal_y = smote_oversample(X[tr], y[tr], k=smote_k, seed=seed + s)
         model, params = train_random_forest((bal_X, bal_y), (X[va], y[va]),
                                             grid=grid, seed=seed + s)
@@ -579,7 +580,10 @@ def load_forest(path: str | Path) -> ForestModel:
     path = Path(path)
     if not path.exists():
         raise InputError(f"forest file not found: {path}")
-    payload = json.loads(path.read_text())
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"forest file {path} is not valid JSON: {exc}") from exc
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != FOREST_FILE_VERSION:
         raise InputError(

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import InputError
 from .geometry import IntersectionGeometry
@@ -21,7 +23,6 @@ from .trajectory import (
     Direction,
     Maneuver,
     ObjectClass,
-    TrackPoint,
     Trajectory,
 )
 
@@ -66,8 +67,10 @@ class FilterSettings:
 
 def classify_entering_direction(traj: Trajectory, geom: IntersectionGeometry) -> Direction:
     """Quadrant of the first valid point, as a compass label."""
-    first = traj.first_valid_point()
-    return geom.quadrant(first.position)
+    rows = np.flatnonzero(traj.valid)
+    if rows.size == 0:
+        raise ValueError(f"trajectory {traj.id!r} has no valid points")
+    return geom.quadrant(traj.xy[rows[0]].tolist())
 
 
 def classify_movement(traj: Trajectory, geom: IntersectionGeometry) -> Maneuver:
@@ -79,8 +82,8 @@ def classify_movement(traj: Trajectory, geom: IntersectionGeometry) -> Maneuver:
     entry quadrant) is unsupported.
     """
     sequence: list[Direction] = []
-    for p in traj.valid_points():
-        q = geom.quadrant(p.position)
+    for point in traj.xy[traj.valid].tolist():
+        q = geom.quadrant(point)
         if not sequence or sequence[-1] != q:
             sequence.append(q)
     if len(sequence) < 2:
@@ -111,53 +114,62 @@ def _angle_diff(a: float, b: float) -> float:
     return 360.0 - d if d > 180.0 else d
 
 
-def _endpoint_heading(points: Sequence[TrackPoint], at_start: bool) -> Optional[float]:
-    """Heading at a fragment boundary: velocity direction if the endpoint is
-    moving, else displacement over the nearest 3 points."""
-    if not points:
-        return None
-    anchor = points[0] if at_start else points[-1]
-    if anchor.speed >= 0.1:
-        return _bearing(anchor.vx, anchor.vy)
-    window = points[:3] if at_start else points[-3:]
+def _endpoint_heading(window: list, at_start: bool) -> Optional[float]:
+    """Heading at a fragment boundary from the 3 valid rows nearest it, as
+    ``[x, y, vx, vy]`` lists: velocity direction if the endpoint is moving,
+    else displacement over the window."""
+    _, _, vx, vy = window[0] if at_start else window[-1]
+    if math.hypot(vx, vy) >= 0.1:
+        return _bearing(vx, vy)
     if len(window) < 2:
         return None
-    return _bearing(window[-1].x - window[0].x, window[-1].y - window[0].y)
+    return _bearing(window[-1][0] - window[0][0], window[-1][1] - window[0][1])
 
 
-def _chord_bearing(points: Sequence[TrackPoint]) -> Optional[float]:
-    if len(points) < 2:
+class _Ends(NamedTuple):
+    """What linking reads of a fragment or chain with valid points."""
+
+    start_time: float
+    end_time: float
+    first: list  # [x, y, vx, vy] of the first valid row
+    last: list  # ... and of the last
+    start_heading: Optional[float]
+    end_heading: Optional[float]
+    chord: Optional[float]  # bearing from the first to the last valid row
+
+
+def _ends(traj: Trajectory) -> Optional[_Ends]:
+    """The trajectory's link summary; ``None`` without valid points."""
+    rows = traj.points[traj.valid, 1:5]
+    if len(rows) == 0:
         return None
-    return _bearing(points[-1].x - points[0].x, points[-1].y - points[0].y)
+    head, tail = rows[:3].tolist(), rows[-3:].tolist()
+    first, last = head[0], tail[-1]
+    chord = _bearing(last[0] - first[0], last[1] - first[1]) if len(rows) >= 2 else None
+    return _Ends(traj.start_time, traj.end_time, first, last,
+                 _endpoint_heading(head, at_start=True),
+                 _endpoint_heading(tail, at_start=False), chord)
 
 
-def _link_key(head: Trajectory, tail: Trajectory,
+def _link_key(head: _Ends, tail: _Ends,
               criteria: MergeCriteria) -> Optional[tuple[float, float, float]]:
     """(time gap, distance, heading diff) if ``tail`` can extend ``head``."""
-    head_pts = head.valid_points()
-    tail_pts = tail.valid_points()
-    if not head_pts or not tail_pts:
-        return None
     gap = tail.start_time - head.end_time
     if not (0.0 < gap <= criteria.max_time_gap):
         return None
-    a, b = head_pts[-1], tail_pts[0]
-    dist = math.hypot(b.x - a.x, b.y - a.y)
+    a, b = head.last, tail.first
+    dist = math.hypot(b[0] - a[0], b[1] - a[1])
     if dist > criteria.max_distance_gap:
         return None
-    h_head = _endpoint_heading(head_pts, at_start=False)
-    h_tail = _endpoint_heading(tail_pts, at_start=True)
-    if h_head is None or h_tail is None:
+    if head.end_heading is None or tail.start_heading is None:
         return None
-    heading_diff = _angle_diff(h_head, h_tail)
+    heading_diff = _angle_diff(head.end_heading, tail.start_heading)
     # 1e-9 deg slack so thresholds hold at their boundaries despite atan2 noise
     if heading_diff > criteria.max_heading_diff + 1e-9:
         return None
-    c_head = _chord_bearing(head_pts)
-    c_tail = _chord_bearing(tail_pts)
-    if c_head is None or c_tail is None:
+    if head.chord is None or tail.chord is None:
         return None
-    if _angle_diff(c_head, c_tail) > criteria.max_traj_angle_diff + 1e-9:
+    if _angle_diff(head.chord, tail.chord) > criteria.max_traj_angle_diff + 1e-9:
         return None
     return (gap, dist, heading_diff)
 
@@ -177,19 +189,20 @@ def merge_pedestrian_trajectories(trajs: Sequence[Trajectory],
         if t.object_class != ObjectClass.PEDESTRIAN:
             raise InputError(f"trajectory {t.id!r} is not a pedestrian")
     pool = sorted(trajs, key=lambda t: (t.start_time, t.id))
+    candidates = [(t, e) for t in pool if (e := _ends(t)) is not None]
     consumed: set[str] = set()
     merged: list[Trajectory] = []
     for head in pool:
         if head.id in consumed:
             continue
-        chain = head
-        while True:
+        chain, chain_ends = head, _ends(head)
+        while chain_ends is not None:
             best = None
             best_key = None
-            for tail in pool:
-                if tail.id in consumed or tail.id == head.id or tail is chain:
+            for tail, tail_ends in candidates:
+                if tail.id in consumed or tail.id == head.id:
                     continue
-                key = _link_key(chain, tail, criteria)
+                key = _link_key(chain_ends, tail_ends, criteria)
                 if key is not None and (best_key is None or key < best_key):
                     best, best_key = tail, key
             if best is None:
@@ -198,8 +211,9 @@ def merge_pedestrian_trajectories(trajs: Sequence[Trajectory],
             chain = Trajectory(
                 id=chain.id,
                 object_class=ObjectClass.PEDESTRIAN,
-                points=chain.points + best.points,
+                points=np.concatenate([chain.points, best.points]),
             )
+            chain_ends = _ends(chain)
         merged.append(chain)
     return merged
 
@@ -211,12 +225,9 @@ def merge_pedestrian_trajectories(trajs: Sequence[Trajectory],
 
 def _max_fast_run(traj: Trajectory, speed_limit: float) -> int:
     run = best = 0
-    for p in traj.points:
-        if p.valid and p.speed >= speed_limit:
-            run += 1
-            best = max(best, run)
-        else:
-            run = 0
+    for fast in (traj.valid & (traj.speed >= speed_limit)).tolist():
+        run = run + 1 if fast else 0
+        best = max(best, run)
     return best
 
 
@@ -230,19 +241,16 @@ def _violated_rules(traj: Trajectory, geom: Optional[IntersectionGeometry],
     if _max_fast_run(traj, settings.speed_limit) >= settings.speed_run_length:
         rules.append("too_fast")
     if geom is not None:
-        valid = traj.valid_points()
+        valid = traj.xy[traj.valid].tolist()
         if valid:
-            in_any = sum(
-                geom.in_crosswalk_region(p.position) or geom.in_roadway_region(p.position)
-                for p in valid
-            ) / len(valid)
-            off_cross = sum(
-                geom.in_roadway_region(p.position) and not geom.in_crosswalk_region(p.position)
-                for p in valid
-            ) / len(valid)
-            if in_any < settings.min_region_fraction:
+            in_any = off_cross = 0
+            for p in valid:
+                crosswalk, roadway = geom.in_crosswalk_region(p), geom.in_roadway_region(p)
+                in_any += crosswalk or roadway
+                off_cross += roadway and not crosswalk
+            if in_any / len(valid) < settings.min_region_fraction:
                 rules.append("outside_regions")
-            elif off_cross > settings.max_offcrosswalk_fraction:
+            elif off_cross / len(valid) > settings.max_offcrosswalk_fraction:
                 rules.append("leaves_crosswalk")
         else:
             rules.append("outside_regions")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gpr import RolloutConfig
 from .maneuver import ManeuverDistribution
-from .trajectory import Maneuver, SUPPORTED_MANEUVERS, TrackPoint, Trajectory
+from .trajectory import Maneuver, SUPPORTED_MANEUVERS, Trajectory
 
 
 @dataclass(frozen=True)
@@ -50,17 +50,17 @@ class KinematicState:
 def state_from_trajectory(traj: Trajectory, index: int) -> KinematicState:
     """State at a point, with acceleration from a backward difference over the
     previous frame (zero when there is no usable previous frame)."""
-    p = traj.points[index]
-    if not p.valid:
+    if not traj.valid[index]:
         raise ValueError("cannot build a state from an invalid point")
+    t, x, y, vx, vy, _ = traj.points[index].tolist()
     ax = ay = 0.0
-    if index > 0:
-        prev = traj.points[index - 1]
-        dt = p.t - prev.t
-        if prev.valid and dt > 0:
-            ax = (p.vx - prev.vx) / dt
-            ay = (p.vy - prev.vy) / dt
-    return KinematicState(x=p.x, y=p.y, vx=p.vx, vy=p.vy, ax=ax, ay=ay)
+    if index > 0 and traj.valid[index - 1]:
+        prev_t, _, _, prev_vx, prev_vy, _ = traj.points[index - 1].tolist()
+        dt = t - prev_t
+        if dt > 0:
+            ax = (vx - prev_vx) / dt
+            ay = (vy - prev_vy) / dt
+    return KinematicState(x=x, y=y, vx=vx, vy=vy, ax=ax, ay=ay)
 
 
 def predict_pedestrian(state: KinematicState, dt: float, steps: int) -> np.ndarray:
@@ -157,7 +157,8 @@ class RiskProfile:
 
 
 def estimate_risk(
-    vehicle_point: TrackPoint,
+    t: float,
+    vehicle: KinematicState,
     pedestrian: KinematicState,
     probs: Optional[ManeuverDistribution],
     paths: dict,
@@ -165,18 +166,17 @@ def estimate_risk(
     radius: float = 1.0,
     ttc_baseline: Optional[float] = None,
 ) -> RiskProfile:
-    """Score one pedestrian against one vehicle frame's maneuver hypotheses.
+    """Score one pedestrian against the maneuver hypotheses of the vehicle's
+    frame at time ``t``.
 
     ``probs`` are the frame's maneuver probabilities from the trained
-    maneuver model; without them (no model) the call raises. ``paths`` maps each maneuver whose cluster model exists
-    to the vehicle's predicted path, ``cfg.steps + 1`` rows with the vehicle
-    position first; maneuvers without a path contribute zero risk and are
-    flagged on their assessment.
+    maneuver model; without them (no model) the call raises. ``paths`` maps
+    each maneuver whose cluster model exists to the vehicle's predicted path,
+    ``cfg.steps + 1`` rows with the vehicle position first; maneuvers without
+    a path contribute zero risk and are flagged on their assessment.
     """
     if probs is None:
         raise ValueError("maneuver probabilities from a trained maneuver model are required")
-    if not vehicle_point.valid:
-        raise ValueError("vehicle point must be valid")
     if not paths:
         raise ValueError("no cluster models available for the vehicle's direction")
 
@@ -203,12 +203,12 @@ def estimate_risk(
         total += risk_m * probs.for_maneuver(m)
 
     return RiskProfile(
-        t=vehicle_point.t,
+        t=t,
         assessments=tuple(assessments),
         maneuver_probs=probs,
         risk=total,
         ttc_baseline=ttc_baseline,
-        vehicle_speed=vehicle_point.speed,
+        vehicle_speed=vehicle.speed,
     )
 
 

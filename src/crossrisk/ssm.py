@@ -17,8 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
-from .risk import KinematicState, RiskProfile
+from .risk import KinematicState
 from .trajectory import Dataset, Trajectory
 
 
@@ -84,14 +83,10 @@ def compute_pet(veh: Trajectory, ped: Trajectory, zone_radius: float = 1.0
     intervals (zero when they overlap). ``None`` when the paths never come
     within ``zone_radius``.
     """
-    veh_pts = veh.valid_points()
-    ped_pts = ped.valid_points()
-    if not veh_pts or not ped_pts:
+    veh_xy, ped_xy = veh.xy[veh.valid], ped.xy[ped.valid]
+    if len(veh_xy) == 0 or len(ped_xy) == 0:
         return None
-    veh_xy = np.array([[p.x, p.y] for p in veh_pts])
-    ped_xy = np.array([[p.x, p.y] for p in ped_pts])
-    veh_t = np.array([p.t for p in veh_pts])
-    ped_t = np.array([p.t for p in ped_pts])
+    veh_t, ped_t = veh.t[veh.valid], ped.t[ped.valid]
 
     diff = veh_xy[:, None, :] - ped_xy[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
@@ -112,11 +107,12 @@ def compute_pet(veh: Trajectory, ped: Trajectory, zone_radius: float = 1.0
 
 def co_present_pairs(dataset: Dataset) -> list[tuple[Trajectory, Trajectory]]:
     """Vehicle-pedestrian pairs whose time supports overlap."""
+    peds = [(ped, ped.start_time, ped.end_time) for ped in dataset.pedestrians]
     pairs = []
     for veh in dataset.vehicles:
-        for ped in dataset.pedestrians:
-            if max(veh.start_time, ped.start_time) <= min(veh.end_time, ped.end_time):
-                pairs.append((veh, ped))
+        start, end = veh.start_time, veh.end_time
+        pairs.extend((veh, ped) for ped, p_start, p_end in peds
+                     if max(start, p_start) <= min(end, p_end))
     return pairs
 
 
@@ -164,24 +160,12 @@ class DetectionReport:
         return "\n".join(lines) + "\n"
 
 
-def _pair_score(stream) -> float:
-    if isinstance(stream, (int, float)):
-        return float(stream)
-    values = []
-    for item in stream:
-        values.append(item.risk if isinstance(item, RiskProfile) else float(item))
-    if not values:
-        raise InputError("empty risk stream")
-    return max(values)
-
-
-def evaluate_detection(pair_streams: Mapping, truth: Sequence) -> DetectionReport:
+def evaluate_detection(scores: Mapping[tuple, float], truth: Sequence) -> DetectionReport:
     """Event-level detection scoring.
 
-    ``pair_streams`` maps (vehicle id, pedestrian id) to a risk stream (risk
-    profiles or floats) or a precomputed score; each pair is one sample scored
-    by its maximum risk. ``truth`` holds :class:`ConflictEvent` instances or
-    raw pairs; a ground-truth pair without a stream (no frame of it was
+    ``scores`` maps (vehicle id, pedestrian id) to the pair's score, its
+    maximum risk over time. ``truth`` holds :class:`ConflictEvent` instances
+    or raw pairs; a ground-truth pair without a score (no frame of it was
     scored) scores 0, a miss. The operating point declares a conflict
     whenever the score exceeds zero; the ROC sweeps the threshold over all
     observed scores.
@@ -190,12 +174,11 @@ def evaluate_detection(pair_streams: Mapping, truth: Sequence) -> DetectionRepor
     for item in truth:
         truth_pairs.add(item.pair if isinstance(item, ConflictEvent) else tuple(item))
 
-    pairs = sorted(set(pair_streams) | truth_pairs)
-    scores = np.array([_pair_score(pair_streams[p]) if p in pair_streams else 0.0
-                       for p in pairs])
+    pairs = sorted(set(scores) | truth_pairs)
     labels = np.array([p in truth_pairs for p in pairs], dtype=bool)
+    pair_scores = np.array([float(scores.get(p, 0.0)) for p in pairs])
 
-    predicted = scores > 0.0
+    predicted = pair_scores > 0.0
     tp = int(np.sum(predicted & labels))
     fn = int(np.sum(~predicted & labels))
     fp = int(np.sum(predicted & ~labels))
@@ -207,8 +190,8 @@ def evaluate_detection(pair_streams: Mapping, truth: Sequence) -> DetectionRepor
     n_neg = int((~labels).sum())
     roc = [(math.inf, 0.0, 0.0)]
     if n_pos > 0 and n_neg > 0:
-        for thr in sorted(set(scores), reverse=True):
-            hit = scores >= thr
+        for thr in sorted(set(pair_scores), reverse=True):
+            hit = pair_scores >= thr
             roc.append((
                 float(thr),
                 float(np.sum(hit & labels)) / n_pos,

@@ -29,7 +29,6 @@ from .trajectory import (
     Maneuver,
     ObjectClass,
     SUPPORTED_MANEUVERS,
-    TrackPoint,
     Trajectory,
 )
 
@@ -115,6 +114,8 @@ class ScenarioSpec:
             raise InputError("speeds must be positive")
         if self.frame_interval <= 0:
             raise InputError("frame_interval must be positive")
+        if len(self.requested_pet_range) != 2:
+            raise InputError("requested_pet_range must hold two values")
         lo, hi = self.requested_pet_range
         if lo <= 0 or hi < lo:
             raise InputError("requested_pet_range must be positive and ordered")
@@ -457,14 +458,9 @@ class _Entity:
             pos = pos + (0.0 + noise_pos * z[:, :2])
         if noise_vel > 0:
             vel = vel + (0.0 + noise_vel * z[:, -2:])
-        columns = zip(*pos.T.tolist(), *vel.T.tolist(), np.abs(v * curvature).tolist())
-        points = [
-            TrackPoint.create(t=round((self.launch_frame + k) * dt, 6),
-                              x=x, y=y, vx=vx, vy=vy, yaw_rate=yaw_rate)
-            for k, (x, y, vx, vy, yaw_rate) in enumerate(columns)
-        ]
+        t = [round((self.launch_frame + k) * dt, 6) for k in range(n_frames)]
         return Trajectory(id=self.entity_id, object_class=self.object_class,
-                          points=tuple(points))
+                          points=np.column_stack([t, pos, vel, np.abs(v * curvature)]))
 
 
 # ---------------------------------------------------------------------------

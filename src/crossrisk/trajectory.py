@@ -1,9 +1,9 @@
 """Core data model for tracked-object trajectories and CSV ingestion.
 
 A dataset is a collection of per-object trajectories sampled at a fixed frame
-interval (0.1 s for the sensor setups this package targets). Each frame is a
-``TrackPoint``; per-frame class labels are reduced to a single trajectory
-class by majority vote at load time.
+interval (0.1 s for the sensor setups this package targets). Each trajectory
+holds its frames as one float array, a row per frame; per-frame class labels
+are reduced to a single trajectory class by majority vote at load time.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -65,102 +66,78 @@ _CLASS_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class TrackPoint:
-    """One timestamped observation of one tracked object.
-
-    Units: seconds, meters, meters/second, radians/second. ``valid`` is false
-    exactly when any of x, y, vx, vy is missing or non-finite; yaw rate does
-    not affect validity.
-    """
-
-    t: float
-    x: float
-    y: float
-    vx: float
-    vy: float
-    yaw_rate: float = float("nan")
-    valid: bool = True
-
-    @staticmethod
-    def create(t: float, x: float, y: float, vx: float, vy: float,
-               yaw_rate: float = float("nan")) -> "TrackPoint":
-        """Build a point, deriving the validity flag from the kinematics."""
-        valid = all(math.isfinite(v) for v in (x, y, vx, vy))
-        return TrackPoint(t=t, x=x, y=y, vx=vx, vy=vy, yaw_rate=yaw_rate, valid=valid)
-
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.vx, self.vy)
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
+#: Columns of ``Trajectory.points``, in order.
+POINT_COLUMNS = ("t", "x", "y", "vx", "vy", "yaw_rate")
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    """Ordered observation sequence for one object id.
+    """Observation sequence of one object id, one row per frame.
 
-    Instances are treated as immutable after construction; relabeling goes
-    through :meth:`with_labels`. Timestamps strictly increase.
+    ``points`` is an ``(n, 6)`` float array with the columns of
+    :data:`POINT_COLUMNS`: seconds, meters, meters/second, radians/second.
+    Timestamps are finite and strictly increase. A row is valid exactly when
+    x, y, vx and vy are all finite; yaw rate does not affect validity.
+    Instances are immutable after construction (``points`` is a read-only
+    copy); relabeling goes through :meth:`with_labels`.
     """
 
     id: str
     object_class: ObjectClass
-    points: tuple[TrackPoint, ...]
+    points: np.ndarray
     entering_direction: Optional[Direction] = None
     maneuver: Optional[Maneuver] = None
 
     def __post_init__(self) -> None:
-        if not self.points:
+        points = np.array(self.points, dtype=float)
+        points.flags.writeable = False
+        if points.size == 0:
             raise ValueError(f"trajectory {self.id!r} has no points")
-        self.points = tuple(self.points)
-        ts = [p.t for p in self.points]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if points.ndim != 2 or points.shape[1] != len(POINT_COLUMNS):
+            raise ValueError(f"trajectory {self.id!r} points must be rows of {POINT_COLUMNS}")
+        t = points[:, 0]
+        if not np.isfinite(t).all():
+            raise ValueError(f"trajectory {self.id!r} has non-finite timestamps")
+        if np.any(t[1:] <= t[:-1]):
             raise ValueError(f"trajectory {self.id!r} timestamps are not strictly increasing")
+        self.points = points
+        self.t = t
+        self.xy = points[:, 1:3]
+        self.v = points[:, 3:5]
+        self.yaw_rate = points[:, 5]
+        self.valid = np.isfinite(points[:, 1:5]).all(axis=1)
+        self.valid.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.points)
 
     @property
     def start_time(self) -> float:
-        return self.points[0].t
+        return float(self.t[0])
 
     @property
     def end_time(self) -> float:
-        return self.points[-1].t
+        return float(self.t[-1])
 
     @property
     def duration(self) -> float:
         return self.end_time - self.start_time
 
-    def valid_points(self) -> list[TrackPoint]:
-        return [p for p in self.points if p.valid]
+    @cached_property
+    def speed(self) -> np.ndarray:
+        """``math.hypot(vx, vy)`` per row, computed on first use; meaningful
+        on valid rows only."""
+        speed = np.array([math.hypot(vx, vy) for vx, vy in self.v.tolist()])
+        speed.flags.writeable = False
+        return speed
 
     def valid_fraction(self) -> float:
-        return sum(p.valid for p in self.points) / len(self.points)
-
-    def first_valid_point(self) -> TrackPoint:
-        for p in self.points:
-            if p.valid:
-                return p
-        raise ValueError(f"trajectory {self.id!r} has no valid points")
+        return int(np.count_nonzero(self.valid)) / len(self)
 
     def path_length(self) -> float:
         """Cumulative length over consecutive valid points, meters."""
-        pts = self.valid_points()
-        return float(
-            sum(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:]))
-        )
-
-    def positions(self, valid_only: bool = True) -> np.ndarray:
-        pts = self.valid_points() if valid_only else self.points
-        return np.array([[p.x, p.y] for p in pts], dtype=float)
-
-    def times(self, valid_only: bool = True) -> np.ndarray:
-        pts = self.valid_points() if valid_only else self.points
-        return np.array([p.t for p in pts], dtype=float)
+        xy = self.xy[self.valid]
+        return float(sum(math.hypot(dx, dy) for dx, dy in (xy[1:] - xy[:-1]).tolist()))
 
     def with_labels(self, entering_direction: Optional[Direction] = None,
                     maneuver: Optional[Maneuver] = None) -> "Trajectory":
@@ -256,6 +233,15 @@ def _parse_float(raw: str) -> float:
         return float("nan")
 
 
+def _parse_column(raw: list) -> np.ndarray:
+    """Floats of one column; blank or unparseable cells become NaN."""
+    try:
+        values = list(map(float, raw))
+    except ValueError:
+        values = list(map(_parse_float, raw))
+    return np.array(values, dtype=float)
+
+
 def _parse_class(raw: str) -> ObjectClass:
     key = raw.strip().lower()
     if key in _CLASS_ALIASES:
@@ -263,14 +249,26 @@ def _parse_class(raw: str) -> ObjectClass:
     raise InputError(f"unknown object class label: {raw!r}")
 
 
+def _last_label(raw: Sequence[str], kind: type) -> Optional[Enum]:
+    """The last non-empty label as a ``kind`` member; every non-empty label must be one."""
+    texts = [r.strip() for r in raw]
+    try:
+        parsed = {text: kind(text) for text in set(texts) - {""}}
+    except ValueError as exc:
+        raise InputError(f"unknown {kind.__name__.lower()} label: {exc}") from None
+    return next((parsed[text] for text in reversed(texts) if text), None)
+
+
 def load_dataset(path: str | Path, schema: Optional[ColumnSchema] = None,
                  frame_interval: float = 0.1) -> Dataset:
     """Read a comma-separated trajectory file into a :class:`Dataset`.
 
-    One row per (object, frame). Rows are grouped by object id, sorted by
+    One row per (object, frame). Rows without a finite timestamp are dropped.
+    The rest are grouped by object id in order of first appearance, sorted by
     time, and duplicate (id, t) frames are dropped keeping the first
-    occurrence. Rows with non-finite kinematics are kept with ``valid=False``.
-    The trajectory class is the majority vote over its per-frame labels.
+    occurrence. Rows with non-finite kinematics are kept as invalid rows.
+    The trajectory class is the majority vote over its per-frame labels; the
+    label columns, when present, take their last non-empty value.
     """
     schema = schema or ColumnSchema()
     path = Path(path)
@@ -278,62 +276,52 @@ def load_dataset(path: str | Path, schema: Optional[ColumnSchema] = None,
         raise InputError(f"dataset file not found: {path}")
 
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        colmap = {canon: schema.columns[canon] for canon in CANONICAL_COLUMNS}
-        missing = [name for name in colmap.values() if name not in header]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        index = {name: i for i, name in enumerate(header)}  # last duplicate wins
+        missing = [schema.columns[c] for c in CANONICAL_COLUMNS
+                   if schema.columns[c] not in index]
         if missing:
             raise InputError(f"{path}: missing required columns {missing}")
-        has_labels = all(c in header for c in LABEL_COLUMNS)
+        width = len(header)
+        rows = [r if len(r) >= width else r + [""] * (width - len(r)) for r in reader if r]
 
-        rows_by_id: dict[str, list[dict]] = {}
-        for row in reader:
-            try:
-                t = float(row[colmap["t"]])
-            except (ValueError, TypeError):
-                continue  # unusable without a timestamp
-            rows_by_id.setdefault(str(row[colmap["id"]]).strip(), []).append(
-                {"t": t, "row": row}
-            )
+    def column(name: str) -> list:
+        i = index[name]
+        return [r[i] for r in rows]
 
-    if not rows_by_id:
+    t = _parse_column(column(schema.columns["t"]))
+    ids = [raw.strip() for raw in column(schema.columns["id"])]
+    groups: dict[str, list[int]] = {}
+    for i in np.flatnonzero(np.isfinite(t)).tolist():
+        groups.setdefault(ids[i], []).append(i)
+    if not groups:
         raise InputError(f"{path}: no usable rows")
 
-    yaw_scale = math.pi / 180.0 if schema.yaw_rate_unit == "deg_s" else 1.0
+    table = np.column_stack([t] + [_parse_column(column(schema.columns[c]))
+                                   for c in POINT_COLUMNS[1:]])
+    if schema.yaw_rate_unit == "deg_s":
+        yaw = table[:, 5]
+        table[:, 5] = np.where(np.isfinite(yaw), yaw * (math.pi / 180.0), yaw)
+    classes = column(schema.columns["class"])
+    labels = ({c: column(c) for c in LABEL_COLUMNS}
+              if all(c in index for c in LABEL_COLUMNS) else None)
+
+    times = t.tolist()
     trajectories = []
-    for traj_id, entries in rows_by_id.items():
-        entries.sort(key=lambda e: e["t"])  # stable: file order preserved on ties
-        points: list[TrackPoint] = []
-        labels: list[ObjectClass] = []
-        last_t = None
-        direction: Optional[Direction] = None
-        maneuver: Optional[Maneuver] = None
-        for entry in entries:
-            t, row = entry["t"], entry["row"]
-            if last_t is not None and t <= last_t:
-                continue  # duplicate timestamp: keep first
-            last_t = t
-            labels.append(_parse_class(row[colmap["class"]]))
-            yaw = _parse_float(row[colmap["yaw_rate"]])
-            points.append(
-                TrackPoint.create(
-                    t=t,
-                    x=_parse_float(row[colmap["x"]]),
-                    y=_parse_float(row[colmap["y"]]),
-                    vx=_parse_float(row[colmap["vx"]]),
-                    vy=_parse_float(row[colmap["vy"]]),
-                    yaw_rate=yaw * yaw_scale if math.isfinite(yaw) else yaw,
-                )
-            )
-            if has_labels:
-                d, m = row["entering_direction"].strip(), row["maneuver"].strip()
-                direction = Direction(d) if d else direction
-                maneuver = Maneuver(m) if m else maneuver
+    for traj_id, members in groups.items():
+        members.sort(key=times.__getitem__)  # stable: file order preserved on ties
+        keep = [members[0]] + [b for a, b in zip(members, members[1:])
+                               if times[b] > times[a]]  # duplicate timestamp: keep first
+        direction = maneuver = None
+        if labels is not None:
+            direction = _last_label([labels["entering_direction"][i] for i in keep], Direction)
+            maneuver = _last_label([labels["maneuver"][i] for i in keep], Maneuver)
         trajectories.append(
             Trajectory(
                 id=traj_id,
-                object_class=majority_vote_label(labels),
-                points=tuple(points),
+                object_class=majority_vote_label([_parse_class(classes[i]) for i in keep]),
+                points=table[keep],
                 entering_direction=direction,
                 maneuver=maneuver,
             )
@@ -355,11 +343,12 @@ def save_dataset(dataset: Dataset, path: str | Path, include_labels: bool = True
         writer = csv.writer(fh)
         writer.writerow(columns)
         for traj in dataset.trajectories:
-            direction = traj.entering_direction.value if traj.entering_direction else ""
-            maneuver = traj.maneuver.value if traj.maneuver else ""
-            for p in traj.points:
-                row = [repr(p.t), traj.id, traj.object_class.value,
-                       repr(p.x), repr(p.y), repr(p.vx), repr(p.vy), repr(p.yaw_rate)]
-                if include_labels:
-                    row += [direction, maneuver]
-                writer.writerow(row)
+            labels = []
+            if include_labels:
+                labels = [traj.entering_direction.value if traj.entering_direction else "",
+                          traj.maneuver.value if traj.maneuver else ""]
+            cls = traj.object_class.value
+            writer.writerows(
+                [repr(t), traj.id, cls, repr(x), repr(y), repr(vx), repr(vy), repr(yaw), *labels]
+                for t, x, y, vx, vy, yaw in traj.points.tolist()
+            )

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import row
 
 from crossrisk.cli import main
 from crossrisk.evaluation import compute_risk_streams, prediction_error_study
@@ -45,7 +46,6 @@ from crossrisk.trajectory import (
     Maneuver,
     ObjectClass,
     SUPPORTED_MANEUVERS,
-    TrackPoint,
     Trajectory,
 )
 
@@ -294,7 +294,8 @@ def test_ac6_detection_metrics(conflict_scene):
     labeled, truth, streams, spec = conflict_scene
     events = identify_conflicts_pet(labeled, threshold=3.0,
                                     zone_radius=spec.pet_zone_radius)
-    report = evaluate_detection(streams, events)
+    report = evaluate_detection(
+        {pair: max(p.risk for p in stream) for pair, stream in streams.items()}, events)
     negatives = report.fp + report.tn
     check(6, {
         "sixteen_ground_truth_conflicts": len(events) == 16,
@@ -316,11 +317,8 @@ def test_ac6_detection_metrics(conflict_scene):
 def _fragment(traj_id, t0, p0, heading_deg, n=6, speed=1.0):
     vx = speed * math.cos(math.radians(heading_deg))
     vy = speed * math.sin(math.radians(heading_deg))
-    pts = tuple(
-        TrackPoint.create(round(t0 + i * 0.1, 6), p0[0] + vx * i * 0.1,
-                          p0[1] + vy * i * 0.1, vx, vy, 0.0)
-        for i in range(n)
-    )
+    pts = [row(round(t0 + i * 0.1, 6), p0[0] + vx * i * 0.1, p0[1] + vy * i * 0.1, vx, vy, 0.0)
+           for i in range(n)]
     return Trajectory(id=traj_id, object_class=ObjectClass.PEDESTRIAN, points=pts)
 
 

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import row
 
+from crossrisk import evaluation
 from crossrisk.cli import main
 from crossrisk.config import RunConfig, load_config
 from crossrisk.errors import InputError
@@ -16,7 +18,6 @@ from crossrisk.trajectory import (
     Direction,
     Maneuver,
     ObjectClass,
-    TrackPoint,
     Trajectory,
     save_dataset,
 )
@@ -194,35 +195,125 @@ class TestCli:
         assert "vehicles labeled: 12" in report
 
     def test_truth_pair_skipped_by_stride_is_a_miss(self, tmp_path):
-        # the pedestrian shares only the vehicle's frame 3, which stride 2 skips
-        veh = Trajectory(
-            id="v1", object_class=ObjectClass.VEHICLE,
-            points=tuple(TrackPoint.create(0.1 * i, 0.1 * i, 0.0, 1.0, 0.0, 0.0)
-                         for i in range(4)),
-            entering_direction=Direction.W, maneuver=Maneuver.STRAIGHT,
-        )
-        ped = Trajectory(
-            id="p1", object_class=ObjectClass.PEDESTRIAN,
-            points=tuple(TrackPoint.create(0.1 * i, 0.3, 0.0, 0.0, 0.0)
-                         for i in range(3, 7)),
-        )
-        save_dataset(Dataset(trajectories=[veh, ped]), tmp_path / "labeled.csv")
-        rng = np.random.default_rng(0)
-        x = rng.uniform(-2, 2, size=(10, 2))
-        kernel = KernelConfig(kind="rbf", length_scale=2.0, noise_variance=1e-4)
-        cell = (Direction.W, Maneuver.STRAIGHT)
-        save_cluster_models({cell: GprModelPair(
-            gp_x=build_gpr_model(x, np.ones(10), kernel),
-            gp_y=build_gpr_model(x, np.zeros(10), kernel), cluster=cell,
-        )}, tmp_path / "models" / "gpr_models.json")
-        X = rng.normal(size=(30, 5))
-        save_forest(train_forest(X, np.arange(30) % 3, n_trees=2, seed=0),
-                    tmp_path / "models" / "forest.json")
+        labeled, models = _tiny_risk_inputs(tmp_path)
         cfg = tmp_path / "stride.json"
         cfg.write_text(json.dumps({"risk": {"frame_stride": 2}}))
-        assert main(["risk", "--config", str(cfg), "--in", str(tmp_path / "labeled.csv"),
-                     "--models", str(tmp_path / "models"),
-                     "--out", str(tmp_path / "risk")]) == 0
+        assert main(["risk", "--config", str(cfg), "--in", str(labeled),
+                     "--models", str(models), "--out", str(tmp_path / "risk")]) == 0
         report = (tmp_path / "risk" / "detection_report.txt").read_text()
         assert "positives: 1  negatives: 0" in report  # tp + fn == 1
         assert "sensitivity (risk > 0): 0.0000" in report  # tp == 0, so fn == 1
+
+
+def _tiny_risk_inputs(tmp_path):
+    """``labeled.csv`` and a model directory for one vehicle and one
+    pedestrian; the pedestrian shares only the vehicle's frame 3."""
+    veh = Trajectory(
+        id="v1", object_class=ObjectClass.VEHICLE,
+        points=[row(0.1 * i, 0.1 * i, 0.0, 1.0, 0.0, 0.0) for i in range(4)],
+        entering_direction=Direction.W, maneuver=Maneuver.STRAIGHT,
+    )
+    ped = Trajectory(id="p1", object_class=ObjectClass.PEDESTRIAN,
+                     points=[row(0.1 * i, 0.3, 0.0, 0.0, 0.0) for i in range(3, 7)])
+    save_dataset(Dataset(trajectories=[veh, ped]), tmp_path / "labeled.csv")
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-2, 2, size=(10, 2))
+    kernel = KernelConfig(kind="rbf", length_scale=2.0, noise_variance=1e-4)
+    cell = (Direction.W, Maneuver.STRAIGHT)
+    save_cluster_models({cell: GprModelPair(
+        gp_x=build_gpr_model(x, np.ones(10), kernel),
+        gp_y=build_gpr_model(x, np.zeros(10), kernel), cluster=cell,
+    )}, tmp_path / "models" / "gpr_models.json")
+    X = rng.normal(size=(30, 5))
+    save_forest(train_forest(X, np.arange(30) % 3, n_trees=2, seed=0),
+                tmp_path / "models" / "forest.json")
+    return tmp_path / "labeled.csv", tmp_path / "models"
+
+
+def _run_risk(tmp_path, labeled, models):
+    return main(["risk", "--in", str(labeled), "--models", str(models),
+                 "--out", str(tmp_path / "risk")])
+
+
+def _straight_vehicles(path, n):
+    """A labeled file of ``n`` straight-going vehicles, four frames each."""
+    save_dataset(Dataset(trajectories=[
+        Trajectory(id=f"v{k}", object_class=ObjectClass.VEHICLE,
+                   points=[row(0.1 * i, 0.1 * i, float(k), 1.0, 0.0, 0.0) for i in range(4)],
+                   entering_direction=Direction.W, maneuver=Maneuver.STRAIGHT)
+        for k in range(n)
+    ]), path)
+    return path
+
+
+def _edit_models(edit):
+    def apply(path):
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+    return apply
+
+
+def _rename_cluster(new_key):
+    def rename(payload):
+        payload["clusters"][new_key] = payload["clusters"].pop("W:straight")
+    return _edit_models(rename)
+
+
+class TestExitCodes:
+    """Bad input exits 1; any other exception is a bug and propagates."""
+
+    @pytest.mark.parametrize("target,corrupt", [
+        ("forest.json", lambda path: path.write_text('{"version": 2, "trees": [')),
+        ("gpr_models.json", lambda path: path.write_text('{"version": 2, "clusters": {')),
+        ("gpr_models.json", _edit_models(lambda p: p.pop("clusters"))),
+        ("gpr_models.json", _edit_models(lambda p: p["clusters"]["W:straight"].pop("gp_x"))),
+        ("gpr_models.json", _edit_models(lambda p: p["clusters"]["W:straight"].pop("gp_y"))),
+        ("gpr_models.json", _rename_cluster("Wstraight")),
+        ("gpr_models.json", _rename_cluster("Q:straight")),
+        ("gpr_models.json", _rename_cluster("W:sideways")),
+    ], ids=["forest-json", "models-json", "no-clusters", "no-gp_x", "no-gp_y",
+            "key-without-colon", "unknown-direction", "unknown-maneuver"])
+    def test_bad_model_file_is_exit_code_one(self, tmp_path, target, corrupt):
+        labeled, models = _tiny_risk_inputs(tmp_path)
+        corrupt(models / target)
+        assert _run_risk(tmp_path, labeled, models) == 1
+
+    @pytest.mark.parametrize("column,value", [("entering_direction", "Q"),
+                                              ("maneuver", "sideways")])
+    def test_unknown_dataset_label_is_exit_code_one(self, tmp_path, column, value):
+        labeled, models = _tiny_risk_inputs(tmp_path)
+        lines = labeled.read_text().splitlines()
+        i = lines[0].split(",").index(column)
+        cells = lines[1].split(",")
+        cells[i] = value
+        labeled.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+        assert _run_risk(tmp_path, labeled, models) == 1
+
+    @pytest.mark.parametrize("n_vehicles", [1, 10], ids=["empty-partition", "single-class"])
+    def test_too_little_training_data_is_exit_code_one(self, tmp_path, n_vehicles, capsys):
+        labeled = _straight_vehicles(tmp_path / "labeled.csv", n_vehicles)
+        assert main(["train", "--in", str(labeled), "--out", str(tmp_path / "models")]) == 1
+        reason = "empty partition" if n_vehicles == 1 else "single class"
+        assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", [
+        {"synth": {"requested_pet_range": [2.5]}},
+        {"forest": {"n_trees_grid": []}},
+        {"forest": {"max_depth_grid": []}},
+        {"forest": {"n_splits": 0}},
+    ], ids=["one-value-pet-range", "empty-tree-grid", "empty-depth-grid", "no-splits"])
+    def test_malformed_config_value_is_exit_code_one(self, tmp_path, section):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(section))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    def test_program_bug_propagates(self, tmp_path, monkeypatch):
+        labeled, models = _tiny_risk_inputs(tmp_path)
+
+        def broken(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(evaluation, "estimate_risk", broken)
+        with pytest.raises(ValueError, match="injected"):
+            _run_risk(tmp_path, labeled, models)

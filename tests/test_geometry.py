@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import row
 from hypothesis import given, settings, strategies as st
 
 from crossrisk.errors import InputError
@@ -14,7 +15,7 @@ from crossrisk.geometry import (
     point_segment_distance,
 )
 from crossrisk.synth import canonical_endpoints, canonical_search_regions
-from crossrisk.trajectory import Direction, ObjectClass, TrackPoint, Trajectory
+from crossrisk.trajectory import Direction, ObjectClass, Trajectory
 
 
 @pytest.fixture(scope="module")
@@ -23,10 +24,7 @@ def geom():
 
 
 def _walk(traj_id, points, dt=0.1):
-    pts = tuple(
-        TrackPoint.create(t=round(i * dt, 6), x=float(x), y=float(y), vx=1.0, vy=0.0)
-        for i, (x, y) in enumerate(points)
-    )
+    pts = [row(round(i * dt, 6), float(x), float(y), 1.0, 0.0) for i, (x, y) in enumerate(points)]
     return Trajectory(id=traj_id, object_class=ObjectClass.PEDESTRIAN, points=pts)
 
 
@@ -122,8 +120,13 @@ class TestDensityGrid:
         t1 = _walk("a", back_forth)
         t2 = _walk("b", [(0.1, 0.1), (3.0, 0.1)])
         grid = build_density_grid([t1, t2], cell_size=0.5)
-        assert grid.counts[grid.cell_index((0.1, 0.1))] == 2
-        assert grid.counts[grid.cell_index((3.0, 0.1))] == 1
+
+        def cell(x, y):
+            return (math.floor((x - grid.origin[0]) / grid.cell_size),
+                    math.floor((y - grid.origin[1]) / grid.cell_size))
+
+        assert grid.counts[cell(0.1, 0.1)] == 2
+        assert grid.counts[cell(3.0, 0.1)] == 1
 
     def test_counts_nonnegative_and_cover_points(self):
         t = _walk("a", [(0, 0), (1, 1), (2, 2)])

@@ -21,7 +21,6 @@ from crossrisk.gpr import (
     build_gpr_model,
     fit_gpr,
     gpr_loss_and_grad,
-    kernel_eval,
     kernel_matrix,
     load_cluster_models,
     log_marginal_likelihood,
@@ -98,15 +97,15 @@ def reference_loss_and_grad(theta, x, ys, kind, jitter):
 class TestKernels:
     def test_rbf_zero_distance(self):
         cfg = KernelConfig(kind="rbf", length_scale=1.5)
-        assert kernel_eval(cfg, (2.0, 3.0), (2.0, 3.0)) == 1.0
+        assert kernel_matrix(cfg, [(2.0, 3.0)], [(2.0, 3.0)])[0, 0] == 1.0
 
     def test_rq_zero_distance(self):
         cfg = KernelConfig(kind="rq", length_scale=1.5, rq_alpha=0.5)
-        assert kernel_eval(cfg, (-1.0, 4.0), (-1.0, 4.0)) == 1.0
+        assert kernel_matrix(cfg, [(-1.0, 4.0)], [(-1.0, 4.0)])[0, 0] == 1.0
 
     def test_rbf_at_one_length_scale(self):
         cfg = KernelConfig(kind="rbf", length_scale=2.0)
-        assert kernel_eval(cfg, (0.0, 0.0), (2.0, 0.0)) == pytest.approx(
+        assert kernel_matrix(cfg, [(0.0, 0.0)], [(2.0, 0.0)])[0, 0] == pytest.approx(
             math.exp(-0.5), abs=1e-12
         )
 
@@ -114,16 +113,16 @@ class TestKernels:
         cfg = KernelConfig(kind="rq", length_scale=2.0, rq_alpha=3.0)
         d2 = 5.0
         expected = (1.0 + d2 / (2.0 * 3.0 * 4.0)) ** -3.0
-        assert kernel_eval(cfg, (0.0, 0.0), (math.sqrt(5.0), 0.0)) == pytest.approx(
-            expected, abs=1e-12
-        )
+        k = kernel_matrix(cfg, [(0.0, 0.0)], [(math.sqrt(5.0), 0.0)])[0, 0]
+        assert k == pytest.approx(expected, abs=1e-12)
 
     def test_rq_approaches_rbf_for_large_alpha(self):
         rq = KernelConfig(kind="rq", length_scale=1.3, rq_alpha=1e6)
         rbf = KernelConfig(kind="rbf", length_scale=1.3)
         for d in np.linspace(0.0, 6.0, 25):
             a, b = (0.0, 0.0), (float(d), 0.0)
-            assert abs(kernel_eval(rq, a, b) - kernel_eval(rbf, a, b)) < 1e-4
+            k_rq, k_rbf = (kernel_matrix(cfg, [a], [b])[0, 0] for cfg in (rq, rbf))
+            assert abs(k_rq - k_rbf) < 1e-4
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 10_000),

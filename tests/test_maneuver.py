@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from helpers import row
 from hypothesis import assume, given, settings, strategies as st
 
 from crossrisk import maneuver
@@ -22,7 +23,7 @@ from crossrisk.maneuver import (
     train_forest,
     train_random_forest,
 )
-from crossrisk.trajectory import Direction, TrackPoint
+from crossrisk.trajectory import Direction, ObjectClass, Trajectory
 
 
 def make_clusters(n_per_class=(60, 60, 60), seed=0, spread=0.4):
@@ -122,26 +123,32 @@ def smote_tables(draw):
     return X, y
 
 
+def _frame(*fields):
+    """Feature row of a one-frame vehicle track."""
+    return Trajectory(id="v", object_class=ObjectClass.VEHICLE, points=[row(*fields)])
+
+
 class TestFeatures:
     def test_speed_is_magnitude(self):
-        p = TrackPoint.create(0.0, 1.0, 2.0, 3.0, 4.0, yaw_rate=0.2)
-        f = extract_features(p, Direction.N)
-        assert f.tolist() == [1.0, 2.0, 5.0, 0.2, 0.0]
+        f = extract_features(_frame(0.0, 1.0, 2.0, 3.0, 4.0, 0.2), [0], Direction.N)
+        assert f.tolist() == [[1.0, 2.0, 5.0, 0.2, 0.0]]
 
     def test_stationary_speed_zero(self):
-        p = TrackPoint.create(0.0, 1.0, 2.0, 0.0, 0.0, yaw_rate=0.0)
-        assert extract_features(p, Direction.N)[2] == 0.0
+        traj = _frame(0.0, 1.0, 2.0, 0.0, 0.0, 0.0)
+        assert extract_features(traj, [0], Direction.N)[0, 2] == 0.0
 
     def test_direction_codes(self):
-        p = TrackPoint.create(0.0, 0.0, 0.0, 1.0, 0.0, yaw_rate=0.0)
-        codes = [extract_features(p, d)[DIRECTION_FEATURE_INDEX] for d in
+        traj = _frame(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+        codes = [extract_features(traj, [0], d)[0, DIRECTION_FEATURE_INDEX] for d in
                  (Direction.N, Direction.E, Direction.S, Direction.W)]
         assert codes == [0.0, 1.0, 2.0, 3.0]
 
     def test_invalid_point_rejected(self):
-        p = TrackPoint.create(0.0, float("nan"), 2.0, 3.0, 4.0, yaw_rate=0.2)
+        traj = _frame(0.0, float("nan"), 2.0, 3.0, 4.0, 0.2)
         with pytest.raises(ValueError):
-            extract_features(p, Direction.N)
+            extract_features(traj, [0], Direction.N)
+        with pytest.raises(ValueError):  # a NaN yaw rate keeps the row valid but unusable
+            extract_features(_frame(0.0, 1.0, 2.0, 3.0, 4.0), [0], Direction.N)
 
 
 class TestSmote:
@@ -211,6 +218,10 @@ class TestSmote:
             sub = np.round(sub / 5.0)
         assert np.array_equal(_nearest_neighbors(sub, 5), reference_neighbors(sub, 5))
 
+    def test_empty_table_is_input_error(self):
+        with pytest.raises(InputError):
+            smote_oversample(np.zeros((0, 5)), np.zeros(0, dtype=int))
+
     def test_deterministic_under_seed(self):
         X, y = make_clusters((70, 30, 50))
         a = smote_oversample(X, y, seed=6)
@@ -242,7 +253,7 @@ class TestForest:
     def test_single_class_train_raises(self):
         X = np.zeros((10, 5))
         y = np.zeros(10, dtype=int)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             train_forest(X, y, n_trees=5)
 
     def test_empty_split_raises(self):
@@ -397,6 +408,12 @@ class TestForestFile:
         with pytest.raises(InputError):
             load_forest(path)
 
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text('{"version": 2, "trees": [')
+        with pytest.raises(InputError):
+            load_forest(path)
+
     def test_unmutated_payload_loads(self, tmp_path):
         path = tmp_path / "good.json"
         path.write_text(json.dumps(_forest_payload(tmp_path)))
@@ -474,6 +491,11 @@ class TestSplitProtocol:
         assert set(groups[tr]) & set(groups[va]) == set()
         assert set(groups[tr]) & set(groups[te]) == set()
         assert len(tr) + len(va) + len(te) == len(y)
+
+    def test_too_few_rows_is_input_error(self):
+        X, y = make_clusters((2, 2, 1), seed=11)
+        with pytest.raises(InputError, match="empty partition"):
+            run_split_protocol(X, y, n_splits=1)
 
     def test_deterministic(self):
         X, y = make_clusters((60, 25, 25), seed=10)

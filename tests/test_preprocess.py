@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from helpers import row
 from hypothesis import given, settings, strategies as st
 
 from crossrisk.errors import InputError
@@ -18,7 +20,6 @@ from crossrisk.trajectory import (
     Direction,
     Maneuver,
     ObjectClass,
-    TrackPoint,
     Trajectory,
 )
 
@@ -30,8 +31,7 @@ def geom():
 
 def _traj(traj_id, samples, object_class=ObjectClass.PEDESTRIAN):
     """samples: list of (t, x, y, vx, vy)."""
-    pts = tuple(TrackPoint.create(t=t, x=x, y=y, vx=vx, vy=vy, yaw_rate=0.0)
-                for t, x, y, vx, vy in samples)
+    pts = [row(t, x, y, vx, vy, 0.0) for t, x, y, vx, vy in samples]
     return Trajectory(id=traj_id, object_class=object_class, points=pts)
 
 
@@ -60,7 +60,7 @@ class TestEnteringDirection:
         assert classify_entering_direction(t, geom) == Direction.N
 
     def test_no_valid_points_raises(self, geom):
-        pts = (TrackPoint.create(0.0, float("nan"), 0.0, 0.0, 0.0),)
+        pts = (row(0.0, float("nan"), 0.0, 0.0, 0.0),)
         t = Trajectory(id="v", object_class=ObjectClass.VEHICLE, points=pts)
         with pytest.raises(ValueError):
             classify_entering_direction(t, geom)
@@ -113,7 +113,7 @@ class TestMergeCriteria:
         b = _fragment("b", 0.6, (1.0, 0.0), 0.0)
         merged = merge_pedestrian_trajectories([a, b])
         assert len(merged) == 1
-        ts = [p.t for p in merged[0].points]
+        ts = merged[0].t.tolist()
         assert ts == sorted(ts) and len(ts) == 12
 
     def test_time_gap_boundary(self):
@@ -157,7 +157,7 @@ class TestMergeCriteria:
         merged = merge_pedestrian_trajectories([a, near, late])
         by_id = {m.id: m for m in merged}
         assert set(by_id) == {"a", "late"}
-        assert any(p.x == pytest.approx(0.6) for p in by_id["a"].points)
+        assert any(x == pytest.approx(0.6) for x in by_id["a"].xy[:, 0])
 
     def test_each_fragment_consumed_once(self):
         a = _fragment("a", 0.0, (0.0, 0.0), 0.0)
@@ -174,6 +174,20 @@ class TestMergeCriteria:
         c = _fragment("c", 1.2, (1.2, 0.0), 0.0)
         merged = merge_pedestrian_trajectories([a, b, c])
         assert len(merged) == 1 and len(merged[0]) == 18
+
+    def test_chain_chord_spans_absorbed_fragments(self):
+        # b bends north; c turns back west. Against b alone (chord 80 deg) c
+        # would pass the 120 deg chord limit, but the chain a+b heads east.
+        def unit(deg):
+            return math.cos(math.radians(deg)), math.sin(math.radians(deg))
+
+        a = _traj("a", [(round(0.1 * i, 6), 0.2 * i, 0.0, 2.0, 0.0) for i in range(11)])
+        bend = (2.1 + 0.2 * unit(80)[0], 0.2 * unit(80)[1])
+        b = _traj("b", [(1.1, 2.1, 0.0, *unit(60)), (1.2, *bend, *unit(120))])
+        c = _traj("c", [(round(1.3 + 0.1 * i, 6), 2.1 + 0.2 * i * unit(190)[0],
+                         0.2 + 0.2 * i * unit(190)[1], *unit(190)) for i in range(5)])
+        merged = merge_pedestrian_trajectories([a, b, c])
+        assert [(m.id, len(m)) for m in merged] == [("a", 13), ("c", 5)]
 
     def test_non_pedestrian_rejected(self):
         v = _vehicle_path("v", [(0, 0), (1, 0)])
@@ -211,7 +225,7 @@ class TestMergeCriteria:
         merged = merge_pedestrian_trajectories(unique)
         assert sum(len(m) for m in merged) == sum(len(f) for f in unique)
         for m in merged:
-            ts = [p.t for p in m.points]
+            ts = m.t.tolist()
             assert ts == sorted(ts) and len(set(ts)) == len(ts)
 
 
@@ -242,11 +256,9 @@ class TestFilters:
 
     def test_mostly_invalid_removed(self, geom):
         samples = [(round(i * 0.1, 6), -7 + 0.2 * i, 10.0, 2.0, 0.0) for i in range(40)]
-        pts = list(_traj("x", samples).points)
-        for i in range(0, 40, 2):  # exactly 50% invalid
-            pts[i] = TrackPoint.create(pts[i].t, float("nan"), 10.0, 2.0, 0.0)
-        t = Trajectory(id="halfbad", object_class=ObjectClass.PEDESTRIAN,
-                       points=tuple(pts))
+        pts = np.array(_traj("x", samples).points)
+        pts[::2, 1] = float("nan")  # exactly 50% invalid
+        t = Trajectory(id="halfbad", object_class=ObjectClass.PEDESTRIAN, points=pts)
         kept, removed = filter_pedestrian_trajectories([t], geom)
         assert "invalid_points" in removed["halfbad"]
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import row
 from hypothesis import given, settings, strategies as st
 
 from crossrisk import evaluation
@@ -42,7 +43,6 @@ from crossrisk.trajectory import (
     Maneuver,
     ObjectClass,
     SUPPORTED_MANEUVERS,
-    TrackPoint,
     Trajectory,
 )
 
@@ -124,10 +124,7 @@ class TestDynamicModel:
         assert np.max(np.abs(got - cumulative_dynamic_model(s, dt, steps))) <= 1e-12
 
     def test_state_from_trajectory_backward_difference(self):
-        pts = (
-            TrackPoint.create(0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
-            TrackPoint.create(0.1, 0.1, 0.0, 1.5, -0.2, 0.0),
-        )
+        pts = (row(0.0, 0.0, 0.0, 1.0, 0.0, 0.0), row(0.1, 0.1, 0.0, 1.5, -0.2, 0.0))
         traj = Trajectory(id="v", object_class=ObjectClass.VEHICLE, points=pts)
         s = state_from_trajectory(traj, 1)
         assert s.ax == pytest.approx(5.0)
@@ -244,33 +241,36 @@ def certain_forest(target_class):
     return train_forest(X, y, n_trees=20, seed=0), target_class
 
 
-def frame_hypotheses(vp, direction, models, forest, cfg):
+def frame_hypotheses(veh, index, direction, models, forest, cfg):
     """Maneuver probabilities of one vehicle frame and, per maneuver with a
     cluster model, its predicted path with the vehicle position first."""
-    probs = forest.predict_proba(extract_features(vp, direction)[None, :])[0]
+    probs = forest.predict_proba(extract_features(veh, [index], direction))[0]
+    start = veh.xy[index]
     paths = {}
     for m in SUPPORTED_MANEUVERS:
         if (direction, m) in models:
-            _, (path,) = rollout(models[(direction, m)], [vp.position], cfg)
-            paths[m] = np.vstack([vp.position, path])
+            _, (path,) = rollout(models[(direction, m)], start[None, :], cfg)
+            paths[m] = np.vstack([start, path])
     return ManeuverDistribution.from_array(probs / probs.sum()), paths
 
 
-def score(vp, direction, ped, models, forest, cfg, **kwargs):
-    return estimate_risk(vp, ped, *frame_hypotheses(vp, direction, models, forest, cfg),
+def score(veh, index, direction, ped, models, forest, cfg, **kwargs):
+    return estimate_risk(veh.t.tolist()[index], state_from_trajectory(veh, index), ped,
+                         *frame_hypotheses(veh, index, direction, models, forest, cfg),
                          cfg, **kwargs)
 
 
 class TestEstimateRisk:
-    def _vehicle_point(self, x=0.0, y=0.0, vx=1.0, vy=0.0):
-        return TrackPoint.create(t=12.3, x=x, y=y, vx=vx, vy=vy, yaw_rate=0.0)
+    def _vehicle(self, x=0.0, y=0.0, vx=1.0, vy=0.0):
+        return Trajectory(id="v", object_class=ObjectClass.VEHICLE,
+                          points=[row(12.3, x, y, vx, vy, 0.0)])
 
     def test_far_pedestrian_scores_zero(self):
         models = {(Direction.S, m): constant_pair(Direction.S, m, 1.0, 0.0)
                   for m in SUPPORTED_MANEUVERS}
         forest, _ = certain_forest(2)
         ped = KinematicState(x=500.0, y=500.0, vx=0.0, vy=0.0)
-        profile = score(self._vehicle_point(), Direction.S, ped, models,
+        profile = score(self._vehicle(), 0, Direction.S, ped, models,
                         forest, RolloutConfig(steps=30, dt=0.1))
         assert profile.risk == 0.0
         assert all(a.conflict_point is None for a in profile.assessments)
@@ -287,7 +287,7 @@ class TestEstimateRisk:
         y = np.repeat([2, 0, 1], 40)
         forest = train_forest(X, y, n_trees=25, seed=0)
         ped = KinematicState(x=1.0, y=-1.0, vx=0.0, vy=1.0)  # meets at (1, 0), t=1
-        profile = score(self._vehicle_point(), Direction.S, ped, models,
+        profile = score(self._vehicle(), 0, Direction.S, ped, models,
                         forest, RolloutConfig(steps=30, dt=0.1), radius=0.4)
         straight = profile.assessment(Maneuver.STRAIGHT)
         assert straight.risk == pytest.approx(1.0, abs=1e-6)
@@ -312,7 +312,7 @@ class TestEstimateRisk:
         forest = ForestModel(trees=[leaf([1, 0, 0]), leaf([0, 0, 1])], n_features=5)
         ped = KinematicState(x=2.0, y=-1.0, vx=0.0, vy=1.0)  # at (2, 0) after 1 s
         # vehicle reaches x=2 after 2 s; tiny radius pins the exact-hit pair
-        profile = score(self._vehicle_point(), Direction.S, ped, models,
+        profile = score(self._vehicle(), 0, Direction.S, ped, models,
                         forest, RolloutConfig(steps=30, dt=0.1), radius=0.04)
         straight = profile.assessment(Maneuver.STRAIGHT)
         assert straight.risk == pytest.approx(math.exp(-1.0), abs=1e-12)
@@ -328,15 +328,15 @@ class TestEstimateRisk:
         forest, _ = certain_forest(0)
         ped = KinematicState(x=2.0, y=-0.5, vx=0.0, vy=0.5)
         cfg = RolloutConfig(steps=20, dt=0.1)
-        a = score(self._vehicle_point(), Direction.S, ped, models, forest, cfg)
-        b = score(self._vehicle_point(), Direction.S, ped, models, forest, cfg)
+        a = score(self._vehicle(), 0, Direction.S, ped, models, forest, cfg)
+        b = score(self._vehicle(), 0, Direction.S, ped, models, forest, cfg)
         assert a.risk == b.risk
 
     def test_all_models_absent_raises(self):
         forest, _ = certain_forest(0)
         ped = KinematicState(x=2.0, y=-0.5, vx=0.0, vy=0.5)
         with pytest.raises(ValueError):
-            score(self._vehicle_point(), Direction.S, ped, {}, forest,
+            score(self._vehicle(), 0, Direction.S, ped, {}, forest,
                   RolloutConfig(steps=10, dt=0.1))
 
     def test_missing_probabilities_or_invalid_point_raise(self):
@@ -344,14 +344,13 @@ class TestEstimateRisk:
                   constant_pair(Direction.S, Maneuver.STRAIGHT, 1.0, 0.0)}
         forest, _ = certain_forest(0)
         cfg = RolloutConfig(steps=10, dt=0.1)
-        vp = self._vehicle_point()
+        veh = self._vehicle()
         ped = KinematicState(x=2.0, y=-0.5, vx=0.0, vy=0.5)
-        probs, paths = frame_hypotheses(vp, Direction.S, models, forest, cfg)
+        probs, paths = frame_hypotheses(veh, 0, Direction.S, models, forest, cfg)
         with pytest.raises(ValueError):
-            estimate_risk(vp, ped, None, paths, cfg)
-        invalid = TrackPoint.create(t=12.3, x=float("nan"), y=0.0, vx=1.0, vy=0.0)
-        with pytest.raises(ValueError):
-            estimate_risk(invalid, ped, probs, paths, cfg)
+            estimate_risk(12.3, state_from_trajectory(veh, 0), ped, None, paths, cfg)
+        with pytest.raises(ValueError):  # no vehicle state from an invalid point
+            state_from_trajectory(self._vehicle(x=float("nan")), 0)
 
     def test_risk_stays_in_unit_interval(self):
         models = {(Direction.S, m): constant_pair(Direction.S, m, 1.0, (i - 1) * 0.3)
@@ -363,7 +362,7 @@ class TestEstimateRisk:
                                  y=float(rng.uniform(-3, 3)),
                                  vx=float(rng.uniform(-1, 1)),
                                  vy=float(rng.uniform(-1, 1)))
-            profile = score(self._vehicle_point(), Direction.S, ped,
+            profile = score(self._vehicle(), 0, Direction.S, ped,
                             models, forest, RolloutConfig(steps=15, dt=0.1))
             assert 0.0 <= profile.risk <= 1.0
             mix = sum(a.risk * profile.maneuver_probs.for_maneuver(a.maneuver)
@@ -388,7 +387,8 @@ class TestEstimateRisk:
                  if v is not None}
         if not paths:  # one hypothesis at least, as the caller guarantees
             paths = {Maneuver.STRAIGHT: steps * np.array([1.0, 0.0])}
-        profile = estimate_risk(self._vehicle_point(), KinematicState(*ped_state),
+        profile = estimate_risk(12.3, KinematicState(0.0, 0.0, 1.0, 0.0),
+                                KinematicState(*ped_state),
                                 probs, paths, cfg, radius=radius)
         assert 0.0 <= profile.risk <= 1.0
         assert profile.risk <= max(a.risk for a in profile.assessments) + 1e-12
@@ -440,25 +440,24 @@ class TestRiskStreams:
         assert streams
         for (vid, pid), profiles in streams.items():
             veh, ped = labeled.by_id(vid), labeled.by_id(pid)
-            ped_index = {round(p.t, 6): i for i, p in enumerate(ped.points)}
+            ped_index = {round(t, 6): i for i, t in enumerate(ped.t.tolist())}
             for profile in profiles:
-                vp = next(p for p in veh.points if p.t == profile.t)
-                ped_state = state_from_trajectory(ped, ped_index[round(vp.t, 6)])
-                want = score(vp, veh.entering_direction, ped_state, models, forest, self.CFG)
+                vi = veh.t.tolist().index(profile.t)
+                ped_state = state_from_trajectory(ped, ped_index[round(profile.t, 6)])
+                want = score(veh, vi, veh.entering_direction, ped_state, models, forest,
+                             self.CFG)
                 assert profile.maneuver_probs == want.maneuver_probs
                 assert profile.risk == pytest.approx(want.risk, abs=1e-12)
 
     def test_sample_mode_draws_per_vehicle(self, monkeypatch):
         # two vehicles on identical tracks share one cluster: each draws its
         # own sample paths, and a rerun repeats them byte for byte
-        track = tuple(TrackPoint.create(0.1 * i, 0.5 * i, 0.0, 5.0, 0.0, 0.0)
-                      for i in range(5))
+        track = [row(0.1 * i, 0.5 * i, 0.0, 5.0, 0.0, 0.0) for i in range(5)]
         vehicles = [Trajectory(id=vid, object_class=ObjectClass.VEHICLE, points=track,
                                entering_direction=Direction.W, maneuver=Maneuver.STRAIGHT)
                     for vid in ("v1", "v2")]
         ped = Trajectory(id="p1", object_class=ObjectClass.PEDESTRIAN,
-                         points=tuple(TrackPoint.create(0.1 * i, 2.0, -1.0, 0.0, 1.0)
-                                      for i in range(5)))
+                         points=[row(0.1 * i, 2.0, -1.0, 0.0, 1.0) for i in range(5)])
         dataset = Dataset(trajectories=vehicles + [ped])
         rng = np.random.default_rng(0)
         x = rng.uniform(-2, 4, size=(10, 2))

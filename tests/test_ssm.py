@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import row
 from hypothesis import given, settings, strategies as st
 
 from crossrisk.risk import KinematicState
@@ -13,7 +14,7 @@ from crossrisk.ssm import (
     evaluate_detection,
     identify_conflicts_pet,
 )
-from crossrisk.trajectory import Dataset, ObjectClass, TrackPoint, Trajectory
+from crossrisk.trajectory import Dataset, ObjectClass, Trajectory
 
 
 def stepping_ttc_oracle(veh, ped, radius, dt=0.001, t_max=60.0):
@@ -29,8 +30,7 @@ def stepping_ttc_oracle(veh, ped, radius, dt=0.001, t_max=60.0):
 
 
 def _path(traj_id, object_class, samples):
-    pts = tuple(TrackPoint.create(t=t, x=x, y=y, vx=vx, vy=vy, yaw_rate=0.0)
-                for t, x, y, vx, vy in samples)
+    pts = [row(t, x, y, vx, vy, 0.0) for t, x, y, vx, vy in samples]
     return Trajectory(id=traj_id, object_class=object_class, points=pts)
 
 
@@ -155,12 +155,10 @@ class TestIdentifyConflicts:
         for i, gap in enumerate(gaps):
             veh, ped = crossing_pair(t_ped_cross=5.0, t_veh_cross=5.0 + gap)
             shift = 100.0 * i
-            veh_pts = tuple(
-                TrackPoint.create(round(p.t + shift, 6), p.x, p.y, p.vx, p.vy, 0.0)
-                for p in veh.points)
-            ped_pts = tuple(
-                TrackPoint.create(round(p.t + shift, 6), p.x, p.y, p.vx, p.vy, 0.0)
-                for p in ped.points)
+            veh_pts, ped_pts = (
+                [row(round(t + shift, 6), x, y, vx, vy, 0.0)
+                 for t, x, y, vx, vy, _ in traj.points.tolist()]
+                for traj in (veh, ped))
             trajs.append(Trajectory(id=f"veh{i}", object_class=ObjectClass.VEHICLE,
                                     points=veh_pts))
             trajs.append(Trajectory(id=f"ped{i}", object_class=ObjectClass.PEDESTRIAN,
@@ -224,11 +222,6 @@ class TestEvaluateDetection:
         assert report.auc == pytest.approx(5.0 / 6.0, abs=1e-12)
         assert report.sensitivity == 1.0  # positives all score > 0
         assert report.false_alarm_rate == pytest.approx(2.0 / 3.0)
-
-    def test_stream_inputs_scored_by_maximum(self):
-        scores = {("v1", "p1"): [0.0, 0.3, 0.1], ("v2", "p2"): [0.0, 0.0]}
-        report = evaluate_detection(scores, [("v1", "p1")])
-        assert report.sensitivity == 1.0 and report.false_alarm_rate == 0.0
 
     def test_missing_truth_stream_is_a_false_negative(self):
         report = evaluate_detection({("v1", "p1"): 1.0}, [("v9", "p9")])

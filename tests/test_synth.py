@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import row
 from hypothesis import given, settings, strategies as st
 
 from crossrisk.errors import InputError
@@ -39,7 +40,6 @@ from crossrisk.trajectory import (
     Maneuver,
     ObjectClass,
     SUPPORTED_MANEUVERS,
-    TrackPoint,
     Trajectory,
 )
 
@@ -59,17 +59,13 @@ class TestDeterminism:
         assert [t.id for t in a.trajectories] == [t.id for t in b.trajectories]
         for ta, tb in zip(a.trajectories, b.trajectories):
             assert len(ta) == len(tb)
-            for pa, pb in zip(ta.points, tb.points):
-                assert (pa.t, pa.x, pa.y, pa.vx, pa.vy, pa.yaw_rate) == (
-                    pb.t, pb.x, pb.y, pb.vx, pb.vy, pb.yaw_rate)
+            assert ta.points.tobytes() == tb.points.tobytes()
         assert truth_a.vehicles == truth_b.vehicles
 
     def test_different_seed_differs(self):
         a, _ = generate_scenario(ScenarioSpec(seed=1, n_vehicles_per_cell=1))
         b, _ = generate_scenario(ScenarioSpec(seed=2, n_vehicles_per_cell=1))
-        pa = a.trajectories[0].points[0]
-        pb = b.trajectories[0].points[0]
-        assert (pa.x, pa.y) != (pb.x, pb.y)
+        assert a.trajectories[0].xy[0].tolist() != b.trajectories[0].xy[0].tolist()
 
 
 class TestKinematics:
@@ -82,7 +78,7 @@ class TestKinematics:
                      if truth.vehicles[t.id][1] == Maneuver.STRAIGHT]
         assert straights
         for traj in straights:
-            xy = traj.positions()
+            xy = traj.xy[traj.valid]
             chord = xy[-1] - xy[0]
             chord = chord / np.linalg.norm(chord)
             rel = xy - xy[0]
@@ -96,19 +92,16 @@ class TestKinematics:
         ds, truth = generate_scenario(spec)
         turner = next(t for t in ds.vehicles
                       if truth.vehicles[t.id][1] == Maneuver.LEFT)
-        speeds = [p.speed for p in turner.points]
-        assert min(speeds) < 0.75 * max(speeds)
-        yaws = [p.yaw_rate for p in turner.points]
-        assert max(yaws) > 0.3
-        assert min(yaws) >= 0.0
+        assert turner.speed.min() < 0.75 * turner.speed.max()
+        assert turner.yaw_rate.max() > 0.3
+        assert turner.yaw_rate.min() >= 0.0
 
     def test_pedestrian_speeds_below_filter_threshold(self):
         spec = ScenarioSpec(seed=4, n_vehicles_per_cell=0,
                             n_pedestrians_per_crosswalk=3)
         ds, _ = generate_scenario(spec)
         for ped in ds.pedestrians:
-            for p in ped.points:
-                assert p.speed < 3.0
+            assert (ped.speed < 3.0).all()
 
     def test_fast_outliers_when_requested(self):
         spec = ScenarioSpec(seed=4, n_vehicles_per_cell=0,
@@ -116,7 +109,7 @@ class TestKinematics:
                             noise_std_velocity=0.0)
         ds, _ = generate_scenario(spec)
         fast = [ped for ped in ds.pedestrians
-                if max(p.speed for p in ped.points) >= 3.0]
+                if ped.speed.max() >= 3.0]
         assert len(fast) == 2
 
 
@@ -279,14 +272,9 @@ def ref_sample(entity_id, object_class, path, speed_of_s, launch_frame, noise_se
             vel = vel + rng.normal(0.0, noise_vel, size=2)
         x, y = pos
         vx, vy = vel
-        points.append(
-            TrackPoint.create(
-                t=round((launch_frame + k) * dt, 6),
-                x=float(x), y=float(y), vx=float(vx), vy=float(vy),
-                yaw_rate=abs(v * curv),
-            )
-        )
-    return Trajectory(id=entity_id, object_class=object_class, points=tuple(points))
+        points.append(row(round((launch_frame + k) * dt, 6),
+                          float(x), float(y), float(vx), float(vy), abs(v * curv)))
+    return Trajectory(id=entity_id, object_class=object_class, points=points)
 
 
 def ref_vehicle_crossings(path, step=0.25):
@@ -538,6 +526,6 @@ class TestArraySynthMatchesScalarReference:
         assert [(t.id, t.object_class) for t in ds.trajectories] == [
             (t.id, t.object_class) for t in ref_ds.trajectories]
         for traj, ref in zip(ds.trajectories, ref_ds.trajectories):
-            # repr spells out every field, float bits included (down to -0.0)
-            assert repr(traj.points) == repr(ref.points)
+            # every float bit, down to -0.0
+            assert traj.points.tobytes() == ref.points.tobytes()
         assert repr(truth) == repr(ref_truth)

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from helpers import row
 from hypothesis import given, strategies as st
 
 from crossrisk.errors import InputError
+from crossrisk.ssm import co_present_pairs
 from crossrisk.trajectory import (
     ColumnSchema,
     Dataset,
     Direction,
     Maneuver,
     ObjectClass,
-    TrackPoint,
     Trajectory,
     load_dataset,
     majority_vote_label,
@@ -48,19 +49,22 @@ class TestMajorityVote:
         assert majority_vote_label(labels) in labels
 
 
-class TestTrackPoint:
-    def test_create_flags_non_finite(self):
-        p = TrackPoint.create(t=0.0, x=float("nan"), y=1.0, vx=0.0, vy=0.0)
-        assert not p.valid
-        p = TrackPoint.create(t=0.0, x=1.0, y=1.0, vx=0.0, vy=float("inf"))
-        assert not p.valid
+def _one(*fields):
+    return Trajectory(id="a", object_class=ObjectClass.VEHICLE, points=[row(*fields)])
+
+
+class TestRowValidity:
+    def test_non_finite_kinematics_invalidate_row(self):
+        assert not _one(0.0, float("nan"), 1.0, 0.0, 0.0).valid[0]
+        assert not _one(0.0, 1.0, 1.0, 0.0, float("inf")).valid[0]
+        assert _one(0.0, 1.0, 1.0, 0.0, 0.0).valid[0]
 
     def test_nan_yaw_rate_stays_valid(self):
-        p = TrackPoint.create(t=0.0, x=1.0, y=1.0, vx=0.0, vy=0.0)
-        assert p.valid and math.isnan(p.yaw_rate)
+        traj = _one(0.0, 1.0, 1.0, 0.0, 0.0)
+        assert traj.valid[0] and math.isnan(traj.yaw_rate[0])
 
     def test_speed(self):
-        assert TrackPoint.create(0.0, 0.0, 0.0, 3.0, 4.0).speed == 5.0
+        assert _one(0.0, 0.0, 0.0, 3.0, 4.0).speed[0] == 5.0
 
 
 class TestTrajectoryInvariants:
@@ -69,15 +73,31 @@ class TestTrajectoryInvariants:
             Trajectory(id="a", object_class=ObjectClass.VEHICLE, points=())
 
     def test_non_monotone_timestamps_rejected(self):
-        pts = (TrackPoint.create(1.0, 0, 0, 0, 0), TrackPoint.create(1.0, 1, 0, 0, 0))
+        pts = (row(1.0, 0, 0, 0, 0), row(1.0, 1, 0, 0, 0))
+        with pytest.raises(ValueError):
+            Trajectory(id="a", object_class=ObjectClass.VEHICLE, points=pts)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_timestamp_rejected(self, bad):
+        # NaN compares false both ways, so an order check alone misses it
+        pts = (row(0.0, 0, 0, 0, 0), row(bad, 1, 0, 0, 0))
         with pytest.raises(ValueError):
             Trajectory(id="a", object_class=ObjectClass.VEHICLE, points=pts)
 
     def test_duplicate_ids_rejected(self):
-        t = Trajectory(id="a", object_class=ObjectClass.VEHICLE,
-                       points=(TrackPoint.create(0.0, 0, 0, 0, 0),))
+        t = _one(0.0, 0, 0, 0, 0)
         with pytest.raises(ValueError):
             Dataset(trajectories=[t, t])
+
+    def test_points_are_a_read_only_copy(self):
+        pts = np.array([row(0.0, 1.0, 2.0, 3.0, 4.0, 0.5)])
+        traj = Trajectory(id="a", object_class=ObjectClass.VEHICLE, points=pts)
+        pts[0, 1] = 9.0
+        assert traj.xy[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            traj.points[0, 1] = 9.0
+        with pytest.raises(ValueError):
+            traj.xy[0, 0] = 9.0
 
 
 class TestLoadDataset:
@@ -103,14 +123,14 @@ class TestLoadDataset:
         ds = load_dataset(path)
         assert len(ds) == 2
         for traj in ds.trajectories:
-            ts = [p.t for p in traj.points]
+            ts = traj.t.tolist()
             assert ts == sorted(ts)
 
     def test_non_finite_row_kept_invalid(self, tmp_path):
         path = _write(tmp_path, ["0.0,1,pedestrian,NaN,2.0,0.5,0.5,0.0"])
         ds = load_dataset(path)
         assert len(ds.by_id("1")) == 1
-        assert not ds.by_id("1").points[0].valid
+        assert not ds.by_id("1").valid[0]
 
     def test_duplicate_timestamp_keeps_first(self, tmp_path):
         path = _write(tmp_path, [
@@ -119,7 +139,43 @@ class TestLoadDataset:
             "0.1,1,vehicle,2.0,0,0,0,0",
         ])
         traj = load_dataset(path).by_id("1")
-        assert [p.x for p in traj.points] == [1.0, 2.0]
+        assert traj.xy[:, 0].tolist() == [1.0, 2.0]
+
+    def test_non_finite_timestamps_dropped(self, tmp_path):
+        path = _write(tmp_path, [
+            f"{t},1,vehicle,{x},0,1,0,0" for x, t in enumerate(
+                ["0.0", "nan", "0.1", "inf", "0.2", "-inf"])
+        ] + ["5.0,p,pedestrian,0,0,0,0,0"])
+        ds = load_dataset(path)
+        traj = ds.by_id("1")
+        assert traj.t.tolist() == [0.0, 0.1, 0.2]
+        assert traj.xy[:, 0].tolist() == [0.0, 2.0, 4.0]
+        assert traj.end_time == 0.2
+        assert co_present_pairs(ds) == []  # an infinite end time would overlap p
+
+    def test_short_row_reads_missing_cells_as_blank(self, tmp_path):
+        path = _write(tmp_path, ["0.0,1,vehicle,1.0,2.0", "0.1,1,vehicle,1,2,3,4,0"])
+        traj = load_dataset(path).by_id("1")
+        assert traj.valid.tolist() == [False, True]
+
+    def test_unknown_label_value_raises(self, tmp_path):
+        header = "t,id,class,x,y,vx,vy,yaw_rate,entering_direction,maneuver"
+        path = _write(tmp_path, ["0.0,1,vehicle,0,0,0,0,0,S,left",
+                                 "0.1,1,vehicle,0,0,0,0,0,S,sideways"], header=header)
+        with pytest.raises(InputError):
+            load_dataset(path)
+        path = _write(tmp_path, ["0.0,1,vehicle,0,0,0,0,0,Q,left"], header=header)
+        with pytest.raises(InputError):
+            load_dataset(path)
+
+    def test_labels_take_last_non_empty_value(self, tmp_path):
+        header = "t,id,class,x,y,vx,vy,yaw_rate,entering_direction,maneuver"
+        path = _write(tmp_path, ["0.2,1,vehicle,0,0,0,0,0,,",
+                                 "0.0,1,vehicle,0,0,0,0,0,N,right",
+                                 "0.1,1,vehicle,0,0,0,0,0,S,",
+                                 "0.1,1,vehicle,0,0,0,0,0,W,left"], header=header)
+        traj = load_dataset(path).by_id("1")
+        assert (traj.entering_direction, traj.maneuver) == (Direction.S, Maneuver.RIGHT)
 
     def test_majority_vote_applied(self, tmp_path):
         path = _write(tmp_path, [
@@ -156,25 +212,16 @@ class TestLoadDataset:
             yaw_rate_unit="deg_s",
         )
         traj = load_dataset(path, schema).by_id("5")
-        assert traj.points[0].yaw_rate == pytest.approx(math.pi / 2.0)
+        assert traj.yaw_rate[0] == pytest.approx(math.pi / 2.0)
 
 
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):
         rng = np.random.default_rng(0)
-        pts = tuple(
-            TrackPoint.create(
-                t=round(0.1 * k, 6),
-                x=float(rng.normal()), y=float(rng.normal()),
-                vx=float(rng.normal()), vy=float(rng.normal()),
-                yaw_rate=float(rng.normal()),
-            )
-            for k in range(20)
-        )
-        bad = TrackPoint.create(t=2.0, x=float("nan"), y=0.0, vx=0.0, vy=0.0,
-                                yaw_rate=0.0)
-        traj = Trajectory(id="42", object_class=ObjectClass.VEHICLE,
-                          points=pts + (bad,),
+        pts = [
+            row(round(0.1 * k, 6), *rng.normal(size=5).tolist()) for k in range(20)
+        ] + [row(2.0, float("nan"), 0.0, 0.0, 0.0, 0.0)]
+        traj = Trajectory(id="42", object_class=ObjectClass.VEHICLE, points=pts,
                           entering_direction=Direction.S, maneuver=Maneuver.LEFT)
         ds = Dataset(trajectories=[traj])
         path = tmp_path / "roundtrip.csv"
@@ -183,8 +230,5 @@ class TestRoundTrip:
         assert len(back) == len(traj)
         assert back.entering_direction == Direction.S
         assert back.maneuver == Maneuver.LEFT
-        for a, b in zip(traj.points, back.points):
-            assert a.t == b.t and a.valid == b.valid
-            for name in ("x", "y", "vx", "vy", "yaw_rate"):
-                va, vb = getattr(a, name), getattr(b, name)
-                assert (math.isnan(va) and math.isnan(vb)) or va == vb
+        assert back.valid.tolist() == traj.valid.tolist() == [True] * 20 + [False]
+        assert np.array_equal(back.points, traj.points, equal_nan=True)
