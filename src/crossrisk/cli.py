@@ -34,6 +34,7 @@ from .maneuver import (
     smote_oversample,
     train_forest,
 )
+from .parallel import usable_workers
 from .preprocess import preprocess_dataset
 from .ssm import evaluate_detection, identify_conflicts_pet
 from .synth import (
@@ -183,7 +184,8 @@ def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path, seed: int | None) ->
                [as_row(r) for r in start_rows])
     _write_csv(out_dir / "prediction_by_horizon.csv", header,
                [as_row(r) for r in horizon_rows])
-    print(f"trained {len(models)} cluster models; reports in {out_dir}")
+    print(f"trained {len(models)} cluster models on {usable_workers()} worker process(es); "
+          f"reports in {out_dir}")
 
 
 def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path,

@@ -7,8 +7,10 @@ loudly instead of silently falling back to defaults.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -19,9 +21,45 @@ from .trajectory import CANONICAL_COLUMNS, ColumnSchema
 
 
 def _check_keys(data: dict, allowed, where: str) -> None:
+    if not isinstance(data, dict):
+        raise InputError(f"config section {where!r} must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise InputError(f"unknown config key(s) {unknown} in section {where!r}")
+
+
+def _json_type_ok(value, hint) -> bool:
+    """Whether a parsed JSON value fits a field annotation; a float field also
+    takes an integer, and other annotations (nested sections) are checked by
+    their own ``from_dict``."""
+    if typing.get_origin(hint) is typing.Union:
+        return any(_json_type_ok(value, h) for h in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):  # JSON true/false is a bool, not a number
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    if hint in (int, str, list, dict):
+        return isinstance(value, hint)
+    return True
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)  # evaluates the annotation strings: cache it
+
+
+def _section(cls, data: dict, where: str):
+    """``cls(**data)`` for a config section: a JSON object whose keys are
+    fields of ``cls`` and whose values have the fields' types."""
+    _check_keys(data, [f.name for f in fields(cls)], where)
+    hints = _field_types(cls)
+    for key, value in data.items():
+        if not _json_type_ok(value, hints[key]):
+            expected = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+            raise InputError(f"config key {where}.{key} must be {expected}, got {value!r}")
+    return cls(**data)
 
 
 @dataclass
@@ -32,8 +70,7 @@ class DataConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "DataConfig":
-        _check_keys(data, ("schema", "yaw_rate_unit", "frame_interval"), "data")
-        cfg = DataConfig(**data)
+        cfg = _section(DataConfig, data, "data")
         cfg.column_schema()  # validate eagerly
         return cfg
 
@@ -55,10 +92,7 @@ class GeometryConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "GeometryConfig":
-        _check_keys(data, ("mode", "search_regions", "endpoints",
-                           "crosswalk_inflation", "roadway_polygon",
-                           "crosswalk_polygons"), "preprocess.geometry")
-        cfg = GeometryConfig(**data)
+        cfg = _section(GeometryConfig, data, "preprocess.geometry")
         if cfg.mode not in ("estimate", "explicit"):
             raise InputError(f"unknown geometry mode: {cfg.mode!r}")
         if cfg.mode == "explicit" and not cfg.endpoints:
@@ -75,17 +109,13 @@ class PreprocessConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "PreprocessConfig":
-        _check_keys(data, ("cell_size", "merge", "filter", "geometry"), "preprocess")
-        merge_d = data.get("merge", {})
-        _check_keys(merge_d, [f.name for f in fields(MergeCriteria)], "preprocess.merge")
-        filter_d = data.get("filter", {})
-        _check_keys(filter_d, [f.name for f in fields(FilterSettings)], "preprocess.filter")
-        return PreprocessConfig(
-            cell_size=data.get("cell_size", 0.5),
-            merge=MergeCriteria(**merge_d),
-            filter=FilterSettings(**filter_d),
-            geometry=GeometryConfig.from_dict(data.get("geometry", {})),
-        )
+        _check_keys(data, [f.name for f in fields(PreprocessConfig)], "preprocess")
+        return _section(PreprocessConfig, {
+            **data,
+            "merge": _section(MergeCriteria, data.get("merge", {}), "preprocess.merge"),
+            "filter": _section(FilterSettings, data.get("filter", {}), "preprocess.filter"),
+            "geometry": GeometryConfig.from_dict(data.get("geometry", {})),
+        }, "preprocess")
 
 
 @dataclass
@@ -100,8 +130,7 @@ class GprConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "GprConfig":
-        _check_keys(data, [f.name for f in fields(GprConfig)], "gpr")
-        cfg = GprConfig(**data)
+        cfg = _section(GprConfig, data, "gpr")
         if cfg.kernel not in ("rbf", "rq"):
             raise InputError(f"unknown kernel: {cfg.kernel!r}")
         if cfg.iterations < 1:
@@ -121,8 +150,7 @@ class ForestConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ForestConfig":
-        _check_keys(data, [f.name for f in fields(ForestConfig)], "forest")
-        cfg = ForestConfig(**data)
+        cfg = _section(ForestConfig, data, "forest")
         if not cfg.n_trees_grid or not cfg.max_depth_grid:
             raise InputError("forest.n_trees_grid and forest.max_depth_grid must not be empty")
         if cfg.n_splits < 1:
@@ -138,8 +166,7 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "TrainConfig":
-        _check_keys(data, [f.name for f in fields(TrainConfig)], "train")
-        return TrainConfig(**data)
+        return _section(TrainConfig, data, "train")
 
 
 @dataclass
@@ -152,8 +179,7 @@ class RiskConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RiskConfig":
-        _check_keys(data, [f.name for f in fields(RiskConfig)], "risk")
-        cfg = RiskConfig(**data)
+        cfg = _section(RiskConfig, data, "risk")
         if cfg.rollout_mode not in ("mean", "sample"):
             raise InputError(f"unknown rollout mode: {cfg.rollout_mode!r}")
         if cfg.frame_stride < 1:
@@ -169,8 +195,7 @@ class SsmConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "SsmConfig":
-        _check_keys(data, [f.name for f in fields(SsmConfig)], "ssm")
-        return SsmConfig(**data)
+        return _section(SsmConfig, data, "ssm")
 
 
 @dataclass
@@ -191,8 +216,7 @@ class SynthConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "SynthConfig":
-        _check_keys(data, [f.name for f in fields(SynthConfig)], "synth")
-        return SynthConfig(**data)
+        return _section(SynthConfig, data, "synth")
 
 
 @dataclass

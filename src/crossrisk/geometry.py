@@ -117,6 +117,11 @@ class IntersectionGeometry:
         object.__setattr__(self, "_center", center)
         object.__setattr__(self, "_angle_ne", angles["NE"])
         object.__setattr__(self, "_bounds", (rel["NW"], rel["SW"], rel["SE"]))
+        xs = [pt[0] for pt in self.endpoints.values()]
+        ys = [pt[1] for pt in self.endpoints.values()]
+        m = self.crosswalk_inflation
+        object.__setattr__(self, "_roadway_box",
+                           (min(xs) - m, max(xs) + m, min(ys) - m, max(ys) + m))
 
     @property
     def center(self) -> Point:
@@ -151,12 +156,18 @@ class IntersectionGeometry:
         )
 
     def in_roadway_region(self, p: Point) -> bool:
+        return bool(self.roadway_mask(np.array([p], dtype=float))[0])
+
+    def roadway_mask(self, xy: np.ndarray) -> np.ndarray:
+        """``in_roadway_region`` of each ``(n, 2)`` row: the roadway polygon
+        when one is given, else the endpoints' bounding box inflated by
+        ``crosswalk_inflation``."""
         if self.roadway_polygon:
-            return point_in_polygon(p, self.roadway_polygon)
-        xs = [pt[0] for pt in self.endpoints.values()]
-        ys = [pt[1] for pt in self.endpoints.values()]
-        m = self.crosswalk_inflation
-        return (min(xs) - m <= p[0] <= max(xs) + m) and (min(ys) - m <= p[1] <= max(ys) + m)
+            return np.array([point_in_polygon(p, self.roadway_polygon)
+                             for p in xy.tolist()], dtype=bool)
+        x_lo, x_hi, y_lo, y_hi = self._roadway_box
+        x, y = xy[:, 0], xy[:, 1]
+        return (x_lo <= x) & (x <= x_hi) & (y_lo <= y) & (y <= y_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 
 from .errors import InputError, NumericalError
+from .parallel import ordered_map
 from .trajectory import Dataset, Direction, Maneuver, SUPPORTED_MANEUVERS
 
 KERNEL_KINDS = ("rbf", "rq")
@@ -75,9 +77,12 @@ def kernel_matrix(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray
 class GprModel:
     """A fitted single-output GP: position -> one velocity component.
 
-    ``train_y`` holds raw targets; the factorization and ``alpha_vec`` are in
-    standardized target space (``y_mean``/``y_std``). Instances are immutable
-    after construction and safe to share across threads.
+    ``train_y`` holds raw targets; ``alpha_vec`` and the factorization are in
+    standardized target space (``y_mean``/``y_std``). The n x n Cholesky
+    factor ``chol`` is not stored: it is computed on first read, at
+    ``jitter_used``, so a model that never needs it (mean-mode rollout) and a
+    model sent between processes stay O(n). Instances are not mutated after
+    construction, apart from that cache.
     """
 
     kernel: KernelConfig
@@ -85,7 +90,6 @@ class GprModel:
     train_y: np.ndarray
     y_mean: float
     y_std: float
-    chol: np.ndarray
     alpha_vec: np.ndarray
     jitter_used: float
     loss_trace: list = field(default_factory=list)
@@ -93,6 +97,13 @@ class GprModel:
     @property
     def n_train(self) -> int:
         return self.train_x.shape[0]
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor of K + (noise + jitter_used) I, the matrix
+        ``alpha_vec`` was solved with."""
+        k = _kernel_from_d2(self.kernel, _sq_dists(self.train_x, self.train_x))
+        return _jittered_cholesky(k, self.kernel.noise_variance, self.jitter_used)[0]
 
 
 def _jittered_cholesky(k: np.ndarray, noise_variance: float, jitter: float
@@ -142,9 +153,9 @@ def build_gpr_model(inputs: np.ndarray, targets: np.ndarray, cfg: KernelConfig,
     else:
         y_mean, y_std = 0.0, 1.0
     ys = (y - y_mean) / y_std
-    chol, alpha_vec, jitter = _factorize(cfg, _sq_dists(x, x), ys)
+    _, alpha_vec, jitter = _factorize(cfg, _sq_dists(x, x), ys)
     return GprModel(kernel=cfg, train_x=x, train_y=y, y_mean=y_mean, y_std=y_std,
-                    chol=chol, alpha_vec=alpha_vec, jitter_used=jitter)
+                    alpha_vec=alpha_vec, jitter_used=jitter)
 
 
 def log_marginal_likelihood(model: GprModel) -> float:
@@ -307,8 +318,8 @@ def fit_gpr(inputs: np.ndarray, targets: np.ndarray, kind: str = "rq",
             opt: OptimizerSettings = OptimizerSettings(),
             jitter: float = 1e-6) -> GprModel:
     """Standardize targets, optimize hyperparameters with Adam, and return the
-    model conditioned at the best loss seen, with the factorization that loss
-    was computed from."""
+    model conditioned at the best loss seen, with the ``alpha_vec`` and jitter
+    that loss was computed from."""
     x = np.asarray(inputs, dtype=float).reshape(-1, 2)
     y = np.asarray(targets, dtype=float).reshape(-1)
     if x.shape[0] < 2:
@@ -331,13 +342,12 @@ def fit_gpr(inputs: np.ndarray, targets: np.ndarray, kind: str = "rq",
         raise InputError(f"unknown kernel kind: {kind!r}")
 
     d2 = _sq_dists(x, x)
-    best_theta, trace, (chol, alpha_vec, jitter_used) = _adam_minimize(
+    best_theta, trace, (_, alpha_vec, jitter_used) = _adam_minimize(
         lambda th: _neg_lml(th, d2, ys, kind, jitter), theta0, opt
     )
     cfg = _theta_to_config(best_theta, kind, jitter)
     return GprModel(kernel=cfg, train_x=x, train_y=y, y_mean=y_mean, y_std=y_std,
-                    chol=chol, alpha_vec=alpha_vec, jitter_used=jitter_used,
-                    loss_trace=trace)
+                    alpha_vec=alpha_vec, jitter_used=jitter_used, loss_trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +439,9 @@ def train_cluster_models(
 
     Clusters larger than ``max_points`` are uniformly subsampled with a seed
     derived from the cluster's fixed index, so retraining is reproducible.
-    Empty clusters are simply absent from the returned mapping.
+    Empty clusters are simply absent from the returned mapping. Every
+    (cluster, velocity component) fit depends only on its data, so the fits
+    run through ``parallel.ordered_map``.
     """
     buckets: dict[tuple, list] = {}
     for traj in dataset.vehicles:
@@ -440,7 +452,7 @@ def train_cluster_models(
         buckets.setdefault((traj.entering_direction, traj.maneuver), []).append(
             traj.points[traj.valid, 1:5])  # x, y, vx, vy
 
-    models: dict = {}
+    cluster_data: dict = {}
     cells = [(d, m) for d in Direction for m in SUPPORTED_MANEUVERS]
     for idx, cell in enumerate(cells):
         data = np.concatenate(buckets.get(cell, [np.empty((0, 4))]))
@@ -450,10 +462,15 @@ def train_cluster_models(
             rng = np.random.default_rng(seed + idx)
             pick = np.sort(rng.choice(len(data), max_points, replace=False))
             data = data[pick]
-        gp_x = fit_gpr(data[:, :2], data[:, 2], kind=kind, opt=opt, jitter=jitter)
-        gp_y = fit_gpr(data[:, :2], data[:, 3], kind=kind, opt=opt, jitter=jitter)
-        models[cell] = GprModelPair(gp_x=gp_x, gp_y=gp_y, cluster=cell)
-    return models
+        cluster_data[cell] = data
+
+    def fit(job: tuple) -> GprModel:
+        data, column = job
+        return fit_gpr(data[:, :2], data[:, column], kind=kind, opt=opt, jitter=jitter)
+
+    gps = ordered_map(fit, [(data, c) for data in cluster_data.values() for c in (2, 3)])
+    return {cell: GprModelPair(gp_x=gps[2 * i], gp_y=gps[2 * i + 1], cluster=cell)
+            for i, cell in enumerate(cluster_data)}
 
 
 def _model_to_dict(model: GprModel) -> dict:
@@ -492,9 +509,9 @@ def _model_from_dict(data: dict, x: np.ndarray, d2: np.ndarray) -> GprModel:
                        rq_alpha=params["rq_alpha"],
                        noise_variance=params["noise_variance"], jitter=jitter)
     ys = (y - y_mean) / params["y_std"]
-    chol, alpha_vec, jitter_used = _factorize(cfg, d2, ys)
+    _, alpha_vec, jitter_used = _factorize(cfg, d2, ys)
     return GprModel(kernel=cfg, train_x=x, train_y=y, y_mean=y_mean,
-                    y_std=params["y_std"], chol=chol, alpha_vec=alpha_vec,
+                    y_std=params["y_std"], alpha_vec=alpha_vec,
                     jitter_used=jitter_used, loss_trace=list(data.get("loss_trace", [])))
 
 

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
+from .parallel import ordered_map
 from .trajectory import (
     DIRECTION_CODES,
     Dataset,
@@ -309,16 +310,18 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
         raise InputError("training split contains a single class")
     mtry = max(1, int(round(math.sqrt(X.shape[1]))))
     rng = np.random.default_rng(seed)
-    tree_seeds = rng.integers(0, 2**63 - 1, size=n_trees)
-    trees = []
-    for ts in tree_seeds:
-        tree_rng = np.random.default_rng(int(ts))
+    tree_seeds = rng.integers(0, 2**63 - 1, size=n_trees).tolist()
+
+    def fit_tree(tree_seed: int) -> Tree:
+        tree_rng = np.random.default_rng(tree_seed)
         boot = tree_rng.integers(0, len(y), size=len(y))
         nodes = []
         _grow_tree(X[boot], y[boot], 0, max_depth, mtry, n_classes, tree_rng, nodes)
         feature, threshold, left, right, counts = zip(*nodes)
-        trees.append(Tree(feature, threshold, left, right, np.array(counts)))
-    return ForestModel(trees=trees, n_features=X.shape[1])
+        return Tree(feature, threshold, left, right, np.array(counts))
+
+    # Each tree depends only on its seed, so the trees fit in any process.
+    return ForestModel(trees=ordered_map(fit_tree, tree_seeds), n_features=X.shape[1])
 
 
 # ---------------------------------------------------------------------------

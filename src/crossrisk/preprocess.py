@@ -241,11 +241,12 @@ def _violated_rules(traj: Trajectory, geom: Optional[IntersectionGeometry],
     if _max_fast_run(traj, settings.speed_limit) >= settings.speed_run_length:
         rules.append("too_fast")
     if geom is not None:
-        valid = traj.xy[traj.valid].tolist()
+        xy = traj.xy[traj.valid]
+        valid = xy.tolist()
         if valid:
             in_any = off_cross = 0
-            for p in valid:
-                crosswalk, roadway = geom.in_crosswalk_region(p), geom.in_roadway_region(p)
+            for p, roadway in zip(valid, geom.roadway_mask(xy).tolist()):
+                crosswalk = geom.in_crosswalk_region(p)
                 in_any += crosswalk or roadway
                 off_cross += roadway and not crosswalk
             if in_any / len(valid) < settings.min_region_fraction:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from helpers import row
 
-from crossrisk import evaluation
+from crossrisk import evaluation, parallel
 from crossrisk.cli import main
 from crossrisk.config import RunConfig, load_config
 from crossrisk.errors import InputError
@@ -150,6 +150,28 @@ class TestCli:
         assert (a / "models" / "gpr_models.json").exists()
         assert (a / "models" / "forest.json").exists()
         assert (a / "prep" / "density_grid.csv").exists()
+
+    def test_train_outputs_identical_on_one_and_two_workers(self, tmp_path, monkeypatch,
+                                                            capsys):
+        cfg = _pipeline_config(tmp_path)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "scene")]) == 0
+        assert main(["preprocess", "--config", str(cfg),
+                     "--in", str(tmp_path / "scene" / "dataset.csv"),
+                     "--out", str(tmp_path / "prep")]) == 0
+        digests = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+            capsys.readouterr()
+            out = tmp_path / f"models{workers}"
+            assert main(["train", "--config", str(cfg),
+                         "--in", str(tmp_path / "prep" / "labeled.csv"),
+                         "--out", str(out)]) == 0
+            assert f"on {workers} worker process(es)" in capsys.readouterr().out
+            digests[workers] = _hash_tree(out)
+        assert sorted(digests[1]) == [
+            "classifier_report.csv", "classifier_report.txt", "forest.json",
+            "gpr_models.json", "prediction_by_horizon.csv", "prediction_by_start.csv"]
+        assert digests[1] == digests[2]
 
     def test_seed_flag_changes_synth_output(self, tmp_path):
         cfg = _pipeline_config(tmp_path)
@@ -302,7 +324,12 @@ class TestExitCodes:
         {"forest": {"n_trees_grid": []}},
         {"forest": {"max_depth_grid": []}},
         {"forest": {"n_splits": 0}},
-    ], ids=["one-value-pet-range", "empty-tree-grid", "empty-depth-grid", "no-splits"])
+        {"data": 5},
+        {"synth": {"seed": "x"}},
+        {"data": {"frame_interval": "a"}},
+        {"synth": {"n_vehicles_per_cell": 1.5}},
+    ], ids=["one-value-pet-range", "empty-tree-grid", "empty-depth-grid", "no-splits",
+            "non-object-section", "string-seed", "string-float", "float-int"])
     def test_malformed_config_value_is_exit_code_one(self, tmp_path, section):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(section))

@@ -102,6 +102,27 @@ class TestRegions:
         assert g.in_roadway_region((0.0, 0.0))
         assert not g.in_roadway_region((5.0, 0.0))
 
+    @pytest.mark.parametrize("polygon", [None, ((-1, -1), (1, -1), (1.5, 2), (-1, 1))])
+    def test_roadway_mask_matches_the_per_point_rule(self, polygon):
+        g = IntersectionGeometry(endpoints=canonical_endpoints(), roadway_polygon=polygon)
+        xs = [pt[0] for pt in g.endpoints.values()]
+        ys = [pt[1] for pt in g.endpoints.values()]
+        m = g.crosswalk_inflation
+
+        def reference(p):  # the bounding box rebuilt per point, as it once was
+            if polygon:
+                return point_in_polygon(p, polygon)
+            return (min(xs) - m <= p[0] <= max(xs) + m) and (min(ys) - m <= p[1] <= max(ys) + m)
+
+        rng = np.random.default_rng(2)
+        edges = [[min(xs) - m, 0.0], [max(xs) + m, 0.0], [0.0, min(ys) - m], [0.0, max(ys) + m],
+                 [np.nextafter(max(xs) + m, np.inf), 0.0], [1.0, -1.0], [1.5, 2.0]]
+        xy = np.vstack([rng.uniform(-25, 25, size=(400, 2)), edges])
+        want = [reference(p) for p in xy.tolist()]
+        assert g.roadway_mask(xy).tolist() == want
+        assert [g.in_roadway_region(p) for p in xy.tolist()] == want
+        assert sum(want[-7:-3]) == (0 if polygon else 4)  # box edges count as inside
+
     def test_point_in_polygon_edge_counts_inside(self):
         square = [(0, 0), (2, 0), (2, 2), (0, 2)]
         assert point_in_polygon((1.0, 0.0), square)

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import signal
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_solve
 
+from crossrisk import gpr
 from crossrisk.errors import InputError, NumericalError
 from crossrisk.gpr import (
     GprModelPair,
@@ -332,6 +335,41 @@ class TestFit:
         assert model.alpha_vec.tobytes() == alpha_vec.tobytes()
         assert model.jitter_used == jitter_used
 
+    @pytest.mark.parametrize("escalated", [False, True])
+    def test_lazy_factor_is_the_one_alpha_was_solved_with(self, monkeypatch, escalated):
+        rng = np.random.default_rng(3)
+        if escalated:  # tripled points 1e6 m out, as above
+            x = 1e6 + np.repeat(rng.uniform(-1, 1, size=(10, 2)), 3, axis=0)
+            opt = OptimizerSettings(iterations=20, init_noise=1e-12)
+        else:
+            x = rng.uniform(-4, 4, size=(25, 2))
+            opt = OptimizerSettings(iterations=30)
+        y = np.cos(0.7 * x[:, 0]) + 0.05 * rng.normal(size=len(x))
+        best_states = []
+        adam = gpr._adam_minimize
+
+        def spy(fun, theta0, opt):
+            result = adam(fun, theta0, opt)
+            best_states.append(result[2])
+            return result
+
+        monkeypatch.setattr(gpr, "_adam_minimize", spy)
+        model = fit_gpr(x, y, kind="rq", opt=opt, jitter=1e-8)
+        (chol, alpha_vec, jitter_used), = best_states
+        assert (jitter_used > 1e-8) == escalated
+        assert "chol" not in vars(model)  # not factorized until read
+        assert model.chol.tobytes() == chol.tobytes()
+        assert model.alpha_vec.tobytes() == alpha_vec.tobytes()
+
+    def test_pickles_to_o_n_bytes_until_the_factor_is_read(self):
+        n = 300
+        x = np.random.default_rng(5).uniform(-5, 5, size=(n, 2))
+        model = fit_gpr(x, np.sin(x[:, 0]), opt=OptimizerSettings(iterations=3))
+        assert len(pickle.dumps(model)) < 40 * n + 4096  # x, y, alpha_vec: 32 B a point
+        back = pickle.loads(pickle.dumps(model))
+        assert back.chol.tobytes() == model.chol.tobytes()
+        assert len(pickle.dumps(model)) > 8 * n * n  # the read factor is cached
+
     def test_needs_an_iteration(self):
         with pytest.raises(InputError):
             OptimizerSettings(iterations=0)
@@ -425,6 +463,26 @@ class TestRollout:
         _, b = rollout(pair, starts, cfg)
         assert not np.array_equal(a[0], a[1])
         assert np.array_equal(a, b)
+
+    def test_sample_mode_unchanged_by_the_lazy_factor(self, tmp_path):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-5, 5, size=(30, 2))
+        opt = OptimizerSettings(iterations=5)
+        pair = GprModelPair(gp_x=fit_gpr(x, 1.0 + np.sin(x[:, 1]), opt=opt),
+                            gp_y=fit_gpr(x, np.cos(x[:, 0]), opt=opt),
+                            cluster=(Direction.N, Maneuver.LEFT))
+        eager = copy.deepcopy(pair)  # the factor stored up front, as fitting once did
+        for gp in (eager.gp_x, eager.gp_y):
+            ys = (gp.train_y - gp.y_mean) / gp.y_std
+            gp.__dict__["chol"] = _factorize(gp.kernel, _sq_dists(x, x), ys)[0]
+        save_cluster_models({pair.cluster: pair}, tmp_path / "m.json")
+        (loaded,) = load_cluster_models(tmp_path / "m.json").values()
+        cfg = RolloutConfig(steps=12, dt=0.1, mode="sample", seed=(3, 1, 2))
+        starts = rng.uniform(-4, 4, size=(5, 2))
+        _, want = rollout(eager, starts, cfg)
+        for p in (pair, loaded):
+            assert "chol" not in vars(p.gp_x) and "chol" not in vars(p.gp_y)
+            assert rollout(p, starts, cfg)[1].tobytes() == want.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(["rbf", "rq"]), st.integers(1, 16), st.integers(0, 10_000))
