@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig, load_config
@@ -62,29 +64,23 @@ def _fmt(x) -> str:
     return f"{x:.6f}"
 
 
+def _ttc_cells(stream) -> list:
+    """A stream's TTC column as CSV cells, blank where there is none."""
+    return ["" if math.isnan(ttc) else _fmt(ttc) for ttc in stream.ttc.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_synth(cfg: RunConfig, out_dir: Path, seed: int | None) -> None:
-    synth_cfg = cfg.synth
-    spec = ScenarioSpec(
-        seed=seed if seed is not None else synth_cfg.seed,
-        n_vehicles_per_cell=synth_cfg.n_vehicles_per_cell,
-        n_pedestrians_per_crosswalk=synth_cfg.n_pedestrians_per_crosswalk,
-        n_engineered_conflicts=synth_cfg.n_engineered_conflicts,
-        requested_pet_range=tuple(synth_cfg.requested_pet_range),
-        n_fast_pedestrians=synth_cfg.n_fast_pedestrians,
-        noise_std_position=synth_cfg.noise_std_position,
-        noise_std_velocity=synth_cfg.noise_std_velocity,
-        cruise_speed=synth_cfg.cruise_speed,
-        turn_speed=synth_cfg.turn_speed,
-        pedestrian_speed=synth_cfg.pedestrian_speed,
-        frame_interval=cfg.data.frame_interval,
-        pet_zone_radius=synth_cfg.pet_zone_radius,
-        min_separation=synth_cfg.min_separation,
-    )
+    spec = ScenarioSpec(**{
+        **asdict(cfg.synth),
+        "seed": seed if seed is not None else cfg.synth.seed,
+        "requested_pet_range": tuple(cfg.synth.requested_pet_range),
+        "frame_interval": cfg.data.frame_interval,
+    })
     dataset, truth = generate_scenario(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out_dir / "dataset.csv", include_labels=False)
@@ -222,17 +218,12 @@ def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path,
 
     series_rows = []
     for (vid, pid) in sorted(streams):
-        for p in streams[(vid, pid)]:
-            by_m = {a.maneuver: a for a in p.assessments}
-            series_rows.append([
-                _fmt(p.t), vid, pid,
-                _fmt(p.maneuver_probs.p_left), _fmt(p.maneuver_probs.p_right),
-                _fmt(p.maneuver_probs.p_straight),
-                _fmt(by_m[SUPPORTED_MANEUVERS[0]].risk),
-                _fmt(by_m[SUPPORTED_MANEUVERS[1]].risk),
-                _fmt(by_m[SUPPORTED_MANEUVERS[2]].risk),
-                _fmt(p.risk), _fmt(p.ttc_baseline),
-            ])
+        stream = streams[(vid, pid)]
+        for t, probs, risks, risk, ttc in zip(
+                stream.t.tolist(), stream.probs.tolist(), stream.maneuver_risk.tolist(),
+                stream.risk.tolist(), _ttc_cells(stream)):
+            series_rows.append([_fmt(t), vid, pid, *map(_fmt, probs), *map(_fmt, risks),
+                                _fmt(risk), ttc])
     _write_csv(
         out_dir / "risk_series.csv",
         ["t", "vehicle_id", "pedestrian_id", "p_left", "p_right", "p_straight",
@@ -242,7 +233,7 @@ def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path,
 
     if streams or truth:
         report = evaluate_detection(
-            {pair: max(p.risk for p in stream) for pair, stream in streams.items()}, truth)
+            {pair: stream.risk.max() for pair, stream in streams.items()}, truth)
         (out_dir / "detection_report.txt").write_text(report.to_text())
         _write_csv(out_dir / "roc.csv", ["threshold", "tpr", "fpr"],
                    [[_fmt(t if t not in (float("inf"), float("-inf")) else None),
@@ -252,13 +243,14 @@ def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path,
     case_dir = out_dir / "case_studies"
     for event in truth:
         stream = streams.get(event.pair)
-        if not stream:
+        if stream is None:
             continue
         _write_csv(
             case_dir / f"pair_{event.vehicle_id}_{event.pedestrian_id}.csv",
             ["t", "risk", "ttc", "vehicle_speed"],
-            [[_fmt(p.t), _fmt(p.risk), _fmt(p.ttc_baseline), _fmt(p.vehicle_speed)]
-             for p in stream],
+            [[_fmt(t), _fmt(risk), ttc, _fmt(speed)] for t, risk, ttc, speed in zip(
+                stream.t.tolist(), stream.risk.tolist(), _ttc_cells(stream),
+                stream.vehicle_speed.tolist())],
         )
 
 

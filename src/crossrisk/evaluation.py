@@ -10,14 +10,14 @@ from typing import Sequence
 import numpy as np
 
 from .gpr import RolloutConfig, rollout
-from .maneuver import MANEUVER_CODES, ForestModel, ManeuverDistribution, extract_features
+from .maneuver import MANEUVER_CODES, ForestModel, extract_features
 from .risk import (
     dynamic_model_predict,
     estimate_risk,
     state_from_trajectory,
     trajectory_error,
 )
-from .ssm import compute_ttc, co_present_pairs
+from .ssm import co_present_pairs
 from .trajectory import Dataset, Direction, Maneuver, SUPPORTED_MANEUVERS, Trajectory
 
 
@@ -119,13 +119,15 @@ def compute_risk_streams(
     ttc_radius: float = 1.0,
     frame_stride: int = 1,
 ) -> dict:
-    """Risk profile time series for every co-present vehicle-pedestrian pair.
+    """Risk stream of every co-present vehicle-pedestrian pair, keyed by
+    ``(vehicle id, pedestrian id)``.
 
     Frames are matched on identical timestamps (the shared frame grid).
     Pairs whose vehicle lacks every cluster model are skipped. The vehicle
     side is computed once per vehicle: one forest call over every frame some
     co-present pedestrian shares, and one batched rollout per maneuver over
-    those frames' positions. Only the conflict search runs per pedestrian.
+    those frames' positions. Each pedestrian is then scored in one
+    :func:`estimate_risk` call over the frames it shares with the vehicle.
     In sample mode each (vehicle, maneuver) rollout draws its own noise
     stream, seeded by the rollout seed, the vehicle's ordinal in
     ``dataset.vehicles`` and the maneuver code.
@@ -149,11 +151,11 @@ def compute_risk_streams(
         if not pairs:
             continue
         lookups = [ped_index[ped.id] for ped in peds]
-        times = veh.t.tolist()
+        keys = [round(t, 6) for t in veh.t.tolist()]
         usable = (veh.valid & np.isfinite(veh.yaw_rate)).tolist()
         frames = [
             vi for vi in range(0, len(veh), frame_stride)
-            if usable[vi] and any(round(times[vi], 6) in lookup for lookup in lookups)
+            if usable[vi] and any(keys[vi] in lookup for lookup in lookups)
         ]
         if not frames:
             continue
@@ -166,24 +168,16 @@ def compute_risk_streams(
                           seed=(rollout_cfg.seed, ordinal[veh.id], MANEUVER_CODES[m]))
             paths[m] = np.concatenate([starts[:, None, :], rollout(pair, starts, cfg)[1]],
                                       axis=1)
-        hypotheses = [
-            (times[vi], state_from_trajectory(veh, vi),
-             ManeuverDistribution.from_array(probs[row]),
-             {m: path[row] for m, path in paths.items()})
-            for row, vi in enumerate(frames)
-        ]
+        veh_rows = veh.points[frames]
         for ped, lookup in zip(peds, lookups):
-            profile_list = []
-            for t, veh_state, frame_probs, frame_paths in hypotheses:
-                pi = lookup.get(round(t, 6))
-                if pi is None:
-                    continue
-                ped_state = state_from_trajectory(ped, pi)
-                profile_list.append(estimate_risk(
-                    t, veh_state, ped_state, frame_probs, frame_paths, rollout_cfg,
-                    radius=conflict_radius,
-                    ttc_baseline=compute_ttc(veh_state, ped_state, ttc_radius),
-                ))
-            if profile_list:
-                streams[(veh.id, ped.id)] = profile_list
+            shared = [(row, lookup[keys[vi]]) for row, vi in enumerate(frames)
+                      if keys[vi] in lookup]
+            if not shared:
+                continue
+            at, ped_rows = np.array(shared).T
+            streams[(veh.id, ped.id)] = estimate_risk(
+                veh_rows[at, 0], veh_rows[at, 1:5], ped.points[ped_rows, 1:5], probs[at],
+                {m: path[at] for m, path in paths.items()}, rollout_cfg,
+                radius=conflict_radius, ttc_radius=ttc_radius,
+            )
     return streams

@@ -31,7 +31,7 @@ MAX_JITTER = 1e-4
 #: alone would never raise.
 MIN_ESCALATED_JITTER = 1e-10
 
-MODEL_FILE_VERSION = 2
+MODEL_FILE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -483,18 +483,20 @@ def _model_to_dict(model: GprModel) -> dict:
         "y_mean": model.y_mean,
         "y_std": model.y_std,
         "train_y": model.train_y.tolist(),
+        "alpha_vec": model.alpha_vec.tolist(),
         "loss_trace": list(model.loss_trace),
     }
 
 
-def _model_from_dict(data: dict, x: np.ndarray, d2: np.ndarray) -> GprModel:
-    """Rebuild one GP on the cluster's shared ``(n, 2)`` training inputs and
-    their squared distances ``d2``."""
+def _model_from_dict(data: dict, x: np.ndarray) -> GprModel:
+    """Rebuild one GP on the cluster's shared ``(n, 2)`` training inputs. The
+    stored ``alpha_vec`` is used as written; the Cholesky factor stays lazy."""
     try:
         params = {k: float(data[k]) for k in ("length_scale", "rq_alpha",
                                               "noise_variance", "y_std")}
         jitter, y_mean = float(data["jitter"]), float(data["y_mean"])
         y = np.asarray(data["train_y"], dtype=float)
+        alpha_vec = np.asarray(data["alpha_vec"], dtype=float)
         kind = data["kind"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed GP entry in model file: {exc!r}") from exc
@@ -503,16 +505,15 @@ def _model_from_dict(data: dict, x: np.ndarray, d2: np.ndarray) -> GprModel:
         raise InputError(f"GP parameters {bad} must be positive and finite")
     if not (math.isfinite(jitter) and jitter >= 0 and math.isfinite(y_mean)):
         raise InputError("GP jitter must be nonnegative and y_mean finite")
-    if y.shape != (len(x),) or not np.all(np.isfinite(y)):
-        raise InputError(f"GP train_y must hold {len(x)} finite values")
+    for name, values in (("train_y", y), ("alpha_vec", alpha_vec)):
+        if values.shape != (len(x),) or not np.all(np.isfinite(values)):
+            raise InputError(f"GP {name} must hold {len(x)} finite values")
     cfg = KernelConfig(kind=kind, length_scale=params["length_scale"],
                        rq_alpha=params["rq_alpha"],
                        noise_variance=params["noise_variance"], jitter=jitter)
-    ys = (y - y_mean) / params["y_std"]
-    _, alpha_vec, jitter_used = _factorize(cfg, d2, ys)
     return GprModel(kernel=cfg, train_x=x, train_y=y, y_mean=y_mean,
                     y_std=params["y_std"], alpha_vec=alpha_vec,
-                    jitter_used=jitter_used, loss_trace=list(data.get("loss_trace", [])))
+                    jitter_used=jitter, loss_trace=list(data.get("loss_trace", [])))
 
 
 def save_cluster_models(models: dict, path: str | Path) -> None:
@@ -564,10 +565,9 @@ def load_cluster_models(path: str | Path) -> dict:
             raise InputError(f"malformed cluster {key!r} in model file: {exc!r}") from exc
         if x.ndim != 2 or x.shape[1] != 2 or len(x) == 0 or not np.all(np.isfinite(x)):
             raise InputError(f"train_x for cluster {key} must be finite (n, 2) rows")
-        d2 = _sq_dists(x, x)
         models[cell] = GprModelPair(
-            gp_x=_model_from_dict(gp_x, x, d2),
-            gp_y=_model_from_dict(gp_y, x, d2),
+            gp_x=_model_from_dict(gp_x, x),
+            gp_y=_model_from_dict(gp_y, x),
             cluster=cell,
         )
     return models

@@ -24,7 +24,6 @@ from .trajectory import (
     DIRECTION_CODES,
     Dataset,
     Direction,
-    Maneuver,
     SUPPORTED_MANEUVERS,
     Trajectory,
 )
@@ -69,27 +68,6 @@ def build_feature_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.nd
     if not labels:
         raise InputError("no labeled vehicle frames available for training")
     return np.concatenate(tables), np.asarray(labels, dtype=int), np.asarray(groups, dtype=int)
-
-
-@dataclass(frozen=True)
-class ManeuverDistribution:
-    p_left: float
-    p_right: float
-    p_straight: float
-
-    def __post_init__(self) -> None:
-        probs = (self.p_left, self.p_right, self.p_straight)
-        if any(p < 0.0 or p > 1.0 for p in probs):
-            raise ValueError(f"probabilities out of range: {probs}")
-        if abs(sum(probs) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {sum(probs)!r}")
-
-    @staticmethod
-    def from_array(arr: Sequence[float]) -> "ManeuverDistribution":
-        return ManeuverDistribution(float(arr[0]), float(arr[1]), float(arr[2]))
-
-    def for_maneuver(self, m: Maneuver) -> float:
-        return (self.p_left, self.p_right, self.p_straight)[MANEUVER_CODES[m]]
 
 
 # ---------------------------------------------------------------------------

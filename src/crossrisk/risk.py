@@ -11,15 +11,15 @@ the vehicle serves as the kinematic baseline for trajectory-accuracy studies.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gpr import RolloutConfig
-from .maneuver import ManeuverDistribution
-from .trajectory import Maneuver, SUPPORTED_MANEUVERS, Trajectory
+from .ssm import compute_ttc
+from .trajectory import SUPPORTED_MANEUVERS, Trajectory
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,6 @@ class KinematicState:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"non-finite kinematic field {name}")
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.vx, self.vy)
-
 
 def state_from_trajectory(traj: Trajectory, index: int) -> KinematicState:
     """State at a point, with acceleration from a backward difference over the
@@ -63,20 +55,9 @@ def state_from_trajectory(traj: Trajectory, index: int) -> KinematicState:
     return KinematicState(x=x, y=y, vx=vx, vy=vy, ax=ax, ay=ay)
 
 
-def predict_pedestrian(state: KinematicState, dt: float, steps: int) -> np.ndarray:
-    """Constant-velocity extrapolation; returns ``steps`` future positions.
-
-    Exactly the zero-acceleration case of :func:`dynamic_model_predict`, so
-    the two agree bitwise on identical states.
-    """
-    return dynamic_model_predict(replace(state, ax=0.0, ay=0.0), dt, steps)
-
-
 def dynamic_model_predict(state: KinematicState, dt: float, steps: int) -> np.ndarray:
     """Constant-acceleration extrapolation ``x0 + v0 t + a t^2 / 2`` at
-    ``t = dt, 2 dt, ..., steps dt``; with zero acceleration this reduces
-    exactly to :func:`predict_pedestrian`.
-    """
+    ``t = dt, 2 dt, ..., steps dt``."""
     if dt <= 0 or steps < 1:
         raise ValueError("dt must be positive and steps >= 1")
     t = np.arange(1, steps + 1, dtype=float)[:, None] * dt
@@ -85,130 +66,114 @@ def dynamic_model_predict(state: KinematicState, dt: float, steps: int) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# Conflict points and per-maneuver risk
+# Conflict points and the risk mixture
 # ---------------------------------------------------------------------------
 
 
-def find_conflict_point(veh_path: np.ndarray, ped_path: np.ndarray, dt: float,
-                        radius: float) -> Optional[tuple[tuple[float, float], float, float]]:
-    """Closest-in-time proximity between two sampled predicted paths.
+def find_conflict_point(veh_paths: np.ndarray, ped_paths: np.ndarray, radius: float
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closest-in-time proximity between two sampled predicted paths, per row.
 
-    Both paths must share the step count and ``dt``; index ``i`` is time
-    ``i * dt``. Among all index pairs within ``radius`` of each other, the
-    pair minimizing the arrival-time gap wins (ties to the earlier vehicle
-    index, then the earlier pedestrian index). Returns ``(point, t_vehicle,
-    t_pedestrian)`` with the point midway between the two samples, or ``None``
-    when the paths never come within ``radius``.
+    Both inputs are ``(m, n, 2)``: row ``r`` pairs a vehicle path with a
+    pedestrian path, and index ``i`` of each is time ``i * dt``. Among the
+    index pairs ``(j, k)`` within ``radius`` of each other, the one with the
+    smallest arrival-time gap ``|j - k|`` wins, ties going to the earlier
+    vehicle index, then the earlier pedestrian index: the argmin of the rank
+    ``(|j - k| n + j) n + k``. Returns ``(hit, j, k)``, three ``(m,)`` arrays;
+    ``j`` and ``k`` are 0 on rows without a hit.
     """
-    veh = np.asarray(veh_path, dtype=float)
-    ped = np.asarray(ped_path, dtype=float)
-    if veh.shape != ped.shape:
-        raise ValueError("paths must share step count")
-    diff = veh[:, None, :] - ped[None, :, :]
-    within = np.einsum("ijk,ijk->ij", diff, diff) <= radius * radius
-    if not within.any():
-        return None
-    j_idx, k_idx = np.nonzero(within)
-    gaps = np.abs(j_idx - k_idx)
-    order = np.lexsort((k_idx, j_idx, gaps))
-    j, k = int(j_idx[order[0]]), int(k_idx[order[0]])
-    point = (veh[j] + ped[k]) / 2.0
-    return ((float(point[0]), float(point[1])), j * dt, k * dt)
+    veh = np.asarray(veh_paths, dtype=float)
+    ped = np.asarray(ped_paths, dtype=float)
+    if veh.shape != ped.shape or veh.ndim != 3 or veh.shape[2] != 2:
+        raise ValueError("paths must be (m, n, 2) arrays of one shape")
+    n = veh.shape[1]
+    dx = veh[:, :, None, 0] - ped[:, None, :, 0]
+    dy = veh[:, :, None, 1] - ped[:, None, :, 1]
+    dx *= dx  # squared distances in place: (m, n, n) temporaries are large
+    dy *= dy
+    dx += dy
+    within = dx <= radius * radius
+    rank = np.where(within, _pair_ranks(n), n**3)
+    j, k = np.divmod(rank.reshape(len(veh), n * n).argmin(axis=1), n)
+    return within.any(axis=(1, 2)), j, k
 
 
-def maneuver_risk(times: Optional[tuple[float, float]]) -> float:
-    """``exp(-|t_vehicle - t_pedestrian|)`` when a conflict point exists, else 0."""
-    if times is None:
-        return 0.0
-    t_veh, t_ped = times
-    if t_veh < 0 or t_ped < 0:
-        raise ValueError("arrival times must be nonnegative")
-    return math.exp(-abs(t_veh - t_ped))
+@functools.cache
+def _pair_ranks(n: int) -> np.ndarray:
+    """``(|j - k| n + j) n + k`` for every index pair of two n-step paths."""
+    j, k = np.indices((n, n))
+    return (np.abs(j - k) * n + j) * n + k
 
 
 @dataclass(frozen=True)
-class ConflictAssessment:
-    """Outcome of one maneuver hypothesis at one timestep."""
+class RiskStream:
+    """Risk of one vehicle-pedestrian pair over the ``m`` frames it is scored.
 
-    maneuver: Maneuver
-    conflict_point: Optional[tuple] = None
-    t_vehicle: Optional[float] = None
-    t_pedestrian: Optional[float] = None
-    risk: float = 0.0
-    model_absent: bool = False
+    ``probs`` and ``maneuver_risk`` are ``(m, 3)`` with columns in
+    ``SUPPORTED_MANEUVERS`` order; the other fields are ``(m,)``. ``ttc`` is
+    NaN where the constant-velocity extrapolations never come close enough.
+    """
 
-
-@dataclass(frozen=True)
-class RiskProfile:
-    """Mixed conflict risk at one timestep, with its per-maneuver parts."""
-
-    t: float
-    assessments: tuple  # one ConflictAssessment per supported maneuver
-    maneuver_probs: ManeuverDistribution
-    risk: float
-    ttc_baseline: Optional[float] = None
-    vehicle_speed: float = 0.0
-
-    def assessment(self, m: Maneuver) -> ConflictAssessment:
-        for a in self.assessments:
-            if a.maneuver == m:
-                return a
-        raise KeyError(m)
+    t: np.ndarray
+    probs: np.ndarray
+    maneuver_risk: np.ndarray
+    risk: np.ndarray
+    ttc: np.ndarray
+    vehicle_speed: np.ndarray
 
 
 def estimate_risk(
-    t: float,
-    vehicle: KinematicState,
-    pedestrian: KinematicState,
-    probs: Optional[ManeuverDistribution],
+    t: np.ndarray,
+    vehicle: np.ndarray,
+    pedestrian: np.ndarray,
+    probs: np.ndarray,
     paths: dict,
     cfg: RolloutConfig,
     radius: float = 1.0,
-    ttc_baseline: Optional[float] = None,
-) -> RiskProfile:
-    """Score one pedestrian against the maneuver hypotheses of the vehicle's
-    frame at time ``t``.
+    ttc_radius: float = 1.0,
+) -> RiskStream:
+    """Score one pedestrian against a vehicle's maneuver hypotheses at ``m``
+    shared frames.
 
-    ``probs`` are the frame's maneuver probabilities from the trained
-    maneuver model; without them (no model) the call raises. ``paths`` maps
-    each maneuver whose cluster model exists to the vehicle's predicted path,
-    ``cfg.steps + 1`` rows with the vehicle position first; maneuvers without
-    a path contribute zero risk and are flagged on their assessment.
+    ``vehicle`` and ``pedestrian`` are ``(m, 4)`` rows of ``x, y, vx, vy`` at
+    the frame times ``t``, and ``probs`` the frames' ``(m, 3)`` maneuver
+    probabilities. ``paths`` maps each maneuver whose cluster model exists to
+    the vehicle's ``(m, cfg.steps + 1, 2)`` predicted paths, the vehicle
+    position first; a maneuver without paths contributes zero risk. The
+    pedestrian is extrapolated at constant velocity over the same steps.
+    Each maneuver's risk is ``exp(-|t_vehicle - t_pedestrian|)`` at its
+    conflict point (0 without one), and the risk is their mixture under
+    ``probs``.
     """
-    if probs is None:
-        raise ValueError("maneuver probabilities from a trained maneuver model are required")
+    t = np.asarray(t, dtype=float)
+    vehicle = np.asarray(vehicle, dtype=float)
+    pedestrian = np.asarray(pedestrian, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    m = len(t)
     if not paths:
         raise ValueError("no cluster models available for the vehicle's direction")
+    if (t.shape != (m,) or vehicle.shape != (m, 4) or pedestrian.shape != (m, 4)
+            or probs.shape != (m, 3)):
+        raise ValueError("t, vehicle, pedestrian and probs must cover the same frames")
 
-    ped_path = predict_pedestrian(pedestrian, cfg.dt, cfg.steps)
-    ped_path_full = np.vstack([[pedestrian.x, pedestrian.y], ped_path])
+    ahead = np.arange(1, cfg.steps + 1, dtype=float)[:, None] * cfg.dt
+    ped_paths = np.empty((m, cfg.steps + 1, 2))
+    ped_paths[:, 0] = pedestrian[:, :2]
+    ped_paths[:, 1:] = pedestrian[:, None, :2] + pedestrian[:, None, 2:] * ahead
 
-    assessments = []
-    total = 0.0
-    for m in SUPPORTED_MANEUVERS:
-        veh_path = paths.get(m)
-        if veh_path is None:
-            assessments.append(ConflictAssessment(maneuver=m, model_absent=True))
-            continue
-        hit = find_conflict_point(veh_path, ped_path_full, cfg.dt, radius)
-        if hit is None:
-            assessments.append(ConflictAssessment(maneuver=m))
-            continue
-        point, t_veh, t_ped = hit
-        risk_m = maneuver_risk((t_veh, t_ped))
-        assessments.append(
-            ConflictAssessment(maneuver=m, conflict_point=point, t_vehicle=t_veh,
-                               t_pedestrian=t_ped, risk=risk_m)
-        )
-        total += risk_m * probs.for_maneuver(m)
+    maneuver_risk = np.zeros((m, len(SUPPORTED_MANEUVERS)))
+    risk = np.zeros(m)
+    for col, maneuver in enumerate(SUPPORTED_MANEUVERS):
+        if maneuver in paths:
+            hit, j, k = find_conflict_point(paths[maneuver], ped_paths, radius)
+            gaps = np.abs(j[hit] * cfg.dt - k[hit] * cfg.dt).tolist()
+            maneuver_risk[hit, col] = [math.exp(-gap) for gap in gaps]
+        risk = risk + maneuver_risk[:, col] * probs[:, col]
 
-    return RiskProfile(
-        t=t,
-        assessments=tuple(assessments),
-        maneuver_probs=probs,
-        risk=total,
-        ttc_baseline=ttc_baseline,
-        vehicle_speed=vehicle.speed,
+    return RiskStream(
+        t=t, probs=probs, maneuver_risk=maneuver_risk, risk=risk,
+        ttc=compute_ttc(vehicle, pedestrian, ttc_radius),
+        vehicle_speed=np.array([math.hypot(vx, vy) for vx, vy in vehicle[:, 2:].tolist()]),
     )
 
 

@@ -17,30 +17,29 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .risk import KinematicState
 from .trajectory import Dataset, Trajectory
 
 
-def compute_ttc(veh: KinematicState, ped: KinematicState, radius: float = 1.0
-                ) -> Optional[float]:
+def compute_ttc(veh: np.ndarray, ped: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """First time (s, >= 0) at which constant-velocity extrapolations come
-    within ``radius``; ``None`` when the agents never get that close."""
-    px = ped.x - veh.x
-    py = ped.y - veh.y
-    vx = ped.vx - veh.vx
-    vy = ped.vy - veh.vy
+    within ``radius``, for ``(m, 4)`` rows of ``x, y, vx, vy``; NaN on rows
+    where the agents never get that close."""
+    veh = np.asarray(veh, dtype=float)
+    ped = np.asarray(ped, dtype=float)
+    if veh.shape != ped.shape or veh.ndim != 2 or veh.shape[1] != 4:
+        raise ValueError("vehicle and pedestrian rows must be (m, 4) arrays of one shape")
+    px, py, vx, vy = (ped - veh).T
     c = px * px + py * py - radius * radius
-    if c <= 0.0:
-        return 0.0  # already within the radius
     a = vx * vx + vy * vy
     b = 2.0 * (px * vx + py * vy)
-    if a < 1e-15:
-        return None  # no relative motion, separated
     disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return None  # closest approach stays outside the radius
-    t_enter = (-b - math.sqrt(disc)) / (2.0 * a)
-    return t_enter if t_enter >= 0.0 else None
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t_enter = (-b - np.sqrt(disc)) / (2.0 * a)
+    # a tiny a: no relative motion; a negative disc: the closest approach
+    # stays outside the radius; c <= 0: already within it
+    t_enter[(a < 1e-15) | (disc < 0.0) | ~(t_enter >= 0.0)] = np.nan
+    t_enter[c <= 0.0] = 0.0
+    return t_enter
 
 
 @dataclass(frozen=True)

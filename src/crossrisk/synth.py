@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
+from .geometry import CROSSWALK_SEGMENTS
 from .trajectory import (
     Dataset,
     Direction,
@@ -496,12 +497,7 @@ def _vehicle_crossings(path, step: float = 0.25) -> list:
 
 def _crosswalk_axis(cw: Direction) -> tuple[np.ndarray, np.ndarray]:
     endpoints = canonical_endpoints()
-    key_a, key_b = {
-        Direction.N: ("N_NW", "N_NE"),
-        Direction.E: ("E_NE", "E_SE"),
-        Direction.S: ("S_SE", "S_SW"),
-        Direction.W: ("W_SW", "W_NW"),
-    }[cw]
+    key_a, key_b = CROSSWALK_SEGMENTS[cw]
     return np.asarray(endpoints[key_a], float), np.asarray(endpoints[key_b], float)
 
 

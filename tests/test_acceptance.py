@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import row
+from helpers import crossing_risk, row
 
 from crossrisk.cli import main
 from crossrisk.evaluation import compute_risk_streams, prediction_error_study
@@ -39,7 +39,6 @@ from crossrisk.preprocess import (
     merge_pedestrian_trajectories,
     preprocess_dataset,
 )
-from crossrisk.risk import KinematicState, maneuver_risk
 from crossrisk.ssm import compute_pet, compute_ttc, evaluate_detection, identify_conflicts_pet
 from crossrisk.synth import ScenarioSpec, canonical_endpoints, generate_scenario
 from crossrisk.trajectory import (
@@ -134,20 +133,24 @@ def test_ac1_gpr_numerical_core():
 
 
 def test_ac2_risk_formula_exactness():
-    unit = maneuver_risk((2.0, 2.0))
-    one_second = maneuver_risk((1.0, 2.0))
-    absent = maneuver_risk(None)
+    # hand-built paths: the pedestrian reaches the conflict point at t = 1 s
+    # and each maneuver's vehicle at the given step of 0.1 s
+    unit = float(crossing_risk((None, None, 10)).risk[0])
+    one_second = float(crossing_risk((None, None, 20)).risk[0])
+    absent = float(crossing_risk((None, None, None)).risk[0])
 
     # three hand-computed mixtures of per-maneuver risks and probabilities
     cases = [
-        ((1.0, 0.0, 0.0), (0.2, 0.3, 0.5)),
-        ((math.exp(-1.0), 0.0, math.exp(-0.5)), (0.5, 0.25, 0.25)),
-        ((0.0, 0.0, 0.0), (0.1, 0.2, 0.7)),
+        ((10, None, None), (1.0, 0.0, 0.0), (0.2, 0.3, 0.5)),
+        ((0, None, 15), (math.exp(-1.0), 0.0, math.exp(-0.5)), (0.5, 0.25, 0.25)),
+        ((None, None, None), (0.0, 0.0, 0.0), (0.1, 0.2, 0.7)),
     ]
     mix_ok = True
-    for risks, probs in cases:
-        mixed = sum(r * p for r, p in zip(risks, probs))
+    for arrivals, risks, probs in cases:
+        stream = crossing_risk(arrivals, probs)
+        mixed = float(stream.risk[0])
         by_hand = risks[0] * probs[0] + risks[1] * probs[1] + risks[2] * probs[2]
+        mix_ok &= np.max(np.abs(stream.maneuver_risk[0] - risks)) <= 1e-12
         mix_ok &= abs(mixed - by_hand) <= 1e-12 and 0.0 <= mixed <= 1.0
 
     check(2, {
@@ -295,7 +298,7 @@ def test_ac6_detection_metrics(conflict_scene):
     events = identify_conflicts_pet(labeled, threshold=3.0,
                                     zone_radius=spec.pet_zone_radius)
     report = evaluate_detection(
-        {pair: max(p.risk for p in stream) for pair, stream in streams.items()}, events)
+        {pair: stream.risk.max() for pair, stream in streams.items()}, events)
     negatives = report.fp + report.tn
     check(6, {
         "sixteen_ground_truth_conflicts": len(events) == 16,
@@ -380,26 +383,26 @@ def test_ac8_ssm_oracles():
         t1 = float(rng.uniform(0.5, 6.0))
         t2 = t1 + float(rng.uniform(-1.0, 1.0))
         lat = rng.uniform(-1.5, 1.5, size=2)
-        veh = KinematicState(x=float(meet[0] - v_veh[0] * t1),
-                             y=float(meet[1] - v_veh[1] * t1),
-                             vx=float(v_veh[0]), vy=float(v_veh[1]))
-        ped = KinematicState(x=float(meet[0] - v_ped[0] * t2 + lat[0]),
-                             y=float(meet[1] - v_ped[1] * t2 + lat[1]),
-                             vx=float(v_ped[0]), vy=float(v_ped[1]))
+        veh = np.array([[meet[0] - v_veh[0] * t1, meet[1] - v_veh[1] * t1,
+                         v_veh[0], v_veh[1]]])
+        ped = np.array([[meet[0] - v_ped[0] * t2 + lat[0], meet[1] - v_ped[1] * t2 + lat[1],
+                         v_ped[0], v_ped[1]]])
         radius = float(rng.uniform(0.3, 2.0))
-        got = compute_ttc(veh, ped, radius)
+        got = float(compute_ttc(veh, ped, radius)[0])
+        vx0, vy0, vvx, vvy = veh[0].tolist()
+        px0, py0, pvx, pvy = ped[0].tolist()
         # 1 ms brute-force stepping oracle
         want = None
         t = 0.0
         while t <= 30.0:
-            dx = (ped.x + ped.vx * t) - (veh.x + veh.vx * t)
-            dy = (ped.y + ped.vy * t) - (veh.y + veh.vy * t)
+            dx = (px0 + pvx * t) - (vx0 + vvx * t)
+            dy = (py0 + pvy * t) - (vy0 + vvy * t)
             if math.hypot(dx, dy) <= radius:
                 want = t
                 break
             t += 0.001
         if want is None:
-            assert got is None or got > 30.0
+            assert math.isnan(got) or got > 30.0
         else:
             approaches += 1
             worst_ttc = max(worst_ttc, abs(got - want))

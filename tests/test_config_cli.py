@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,11 @@ from helpers import row
 
 from crossrisk import evaluation, parallel
 from crossrisk.cli import main
-from crossrisk.config import RunConfig, load_config
+from crossrisk.config import RunConfig, SynthConfig, load_config
 from crossrisk.errors import InputError
 from crossrisk.gpr import GprModelPair, KernelConfig, build_gpr_model, save_cluster_models
 from crossrisk.maneuver import save_forest, train_forest
-from crossrisk.synth import canonical_endpoints
+from crossrisk.synth import ScenarioSpec, canonical_endpoints
 from crossrisk.trajectory import (
     Dataset,
     Direction,
@@ -98,6 +99,16 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"gpr": {"jitter": 0.0}}))
         assert load_config(path).gpr.jitter == 0.0
+
+    def test_synth_keys_are_scenario_fields_with_equal_defaults(self):
+        # `crossrisk synth` passes every synth key through to ScenarioSpec
+        spec = ScenarioSpec()
+        spec_fields = {f.name for f in fields(ScenarioSpec)}
+        for f in fields(SynthConfig):
+            assert f.name in spec_fields
+            default = getattr(SynthConfig(), f.name)
+            want = getattr(spec, f.name)
+            assert (tuple(default) if isinstance(default, list) else default) == want
 
 
 def _pipeline_config(tmp_path, seed=3):
@@ -294,8 +305,14 @@ class TestExitCodes:
         ("gpr_models.json", _rename_cluster("Wstraight")),
         ("gpr_models.json", _rename_cluster("Q:straight")),
         ("gpr_models.json", _rename_cluster("W:sideways")),
+        ("gpr_models.json", _edit_models(
+            lambda p: p["clusters"]["W:straight"]["gp_x"]["alpha_vec"].pop())),
+        ("gpr_models.json", _edit_models(
+            lambda p: p["clusters"]["W:straight"]["gp_y"]["alpha_vec"].__setitem__(
+                0, float("nan")))),
     ], ids=["forest-json", "models-json", "no-clusters", "no-gp_x", "no-gp_y",
-            "key-without-colon", "unknown-direction", "unknown-maneuver"])
+            "key-without-colon", "unknown-direction", "unknown-maneuver",
+            "short-alpha-vec", "nan-alpha-vec"])
     def test_bad_model_file_is_exit_code_one(self, tmp_path, target, corrupt):
         labeled, models = _tiny_risk_inputs(tmp_path)
         corrupt(models / target)

@@ -197,7 +197,9 @@ class TestGradients:
         loss, grad = gpr_loss_and_grad(theta, _sq_dists(x, x), ys, kind, 1e-6)
         want_loss, want_grad = reference_loss_and_grad(theta, x, ys, kind, 1e-6)
         assert loss == pytest.approx(want_loss, rel=1e-10)
-        assert np.max(np.abs(grad - want_grad) / np.abs(want_grad)) < 1e-10
+        # elementwise, so an entry that is exactly zero in both (a kernel that
+        # underflowed to zero off the diagonal) matches instead of giving 0/0
+        assert np.all(np.abs(grad - want_grad) <= 1e-10 * np.abs(want_grad))
 
     @pytest.mark.parametrize("kind", ["rbf", "rq"])
     def test_matches_reference_with_escalated_jitter(self, kind):
@@ -607,6 +609,10 @@ class TestClusterTraining:
                      id="noise-variance-inf"),
         pytest.param(lambda p: _cluster(p)["gp_x"].update(y_std=0.0), id="y-std-zero"),
         pytest.param(lambda p: _cluster(p)["gp_y"].update(y_std=float("nan")), id="y-std-nan"),
+        pytest.param(lambda p: _cluster(p)["gp_x"]["alpha_vec"].pop(), id="alpha-vec-short"),
+        pytest.param(lambda p: _cluster(p)["gp_y"]["alpha_vec"].__setitem__(2, float("inf")),
+                     id="alpha-vec-inf"),
+        pytest.param(lambda p: _cluster(p)["gp_x"].pop("alpha_vec"), id="alpha-vec-missing"),
     ])
     def test_loader_rejects(self, tmp_path, mutate):
         path = tmp_path / "models.json"
@@ -628,6 +634,38 @@ class TestClusterTraining:
         path.write_text(json.dumps({"version": 1, "clusters": {}}))
         with pytest.raises(InputError, match="crossrisk train"):
             load_cluster_models(path)
+
+    def test_v2_file_without_alpha_vec_asks_for_retraining(self, tmp_path):
+        path = tmp_path / "old.json"
+        save_cluster_models(_small_models(), path)
+        payload = json.loads(path.read_text())
+        payload["version"] = 2
+        for gp in ("gp_x", "gp_y"):
+            del _cluster(payload)[gp]["alpha_vec"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputError, match="re-run `crossrisk train`"):
+            load_cluster_models(path)
+
+    @pytest.mark.parametrize("escalated", [False, True])
+    def test_loaded_alpha_vec_and_jitter_are_the_fitted_ones(self, tmp_path, escalated):
+        rng = np.random.default_rng(3)
+        if escalated:  # as in the fit test: tripled points 1e6 m out
+            x = 1e6 + np.repeat(rng.uniform(-1, 1, size=(10, 2)), 3, axis=0)
+            opt = OptimizerSettings(iterations=20, init_noise=1e-12)
+        else:
+            x = rng.uniform(-4, 4, size=(25, 2))
+            opt = OptimizerSettings(iterations=10)
+        cell = (Direction.S, Maneuver.RIGHT)
+        pair = GprModelPair(gp_x=fit_gpr(x, np.cos(0.7 * x[:, 0]), opt=opt, jitter=1e-8),
+                            gp_y=fit_gpr(x, np.sin(0.7 * x[:, 1]), opt=opt, jitter=1e-8),
+                            cluster=cell)
+        assert (pair.gp_x.jitter_used > 1e-8) == escalated
+        save_cluster_models({cell: pair}, tmp_path / "m.json")
+        loaded = load_cluster_models(tmp_path / "m.json")[cell]
+        for fitted, back in ((pair.gp_x, loaded.gp_x), (pair.gp_y, loaded.gp_y)):
+            assert back.alpha_vec.tobytes() == fitted.alpha_vec.tobytes()
+            assert back.jitter_used == fitted.jitter_used
+            assert "chol" not in vars(back)  # not factorized on load
 
 
 def _small_models():

@@ -11,7 +11,6 @@ from crossrisk.errors import InputError
 from crossrisk.maneuver import (
     DIRECTION_FEATURE_INDEX,
     ForestGrid,
-    ManeuverDistribution,
     _nearest_neighbors,
     classification_metrics,
     evaluate_classifier,
@@ -337,6 +336,21 @@ class TestForest:
         assert np.array_equal(votes, np.round(votes))
         assert np.array_equal(probs, np.round(votes) / n_trees)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 60), st.sampled_from([None, 1, 3]),
+           st.integers(1, 6))
+    def test_normalized_rows_are_maneuver_distributions(self, seed, n, max_depth, n_trees):
+        # the risk stage mixes per-maneuver risks under these rows
+        X, y = tied_table(seed, n, 5)
+        assume(np.unique(y).size > 1)
+        model = train_forest(X, y, n_trees=n_trees, max_depth=max_depth, seed=seed)
+        q = np.vstack([X, np.random.default_rng(seed).uniform(-1, 5, size=(7, 5))])
+        probs = model.predict_proba(q)
+        probs = probs / probs.sum(axis=1, keepdims=True)
+        assert probs.shape == (len(q), 3)
+        assert ((probs >= 0.0) & (probs <= 1.0)).all()
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
+
 
 def _forest_payload(tmp_path):
     X, y = make_clusters((20, 20, 20), seed=11)
@@ -418,16 +432,6 @@ class TestForestFile:
         path = tmp_path / "good.json"
         path.write_text(json.dumps(_forest_payload(tmp_path)))
         assert load_forest(path).n_classes == 3
-
-
-class TestManeuverDistribution:
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            ManeuverDistribution(0.5, 0.5, 0.5)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ManeuverDistribution(-0.1, 0.6, 0.5)
 
 
 class TestMetrics:

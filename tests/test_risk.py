@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import row
+from helpers import crossing_risk, row
 from hypothesis import given, settings, strategies as st
 
-from crossrisk import evaluation
+from crossrisk import evaluation, risk
 from crossrisk.evaluation import compute_risk_streams
 from crossrisk.geometry import IntersectionGeometry
 from crossrisk.gpr import (
@@ -19,7 +20,6 @@ from crossrisk.gpr import (
 )
 from crossrisk.maneuver import (
     ForestModel,
-    ManeuverDistribution,
     Tree,
     build_feature_table,
     extract_features,
@@ -28,11 +28,10 @@ from crossrisk.maneuver import (
 from crossrisk.preprocess import preprocess_dataset
 from crossrisk.risk import (
     KinematicState,
+    RiskStream,
     dynamic_model_predict,
     estimate_risk,
     find_conflict_point,
-    maneuver_risk,
-    predict_pedestrian,
     state_from_trajectory,
     trajectory_error,
 )
@@ -61,6 +60,62 @@ def brute_force_conflict(veh, ped, dt, radius):
     return None if best is None else best[1]
 
 
+def reference_conflict(veh_path, ped_path, dt, radius):
+    """The scalar conflict search that the batched one replaced: the
+    ``(point, t_vehicle, t_pedestrian)`` of one path pair, or None."""
+    diff = veh_path[:, None, :] - ped_path[None, :, :]
+    within = np.einsum("ijk,ijk->ij", diff, diff) <= radius * radius
+    if not within.any():
+        return None
+    j_idx, k_idx = np.nonzero(within)
+    order = np.lexsort((k_idx, j_idx, np.abs(j_idx - k_idx)))
+    j, k = int(j_idx[order[0]]), int(k_idx[order[0]])
+    point = (veh_path[j] + ped_path[k]) / 2.0
+    return ((float(point[0]), float(point[1])), j * dt, k * dt)
+
+
+def reference_ttc(veh, ped, radius):
+    """The scalar constant-velocity TTC that the row-wise one replaced, on
+    ``(x, y, vx, vy)`` tuples; None when the agents never get that close."""
+    px, py = ped[0] - veh[0], ped[1] - veh[1]
+    vx, vy = ped[2] - veh[2], ped[3] - veh[3]
+    c = px * px + py * py - radius * radius
+    if c <= 0.0:
+        return 0.0
+    a = vx * vx + vy * vy
+    b = 2.0 * (px * vx + py * vy)
+    if a < 1e-15:
+        return None
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return None
+    t_enter = (-b - math.sqrt(disc)) / (2.0 * a)
+    return t_enter if t_enter >= 0.0 else None
+
+
+def reference_frame_risk(ped_row, probs, paths, cfg, radius):
+    """The per-frame mixer that the batched ``estimate_risk`` replaced:
+    per-maneuver risks and their mixture for one frame, given the frame's
+    probabilities and its ``(steps + 1, 2)`` vehicle path per maneuver."""
+    ped = KinematicState(*ped_row)
+    ped_path = np.vstack([[ped.x, ped.y], dynamic_model_predict(ped, cfg.dt, cfg.steps)])
+    risks, total = [], 0.0
+    for col, m in enumerate(SUPPORTED_MANEUVERS):
+        hit = None if m not in paths else reference_conflict(paths[m], ped_path, cfg.dt,
+                                                             radius)
+        risks.append(0.0 if hit is None else math.exp(-abs(hit[1] - hit[2])))
+        if hit is not None:
+            total += risks[-1] * float(probs[col])
+    return risks, total
+
+
+def conflict(veh, ped, dt, radius):
+    """``find_conflict_point`` on one path pair: ``(t_vehicle, t_pedestrian)``
+    or None."""
+    hit, j, k = find_conflict_point(np.asarray(veh)[None], np.asarray(ped)[None], radius)
+    return (int(j[0]) * dt, int(k[0]) * dt) if hit[0] else None
+
+
 def cumulative_dynamic_model(state, dt, steps):
     """Per-step constant-acceleration update, the loop the closed form replaced."""
     out = np.empty((steps, 2))
@@ -74,24 +129,40 @@ def cumulative_dynamic_model(state, dt, steps):
     return out
 
 
+def searched_pedestrian_path(monkeypatch, ped_row, dt, steps):
+    """The ``(steps + 1, 2)`` constant-velocity pedestrian path that
+    ``estimate_risk`` passes to the conflict search, its start first."""
+    seen = []
+    real = risk.find_conflict_point
+
+    def recording(veh_paths, ped_paths, radius):
+        seen.append(ped_paths)
+        return real(veh_paths, ped_paths, radius)
+
+    monkeypatch.setattr(risk, "find_conflict_point", recording)
+    estimate_risk([0.0], [[0.0, 0.0, 0.0, 0.0]], [ped_row], [[0.0, 0.0, 1.0]],
+                  {Maneuver.STRAIGHT: np.zeros((1, steps + 1, 2))},
+                  RolloutConfig(steps=steps, dt=dt))
+    (path,) = seen[0]
+    return path
+
+
 class TestPedestrianPrediction:
-    def test_linear_motion(self):
-        s = KinematicState(x=2.0, y=-1.0, vx=1.0, vy=0.0)
-        path = predict_pedestrian(s, dt=0.1, steps=10)
-        assert path.shape == (10, 2)
+    def test_linear_motion(self, monkeypatch):
+        path = searched_pedestrian_path(monkeypatch, (2.0, -1.0, 1.0, 0.0), 0.1, 10)
+        assert path.shape == (11, 2)
+        assert tuple(path[0]) == (2.0, -1.0)
         assert path[-1][0] == pytest.approx(3.0)
         assert path[-1][1] == pytest.approx(-1.0)
 
-    def test_stationary(self):
-        s = KinematicState(x=5.0, y=5.0, vx=0.0, vy=0.0)
-        path = predict_pedestrian(s, dt=0.1, steps=5)
-        assert np.allclose(path, [[5.0, 5.0]] * 5)
+    def test_stationary(self, monkeypatch):
+        path = searched_pedestrian_path(monkeypatch, (5.0, 5.0, 0.0, 0.0), 0.1, 5)
+        assert np.allclose(path, [[5.0, 5.0]] * 6)
 
-    def test_matches_dynamic_model_with_zero_acceleration(self):
+    def test_matches_dynamic_model_with_zero_acceleration(self, monkeypatch):
+        path = searched_pedestrian_path(monkeypatch, (1.0, 2.0, -0.7, 1.3), 0.1, 30)
         s = KinematicState(x=1.0, y=2.0, vx=-0.7, vy=1.3, ax=0.0, ay=0.0)
-        a = predict_pedestrian(s, dt=0.1, steps=30)
-        b = dynamic_model_predict(s, dt=0.1, steps=30)
-        assert np.max(np.abs(a - b)) < 1e-15
+        assert path[1:].tobytes() == dynamic_model_predict(s, dt=0.1, steps=30).tobytes()
 
 
 class TestDynamicModel:
@@ -138,28 +209,27 @@ class TestConflictPoint:
         n = 21
         veh = np.array([[(-2.5 + 0.25 * i), 0.0] for i in range(n)])
         ped = np.array([[0.0, (-2.5 + 0.25 * i)] for i in range(n)])
-        got = find_conflict_point(veh, ped, dt=0.1, radius=0.3)
+        got = conflict(veh, ped, dt=0.1, radius=0.3)
         want = brute_force_conflict(veh, ped, 0.1, 0.3)
         assert got is not None
-        point, t_veh, t_ped = got
+        t_veh, t_ped = got
         assert t_veh == pytest.approx(want[1]) and t_ped == pytest.approx(want[2])
         assert t_veh == t_ped == pytest.approx(1.0)  # both reach origin at step 10
-        assert math.hypot(*point) < 0.3
+        assert math.hypot(*want[0]) < 0.3
 
     def test_parallel_paths_have_no_conflict(self):
         veh = np.array([[i * 0.5, 0.0] for i in range(20)])
         ped = np.array([[i * 0.5, 10.0] for i in range(20)])
-        assert find_conflict_point(veh, ped, dt=0.1, radius=1.0) is None
+        assert conflict(veh, ped, dt=0.1, radius=1.0) is None
 
     def test_identical_paths_meet_at_start(self):
         path = np.array([[i * 0.3, i * 0.1] for i in range(15)])
-        point, t_veh, t_ped = find_conflict_point(path, path.copy(), dt=0.1, radius=0.5)
-        assert t_veh == 0.0 and t_ped == 0.0
-        assert tuple(point) == (0.0, 0.0)
+        hit, j, k = find_conflict_point(path[None], path[None].copy(), radius=0.5)
+        assert hit.tolist() == [True] and j.tolist() == [0] and k.tolist() == [0]
 
     def test_mismatched_lengths_raise(self):
         with pytest.raises(ValueError):
-            find_conflict_point(np.zeros((5, 2)), np.zeros((6, 2)), 0.1, 1.0)
+            find_conflict_point(np.zeros((1, 5, 2)), np.zeros((1, 6, 2)), 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.floats(0.05, 3.0), st.integers(0, 10_000))
@@ -168,7 +238,7 @@ class TestConflictPoint:
         veh = rng.uniform(-5, 5, size=(n, 2))
         ped = rng.uniform(-5, 5, size=(n, 2))
         closest = min(math.hypot(*(a - b)) for a in veh for b in ped)
-        got = find_conflict_point(veh, ped, dt=0.1, radius=radius)
+        got = conflict(veh, ped, dt=0.1, radius=radius)
         assert (got is None) == (closest > radius)
 
     @settings(max_examples=40, deadline=None)
@@ -179,13 +249,13 @@ class TestConflictPoint:
         veh = np.cumsum(rng.normal(0.0, 0.6, size=(n, 2)), axis=0)
         ped = np.cumsum(rng.normal(0.0, 0.6, size=(n, 2)), axis=0) + rng.normal(size=2)
         radius = float(rng.uniform(0.2, 2.0))
-        got = find_conflict_point(veh, ped, dt=0.1, radius=radius)
+        got = conflict(veh, ped, dt=0.1, radius=radius)
         want = brute_force_conflict(veh, ped, 0.1, radius)
         if want is None:
             assert got is None
             return
         assert got is not None
-        assert got[1] == pytest.approx(want[1]) and got[2] == pytest.approx(want[2])
+        assert got[0] == pytest.approx(want[1]) and got[1] == pytest.approx(want[2])
         # swapping the roles swaps the arrival times when the optimum is unique
         gaps = sorted(
             (abs(j - k), j, k)
@@ -194,28 +264,48 @@ class TestConflictPoint:
         )
         minimal = [g for g in gaps if g[0] == gaps[0][0]]
         if len(minimal) == 1:
-            swapped = find_conflict_point(ped, veh, dt=0.1, radius=radius)
-            assert (swapped[1], swapped[2]) == (got[2], got[1])
+            swapped = conflict(ped, veh, dt=0.1, radius=radius)
+            assert swapped == (got[1], got[0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 30), st.sampled_from([0.5, 1.0, 1.5]),
+           st.integers(0, 10_000))
+    def test_rows_match_the_scalar_reference(self, m, steps, radius, seed):
+        # half-metre lattice points: exact distances, so pairs sit exactly on
+        # the radius and several pairs tie on the time gap
+        rng = np.random.default_rng(seed)
+        veh = rng.integers(-4, 5, size=(m, steps + 1, 2)) * 0.5
+        ped = rng.integers(-4, 5, size=(m, steps + 1, 2)) * 0.5
+        ped[::3] += 100.0  # rows with no hit
+        hit, j, k = find_conflict_point(veh, ped, radius)
+        assert hit.shape == j.shape == k.shape == (m,)
+        for r in range(m):
+            want = reference_conflict(veh[r], ped[r], 1.0, radius)
+            assert hit[r] == (want is not None)
+            if want is not None:
+                assert (int(j[r]), int(k[r])) == (want[1], want[2])
 
 
 class TestManeuverRisk:
     def test_equal_arrival_is_certain(self):
-        assert maneuver_risk((2.0, 2.0)) == 1.0
+        stream = crossing_risk((None, None, 10))
+        assert stream.maneuver_risk[0].tolist() == [0.0, 0.0, 1.0]
+        assert stream.risk[0] == 1.0
 
     def test_one_second_gap(self):
-        assert maneuver_risk((1.0, 2.0)) == pytest.approx(math.exp(-1.0), abs=1e-12)
+        for arrival in (0, 20):  # the vehicle a second early, then late
+            stream = crossing_risk((None, None, arrival))
+            assert stream.maneuver_risk[0, 2] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_absent_conflict_is_zero(self):
-        assert maneuver_risk(None) == 0.0
-
-    def test_negative_times_rejected(self):
-        with pytest.raises(ValueError):
-            maneuver_risk((-0.1, 1.0))
+        stream = crossing_risk((None, None, None), probs=(0.2, 0.3, 0.5))
+        assert stream.maneuver_risk[0].tolist() == [0.0, 0.0, 0.0]
+        assert stream.risk[0] == 0.0
 
     def test_monotone_in_gap(self):
-        gaps = [0.0, 0.3, 0.7, 1.5, 3.0]
-        risks = [maneuver_risk((1.0, 1.0 + g)) for g in gaps]
+        risks = [crossing_risk((None, None, 10 + g)).risk[0] for g in (0, 3, 7, 15, 20)]
         assert risks == sorted(risks, reverse=True)
+        assert risks[-1] > 0.0
 
 
 def constant_pair(direction, maneuver, vx, vy, seed=0):
@@ -242,20 +332,22 @@ def certain_forest(target_class):
 
 
 def frame_hypotheses(veh, index, direction, models, forest, cfg):
-    """Maneuver probabilities of one vehicle frame and, per maneuver with a
-    cluster model, its predicted path with the vehicle position first."""
-    probs = forest.predict_proba(extract_features(veh, [index], direction))[0]
+    """Normalized maneuver probabilities of one vehicle frame and, per
+    maneuver with a cluster model, its predicted path with the vehicle
+    position first; all with one leading row."""
+    probs = forest.predict_proba(extract_features(veh, [index], direction))
     start = veh.xy[index]
     paths = {}
     for m in SUPPORTED_MANEUVERS:
         if (direction, m) in models:
-            _, (path,) = rollout(models[(direction, m)], start[None, :], cfg)
-            paths[m] = np.vstack([start, path])
-    return ManeuverDistribution.from_array(probs / probs.sum()), paths
+            _, path = rollout(models[(direction, m)], start[None, :], cfg)
+            paths[m] = np.concatenate([start[None, None, :], path], axis=1)
+    return probs / probs.sum(axis=1, keepdims=True), paths
 
 
 def score(veh, index, direction, ped, models, forest, cfg, **kwargs):
-    return estimate_risk(veh.t.tolist()[index], state_from_trajectory(veh, index), ped,
+    """One-frame stream of pedestrian row ``ped`` against vehicle frame ``index``."""
+    return estimate_risk(veh.t[[index]], veh.points[[index], 1:5], [ped],
                          *frame_hypotheses(veh, index, direction, models, forest, cfg),
                          cfg, **kwargs)
 
@@ -269,11 +361,11 @@ class TestEstimateRisk:
         models = {(Direction.S, m): constant_pair(Direction.S, m, 1.0, 0.0)
                   for m in SUPPORTED_MANEUVERS}
         forest, _ = certain_forest(2)
-        ped = KinematicState(x=500.0, y=500.0, vx=0.0, vy=0.0)
-        profile = score(self._vehicle(), 0, Direction.S, ped, models,
-                        forest, RolloutConfig(steps=30, dt=0.1))
-        assert profile.risk == 0.0
-        assert all(a.conflict_point is None for a in profile.assessments)
+        stream = score(self._vehicle(), 0, Direction.S, (500.0, 500.0, 0.0, 0.0), models,
+                       forest, RolloutConfig(steps=30, dt=0.1))
+        assert stream.risk.tolist() == [0.0]
+        assert not stream.maneuver_risk.any()
+        assert np.isnan(stream.ttc).all()
 
     def test_head_on_unit_risk(self):
         # vehicle rolls east at 1 m/s; pedestrian placed on its path with the
@@ -286,15 +378,15 @@ class TestEstimateRisk:
                        rng.normal([-50, 50, 9.0, 0.4, 2.0], 0.05, size=(40, 5))])
         y = np.repeat([2, 0, 1], 40)
         forest = train_forest(X, y, n_trees=25, seed=0)
-        ped = KinematicState(x=1.0, y=-1.0, vx=0.0, vy=1.0)  # meets at (1, 0), t=1
-        profile = score(self._vehicle(), 0, Direction.S, ped, models,
-                        forest, RolloutConfig(steps=30, dt=0.1), radius=0.4)
-        straight = profile.assessment(Maneuver.STRAIGHT)
-        assert straight.risk == pytest.approx(1.0, abs=1e-6)
-        assert profile.maneuver_probs.p_straight == 1.0
-        assert profile.risk == pytest.approx(1.0, abs=1e-6)
-        assert profile.assessment(Maneuver.LEFT).model_absent
-        assert profile.assessment(Maneuver.RIGHT).model_absent
+        ped = (1.0, -1.0, 0.0, 1.0)  # meets at (1, 0), t=1
+        stream = score(self._vehicle(), 0, Direction.S, ped, models,
+                       forest, RolloutConfig(steps=30, dt=0.1), radius=0.4)
+        left, right, straight = stream.maneuver_risk[0]
+        assert straight == pytest.approx(1.0, abs=1e-6)
+        assert stream.probs[0, 2] == 1.0
+        assert stream.risk[0] == pytest.approx(1.0, abs=1e-6)
+        assert left == right == 0.0  # no cluster model, no risk
+        assert stream.t.tolist() == [12.3] and stream.vehicle_speed.tolist() == [1.0]
 
     def test_hand_mixed_risk(self):
         # spec'd worked example: maneuver probabilities exactly (0.5, 0, 0.5),
@@ -310,33 +402,30 @@ class TestEstimateRisk:
         leaf = lambda counts: Tree(feature=(-1,), threshold=(0.0,), left=(-1,), right=(-1,),
                                    counts=np.array([counts]))
         forest = ForestModel(trees=[leaf([1, 0, 0]), leaf([0, 0, 1])], n_features=5)
-        ped = KinematicState(x=2.0, y=-1.0, vx=0.0, vy=1.0)  # at (2, 0) after 1 s
+        ped = (2.0, -1.0, 0.0, 1.0)  # at (2, 0) after 1 s
         # vehicle reaches x=2 after 2 s; tiny radius pins the exact-hit pair
-        profile = score(self._vehicle(), 0, Direction.S, ped, models,
-                        forest, RolloutConfig(steps=30, dt=0.1), radius=0.04)
-        straight = profile.assessment(Maneuver.STRAIGHT)
-        assert straight.risk == pytest.approx(math.exp(-1.0), abs=1e-12)
-        assert profile.maneuver_probs.p_left == 0.5
-        assert profile.maneuver_probs.p_straight == 0.5
-        assert profile.risk == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
-        assert profile.assessment(Maneuver.LEFT).model_absent
-        assert profile.assessment(Maneuver.LEFT).risk == 0.0
+        stream = score(self._vehicle(), 0, Direction.S, ped, models,
+                       forest, RolloutConfig(steps=30, dt=0.1), radius=0.04)
+        left, right, straight = stream.maneuver_risk[0]
+        assert straight == pytest.approx(math.exp(-1.0), abs=1e-12)
+        assert stream.probs[0].tolist() == [0.5, 0.0, 0.5]
+        assert stream.risk[0] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
+        assert left == right == 0.0
 
     def test_deterministic_in_mean_mode(self):
         models = {(Direction.S, m): constant_pair(Direction.S, m, 1.0, 0.1)
                   for m in SUPPORTED_MANEUVERS}
         forest, _ = certain_forest(0)
-        ped = KinematicState(x=2.0, y=-0.5, vx=0.0, vy=0.5)
+        ped = (2.0, -0.5, 0.0, 0.5)
         cfg = RolloutConfig(steps=20, dt=0.1)
         a = score(self._vehicle(), 0, Direction.S, ped, models, forest, cfg)
         b = score(self._vehicle(), 0, Direction.S, ped, models, forest, cfg)
-        assert a.risk == b.risk
+        assert a.risk.tobytes() == b.risk.tobytes()
 
     def test_all_models_absent_raises(self):
         forest, _ = certain_forest(0)
-        ped = KinematicState(x=2.0, y=-0.5, vx=0.0, vy=0.5)
         with pytest.raises(ValueError):
-            score(self._vehicle(), 0, Direction.S, ped, {}, forest,
+            score(self._vehicle(), 0, Direction.S, (2.0, -0.5, 0.0, 0.5), {}, forest,
                   RolloutConfig(steps=10, dt=0.1))
 
     def test_missing_probabilities_or_invalid_point_raise(self):
@@ -345,10 +434,13 @@ class TestEstimateRisk:
         forest, _ = certain_forest(0)
         cfg = RolloutConfig(steps=10, dt=0.1)
         veh = self._vehicle()
-        ped = KinematicState(x=2.0, y=-0.5, vx=0.0, vy=0.5)
         probs, paths = frame_hypotheses(veh, 0, Direction.S, models, forest, cfg)
-        with pytest.raises(ValueError):
-            estimate_risk(12.3, state_from_trajectory(veh, 0), ped, None, paths, cfg)
+        args = ([12.3], veh.points[:, 1:5], [[2.0, -0.5, 0.0, 0.5]])
+        for bad in (probs[:0], probs[:, :2]):  # no row, or a maneuver short
+            with pytest.raises(ValueError):
+                estimate_risk(*args, bad, paths, cfg)
+        with pytest.raises(ValueError):  # paths of the wrong step count
+            estimate_risk(*args, probs, {Maneuver.STRAIGHT: np.zeros((1, 5, 2))}, cfg)
         with pytest.raises(ValueError):  # no vehicle state from an invalid point
             state_from_trajectory(self._vehicle(x=float("nan")), 0)
 
@@ -358,16 +450,12 @@ class TestEstimateRisk:
         forest, _ = certain_forest(1)
         rng = np.random.default_rng(4)
         for _ in range(25):
-            ped = KinematicState(x=float(rng.uniform(-3, 6)),
-                                 y=float(rng.uniform(-3, 3)),
-                                 vx=float(rng.uniform(-1, 1)),
-                                 vy=float(rng.uniform(-1, 1)))
-            profile = score(self._vehicle(), 0, Direction.S, ped,
-                            models, forest, RolloutConfig(steps=15, dt=0.1))
-            assert 0.0 <= profile.risk <= 1.0
-            mix = sum(a.risk * profile.maneuver_probs.for_maneuver(a.maneuver)
-                      for a in profile.assessments)
-            assert profile.risk == pytest.approx(mix, abs=1e-12)
+            ped = tuple(rng.uniform([-3, -3, -1, -1], [6, 3, 1, 1]).tolist())
+            stream = score(self._vehicle(), 0, Direction.S, ped,
+                           models, forest, RolloutConfig(steps=15, dt=0.1))
+            assert 0.0 <= stream.risk[0] <= 1.0
+            mix = float(np.sum(stream.maneuver_risk[0] * stream.probs[0]))
+            assert stream.risk[0] == pytest.approx(mix, abs=1e-12)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -381,17 +469,15 @@ class TestEstimateRisk:
                                                       radius):
         cfg = RolloutConfig(steps=20, dt=0.1)
         w = np.asarray(weights)
-        probs = ManeuverDistribution.from_array(w / w.sum())
         steps = np.arange(cfg.steps + 1)[:, None] * cfg.dt
-        paths = {m: steps * np.asarray(v) for m, v in zip(SUPPORTED_MANEUVERS, vels)
+        paths = {m: (steps * np.asarray(v))[None] for m, v in zip(SUPPORTED_MANEUVERS, vels)
                  if v is not None}
         if not paths:  # one hypothesis at least, as the caller guarantees
-            paths = {Maneuver.STRAIGHT: steps * np.array([1.0, 0.0])}
-        profile = estimate_risk(12.3, KinematicState(0.0, 0.0, 1.0, 0.0),
-                                KinematicState(*ped_state),
-                                probs, paths, cfg, radius=radius)
-        assert 0.0 <= profile.risk <= 1.0
-        assert profile.risk <= max(a.risk for a in profile.assessments) + 1e-12
+            paths = {Maneuver.STRAIGHT: (steps * np.array([1.0, 0.0]))[None]}
+        stream = estimate_risk([12.3], [[0.0, 0.0, 1.0, 0.0]], [ped_state],
+                               [w / w.sum()], paths, cfg, radius=radius)
+        assert 0.0 <= stream.risk[0] <= 1.0
+        assert stream.risk[0] <= stream.maneuver_risk.max() + 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -408,13 +494,21 @@ def small_scene():
     return labeled, models, forest
 
 
+@pytest.fixture(scope="module")
+def mean_frames():
+    """Single-frame mean-mode vehicle sides on ``small_scene``, by (vehicle id,
+    frame index), shared across Hypothesis examples."""
+    return {}
+
+
 class TestRiskStreams:
     CFG = RolloutConfig(steps=15, dt=0.1)
 
     def test_vehicle_side_computed_once_per_vehicle(self, small_scene, monkeypatch):
         labeled, models, forest = small_scene
-        rollouts, predicts = [], []
+        rollouts, predicts, scored_pairs = [], [], []
         real_rollout, real_predict = evaluation.rollout, ForestModel.predict_proba
+        real_estimate = evaluation.estimate_risk
 
         def counting_rollout(pair, starts, cfg):
             rollouts.append(pair.cluster)
@@ -424,8 +518,13 @@ class TestRiskStreams:
             predicts.append(len(X))
             return real_predict(model, X)
 
+        def counting_estimate(*args, **kwargs):
+            scored_pairs.append(len(args[0]))
+            return real_estimate(*args, **kwargs)
+
         monkeypatch.setattr(evaluation, "rollout", counting_rollout)
         monkeypatch.setattr(ForestModel, "predict_proba", counting_predict)
+        monkeypatch.setattr(evaluation, "estimate_risk", counting_estimate)
         streams = compute_risk_streams(labeled, models, forest, self.CFG, frame_stride=5)
         scored = {v for v, _ in streams}
         assert len(streams) > len(scored)  # some vehicle is scored against several pedestrians
@@ -433,21 +532,62 @@ class TestRiskStreams:
         hypotheses = sum((direction[v], m) in models for v in scored for m in SUPPORTED_MANEUVERS)
         assert len(predicts) == len(scored)
         assert len(rollouts) == hypotheses
+        # one estimate_risk call per stream, over all of the stream's frames
+        assert sorted(scored_pairs) == sorted(len(s.t) for s in streams.values())
+        assert all(isinstance(s, RiskStream) for s in streams.values())
 
-    def test_streams_match_per_frame_scoring(self, small_scene):
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(["mean", "sample"]), st.integers(1, 6), st.floats(0.5, 3.0),
+           st.integers(0, 1000))
+    def test_streams_match_per_frame_scoring(self, small_scene, mean_frames, mode, stride,
+                                             radius, seed):
+        # the vehicle side (probabilities and rollouts) is taken from the
+        # stream's own call; every column must then equal the per-frame
+        # reference scoring bit for bit
         labeled, models, forest = small_scene
-        streams = compute_risk_streams(labeled, models, forest, self.CFG, frame_stride=5)
+        cfg = replace(self.CFG, mode=mode, seed=seed)
+        calls = {}
+        real_estimate = evaluation.estimate_risk
+
+        def recording(*args, **kwargs):
+            stream = real_estimate(*args, **kwargs)
+            calls[id(stream)] = args
+            return stream
+
+        evaluation.estimate_risk = recording
+        try:
+            streams = compute_risk_streams(labeled, models, forest, cfg,
+                                           conflict_radius=radius, ttc_radius=radius,
+                                           frame_stride=stride)
+        finally:
+            evaluation.estimate_risk = real_estimate
         assert streams
-        for (vid, pid), profiles in streams.items():
+        for (vid, pid), stream in streams.items():
             veh, ped = labeled.by_id(vid), labeled.by_id(pid)
-            ped_index = {round(t, 6): i for i, t in enumerate(ped.t.tolist())}
-            for profile in profiles:
-                vi = veh.t.tolist().index(profile.t)
-                ped_state = state_from_trajectory(ped, ped_index[round(profile.t, 6)])
-                want = score(veh, vi, veh.entering_direction, ped_state, models, forest,
-                             self.CFG)
-                assert profile.maneuver_probs == want.maneuver_probs
-                assert profile.risk == pytest.approx(want.risk, abs=1e-12)
+            _, _, _, probs, paths, _ = calls[id(stream)]
+            ped_rows = {round(t, 6): i for i, t in enumerate(ped.t.tolist())}
+            for r, t in enumerate(stream.t.tolist()):
+                vi = veh.t.tolist().index(t)
+                pi = ped_rows[round(t, 6)]
+                assert vi % stride == 0 and veh.valid[vi] and ped.valid[pi]
+                if (vid, vi) not in mean_frames:
+                    mean_frames[(vid, vi)] = frame_hypotheses(
+                        veh, vi, veh.entering_direction, models, forest, self.CFG)
+                want_probs, want_paths = mean_frames[(vid, vi)]
+                assert stream.probs[r].tobytes() == want_probs[0].tobytes()
+                assert set(paths) == set(want_paths)
+                if mode == "mean":
+                    for m, path in want_paths.items():
+                        assert np.allclose(paths[m][r], path[0], rtol=0, atol=1e-9)
+                risks, total = reference_frame_risk(
+                    ped.points[pi, 1:5].tolist(), stream.probs[r],
+                    {m: path[r] for m, path in paths.items()}, cfg, radius)
+                assert stream.maneuver_risk[r].tolist() == risks
+                assert stream.risk[r] == total
+                ttc = reference_ttc(veh.points[vi, 1:5].tolist(),
+                                    ped.points[pi, 1:5].tolist(), radius)
+                assert (math.isnan(stream.ttc[r]) if ttc is None else stream.ttc[r] == ttc)
+                assert stream.vehicle_speed[r] == veh.speed[vi]
 
     def test_sample_mode_draws_per_vehicle(self, monkeypatch):
         # two vehicles on identical tracks share one cluster: each draws its

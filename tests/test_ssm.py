@@ -5,7 +5,6 @@ import pytest
 from helpers import row
 from hypothesis import given, settings, strategies as st
 
-from crossrisk.risk import KinematicState
 from crossrisk.ssm import (
     ConflictEvent,
     compute_pet,
@@ -18,15 +17,24 @@ from crossrisk.trajectory import Dataset, ObjectClass, Trajectory
 
 
 def stepping_ttc_oracle(veh, ped, radius, dt=0.001, t_max=60.0):
-    """Brute-force 1 ms time-stepping oracle for the closed-form solver."""
+    """Brute-force 1 ms time-stepping oracle for the closed-form solver, on
+    ``(x, y, vx, vy)`` rows."""
+    (vx0, vy0, vvx, vvy), (px0, py0, pvx, pvy) = veh, ped
     t = 0.0
     while t <= t_max:
-        dx = (ped.x + ped.vx * t) - (veh.x + veh.vx * t)
-        dy = (ped.y + ped.vy * t) - (veh.y + veh.vy * t)
+        dx = (px0 + pvx * t) - (vx0 + vvx * t)
+        dy = (py0 + pvy * t) - (vy0 + vvy * t)
         if math.hypot(dx, dy) <= radius:
             return t
         t += dt
     return None
+
+
+def ttc(veh, ped, radius=1.0):
+    """``compute_ttc`` on one ``(x, y, vx, vy)`` row each, as a float or None."""
+    got = compute_ttc(np.array([veh], dtype=float), np.array([ped], dtype=float), radius)
+    assert got.shape == (1,)
+    return None if math.isnan(got[0]) else float(got[0])
 
 
 def _path(traj_id, object_class, samples):
@@ -53,29 +61,20 @@ def crossing_pair(t_ped_cross, t_veh_cross, ped_speed=1.0, veh_speed=2.0):
 
 class TestComputeTtc:
     def test_head_on_closure(self):
-        veh = KinematicState(x=0.0, y=0.0, vx=5.0, vy=0.0)
-        ped = KinematicState(x=10.0, y=0.0, vx=0.0, vy=0.0)
-        assert compute_ttc(veh, ped, radius=1e-9) == pytest.approx(2.0, abs=1e-6)
+        assert ttc((0.0, 0.0, 5.0, 0.0), (10.0, 0.0, 0.0, 0.0), radius=1e-9) == pytest.approx(
+            2.0, abs=1e-6)
 
     def test_diverging_agents_have_none(self):
-        veh = KinematicState(x=0.0, y=0.0, vx=-3.0, vy=0.0)
-        ped = KinematicState(x=10.0, y=0.0, vx=1.0, vy=0.0)
-        assert compute_ttc(veh, ped, radius=1.0) is None
+        assert ttc((0.0, 0.0, -3.0, 0.0), (10.0, 0.0, 1.0, 0.0), radius=1.0) is None
 
     def test_already_within_radius(self):
-        veh = KinematicState(x=0.0, y=0.0, vx=1.0, vy=0.0)
-        ped = KinematicState(x=0.5, y=0.0, vx=0.0, vy=0.0)
-        assert compute_ttc(veh, ped, radius=1.0) == 0.0
+        assert ttc((0.0, 0.0, 1.0, 0.0), (0.5, 0.0, 0.0, 0.0), radius=1.0) == 0.0
 
     def test_no_relative_motion_separated(self):
-        veh = KinematicState(x=0.0, y=0.0, vx=2.0, vy=0.0)
-        ped = KinematicState(x=5.0, y=5.0, vx=2.0, vy=0.0)
-        assert compute_ttc(veh, ped, radius=1.0) is None
+        assert ttc((0.0, 0.0, 2.0, 0.0), (5.0, 5.0, 2.0, 0.0), radius=1.0) is None
 
     def test_near_miss_outside_radius(self):
-        veh = KinematicState(x=0.0, y=0.0, vx=1.0, vy=0.0)
-        ped = KinematicState(x=10.0, y=3.0, vx=0.0, vy=0.0)
-        assert compute_ttc(veh, ped, radius=1.0) is None
+        assert ttc((0.0, 0.0, 1.0, 0.0), (10.0, 3.0, 0.0, 0.0), radius=1.0) is None
 
     def test_oblique_crossings_match_stepping_oracle(self):
         # draw both agents aimed near a common point with a small time and
@@ -89,14 +88,13 @@ class TestComputeTtc:
             t1 = float(rng.uniform(0.5, 6.0))
             t2 = t1 + float(rng.uniform(-1.0, 1.0))
             lateral = rng.uniform(-1.5, 1.5, size=2)
-            veh = KinematicState(x=float(meet[0] - v_veh[0] * t1),
-                                 y=float(meet[1] - v_veh[1] * t1),
-                                 vx=float(v_veh[0]), vy=float(v_veh[1]))
-            ped = KinematicState(x=float(meet[0] - v_ped[0] * t2 + lateral[0]),
-                                 y=float(meet[1] - v_ped[1] * t2 + lateral[1]),
-                                 vx=float(v_ped[0]), vy=float(v_ped[1]))
+            veh = (float(meet[0] - v_veh[0] * t1), float(meet[1] - v_veh[1] * t1),
+                   float(v_veh[0]), float(v_veh[1]))
+            ped = (float(meet[0] - v_ped[0] * t2 + lateral[0]),
+                   float(meet[1] - v_ped[1] * t2 + lateral[1]),
+                   float(v_ped[0]), float(v_ped[1]))
             radius = float(rng.uniform(0.3, 2.0))
-            got = compute_ttc(veh, ped, radius)
+            got = ttc(veh, ped, radius)
             want = stepping_ttc_oracle(veh, ped, radius)
             if want is None:
                 assert got is None or got > 60.0
@@ -109,10 +107,25 @@ class TestComputeTtc:
     def test_nonnegative_when_present(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            veh = KinematicState(*(float(v) for v in rng.uniform(-10, 10, 4)))
-            ped = KinematicState(*(float(v) for v in rng.uniform(-10, 10, 4)))
-            ttc = compute_ttc(veh, ped, 1.0)
-            assert ttc is None or ttc >= 0.0
+            veh = tuple(float(v) for v in rng.uniform(-10, 10, 4))
+            ped = tuple(float(v) for v in rng.uniform(-10, 10, 4))
+            got = ttc(veh, ped, 1.0)
+            assert got is None or got >= 0.0
+
+    def test_rows_equal_row_by_row_calls(self):
+        rng = np.random.default_rng(2)
+        veh = rng.uniform(-10, 10, size=(64, 4))
+        ped = rng.uniform(-10, 10, size=(64, 4))
+        ped[:8] = veh[:8]  # already within the radius
+        ped[8:16, 2:] = veh[8:16, 2:]  # no relative motion
+        got = compute_ttc(veh, ped, 1.5)
+        want = [compute_ttc(veh[i:i + 1], ped[i:i + 1], 1.5)[0] for i in range(64)]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert np.isnan(got).any() and (got == 0.0).any() and (got > 0.0).any()
+
+    def test_mismatched_rows_raise(self):
+        with pytest.raises(ValueError):
+            compute_ttc(np.zeros((3, 4)), np.zeros((2, 4)))
 
 
 class TestComputePet:
