@@ -137,9 +137,9 @@ def estimate_risk(
 
     ``vehicle`` and ``pedestrian`` are ``(m, 4)`` rows of ``x, y, vx, vy`` at
     the frame times ``t``, and ``probs`` the frames' ``(m, 3)`` maneuver
-    probabilities. ``paths`` maps each maneuver whose cluster model exists to
-    the vehicle's ``(m, cfg.steps + 1, 2)`` predicted paths, the vehicle
-    position first; a maneuver without paths contributes zero risk. The
+    probabilities, each row in [0, 1] and summing to 1. ``paths`` maps each
+    maneuver whose cluster model exists to the vehicle's
+    ``(m, cfg.steps + 1, 2)`` predicted paths, the vehicle position first; a maneuver without paths contributes zero risk. The
     pedestrian is extrapolated at constant velocity over the same steps.
     Each maneuver's risk is ``exp(-|t_vehicle - t_pedestrian|)`` at its
     conflict point (0 without one), and the risk is their mixture under
@@ -155,6 +155,10 @@ def estimate_risk(
     if (t.shape != (m,) or vehicle.shape != (m, 4) or pedestrian.shape != (m, 4)
             or probs.shape != (m, 3)):
         raise ValueError("t, vehicle, pedestrian and probs must cover the same frames")
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():
+        raise ValueError("maneuver probabilities must lie in [0, 1]")
+    if (np.abs(probs.sum(axis=1) - 1.0) > 1e-9).any():
+        raise ValueError("each frame's maneuver probabilities must sum to 1")
 
     ahead = np.arange(1, cfg.steps + 1, dtype=float)[:, None] * cfg.dt
     ped_paths = np.empty((m, cfg.steps + 1, 2))

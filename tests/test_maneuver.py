@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from helpers import row
+from helpers import crossing_risk, row
 from hypothesis import assume, given, settings, strategies as st
 
 from crossrisk import maneuver
@@ -432,6 +432,17 @@ class TestForestFile:
         path = tmp_path / "good.json"
         path.write_text(json.dumps(_forest_payload(tmp_path)))
         assert load_forest(path).n_classes == 3
+
+
+class TestManeuverDistribution:
+    # the risk stage checks each frame's maneuver probabilities before mixing
+    def test_rejects_bad_sum(self):
+        with pytest.raises(ValueError):
+            crossing_risk((None, None, 10), probs=(0.5, 0.5, 0.5))
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            crossing_risk((None, None, 10), probs=(-0.1, 0.6, 0.5))
 
 
 class TestMetrics:
