@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """SHA-256 of the scene (``scene/input.csv``, ``scene/config.json``) and of every stage
 output on the benchmark scenes of ``perfbench/workloads.py``, with preprocess, train
-and risk run in process through ``crossrisk.cli.main``:
+and risk run in process through ``crossrisk.cli.main``; the risk stage runs twice,
+with the scene's mean rollouts into ``risk/`` and with ``rollout_mode: sample`` into
+``risk_sample/``:
 
     python scripts/output_digests.py --src OTHER_CHECKOUT/src --out old.json
     python scripts/output_digests.py --out new.json [--workloads fit --seeds 1 2]
@@ -20,15 +22,21 @@ def digests(workload: str, seed: int) -> dict:
     from crossrisk.cli import main
     from perfbench.workloads import WORKLOADS, build_scene
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
+        work = Path(tmp) / "run"  # hashed; the sample-mode config stays outside it
         scene = build_scene(WORKLOADS[workload], seed, work / "scene")
+        config = json.loads(scene.config_json.read_text())
+        config["risk"]["rollout_mode"] = "sample"
+        sample_config = Path(tmp) / "sample_config.json"
+        sample_config.write_text(json.dumps(config))
         prep, models = work / "prep", work / "models"
-        for argv in (["preprocess", "--in", scene.input_csv, "--out", prep],
-                     ["train", "--in", prep / "labeled.csv", "--out", models],
-                     ["risk", "--in", prep / "labeled.csv", "--models", models,
-                      "--out", work / "risk"]):
+        risk = ["risk", "--in", prep / "labeled.csv", "--models", models]
+        for argv, config_json in (
+                (["preprocess", "--in", scene.input_csv, "--out", prep], scene.config_json),
+                (["train", "--in", prep / "labeled.csv", "--out", models], scene.config_json),
+                ([*risk, "--out", work / "risk"], scene.config_json),
+                ([*risk, "--out", work / "risk_sample"], sample_config)):
             with contextlib.redirect_stdout(io.StringIO()):
-                if main([*map(str, argv), "--config", str(scene.config_json)]) != 0:
+                if main([*map(str, argv), "--config", str(config_json)]) != 0:
                     raise SystemExit(f"{workload} seed {seed}: {argv[0]} failed")
         return {f"{workload}/{seed}/{p.relative_to(work)}": sha256(p.read_bytes()).hexdigest()
                 for p in sorted(work.rglob("*")) if p.is_file()}

@@ -4,8 +4,8 @@ streams over a whole scene."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .risk import (
     trajectory_error,
 )
 from .ssm import co_present_pairs
-from .trajectory import Dataset, Direction, Maneuver, SUPPORTED_MANEUVERS, Trajectory
+from .trajectory import Dataset, Maneuver, SUPPORTED_MANEUVERS, Trajectory
 
 
 @dataclass
@@ -41,37 +41,20 @@ def _window_is_valid(traj: Trajectory, start_index: int, steps: int) -> bool:
     return bool(traj.valid[start_index - 1 : start_index + steps + 1].all())
 
 
-def _pooled_rows(dataset: Dataset, models: dict, start_point: int, steps: int,
+def _pooled_rows(vehicles: list, predicted: dict, idx: int, steps: int, dt: float,
                  group_value: int) -> list:
-    """One row per maneuver, pooling per-step distances across vehicles.
-
-    Each vehicle predicts ``steps`` frames from 1-based ``start_point``; the
-    vehicles of one cluster are rolled out in a single batch.
-    """
+    """One row per maneuver, pooling per-step distances across ``vehicles``,
+    each of which predicts ``steps`` frames from 0-based index ``idx``; the
+    predicted paths are read from ``predicted[(vehicle id, idx)]``."""
     rows = []
-    dt = dataset.frame_interval
-    idx = start_point - 1
-    cfg = RolloutConfig(steps=steps, dt=dt)
     for maneuver in SUPPORTED_MANEUVERS:
-        vehicles = [
-            traj for traj in dataset.vehicles
-            if traj.maneuver == maneuver and traj.entering_direction is not None
-            and (traj.entering_direction, maneuver) in models
-            and _window_is_valid(traj, idx, steps)
-        ]
-        if not vehicles:
+        cell = [traj for traj in vehicles if traj.maneuver == maneuver]
+        if not cell:
             continue
-        predicted = {}
-        for direction in Direction:
-            batch = [traj for traj in vehicles if traj.entering_direction == direction]
-            if batch:
-                starts = np.array([traj.xy[idx] for traj in batch])
-                _, paths = rollout(models[(direction, maneuver)], starts, cfg)
-                predicted.update(zip((traj.id for traj in batch), paths))
         gpr_all, dyn_all = [], []
-        for traj in vehicles:
+        for traj in cell:
             actual = traj.xy[idx + 1 : idx + 1 + steps]
-            gpr_all.append(trajectory_error(predicted[traj.id], actual).distances)
+            gpr_all.append(trajectory_error(predicted[(traj.id, idx)][:steps], actual).distances)
             baseline = dynamic_model_predict(state_from_trajectory(traj, idx), dt, steps)
             dyn_all.append(trajectory_error(baseline, actual).distances)
         g = np.concatenate(gpr_all)
@@ -80,7 +63,7 @@ def _pooled_rows(dataset: Dataset, models: dict, start_point: int, steps: int,
                              gpr_mean=float(np.mean(g)), gpr_std=float(np.std(g)),
                              dynamic_mean=float(np.mean(d)),
                              dynamic_std=float(np.std(d)),
-                             n_vehicles=len(vehicles), n_points=int(g.size)))
+                             n_vehicles=len(cell), n_points=int(g.size)))
     return rows
 
 
@@ -94,20 +77,53 @@ def prediction_error_study(
 ) -> tuple[list, list]:
     """Pooled distance statistics for the two prediction-accuracy tables.
 
-    The first table varies the starting point at a fixed rollout length; the
-    second varies the prediction horizon from a fixed starting point.
+    The first table varies the 1-based starting point at a fixed rollout
+    length; the second varies the prediction horizon from a fixed starting
+    point. A vehicle takes part in a cell when its cluster has a model and
+    its window is valid. Every distinct (vehicle, start index) of every cell
+    is rolled out once, in one batch per cluster, over the longest window;
+    each cell reads its window's prefix.
     """
-    start_rows, horizon_rows = [], []
-    for sp in starting_points:
-        start_rows.extend(_pooled_rows(dataset, models, sp, rollout_steps, sp))
-    for h in horizons:
-        horizon_rows.extend(_pooled_rows(dataset, models, horizon_start_point, h, h))
-    return start_rows, horizon_rows
+    tables = ([(sp, sp - 1, rollout_steps) for sp in starting_points],
+              [(h, horizon_start_point - 1, h) for h in horizons])
+    modelled = [traj for traj in dataset.vehicles
+                if traj.maneuver in SUPPORTED_MANEUVERS
+                and (traj.entering_direction, traj.maneuver) in models]
+    windows = {(idx, steps): [traj for traj in modelled if _window_is_valid(traj, idx, steps)]
+               for table in tables for _, idx, steps in table}
+    starts: dict = {}  # cluster -> {(vehicle id, start index): start position}
+    for (idx, _), vehicles in windows.items():
+        for traj in vehicles:
+            starts.setdefault((traj.entering_direction, traj.maneuver), {})[
+                (traj.id, idx)] = traj.xy[idx]
+    cfg = RolloutConfig(steps=max([rollout_steps, *horizons]), dt=dataset.frame_interval)
+    predicted = {}
+    for cluster, batch in starts.items():
+        _, paths = rollout(models[cluster], np.array(list(batch.values())), cfg)
+        predicted.update(zip(batch, paths))
+    return tuple(
+        [row for group, idx, steps in table
+         for row in _pooled_rows(windows[(idx, steps)], predicted, idx, steps,
+                                 dataset.frame_interval, group)]
+        for table in tables
+    )
 
 
 # ---------------------------------------------------------------------------
 # Scene-wide risk streams
 # ---------------------------------------------------------------------------
+
+
+class _Plan(NamedTuple):
+    """One vehicle's scored frames, planned before the cluster rollouts."""
+
+    vehicle: Trajectory
+    pedestrians: list  # the co-present pedestrians
+    lookups: list  # per pedestrian: rounded time -> valid row
+    frames: list  # scored vehicle rows
+    keys: list  # their rounded times
+    probs: np.ndarray  # (frames, 3) normalized maneuver probabilities
+    paths: dict  # maneuver -> (frames, steps + 1, 2) predicted paths
 
 
 def compute_risk_streams(
@@ -124,13 +140,15 @@ def compute_risk_streams(
 
     Frames are matched on identical timestamps (the shared frame grid).
     Pairs whose vehicle lacks every cluster model are skipped. The vehicle
-    side is computed once per vehicle: one forest call over every frame some
-    co-present pedestrian shares, and one batched rollout per maneuver over
-    those frames' positions. Each pedestrian is then scored in one
+    side is computed once per vehicle frame. First each vehicle's scored
+    frames are planned, those some co-present pedestrian shares, with one
+    forest call over them. Then each cluster model rolls out the planned
+    frames of every vehicle entering from its direction in one batch, and
+    each vehicle takes its own rows. Each pedestrian is then scored in one
     :func:`estimate_risk` call over the frames it shares with the vehicle.
-    In sample mode each (vehicle, maneuver) rollout draws its own noise
-    stream, seeded by the rollout seed, the vehicle's ordinal in
-    ``dataset.vehicles`` and the maneuver code.
+    In sample mode each (vehicle, maneuver) keeps its own noise stream,
+    seeded by the rollout seed, the vehicle's ordinal in ``dataset.vehicles``
+    and the maneuver code, whatever else is in the batch.
     """
     ped_index = {}
     for ped in dataset.pedestrians:
@@ -141,14 +159,10 @@ def compute_risk_streams(
     for veh, ped in co_present_pairs(dataset):
         peds_of.setdefault(veh.id, (veh, []))[1].append(ped)
 
-    streams: dict = {}
+    plans = []
     for veh, peds in peds_of.values():
         direction = veh.entering_direction
-        if direction is None:
-            continue
-        pairs = {m: models[(direction, m)] for m in SUPPORTED_MANEUVERS
-                 if (direction, m) in models}
-        if not pairs:
+        if not any((direction, m) in models for m in SUPPORTED_MANEUVERS):
             continue
         lookups = [ped_index[ped.id] for ped in peds]
         keys = [round(t, 6) for t in veh.t.tolist()]
@@ -160,18 +174,28 @@ def compute_risk_streams(
         if not frames:
             continue
         probs = forest.predict_proba(extract_features(veh, frames, direction))
-        probs = probs / probs.sum(axis=1, keepdims=True)
-        starts = veh.xy[frames]
-        paths = {}
-        for m, pair in pairs.items():
-            cfg = replace(rollout_cfg,
-                          seed=(rollout_cfg.seed, ordinal[veh.id], MANEUVER_CODES[m]))
-            paths[m] = np.concatenate([starts[:, None, :], rollout(pair, starts, cfg)[1]],
-                                      axis=1)
+        plans.append(_Plan(veh, peds, lookups, frames, [keys[vi] for vi in frames],
+                           probs / probs.sum(axis=1, keepdims=True), {}))
+
+    for (direction, m), pair in models.items():
+        batch = [plan for plan in plans if plan.vehicle.entering_direction == direction]
+        if m not in SUPPORTED_MANEUVERS or not batch:
+            continue
+        starts = np.concatenate([plan.vehicle.xy[plan.frames] for plan in batch])
+        noise = [((rollout_cfg.seed, ordinal[plan.vehicle.id], MANEUVER_CODES[m]),
+                  len(plan.frames)) for plan in batch]
+        _, ahead = rollout(pair, starts, rollout_cfg, noise)
+        cluster_paths = np.concatenate([starts[:, None, :], ahead], axis=1)
+        lo = 0
+        for plan in batch:
+            plan.paths[m] = cluster_paths[lo:lo + len(plan.frames)]
+            lo += len(plan.frames)
+
+    streams: dict = {}
+    for veh, peds, lookups, frames, keys, probs, paths in plans:
         veh_rows = veh.points[frames]
         for ped, lookup in zip(peds, lookups):
-            shared = [(row, lookup[keys[vi]]) for row, vi in enumerate(frames)
-                      if keys[vi] in lookup]
+            shared = [(row, lookup[key]) for row, key in enumerate(keys) if key in lookup]
             if not shared:
                 continue
             at, ped_rows = np.array(shared).T

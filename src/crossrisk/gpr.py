@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
@@ -32,6 +33,9 @@ MAX_JITTER = 1e-4
 MIN_ESCALATED_JITTER = 1e-10
 
 MODEL_FILE_VERSION = 3
+
+#: Most rows one kernel evaluation of a rollout step covers.
+_ROLLOUT_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -51,14 +55,15 @@ class KernelConfig:
             raise InputError("noise_variance must be nonnegative")
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sq_dists(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | None = None
+              ) -> np.ndarray:
+    """Squared distances between the rows of ``a`` and ``b``; ``b_sq``, the
+    squared norms of ``b``'s rows, can be passed when ``b`` is reused."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    d2 = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
+    if b_sq is None:
+        b_sq = np.sum(b * b, axis=1)
+    d2 = np.sum(a * a, axis=1)[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
     return np.maximum(d2, 0.0)
 
 
@@ -111,11 +116,14 @@ def _jittered_cholesky(k: np.ndarray, noise_variance: float, jitter: float
     """Lower Cholesky factor of k + (noise + jitter) I and the jitter used,
     escalating the jitter tenfold up to MAX_JITTER (from MIN_ESCALATED_JITTER
     when it starts at 0)."""
+    work = np.array(k, order="F")  # LAPACK's layout, so it is factored in place
+    diagonal = k.diagonal()
     while True:
+        np.fill_diagonal(work, diagonal + (noise_variance + jitter))
         try:
-            chol = cholesky(k + (noise_variance + jitter) * np.eye(len(k)), lower=True)
-            return chol, jitter
+            return cholesky(work, lower=True, overwrite_a=True), jitter
         except np.linalg.LinAlgError:
+            work[...] = k  # undo the partial factorization
             jitter = jitter * 10.0 if jitter > 0 else MIN_ESCALATED_JITTER
             if jitter > MAX_JITTER:
                 raise NumericalError(
@@ -174,10 +182,16 @@ def posterior_predict(model: GprModel, queries: np.ndarray
     q = np.asarray(queries, dtype=float).reshape(-1, 2)
     k_star = kernel_matrix(model.kernel, model.train_x, q)  # (n, m)
     mean_std = k_star.T @ model.alpha_vec
+    return model.y_mean + model.y_std * mean_std, _predictive_variance(model, k_star)
+
+
+def _predictive_variance(model: GprModel, k_star: np.ndarray) -> np.ndarray:
+    """Predictive variances (including observation noise) from the ``(n, m)``
+    kernel matrix between the training inputs and ``m`` queries."""
     v = solve_triangular(model.chol, k_star, lower=True)
     var_std = 1.0 - np.sum(v * v, axis=0) + model.kernel.noise_variance
     var_std = np.maximum(var_std, 0.0)
-    return model.y_mean + model.y_std * mean_std, (model.y_std**2) * var_std
+    return (model.y_std**2) * var_std
 
 
 # ---------------------------------------------------------------------------
@@ -386,33 +400,55 @@ class RolloutConfig:
             raise InputError(f"unknown rollout mode: {self.mode!r}")
 
 
-def rollout(pair: GprModelPair, starts: np.ndarray, cfg: RolloutConfig
-            ) -> tuple[np.ndarray, np.ndarray]:
+def rollout(pair: GprModelPair, starts: np.ndarray, cfg: RolloutConfig,
+            streams: Sequence[tuple] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the predicted velocity field forward from ``(B, 2)`` starts.
 
     Each step queries both component GPs at the ``B`` current positions and
     Euler steps by ``dt``; the two GPs share their training inputs, so one
-    distance matrix serves both. Returns ``(times, positions)``: the ``steps``
-    times relative to the start and the ``(B, steps, 2)`` predicted points.
-    Mean mode is deterministic; sample mode draws each component from its
-    predictive normal, independently per start and step.
+    distance matrix serves both. The rows are evaluated at most
+    ``_ROLLOUT_BLOCK_ROWS`` at a time, so the kernel temporaries stay
+    O(_ROLLOUT_BLOCK_ROWS n) however large ``B`` is. Returns
+    ``(times, positions)``: the ``steps`` times relative to the start and the
+    ``(B, steps, 2)`` predicted points.
+
+    Mean mode is deterministic. Sample mode draws each component from its
+    predictive normal, independently per start and step. ``streams`` splits
+    the rows, in order, into noise streams of ``(entropy, rows)``: each seeds
+    ``np.random.default_rng(entropy)`` and draws one ``(rows, 2)`` normal per
+    step, so a stream's noise does not depend on the rows batched with it.
+    The default is one stream over every row, seeded with ``cfg.seed``.
     """
     pos = np.asarray(starts, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2 or not np.all(np.isfinite(pos)):
         raise ValueError("starts must be finite (x, y) rows of shape (B, 2)")
+    if streams is None:
+        streams = [(cfg.seed, len(pos))]
+    sizes = [rows for _, rows in streams]
+    if sum(sizes) != len(pos) or any(rows < 0 for rows in sizes):
+        raise ValueError("streams must split the rows into consecutive runs")
+    bounds = np.cumsum([0, *sizes]).tolist()
+    rngs = ([(np.random.default_rng(entropy), lo, hi)
+             for (entropy, _), lo, hi in zip(streams, bounds, bounds[1:])]
+            if cfg.mode == "sample" else [])
     gps = (pair.gp_x, pair.gp_y)
-    rng = np.random.default_rng(cfg.seed) if cfg.mode == "sample" else None
+    train_x = pair.gp_x.train_x
+    train_sq = np.sum(train_x * train_x, axis=1)
     times = np.arange(1, cfg.steps + 1, dtype=float) * cfg.dt
     out = np.empty((len(pos), cfg.steps, 2), dtype=float)
+    vel = np.empty_like(pos)
+    sd = np.empty_like(pos)
     for i in range(cfg.steps):
-        d2 = _sq_dists(pos, pair.gp_x.train_x)  # (B, n)
-        vel = np.column_stack([
-            gp.y_mean + gp.y_std * (_kernel_from_d2(gp.kernel, d2) @ gp.alpha_vec)
-            for gp in gps
-        ])
-        if rng is not None:
-            variances = np.column_stack([posterior_predict(gp, pos)[1] for gp in gps])
-            vel = rng.normal(vel, np.sqrt(variances))
+        for lo in range(0, len(pos), _ROLLOUT_BLOCK_ROWS):
+            block = pos[lo:lo + _ROLLOUT_BLOCK_ROWS]
+            d2 = _sq_dists(block, train_x, train_sq)
+            for c, gp in enumerate(gps):
+                k = _kernel_from_d2(gp.kernel, d2)
+                vel[lo:lo + len(block), c] = gp.y_mean + gp.y_std * (k @ gp.alpha_vec)
+                if rngs:
+                    sd[lo:lo + len(block), c] = np.sqrt(_predictive_variance(gp, k.T))
+        for rng, lo, hi in rngs:
+            vel[lo:hi] = rng.normal(vel[lo:hi], sd[lo:hi])
         pos = pos + vel * cfg.dt
         out[:, i] = pos
     return times, out

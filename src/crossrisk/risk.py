@@ -21,6 +21,9 @@ from .gpr import RolloutConfig
 from .ssm import compute_ttc
 from .trajectory import SUPPORTED_MANEUVERS, Trajectory
 
+#: Rows of one conflict search evaluated together.
+_CONFLICT_BLOCK_ROWS = 16
+
 
 @dataclass(frozen=True)
 class KinematicState:
@@ -86,16 +89,24 @@ def find_conflict_point(veh_paths: np.ndarray, ped_paths: np.ndarray, radius: fl
     ped = np.asarray(ped_paths, dtype=float)
     if veh.shape != ped.shape or veh.ndim != 3 or veh.shape[2] != 2:
         raise ValueError("paths must be (m, n, 2) arrays of one shape")
-    n = veh.shape[1]
-    dx = veh[:, :, None, 0] - ped[:, None, :, 0]
-    dy = veh[:, :, None, 1] - ped[:, None, :, 1]
-    dx *= dx  # squared distances in place: (m, n, n) temporaries are large
-    dy *= dy
-    dx += dy
-    within = dx <= radius * radius
-    rank = np.where(within, _pair_ranks(n), n**3)
-    j, k = np.divmod(rank.reshape(len(veh), n * n).argmin(axis=1), n)
-    return within.any(axis=(1, 2)), j, k
+    m, n = veh.shape[:2]
+    ranks = _pair_ranks(n)
+    hit = np.empty(m, dtype=bool)
+    best = np.empty(m, dtype=np.intp)
+    # _CONFLICT_BLOCK_ROWS rows at a time keeps the (rows, n, n) temporaries in cache
+    for lo in range(0, m, _CONFLICT_BLOCK_ROWS):
+        v, p = veh[lo:lo + _CONFLICT_BLOCK_ROWS], ped[lo:lo + _CONFLICT_BLOCK_ROWS]
+        dx = v[:, :, None, 0] - p[:, None, :, 0]
+        dy = v[:, :, None, 1] - p[:, None, :, 1]
+        dx *= dx  # squared distances in place
+        dy *= dy
+        dx += dy
+        within = dx <= radius * radius
+        rank = np.where(within, ranks, n**3)
+        best[lo:lo + len(v)] = rank.reshape(len(v), n * n).argmin(axis=1)
+        hit[lo:lo + len(v)] = within.any(axis=(1, 2))
+    j, k = np.divmod(best, n)
+    return hit, j, k
 
 
 @functools.cache
@@ -143,7 +154,7 @@ def estimate_risk(
     pedestrian is extrapolated at constant velocity over the same steps.
     Each maneuver's risk is ``exp(-|t_vehicle - t_pedestrian|)`` at its
     conflict point (0 without one), and the risk is their mixture under
-    ``probs``.
+    ``probs``, capped at 1.
     """
     t = np.asarray(t, dtype=float)
     vehicle = np.asarray(vehicle, dtype=float)
@@ -175,7 +186,9 @@ def estimate_risk(
         risk = risk + maneuver_risk[:, col] * probs[:, col]
 
     return RiskStream(
-        t=t, probs=probs, maneuver_risk=maneuver_risk, risk=risk,
+        # probabilities that sum to 1 within rounding can lift the mixture of
+        # unit risks an ulp above 1
+        t=t, probs=probs, maneuver_risk=maneuver_risk, risk=np.minimum(risk, 1.0),
         ttc=compute_ttc(vehicle, pedestrian, ttc_radius),
         vehicle_speed=np.array([math.hypot(vx, vy) for vx, vy in vehicle[:, 2:].tolist()]),
     )

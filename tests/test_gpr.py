@@ -1,12 +1,14 @@
+import contextlib
 import copy
 import json
 import math
 import pickle
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_solve
 
 from crossrisk import gpr
@@ -502,6 +504,72 @@ class TestRollout:
         assert paths.shape == (batch, 20, 2)
         for start, path in zip(starts, paths):
             assert np.max(np.abs(path - reference_rollout(pair, start, rcfg))) <= 1e-9
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["rbf", "rq"]), st.lists(st.integers(1, 150), min_size=1, max_size=5),
+           st.integers(1, 5), st.integers(0, 10_000))
+    @example(kind="rq", sizes=[300], steps=3, seed=0)  # one stream over two blocks
+    @example(kind="rbf", sizes=[200, 100, 7], steps=2, seed=1)  # a stream across blocks
+    def test_streams_match_one_rollout_per_stream(self, kind, sizes, steps, seed):
+        # a batch of several noise streams gives each stream's rows the paths
+        # and the noise draws of a rollout of that stream alone
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-10, 10, size=(30, 2))
+        cfg = KernelConfig(kind=kind, length_scale=float(rng.uniform(2.0, 6.0)),
+                           noise_variance=0.05)
+        pair = GprModelPair(gp_x=build_gpr_model(x, rng.normal(1.0, 0.5, 30), cfg),
+                            gp_y=build_gpr_model(x, rng.normal(-0.5, 0.5, 30), cfg),
+                            cluster=(Direction.E, Maneuver.RIGHT))
+        starts = rng.uniform(-8, 8, size=(sum(sizes), 2))
+        streams = [((seed, v, 1), rows) for v, rows in enumerate(sizes)]
+        bounds = np.cumsum([0, *sizes])
+        for mode in ("mean", "sample"):
+            rcfg = RolloutConfig(steps=steps, dt=0.1, mode=mode, seed=seed)
+            with recorded_draws() as batched_draws:
+                _, batched = rollout(pair, starts, rcfg, streams)
+            assert batched.shape == (len(starts), steps, 2)
+            with recorded_draws() as own_draws:
+                own = [rollout(pair, starts[lo:hi], replace(rcfg, seed=entropy))[1]
+                       for (entropy, _), lo, hi in zip(streams, bounds, bounds[1:])]
+            assert np.max(np.abs(batched - np.concatenate(own))) <= 1e-12
+            assert batched_draws.keys() == own_draws.keys()
+            for (entropy, rows) in streams:
+                draws = batched_draws.get(entropy, [])
+                assert len(draws) == (steps if mode == "sample" else 0)
+                assert all(z.shape == (rows, 2) for z in draws)
+                assert [z.tobytes() for z in draws] == [
+                    z.tobytes() for z in own_draws.get(entropy, [])]
+
+    def test_streams_must_cover_the_rows(self):
+        pair = self._constant_field_pair()
+        cfg = RolloutConfig(steps=2, dt=0.1, mode="sample")
+        for streams in ([(0, 2)], [(0, 4), (1, -1)]):
+            with pytest.raises(ValueError):
+                rollout(pair, np.zeros((3, 2)), cfg, streams)
+
+
+@contextlib.contextmanager
+def recorded_draws():
+    """Record, per entropy, the standard normals each generator that
+    ``np.random.default_rng`` makes draws through ``normal``."""
+    real = np.random.default_rng
+    draws = {}
+
+    class Recording:
+        def __init__(self, entropy):
+            self._rng, self._key = real(entropy), entropy
+
+        def normal(self, loc, scale):
+            z = self._rng.standard_normal(np.shape(loc))
+            draws.setdefault(self._key, []).append(z)
+            return loc + scale * z
+
+    np.random.default_rng = Recording
+    try:
+        yield draws
+    finally:
+        np.random.default_rng = real
 
 
 def reference_rollout(pair, start, cfg):

@@ -74,6 +74,55 @@ def reference_conflict(veh_path, ped_path, dt, radius):
     return ((float(point[0]), float(point[1])), j * dt, k * dt)
 
 
+def unblocked_conflict(veh_paths, ped_paths, radius):
+    """The conflict search over every row at once, before it ran in blocks."""
+    n = veh_paths.shape[1]
+    dx = veh_paths[:, :, None, 0] - ped_paths[:, None, :, 0]
+    dy = veh_paths[:, :, None, 1] - ped_paths[:, None, :, 1]
+    within = dx * dx + dy * dy <= radius * radius
+    rank = np.where(within, risk._pair_ranks(n), n**3)
+    j, k = np.divmod(rank.reshape(len(veh_paths), n * n).argmin(axis=1), n)
+    return within.any(axis=(1, 2)), j, k
+
+
+def reference_pooled_rows(dataset, models, start_point, steps, group_value):
+    """The per-window prediction study that one rollout per cluster replaced:
+    one row per maneuver, the window's vehicles rolled out per direction."""
+    rows = []
+    dt = dataset.frame_interval
+    idx = start_point - 1
+    cfg = RolloutConfig(steps=steps, dt=dt)
+    for maneuver in SUPPORTED_MANEUVERS:
+        vehicles = [
+            traj for traj in dataset.vehicles
+            if traj.maneuver == maneuver and traj.entering_direction is not None
+            and (traj.entering_direction, maneuver) in models
+            and evaluation._window_is_valid(traj, idx, steps)
+        ]
+        if not vehicles:
+            continue
+        predicted = {}
+        for direction in Direction:
+            batch = [traj for traj in vehicles if traj.entering_direction == direction]
+            if batch:
+                starts = np.array([traj.xy[idx] for traj in batch])
+                _, paths = rollout(models[(direction, maneuver)], starts, cfg)
+                predicted.update(zip((traj.id for traj in batch), paths))
+        gpr_all, dyn_all = [], []
+        for traj in vehicles:
+            actual = traj.xy[idx + 1 : idx + 1 + steps]
+            gpr_all.append(trajectory_error(predicted[traj.id], actual).distances)
+            baseline = dynamic_model_predict(state_from_trajectory(traj, idx), dt, steps)
+            dyn_all.append(trajectory_error(baseline, actual).distances)
+        g = np.concatenate(gpr_all)
+        d = np.concatenate(dyn_all)
+        rows.append(evaluation.ErrorRow(
+            group=group_value, maneuver=maneuver, gpr_mean=float(np.mean(g)),
+            gpr_std=float(np.std(g)), dynamic_mean=float(np.mean(d)),
+            dynamic_std=float(np.std(d)), n_vehicles=len(vehicles), n_points=int(g.size)))
+    return rows
+
+
 def reference_ttc(veh, ped, radius):
     """The scalar constant-velocity TTC that the row-wise one replaced, on
     ``(x, y, vx, vy)`` tuples; None when the agents never get that close."""
@@ -284,6 +333,18 @@ class TestConflictPoint:
             assert hit[r] == (want is not None)
             if want is not None:
                 assert (int(j[r]), int(k[r])) == (want[1], want[2])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 31), st.sampled_from([0.5, 1.0, 1.5]),
+           st.integers(0, 10_000))
+    def test_blocks_match_the_unblocked_search(self, m, steps, radius, seed):
+        rng = np.random.default_rng(seed)
+        veh = rng.integers(-4, 5, size=(m, steps + 1, 2)) * 0.5
+        ped = rng.integers(-4, 5, size=(m, steps + 1, 2)) * 0.5
+        ped[::3] += 100.0  # rows with no hit
+        got = find_conflict_point(veh, ped, radius)
+        for g, w in zip(got, unblocked_conflict(veh, ped, radius)):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 class TestManeuverRisk:
@@ -510,9 +571,9 @@ class TestRiskStreams:
         real_rollout, real_predict = evaluation.rollout, ForestModel.predict_proba
         real_estimate = evaluation.estimate_risk
 
-        def counting_rollout(pair, starts, cfg):
+        def counting_rollout(pair, starts, cfg, streams=None):
             rollouts.append(pair.cluster)
-            return real_rollout(pair, starts, cfg)
+            return real_rollout(pair, starts, cfg, streams)
 
         def counting_predict(model, X):
             predicts.append(len(X))
@@ -529,9 +590,10 @@ class TestRiskStreams:
         scored = {v for v, _ in streams}
         assert len(streams) > len(scored)  # some vehicle is scored against several pedestrians
         direction = {t.id: t.entering_direction for t in labeled.vehicles}
-        hypotheses = sum((direction[v], m) in models for v in scored for m in SUPPORTED_MANEUVERS)
+        clusters = {(direction[v], m) for v in scored for m in SUPPORTED_MANEUVERS} & set(models)
         assert len(predicts) == len(scored)
-        assert len(rollouts) == hypotheses
+        # one rollout per cluster model that some scored vehicle needs
+        assert len(rollouts) == len(clusters) and set(rollouts) == clusters
         # one estimate_risk call per stream, over all of the stream's frames
         assert sorted(scored_pairs) == sorted(len(s.t) for s in streams.values())
         assert all(isinstance(s, RiskStream) for s in streams.values())
@@ -610,23 +672,63 @@ class TestRiskStreams:
         real_rollout = evaluation.rollout
 
         def drawn_paths(mode):
-            paths = []
+            calls = []
 
-            def recording_rollout(pair, starts, cfg):
-                out = real_rollout(pair, starts, cfg)
-                paths.append(out[1])
+            def recording_rollout(pair, starts, cfg, streams=None):
+                out = real_rollout(pair, starts, cfg, streams)
+                calls.append((streams, out[1]))
                 return out
 
             monkeypatch.setattr(evaluation, "rollout", recording_rollout)
             cfg = RolloutConfig(steps=10, dt=0.1, mode=mode, seed=3)
             assert len(compute_risk_streams(dataset, models, forest, cfg)) == 2
-            return paths
+            ((streams, paths),) = calls  # one rollout for the one cluster
+            bounds = np.cumsum([0] + [rows for _, rows in streams])
+            return [paths[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
         first, again, mean = drawn_paths("sample"), drawn_paths("sample"), drawn_paths("mean")
-        assert len(first) == 2  # one rollout per vehicle
+        assert len(first) == 2  # one noise stream per vehicle
         assert not np.array_equal(first[0], first[1])
         assert [a.tobytes() for a in first] == [a.tobytes() for a in again]
-        assert np.array_equal(mean[0], mean[1])
+        # rows of one batched call agree to the last bits that BLAS leaves
+        assert np.allclose(mean[0], mean[1], rtol=0, atol=1e-12)
+
+
+class TestPredictionStudy:
+    def test_matches_the_per_window_reference(self, small_scene):
+        # one rollout per cluster, sliced per window, pools the same rows as
+        # rolling every window out on its own; start point 1 has no valid window
+        labeled, models, _ = small_scene
+        points, horizons, steps, horizon_start = (1, 2, 10, 15), (5, 10, 25), 12, 8
+        got = evaluation.prediction_error_study(
+            labeled, models, starting_points=points, horizons=horizons,
+            rollout_steps=steps, horizon_start_point=horizon_start)
+        want = ([r for sp in points for r in reference_pooled_rows(labeled, models, sp, steps, sp)],
+                [r for h in horizons
+                 for r in reference_pooled_rows(labeled, models, horizon_start, h, h)])
+        for got_rows, want_rows in zip(got, want):
+            assert len(got_rows) == len(want_rows) > 0
+            for g, w in zip(got_rows, want_rows):
+                assert ((g.group, g.maneuver, g.n_vehicles, g.n_points)
+                        == (w.group, w.maneuver, w.n_vehicles, w.n_points))
+                for name in ("gpr_mean", "gpr_std", "dynamic_mean", "dynamic_std"):
+                    assert getattr(g, name) == pytest.approx(getattr(w, name), rel=1e-12, abs=0)
+
+    def test_one_rollout_per_cluster(self, small_scene, monkeypatch):
+        labeled, models, _ = small_scene
+        calls = []
+        real_rollout = evaluation.rollout
+
+        def counting_rollout(pair, starts, cfg, streams=None):
+            calls.append((pair.cluster, cfg.steps))
+            return real_rollout(pair, starts, cfg, streams)
+
+        monkeypatch.setattr(evaluation, "rollout", counting_rollout)
+        evaluation.prediction_error_study(labeled, models, starting_points=(10, 15),
+                                          horizons=(10, 40), rollout_steps=30)
+        clusters = [cluster for cluster, _ in calls]
+        assert clusters and len(clusters) == len(set(clusters))
+        assert {steps for _, steps in calls} == {40}
 
 
 class TestTrajectoryError:
