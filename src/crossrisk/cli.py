@@ -13,7 +13,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig, load_config
@@ -21,14 +20,12 @@ from .errors import InputError, NumericalError
 from .evaluation import compute_risk_streams, prediction_error_study
 from .geometry import IntersectionGeometry, estimate_crosswalk_endpoints
 from .gpr import (
-    OptimizerSettings,
     RolloutConfig,
     load_cluster_models,
     save_cluster_models,
     train_cluster_models,
 )
 from .maneuver import (
-    ForestGrid,
     build_feature_table,
     load_forest,
     run_split_protocol,
@@ -39,12 +36,7 @@ from .maneuver import (
 from .parallel import usable_workers
 from .preprocess import preprocess_dataset
 from .ssm import evaluate_detection, identify_conflicts_pet
-from .synth import (
-    ScenarioSpec,
-    canonical_search_regions,
-    generate_scenario,
-    write_ground_truth,
-)
+from .synth import canonical_search_regions, generate_scenario, write_ground_truth
 from .trajectory import SUPPORTED_MANEUVERS, load_dataset, save_dataset
 
 _MANEUVER_NAMES = {m: m.value for m in SUPPORTED_MANEUVERS}
@@ -74,14 +66,8 @@ def _ttc_cells(stream) -> list:
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(cfg: RunConfig, out_dir: Path, seed: int | None) -> None:
-    spec = ScenarioSpec(**{
-        **asdict(cfg.synth),
-        "seed": seed if seed is not None else cfg.synth.seed,
-        "requested_pet_range": tuple(cfg.synth.requested_pet_range),
-        "frame_interval": cfg.data.frame_interval,
-    })
-    dataset, truth = generate_scenario(spec)
+def cmd_synth(cfg: RunConfig, out_dir: Path) -> None:
+    dataset, truth = generate_scenario(cfg.synth)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out_dir / "dataset.csv", include_labels=False)
     write_ground_truth(truth, out_dir / "ground_truth.json")
@@ -116,20 +102,14 @@ def cmd_preprocess(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
     print(report.to_text(), end="")
 
 
-def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path, seed: int | None) -> None:
+def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
     dataset = load_dataset(in_path, cfg.data.column_schema(), cfg.data.frame_interval)
     out_dir.mkdir(parents=True, exist_ok=True)
-    gpr_seed = seed if seed is not None else cfg.gpr.seed
-    forest_seed = seed if seed is not None else cfg.forest.seed
 
     # Maneuver classifier: repeated-split evaluation, then a final model on
     # the full balanced table with the most frequently chosen grid point.
     X, y, groups = build_feature_table(dataset)
-    grid = ForestGrid(n_trees=tuple(cfg.forest.n_trees_grid),
-                      max_depth=tuple(cfg.forest.max_depth_grid))
-    protocol = run_split_protocol(X, y, grid=grid, n_splits=cfg.forest.n_splits,
-                                  seed=forest_seed, groups=groups,
-                                  smote_k=cfg.forest.smote_k)
+    protocol = run_split_protocol(X, y, cfg.forest, groups=groups)
     mean_p = protocol.mean_metric("precision")
     mean_r = protocol.mean_metric("recall")
     mean_f = protocol.mean_metric("f1")
@@ -151,18 +131,13 @@ def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path, seed: int | None) ->
     lines.append(f"selected forest: n_trees={chosen[0]} max_depth={chosen[1]}")
     (out_dir / "classifier_report.txt").write_text("\n".join(lines) + "\n")
 
-    bal_X, bal_y = smote_oversample(X, y, k=cfg.forest.smote_k, seed=forest_seed)
+    bal_X, bal_y = smote_oversample(X, y, k=cfg.forest.smote_k, seed=cfg.forest.seed)
     forest = train_forest(bal_X, bal_y, n_trees=chosen[0], max_depth=chosen[1],
-                          seed=forest_seed)
+                          seed=cfg.forest.seed)
     save_forest(forest, out_dir / "forest.json")
 
     # Velocity-field models per cluster, then the two accuracy tables.
-    opt = OptimizerSettings(learning_rate=cfg.gpr.learning_rate,
-                            iterations=cfg.gpr.iterations,
-                            init_noise=cfg.gpr.init_noise, seed=gpr_seed)
-    models = train_cluster_models(dataset, kind=cfg.gpr.kernel,
-                                  max_points=cfg.gpr.max_points, opt=opt,
-                                  jitter=cfg.gpr.jitter, seed=gpr_seed)
+    models = train_cluster_models(dataset, cfg.gpr)
     save_cluster_models(models, out_dir / "gpr_models.json")
 
     start_rows, horizon_rows = prediction_error_study(
@@ -184,8 +159,7 @@ def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path, seed: int | None) ->
           f"reports in {out_dir}")
 
 
-def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path,
-             seed: int | None) -> None:
+def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path) -> None:
     dataset = load_dataset(in_path, cfg.data.column_schema(), cfg.data.frame_interval)
     models = load_cluster_models(models_dir / "gpr_models.json")
     forest = load_forest(models_dir / "forest.json")
@@ -207,7 +181,7 @@ def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path,
         steps=cfg.risk.horizon_steps,
         dt=cfg.data.frame_interval,
         mode=cfg.risk.rollout_mode,
-        seed=seed if seed is not None else cfg.risk.sample_seed,
+        seed=cfg.risk.sample_seed,
     )
     streams = compute_risk_streams(
         dataset, models, forest, rollout_cfg,
@@ -269,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, needs_in=True, needs_models=False):
         p.add_argument("--config", type=Path, default=None, help="JSON run config")
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=int, default=None, help="override config seeds")
         if needs_in:
             p.add_argument("--in", dest="in_path", type=Path, required=True,
                            help="input dataset CSV")
@@ -289,15 +263,17 @@ def main(argv: list | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = cfg.with_seed(args.seed)
         if args.command == "synth":
-            cmd_synth(cfg, args.out, args.seed)
+            cmd_synth(cfg, args.out)
         elif args.command == "preprocess":
             cmd_preprocess(cfg, args.in_path, args.out)
         elif args.command == "train":
-            cmd_train(cfg, args.in_path, args.out, args.seed)
+            cmd_train(cfg, args.in_path, args.out)
         elif args.command == "risk":
             models_dir = args.models if args.models is not None else args.in_path.parent
-            cmd_risk(cfg, args.in_path, models_dir, args.out, args.seed)
+            cmd_risk(cfg, args.in_path, models_dir, args.out)
     except (InputError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1

@@ -1,22 +1,26 @@
 """Run configuration: one JSON file with per-stage sections.
 
 Every pipeline stage reads its settings from here; command-line flags only
-override paths and seeds. Unknown keys are rejected by name so typos fail
-loudly instead of silently falling back to defaults.
+override paths and seeds. Each section parses straight into the settings type
+of the stage that reads it, whose constructor checks the values. Unknown keys
+are rejected by name so typos fail loudly instead of silently falling back to
+defaults.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .errors import InputError
+from .errors import InputError, is_count
+from .gpr import GprConfig
+from .maneuver import ForestConfig
 from .preprocess import FilterSettings, MergeCriteria
+from .synth import ScenarioSpec
 from .trajectory import CANONICAL_COLUMNS, ColumnSchema
 
 
@@ -30,8 +34,7 @@ def _check_keys(data: dict, allowed, where: str) -> None:
 
 def _json_type_ok(value, hint) -> bool:
     """Whether a parsed JSON value fits a field annotation; a float field also
-    takes an integer, and other annotations (nested sections) are checked by
-    their own ``from_dict``."""
+    takes an integer, and a tuple field takes a list."""
     if typing.get_origin(hint) is typing.Union:
         return any(_json_type_ok(value, h) for h in typing.get_args(hint))
     if hint is type(None):
@@ -40,6 +43,8 @@ def _json_type_ok(value, hint) -> bool:
         return hint is bool
     if hint is float:
         return isinstance(value, (int, float))
+    if hint is tuple:
+        return isinstance(value, list)
     if hint in (int, str, list, dict):
         return isinstance(value, hint)
     return True
@@ -50,16 +55,25 @@ def _field_types(cls) -> dict:
     return typing.get_type_hints(cls)  # evaluates the annotation strings: cache it
 
 
-def _section(cls, data: dict, where: str):
-    """``cls(**data)`` for a config section: a JSON object whose keys are
-    fields of ``cls`` and whose values have the fields' types."""
-    _check_keys(data, [f.name for f in fields(cls)], where)
+def _section(cls, data: dict, where: str, **fixed):
+    """``cls(**data, **fixed)`` for a config section: a JSON object whose keys
+    are the fields of ``cls`` not in ``fixed`` and whose values have the
+    fields' types. A nested section is parsed the same way, and a list for a
+    tuple field is passed as a tuple."""
+    _check_keys(data, [f.name for f in fields(cls) if f.name not in fixed], where)
     hints = _field_types(cls)
+    values = dict(fixed)
     for key, value in data.items():
-        if not _json_type_ok(value, hints[key]):
-            expected = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+        hint = hints[key]
+        if is_dataclass(hint):
+            values[key] = _section(hint, value, f"{where}.{key}")
+        elif _json_type_ok(value, hint):
+            values[key] = tuple(value) if hint is tuple else value
+        else:
+            expected = hint.__name__ if isinstance(hint, type) else hint
+            expected = "list" if hint is tuple else expected
             raise InputError(f"config key {where}.{key} must be {expected}, got {value!r}")
-    return cls(**data)
+    return cls(**values)
 
 
 @dataclass
@@ -68,11 +82,8 @@ class DataConfig:
     yaw_rate_unit: str = "rad_s"
     frame_interval: float = 0.1
 
-    @staticmethod
-    def from_dict(data: dict) -> "DataConfig":
-        cfg = _section(DataConfig, data, "data")
-        cfg.column_schema()  # validate eagerly
-        return cfg
+    def __post_init__(self) -> None:
+        self.column_schema()  # validate eagerly
 
     def column_schema(self) -> ColumnSchema:
         _check_keys(self.schema, CANONICAL_COLUMNS, "data.schema")
@@ -90,14 +101,11 @@ class GeometryConfig:
     roadway_polygon: Optional[list] = None
     crosswalk_polygons: Optional[dict] = None
 
-    @staticmethod
-    def from_dict(data: dict) -> "GeometryConfig":
-        cfg = _section(GeometryConfig, data, "preprocess.geometry")
-        if cfg.mode not in ("estimate", "explicit"):
-            raise InputError(f"unknown geometry mode: {cfg.mode!r}")
-        if cfg.mode == "explicit" and not cfg.endpoints:
+    def __post_init__(self) -> None:
+        if self.mode not in ("estimate", "explicit"):
+            raise InputError(f"unknown geometry mode: {self.mode!r}")
+        if self.mode == "explicit" and not self.endpoints:
             raise InputError("explicit geometry mode requires endpoints")
-        return cfg
 
 
 @dataclass
@@ -107,56 +115,6 @@ class PreprocessConfig:
     filter: FilterSettings = field(default_factory=FilterSettings)
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
 
-    @staticmethod
-    def from_dict(data: dict) -> "PreprocessConfig":
-        _check_keys(data, [f.name for f in fields(PreprocessConfig)], "preprocess")
-        return _section(PreprocessConfig, {
-            **data,
-            "merge": _section(MergeCriteria, data.get("merge", {}), "preprocess.merge"),
-            "filter": _section(FilterSettings, data.get("filter", {}), "preprocess.filter"),
-            "geometry": GeometryConfig.from_dict(data.get("geometry", {})),
-        }, "preprocess")
-
-
-@dataclass
-class GprConfig:
-    kernel: str = "rq"
-    learning_rate: float = 0.1
-    iterations: int = 200
-    max_points: int = 2000
-    jitter: float = 1e-6
-    init_noise: float = 0.1
-    seed: int = 0
-
-    @staticmethod
-    def from_dict(data: dict) -> "GprConfig":
-        cfg = _section(GprConfig, data, "gpr")
-        if cfg.kernel not in ("rbf", "rq"):
-            raise InputError(f"unknown kernel: {cfg.kernel!r}")
-        if cfg.iterations < 1:
-            raise InputError("gpr.iterations must be at least 1")
-        if not (math.isfinite(cfg.jitter) and cfg.jitter >= 0):
-            raise InputError("gpr.jitter must be nonnegative and finite")
-        return cfg
-
-
-@dataclass
-class ForestConfig:
-    n_trees_grid: list = field(default_factory=lambda: [100, 300])
-    max_depth_grid: list = field(default_factory=lambda: [None, 10, 20])
-    smote_k: int = 5
-    n_splits: int = 10
-    seed: int = 0
-
-    @staticmethod
-    def from_dict(data: dict) -> "ForestConfig":
-        cfg = _section(ForestConfig, data, "forest")
-        if not cfg.n_trees_grid or not cfg.max_depth_grid:
-            raise InputError("forest.n_trees_grid and forest.max_depth_grid must not be empty")
-        if cfg.n_splits < 1:
-            raise InputError("forest.n_splits must be at least 1")
-        return cfg
-
 
 @dataclass
 class TrainConfig:
@@ -164,9 +122,13 @@ class TrainConfig:
     horizons: list = field(default_factory=lambda: [10, 15, 20])
     rollout_steps: int = 30
 
-    @staticmethod
-    def from_dict(data: dict) -> "TrainConfig":
-        return _section(TrainConfig, data, "train")
+    def __post_init__(self) -> None:
+        for name in ("starting_points", "horizons"):
+            if not all(map(is_count, getattr(self, name))):
+                raise InputError(f"train.{name} must be positive integers, got "
+                                 f"{getattr(self, name)!r}")
+        if self.rollout_steps < 1:
+            raise InputError("train.rollout_steps must be at least 1")
 
 
 @dataclass
@@ -177,14 +139,13 @@ class RiskConfig:
     sample_seed: int = 0
     frame_stride: int = 1
 
-    @staticmethod
-    def from_dict(data: dict) -> "RiskConfig":
-        cfg = _section(RiskConfig, data, "risk")
-        if cfg.rollout_mode not in ("mean", "sample"):
-            raise InputError(f"unknown rollout mode: {cfg.rollout_mode!r}")
-        if cfg.frame_stride < 1:
+    def __post_init__(self) -> None:
+        if self.rollout_mode not in ("mean", "sample"):
+            raise InputError(f"unknown rollout mode: {self.rollout_mode!r}")
+        if self.frame_stride < 1:
             raise InputError("frame_stride must be >= 1")
-        return cfg
+        if self.sample_seed < 0:
+            raise InputError("risk.sample_seed must be nonnegative")
 
 
 @dataclass
@@ -192,31 +153,6 @@ class SsmConfig:
     pet_threshold: float = 3.0
     zone_radius: float = 1.0
     ttc_radius: float = 1.0
-
-    @staticmethod
-    def from_dict(data: dict) -> "SsmConfig":
-        return _section(SsmConfig, data, "ssm")
-
-
-@dataclass
-class SynthConfig:
-    seed: int = 0
-    n_vehicles_per_cell: int = 4
-    n_pedestrians_per_crosswalk: int = 2
-    n_engineered_conflicts: int = 0
-    requested_pet_range: list = field(default_factory=lambda: [0.8, 2.5])
-    n_fast_pedestrians: int = 0
-    noise_std_position: float = 0.1
-    noise_std_velocity: float = 0.1
-    cruise_speed: float = 11.0
-    turn_speed: float = 6.0
-    pedestrian_speed: float = 1.4
-    pet_zone_radius: float = 1.0
-    min_separation: float = 5.5
-
-    @staticmethod
-    def from_dict(data: dict) -> "SynthConfig":
-        return _section(SynthConfig, data, "synth")
 
 
 @dataclass
@@ -228,22 +164,31 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     risk: RiskConfig = field(default_factory=RiskConfig)
     ssm: SsmConfig = field(default_factory=SsmConfig)
-    synth: SynthConfig = field(default_factory=SynthConfig)
+    synth: ScenarioSpec = field(default_factory=ScenarioSpec)
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        _check_keys(data, ("data", "preprocess", "gpr", "forest", "train",
-                           "risk", "ssm", "synth"), "<root>")
+        _check_keys(data, [f.name for f in fields(RunConfig)], "<root>")
+        data_cfg = _section(DataConfig, data.get("data", {}), "data")
         return RunConfig(
-            data=DataConfig.from_dict(data.get("data", {})),
-            preprocess=PreprocessConfig.from_dict(data.get("preprocess", {})),
-            gpr=GprConfig.from_dict(data.get("gpr", {})),
-            forest=ForestConfig.from_dict(data.get("forest", {})),
-            train=TrainConfig.from_dict(data.get("train", {})),
-            risk=RiskConfig.from_dict(data.get("risk", {})),
-            ssm=SsmConfig.from_dict(data.get("ssm", {})),
-            synth=SynthConfig.from_dict(data.get("synth", {})),
+            data=data_cfg,
+            preprocess=_section(PreprocessConfig, data.get("preprocess", {}), "preprocess"),
+            gpr=_section(GprConfig, data.get("gpr", {}), "gpr"),
+            forest=_section(ForestConfig, data.get("forest", {}), "forest"),
+            train=_section(TrainConfig, data.get("train", {}), "train"),
+            risk=_section(RiskConfig, data.get("risk", {}), "risk"),
+            ssm=_section(SsmConfig, data.get("ssm", {}), "ssm"),
+            synth=_section(ScenarioSpec, data.get("synth", {}), "synth",
+                           frame_interval=data_cfg.frame_interval),
         )
+
+    def with_seed(self, seed: int) -> "RunConfig":
+        """This config with every stage's seed set to ``seed`` (the ``--seed``
+        flag), checked like a seed read from the file."""
+        return replace(self, gpr=replace(self.gpr, seed=seed),
+                       forest=replace(self.forest, seed=seed),
+                       risk=replace(self.risk, sample_seed=seed),
+                       synth=replace(self.synth, seed=seed))
 
 
 def load_config(path: Optional[str | Path]) -> RunConfig:

@@ -199,21 +199,41 @@ def _predictive_variance(model: GprModel, k_star: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: Adam's moment decay rates and denominator offset, and the early stop: the
+#: fit ends once the loss has not improved by ``_EARLY_STOP_TOL`` for
+#: ``_EARLY_STOP_WINDOW`` iterations.
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
+_EARLY_STOP_TOL, _EARLY_STOP_WINDOW = 1e-4, 10
+
+
 @dataclass(frozen=True)
-class OptimizerSettings:
+class GprConfig:
+    """Settings of the per-cluster GP fits, the ``gpr`` config section: the
+    kernel kind, Adam's step size and iteration budget, the most points one
+    cluster is fitted on, the starting jitter and noise variance, and the
+    seed of the cluster subsampling and the length-scale initialization."""
+
+    kernel: str = "rq"
     learning_rate: float = 0.1
     iterations: int = 200
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    early_stop_tol: float = 1e-4
-    early_stop_window: int = 10
+    max_points: int = 2000
+    jitter: float = 1e-6
     init_noise: float = 0.1
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.kernel not in KERNEL_KINDS:
+            raise InputError(f"unknown kernel: {self.kernel!r}")
         if self.iterations < 1:
-            raise InputError("the optimizer needs at least one iteration")
+            raise InputError("gpr.iterations must be at least 1")
+        if self.max_points < 2:
+            raise InputError("gpr.max_points must be at least 2")
+        if not (math.isfinite(self.jitter) and self.jitter >= 0):
+            raise InputError("gpr.jitter must be nonnegative and finite")
+        if not (math.isfinite(self.init_noise) and self.init_noise > 0):
+            raise InputError("gpr.init_noise must be positive and finite")
+        if self.seed < 0:
+            raise InputError("gpr.seed must be nonnegative")
 
 
 def _theta_to_config(theta: np.ndarray, kind: str, jitter: float) -> KernelConfig:
@@ -285,7 +305,7 @@ def gpr_loss_and_grad(theta: np.ndarray, d2: np.ndarray, ys: np.ndarray,
     return loss, grad
 
 
-def _adam_minimize(fun, theta0: np.ndarray, opt: OptimizerSettings
+def _adam_minimize(fun, theta0: np.ndarray, cfg: GprConfig
                    ) -> tuple[np.ndarray, list, object]:
     """Adam with early stopping on ``fun(theta) -> (loss, grad, state)``;
     returns the best iterate, the loss trace and the best iterate's state."""
@@ -297,24 +317,24 @@ def _adam_minimize(fun, theta0: np.ndarray, opt: OptimizerSettings
     best_loss = math.inf
     best_state = None
     last_improvement = 0
-    for it in range(1, opt.iterations + 1):
+    for it in range(1, cfg.iterations + 1):
         loss, grad, state = fun(theta)
         if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise NumericalError("non-finite loss during hyperparameter optimization")
         trace.append(loss)
-        if loss < best_loss - opt.early_stop_tol:
+        if loss < best_loss - _EARLY_STOP_TOL:
             last_improvement = it
         if loss < best_loss:
             best_loss = loss
             best_theta = theta.copy()
             best_state = state
-        if it - last_improvement >= opt.early_stop_window:
+        if it - last_improvement >= _EARLY_STOP_WINDOW:
             break
-        m = opt.beta1 * m + (1.0 - opt.beta1) * grad
-        v = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
-        m_hat = m / (1.0 - opt.beta1**it)
-        v_hat = v / (1.0 - opt.beta2**it)
-        theta = theta - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grad
+        v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - _ADAM_BETA1**it)
+        v_hat = v / (1.0 - _ADAM_BETA2**it)
+        theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
     return best_theta, trace, best_state
 
 
@@ -328,9 +348,8 @@ def _initial_length_scale(x: np.ndarray, seed: int) -> float:
     return med if med > 1e-9 else 1.0
 
 
-def fit_gpr(inputs: np.ndarray, targets: np.ndarray, kind: str = "rq",
-            opt: OptimizerSettings = OptimizerSettings(),
-            jitter: float = 1e-6) -> GprModel:
+def fit_gpr(inputs: np.ndarray, targets: np.ndarray, cfg: GprConfig = GprConfig()
+            ) -> GprModel:
     """Standardize targets, optimize hyperparameters with Adam, and return the
     model conditioned at the best loss seen, with the ``alpha_vec`` and jitter
     that loss was computed from."""
@@ -347,20 +366,17 @@ def fit_gpr(inputs: np.ndarray, targets: np.ndarray, kind: str = "rq",
         y_std = 1.0
     ys = (y - y_mean) / y_std
 
-    ls0 = _initial_length_scale(x, opt.seed)
-    if kind == "rq":
-        theta0 = np.array([math.log(ls0), 0.0, math.log(opt.init_noise)])
-    elif kind == "rbf":
-        theta0 = np.array([math.log(ls0), math.log(opt.init_noise)])
-    else:
-        raise InputError(f"unknown kernel kind: {kind!r}")
+    log_ls0 = math.log(_initial_length_scale(x, cfg.seed))
+    log_noise0 = math.log(cfg.init_noise)
+    theta0 = np.array([log_ls0, 0.0, log_noise0] if cfg.kernel == "rq"
+                      else [log_ls0, log_noise0])
 
     d2 = _sq_dists(x, x)
     best_theta, trace, (_, alpha_vec, jitter_used) = _adam_minimize(
-        lambda th: _neg_lml(th, d2, ys, kind, jitter), theta0, opt
+        lambda th: _neg_lml(th, d2, ys, cfg.kernel, cfg.jitter), theta0, cfg
     )
-    cfg = _theta_to_config(best_theta, kind, jitter)
-    return GprModel(kernel=cfg, train_x=x, train_y=y, y_mean=y_mean, y_std=y_std,
+    kernel = _theta_to_config(best_theta, cfg.kernel, cfg.jitter)
+    return GprModel(kernel=kernel, train_x=x, train_y=y, y_mean=y_mean, y_std=y_std,
                     alpha_vec=alpha_vec, jitter_used=jitter_used, loss_trace=trace)
 
 
@@ -463,18 +479,11 @@ def cluster_key(direction: Direction, maneuver: Maneuver) -> str:
     return f"{direction.value}:{maneuver.value}"
 
 
-def train_cluster_models(
-    dataset: Dataset,
-    kind: str = "rq",
-    max_points: int = 2000,
-    opt: OptimizerSettings = OptimizerSettings(),
-    jitter: float = 1e-6,
-    seed: int = 0,
-) -> dict:
+def train_cluster_models(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict:
     """Fit one model pair per non-empty (direction, maneuver) cluster.
 
-    Clusters larger than ``max_points`` are uniformly subsampled with a seed
-    derived from the cluster's fixed index, so retraining is reproducible.
+    Clusters larger than ``cfg.max_points`` are uniformly subsampled with a
+    seed derived from the cluster's fixed index, so retraining is reproducible.
     Empty clusters are simply absent from the returned mapping. Every
     (cluster, velocity component) fit depends only on its data, so the fits
     run through ``parallel.ordered_map``.
@@ -494,15 +503,15 @@ def train_cluster_models(
         data = np.concatenate(buckets.get(cell, [np.empty((0, 4))]))
         if len(data) < 2:
             continue
-        if len(data) > max_points:
-            rng = np.random.default_rng(seed + idx)
-            pick = np.sort(rng.choice(len(data), max_points, replace=False))
+        if len(data) > cfg.max_points:
+            rng = np.random.default_rng(cfg.seed + idx)
+            pick = np.sort(rng.choice(len(data), cfg.max_points, replace=False))
             data = data[pick]
         cluster_data[cell] = data
 
     def fit(job: tuple) -> GprModel:
         data, column = job
-        return fit_gpr(data[:, :2], data[:, column], kind=kind, opt=opt, jitter=jitter)
+        return fit_gpr(data[:, :2], data[:, column], cfg)
 
     gps = ordered_map(fit, [(data, c) for data in cluster_data.values() for c in (2, 3)])
     return {cell: GprModelPair(gp_x=gps[2 * i], gp_y=gps[2 * i + 1], cluster=cell)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, is_count
 from .parallel import ordered_map
 from .trajectory import (
     DIRECTION_CODES,
@@ -312,15 +312,12 @@ class ClassMetrics:
     precision: float
     recall: float
     f1: float
-    support: int
     flags: tuple = ()
 
 
 @dataclass
 class ClassificationReport:
     per_class: dict  # class code -> ClassMetrics
-    macro_precision: float
-    macro_recall: float
     macro_f1: float
 
     def metric_array(self, name: str) -> np.ndarray:
@@ -329,7 +326,7 @@ class ClassificationReport:
 
 def classification_metrics(y_true: np.ndarray, y_pred: np.ndarray,
                            n_classes: int) -> ClassificationReport:
-    """One-vs-rest precision/recall/F1 per class plus macro averages.
+    """One-vs-rest precision/recall/F1 per class plus the macro-averaged F1.
 
     Ratios with a zero denominator are reported as 0 and flagged.
     """
@@ -359,11 +356,9 @@ def classification_metrics(y_true: np.ndarray, y_pred: np.ndarray,
             f1 = 0.0
             flags.append("f1_undefined")
         per_class[c] = ClassMetrics(precision=precision, recall=recall, f1=f1,
-                                    support=int(np.sum(y == c)), flags=tuple(flags))
+                                    flags=tuple(flags))
     return ClassificationReport(
         per_class=per_class,
-        macro_precision=float(np.mean([m.precision for m in per_class.values()])),
-        macro_recall=float(np.mean([m.recall for m in per_class.values()])),
         macro_f1=float(np.mean([m.f1 for m in per_class.values()])),
     )
 
@@ -384,12 +379,34 @@ def evaluate_classifier(model: ForestModel, X: np.ndarray, y: np.ndarray
 
 
 @dataclass(frozen=True)
-class ForestGrid:
-    n_trees: tuple = (100, 300)
-    max_depth: tuple = (None, 10, 20)
+class ForestConfig:
+    """Settings of the maneuver classifier, the ``forest`` config section: the
+    forest sizes and depths searched on each split's validation set (a depth
+    of ``None`` grows trees until their leaves are pure), the SMOTE neighbour
+    count, the number of repeated splits and the seed."""
 
-    def points(self) -> list[tuple[int, Optional[int]]]:
-        return [(n, d) for n in self.n_trees for d in self.max_depth]
+    n_trees_grid: tuple = (100, 300)
+    max_depth_grid: tuple = (None, 10, 20)
+    smote_k: int = 5
+    n_splits: int = 10
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.n_trees_grid or not all(map(is_count, self.n_trees_grid)):
+            raise InputError("forest.n_trees_grid must be a nonempty list of positive "
+                             f"integers, got {self.n_trees_grid!r}")
+        if not self.max_depth_grid or not all(d is None or is_count(d)
+                                              for d in self.max_depth_grid):
+            raise InputError("forest.max_depth_grid must be a nonempty list of positive "
+                             f"integers or nulls, got {self.max_depth_grid!r}")
+        if self.n_splits < 1:
+            raise InputError("forest.n_splits must be at least 1")
+        if self.seed < 0:
+            raise InputError("forest.seed must be nonnegative")
+
+
+#: Train, validation and test shares of each split of the protocol.
+_SPLIT_RATIOS = (0.8, 0.1, 0.1)
 
 
 def _size_key(params: tuple[int, Optional[int]]) -> tuple[float, float]:
@@ -399,9 +416,10 @@ def _size_key(params: tuple[int, Optional[int]]) -> tuple[float, float]:
 
 def train_random_forest(train: tuple[np.ndarray, np.ndarray],
                         val: tuple[np.ndarray, np.ndarray],
-                        grid: ForestGrid = ForestGrid(), seed: int = 0
+                        grid: Sequence[tuple[int, Optional[int]]], seed: int = 0
                         ) -> tuple[ForestModel, tuple[int, Optional[int]]]:
-    """Grid-search over forest size and depth on the validation macro-F1.
+    """Search the ``(n_trees, max_depth)`` grid points on the validation
+    macro-F1.
 
     Returns the winning model and its parameters; exact F1 ties go to the
     smaller model (fewer trees, then shallower).
@@ -411,7 +429,7 @@ def train_random_forest(train: tuple[np.ndarray, np.ndarray],
     if len(train_y) == 0 or len(val_y) == 0:
         raise ValueError("train and validation splits must be nonempty")
     best = None
-    for params in grid.points():
+    for params in grid:
         n_trees, depth = params
         model = train_forest(train_X, train_y, n_trees=n_trees, max_depth=depth,
                              seed=seed)
@@ -457,7 +475,6 @@ def split_indices(n: int, ratios: tuple[float, float, float],
 class ProtocolResult:
     reports: list  # ClassificationReport per split
     chosen_params: list
-    n_classes: int
 
     def mean_metric(self, name: str) -> np.ndarray:
         return np.mean([r.metric_array(name) for r in self.reports], axis=0)
@@ -475,29 +492,27 @@ class ProtocolResult:
 
 
 def run_split_protocol(X: np.ndarray, y: np.ndarray,
-                       grid: ForestGrid = ForestGrid(),
-                       n_splits: int = 10,
-                       ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-                       seed: int = 0,
-                       groups: Optional[np.ndarray] = None,
-                       smote_k: int = 5) -> ProtocolResult:
-    """Repeat the random 80/10/10 evaluation: oversample the training split,
-    tune on validation, score on the untouched test split."""
+                       cfg: ForestConfig = ForestConfig(),
+                       groups: Optional[np.ndarray] = None) -> ProtocolResult:
+    """Repeat the random 80/10/10 evaluation ``cfg.n_splits`` times:
+    oversample the training split, tune on validation, score on the untouched
+    test split."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
+    grid = [(n, d) for n in cfg.n_trees_grid for d in cfg.max_depth_grid]
     reports, chosen = [], []
-    for s in range(n_splits):
-        rng = np.random.default_rng(seed + s)
-        tr, va, te = split_indices(len(y), ratios, rng, groups)
+    for s in range(cfg.n_splits):
+        seed = cfg.seed + s
+        tr, va, te = split_indices(len(y), _SPLIT_RATIOS, np.random.default_rng(seed),
+                                   groups)
         if min(len(tr), len(va), len(te)) == 0:
             raise InputError("split produced an empty partition; need more data")
-        bal_X, bal_y = smote_oversample(X[tr], y[tr], k=smote_k, seed=seed + s)
+        bal_X, bal_y = smote_oversample(X[tr], y[tr], k=cfg.smote_k, seed=seed)
         model, params = train_random_forest((bal_X, bal_y), (X[va], y[va]),
-                                            grid=grid, seed=seed + s)
+                                            grid=grid, seed=seed)
         reports.append(evaluate_classifier(model, X[te], y[te]))
         chosen.append(params)
-    return ProtocolResult(reports=reports, chosen_params=chosen,
-                          n_classes=int(np.max(y)) + 1)
+    return ProtocolResult(reports=reports, chosen_params=chosen)
 
 
 # ---------------------------------------------------------------------------

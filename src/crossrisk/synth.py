@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -88,7 +89,9 @@ def canonical_search_regions(margin: float = 1.25) -> dict:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Everything that determines a generated scene, including its seed."""
+    """Everything that determines a generated scene, including its seed: the
+    ``synth`` config section, apart from ``frame_interval``, which the config
+    takes from ``data.frame_interval``."""
 
     seed: int = 0
     n_vehicles_per_cell: int = 4
@@ -115,10 +118,14 @@ class ScenarioSpec:
             raise InputError("speeds must be positive")
         if self.frame_interval <= 0:
             raise InputError("frame_interval must be positive")
-        if len(self.requested_pet_range) != 2:
-            raise InputError("requested_pet_range must hold two values")
+        if self.seed < 0:
+            raise InputError("synth.seed must be nonnegative")
+        if len(self.requested_pet_range) != 2 or not all(
+                isinstance(v, numbers.Real) for v in self.requested_pet_range):
+            raise InputError("requested_pet_range must hold two numbers, got "
+                             f"{self.requested_pet_range!r}")
         lo, hi = self.requested_pet_range
-        if lo <= 0 or hi < lo:
+        if not 0 < lo <= hi:
             raise InputError("requested_pet_range must be positive and ordered")
 
 
@@ -387,8 +394,10 @@ def _integrate_motion(total_length: float, profile: _SpeedProfile, dt: float,
 
     Each substep h moves ``s <- min(total, s + v(s) h)``, with v the profile's
     ``np.interp`` formula evaluated inline, until ``s`` reaches the end or the
-    speed drops to 1e-6. Where the speed is constant between two knots, the
-    steps are one ``np.add.accumulate``, which adds in sequence like a loop.
+    speed drops to 1e-6. At a knot, v is the knot's speed, as in ``np.interp``:
+    the slope to a knot a subnormal distance away overflows to infinity, and
+    infinity times zero is NaN. Where the speed is constant between two knots,
+    the steps are one ``np.add.accumulate``, which adds in sequence like a loop.
     """
     h = dt / substeps
     max_steps = int(3600.0 / h) + 2  # t is past one hour after this many steps
@@ -413,11 +422,11 @@ def _integrate_motion(total_length: float, profile: _SpeedProfile, dt: float,
             run[-1] = min(total_length, run[-1])
         else:
             run = []
-            v = slope * (s - x0) + v0
+            v = v0 if s == x0 else slope * (s - x0) + v0
             while v > 1e-6 and s < stop and len(run) < budget:
                 s = min(total_length, s + v * h)
                 run.append(s)
-                v = slope * (s - x0) + v0
+                v = v0 if s == x0 else slope * (s - x0) + v0
             if not run:
                 break
             run = np.asarray(run)

@@ -15,8 +15,8 @@ from crossrisk.cli import main
 from crossrisk.evaluation import compute_risk_streams, prediction_error_study
 from crossrisk.geometry import IntersectionGeometry
 from crossrisk.gpr import (
+    GprConfig,
     KernelConfig,
-    OptimizerSettings,
     RolloutConfig,
     _sq_dists,
     build_gpr_model,
@@ -26,7 +26,7 @@ from crossrisk.gpr import (
     train_cluster_models,
 )
 from crossrisk.maneuver import (
-    ForestGrid,
+    ForestConfig,
     build_feature_table,
     run_split_protocol,
     smote_oversample,
@@ -175,9 +175,7 @@ def trend_scene():
     dataset, truth = generate_scenario(spec)
     labeled, _ = preprocess_dataset(dataset, GEOM)
     models = train_cluster_models(
-        labeled, kind="rq", max_points=400,
-        opt=OptimizerSettings(iterations=80), seed=0,
-    )
+        labeled, GprConfig(kernel="rq", max_points=400, iterations=80, seed=0))
     start_rows, horizon_rows = prediction_error_study(
         labeled, models, starting_points=(10, 15, 20), horizons=(10, 15, 20),
         rollout_steps=30,
@@ -252,8 +250,7 @@ def test_ac5_classifier_protocol():
     X = np.vstack(rows)
     y = np.concatenate(labels).astype(int)
 
-    result = run_split_protocol(X, y, grid=ForestGrid(), n_splits=10,
-                                ratios=(0.8, 0.1, 0.1), seed=0, smote_k=5)
+    result = run_split_protocol(X, y, ForestConfig(n_splits=10, seed=0, smote_k=5))
     mean_f1 = result.mean_metric("f1")
     std_f1 = result.std_metric("f1")
     check(5, {
@@ -283,9 +280,7 @@ def conflict_scene():
     bal_X, bal_y = smote_oversample(X, y, seed=0)
     forest = train_forest(bal_X, bal_y, n_trees=50, max_depth=None, seed=0)
     models = train_cluster_models(
-        labeled, kind="rq", max_points=400,
-        opt=OptimizerSettings(iterations=60), seed=0,
-    )
+        labeled, GprConfig(kernel="rq", max_points=400, iterations=60, seed=0))
     streams = compute_risk_streams(
         labeled, models, forest, RolloutConfig(steps=30, dt=0.1),
         conflict_radius=1.0, frame_stride=2,

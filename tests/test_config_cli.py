@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +8,11 @@ from helpers import row
 
 from crossrisk import evaluation, parallel
 from crossrisk.cli import main
-from crossrisk.config import RunConfig, SynthConfig, load_config
+from crossrisk.config import RunConfig, load_config
 from crossrisk.errors import InputError
 from crossrisk.gpr import GprModelPair, KernelConfig, build_gpr_model, save_cluster_models
 from crossrisk.maneuver import save_forest, train_forest
-from crossrisk.synth import ScenarioSpec, canonical_endpoints
+from crossrisk.synth import canonical_endpoints
 from crossrisk.trajectory import (
     Dataset,
     Direction,
@@ -22,6 +21,8 @@ from crossrisk.trajectory import (
     Trajectory,
     save_dataset,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestConfig:
@@ -36,8 +37,8 @@ class TestConfig:
         assert cfg.preprocess.merge.max_heading_diff == 90.0
         assert cfg.preprocess.merge.max_traj_angle_diff == 120.0
         assert cfg.preprocess.cell_size == 0.5
-        assert cfg.forest.n_trees_grid == [100, 300]
-        assert cfg.forest.max_depth_grid == [None, 10, 20]
+        assert cfg.forest.n_trees_grid == (100, 300)
+        assert cfg.forest.max_depth_grid == (None, 10, 20)
 
     def test_unknown_top_level_key_named(self, tmp_path):
         path = tmp_path / "c.json"
@@ -100,15 +101,30 @@ class TestConfig:
         path.write_text(json.dumps({"gpr": {"jitter": 0.0}}))
         assert load_config(path).gpr.jitter == 0.0
 
-    def test_synth_keys_are_scenario_fields_with_equal_defaults(self):
-        # `crossrisk synth` passes every synth key through to ScenarioSpec
-        spec = ScenarioSpec()
-        spec_fields = {f.name for f in fields(ScenarioSpec)}
-        for f in fields(SynthConfig):
-            assert f.name in spec_fields
-            default = getattr(SynthConfig(), f.name)
-            want = getattr(spec, f.name)
-            assert (tuple(default) if isinstance(default, list) else default) == want
+    def test_synth_frame_interval_comes_from_data(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"data": {"frame_interval": 0.04}}))
+        assert load_config(path).synth.frame_interval == 0.04
+        path.write_text(json.dumps({"synth": {"frame_interval": 0.04}}))
+        with pytest.raises(InputError, match="frame_interval"):
+            load_config(path)
+
+    def test_benchmark_configs_read_back_key_for_key(self, tmp_path, monkeypatch):
+        # the example config and each benchmark workload's config, as the
+        # benchmark writes them, parse into the stage settings unchanged
+        monkeypatch.syspath_prepend(str(ROOT))
+        from perfbench.workloads import WORKLOADS
+        configs = {"example": json.loads((ROOT / "configs" / "example.json").read_text())}
+        configs.update((name, w.config()) for name, w in WORKLOADS.items())
+        for name, data in configs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            cfg = load_config(path)
+            for section in ("gpr", "forest", "synth"):
+                for key, value in data[section].items():
+                    want = tuple(value) if isinstance(value, list) else value
+                    assert getattr(getattr(cfg, section), key) == want, (name, section, key)
+            assert cfg.synth.frame_interval == data["data"]["frame_interval"]
 
 
 def _pipeline_config(tmp_path, seed=3):
@@ -345,12 +361,38 @@ class TestExitCodes:
         {"synth": {"seed": "x"}},
         {"data": {"frame_interval": "a"}},
         {"synth": {"n_vehicles_per_cell": 1.5}},
+        {"forest": {"n_trees_grid": [0]}},
+        {"forest": {"n_trees_grid": [-1]}},
+        {"forest": {"n_trees_grid": ["a"]}},
+        {"forest": {"max_depth_grid": ["x"]}},
+        {"gpr": {"max_points": 0}},
+        {"gpr": {"max_points": 1}},
+        {"gpr": {"init_noise": 0}},
+        {"gpr": {"init_noise": -1}},
+        {"gpr": {"seed": -1}},
+        {"forest": {"seed": -1}},
+        {"synth": {"seed": -1}},
+        {"risk": {"rollout_mode": "sample", "sample_seed": -1}},
+        {"train": {"horizons": [0]}},
+        {"train": {"horizons": [-3]}},
+        {"train": {"rollout_steps": 0}},
+        {"train": {"starting_points": ["a"]}},
+        {"synth": {"requested_pet_range": ["a", "b"]}},
     ], ids=["one-value-pet-range", "empty-tree-grid", "empty-depth-grid", "no-splits",
-            "non-object-section", "string-seed", "string-float", "float-int"])
+            "non-object-section", "string-seed", "string-float", "float-int",
+            "zero-trees", "negative-trees", "string-trees", "string-depth",
+            "no-gp-points", "one-gp-point", "zero-init-noise", "negative-init-noise",
+            "negative-gpr-seed", "negative-forest-seed", "negative-synth-seed",
+            "negative-sample-seed", "zero-horizon", "negative-horizon",
+            "no-rollout-steps", "string-starting-point", "string-pet-range"])
     def test_malformed_config_value_is_exit_code_one(self, tmp_path, section):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(section))
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    def test_negative_seed_flag_is_exit_code_one(self, tmp_path, capsys):
+        assert main(["synth", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+        assert "seed must be nonnegative" in capsys.readouterr().err
 
     def test_program_bug_propagates(self, tmp_path, monkeypatch):
         labeled, models = _tiny_risk_inputs(tmp_path)

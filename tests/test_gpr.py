@@ -15,8 +15,8 @@ from crossrisk import gpr
 from crossrisk.errors import InputError, NumericalError
 from crossrisk.gpr import (
     GprModelPair,
+    GprConfig,
     KernelConfig,
-    OptimizerSettings,
     RolloutConfig,
     _factorize,
     _jittered_cholesky,
@@ -283,8 +283,7 @@ class TestFit:
     def test_zero_targets_give_zero_mean(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-3, 3, size=(12, 2))
-        model = fit_gpr(x, np.zeros(12), kind="rq",
-                        opt=OptimizerSettings(iterations=40))
+        model = fit_gpr(x, np.zeros(12), GprConfig(kernel="rq", iterations=40))
         (mean,), _ = posterior_predict(model, [(0.5, 0.5)])
         assert mean == 0.0
         # loss settles after the opening iterations
@@ -295,7 +294,7 @@ class TestFit:
         rng = np.random.default_rng(1)
         x = rng.uniform(-5, 5, size=(30, 2))
         y = np.sin(0.8 * x[:, 0]) + 0.1 * rng.normal(size=30)
-        model = fit_gpr(x, y, kind="rbf", opt=OptimizerSettings(iterations=80))
+        model = fit_gpr(x, y, GprConfig(kernel="rbf", iterations=80))
         assert min(model.loss_trace) <= model.loss_trace[0]
 
     def test_optimization_beats_initial_hyperparameters(self):
@@ -306,12 +305,12 @@ class TestFit:
         x_test = rng.uniform(-6, 6, size=(80, 2))
         y_test = field(x_test)
 
-        opt = OptimizerSettings(iterations=120)
-        fitted = fit_gpr(x, y, kind="rq", opt=opt)
+        fit_cfg = GprConfig(kernel="rq", iterations=120)
+        fitted = fit_gpr(x, y, fit_cfg)
         # rebuild the untouched-initialization model for comparison
         from crossrisk.gpr import _initial_length_scale
-        cfg0 = KernelConfig(kind="rq", length_scale=_initial_length_scale(x, opt.seed),
-                            rq_alpha=1.0, noise_variance=opt.init_noise)
+        cfg0 = KernelConfig(kind="rq", length_scale=_initial_length_scale(x, fit_cfg.seed),
+                            rq_alpha=1.0, noise_variance=fit_cfg.init_noise)
         initial = build_gpr_model(x, y, cfg0)
 
         def rmse(model):
@@ -326,12 +325,12 @@ class TestFit:
         rng = np.random.default_rng(3)
         if escalated:  # as in the gradient test: tripled points 1e6 m out
             x = 1e6 + np.repeat(rng.uniform(-1, 1, size=(10, 2)), 3, axis=0)
-            opt = OptimizerSettings(iterations=20, init_noise=1e-12)
+            fit_cfg = GprConfig(kernel=kind, iterations=20, init_noise=1e-12, jitter=1e-8)
         else:
             x = rng.uniform(-4, 4, size=(25, 2))
-            opt = OptimizerSettings(iterations=30)
+            fit_cfg = GprConfig(kernel=kind, iterations=30, jitter=1e-8)
         y = np.cos(0.7 * x[:, 0]) + 0.05 * rng.normal(size=len(x))
-        model = fit_gpr(x, y, kind=kind, opt=opt, jitter=1e-8)
+        model = fit_gpr(x, y, fit_cfg)
         assert (model.jitter_used > 1e-8) == escalated
         ys = (y - model.y_mean) / model.y_std
         chol, alpha_vec, jitter_used = _factorize(model.kernel, _sq_dists(x, x), ys)
@@ -344,21 +343,21 @@ class TestFit:
         rng = np.random.default_rng(3)
         if escalated:  # tripled points 1e6 m out, as above
             x = 1e6 + np.repeat(rng.uniform(-1, 1, size=(10, 2)), 3, axis=0)
-            opt = OptimizerSettings(iterations=20, init_noise=1e-12)
+            fit_cfg = GprConfig(iterations=20, init_noise=1e-12, jitter=1e-8)
         else:
             x = rng.uniform(-4, 4, size=(25, 2))
-            opt = OptimizerSettings(iterations=30)
+            fit_cfg = GprConfig(iterations=30, jitter=1e-8)
         y = np.cos(0.7 * x[:, 0]) + 0.05 * rng.normal(size=len(x))
         best_states = []
         adam = gpr._adam_minimize
 
-        def spy(fun, theta0, opt):
-            result = adam(fun, theta0, opt)
+        def spy(fun, theta0, cfg):
+            result = adam(fun, theta0, cfg)
             best_states.append(result[2])
             return result
 
         monkeypatch.setattr(gpr, "_adam_minimize", spy)
-        model = fit_gpr(x, y, kind="rq", opt=opt, jitter=1e-8)
+        model = fit_gpr(x, y, fit_cfg)
         (chol, alpha_vec, jitter_used), = best_states
         assert (jitter_used > 1e-8) == escalated
         assert "chol" not in vars(model)  # not factorized until read
@@ -368,7 +367,7 @@ class TestFit:
     def test_pickles_to_o_n_bytes_until_the_factor_is_read(self):
         n = 300
         x = np.random.default_rng(5).uniform(-5, 5, size=(n, 2))
-        model = fit_gpr(x, np.sin(x[:, 0]), opt=OptimizerSettings(iterations=3))
+        model = fit_gpr(x, np.sin(x[:, 0]), GprConfig(iterations=3))
         assert len(pickle.dumps(model)) < 40 * n + 4096  # x, y, alpha_vec: 32 B a point
         back = pickle.loads(pickle.dumps(model))
         assert back.chol.tobytes() == model.chol.tobytes()
@@ -376,7 +375,7 @@ class TestFit:
 
     def test_needs_an_iteration(self):
         with pytest.raises(InputError):
-            OptimizerSettings(iterations=0)
+            GprConfig(iterations=0)
 
     def test_too_few_points_raises(self):
         with pytest.raises(ValueError):
@@ -471,9 +470,9 @@ class TestRollout:
     def test_sample_mode_unchanged_by_the_lazy_factor(self, tmp_path):
         rng = np.random.default_rng(8)
         x = rng.uniform(-5, 5, size=(30, 2))
-        opt = OptimizerSettings(iterations=5)
-        pair = GprModelPair(gp_x=fit_gpr(x, 1.0 + np.sin(x[:, 1]), opt=opt),
-                            gp_y=fit_gpr(x, np.cos(x[:, 0]), opt=opt),
+        fit_cfg = GprConfig(iterations=5)
+        pair = GprModelPair(gp_x=fit_gpr(x, 1.0 + np.sin(x[:, 1]), fit_cfg),
+                            gp_y=fit_gpr(x, np.cos(x[:, 0]), fit_cfg),
                             cluster=(Direction.N, Maneuver.LEFT))
         eager = copy.deepcopy(pair)  # the factor stored up front, as fitting once did
         for gp in (eager.gp_x, eager.gp_y):
@@ -606,27 +605,25 @@ class TestClusterTraining:
                       and t.maneuver == Maneuver.STRAIGHT]
         from crossrisk.trajectory import Dataset
         ds = Dataset(trajectories=only_south)
-        models = train_cluster_models(ds, opt=OptimizerSettings(iterations=5))
+        models = train_cluster_models(ds, GprConfig(iterations=5))
         assert set(models) == {(Direction.S, Maneuver.STRAIGHT)}
 
     def test_subsampling_cap(self, labeled_scene):
-        opt = OptimizerSettings(iterations=5)
-        models = train_cluster_models(labeled_scene, max_points=30, opt=opt)
+        models = train_cluster_models(labeled_scene, GprConfig(iterations=5, max_points=30))
         for pair in models.values():
             assert pair.gp_x.n_train <= 30
             assert np.array_equal(pair.gp_x.train_x, pair.gp_y.train_x)
 
     def test_training_deterministic(self, labeled_scene):
-        opt = OptimizerSettings(iterations=10)
-        m1 = train_cluster_models(labeled_scene, max_points=50, opt=opt, seed=3)
-        m2 = train_cluster_models(labeled_scene, max_points=50, opt=opt, seed=3)
+        fit_cfg = GprConfig(iterations=10, max_points=50, seed=3)
+        m1 = train_cluster_models(labeled_scene, fit_cfg)
+        m2 = train_cluster_models(labeled_scene, fit_cfg)
         for cell in m1:
             assert np.array_equal(m1[cell].gp_x.train_y, m2[cell].gp_x.train_y)
             assert m1[cell].gp_x.kernel == m2[cell].gp_x.kernel
 
     def test_persistence_roundtrip(self, labeled_scene, tmp_path):
-        opt = OptimizerSettings(iterations=10)
-        models = train_cluster_models(labeled_scene, max_points=40, opt=opt)
+        models = train_cluster_models(labeled_scene, GprConfig(iterations=10, max_points=40))
         path = tmp_path / "models.json"
         save_cluster_models(models, path)
         back = load_cluster_models(path)
@@ -719,13 +716,13 @@ class TestClusterTraining:
         rng = np.random.default_rng(3)
         if escalated:  # as in the fit test: tripled points 1e6 m out
             x = 1e6 + np.repeat(rng.uniform(-1, 1, size=(10, 2)), 3, axis=0)
-            opt = OptimizerSettings(iterations=20, init_noise=1e-12)
+            fit_cfg = GprConfig(iterations=20, init_noise=1e-12, jitter=1e-8)
         else:
             x = rng.uniform(-4, 4, size=(25, 2))
-            opt = OptimizerSettings(iterations=10)
+            fit_cfg = GprConfig(iterations=10, jitter=1e-8)
         cell = (Direction.S, Maneuver.RIGHT)
-        pair = GprModelPair(gp_x=fit_gpr(x, np.cos(0.7 * x[:, 0]), opt=opt, jitter=1e-8),
-                            gp_y=fit_gpr(x, np.sin(0.7 * x[:, 1]), opt=opt, jitter=1e-8),
+        pair = GprModelPair(gp_x=fit_gpr(x, np.cos(0.7 * x[:, 0]), fit_cfg),
+                            gp_y=fit_gpr(x, np.sin(0.7 * x[:, 1]), fit_cfg),
                             cluster=cell)
         assert (pair.gp_x.jitter_used > 1e-8) == escalated
         save_cluster_models({cell: pair}, tmp_path / "m.json")

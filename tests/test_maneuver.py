@@ -10,7 +10,7 @@ from crossrisk import maneuver
 from crossrisk.errors import InputError
 from crossrisk.maneuver import (
     DIRECTION_FEATURE_INDEX,
-    ForestGrid,
+    ForestConfig,
     _nearest_neighbors,
     classification_metrics,
     evaluate_classifier,
@@ -244,7 +244,7 @@ class TestForest:
         tr, va = idx[:180], idx[180:]
         model, params = train_random_forest(
             (X[tr], y[tr]), (X[va], y[va]),
-            grid=ForestGrid(n_trees=(20, 40), max_depth=(None, 10)), seed=0,
+            grid=[(n, d) for n in (20, 40) for d in (None, 10)], seed=0,
         )
         assert evaluate_classifier(model, X[va], y[va]).macro_f1 >= 0.95
         assert params in [(n, d) for n in (20, 40) for d in (None, 10)]
@@ -490,9 +490,7 @@ class TestSplitProtocol:
     def test_imbalanced_separable_protocol(self):
         X, y = make_clusters((240, 60, 60), seed=8)
         result = run_split_protocol(
-            X, y, grid=ForestGrid(n_trees=(25,), max_depth=(None,)),
-            n_splits=4, seed=0,
-        )
+            X, y, ForestConfig(n_trees_grid=(25,), max_depth_grid=(None,), n_splits=4))
         assert len(result.reports) == 4
         assert (result.mean_metric("f1") >= 0.9).all()
         assert (result.std_metric("f1") < 0.1).all()
@@ -510,11 +508,11 @@ class TestSplitProtocol:
     def test_too_few_rows_is_input_error(self):
         X, y = make_clusters((2, 2, 1), seed=11)
         with pytest.raises(InputError, match="empty partition"):
-            run_split_protocol(X, y, n_splits=1)
+            run_split_protocol(X, y, ForestConfig(n_splits=1))
 
     def test_deterministic(self):
         X, y = make_clusters((60, 25, 25), seed=10)
-        grid = ForestGrid(n_trees=(15,), max_depth=(10,))
-        a = run_split_protocol(X, y, grid=grid, n_splits=3, seed=2)
-        b = run_split_protocol(X, y, grid=grid, n_splits=3, seed=2)
+        cfg = ForestConfig(n_trees_grid=(15,), max_depth_grid=(10,), n_splits=3, seed=2)
+        a = run_split_protocol(X, y, cfg)
+        b = run_split_protocol(X, y, cfg)
         assert np.array_equal(a.mean_metric("f1"), b.mean_metric("f1"))

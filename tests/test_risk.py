@@ -10,9 +10,9 @@ from crossrisk import evaluation, risk
 from crossrisk.evaluation import compute_risk_streams
 from crossrisk.geometry import IntersectionGeometry
 from crossrisk.gpr import (
+    GprConfig,
     GprModelPair,
     KernelConfig,
-    OptimizerSettings,
     RolloutConfig,
     build_gpr_model,
     rollout,
@@ -550,8 +550,7 @@ def small_scene():
                                     IntersectionGeometry(endpoints=canonical_endpoints()))
     X, y, _ = build_feature_table(labeled)
     forest = train_forest(X, y, n_trees=3, seed=0)
-    models = train_cluster_models(labeled, max_points=60,
-                                  opt=OptimizerSettings(iterations=3))
+    models = train_cluster_models(labeled, GprConfig(max_points=60, iterations=3))
     return labeled, models, forest
 
 
