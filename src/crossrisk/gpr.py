@@ -55,16 +55,21 @@ class KernelConfig:
             raise InputError("noise_variance must be nonnegative")
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | None = None
-              ) -> np.ndarray:
+def _sq_dists(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | None = None,
+              out: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """Squared distances between the rows of ``a`` and ``b``; ``b_sq``, the
-    squared norms of ``b``'s rows, can be passed when ``b`` is reused."""
+    squared norms of ``b``'s rows, can be passed when ``b`` is reused. ``out``,
+    two arrays of the result's shape, takes the distances (returned) and the
+    Gram matrix; by default both are allocated."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if b_sq is None:
         b_sq = np.sum(b * b, axis=1)
-    d2 = np.sum(a * a, axis=1)[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
+    d2, gram = out if out is not None else (np.empty((len(a), len(b))) for _ in range(2))
+    np.add(np.sum(a * a, axis=1)[:, None], b_sq[None, :], out=d2)
+    np.multiply(np.matmul(a, b.T, out=gram), 2.0, out=gram)
+    np.subtract(d2, gram, out=d2)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kernel_from_d2(cfg: KernelConfig, d2: np.ndarray) -> np.ndarray:
@@ -111,12 +116,16 @@ class GprModel:
         return _jittered_cholesky(k, self.kernel.noise_variance, self.jitter_used)[0]
 
 
-def _jittered_cholesky(k: np.ndarray, noise_variance: float, jitter: float
-                       ) -> tuple[np.ndarray, float]:
+def _jittered_cholesky(k: np.ndarray, noise_variance: float, jitter: float,
+                       work: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of k + (noise + jitter) I and the jitter used,
     escalating the jitter tenfold up to MAX_JITTER (from MIN_ESCALATED_JITTER
-    when it starts at 0)."""
-    work = np.array(k, order="F")  # LAPACK's layout, so it is factored in place
+    when it starts at 0). The factor is formed in ``work``, a Fortran-order
+    array of ``k``'s shape, allocated when not given."""
+    if work is None:
+        work = np.array(k, order="F")  # LAPACK's layout, so it is factored in place
+    else:
+        work[...] = k
     diagonal = k.diagonal()
     while True:
         np.fill_diagonal(work, diagonal + (noise_variance + jitter))
@@ -247,37 +256,66 @@ def _theta_to_config(theta: np.ndarray, kind: str, jitter: float) -> KernelConfi
                         noise_variance=math.exp(log_noise), jitter=jitter)
 
 
+class _Workspace:
+    """The n x n work arrays of GP fits of up to ``capacity`` points, so that
+    consecutive fits reuse the same memory instead of allocating it on every
+    loss evaluation: seven flat buffers, each viewed as one n x n array per
+    fit, the last in Fortran order for LAPACK to factor in place."""
+
+    def __init__(self, capacity: int) -> None:
+        self._flat = [np.empty(capacity * capacity) for _ in range(7)]
+
+    def arrays(self, n: int) -> list[np.ndarray]:
+        *square, lapack_order = (buf[:n * n] for buf in self._flat)
+        return [buf.reshape(n, n) for buf in square] + [lapack_order.reshape(n, n, order="F")]
+
+
 def _neg_lml(theta: np.ndarray, d2: np.ndarray, ys: np.ndarray, kind: str,
-             jitter: float) -> tuple[float, np.ndarray, tuple]:
-    """Negated log marginal likelihood, its gradient and the factorization
-    ``(chol, alpha_vec, jitter_used)`` they were computed from.
+             jitter: float, work: Sequence[np.ndarray] | None = None
+             ) -> tuple[float, np.ndarray, tuple]:
+    """Negated log marginal likelihood, its gradient and the ``(alpha_vec,
+    jitter_used)`` they were computed from.
 
     Each gradient entry is ``-(alpha' dK alpha - tr(K^-1 dK)) / 2`` (Rasmussen &
     Williams 2006, eq. 5.9). The trace reads the lower triangle of ``K^-1``,
     which LAPACK ``potri`` forms from the Cholesky factor, with the
     off-diagonal part counted twice.
+
+    Every n x n intermediate is written into ``work``: five C-order arrays
+    and one Fortran-order array of ``d2``'s shape, the last six of
+    ``_Workspace.arrays``; allocated when not given. The arithmetic is that
+    of ``_kernel_from_d2`` and the plain expressions, step for step.
     """
     cfg = _theta_to_config(theta, kind, jitter)
     n = d2.shape[0]
-    k_f = _kernel_from_d2(cfg, d2)
+    if work is None:
+        work = _Workspace(n).arrays(n)[1:]
+    tmp, base, k_f, d_ls, d_alpha, k_work = work
     ls2 = cfg.length_scale**2
     if kind == "rbf":
-        dk = [k_f * d2 / ls2]  # d/d log length_scale
+        np.exp(np.divide(np.negative(d2, out=k_f), 2.0 * ls2, out=k_f), out=k_f)
+        dk = [np.divide(np.multiply(k_f, d2, out=d_ls), ls2, out=d_ls)]  # d/d log ls
     else:
-        base = 1.0 + d2 / (2.0 * cfg.rq_alpha * ls2)
-        d_ls = k_f / base * d2 / ls2
-        inner = -np.log(base) + d2 / (2.0 * cfg.rq_alpha * ls2 * base)
-        d_alpha = k_f * cfg.rq_alpha * inner
+        scale = 2.0 * cfg.rq_alpha * ls2
+        np.add(np.divide(d2, scale, out=base), 1.0, out=base)
+        np.power(base, -cfg.rq_alpha, out=k_f)
+        # d_ls = k_f / base * d2 / ls2
+        np.divide(np.multiply(np.divide(k_f, base, out=d_ls), d2, out=d_ls), ls2, out=d_ls)
+        # inner = -log(base) + d2 / (scale * base); d_alpha = k_f * alpha * inner
+        np.divide(d2, np.multiply(base, scale, out=tmp), out=tmp)
+        np.subtract(tmp, np.log(base, out=d_alpha), out=d_alpha)
+        np.multiply(np.multiply(k_f, cfg.rq_alpha, out=tmp), d_alpha, out=d_alpha)
         dk = [d_ls, d_alpha]
 
-    chol, jitter_used = _jittered_cholesky(k_f, cfg.noise_variance, jitter)
+    chol, jitter_used = _jittered_cholesky(k_f, cfg.noise_variance, jitter, k_work)
     alpha_vec = cho_solve((chol, True), ys)
     lml = (
         -0.5 * float(ys @ alpha_vec)
         - float(np.sum(np.log(np.diag(chol))))
         - 0.5 * n * math.log(2.0 * math.pi)
     )
-    k_inv, info = lapack.dpotri(chol, lower=1)  # lower triangle, zeros above
+    # in place: the factor is spent once alpha_vec and the log-determinant are read
+    k_inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)  # lower triangle, zeros above
     if info != 0:
         raise NumericalError(f"covariance inverse failed (LAPACK potri info={info})")
     k_inv_diag = np.diag(k_inv)
@@ -291,7 +329,7 @@ def _neg_lml(theta: np.ndarray, d2: np.ndarray, ys: np.ndarray, kind: str,
     # d/d log noise_variance: dK = noise * I
     grad_lml.append(0.5 * cfg.noise_variance
                     * (float(alpha_vec @ alpha_vec) - float(np.sum(k_inv_diag))))
-    return -lml, -np.array(grad_lml), (chol, alpha_vec, jitter_used)
+    return -lml, -np.array(grad_lml), (alpha_vec, jitter_used)
 
 
 def gpr_loss_and_grad(theta: np.ndarray, d2: np.ndarray, ys: np.ndarray,
@@ -348,11 +386,12 @@ def _initial_length_scale(x: np.ndarray, seed: int) -> float:
     return med if med > 1e-9 else 1.0
 
 
-def fit_gpr(inputs: np.ndarray, targets: np.ndarray, cfg: GprConfig = GprConfig()
-            ) -> GprModel:
+def fit_gpr(inputs: np.ndarray, targets: np.ndarray, cfg: GprConfig = GprConfig(),
+            workspace: _Workspace | None = None) -> GprModel:
     """Standardize targets, optimize hyperparameters with Adam, and return the
     model conditioned at the best loss seen, with the ``alpha_vec`` and jitter
-    that loss was computed from."""
+    that loss was computed from. The work arrays come from ``workspace``, of at
+    least as many points; by default one is allocated for this fit."""
     x = np.asarray(inputs, dtype=float).reshape(-1, 2)
     y = np.asarray(targets, dtype=float).reshape(-1)
     if x.shape[0] < 2:
@@ -371,9 +410,10 @@ def fit_gpr(inputs: np.ndarray, targets: np.ndarray, cfg: GprConfig = GprConfig(
     theta0 = np.array([log_ls0, 0.0, log_noise0] if cfg.kernel == "rq"
                       else [log_ls0, log_noise0])
 
-    d2 = _sq_dists(x, x)
-    best_theta, trace, (_, alpha_vec, jitter_used) = _adam_minimize(
-        lambda th: _neg_lml(th, d2, ys, cfg.kernel, cfg.jitter), theta0, cfg
+    work = (workspace or _Workspace(len(x))).arrays(len(x))
+    d2 = _sq_dists(x, x, out=work[:2])  # the Gram matrix is loss scratch afterwards
+    best_theta, trace, (alpha_vec, jitter_used) = _adam_minimize(
+        lambda th: _neg_lml(th, d2, ys, cfg.kernel, cfg.jitter, work[1:]), theta0, cfg
     )
     kernel = _theta_to_config(best_theta, cfg.kernel, cfg.jitter)
     return GprModel(kernel=kernel, train_x=x, train_y=y, y_mean=y_mean, y_std=y_std,
@@ -486,7 +526,8 @@ def train_cluster_models(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict
     seed derived from the cluster's fixed index, so retraining is reproducible.
     Empty clusters are simply absent from the returned mapping. Every
     (cluster, velocity component) fit depends only on its data, so the fits
-    run through ``parallel.ordered_map``.
+    run through ``parallel.ordered_map``; they share one ``_Workspace`` sized to
+    the largest cluster.
     """
     buckets: dict[tuple, list] = {}
     for traj in dataset.vehicles:
@@ -509,9 +550,13 @@ def train_cluster_models(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict
             data = data[pick]
         cluster_data[cell] = data
 
+    # One workspace for every fit of this call (one copy per forked worker),
+    # released when the call returns.
+    workspace = _Workspace(max(map(len, cluster_data.values()), default=0))
+
     def fit(job: tuple) -> GprModel:
         data, column = job
-        return fit_gpr(data[:, :2], data[:, column], cfg)
+        return fit_gpr(data[:, :2], data[:, column], cfg, workspace)
 
     gps = ordered_map(fit, [(data, c) for data in cluster_data.values() for c in (2, 3)])
     return {cell: GprModelPair(gp_x=gps[2 * i], gp_y=gps[2 * i + 1], cluster=cell)

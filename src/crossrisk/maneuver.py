@@ -13,6 +13,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -219,11 +220,99 @@ def _best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int],
     return best
 
 
+def _list_best_split(rows: list, labels: list, features: Sequence[int],
+                     n_classes: int) -> Optional[tuple[float, int, float]]:
+    """``_best_split`` on Python lists of rows and labels, with the same float
+    operations in the same order, so it returns the same split."""
+    n = len(labels)
+    total = [0] * n_classes
+    for c in labels:
+        total[c] += 1
+    classes = range(n_classes)
+    best = None
+    for f in features:
+        pairs = sorted(zip([row[f] for row in rows], labels), key=itemgetter(0))
+        left, right = [0] * n_classes, total[:]
+        best_f = None  # (weighted gini, rows left of the cut) of this feature
+        x_prev, c = pairs[0]
+        for n_left in range(1, n):
+            left[c] += 1
+            right[c] -= 1
+            x, c_next = pairs[n_left]
+            if x_prev < x:
+                n_right = n - n_left
+                sum_left = sum_right = 0.0
+                for k in classes:
+                    q = left[k] / n_left
+                    sum_left += q * q
+                    q = right[k] / n_right
+                    sum_right += q * q
+                weighted = (n_left * (1.0 - sum_left) + n_right * (1.0 - sum_right)) / n
+                if best_f is None or weighted < best_f[0]:
+                    best_f = (weighted, n_left)
+            x_prev, c = x, c_next
+        if best_f is not None and (best is None or best_f[0] < best[0]):
+            n_left = best_f[1]
+            best = (best_f[0], f, 0.5 * (pairs[n_left - 1][0] + pairs[n_left][0]))
+    return best
+
+
+def _grow_small_tree(rows: list, labels: list, depth: int, max_depth: Optional[int],
+                     mtry: int, n_classes: int, rng: np.random.Generator,
+                     nodes: list) -> None:
+    """``_grow_tree`` on Python lists: the same nodes and the same feature
+    draws from ``rng``, faster than numpy on nodes of a few dozen rows."""
+    counts = [0] * n_classes
+    for c in labels:
+        counts[c] += 1
+    node = [-1, 0.0, -1, -1, counts]
+    nodes.append(node)
+    if (
+        len(labels) < 2
+        or counts.count(0) == n_classes - 1
+        or (max_depth is not None and depth >= max_depth)
+    ):
+        return
+    n_features = len(rows[0])
+    features = sorted(rng.choice(n_features, size=mtry, replace=False).tolist())
+    split = _list_best_split(rows, labels, features, n_classes)
+    if split is None:
+        # the sampled features are constant here; fall back to all features
+        split = _list_best_split(rows, labels, range(n_features), n_classes)
+    if split is None:
+        return
+    _, f, threshold = split
+    node[0], node[1] = f, threshold
+    left_rows, left_labels, right_rows, right_labels = [], [], [], []
+    for row, c in zip(rows, labels):
+        if row[f] <= threshold:
+            left_rows.append(row)
+            left_labels.append(c)
+        else:
+            right_rows.append(row)
+            right_labels.append(c)
+    node[2] = len(nodes)
+    _grow_small_tree(left_rows, left_labels, depth + 1, max_depth, mtry, n_classes,
+                     rng, nodes)
+    node[3] = len(nodes)
+    _grow_small_tree(right_rows, right_labels, depth + 1, max_depth, mtry, n_classes,
+                     rng, nodes)
+
+
+#: Nodes with at most this many rows grow their whole subtree in
+#: ``_grow_small_tree``; above it numpy's per-call overhead is paid back.
+_SMALL_NODE_ROWS = 64
+
+
 def _grow_tree(X: np.ndarray, y: np.ndarray, depth: int, max_depth: Optional[int],
                mtry: int, n_classes: int, rng: np.random.Generator,
                nodes: list) -> None:
     """Append the subtree fitted to (X, y) to ``nodes`` in preorder, one
     ``[feature, threshold, left, right, counts]`` row per node."""
+    if len(y) <= _SMALL_NODE_ROWS:
+        _grow_small_tree(X.tolist(), y.tolist(), depth, max_depth, mtry, n_classes,
+                         rng, nodes)
+        return
     counts = np.bincount(y, minlength=n_classes)
     node = [-1, 0.0, -1, -1, counts]
     nodes.append(node)
@@ -422,25 +511,30 @@ def train_random_forest(train: tuple[np.ndarray, np.ndarray],
     macro-F1.
 
     Returns the winning model and its parameters; exact F1 ties go to the
-    smaller model (fewer trees, then shallower).
+    smaller model (fewer trees, then shallower), so the choice does not depend
+    on the grid's order. ``train_forest`` draws all tree seeds at once, so the
+    first ``n`` trees of a larger forest are the forest of ``n`` trees: each
+    depth grows its largest size once and scores every size on a prefix.
     """
     train_X, train_y = train
     val_X, val_y = val
     if len(train_y) == 0 or len(val_y) == 0:
         raise ValueError("train and validation splits must be nonempty")
     best = None
-    for params in grid:
-        n_trees, depth = params
-        model = train_forest(train_X, train_y, n_trees=n_trees, max_depth=depth,
-                             seed=seed)
-        f1 = evaluate_classifier(model, val_X, val_y).macro_f1
-        entry = (f1, params, model)
-        if (
-            best is None
-            or f1 > best[0]
-            or (f1 == best[0] and _size_key(params) < _size_key(best[1]))
-        ):
-            best = entry
+    for depth in dict.fromkeys(d for _, d in grid):
+        sizes = sorted({n for n, d in grid if d == depth})
+        forest = train_forest(train_X, train_y, n_trees=sizes[-1], max_depth=depth,
+                              seed=seed)
+        for n_trees in sizes:
+            params = (n_trees, depth)
+            model = ForestModel(trees=forest.trees[:n_trees], n_features=forest.n_features)
+            f1 = evaluate_classifier(model, val_X, val_y).macro_f1
+            if (
+                best is None
+                or f1 > best[0]
+                or (f1 == best[0] and _size_key(params) < _size_key(best[1]))
+            ):
+                best = (f1, params, model)
     return best[2], best[1]
 
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, lapack
 
 from crossrisk import gpr
 from crossrisk.errors import InputError, NumericalError
@@ -97,6 +97,45 @@ def reference_loss_and_grad(theta, x, ys, kind, jitter):
     w = np.outer(alpha_vec, alpha_vec) - cho_solve((chol, True), np.eye(n))
     dk.append(cfg.noise_variance * np.eye(n))
     return -lml, -np.array([0.5 * float(np.sum(w * dk_j)) for dk_j in dk])
+
+
+def plain_neg_lml(theta, d2, ys, kind, jitter):
+    """The loss with a fresh array for every step, as it was before the loss
+    wrote into a workspace; ``_neg_lml`` must reproduce it to the bit."""
+    cfg = _theta_to_config(theta, kind, jitter)
+    n = d2.shape[0]
+    k_f = gpr._kernel_from_d2(cfg, d2)
+    ls2 = cfg.length_scale**2
+    if kind == "rbf":
+        dk = [k_f * d2 / ls2]
+    else:
+        base = 1.0 + d2 / (2.0 * cfg.rq_alpha * ls2)
+        inner = -np.log(base) + d2 / (2.0 * cfg.rq_alpha * ls2 * base)
+        dk = [k_f / base * d2 / ls2, k_f * cfg.rq_alpha * inner]
+    chol, jitter_used = _jittered_cholesky(k_f, cfg.noise_variance, jitter)
+    alpha_vec = cho_solve((chol, True), ys)
+    lml = (-0.5 * float(ys @ alpha_vec) - float(np.sum(np.log(np.diag(chol))))
+           - 0.5 * n * math.log(2.0 * math.pi))
+    k_inv, info = lapack.dpotri(chol, lower=1)
+    assert info == 0
+    k_inv_diag = np.diag(k_inv)
+    grad = [0.5 * (float(alpha_vec @ (dk_j @ alpha_vec))
+                   - (2.0 * float(np.vdot(k_inv.T, dk_j)) - float(k_inv_diag @ np.diag(dk_j))))
+            for dk_j in dk]
+    grad.append(0.5 * cfg.noise_variance
+                * (float(alpha_vec @ alpha_vec) - float(np.sum(k_inv_diag))))
+    return -lml, -np.array(grad), alpha_vec, jitter_used
+
+
+def plain_sq_dists(a, b):
+    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0)
+
+
+def model_bytes(model):
+    """Everything a fitted GP is saved as, plus its inputs, as bytes."""
+    return (json.dumps(gpr._model_to_dict(model), sort_keys=True).encode()
+            + model.train_x.tobytes())
 
 
 class TestKernels:
@@ -213,12 +252,39 @@ class TestGradients:
         ys = rng.normal(size=30)
         theta = np.array([1.0, 0.0, -20.0] if kind == "rq" else [1.0, -20.0])
         d2 = _sq_dists(x, x)
-        *_, (_, _, jitter_used) = _neg_lml(theta, d2, ys, kind, 1e-8)
+        *_, (_, jitter_used) = _neg_lml(theta, d2, ys, kind, 1e-8)
         assert jitter_used >= 1e-6
         loss, grad = gpr_loss_and_grad(theta, d2, ys, kind, 1e-8)
         want_loss, want_grad = reference_loss_and_grad(theta, x, ys, kind, 1e-8)
         assert loss == pytest.approx(want_loss, rel=1e-10)
         assert np.max(np.abs(grad - want_grad) / np.abs(want_grad)) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["rbf", "rq"])
+    @pytest.mark.parametrize("case", ["plain", "rq-alpha-one", "escalated"])
+    def test_workspace_loss_matches_plain_expressions_to_the_bit(self, kind, case):
+        rng = np.random.default_rng(7)
+        if case == "escalated":  # tripled points 1e6 m out, as above
+            x = 1e6 + np.repeat(rng.uniform(-1, 1, size=(10, 2)), 3, axis=0)
+            theta = [1.0, 0.0, -20.0]
+        else:
+            x = rng.uniform(-4, 4, size=(40, 4))[:, 1:3]  # strided, as cluster data is
+            theta = [0.3, 0.0 if case == "rq-alpha-one" else -0.4, -2.0]
+        theta = np.array(theta if kind == "rq" else theta[::2])
+        ys = rng.normal(size=len(x))
+        want_loss, want_grad, want_alpha, want_jitter = plain_neg_lml(
+            theta, plain_sq_dists(x, x), ys, kind, 1e-8)
+        d2 = _sq_dists(x, x)
+        assert d2.tobytes() == plain_sq_dists(x, x).tobytes()
+        work = gpr._Workspace(len(x) + 5).arrays(len(x))
+        for arr in work:
+            arr.fill(np.nan)  # nothing may be read before it is written
+        for _ in range(2):  # and the second pass reads nothing the first left
+            loss, grad, (alpha_vec, jitter_used) = _neg_lml(theta, d2, ys, kind, 1e-8,
+                                                             work[1:])
+            assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+            assert alpha_vec.tobytes() == want_alpha.tobytes()
+            assert jitter_used == want_jitter
+        assert (jitter_used > 1e-8) == (case == "escalated")
 
 
 class TestPosterior:
@@ -358,11 +424,30 @@ class TestFit:
 
         monkeypatch.setattr(gpr, "_adam_minimize", spy)
         model = fit_gpr(x, y, fit_cfg)
-        (chol, alpha_vec, jitter_used), = best_states
+        (alpha_vec, jitter_used), = best_states
         assert (jitter_used > 1e-8) == escalated
-        assert "chol" not in vars(model)  # not factorized until read
-        assert model.chol.tobytes() == chol.tobytes()
         assert model.alpha_vec.tobytes() == alpha_vec.tobytes()
+        assert "chol" not in vars(model)  # not factorized until read
+        # the loss inverts its factor in place, so the factor is checked by
+        # solving with it: the lazy one reproduces alpha_vec to the bit
+        ys = (y - model.y_mean) / model.y_std
+        assert cho_solve((model.chol, True), ys).tobytes() == model.alpha_vec.tobytes()
+
+    def test_one_workspace_fits_like_fresh_memory(self):
+        # a larger cluster, then a smaller one, then one whose jitter escalates
+        rng = np.random.default_rng(8)
+        jobs = [
+            (rng.uniform(-4, 4, size=(45, 2)), GprConfig(iterations=15, jitter=1e-8)),
+            (rng.uniform(-4, 4, size=(18, 2)), GprConfig(kernel="rbf", iterations=15)),
+            (1e6 + np.repeat(rng.uniform(-1, 1, size=(10, 2)), 3, axis=0),
+             GprConfig(iterations=20, init_noise=1e-12, jitter=1e-8)),
+        ]
+        workspace = gpr._Workspace(45)
+        for x, fit_cfg in jobs:
+            y = np.cos(0.7 * x[:, 0]) + 0.05 * rng.normal(size=len(x))
+            shared = fit_gpr(x, y, fit_cfg, workspace)
+            assert model_bytes(shared) == model_bytes(fit_gpr(x, y, fit_cfg))
+        assert shared.jitter_used > 1e-8
 
     def test_pickles_to_o_n_bytes_until_the_factor_is_read(self):
         n = 300
@@ -613,6 +698,26 @@ class TestClusterTraining:
         for pair in models.values():
             assert pair.gp_x.n_train <= 30
             assert np.array_equal(pair.gp_x.train_x, pair.gp_y.train_x)
+
+    def test_fits_share_one_workspace_sized_to_the_largest_cluster(self, labeled_scene,
+                                                                  monkeypatch):
+        seen = []
+        fit = gpr.fit_gpr
+
+        def spy(inputs, targets, cfg, workspace):
+            seen.append((len(inputs), workspace))
+            return fit(inputs, targets, cfg, workspace)
+
+        monkeypatch.setattr(gpr, "fit_gpr", spy)
+        monkeypatch.setattr(gpr, "ordered_map", lambda fn, items: [fn(x) for x in items])
+        models = train_cluster_models(labeled_scene, GprConfig(iterations=3, max_points=60))
+        assert len(seen) == 2 * len(models)
+        largest = max(n for n, _ in seen)
+        workspaces = {id(w) for _, w in seen}
+        assert len(workspaces) == 1
+        assert seen[0][1].arrays(largest)[0].shape == (largest, largest)
+        with pytest.raises(ValueError):
+            seen[0][1].arrays(largest + 1)
 
     def test_training_deterministic(self, labeled_scene):
         fit_cfg = GprConfig(iterations=10, max_points=50, seed=3)

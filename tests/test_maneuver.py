@@ -352,6 +352,139 @@ class TestForest:
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
 
 
+def grown_nodes(X, y, max_depth, seed, small_rows, depth=0, mtry=2):
+    """Nodes ``_grow_tree`` appends for (X, y) with nodes of at most
+    ``small_rows`` rows grown on lists, and the feature-draw generator's state
+    afterwards."""
+    rng = np.random.default_rng(seed)
+    nodes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maneuver, "_SMALL_NODE_ROWS", small_rows)
+        maneuver._grow_tree(X, y, depth, max_depth, mtry, 3, rng, nodes)
+    for f, t, *_ in nodes:
+        assert type(f) is int and type(t) is float
+    return ([(f, t, left, right, [int(c) for c in counts])
+             for f, t, left, right, counts in nodes], rng.bit_generator.state)
+
+
+def node_table(seed, n, constant_sampled):
+    """A tied table; with ``constant_sampled`` every feature but the last is
+    constant, so most feature draws fall back to all features."""
+    X, y = tied_table(seed, n, 5)
+    if constant_sampled:
+        X[:, :4] = 1.0
+    return X, y
+
+
+class TestSmallNodeGrower:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 90), st.booleans(),
+           st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
+    def test_list_split_matches_numpy_split(self, seed, n, constant_sampled, features):
+        X, y = node_table(seed, n, constant_sampled)
+        features = sorted(features)
+        want = maneuver._best_split(X, y, features, 3)
+        got = maneuver._list_best_split(X.tolist(), y.tolist(), features, 3)
+        assert got == want
+        if got is not None:
+            assert type(got[1]) is int and type(got[2]) is float
+
+    def test_ties_keep_the_first_cut_of_the_first_feature(self):
+        # cuts 0|123 and 012|3 tie, on two identical columns
+        X = np.repeat(np.arange(4.0)[:, None], 2, axis=1)
+        y = np.array([0, 1, 1, 0])
+        split = maneuver._list_best_split(X.tolist(), y.tolist(), [0, 1], 3)
+        assert split == maneuver._best_split(X, y, [0, 1], 3)
+        assert split[1:] == (0, 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 90), st.sampled_from([None, 1, 2, 4]),
+           st.integers(0, 3), st.booleans())
+    def test_list_grower_matches_numpy_grower(self, seed, n, max_depth, depth,
+                                              constant_sampled):
+        # a start depth at or past max_depth makes the root a capped leaf
+        X, y = node_table(seed, n, constant_sampled)
+        want = grown_nodes(X, y, max_depth, seed, small_rows=0, depth=depth)
+        assert grown_nodes(X, y, max_depth, seed, small_rows=10**9, depth=depth) == want
+        assert grown_nodes(X, y, max_depth, seed, small_rows=n // 3, depth=depth) == want
+
+    @pytest.mark.parametrize("small_rows", [0, 10**9])
+    def test_single_class_node_is_a_leaf(self, small_rows):
+        X = np.arange(20.0).reshape(10, 2)
+        nodes, _ = grown_nodes(X, np.full(10, 2), None, 0, small_rows, mtry=1)
+        assert nodes == [(-1, 0.0, -1, -1, [0, 0, 10])]
+
+    @pytest.mark.parametrize("small_rows", [0, 10**9])
+    def test_depth_cap_at_the_boundary(self, small_rows):
+        X, y = tied_table(4, 40, 5)
+        assert len(grown_nodes(X, y, 2, 4, small_rows, depth=2)[0]) == 1
+        nodes, _ = grown_nodes(X, y, 2, 4, small_rows, depth=1)
+        assert nodes[0][2] != -1  # split once, and both children are leaves
+        assert [left for _, _, left, _, _ in nodes[1:]] == [-1] * (len(nodes) - 1)
+
+    def test_constant_sampled_features_fall_back_to_all(self):
+        X, y = node_table(1, 30, constant_sampled=True)
+        for small_rows in (0, 10**9):
+            nodes, _ = grown_nodes(X, y, None, 1, small_rows)
+            assert {f for f, *_ in nodes if f != -1} == {4}
+
+    @pytest.mark.parametrize("small_rows", [0, 10**9])
+    def test_forest_file_bytes_do_not_depend_on_the_threshold(self, tmp_path,
+                                                             monkeypatch, small_rows):
+        X, y = make_clusters((70, 40, 60), seed=7, spread=2.5)
+        X[:, :2] = np.round(X[:, :2])  # ties
+        save_forest(train_forest(X, y, n_trees=4, seed=3), tmp_path / "default.json")
+        monkeypatch.setattr(maneuver, "_SMALL_NODE_ROWS", small_rows)
+        save_forest(train_forest(X, y, n_trees=4, seed=3), tmp_path / "forced.json")
+        assert (tmp_path / "forced.json").read_bytes() == (tmp_path / "default.json").read_bytes()
+
+
+class TestTreePrefixes:
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_tree_seed_draw_is_prefix_consistent(self, seed):
+        draw = lambda n: np.random.default_rng(seed).integers(0, 2**63 - 1, size=n)
+        assert np.array_equal(draw(300)[:100], draw(100))
+        assert np.array_equal(draw(7)[:1], draw(1))
+
+    @pytest.mark.parametrize("grid", [
+        [(3, None), (7, None), (3, 2), (7, 2)],
+        [(7, 2), (3, None), (7, None), (3, 2)],
+    ])
+    def test_chosen_forest_is_the_direct_fit(self, tmp_path, grid):
+        X, y = make_clusters((50, 30, 45), seed=9, spread=2.0)
+        rng = np.random.default_rng(1)
+        idx = rng.permutation(len(y))
+        tr, va = idx[:90], idx[90:]
+        model, params = train_random_forest((X[tr], y[tr]), (X[va], y[va]), grid, seed=4)
+        # the search as it was: one forest per grid point, in grid order
+        best = None
+        for p in grid:
+            f1 = evaluate_classifier(
+                train_forest(X[tr], y[tr], n_trees=p[0], max_depth=p[1], seed=4),
+                X[va], y[va]).macro_f1
+            if best is None or f1 > best[0] or (f1 == best[0] and maneuver._size_key(p)
+                                                < maneuver._size_key(best[1])):
+                best = (f1, p)
+        assert params == best[1]
+        save_forest(model, tmp_path / "chosen.json")
+        save_forest(train_forest(X[tr], y[tr], n_trees=params[0], max_depth=params[1],
+                                 seed=4), tmp_path / "direct.json")
+        assert (tmp_path / "chosen.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
+
+    def test_each_depth_grows_its_largest_size_once(self, monkeypatch):
+        X, y = make_clusters((30, 30, 30), seed=2)
+        calls = []
+        fit = maneuver.train_forest
+
+        def spy(*args, **kwargs):
+            calls.append((kwargs["n_trees"], kwargs["max_depth"]))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(maneuver, "train_forest", spy)
+        train_random_forest((X, y), (X, y), [(2, None), (5, None), (2, 3), (5, 3)], seed=0)
+        assert calls == [(5, None), (5, 3)]
+
+
 def _forest_payload(tmp_path):
     X, y = make_clusters((20, 20, 20), seed=11)
     path = tmp_path / "forest.json"
