@@ -3,9 +3,10 @@
 
 Runs ``perfbench/run.py --trace 0`` in the checkout for every workload and
 seed, keeps the last JSON line of each run, and writes the median and
-quartiles of every metric per workload. It also times the ``train`` stage on
-``configs/example.json`` (median of ``--train-runs`` runs, with the worker
-count), which the benchmark workloads, with their few trees, do not show.
+quartiles of every metric per workload. Each run has ``perfbench/run.py``'s
+own default length. It also times the ``train`` stage on
+``configs/example.json`` (median of 3 runs, with the worker count), which the
+benchmark workloads, with their few trees, do not show.
 
     python scripts/bench_record.py --label pr11 [--checkout .] [--seeds 1 2 3]
 """
@@ -21,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("fit", "risk_crowded", "ingest_fragmented")
+TRAIN_RUNS = 3
 
 # Runs in the checkout's own interpreter environment: builds the example scene
 # once, then times the train stage.
@@ -54,11 +56,11 @@ def summarize(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(checkout: Path, workload: str, seed: int) -> dict:
     """The last JSON line of one ``perfbench/run.py`` run in ``checkout``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -66,12 +68,12 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def example_train(checkout: Path, runs: int) -> dict:
+def example_train(checkout: Path) -> dict:
     with tempfile.TemporaryDirectory() as work:
         env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
         proc = subprocess.run(
             [sys.executable, "-c", _TRAIN_TIMER, str(checkout / "configs" / "example.json"),
-             work, str(runs)], env=env, capture_output=True, text=True)
+             work, str(TRAIN_RUNS)], env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"example train failed:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -83,17 +85,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True)
     ap.add_argument("--checkout", type=Path, default=ROOT)
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--train-runs", type=int, default=3)
-    ap.add_argument("--out", type=Path, help="default: BENCH_<label>.json at the repo root")
     args = ap.parse_args()
     checkout = args.checkout.resolve()
 
     workloads = {}
-    for workload in args.workloads:
-        results = [bench_run(checkout, workload, seed, args.seconds) for seed in args.seeds]
+    for workload in WORKLOADS:
+        results = [bench_run(checkout, workload, seed) for seed in args.seeds]
         units = {name: m["unit"] for r in results for name, m in r["metrics"].items()}
         workloads[workload] = {
             "runs": [{"seed": s, "correct": r["correct"], "attempted": r["attempted"],
@@ -104,10 +102,9 @@ def main() -> int:
                         for name, unit in units.items()},
         }
         print(f"{workload}: {len(results)} runs", file=sys.stderr)
-    record = {"label": args.label, "seeds": args.seeds, "seconds": args.seconds,
-              "cpus": os.cpu_count(), "workloads": workloads,
-              "example_train": example_train(checkout, args.train_runs)}
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    record = {"label": args.label, "seeds": args.seeds, "cpus": os.cpu_count(),
+              "workloads": workloads, "example_train": example_train(checkout)}
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return 0

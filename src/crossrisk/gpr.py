@@ -72,11 +72,17 @@ def _sq_dists(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | None = None,
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _kernel_from_d2(cfg: KernelConfig, d2: np.ndarray) -> np.ndarray:
+def _kernel_from_d2(cfg: KernelConfig, d2: np.ndarray, out: np.ndarray | None = None,
+                    base: np.ndarray | None = None) -> np.ndarray:
+    """The kernel of squared distances ``d2``, written into ``out`` (returned).
+    The RQ kernel first writes ``1 + d2 / (2 alpha l^2)`` into ``base``. Both
+    arrays have ``d2``'s shape and are allocated when not given."""
     if cfg.kind == "rbf":
-        return np.exp(-d2 / (2.0 * cfg.length_scale**2))
-    base = 1.0 + d2 / (2.0 * cfg.rq_alpha * cfg.length_scale**2)
-    return base ** (-cfg.rq_alpha)
+        scale = 2.0 * cfg.length_scale**2
+        return np.exp(np.divide(np.negative(d2, out=out), scale, out=out), out=out)
+    scale = 2.0 * cfg.rq_alpha * cfg.length_scale**2
+    base = np.add(np.divide(d2, scale, out=base), 1.0, out=base)
+    return np.power(base, -cfg.rq_alpha, out=out)
 
 
 def kernel_matrix(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -283,8 +289,9 @@ def _neg_lml(theta: np.ndarray, d2: np.ndarray, ys: np.ndarray, kind: str,
 
     Every n x n intermediate is written into ``work``: five C-order arrays
     and one Fortran-order array of ``d2``'s shape, the last six of
-    ``_Workspace.arrays``; allocated when not given. The arithmetic is that
-    of ``_kernel_from_d2`` and the plain expressions, step for step.
+    ``_Workspace.arrays``; allocated when not given. The kernel and the RQ
+    ``base`` come from ``_kernel_from_d2``; the gradient's arithmetic is that
+    of the plain expressions, step for step.
     """
     cfg = _theta_to_config(theta, kind, jitter)
     n = d2.shape[0]
@@ -292,13 +299,11 @@ def _neg_lml(theta: np.ndarray, d2: np.ndarray, ys: np.ndarray, kind: str,
         work = _Workspace(n).arrays(n)[1:]
     tmp, base, k_f, d_ls, d_alpha, k_work = work
     ls2 = cfg.length_scale**2
+    _kernel_from_d2(cfg, d2, out=k_f, base=base)
     if kind == "rbf":
-        np.exp(np.divide(np.negative(d2, out=k_f), 2.0 * ls2, out=k_f), out=k_f)
         dk = [np.divide(np.multiply(k_f, d2, out=d_ls), ls2, out=d_ls)]  # d/d log ls
     else:
         scale = 2.0 * cfg.rq_alpha * ls2
-        np.add(np.divide(d2, scale, out=base), 1.0, out=base)
-        np.power(base, -cfg.rq_alpha, out=k_f)
         # d_ls = k_f / base * d2 / ls2
         np.divide(np.multiply(np.divide(k_f, base, out=d_ls), d2, out=d_ls), ls2, out=d_ls)
         # inner = -log(base) + d2 / (scale * base); d_alpha = k_f * alpha * inner

@@ -104,12 +104,13 @@ def plain_neg_lml(theta, d2, ys, kind, jitter):
     wrote into a workspace; ``_neg_lml`` must reproduce it to the bit."""
     cfg = _theta_to_config(theta, kind, jitter)
     n = d2.shape[0]
-    k_f = gpr._kernel_from_d2(cfg, d2)
     ls2 = cfg.length_scale**2
     if kind == "rbf":
+        k_f = np.exp(-d2 / (2.0 * ls2))
         dk = [k_f * d2 / ls2]
     else:
         base = 1.0 + d2 / (2.0 * cfg.rq_alpha * ls2)
+        k_f = base ** (-cfg.rq_alpha)
         inner = -np.log(base) + d2 / (2.0 * cfg.rq_alpha * ls2 * base)
         dk = [k_f / base * d2 / ls2, k_f * cfg.rq_alpha * inner]
     chol, jitter_used = _jittered_cholesky(k_f, cfg.noise_variance, jitter)
@@ -179,6 +180,22 @@ class TestKernels:
         k = kernel_matrix(cfg, x, x)
         assert np.max(np.abs(k - k.T)) < 1e-12
         np.linalg.cholesky(k + 1e-6 * np.eye(n))  # PSD under jitter
+
+    @pytest.mark.parametrize("kind", ["rbf", "rq"])
+    def test_kernel_into_buffers_is_the_plain_expression(self, kind):
+        rng = np.random.default_rng(7)
+        d2 = plain_sq_dists(*rng.uniform(-10, 10, size=(2, 30, 2)))
+        for cfg in (KernelConfig(kind=kind, length_scale=1.7, rq_alpha=0.6),
+                    KernelConfig(kind=kind, length_scale=0.4, rq_alpha=1.0)):
+            ls2 = cfg.length_scale**2
+            if kind == "rbf":
+                want = np.exp(-d2 / (2.0 * ls2))
+            else:
+                want = (1.0 + d2 / (2.0 * cfg.rq_alpha * ls2)) ** (-cfg.rq_alpha)
+            out, base = np.full_like(d2, np.nan), np.full_like(d2, np.nan)
+            assert gpr._kernel_from_d2(cfg, d2, out=out, base=base) is out
+            assert out.tobytes() == want.tobytes()
+            assert gpr._kernel_from_d2(cfg, d2).tobytes() == want.tobytes()
 
 
 class TestLogMarginalLikelihood:
