@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import RunConfig, load_config
 from .errors import InputError, NumericalError
 from .evaluation import compute_risk_streams, prediction_error_study
-from .geometry import IntersectionGeometry, estimate_crosswalk_endpoints
+from .geometry import build_geometry
 from .gpr import (
     RolloutConfig,
     load_cluster_models,
@@ -36,7 +36,7 @@ from .maneuver import (
 from .parallel import usable_workers
 from .preprocess import preprocess_dataset
 from .ssm import evaluate_detection, identify_conflicts_pet
-from .synth import canonical_search_regions, generate_scenario, write_ground_truth
+from .synth import generate_scenario, write_ground_truth
 from .trajectory import SUPPORTED_MANEUVERS, load_dataset, save_dataset
 
 _MANEUVER_NAMES = {m: m.value for m in SUPPORTED_MANEUVERS}
@@ -75,25 +75,11 @@ def cmd_synth(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_preprocess(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
-    dataset = load_dataset(in_path, cfg.data.column_schema(), cfg.data.frame_interval)
-    geo_cfg = cfg.preprocess.geometry
+    dataset = load_dataset(in_path, cfg.data)
+    geometry, grid = build_geometry(cfg.preprocess.geometry, dataset.pedestrians,
+                                    cfg.preprocess.cell_size)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if geo_cfg.mode == "explicit":
-        geometry = IntersectionGeometry(
-            endpoints={k: tuple(v) for k, v in geo_cfg.endpoints.items()},
-            crosswalk_inflation=geo_cfg.crosswalk_inflation,
-            roadway_polygon=tuple(map(tuple, geo_cfg.roadway_polygon))
-            if geo_cfg.roadway_polygon else None,
-            crosswalk_polygons=geo_cfg.crosswalk_polygons,
-        )
-    else:
-        regions = geo_cfg.search_regions or canonical_search_regions()
-        geometry, grid = estimate_crosswalk_endpoints(
-            dataset.pedestrians, cfg.preprocess.cell_size, regions,
-            crosswalk_inflation=geo_cfg.crosswalk_inflation,
-            roadway_polygon=geo_cfg.roadway_polygon,
-            crosswalk_polygons=geo_cfg.crosswalk_polygons,
-        )
+    if grid is not None:
         grid.write_csv(out_dir / "density_grid.csv")
     labeled, report = preprocess_dataset(dataset, geometry, cfg.preprocess.merge,
                                          cfg.preprocess.filter)
@@ -103,7 +89,7 @@ def cmd_preprocess(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
 
 
 def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
-    dataset = load_dataset(in_path, cfg.data.column_schema(), cfg.data.frame_interval)
+    dataset = load_dataset(in_path, cfg.data)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # Maneuver classifier: repeated-split evaluation, then a final model on
@@ -160,7 +146,7 @@ def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
 
 
 def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path) -> None:
-    dataset = load_dataset(in_path, cfg.data.column_schema(), cfg.data.frame_interval)
+    dataset = load_dataset(in_path, cfg.data)
     models = load_cluster_models(models_dir / "gpr_models.json")
     forest = load_forest(models_dir / "forest.json")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -179,7 +165,7 @@ def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path) -> 
 
     rollout_cfg = RolloutConfig(
         steps=cfg.risk.horizon_steps,
-        dt=cfg.data.frame_interval,
+        dt=dataset.frame_interval,
         mode=cfg.risk.rollout_mode,
         seed=cfg.risk.sample_seed,
     )

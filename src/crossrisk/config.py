@@ -10,26 +10,18 @@ defaults.
 from __future__ import annotations
 
 import functools
-import json
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .errors import InputError, is_count
+from .errors import InputError, check_keys, is_count, read_json_object
+from .geometry import GeometrySettings
 from .gpr import GprConfig
 from .maneuver import ForestConfig
 from .preprocess import FilterSettings, MergeCriteria
 from .synth import ScenarioSpec
-from .trajectory import CANONICAL_COLUMNS, ColumnSchema
-
-
-def _check_keys(data: dict, allowed, where: str) -> None:
-    if not isinstance(data, dict):
-        raise InputError(f"config section {where!r} must be a JSON object, got {data!r}")
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise InputError(f"unknown config key(s) {unknown} in section {where!r}")
+from .trajectory import DataFormat
 
 
 def _json_type_ok(value, hint) -> bool:
@@ -60,7 +52,7 @@ def _section(cls, data: dict, where: str, **fixed):
     are the fields of ``cls`` not in ``fixed`` and whose values have the
     fields' types. A nested section is parsed the same way, and a list for a
     tuple field is passed as a tuple."""
-    _check_keys(data, [f.name for f in fields(cls) if f.name not in fixed], where)
+    check_keys(data, [f.name for f in fields(cls) if f.name not in fixed], where)
     hints = _field_types(cls)
     values = dict(fixed)
     for key, value in data.items():
@@ -77,43 +69,11 @@ def _section(cls, data: dict, where: str, **fixed):
 
 
 @dataclass
-class DataConfig:
-    schema: dict = field(default_factory=lambda: {c: c for c in CANONICAL_COLUMNS})
-    yaw_rate_unit: str = "rad_s"
-    frame_interval: float = 0.1
-
-    def __post_init__(self) -> None:
-        self.column_schema()  # validate eagerly
-
-    def column_schema(self) -> ColumnSchema:
-        _check_keys(self.schema, CANONICAL_COLUMNS, "data.schema")
-        columns = {c: c for c in CANONICAL_COLUMNS}
-        columns.update(self.schema)
-        return ColumnSchema(columns=columns, yaw_rate_unit=self.yaw_rate_unit)
-
-
-@dataclass
-class GeometryConfig:
-    mode: str = "estimate"  # "estimate" | "explicit"
-    search_regions: Optional[dict] = None  # defaults to the canonical layout
-    endpoints: Optional[dict] = None  # required for explicit mode
-    crosswalk_inflation: float = 2.0
-    roadway_polygon: Optional[list] = None
-    crosswalk_polygons: Optional[dict] = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("estimate", "explicit"):
-            raise InputError(f"unknown geometry mode: {self.mode!r}")
-        if self.mode == "explicit" and not self.endpoints:
-            raise InputError("explicit geometry mode requires endpoints")
-
-
-@dataclass
 class PreprocessConfig:
     cell_size: float = 0.5
     merge: MergeCriteria = field(default_factory=MergeCriteria)
     filter: FilterSettings = field(default_factory=FilterSettings)
-    geometry: GeometryConfig = field(default_factory=GeometryConfig)
+    geometry: GeometrySettings = field(default_factory=GeometrySettings)
 
 
 @dataclass
@@ -157,7 +117,7 @@ class SsmConfig:
 
 @dataclass
 class RunConfig:
-    data: DataConfig = field(default_factory=DataConfig)
+    data: DataFormat = field(default_factory=DataFormat)
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     gpr: GprConfig = field(default_factory=GprConfig)
     forest: ForestConfig = field(default_factory=ForestConfig)
@@ -168,19 +128,14 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        _check_keys(data, [f.name for f in fields(RunConfig)], "<root>")
-        data_cfg = _section(DataConfig, data.get("data", {}), "data")
-        return RunConfig(
-            data=data_cfg,
-            preprocess=_section(PreprocessConfig, data.get("preprocess", {}), "preprocess"),
-            gpr=_section(GprConfig, data.get("gpr", {}), "gpr"),
-            forest=_section(ForestConfig, data.get("forest", {}), "forest"),
-            train=_section(TrainConfig, data.get("train", {}), "train"),
-            risk=_section(RiskConfig, data.get("risk", {}), "risk"),
-            ssm=_section(SsmConfig, data.get("ssm", {}), "ssm"),
-            synth=_section(ScenarioSpec, data.get("synth", {}), "synth",
-                           frame_interval=data_cfg.frame_interval),
-        )
+        check_keys(data, [f.name for f in fields(RunConfig)], "<root>")
+        data_format = _section(DataFormat, data.get("data", {}), "data")
+        sections = {name: _section(cls, data.get(name, {}), name)
+                    for name, cls in _field_types(RunConfig).items()
+                    if name not in ("data", "synth")}
+        synth = _section(ScenarioSpec, data.get("synth", {}), "synth",
+                         frame_interval=data_format.frame_interval)
+        return RunConfig(data=data_format, synth=synth, **sections)
 
     def with_seed(self, seed: int) -> "RunConfig":
         """This config with every stage's seed set to ``seed`` (the ``--seed``
@@ -193,15 +148,4 @@ class RunConfig:
 
 def load_config(path: Optional[str | Path]) -> RunConfig:
     """Parse the JSON run configuration; ``None`` yields all defaults."""
-    if path is None:
-        return RunConfig()
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError(f"config file {path} must hold a JSON object")
-    return RunConfig.from_dict(data)
+    return RunConfig() if path is None else RunConfig.from_dict(read_json_object(path, "config"))

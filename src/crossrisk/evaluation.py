@@ -35,10 +35,19 @@ class ErrorRow:
     n_points: int
 
 
-def _window_is_valid(traj: Trajectory, start_index: int, steps: int) -> bool:
+#: Largest difference (s) between a frame gap and the frame interval that
+#: still counts as one frame apart: the precision the risk stage matches at.
+_FRAME_TOLERANCE = 1e-6
+
+
+def _window_is_valid(traj: Trajectory, start_index: int, steps: int, dt: float) -> bool:
+    """Whether rows ``start_index - 1`` to ``start_index + steps`` are all
+    valid and consecutive frames, each ``dt`` after the one before."""
     if start_index < 1 or start_index + steps >= len(traj):
         return False
-    return bool(traj.valid[start_index - 1 : start_index + steps + 1].all())
+    rows = slice(start_index - 1, start_index + steps + 1)
+    return bool(traj.valid[rows].all()
+                and np.all(np.abs(np.diff(traj.t[rows]) - dt) <= _FRAME_TOLERANCE))
 
 
 def _pooled_rows(vehicles: list, predicted: dict, idx: int, steps: int, dt: float,
@@ -80,31 +89,33 @@ def prediction_error_study(
     The first table varies the 1-based starting point at a fixed rollout
     length; the second varies the prediction horizon from a fixed starting
     point. A vehicle takes part in a cell when its cluster has a model and
-    its window is valid. Every distinct (vehicle, start index) of every cell
-    is rolled out once, in one batch per cluster, over the longest window;
-    each cell reads its window's prefix.
+    its window's frames are valid and one frame interval apart. Every
+    distinct (vehicle, start index) of every cell is rolled out once, in one
+    batch per cluster, over the longest window; each cell reads its window's
+    prefix.
     """
     tables = ([(sp, sp - 1, rollout_steps) for sp in starting_points],
               [(h, horizon_start_point - 1, h) for h in horizons])
     modelled = [traj for traj in dataset.vehicles
                 if traj.maneuver in SUPPORTED_MANEUVERS
                 and (traj.entering_direction, traj.maneuver) in models]
-    windows = {(idx, steps): [traj for traj in modelled if _window_is_valid(traj, idx, steps)]
+    dt = dataset.frame_interval
+    windows = {(idx, steps): [traj for traj in modelled
+                              if _window_is_valid(traj, idx, steps, dt)]
                for table in tables for _, idx, steps in table}
     starts: dict = {}  # cluster -> {(vehicle id, start index): start position}
     for (idx, _), vehicles in windows.items():
         for traj in vehicles:
             starts.setdefault((traj.entering_direction, traj.maneuver), {})[
                 (traj.id, idx)] = traj.xy[idx]
-    cfg = RolloutConfig(steps=max([rollout_steps, *horizons]), dt=dataset.frame_interval)
+    cfg = RolloutConfig(steps=max([rollout_steps, *horizons]), dt=dt)
     predicted = {}
     for cluster, batch in starts.items():
         _, paths = rollout(models[cluster], np.array(list(batch.values())), cfg)
         predicted.update(zip(batch, paths))
     return tuple(
         [row for group, idx, steps in table
-         for row in _pooled_rows(windows[(idx, steps)], predicted, idx, steps,
-                                 dataset.frame_interval, group)]
+         for row in _pooled_rows(windows[(idx, steps)], predicted, idx, steps, dt, group)]
         for table in tables
     )
 

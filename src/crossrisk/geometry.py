@@ -4,7 +4,9 @@ The eight crosswalk endpoints (two per approach) induce four corner points;
 the two diagonals through opposite corners split the plane into four angular
 sectors labeled N/E/S/W. Endpoint estimation pools pedestrian trajectories
 into a density grid and takes the centroid of the densest cell cluster inside
-each operator-supplied search region.
+each operator-supplied search region. The ``preprocess.geometry`` config
+section parses into :class:`GeometrySettings`, and :func:`build_geometry`
+turns it into an :class:`IntersectionGeometry`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_keys, is_finite_number
 from .trajectory import Direction, Trajectory
 
 Point = tuple[float, float]
@@ -40,6 +42,37 @@ CROSSWALK_SEGMENTS = {
     Direction.S: ("S_SE", "S_SW"),
     Direction.W: ("W_SW", "W_NW"),
 }
+
+# Canonical intersection layout (meters): axis-aligned, centered at the
+# origin, crosswalk lines at +/-CROSSWALK_OFFSET spanning +/-CROSSWALK_HALF.
+CROSSWALK_OFFSET = 10.0
+CROSSWALK_HALF = 8.0
+
+
+def canonical_endpoints() -> dict:
+    """True crosswalk endpoints of the canonical intersection."""
+    L, h = CROSSWALK_OFFSET, CROSSWALK_HALF
+    return {
+        "N_NW": (-h, L),
+        "N_NE": (h, L),
+        "E_NE": (L, h),
+        "E_SE": (L, -h),
+        "S_SE": (h, -L),
+        "S_SW": (-h, -L),
+        "W_SW": (-L, -h),
+        "W_NW": (-L, h),
+    }
+
+
+def canonical_search_regions(margin: float = 1.25) -> dict:
+    """Search boxes centered on the canonical endpoints, for estimation.
+
+    The default margin stays below half the spacing of adjacent corner
+    endpoints so each box isolates exactly one pedestrian funnel."""
+    return {
+        key: (x - margin, y - margin, x + margin, y + margin)
+        for key, (x, y) in canonical_endpoints().items()
+    }
 
 
 def _line_intersection(p1: Point, p2: Point, q1: Point, q2: Point) -> Point:
@@ -261,14 +294,12 @@ def estimate_crosswalk_endpoints(
     pedestrian_trajs: Sequence[Trajectory],
     cell_size: float,
     search_regions: dict,
-    crosswalk_inflation: float = 2.0,
-    roadway_polygon: Optional[Sequence[Point]] = None,
-    crosswalk_polygons: Optional[dict] = None,
-) -> tuple[IntersectionGeometry, DensityGrid]:
+) -> tuple[dict, DensityGrid]:
     """Locate the eight crosswalk endpoints from pooled pedestrian traffic.
 
     ``search_regions`` maps every key in :data:`ENDPOINT_KEYS` to an
-    axis-aligned box ``(xmin, ymin, xmax, ymax)`` to search within.
+    axis-aligned box ``(xmin, ymin, xmax, ymax)`` to search within. Returns
+    the endpoints by key and the density grid they were found on.
     """
     if not pedestrian_trajs:
         raise InputError("endpoint estimation needs at least one pedestrian trajectory")
@@ -279,10 +310,84 @@ def estimate_crosswalk_endpoints(
     endpoints = {
         key: _dense_cluster_centroid(grid, search_regions[key]) for key in ENDPOINT_KEYS
     }
+    return endpoints, grid
+
+
+# ---------------------------------------------------------------------------
+# The preprocess.geometry config section
+# ---------------------------------------------------------------------------
+
+
+def _numbers(value, n: int, where: str) -> tuple:
+    if not (isinstance(value, (list, tuple)) and len(value) == n
+            and all(map(is_finite_number, value))):
+        raise InputError(f"{where} must be {n} finite numbers, got {value!r}")
+    return tuple(map(float, value))
+
+
+def _polygon(value, where: str) -> tuple:
+    if not (isinstance(value, (list, tuple)) and len(value) >= 3):
+        raise InputError(f"{where} must be at least three [x, y] points, got {value!r}")
+    return tuple(_numbers(p, 2, f"{where} point") for p in value)
+
+
+def _keyed(mapping: Optional[dict], keys, check, where: str) -> Optional[dict]:
+    if mapping is None:
+        return None
+    check_keys(mapping, keys, where)
+    return {k: check(v, f"{where}.{k}") for k, v in mapping.items()}
+
+
+@dataclass(frozen=True)
+class GeometrySettings:
+    """The ``preprocess.geometry`` config section: ``"explicit"`` endpoints,
+    or endpoints to ``"estimate"`` in ``search_regions`` (by default the
+    canonical layout's boxes), plus the membership-region overrides. Points
+    are stored as tuples of floats."""
+
+    mode: str = "estimate"
+    search_regions: Optional[dict] = None
+    endpoints: Optional[dict] = None
+    crosswalk_inflation: float = 2.0
+    roadway_polygon: Optional[tuple] = None
+    crosswalk_polygons: Optional[dict] = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("estimate", "explicit"):
+            raise InputError(f"unknown geometry mode: {self.mode!r}")
+        if self.mode == "explicit" and not self.endpoints:
+            raise InputError("explicit geometry mode requires endpoints")
+        if not (is_finite_number(self.crosswalk_inflation) and self.crosswalk_inflation >= 0):
+            raise InputError("crosswalk_inflation must be finite and nonnegative, got "
+                             f"{self.crosswalk_inflation!r}")
+        where = "preprocess.geometry"
+        checked = {
+            "endpoints": _keyed(self.endpoints, ENDPOINT_KEYS,
+                                lambda v, w: _numbers(v, 2, w), f"{where}.endpoints"),
+            "search_regions": _keyed(self.search_regions, ENDPOINT_KEYS,
+                                     lambda v, w: _numbers(v, 4, w), f"{where}.search_regions"),
+            "crosswalk_polygons": _keyed(self.crosswalk_polygons, [d.value for d in Direction],
+                                         _polygon, f"{where}.crosswalk_polygons"),
+            "roadway_polygon": (None if self.roadway_polygon is None
+                                else _polygon(self.roadway_polygon, f"{where}.roadway_polygon")),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+
+
+def build_geometry(settings: GeometrySettings, pedestrians: Sequence[Trajectory],
+                   cell_size: float) -> tuple[IntersectionGeometry, Optional[DensityGrid]]:
+    """The intersection geometry ``settings`` describe, and the density grid
+    of ``cell_size`` cells its endpoints were estimated on from
+    ``pedestrians`` (``None`` when the endpoints are explicit)."""
+    endpoints, grid = settings.endpoints, None
+    if settings.mode == "estimate":
+        endpoints, grid = estimate_crosswalk_endpoints(
+            pedestrians, cell_size, settings.search_regions or canonical_search_regions())
     geometry = IntersectionGeometry(
         endpoints=endpoints,
-        crosswalk_inflation=crosswalk_inflation,
-        roadway_polygon=tuple(map(tuple, roadway_polygon)) if roadway_polygon else None,
-        crosswalk_polygons=crosswalk_polygons,
+        crosswalk_inflation=settings.crosswalk_inflation,
+        roadway_polygon=settings.roadway_polygon,
+        crosswalk_polygons=settings.crosswalk_polygons,
     )
     return geometry, grid

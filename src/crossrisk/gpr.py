@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, read_json_object
 from .parallel import ordered_map
 from .trajectory import Dataset, Direction, Maneuver, SUPPORTED_MANEUVERS
 
@@ -633,19 +633,7 @@ def save_cluster_models(models: dict, path: str | Path) -> None:
 
 
 def load_cluster_models(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"model file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
-    version = payload.get("version") if isinstance(payload, dict) else None
-    if version != MODEL_FILE_VERSION:
-        raise InputError(
-            f"unsupported model file version {version!r} (expected "
-            f"{MODEL_FILE_VERSION}); re-run `crossrisk train` to regenerate {path}"
-        )
+    payload = read_json_object(path, "model", MODEL_FILE_VERSION, "train")
     clusters = payload.get("clusters")
     if not isinstance(clusters, dict):
         raise InputError(f"model file {path} holds no clusters mapping")

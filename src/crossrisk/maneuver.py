@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, is_count
+from .errors import InputError, is_count, read_json_object
 from .parallel import ordered_map
 from .trajectory import (
     DIRECTION_CODES,
@@ -667,19 +667,7 @@ def _tree_from_dict(data: dict, n_features: int, n_classes: int) -> Tree:
 
 
 def load_forest(path: str | Path) -> ForestModel:
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"forest file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"forest file {path} is not valid JSON: {exc}") from exc
-    version = payload.get("version") if isinstance(payload, dict) else None
-    if version != FOREST_FILE_VERSION:
-        raise InputError(
-            f"unsupported forest file version {version!r} (expected "
-            f"{FOREST_FILE_VERSION}); re-run `crossrisk train` to regenerate {path}"
-        )
+    payload = read_json_object(path, "forest", FOREST_FILE_VERSION, "train")
     n_features, n_classes, trees = (payload.get(k) for k in ("n_features", "n_classes", "trees"))
     if not all(type(v) is int and v > 0 for v in (n_features, n_classes)):
         raise InputError("forest n_features and n_classes must be positive integers")

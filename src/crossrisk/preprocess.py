@@ -317,7 +317,7 @@ def preprocess_dataset(
     merge_criteria: MergeCriteria = MergeCriteria(),
     filter_settings: FilterSettings = FilterSettings(),
 ) -> tuple[Dataset, PreprocessReport]:
-    """Label vehicles, merge and filter pedestrians, attach geometry.
+    """Label vehicles, merge and filter pedestrians.
 
     Vehicles whose movement cannot be mapped to left/right/straight are
     excluded; cyclists and misc objects pass through untouched.
@@ -356,6 +356,4 @@ def preprocess_dataset(
     for cls in (ObjectClass.CYCLIST, ObjectClass.MISC):
         out.extend(dataset.of_class(cls))
 
-    result = Dataset(trajectories=out, frame_interval=dataset.frame_interval,
-                     geometry=geometry)
-    return result, report
+    return Dataset(trajectories=out, frame_interval=dataset.frame_interval), report

@@ -23,8 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
-from .geometry import CROSSWALK_SEGMENTS
+from .errors import InputError, read_json_object
+from .geometry import (
+    CROSSWALK_HALF,
+    CROSSWALK_OFFSET,
+    CROSSWALK_SEGMENTS,
+    canonical_endpoints,
+)
 from .trajectory import (
     Dataset,
     Direction,
@@ -34,9 +39,7 @@ from .trajectory import (
     Trajectory,
 )
 
-# Canonical intersection layout (meters).
-CROSSWALK_OFFSET = 10.0
-CROSSWALK_HALF = 8.0
+# Canonical intersection layout (meters); the crosswalks are geometry's.
 LANE_OFFSET = 1.75
 START_DIST = 30.0
 END_DIST = 34.0
@@ -59,32 +62,6 @@ _EPISODE_PERIOD = 26.0
 _FIRST_EPISODE_CENTER = 18.0
 
 GROUND_TRUTH_VERSION = 1
-
-
-def canonical_endpoints() -> dict:
-    """True crosswalk endpoints of the canonical intersection."""
-    L, h = CROSSWALK_OFFSET, CROSSWALK_HALF
-    return {
-        "N_NW": (-h, L),
-        "N_NE": (h, L),
-        "E_NE": (L, h),
-        "E_SE": (L, -h),
-        "S_SE": (h, -L),
-        "S_SW": (-h, -L),
-        "W_SW": (-L, -h),
-        "W_NW": (-L, h),
-    }
-
-
-def canonical_search_regions(margin: float = 1.25) -> dict:
-    """Search boxes centered on the canonical endpoints, for estimation.
-
-    The default margin stays below half the spacing of adjacent corner
-    endpoints so each box isolates exactly one pedestrian funnel."""
-    return {
-        key: (x - margin, y - margin, x + margin, y + margin)
-        for key, (x, y) in canonical_endpoints().items()
-    }
 
 
 @dataclass(frozen=True)
@@ -179,28 +156,26 @@ def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
 
 
 def read_ground_truth(path: str | Path) -> GroundTruth:
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"ground-truth file not found: {path}")
-    payload = json.loads(path.read_text())
-    if payload.get("version") != GROUND_TRUTH_VERSION:
-        raise InputError(f"unsupported ground-truth version: {payload.get('version')!r}")
+    payload = read_json_object(path, "ground-truth", GROUND_TRUTH_VERSION, "synth")
     truth = GroundTruth()
-    for vid, entry in payload["vehicles"].items():
-        truth.vehicles[vid] = (Direction(entry["direction"]), Maneuver(entry["maneuver"]))
-    for pid, entry in payload.get("pedestrians", {}).items():
-        truth.pedestrian_crosswalks[pid] = Direction(entry["crosswalk"])
-    for c in payload["conflicts"]:
-        truth.conflicts.append(
-            ConflictTruth(
-                vehicle_id=c["vehicle_id"],
-                pedestrian_id=c["pedestrian_id"],
-                requested_pet=c["requested_pet"],
-                point=tuple(c["point"]),
-                t_vehicle=c["t_vehicle"],
-                t_pedestrian=c["t_pedestrian"],
+    try:
+        for vid, entry in payload["vehicles"].items():
+            truth.vehicles[vid] = (Direction(entry["direction"]), Maneuver(entry["maneuver"]))
+        for pid, entry in payload.get("pedestrians", {}).items():
+            truth.pedestrian_crosswalks[pid] = Direction(entry["crosswalk"])
+        for c in payload["conflicts"]:
+            truth.conflicts.append(
+                ConflictTruth(
+                    vehicle_id=c["vehicle_id"],
+                    pedestrian_id=c["pedestrian_id"],
+                    requested_pet=c["requested_pet"],
+                    point=tuple(c["point"]),
+                    t_vehicle=c["t_vehicle"],
+                    t_pedestrian=c["t_pedestrian"],
+                )
             )
-        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed ground-truth file {path}: {exc!r}") from exc
     return truth
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, is_finite_number
 
 
 class ObjectClass(Enum):
@@ -150,7 +150,6 @@ class Dataset:
 
     trajectories: list[Trajectory]
     frame_interval: float = 0.1
-    geometry: object = None  # Optional[IntersectionGeometry]; set by preprocessing
 
     def __post_init__(self) -> None:
         ids = [t.id for t in self.trajectories]
@@ -205,28 +204,33 @@ LABEL_COLUMNS = ("entering_direction", "maneuver")
 
 
 @dataclass(frozen=True)
-class ColumnSchema:
-    """Maps canonical column names onto the header names of a concrete file.
+class DataFormat:
+    """How an input trajectory file is laid out: the ``data`` config section.
 
-    ``yaw_rate_unit`` is ``"rad_s"`` or ``"deg_s"``; degrees are converted on
-    ingestion so yaw rate is always radians/second in memory.
+    ``schema`` maps canonical column names onto the file's header names; a
+    column it does not name keeps its canonical name. ``yaw_rate_unit`` is
+    ``"rad_s"`` or ``"deg_s"``; degrees are converted on ingestion so yaw
+    rate is always radians/second in memory. ``frame_interval`` is the
+    sensor's frame spacing in seconds.
     """
 
-    columns: dict = field(default_factory=lambda: {c: c for c in CANONICAL_COLUMNS})
+    schema: dict = field(default_factory=dict)
     yaw_rate_unit: str = "rad_s"
+    frame_interval: float = 0.1
 
     def __post_init__(self) -> None:
-        missing = [c for c in CANONICAL_COLUMNS if c not in self.columns]
-        if missing:
-            raise InputError(f"schema is missing canonical columns: {missing}")
+        unknown = sorted(set(self.schema) - set(CANONICAL_COLUMNS))
+        if unknown:
+            raise InputError(f"unknown canonical column(s) {unknown} in data.schema")
+        if not all(isinstance(name, str) for name in self.schema.values()):
+            raise InputError(f"data.schema must map to header names, got {self.schema!r}")
         if self.yaw_rate_unit not in ("rad_s", "deg_s"):
             raise InputError(f"unknown yaw_rate_unit: {self.yaw_rate_unit!r}")
+        if not (is_finite_number(self.frame_interval) and self.frame_interval > 0):
+            raise InputError("frame_interval must be positive")
 
 
 def _parse_float(raw: str) -> float:
-    raw = raw.strip()
-    if not raw:
-        return float("nan")
     try:
         return float(raw)
     except ValueError:
@@ -259,9 +263,9 @@ def _last_label(raw: Sequence[str], kind: type) -> Optional[Enum]:
     return next((parsed[text] for text in reversed(texts) if text), None)
 
 
-def load_dataset(path: str | Path, schema: Optional[ColumnSchema] = None,
-                 frame_interval: float = 0.1) -> Dataset:
-    """Read a comma-separated trajectory file into a :class:`Dataset`.
+def load_dataset(path: str | Path, data: DataFormat = DataFormat()) -> Dataset:
+    """Read a comma-separated trajectory file, laid out as ``data`` says, into
+    a :class:`Dataset` with ``data``'s frame interval.
 
     One row per (object, frame). Rows without a finite timestamp are dropped.
     The rest are grouped by object id in order of first appearance, sorted by
@@ -270,17 +274,16 @@ def load_dataset(path: str | Path, schema: Optional[ColumnSchema] = None,
     The trajectory class is the majority vote over its per-frame labels; the
     label columns, when present, take their last non-empty value.
     """
-    schema = schema or ColumnSchema()
     path = Path(path)
     if not path.exists():
         raise InputError(f"dataset file not found: {path}")
+    names = {c: data.schema.get(c, c) for c in CANONICAL_COLUMNS}  # canonical -> header
 
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         index = {name: i for i, name in enumerate(header)}  # last duplicate wins
-        missing = [schema.columns[c] for c in CANONICAL_COLUMNS
-                   if schema.columns[c] not in index]
+        missing = [name for name in names.values() if name not in index]
         if missing:
             raise InputError(f"{path}: missing required columns {missing}")
         width = len(header)
@@ -290,20 +293,20 @@ def load_dataset(path: str | Path, schema: Optional[ColumnSchema] = None,
         i = index[name]
         return [r[i] for r in rows]
 
-    t = _parse_column(column(schema.columns["t"]))
-    ids = [raw.strip() for raw in column(schema.columns["id"])]
+    t = _parse_column(column(names["t"]))
+    ids = [raw.strip() for raw in column(names["id"])]
     groups: dict[str, list[int]] = {}
     for i in np.flatnonzero(np.isfinite(t)).tolist():
         groups.setdefault(ids[i], []).append(i)
     if not groups:
         raise InputError(f"{path}: no usable rows")
 
-    table = np.column_stack([t] + [_parse_column(column(schema.columns[c]))
+    table = np.column_stack([t] + [_parse_column(column(names[c]))
                                    for c in POINT_COLUMNS[1:]])
-    if schema.yaw_rate_unit == "deg_s":
+    if data.yaw_rate_unit == "deg_s":
         yaw = table[:, 5]
         table[:, 5] = np.where(np.isfinite(yaw), yaw * (math.pi / 180.0), yaw)
-    classes = column(schema.columns["class"])
+    classes = column(names["class"])
     labels = ({c: column(c) for c in LABEL_COLUMNS}
               if all(c in index for c in LABEL_COLUMNS) else None)
 
@@ -327,7 +330,7 @@ def load_dataset(path: str | Path, schema: Optional[ColumnSchema] = None,
             )
         )
 
-    return Dataset(trajectories=trajectories, frame_interval=frame_interval)
+    return Dataset(trajectories=trajectories, frame_interval=data.frame_interval)
 
 
 def save_dataset(dataset: Dataset, path: str | Path, include_labels: bool = True) -> None:

@@ -13,7 +13,7 @@ from helpers import crossing_risk, row
 
 from crossrisk.cli import main
 from crossrisk.evaluation import compute_risk_streams, prediction_error_study
-from crossrisk.geometry import IntersectionGeometry
+from crossrisk.geometry import IntersectionGeometry, canonical_endpoints
 from crossrisk.gpr import (
     GprConfig,
     KernelConfig,
@@ -40,7 +40,7 @@ from crossrisk.preprocess import (
     preprocess_dataset,
 )
 from crossrisk.ssm import compute_pet, compute_ttc, evaluate_detection, identify_conflicts_pet
-from crossrisk.synth import ScenarioSpec, canonical_endpoints, generate_scenario
+from crossrisk.synth import ScenarioSpec, generate_scenario
 from crossrisk.trajectory import (
     Maneuver,
     ObjectClass,

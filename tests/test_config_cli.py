@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,16 @@ from crossrisk import evaluation, parallel
 from crossrisk.cli import main
 from crossrisk.config import RunConfig, load_config
 from crossrisk.errors import InputError
-from crossrisk.gpr import GprModelPair, KernelConfig, build_gpr_model, save_cluster_models
-from crossrisk.maneuver import save_forest, train_forest
-from crossrisk.synth import canonical_endpoints
+from crossrisk.geometry import CROSSWALK_SEGMENTS, canonical_endpoints, canonical_search_regions
+from crossrisk.gpr import (
+    GprModelPair,
+    KernelConfig,
+    build_gpr_model,
+    load_cluster_models,
+    save_cluster_models,
+)
+from crossrisk.maneuver import load_forest, save_forest, train_forest
+from crossrisk.synth import read_ground_truth
 from crossrisk.trajectory import (
     Dataset,
     Direction,
@@ -120,10 +128,16 @@ class TestConfig:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(data))
             cfg = load_config(path)
-            for section in ("gpr", "forest", "synth"):
-                for key, value in data[section].items():
+            sections = {section: (data[section], getattr(cfg, section))
+                        for section in ("data", "gpr", "forest", "synth")}
+            prep = data["preprocess"]
+            sections.update({"preprocess.merge": (prep["merge"], cfg.preprocess.merge),
+                             "preprocess.geometry": (prep["geometry"], cfg.preprocess.geometry)})
+            assert cfg.preprocess.cell_size == prep["cell_size"]
+            for section, (values, parsed) in sections.items():
+                for key, value in values.items():
                     want = tuple(value) if isinstance(value, list) else value
-                    assert getattr(getattr(cfg, section), key) == want, (name, section, key)
+                    assert getattr(parsed, key) == want, (name, section, key)
             assert cfg.synth.frame_interval == data["data"]["frame_interval"]
 
 
@@ -140,6 +154,15 @@ def _pipeline_config(tmp_path, seed=3):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+@pytest.fixture(scope="module")
+def default_scene(tmp_path_factory):
+    """``dataset.csv`` of the default synthetic scene: 48 vehicles and 8
+    pedestrians, two per crosswalk."""
+    out = tmp_path_factory.mktemp("default_scene")
+    assert main(["synth", "--out", str(out)]) == 0
+    return out / "dataset.csv"
 
 
 def _hash_tree(root: Path) -> dict:
@@ -242,6 +265,61 @@ class TestCli:
                      "--out", str(tmp_path / "prep")]) == 0
         report = (tmp_path / "prep" / "preprocess_report.txt").read_text()
         assert "vehicles labeled: 12" in report
+
+    def test_explicit_geometry_polygons(self, tmp_path, default_scene):
+        # the canonical roadway box and crosswalk bands as polygons keep all
+        # eight pedestrians; with only the N band, the other crosswalks'
+        # pedestrians walk on the roadway polygon off every crosswalk
+        endpoints = canonical_endpoints()
+        bands = {}
+        for approach, keys in CROSSWALK_SEGMENTS.items():
+            (x1, y1), (x2, y2) = (endpoints[k] for k in keys)
+            lo_x, hi_x = min(x1, x2) - 2, max(x1, x2) + 2
+            lo_y, hi_y = min(y1, y2) - 2, max(y1, y2) + 2
+            bands[approach.value] = [[lo_x, lo_y], [hi_x, lo_y], [hi_x, hi_y], [lo_x, hi_y]]
+        geometry = {"mode": "explicit",
+                    "endpoints": {k: list(v) for k, v in endpoints.items()},
+                    "roadway_polygon": [[-12, -12], [12, -12], [12, 12], [-12, 12]]}
+        for name, polygons, retained in (("all", bands, 8), ("north", {"N": bands["N"]}, 2)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"preprocess": {"geometry": {
+                **geometry, "crosswalk_polygons": polygons}}}))
+            assert main(["preprocess", "--config", str(cfg), "--in", str(default_scene),
+                         "--out", str(tmp_path / name)]) == 0
+            report = (tmp_path / name / "preprocess_report.txt").read_text()
+            assert f"pedestrians retained: {retained}\n" in report
+            assert not (tmp_path / name / "density_grid.csv").exists()
+
+    def test_renamed_headers_and_degree_yaw_rates(self, tmp_path, default_scene):
+        # the scene with three headers renamed and yaw rates in degrees,
+        # read through data.schema and yaw_rate_unit, preprocesses as the
+        # scene itself does
+        lines = default_scene.read_text().splitlines()
+        header = lines[0].split(",")
+        assert header == ["t", "id", "class", "x", "y", "vx", "vy", "yaw_rate"]
+        rows = [line.split(",") for line in lines[1:]]
+        for cells in rows:
+            cells[7] = repr(float(cells[7]) * 180.0 / math.pi)
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text("\n".join(",".join(cells) for cells in
+                                     [["time", "track", *header[2:7], "yr"], *rows]) + "\n")
+        cfg = tmp_path / "schema.json"
+        cfg.write_text(json.dumps({"data": {"schema": {"t": "time", "id": "track",
+                                                       "yaw_rate": "yr"},
+                                            "yaw_rate_unit": "deg_s"}}))
+        assert main(["preprocess", "--in", str(default_scene),
+                     "--out", str(tmp_path / "plain")]) == 0
+        assert main(["preprocess", "--config", str(cfg), "--in", str(renamed),
+                     "--out", str(tmp_path / "mapped")]) == 0
+        plain, mapped = (tmp_path / tag for tag in ("plain", "mapped"))
+        for name in ("preprocess_report.txt", "density_grid.csv"):
+            assert (plain / name).read_bytes() == (mapped / name).read_bytes()
+        want, got = ([line.split(",") for line in (out / "labeled.csv").read_text().splitlines()]
+                     for out in (plain, mapped))
+        assert len(want) == len(got) > 1 and want[0] == got[0]
+        for w, g in zip(want[1:], got[1:]):
+            assert w[:7] == g[:7] and w[8:] == g[8:]
+            assert float(g[7]) == pytest.approx(float(w[7]), rel=1e-12, nan_ok=True)
 
     def test_truth_pair_skipped_by_stride_is_a_miss(self, tmp_path):
         labeled, models = _tiny_risk_inputs(tmp_path)
@@ -389,6 +467,42 @@ class TestExitCodes:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(section))
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("geometry,named", [
+        ({"roadway_polygon": [[0, 0], [1]]}, "roadway_polygon"),
+        ({"roadway_polygon": [[0, 0], [1, 0], [0, float("inf")]]}, "roadway_polygon point"),
+        ({"crosswalk_polygons": {"N": "abc"}}, "crosswalk_polygons.N"),
+        ({"crosswalk_polygons": {"NE": [[0, 0], [1, 0], [0, 1]]}}, "'NE'"),
+        ({"search_regions": {**canonical_search_regions(), "S_SE": [1, 2, 3]}},
+         "search_regions.S_SE"),
+        ({"mode": "explicit", "endpoints": {**canonical_endpoints(), "N_NW": ["a", 1]}},
+         "endpoints.N_NW"),
+        ({"mode": "explicit", "endpoints": {**canonical_endpoints(), "N_NW": [0, float("nan")]}},
+         "endpoints.N_NW"),
+        ({"crosswalk_inflation": -1}, "crosswalk_inflation"),
+        ({"crosswalk_inflation": float("nan")}, "crosswalk_inflation"),
+    ], ids=["two-point-polygon", "infinite-polygon-point", "string-polygon",
+            "unknown-approach", "three-number-box", "string-endpoint", "nan-endpoint",
+            "negative-inflation", "nan-inflation"])
+    def test_malformed_geometry_value_is_exit_code_one(self, tmp_path, default_scene,
+                                                       capsys, geometry, named):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"preprocess": {"geometry": geometry}}))
+        out = tmp_path / "prep"
+        assert main(["preprocess", "--config", str(cfg), "--in", str(default_scene),
+                     "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()  # rejected with the config, before any output
+
+    @pytest.mark.parametrize("reader", [load_config, load_forest, load_cluster_models,
+                                        read_ground_truth])
+    @pytest.mark.parametrize("content", ["{", "[1]", '{"version": 1}'],
+                             ids=["cut", "list", "version-only"])
+    def test_malformed_json_file_is_input_error(self, tmp_path, reader, content):
+        path = tmp_path / "file.json"
+        path.write_text(content)
+        with pytest.raises(InputError):
+            reader(path)
 
     def test_negative_seed_flag_is_exit_code_one(self, tmp_path, capsys):
         assert main(["synth", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1

@@ -10,11 +10,12 @@ from crossrisk.geometry import (
     IntersectionGeometry,
     _dense_cluster_centroid,
     build_density_grid,
+    canonical_endpoints,
+    canonical_search_regions,
     estimate_crosswalk_endpoints,
     point_in_polygon,
     point_segment_distance,
 )
-from crossrisk.synth import canonical_endpoints, canonical_search_regions
 from crossrisk.trajectory import Direction, ObjectClass, Trajectory
 
 
@@ -200,11 +201,11 @@ class TestEndpointEstimation:
                      (ex * 0.2 + far[0], ey * 0.2 + far[1])],
                 ))
                 n += 1
-        geometry, grid = estimate_crosswalk_endpoints(
+        endpoints, grid = estimate_crosswalk_endpoints(
             trajs, cell_size=0.5, search_regions=canonical_search_regions()
         )
         for key, (ex, ey) in canonical_endpoints().items():
-            gx, gy = geometry.endpoints[key]
+            gx, gy = endpoints[key]
             assert math.hypot(gx - ex, gy - ey) <= 0.75
 
     def test_no_pedestrians_raises(self):

@@ -35,8 +35,8 @@ from crossrisk.gpr import (
     train_cluster_models,
 )
 from crossrisk.preprocess import preprocess_dataset
-from crossrisk.geometry import IntersectionGeometry
-from crossrisk.synth import ScenarioSpec, canonical_endpoints, generate_scenario
+from crossrisk.geometry import IntersectionGeometry, canonical_endpoints
+from crossrisk.synth import ScenarioSpec, generate_scenario
 from crossrisk.trajectory import Direction, Maneuver
 
 

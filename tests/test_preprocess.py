@@ -6,7 +6,7 @@ from helpers import row
 from hypothesis import given, settings, strategies as st
 
 from crossrisk.errors import InputError
-from crossrisk.geometry import IntersectionGeometry
+from crossrisk.geometry import IntersectionGeometry, canonical_endpoints
 from crossrisk.preprocess import (
     MergeCriteria,
     classify_entering_direction,
@@ -15,7 +15,7 @@ from crossrisk.preprocess import (
     merge_pedestrian_trajectories,
     preprocess_dataset,
 )
-from crossrisk.synth import ScenarioSpec, canonical_endpoints, generate_scenario
+from crossrisk.synth import ScenarioSpec, generate_scenario
 from crossrisk.trajectory import (
     Direction,
     Maneuver,

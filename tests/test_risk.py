@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossrisk import evaluation, risk
 from crossrisk.evaluation import compute_risk_streams
-from crossrisk.geometry import IntersectionGeometry
+from crossrisk.geometry import IntersectionGeometry, canonical_endpoints
 from crossrisk.gpr import (
     GprConfig,
     GprModelPair,
@@ -35,7 +35,7 @@ from crossrisk.risk import (
     state_from_trajectory,
     trajectory_error,
 )
-from crossrisk.synth import ScenarioSpec, canonical_endpoints, generate_scenario
+from crossrisk.synth import ScenarioSpec, generate_scenario
 from crossrisk.trajectory import (
     Dataset,
     Direction,
@@ -97,7 +97,7 @@ def reference_pooled_rows(dataset, models, start_point, steps, group_value):
             traj for traj in dataset.vehicles
             if traj.maneuver == maneuver and traj.entering_direction is not None
             and (traj.entering_direction, maneuver) in models
-            and evaluation._window_is_valid(traj, idx, steps)
+            and evaluation._window_is_valid(traj, idx, steps, dt)
         ]
         if not vehicles:
             continue
@@ -728,6 +728,21 @@ class TestPredictionStudy:
         clusters = [cluster for cluster, _ in calls]
         assert clusters and len(clusters) == len(set(clusters))
         assert {steps for _, steps in calls} == {40}
+
+    def test_windows_check_time_continuity(self):
+        # a 40-frame track with frame 15 dropped: start index 9 with 10 steps
+        # once ended at t = 2.0 s, not 1.9 s; no window may span the gap now
+        track = Trajectory(id="v", object_class=ObjectClass.VEHICLE, points=[
+            row(round(0.1 * k, 6), float(k), 0.0, 10.0, 0.0) for k in range(40) if k != 15])
+        assert track.t[9 + 10] == 2.0
+        assert not evaluation._window_is_valid(track, 9, 10, 0.1)
+        assert not evaluation._window_is_valid(track, 15, 3, 0.1)  # the gap is rows 14-15
+        assert evaluation._window_is_valid(track, 1, 12, 0.1)  # rows 0-13 end before it
+        assert evaluation._window_is_valid(track, 16, 10, 0.1)  # rows 15-26 start after it
+        jittered = Trajectory(id="j", object_class=ObjectClass.VEHICLE, points=[
+            row(0.1 * k + (-1) ** k * 4e-7, float(k), 0.0, 10.0, 0.0) for k in range(40)])
+        assert evaluation._window_is_valid(jittered, 9, 10, 0.1)  # gaps off by 8e-7 s
+        assert not evaluation._window_is_valid(jittered, 9, 10, 0.05)
 
 
 class TestTrajectoryError:

@@ -6,11 +6,15 @@ from helpers import row
 from hypothesis import example, given, settings, strategies as st
 
 from crossrisk.errors import InputError
-from crossrisk.geometry import IntersectionGeometry
+from crossrisk.geometry import (
+    CROSSWALK_HALF,
+    IntersectionGeometry,
+    canonical_endpoints,
+    canonical_search_regions,
+)
 from crossrisk.preprocess import classify_entering_direction, classify_movement
 from crossrisk.ssm import compute_pet, identify_conflicts_pet
 from crossrisk.synth import (
-    CROSSWALK_HALF,
     PED_APPROACH_LENGTH,
     ConflictTruth,
     GroundTruth,
@@ -28,8 +32,6 @@ from crossrisk.synth import (
     _time_at_arclength,
     _vehicle_crossings,
     _vehicle_geometry,
-    canonical_endpoints,
-    canonical_search_regions,
     generate_scenario,
     read_ground_truth,
     write_ground_truth,

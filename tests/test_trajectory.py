@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from crossrisk.errors import InputError
 from crossrisk.ssm import co_present_pairs
 from crossrisk.trajectory import (
-    ColumnSchema,
+    DataFormat,
     Dataset,
     Direction,
     Maneuver,
@@ -206,13 +206,22 @@ class TestLoadDataset:
             "time,track,label,px,py,sx,sy,yr\n"
             "0.0,5,vehicle,1,2,3,4,90.0\n"
         )
-        schema = ColumnSchema(
-            columns={"t": "time", "id": "track", "class": "label", "x": "px",
-                     "y": "py", "vx": "sx", "vy": "sy", "yaw_rate": "yr"},
+        data = DataFormat(
+            schema={"t": "time", "id": "track", "class": "label", "x": "px",
+                    "y": "py", "vx": "sx", "vy": "sy", "yaw_rate": "yr"},
             yaw_rate_unit="deg_s",
         )
-        traj = load_dataset(path, schema).by_id("5")
+        traj = load_dataset(path, data).by_id("5")
         assert traj.yaw_rate[0] == pytest.approx(math.pi / 2.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"schema": {"time": "t"}}, {"schema": {"t": 0}}, {"yaw_rate_unit": "rpm"},
+        {"frame_interval": 0.0}, {"frame_interval": float("nan")}, {"frame_interval": 10**400},
+    ], ids=["unknown-column", "non-string-header", "unknown-unit", "zero-interval",
+            "nan-interval", "huge-int-interval"])
+    def test_bad_data_format_rejected(self, kwargs):
+        with pytest.raises(InputError):
+            DataFormat(**kwargs)
 
 
 class TestRoundTrip:
