@@ -19,12 +19,7 @@ from .config import RunConfig, load_config
 from .errors import InputError, NumericalError
 from .evaluation import compute_risk_streams, prediction_error_study
 from .geometry import build_geometry
-from .gpr import (
-    RolloutConfig,
-    load_cluster_models,
-    save_cluster_models,
-    train_cluster_models,
-)
+from .gpr import load_cluster_models, save_cluster_models, train_cluster_models
 from .maneuver import (
     build_feature_table,
     load_forest,
@@ -126,12 +121,7 @@ def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
     models = train_cluster_models(dataset, cfg.gpr)
     save_cluster_models(models, out_dir / "gpr_models.json")
 
-    start_rows, horizon_rows = prediction_error_study(
-        dataset, models,
-        starting_points=cfg.train.starting_points,
-        horizons=cfg.train.horizons,
-        rollout_steps=cfg.train.rollout_steps,
-    )
+    start_rows, horizon_rows = prediction_error_study(dataset, models, cfg.train)
     header = ["group", "maneuver", "gpr_mean", "gpr_std", "dynamic_mean",
               "dynamic_std", "n_vehicles", "n_points"]
     as_row = lambda r: [r.group, r.maneuver.value, _fmt(r.gpr_mean), _fmt(r.gpr_std),
@@ -163,18 +153,7 @@ def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path) -> 
         ],
     )
 
-    rollout_cfg = RolloutConfig(
-        steps=cfg.risk.horizon_steps,
-        dt=dataset.frame_interval,
-        mode=cfg.risk.rollout_mode,
-        seed=cfg.risk.sample_seed,
-    )
-    streams = compute_risk_streams(
-        dataset, models, forest, rollout_cfg,
-        conflict_radius=cfg.risk.conflict_radius,
-        ttc_radius=cfg.ssm.ttc_radius,
-        frame_stride=cfg.risk.frame_stride,
-    )
+    streams = compute_risk_streams(dataset, models, forest, cfg.risk, cfg.ssm.ttc_radius)
 
     series_rows = []
     for (vid, pid) in sorted(streams):

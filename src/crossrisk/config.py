@@ -2,9 +2,9 @@
 
 Every pipeline stage reads its settings from here; command-line flags only
 override paths and seeds. Each section parses straight into the settings type
-of the stage that reads it, whose constructor checks the values. Unknown keys
-are rejected by name so typos fail loudly instead of silently falling back to
-defaults.
+of the stage that reads it, defined in that stage's module, whose constructor
+checks the values. Unknown keys are rejected by name so typos fail loudly
+instead of silently falling back to defaults.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .errors import InputError, check_keys, is_count, read_json_object
-from .geometry import GeometrySettings
+from .errors import InputError, check_keys, read_json_object
+from .evaluation import RiskConfig, TrainConfig
 from .gpr import GprConfig
 from .maneuver import ForestConfig
-from .preprocess import FilterSettings, MergeCriteria
+from .preprocess import PreprocessConfig
+from .ssm import SsmConfig
 from .synth import ScenarioSpec
 from .trajectory import DataFormat
 
@@ -66,53 +67,6 @@ def _section(cls, data: dict, where: str, **fixed):
             expected = "list" if hint is tuple else expected
             raise InputError(f"config key {where}.{key} must be {expected}, got {value!r}")
     return cls(**values)
-
-
-@dataclass
-class PreprocessConfig:
-    cell_size: float = 0.5
-    merge: MergeCriteria = field(default_factory=MergeCriteria)
-    filter: FilterSettings = field(default_factory=FilterSettings)
-    geometry: GeometrySettings = field(default_factory=GeometrySettings)
-
-
-@dataclass
-class TrainConfig:
-    starting_points: list = field(default_factory=lambda: [10, 15, 20])
-    horizons: list = field(default_factory=lambda: [10, 15, 20])
-    rollout_steps: int = 30
-
-    def __post_init__(self) -> None:
-        for name in ("starting_points", "horizons"):
-            if not all(map(is_count, getattr(self, name))):
-                raise InputError(f"train.{name} must be positive integers, got "
-                                 f"{getattr(self, name)!r}")
-        if self.rollout_steps < 1:
-            raise InputError("train.rollout_steps must be at least 1")
-
-
-@dataclass
-class RiskConfig:
-    conflict_radius: float = 1.0
-    horizon_steps: int = 30
-    rollout_mode: str = "mean"
-    sample_seed: int = 0
-    frame_stride: int = 1
-
-    def __post_init__(self) -> None:
-        if self.rollout_mode not in ("mean", "sample"):
-            raise InputError(f"unknown rollout mode: {self.rollout_mode!r}")
-        if self.frame_stride < 1:
-            raise InputError("frame_stride must be >= 1")
-        if self.sample_seed < 0:
-            raise InputError("risk.sample_seed must be nonnegative")
-
-
-@dataclass
-class SsmConfig:
-    pet_threshold: float = 3.0
-    zone_radius: float = 1.0
-    ttc_radius: float = 1.0
 
 
 @dataclass

@@ -44,6 +44,22 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def check_number(value, key: str, *, positive: bool = False, at_most: float = math.inf) -> None:
+    """Reject config value ``value`` of key ``key`` unless it is a finite
+    number, > 0 if ``positive`` and >= 0 otherwise, and at most ``at_most``."""
+    if is_finite_number(value) and (value > 0 if positive else value >= 0) and value <= at_most:
+        return
+    rule = (f"in [0, {at_most:g}]" if at_most < math.inf
+            else f"finite and {'>' if positive else '>='} 0")
+    raise InputError(f"{key} must be {rule}, got {value!r}")
+
+
+def check_count(value, key: str) -> None:
+    """Reject config value ``value`` of key ``key`` unless it is an integer >= 1."""
+    if not is_count(value):
+        raise InputError(f"{key} must be an integer >= 1, got {value!r}")
+
+
 def read_json_object(path, kind: str, version=None, command: str = "") -> dict:
     """The JSON object in a ``kind`` file ("config", "forest", ...), whose
     ``"version"`` must be ``version`` if that is given; ``command`` is the

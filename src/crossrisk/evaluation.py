@@ -1,24 +1,62 @@
 """Pipeline-level studies: trajectory-prediction accuracy of the learned
 velocity field against the constant-acceleration baseline, and per-pair risk
-streams over a whole scene."""
+streams over a whole scene. The ``train`` and ``risk`` config sections parse
+into :class:`TrainConfig` and :class:`RiskConfig`, which the two studies take
+whole."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InputError, check_count, check_number, is_count
 from .gpr import RolloutConfig, rollout
 from .maneuver import MANEUVER_CODES, ForestModel, extract_features
-from .risk import (
-    dynamic_model_predict,
-    estimate_risk,
-    state_from_trajectory,
-    trajectory_error,
-)
+from .risk import estimate_risk
 from .ssm import co_present_pairs
 from .trajectory import Dataset, Maneuver, SUPPORTED_MANEUVERS, Trajectory
+
+
+@dataclass
+class TrainConfig:
+    """The ``train`` config section: the 1-based starting points of the
+    by-start table, rolled out ``rollout_steps`` frames, and the horizons
+    (frames) of the by-horizon table."""
+
+    starting_points: list = field(default_factory=lambda: [10, 15, 20])
+    horizons: list = field(default_factory=lambda: [10, 15, 20])
+    rollout_steps: int = 30
+
+    def __post_init__(self) -> None:
+        for name in ("starting_points", "horizons"):
+            if not all(map(is_count, getattr(self, name))):
+                raise InputError(f"train.{name} must be positive integers, got "
+                                 f"{getattr(self, name)!r}")
+        check_count(self.rollout_steps, "train.rollout_steps")
+
+
+@dataclass
+class RiskConfig:
+    """The ``risk`` config section: the conflict radius (m), the rollout's
+    horizon (frames), mode and sample-mode seed, and the stride (frames)
+    between scored vehicle frames."""
+
+    conflict_radius: float = 1.0
+    horizon_steps: int = 30
+    rollout_mode: str = "mean"
+    sample_seed: int = 0
+    frame_stride: int = 1
+
+    def __post_init__(self) -> None:
+        if self.rollout_mode not in ("mean", "sample"):
+            raise InputError(f"unknown rollout mode: {self.rollout_mode!r}")
+        if self.sample_seed < 0:
+            raise InputError("risk.sample_seed must be nonnegative")
+        check_number(self.conflict_radius, "risk.conflict_radius", positive=True)
+        check_count(self.horizon_steps, "risk.horizon_steps")
+        check_count(self.frame_stride, "risk.frame_stride")
 
 
 @dataclass
@@ -39,6 +77,9 @@ class ErrorRow:
 #: still counts as one frame apart: the precision the risk stage matches at.
 _FRAME_TOLERANCE = 1e-6
 
+#: The 1-based starting point of every window of the by-horizon table.
+_HORIZON_START_POINT = 10
+
 
 def _window_is_valid(traj: Trajectory, start_index: int, steps: int, dt: float) -> bool:
     """Whether rows ``start_index - 1`` to ``start_index + steps`` are all
@@ -50,24 +91,34 @@ def _window_is_valid(traj: Trajectory, start_index: int, steps: int, dt: float) 
                 and np.all(np.abs(np.diff(traj.t[rows]) - dt) <= _FRAME_TOLERANCE))
 
 
+def _constant_acceleration_paths(before: np.ndarray, start: np.ndarray, dt: float,
+                                 steps: int) -> np.ndarray:
+    """The kinematic baseline: ``x0 + v0 t + a t^2 / 2`` at ``t = dt, 2 dt, ...,
+    steps dt`` from each of the ``(V, 6)`` trajectory rows ``start``, with the
+    acceleration ``a`` the backward difference of velocity over the rows
+    ``before`` them. Returns the ``(V, steps, 2)`` positions."""
+    t = np.arange(1, steps + 1, dtype=float)[:, None] * dt
+    a = (start[:, 3:5] - before[:, 3:5]) / (start[:, :1] - before[:, :1])
+    return start[:, None, 1:3] + start[:, None, 3:5] * t + 0.5 * a[:, None] * t * t
+
+
 def _pooled_rows(vehicles: list, predicted: dict, idx: int, steps: int, dt: float,
                  group_value: int) -> list:
     """One row per maneuver, pooling per-step distances across ``vehicles``,
-    each of which predicts ``steps`` frames from 0-based index ``idx``; the
-    predicted paths are read from ``predicted[(vehicle id, idx)]``."""
+    each of which predicts ``steps`` frames from 0-based index ``idx`` (a
+    valid window); the predicted paths are read from
+    ``predicted[(vehicle id, idx)]``."""
     rows = []
     for maneuver in SUPPORTED_MANEUVERS:
         cell = [traj for traj in vehicles if traj.maneuver == maneuver]
         if not cell:
             continue
-        gpr_all, dyn_all = [], []
-        for traj in cell:
-            actual = traj.xy[idx + 1 : idx + 1 + steps]
-            gpr_all.append(trajectory_error(predicted[(traj.id, idx)][:steps], actual).distances)
-            baseline = dynamic_model_predict(state_from_trajectory(traj, idx), dt, steps)
-            dyn_all.append(trajectory_error(baseline, actual).distances)
-        g = np.concatenate(gpr_all)
-        d = np.concatenate(dyn_all)
+        window = np.array([traj.points[idx - 1 : idx + 1 + steps] for traj in cell])
+        actual = window[:, 2:, 1:3]
+        rolled = np.array([predicted[(traj.id, idx)][:steps] for traj in cell])
+        baseline = _constant_acceleration_paths(window[:, 0], window[:, 1], dt, steps)
+        g = np.linalg.norm(rolled - actual, axis=2)
+        d = np.linalg.norm(baseline - actual, axis=2)
         rows.append(ErrorRow(group=group_value, maneuver=maneuver,
                              gpr_mean=float(np.mean(g)), gpr_std=float(np.std(g)),
                              dynamic_mean=float(np.mean(d)),
@@ -76,26 +127,20 @@ def _pooled_rows(vehicles: list, predicted: dict, idx: int, steps: int, dt: floa
     return rows
 
 
-def prediction_error_study(
-    dataset: Dataset,
-    models: dict,
-    starting_points: Sequence[int] = (10, 15, 20),
-    horizons: Sequence[int] = (10, 15, 20),
-    rollout_steps: int = 30,
-    horizon_start_point: int = 10,
-) -> tuple[list, list]:
+def prediction_error_study(dataset: Dataset, models: dict, cfg: TrainConfig
+                           ) -> tuple[list, list]:
     """Pooled distance statistics for the two prediction-accuracy tables.
 
     The first table varies the 1-based starting point at a fixed rollout
-    length; the second varies the prediction horizon from a fixed starting
-    point. A vehicle takes part in a cell when its cluster has a model and
-    its window's frames are valid and one frame interval apart. Every
-    distinct (vehicle, start index) of every cell is rolled out once, in one
-    batch per cluster, over the longest window; each cell reads its window's
-    prefix.
+    length; the second varies the prediction horizon from starting point
+    ``_HORIZON_START_POINT``. A vehicle takes part in a cell when its cluster
+    has a model and its window's frames, and the frame before them, are valid
+    and one frame interval apart. Every distinct (vehicle, start index) of
+    every cell is rolled out once, in one batch per cluster, over the longest
+    window; each cell reads its window's prefix.
     """
-    tables = ([(sp, sp - 1, rollout_steps) for sp in starting_points],
-              [(h, horizon_start_point - 1, h) for h in horizons])
+    tables = ([(sp, sp - 1, cfg.rollout_steps) for sp in cfg.starting_points],
+              [(h, _HORIZON_START_POINT - 1, h) for h in cfg.horizons])
     modelled = [traj for traj in dataset.vehicles
                 if traj.maneuver in SUPPORTED_MANEUVERS
                 and (traj.entering_direction, traj.maneuver) in models]
@@ -108,10 +153,10 @@ def prediction_error_study(
         for traj in vehicles:
             starts.setdefault((traj.entering_direction, traj.maneuver), {})[
                 (traj.id, idx)] = traj.xy[idx]
-    cfg = RolloutConfig(steps=max([rollout_steps, *horizons]), dt=dt)
+    rollout_cfg = RolloutConfig(steps=max([cfg.rollout_steps, *cfg.horizons]), dt=dt)
     predicted = {}
     for cluster, batch in starts.items():
-        _, paths = rollout(models[cluster], np.array(list(batch.values())), cfg)
+        _, paths = rollout(models[cluster], np.array(list(batch.values())), rollout_cfg)
         predicted.update(zip(batch, paths))
     return tuple(
         [row for group, idx, steps in table
@@ -141,10 +186,8 @@ def compute_risk_streams(
     dataset: Dataset,
     models: dict,
     forest: ForestModel,
-    rollout_cfg: RolloutConfig,
-    conflict_radius: float = 1.0,
-    ttc_radius: float = 1.0,
-    frame_stride: int = 1,
+    cfg: RiskConfig,
+    ttc_radius: float,
 ) -> dict:
     """Risk stream of every co-present vehicle-pedestrian pair, keyed by
     ``(vehicle id, pedestrian id)``.
@@ -157,10 +200,13 @@ def compute_risk_streams(
     frames of every vehicle entering from its direction in one batch, and
     each vehicle takes its own rows. Each pedestrian is then scored in one
     :func:`estimate_risk` call over the frames it shares with the vehicle.
+    The rollouts run ``cfg.horizon_steps`` frames of ``dataset.frame_interval``.
     In sample mode each (vehicle, maneuver) keeps its own noise stream,
-    seeded by the rollout seed, the vehicle's ordinal in ``dataset.vehicles``
-    and the maneuver code, whatever else is in the batch.
+    seeded by ``cfg.sample_seed``, the vehicle's ordinal in
+    ``dataset.vehicles`` and the maneuver code, whatever else is in the batch.
     """
+    rollout_cfg = RolloutConfig(steps=cfg.horizon_steps, dt=dataset.frame_interval,
+                                mode=cfg.rollout_mode, seed=cfg.sample_seed)
     ped_index = {}
     for ped in dataset.pedestrians:
         rows = np.flatnonzero(ped.valid).tolist()
@@ -179,7 +225,7 @@ def compute_risk_streams(
         keys = [round(t, 6) for t in veh.t.tolist()]
         usable = (veh.valid & np.isfinite(veh.yaw_rate)).tolist()
         frames = [
-            vi for vi in range(0, len(veh), frame_stride)
+            vi for vi in range(0, len(veh), cfg.frame_stride)
             if usable[vi] and any(keys[vi] in lookup for lookup in lookups)
         ]
         if not frames:
@@ -213,6 +259,6 @@ def compute_risk_streams(
             streams[(veh.id, ped.id)] = estimate_risk(
                 veh_rows[at, 0], veh_rows[at, 1:5], ped.points[ped_rows, 1:5], probs[at],
                 {m: path[at] for m, path in paths.items()}, rollout_cfg,
-                radius=conflict_radius, ttc_radius=ttc_radius,
+                radius=cfg.conflict_radius, ttc_radius=ttc_radius,
             )
     return streams

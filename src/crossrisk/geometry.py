@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, check_keys, is_finite_number
+from .errors import InputError, check_keys, check_number, is_finite_number
 from .trajectory import Direction, Trajectory
 
 Point = tuple[float, float]
@@ -208,6 +208,11 @@ class IntersectionGeometry:
 # ---------------------------------------------------------------------------
 
 
+#: Most cells a density grid may have: endpoint estimation and the CSV writer
+#: visit every cell in Python, and the cell indices must fit an integer.
+_MAX_GRID_CELLS = 2**24
+
+
 @dataclass
 class DensityGrid:
     """Per-cell pedestrian visit counts; each trajectory counted once per cell."""
@@ -238,14 +243,18 @@ class DensityGrid:
 
 
 def build_density_grid(trajectories: Sequence[Trajectory], cell_size: float) -> DensityGrid:
-    if cell_size <= 0:
-        raise InputError("cell_size must be positive")
+    if not cell_size > 0:
+        raise InputError(f"cell_size must be positive, got {cell_size!r}")
     tracks = [t.xy[t.valid] for t in trajectories]
     all_pts = np.concatenate([np.empty((0, 2))] + tracks)
     if len(all_pts) == 0:
         raise InputError("no valid points to grid")
     origin = (float(all_pts[:, 0].min()), float(all_pts[:, 1].min()))
-    nx, ny = np.floor((all_pts.max(axis=0) - origin) / cell_size).astype(int) + 1
+    shape = np.floor((all_pts.max(axis=0) - origin) / cell_size) + 1
+    if shape.prod() > _MAX_GRID_CELLS:
+        raise InputError(f"cell_size {cell_size!r} gives a {shape[0]:.0f} x {shape[1]:.0f} "
+                         f"density grid, more than {_MAX_GRID_CELLS} cells; use larger cells")
+    nx, ny = shape.astype(int)
     cells = []
     for xy in tracks:  # each trajectory counts once per cell it visits
         ix, iy = np.floor((xy - origin) / cell_size).astype(int).T
@@ -357,10 +366,8 @@ class GeometrySettings:
             raise InputError(f"unknown geometry mode: {self.mode!r}")
         if self.mode == "explicit" and not self.endpoints:
             raise InputError("explicit geometry mode requires endpoints")
-        if not (is_finite_number(self.crosswalk_inflation) and self.crosswalk_inflation >= 0):
-            raise InputError("crosswalk_inflation must be finite and nonnegative, got "
-                             f"{self.crosswalk_inflation!r}")
         where = "preprocess.geometry"
+        check_number(self.crosswalk_inflation, f"{where}.crosswalk_inflation")
         checked = {
             "endpoints": _keyed(self.endpoints, ENDPOINT_KEYS,
                                 lambda v, w: _numbers(v, 2, w), f"{where}.endpoints"),

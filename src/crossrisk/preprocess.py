@@ -16,8 +16,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
-from .geometry import IntersectionGeometry
+from .errors import InputError, check_count, check_number
+from .geometry import GeometrySettings, IntersectionGeometry
 from .trajectory import (
     Dataset,
     Direction,
@@ -63,6 +63,29 @@ class FilterSettings:
     speed_run_length: int = 10
     min_region_fraction: float = 0.5
     max_offcrosswalk_fraction: float = 0.2
+
+    def __post_init__(self) -> None:
+        where = "preprocess.filter"
+        for name in ("min_duration", "min_path_length"):
+            check_number(getattr(self, name), f"{where}.{name}")
+        check_number(self.speed_limit, f"{where}.speed_limit", positive=True)
+        check_count(self.speed_run_length, f"{where}.speed_run_length")
+        for name in ("max_invalid_fraction", "min_region_fraction", "max_offcrosswalk_fraction"):
+            check_number(getattr(self, name), f"{where}.{name}", at_most=1.0)
+
+
+@dataclass
+class PreprocessConfig:
+    """The ``preprocess`` config section: the density grid's cell size (m) for
+    endpoint estimation, and the merge, filter and geometry settings."""
+
+    cell_size: float = 0.5
+    merge: MergeCriteria = field(default_factory=MergeCriteria)
+    filter: FilterSettings = field(default_factory=FilterSettings)
+    geometry: GeometrySettings = field(default_factory=GeometrySettings)
+
+    def __post_init__(self) -> None:
+        check_number(self.cell_size, "preprocess.cell_size", positive=True)
 
 
 def classify_entering_direction(traj: Trajectory, geom: IntersectionGeometry) -> Direction:

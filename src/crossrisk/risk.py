@@ -5,8 +5,7 @@ from the vehicle's current position while the pedestrian is extrapolated at
 constant velocity. Where the two predicted paths come into proximity, the
 maneuver's risk decays exponentially with the gap between the two arrival
 times at that conflict point; the per-maneuver risks are then mixed with the
-classifier's maneuver probabilities. A constant-acceleration extrapolation of
-the vehicle serves as the kinematic baseline for trajectory-accuracy studies.
+classifier's maneuver probabilities.
 """
 
 from __future__ import annotations
@@ -19,58 +18,10 @@ import numpy as np
 
 from .gpr import RolloutConfig
 from .ssm import compute_ttc
-from .trajectory import SUPPORTED_MANEUVERS, Trajectory
+from .trajectory import SUPPORTED_MANEUVERS
 
 #: Rows of one conflict search evaluated together.
 _CONFLICT_BLOCK_ROWS = 16
-
-
-@dataclass(frozen=True)
-class KinematicState:
-    """Planar position/velocity/acceleration snapshot of one road user."""
-
-    x: float
-    y: float
-    vx: float
-    vy: float
-    ax: float = 0.0
-    ay: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "vx", "vy", "ax", "ay"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite kinematic field {name}")
-
-
-def state_from_trajectory(traj: Trajectory, index: int) -> KinematicState:
-    """State at a point, with acceleration from a backward difference over the
-    previous frame (zero when there is no usable previous frame)."""
-    if not traj.valid[index]:
-        raise ValueError("cannot build a state from an invalid point")
-    t, x, y, vx, vy, _ = traj.points[index].tolist()
-    ax = ay = 0.0
-    if index > 0 and traj.valid[index - 1]:
-        prev_t, _, _, prev_vx, prev_vy, _ = traj.points[index - 1].tolist()
-        dt = t - prev_t
-        if dt > 0:
-            ax = (vx - prev_vx) / dt
-            ay = (vy - prev_vy) / dt
-    return KinematicState(x=x, y=y, vx=vx, vy=vy, ax=ax, ay=ay)
-
-
-def dynamic_model_predict(state: KinematicState, dt: float, steps: int) -> np.ndarray:
-    """Constant-acceleration extrapolation ``x0 + v0 t + a t^2 / 2`` at
-    ``t = dt, 2 dt, ..., steps dt``."""
-    if dt <= 0 or steps < 1:
-        raise ValueError("dt must be positive and steps >= 1")
-    t = np.arange(1, steps + 1, dtype=float)[:, None] * dt
-    return (np.array([state.x, state.y]) + np.array([state.vx, state.vy]) * t
-            + 0.5 * np.array([state.ax, state.ay]) * t * t)
-
-
-# ---------------------------------------------------------------------------
-# Conflict points and the risk mixture
-# ---------------------------------------------------------------------------
 
 
 def find_conflict_point(veh_paths: np.ndarray, ped_paths: np.ndarray, radius: float
@@ -192,27 +143,3 @@ def estimate_risk(
         ttc=compute_ttc(vehicle, pedestrian, ttc_radius),
         vehicle_speed=np.array([math.hypot(vx, vy) for vx, vy in vehicle[:, 2:].tolist()]),
     )
-
-
-# ---------------------------------------------------------------------------
-# Trajectory prediction error
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PredictionError:
-    """Pointwise Euclidean errors between a predicted and an actual path."""
-
-    distances: np.ndarray
-    mean: float
-    std: float
-
-
-def trajectory_error(predicted: np.ndarray, actual: np.ndarray) -> PredictionError:
-    """Per-index distances with their mean and population standard deviation."""
-    predicted = np.asarray(predicted, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    if predicted.shape != actual.shape:
-        raise ValueError("predicted and actual paths must have equal lengths")
-    d = np.linalg.norm(predicted - actual, axis=1)
-    return PredictionError(distances=d, mean=float(np.mean(d)), std=float(np.std(d)))

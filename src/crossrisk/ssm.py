@@ -17,7 +17,23 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .errors import check_number
 from .trajectory import Dataset, Trajectory
+
+
+@dataclass
+class SsmConfig:
+    """The ``ssm`` config section: the encroachment-time threshold (s) and zone
+    radius (m) of the ground truth, and the proximity radius (m) of TTC."""
+
+    pet_threshold: float = 3.0
+    zone_radius: float = 1.0
+    ttc_radius: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_number(self.pet_threshold, "ssm.pet_threshold")
+        for name in ("zone_radius", "ttc_radius"):
+            check_number(getattr(self, name), f"ssm.{name}", positive=True)
 
 
 def compute_ttc(veh: np.ndarray, ped: np.ndarray, radius: float = 1.0) -> np.ndarray:

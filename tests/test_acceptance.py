@@ -12,12 +12,16 @@ import pytest
 from helpers import crossing_risk, row
 
 from crossrisk.cli import main
-from crossrisk.evaluation import compute_risk_streams, prediction_error_study
+from crossrisk.evaluation import (
+    RiskConfig,
+    TrainConfig,
+    compute_risk_streams,
+    prediction_error_study,
+)
 from crossrisk.geometry import IntersectionGeometry, canonical_endpoints
 from crossrisk.gpr import (
     GprConfig,
     KernelConfig,
-    RolloutConfig,
     _sq_dists,
     build_gpr_model,
     gpr_loss_and_grad,
@@ -177,9 +181,8 @@ def trend_scene():
     models = train_cluster_models(
         labeled, GprConfig(kernel="rq", max_points=400, iterations=80, seed=0))
     start_rows, horizon_rows = prediction_error_study(
-        labeled, models, starting_points=(10, 15, 20), horizons=(10, 15, 20),
-        rollout_steps=30,
-    )
+        labeled, models, TrainConfig(starting_points=[10, 15, 20], horizons=[10, 15, 20],
+                                     rollout_steps=30))
     elapsed = time.perf_counter() - started
     return truth, start_rows, horizon_rows, elapsed
 
@@ -282,9 +285,8 @@ def conflict_scene():
     models = train_cluster_models(
         labeled, GprConfig(kernel="rq", max_points=400, iterations=60, seed=0))
     streams = compute_risk_streams(
-        labeled, models, forest, RolloutConfig(steps=30, dt=0.1),
-        conflict_radius=1.0, frame_stride=2,
-    )
+        labeled, models, forest,
+        RiskConfig(conflict_radius=1.0, horizon_steps=30, frame_stride=2), ttc_radius=1.0)
     return labeled, truth, streams, spec
 
 

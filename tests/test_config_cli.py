@@ -387,6 +387,38 @@ def _rename_cluster(new_key):
     return _edit_models(rename)
 
 
+#: Config values out of their ranges, each with the key its error names.
+_OUT_OF_RANGE = [
+    ({"risk": {"conflict_radius": -1}}, "risk.conflict_radius"),
+    ({"risk": {"conflict_radius": float("nan")}}, "risk.conflict_radius"),
+    ({"risk": {"horizon_steps": 0}}, "risk.horizon_steps"),
+    ({"ssm": {"pet_threshold": float("nan")}}, "ssm.pet_threshold"),
+    ({"ssm": {"pet_threshold": -5}}, "ssm.pet_threshold"),
+    ({"ssm": {"zone_radius": -1}}, "ssm.zone_radius"),
+    ({"ssm": {"ttc_radius": float("nan")}}, "ssm.ttc_radius"),
+    ({"ssm": {"ttc_radius": 0}}, "ssm.ttc_radius"),
+    ({"preprocess": {"cell_size": float("nan")}}, "preprocess.cell_size"),
+    ({"preprocess": {"cell_size": 0}}, "preprocess.cell_size"),
+    ({"preprocess": {"filter": {"speed_run_length": 0}}}, "filter.speed_run_length"),
+    ({"preprocess": {"filter": {"speed_limit": 0}}}, "filter.speed_limit"),
+    ({"preprocess": {"filter": {"speed_limit": float("inf")}}}, "filter.speed_limit"),
+    ({"preprocess": {"filter": {"min_duration": float("nan")}}}, "filter.min_duration"),
+    ({"preprocess": {"filter": {"min_path_length": -1}}}, "filter.min_path_length"),
+    ({"preprocess": {"filter": {"max_invalid_fraction": 1.5}}},
+     "filter.max_invalid_fraction"),
+    ({"preprocess": {"filter": {"min_region_fraction": -0.1}}}, "filter.min_region_fraction"),
+    ({"preprocess": {"filter": {"max_offcrosswalk_fraction": float("nan")}}},
+     "filter.max_offcrosswalk_fraction"),
+]
+_OUT_OF_RANGE_IDS = [
+    "negative-conflict-radius", "nan-conflict-radius", "zero-risk-horizon", "nan-pet-threshold",
+    "negative-pet-threshold", "negative-zone-radius", "nan-ttc-radius", "zero-ttc-radius",
+    "nan-cell-size", "zero-cell-size", "zero-speed-run", "zero-speed-limit",
+    "infinite-speed-limit", "nan-min-duration", "negative-min-path-length",
+    "invalid-fraction-above-one", "negative-region-fraction", "nan-offcrosswalk-fraction",
+]
+
+
 class TestExitCodes:
     """Bad input exits 1; any other exception is a bug and propagates."""
 
@@ -456,17 +488,46 @@ class TestExitCodes:
         {"train": {"rollout_steps": 0}},
         {"train": {"starting_points": ["a"]}},
         {"synth": {"requested_pet_range": ["a", "b"]}},
+        *(section for section, _ in _OUT_OF_RANGE),
     ], ids=["one-value-pet-range", "empty-tree-grid", "empty-depth-grid", "no-splits",
             "non-object-section", "string-seed", "string-float", "float-int",
             "zero-trees", "negative-trees", "string-trees", "string-depth",
             "no-gp-points", "one-gp-point", "zero-init-noise", "negative-init-noise",
             "negative-gpr-seed", "negative-forest-seed", "negative-synth-seed",
             "negative-sample-seed", "zero-horizon", "negative-horizon",
-            "no-rollout-steps", "string-starting-point", "string-pet-range"])
+            "no-rollout-steps", "string-starting-point", "string-pet-range",
+            *_OUT_OF_RANGE_IDS])
     def test_malformed_config_value_is_exit_code_one(self, tmp_path, section):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(section))
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("section,named", _OUT_OF_RANGE, ids=_OUT_OF_RANGE_IDS)
+    def test_out_of_range_value_is_named_before_output(self, tmp_path, default_scene, capsys,
+                                                       section, named):
+        # run by the stage that reads the section, which writes nothing
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(section))
+        out = tmp_path / "out"
+        if "preprocess" in section:
+            argv = ["preprocess", "--in", str(default_scene)]
+        else:
+            labeled, models = _tiny_risk_inputs(tmp_path)
+            argv = ["risk", "--in", str(labeled), "--models", str(models)]
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_fine_cell_size_is_exit_code_one(self, tmp_path, default_scene, capsys):
+        # 1e-9 m cells give a density grid of about 5e20 cells, rejected once
+        # the scene's extent is known (NaN is rejected with the config above)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"preprocess": {"cell_size": 1e-9}}))
+        out = tmp_path / "prep"
+        assert main(["preprocess", "--config", str(cfg), "--in", str(default_scene),
+                     "--out", str(out)]) == 1
+        assert "cell_size" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("geometry,named", [
         ({"roadway_polygon": [[0, 0], [1]]}, "roadway_polygon"),

@@ -7,7 +7,7 @@ from helpers import crossing_risk, row
 from hypothesis import given, settings, strategies as st
 
 from crossrisk import evaluation, risk
-from crossrisk.evaluation import compute_risk_streams
+from crossrisk.evaluation import RiskConfig, TrainConfig, compute_risk_streams
 from crossrisk.geometry import IntersectionGeometry, canonical_endpoints
 from crossrisk.gpr import (
     GprConfig,
@@ -26,15 +26,7 @@ from crossrisk.maneuver import (
     train_forest,
 )
 from crossrisk.preprocess import preprocess_dataset
-from crossrisk.risk import (
-    KinematicState,
-    RiskStream,
-    dynamic_model_predict,
-    estimate_risk,
-    find_conflict_point,
-    state_from_trajectory,
-    trajectory_error,
-)
+from crossrisk.risk import RiskStream, estimate_risk, find_conflict_point
 from crossrisk.synth import ScenarioSpec, generate_scenario
 from crossrisk.trajectory import (
     Dataset,
@@ -87,7 +79,9 @@ def unblocked_conflict(veh_paths, ped_paths, radius):
 
 def reference_pooled_rows(dataset, models, start_point, steps, group_value):
     """The per-window prediction study that one rollout per cluster replaced:
-    one row per maneuver, the window's vehicles rolled out per direction."""
+    one row per maneuver, the window's vehicles rolled out per direction, and
+    each vehicle's constant-acceleration baseline and distances computed
+    point by point."""
     rows = []
     dt = dataset.frame_interval
     idx = start_point - 1
@@ -108,18 +102,21 @@ def reference_pooled_rows(dataset, models, start_point, steps, group_value):
                 starts = np.array([traj.xy[idx] for traj in batch])
                 _, paths = rollout(models[(direction, maneuver)], starts, cfg)
                 predicted.update(zip((traj.id for traj in batch), paths))
-        gpr_all, dyn_all = [], []
+        g, d = [], []
         for traj in vehicles:
-            actual = traj.xy[idx + 1 : idx + 1 + steps]
-            gpr_all.append(trajectory_error(predicted[traj.id], actual).distances)
-            baseline = dynamic_model_predict(state_from_trajectory(traj, idx), dt, steps)
-            dyn_all.append(trajectory_error(baseline, actual).distances)
-        g = np.concatenate(gpr_all)
-        d = np.concatenate(dyn_all)
+            t0, x, y, vx, vy, _ = traj.points[idx].tolist()
+            t_prev, _, _, vx_prev, vy_prev, _ = traj.points[idx - 1].tolist()
+            ax, ay = (vx - vx_prev) / (t0 - t_prev), (vy - vy_prev) / (t0 - t_prev)
+            for k, (px, py) in enumerate(predicted[traj.id].tolist(), start=1):
+                actual_x, actual_y = traj.xy[idx + k].tolist()
+                t = k * dt
+                g.append(math.hypot(px - actual_x, py - actual_y))
+                d.append(math.hypot(x + vx * t + 0.5 * ax * t * t - actual_x,
+                                    y + vy * t + 0.5 * ay * t * t - actual_y))
         rows.append(evaluation.ErrorRow(
             group=group_value, maneuver=maneuver, gpr_mean=float(np.mean(g)),
             gpr_std=float(np.std(g)), dynamic_mean=float(np.mean(d)),
-            dynamic_std=float(np.std(d)), n_vehicles=len(vehicles), n_points=int(g.size)))
+            dynamic_std=float(np.std(d)), n_vehicles=len(vehicles), n_points=len(g)))
     return rows
 
 
@@ -146,8 +143,9 @@ def reference_frame_risk(ped_row, probs, paths, cfg, radius):
     """The per-frame mixer that the batched ``estimate_risk`` replaced:
     per-maneuver risks and their mixture for one frame, given the frame's
     probabilities and its ``(steps + 1, 2)`` vehicle path per maneuver."""
-    ped = KinematicState(*ped_row)
-    ped_path = np.vstack([[ped.x, ped.y], dynamic_model_predict(ped, cfg.dt, cfg.steps)])
+    x, y, vx, vy = ped_row
+    ped_path = np.array([(x + vx * (k * cfg.dt), y + vy * (k * cfg.dt))
+                         for k in range(cfg.steps + 1)])
     risks, total = [], 0.0
     for col, m in enumerate(SUPPORTED_MANEUVERS):
         hit = None if m not in paths else reference_conflict(paths[m], ped_path, cfg.dt,
@@ -165,17 +163,27 @@ def conflict(veh, ped, dt, radius):
     return (int(j[0]) * dt, int(k[0]) * dt) if hit[0] else None
 
 
-def cumulative_dynamic_model(state, dt, steps):
-    """Per-step constant-acceleration update, the loop the closed form replaced."""
+def cumulative_dynamic_model(before, start, dt, steps):
+    """Per-step constant-acceleration update, the loop the closed form replaced,
+    from trajectory row ``start`` with the acceleration a backward difference
+    to row ``before``."""
     out = np.empty((steps, 2))
-    x, y, vx, vy = state.x, state.y, state.vx, state.vy
+    t_prev, _, _, vx_prev, vy_prev, _ = before
+    t0, x, y, vx, vy, _ = start
+    ax, ay = (vx - vx_prev) / (t0 - t_prev), (vy - vy_prev) / (t0 - t_prev)
     for i in range(steps):
-        x = x + vx * dt + 0.5 * state.ax * dt * dt
-        y = y + vy * dt + 0.5 * state.ay * dt * dt
-        vx += state.ax * dt
-        vy += state.ay * dt
+        x = x + vx * dt + 0.5 * ax * dt * dt
+        y = y + vy * dt + 0.5 * ay * dt * dt
+        vx += ax * dt
+        vy += ay * dt
         out[i] = (x, y)
     return out
+
+
+def baseline_path(before, start, dt, steps):
+    """The study's constant-acceleration baseline from one pair of rows."""
+    return evaluation._constant_acceleration_paths(np.array([before]), np.array([start]),
+                                                   dt, steps)[0]
 
 
 def searched_pedestrian_path(monkeypatch, ped_row, dt, steps):
@@ -210,24 +218,30 @@ class TestPedestrianPrediction:
 
     def test_matches_dynamic_model_with_zero_acceleration(self, monkeypatch):
         path = searched_pedestrian_path(monkeypatch, (1.0, 2.0, -0.7, 1.3), 0.1, 30)
-        s = KinematicState(x=1.0, y=2.0, vx=-0.7, vy=1.3, ax=0.0, ay=0.0)
-        assert path[1:].tobytes() == dynamic_model_predict(s, dt=0.1, steps=30).tobytes()
+        t = np.arange(1, 31, dtype=float)[:, None] * 0.1
+        assert path[1:].tobytes() == (np.array([1.0, 2.0]) + np.array([-0.7, 1.3]) * t).tobytes()
 
 
 class TestDynamicModel:
+    """The prediction study's constant-acceleration baseline; rows are
+    ``(t, x, y, vx, vy, yaw_rate)``."""
+
     def test_zero_acceleration_reduces_to_constant_velocity(self):
-        s = KinematicState(x=0.0, y=0.0, vx=2.0, vy=0.0)
-        path = dynamic_model_predict(s, dt=0.5, steps=4)
+        path = baseline_path((-0.5, -1.0, 0.0, 2.0, 0.0, 0.0), (0.0, 0.0, 0.0, 2.0, 0.0, 0.0),
+                             dt=0.5, steps=4)
+        assert path.shape == (4, 2)
         assert np.allclose(path[:, 0], [1.0, 2.0, 3.0, 4.0])
+        assert not path[:, 1].any()
 
     def test_half_a_t_squared(self):
-        s = KinematicState(x=0.0, y=0.0, vx=0.0, vy=0.0, ax=2.0, ay=0.0)
-        path = dynamic_model_predict(s, dt=1.0, steps=1)
+        path = baseline_path((-1.0, 0.0, 0.0, -2.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                             dt=1.0, steps=1)
         assert path[0][0] == pytest.approx(1.0)
 
     def test_matches_closed_form_over_thirty_steps(self):
-        s = KinematicState(x=1.0, y=-2.0, vx=2.0, vy=1.0, ax=0.5, ay=-0.25)
-        path = dynamic_model_predict(s, dt=0.1, steps=30)
+        # velocities a tenth of a second apart give a = (0.5, -0.25)
+        path = baseline_path((-0.1, 0.0, 0.0, 1.95, 1.025, 0.0), (0.0, 1.0, -2.0, 2.0, 1.0, 0.0),
+                             dt=0.1, steps=30)
         t = 3.0
         want_x = 1.0 + 2.0 * t + 0.5 * 0.5 * t * t
         want_y = -2.0 + 1.0 * t + 0.5 * -0.25 * t * t
@@ -237,20 +251,21 @@ class TestDynamicModel:
     @settings(max_examples=60, deadline=None)
     @given(st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(-15, 15),
                      st.floats(-15, 15), st.floats(-5, 5), st.floats(-5, 5)),
-           st.floats(0.05, 0.2), st.integers(1, 30))
-    def test_closed_form_matches_cumulative_loop(self, fields, dt, steps):
-        s = KinematicState(*fields)
-        got = dynamic_model_predict(s, dt, steps)
-        assert np.max(np.abs(got - cumulative_dynamic_model(s, dt, steps))) <= 1e-12
+           st.floats(0.05, 0.2), st.floats(0.05, 0.2), st.integers(1, 30))
+    def test_closed_form_matches_cumulative_loop(self, fields, gap, dt, steps):
+        x, y, vx, vy, ax, ay = fields
+        before = (-gap, 0.0, 0.0, vx - ax * gap, vy - ay * gap, 0.0)
+        start = (0.0, x, y, vx, vy, 0.0)
+        got = baseline_path(before, start, dt, steps)
+        assert np.max(np.abs(got - cumulative_dynamic_model(before, start, dt, steps))) <= 1e-12
 
-    def test_state_from_trajectory_backward_difference(self):
-        pts = (row(0.0, 0.0, 0.0, 1.0, 0.0, 0.0), row(0.1, 0.1, 0.0, 1.5, -0.2, 0.0))
-        traj = Trajectory(id="v", object_class=ObjectClass.VEHICLE, points=pts)
-        s = state_from_trajectory(traj, 1)
-        assert s.ax == pytest.approx(5.0)
-        assert s.ay == pytest.approx(-2.0)
-        s0 = state_from_trajectory(traj, 0)
-        assert s0.ax == 0.0 and s0.ay == 0.0
+    def test_backward_difference_acceleration(self):
+        # a = (5, -2) m/s^2 from rows 0.1 s apart: after 1 s the baseline is
+        # v t + a t^2 / 2 past the start
+        path = baseline_path((0.0, 0.0, 0.0, 1.0, 0.0, 0.0), (0.1, 0.1, 0.0, 1.5, -0.2, 0.0),
+                             dt=1.0, steps=1)
+        assert path[0][0] == pytest.approx(0.1 + 1.5 + 2.5)
+        assert path[0][1] == pytest.approx(-0.2 - 1.0)
 
 
 class TestConflictPoint:
@@ -489,7 +504,7 @@ class TestEstimateRisk:
             score(self._vehicle(), 0, Direction.S, (2.0, -0.5, 0.0, 0.5), {}, forest,
                   RolloutConfig(steps=10, dt=0.1))
 
-    def test_missing_probabilities_or_invalid_point_raise(self):
+    def test_missing_probabilities_or_bad_paths_raise(self):
         models = {(Direction.S, Maneuver.STRAIGHT):
                   constant_pair(Direction.S, Maneuver.STRAIGHT, 1.0, 0.0)}
         forest, _ = certain_forest(0)
@@ -502,8 +517,6 @@ class TestEstimateRisk:
                 estimate_risk(*args, bad, paths, cfg)
         with pytest.raises(ValueError):  # paths of the wrong step count
             estimate_risk(*args, probs, {Maneuver.STRAIGHT: np.zeros((1, 5, 2))}, cfg)
-        with pytest.raises(ValueError):  # no vehicle state from an invalid point
-            state_from_trajectory(self._vehicle(x=float("nan")), 0)
 
     def test_risk_stays_in_unit_interval(self):
         models = {(Direction.S, m): constant_pair(Direction.S, m, 1.0, (i - 1) * 0.3)
@@ -562,7 +575,8 @@ def mean_frames():
 
 
 class TestRiskStreams:
-    CFG = RolloutConfig(steps=15, dt=0.1)
+    CFG = RiskConfig(horizon_steps=15)
+    ROLLOUT = RolloutConfig(steps=15, dt=0.1)  # CFG's rollouts on the 0.1 s frames
 
     def test_vehicle_side_computed_once_per_vehicle(self, small_scene, monkeypatch):
         labeled, models, forest = small_scene
@@ -585,7 +599,8 @@ class TestRiskStreams:
         monkeypatch.setattr(evaluation, "rollout", counting_rollout)
         monkeypatch.setattr(ForestModel, "predict_proba", counting_predict)
         monkeypatch.setattr(evaluation, "estimate_risk", counting_estimate)
-        streams = compute_risk_streams(labeled, models, forest, self.CFG, frame_stride=5)
+        streams = compute_risk_streams(labeled, models, forest,
+                                       replace(self.CFG, frame_stride=5), ttc_radius=1.0)
         scored = {v for v, _ in streams}
         assert len(streams) > len(scored)  # some vehicle is scored against several pedestrians
         direction = {t.id: t.entering_direction for t in labeled.vehicles}
@@ -606,7 +621,8 @@ class TestRiskStreams:
         # stream's own call; every column must then equal the per-frame
         # reference scoring bit for bit
         labeled, models, forest = small_scene
-        cfg = replace(self.CFG, mode=mode, seed=seed)
+        cfg = replace(self.CFG, rollout_mode=mode, sample_seed=seed, conflict_radius=radius,
+                      frame_stride=stride)
         calls = {}
         real_estimate = evaluation.estimate_risk
 
@@ -617,15 +633,14 @@ class TestRiskStreams:
 
         evaluation.estimate_risk = recording
         try:
-            streams = compute_risk_streams(labeled, models, forest, cfg,
-                                           conflict_radius=radius, ttc_radius=radius,
-                                           frame_stride=stride)
+            streams = compute_risk_streams(labeled, models, forest, cfg, ttc_radius=radius)
         finally:
             evaluation.estimate_risk = real_estimate
         assert streams
         for (vid, pid), stream in streams.items():
             veh, ped = labeled.by_id(vid), labeled.by_id(pid)
-            _, _, _, probs, paths, _ = calls[id(stream)]
+            _, _, _, probs, paths, rollout_cfg = calls[id(stream)]
+            assert rollout_cfg == replace(self.ROLLOUT, mode=mode, seed=seed)
             ped_rows = {round(t, 6): i for i, t in enumerate(ped.t.tolist())}
             for r, t in enumerate(stream.t.tolist()):
                 vi = veh.t.tolist().index(t)
@@ -633,7 +648,7 @@ class TestRiskStreams:
                 assert vi % stride == 0 and veh.valid[vi] and ped.valid[pi]
                 if (vid, vi) not in mean_frames:
                     mean_frames[(vid, vi)] = frame_hypotheses(
-                        veh, vi, veh.entering_direction, models, forest, self.CFG)
+                        veh, vi, veh.entering_direction, models, forest, self.ROLLOUT)
                 want_probs, want_paths = mean_frames[(vid, vi)]
                 assert stream.probs[r].tobytes() == want_probs[0].tobytes()
                 assert set(paths) == set(want_paths)
@@ -642,7 +657,7 @@ class TestRiskStreams:
                         assert np.allclose(paths[m][r], path[0], rtol=0, atol=1e-9)
                 risks, total = reference_frame_risk(
                     ped.points[pi, 1:5].tolist(), stream.probs[r],
-                    {m: path[r] for m, path in paths.items()}, cfg, radius)
+                    {m: path[r] for m, path in paths.items()}, self.ROLLOUT, radius)
                 assert stream.maneuver_risk[r].tolist() == risks
                 assert stream.risk[r] == total
                 ttc = reference_ttc(veh.points[vi, 1:5].tolist(),
@@ -679,8 +694,8 @@ class TestRiskStreams:
                 return out
 
             monkeypatch.setattr(evaluation, "rollout", recording_rollout)
-            cfg = RolloutConfig(steps=10, dt=0.1, mode=mode, seed=3)
-            assert len(compute_risk_streams(dataset, models, forest, cfg)) == 2
+            cfg = RiskConfig(horizon_steps=10, rollout_mode=mode, sample_seed=3)
+            assert len(compute_risk_streams(dataset, models, forest, cfg, ttc_radius=1.0)) == 2
             ((streams, paths),) = calls  # one rollout for the one cluster
             bounds = np.cumsum([0] + [rows for _, rows in streams])
             return [paths[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -698,13 +713,13 @@ class TestPredictionStudy:
         # one rollout per cluster, sliced per window, pools the same rows as
         # rolling every window out on its own; start point 1 has no valid window
         labeled, models, _ = small_scene
-        points, horizons, steps, horizon_start = (1, 2, 10, 15), (5, 10, 25), 12, 8
+        points, horizons, steps = (1, 2, 10, 15), (5, 10, 25), 12
         got = evaluation.prediction_error_study(
-            labeled, models, starting_points=points, horizons=horizons,
-            rollout_steps=steps, horizon_start_point=horizon_start)
+            labeled, models, TrainConfig(starting_points=points, horizons=horizons,
+                                         rollout_steps=steps))
         want = ([r for sp in points for r in reference_pooled_rows(labeled, models, sp, steps, sp)],
-                [r for h in horizons
-                 for r in reference_pooled_rows(labeled, models, horizon_start, h, h)])
+                [r for h in horizons  # the by-horizon windows start at point 10
+                 for r in reference_pooled_rows(labeled, models, 10, h, h)])
         for got_rows, want_rows in zip(got, want):
             assert len(got_rows) == len(want_rows) > 0
             for g, w in zip(got_rows, want_rows):
@@ -723,8 +738,8 @@ class TestPredictionStudy:
             return real_rollout(pair, starts, cfg, streams)
 
         monkeypatch.setattr(evaluation, "rollout", counting_rollout)
-        evaluation.prediction_error_study(labeled, models, starting_points=(10, 15),
-                                          horizons=(10, 40), rollout_steps=30)
+        evaluation.prediction_error_study(
+            labeled, models, TrainConfig(starting_points=[10, 15], horizons=[10, 40]))
         clusters = [cluster for cluster, _ in calls]
         assert clusters and len(clusters) == len(set(clusters))
         assert {steps for _, steps in calls} == {40}
@@ -745,33 +760,52 @@ class TestPredictionStudy:
         assert not evaluation._window_is_valid(jittered, 9, 10, 0.05)
 
 
+    def test_windows_exclude_invalid_points(self):
+        # the baseline needs valid start and previous rows, and every actual
+        # point of the window must be valid
+        points = [row(0.1 * k, float(k), 0.0, 10.0, 0.0) for k in range(20)]
+        for bad in (4, 5, 8):
+            points_bad = list(points)
+            points_bad[bad] = row(0.1 * bad, float("nan"), 0.0, 10.0, 0.0)
+            track = Trajectory(id="v", object_class=ObjectClass.VEHICLE, points=points_bad)
+            assert not evaluation._window_is_valid(track, 5, 3, 0.1)
+            assert evaluation._window_is_valid(track, 10, 3, 0.1)
+
+
+def study_row(predicted, actual):
+    """The study's row for one vehicle predicted ``predicted`` over the points
+    ``actual`` that follow its start index 1."""
+    points = [row(0.0, 0.0, 0.0, 1.0, 0.0), row(0.1, 0.1, 0.0, 1.0, 0.0)]
+    points += [row(0.1 * (k + 2), x, y, 1.0, 0.0) for k, (x, y) in enumerate(actual.tolist())]
+    traj = Trajectory(id="v", object_class=ObjectClass.VEHICLE, points=points,
+                      entering_direction=Direction.S, maneuver=Maneuver.STRAIGHT)
+    (got,) = evaluation._pooled_rows([traj], {("v", 1): predicted}, 1, len(actual), 0.1, 7)
+    assert (got.group, got.maneuver, got.n_vehicles, got.n_points) == (
+        7, Maneuver.STRAIGHT, 1, len(actual))
+    return got
+
+
 class TestTrajectoryError:
+    """Distances between predicted and actual paths, pooled in the study's rows."""
+
     def test_identical_paths(self):
         path = np.random.default_rng(0).normal(size=(12, 2))
-        err = trajectory_error(path, path.copy())
-        assert np.all(err.distances == 0.0)
-        assert err.mean == 0.0 and err.std == 0.0
+        got = study_row(path, path.copy())
+        assert got.gpr_mean == 0.0 and got.gpr_std == 0.0
 
     def test_constant_offset(self):
         actual = np.zeros((8, 2))
-        predicted = actual + np.array([3.0, 4.0])
-        err = trajectory_error(predicted, actual)
-        assert np.allclose(err.distances, 5.0)
-        assert err.mean == pytest.approx(5.0) and err.std == pytest.approx(0.0)
+        got = study_row(actual + np.array([3.0, 4.0]), actual)
+        assert got.gpr_mean == pytest.approx(5.0) and got.gpr_std == pytest.approx(0.0)
 
     def test_matches_direct_arithmetic(self):
         rng = np.random.default_rng(9)
         a = rng.normal(size=(5, 2))
         b = rng.normal(size=(5, 2))
-        err = trajectory_error(a, b)
+        got = study_row(a, b)
         manual = [math.sqrt((a[i][0] - b[i][0]) ** 2 + (a[i][1] - b[i][1]) ** 2)
                   for i in range(5)]
-        assert np.max(np.abs(err.distances - manual)) < 1e-12
-        assert err.mean == pytest.approx(sum(manual) / 5, abs=1e-12)
         mu = sum(manual) / 5
+        assert got.gpr_mean == pytest.approx(mu, abs=1e-12)
         pop_std = math.sqrt(sum((d - mu) ** 2 for d in manual) / 5)
-        assert err.std == pytest.approx(pop_std, abs=1e-12)
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            trajectory_error(np.zeros((4, 2)), np.zeros((5, 2)))
+        assert got.gpr_std == pytest.approx(pop_std, abs=1e-12)
