@@ -13,22 +13,25 @@ import argparse
 import csv
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from .config import RunConfig, load_config
 from .errors import InputError, NumericalError
 from .evaluation import compute_risk_streams, prediction_error_study
 from .geometry import build_geometry
-from .gpr import load_cluster_models, save_cluster_models, train_cluster_models
+from .gpr import cluster_fit_jobs, load_cluster_models, pair_models, save_cluster_models
 from .maneuver import (
+    ForestModel,
+    ProtocolResult,
     build_feature_table,
     load_forest,
-    run_split_protocol,
     save_forest,
     smote_oversample,
-    train_forest,
+    split_jobs,
+    tree_jobs,
 )
-from .parallel import usable_workers
+from .parallel import run_jobs, usable_workers
 from .preprocess import preprocess_dataset
 from .ssm import evaluate_detection, identify_conflicts_pet
 from .synth import generate_scenario, write_ground_truth
@@ -87,10 +90,23 @@ def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
     dataset = load_dataset(in_path, cfg.data)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Maneuver classifier: repeated-split evaluation, then a final model on
-    # the full balanced table with the most frequently chosen grid point.
+    # Two maps over the worker processes. The first holds every job that needs
+    # only the input table, in the serial order of the stage, so that a failure
+    # reports what the serial loop would: the repeated-split evaluation of the
+    # maneuver classifier, the balanced table of its final model and the
+    # velocity-field GP fits per cluster.
     X, y, groups = build_feature_table(dataset)
-    protocol = run_split_protocol(X, y, cfg.forest, groups=groups)
+    splits = split_jobs(X, y, cfg.forest, groups)
+    gp_fits = cluster_fit_jobs(dataset, cfg.gpr)
+    results = run_jobs([
+        *splits,
+        partial(smote_oversample, X, y, k=cfg.forest.smote_k, seed=cfg.forest.seed),
+        *(fit for pair in gp_fits.values() for fit in pair),
+    ])
+    protocol = ProtocolResult.from_splits(results[:len(splits)])
+    bal_X, bal_y = results[len(splits)]
+    models = pair_models(gp_fits, results[len(splits) + 1:])
+
     mean_p = protocol.mean_metric("precision")
     mean_r = protocol.mean_metric("recall")
     mean_f = protocol.mean_metric("f1")
@@ -111,17 +127,16 @@ def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
     chosen = protocol.majority_params()
     lines.append(f"selected forest: n_trees={chosen[0]} max_depth={chosen[1]}")
     (out_dir / "classifier_report.txt").write_text("\n".join(lines) + "\n")
-
-    bal_X, bal_y = smote_oversample(X, y, k=cfg.forest.smote_k, seed=cfg.forest.seed)
-    forest = train_forest(bal_X, bal_y, n_trees=chosen[0], max_depth=chosen[1],
-                          seed=cfg.forest.seed)
-    save_forest(forest, out_dir / "forest.json")
-
-    # Velocity-field models per cluster, then the two accuracy tables.
-    models = train_cluster_models(dataset, cfg.gpr)
     save_cluster_models(models, out_dir / "gpr_models.json")
 
-    start_rows, horizon_rows = prediction_error_study(dataset, models, cfg.train)
+    # The second map: the final forest, on the full balanced table with the
+    # most frequently chosen grid point, and the two GP accuracy tables.
+    tree_fits = tree_jobs(bal_X, bal_y, n_trees=chosen[0], max_depth=chosen[1],
+                          seed=cfg.forest.seed)
+    *trees, (start_rows, horizon_rows) = run_jobs(
+        [*tree_fits, partial(prediction_error_study, dataset, models, cfg.train)])
+    save_forest(ForestModel(trees=trees, n_features=bal_X.shape[1]), out_dir / "forest.json")
+
     header = ["group", "maneuver", "gpr_mean", "gpr_std", "dynamic_mean",
               "dynamic_std", "n_vehicles", "n_points"]
     as_row = lambda r: [r.group, r.maneuver.value, _fmt(r.gpr_mean), _fmt(r.gpr_std),

@@ -13,15 +13,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 
-from .errors import InputError, NumericalError, read_json_object
-from .parallel import ordered_map
+from .errors import InputError, NumericalError, check_number, read_json_object
+from .parallel import run_jobs
 from .trajectory import Dataset, Direction, Maneuver, SUPPORTED_MANEUVERS
 
 KERNEL_KINDS = ("rbf", "rq")
@@ -241,6 +241,7 @@ class GprConfig:
             raise InputError(f"unknown kernel: {self.kernel!r}")
         if self.iterations < 1:
             raise InputError("gpr.iterations must be at least 1")
+        check_number(self.learning_rate, "gpr.learning_rate", positive=True)
         if self.max_points < 2:
             raise InputError("gpr.max_points must be at least 2")
         if not (math.isfinite(self.jitter) and self.jitter >= 0):
@@ -524,16 +525,12 @@ def cluster_key(direction: Direction, maneuver: Maneuver) -> str:
     return f"{direction.value}:{maneuver.value}"
 
 
-def train_cluster_models(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict:
-    """Fit one model pair per non-empty (direction, maneuver) cluster.
-
-    Clusters larger than ``cfg.max_points`` are uniformly subsampled with a
-    seed derived from the cluster's fixed index, so retraining is reproducible.
-    Empty clusters are simply absent from the returned mapping. Every
-    (cluster, velocity component) fit depends only on its data, so the fits
-    run through ``parallel.ordered_map``; they share one ``_Workspace`` sized to
-    the largest cluster.
-    """
+def cluster_fit_jobs(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict:
+    """The fits of ``train_cluster_models`` as zero-argument calls: cluster
+    -> (fit of its x velocity, fit of its y velocity). Every fit depends only
+    on its data, so the fits run in any process; they share one
+    ``_Workspace`` sized to the largest cluster (one copy per forked worker),
+    released with the calls."""
     buckets: dict[tuple, list] = {}
     for traj in dataset.vehicles:
         if traj.entering_direction is None or traj.maneuver is None:
@@ -555,17 +552,29 @@ def train_cluster_models(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict
             data = data[pick]
         cluster_data[cell] = data
 
-    # One workspace for every fit of this call (one copy per forked worker),
-    # released when the call returns.
     workspace = _Workspace(max(map(len, cluster_data.values()), default=0))
+    return {cell: tuple(partial(fit_gpr, data[:, :2], data[:, c], cfg, workspace)
+                        for c in (2, 3))
+            for cell, data in cluster_data.items()}
 
-    def fit(job: tuple) -> GprModel:
-        data, column = job
-        return fit_gpr(data[:, :2], data[:, column], cfg, workspace)
 
-    gps = ordered_map(fit, [(data, c) for data in cluster_data.values() for c in (2, 3)])
+def pair_models(clusters: Sequence, gps: Sequence[GprModel]) -> dict:
+    """Cluster -> ``GprModelPair`` from the fits of ``cluster_fit_jobs``, two
+    per cluster in its order."""
     return {cell: GprModelPair(gp_x=gps[2 * i], gp_y=gps[2 * i + 1], cluster=cell)
-            for i, cell in enumerate(cluster_data)}
+            for i, cell in enumerate(clusters)}
+
+
+def train_cluster_models(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict:
+    """Fit one model pair per non-empty (direction, maneuver) cluster.
+
+    Clusters larger than ``cfg.max_points`` are uniformly subsampled with a
+    seed derived from the cluster's fixed index, so retraining is reproducible.
+    Empty clusters are simply absent from the returned mapping. The fits run
+    through ``parallel.run_jobs``.
+    """
+    jobs = cluster_fit_jobs(dataset, cfg)
+    return pair_models(jobs, run_jobs([fit for pair in jobs.values() for fit in pair]))
 
 
 def _model_to_dict(model: GprModel) -> dict:

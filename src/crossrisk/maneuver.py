@@ -13,6 +13,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, is_count, read_json_object
-from .parallel import ordered_map
+from .parallel import run_jobs
 from .trajectory import (
     DIRECTION_CODES,
     Dataset,
@@ -365,10 +366,20 @@ class ForestModel:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
-def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
-                 max_depth: Optional[int] = None, seed: int = 0,
-                 n_classes: int = 3) -> ForestModel:
-    """Fit a forest of ``n_trees`` bootstrap trees; sqrt-feature subsampling."""
+def _fit_tree(X: np.ndarray, y: np.ndarray, max_depth: Optional[int], mtry: int,
+              n_classes: int, tree_seed: int) -> Tree:
+    tree_rng = np.random.default_rng(tree_seed)
+    boot = tree_rng.integers(0, len(y), size=len(y))
+    nodes = []
+    _grow_tree(X[boot], y[boot], 0, max_depth, mtry, n_classes, tree_rng, nodes)
+    feature, threshold, left, right, counts = zip(*nodes)
+    return Tree(feature, threshold, left, right, np.array(counts))
+
+
+def tree_jobs(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: Optional[int] = None,
+              seed: int = 0, n_classes: int = 3) -> list:
+    """The trees of ``train_forest`` as zero-argument calls, in order. Each
+    depends only on its seed, so the trees fit in any process."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if len(y) == 0:
@@ -378,17 +389,15 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
     mtry = max(1, int(round(math.sqrt(X.shape[1]))))
     rng = np.random.default_rng(seed)
     tree_seeds = rng.integers(0, 2**63 - 1, size=n_trees).tolist()
+    return [partial(_fit_tree, X, y, max_depth, mtry, n_classes, s) for s in tree_seeds]
 
-    def fit_tree(tree_seed: int) -> Tree:
-        tree_rng = np.random.default_rng(tree_seed)
-        boot = tree_rng.integers(0, len(y), size=len(y))
-        nodes = []
-        _grow_tree(X[boot], y[boot], 0, max_depth, mtry, n_classes, tree_rng, nodes)
-        feature, threshold, left, right, counts = zip(*nodes)
-        return Tree(feature, threshold, left, right, np.array(counts))
 
-    # Each tree depends only on its seed, so the trees fit in any process.
-    return ForestModel(trees=ordered_map(fit_tree, tree_seeds), n_features=X.shape[1])
+def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
+                 max_depth: Optional[int] = None, seed: int = 0,
+                 n_classes: int = 3) -> ForestModel:
+    """Fit a forest of ``n_trees`` bootstrap trees; sqrt-feature subsampling."""
+    trees = run_jobs(tree_jobs(X, y, n_trees, max_depth, seed, n_classes))
+    return ForestModel(trees=trees, n_features=np.shape(X)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +579,11 @@ class ProtocolResult:
     reports: list  # ClassificationReport per split
     chosen_params: list
 
+    @classmethod
+    def from_splits(cls, splits: Sequence[tuple]) -> "ProtocolResult":
+        """Collect the ``(report, params)`` results of ``split_jobs``."""
+        return cls(reports=[r for r, _ in splits], chosen_params=[p for _, p in splits])
+
     def mean_metric(self, name: str) -> np.ndarray:
         return np.mean([r.metric_array(name) for r in self.reports], axis=0)
 
@@ -585,28 +599,38 @@ class ProtocolResult:
         raise AssertionError("unreachable")
 
 
+def _protocol_split(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
+                    groups: Optional[np.ndarray], s: int
+                    ) -> tuple[ClassificationReport, tuple[int, Optional[int]]]:
+    """Split ``s`` of the protocol: oversample its training part, tune on its
+    validation part (the grid forests grow serially here), and score the
+    chosen model on its untouched test part."""
+    seed = cfg.seed + s
+    tr, va, te = split_indices(len(y), _SPLIT_RATIOS, np.random.default_rng(seed), groups)
+    if min(len(tr), len(va), len(te)) == 0:
+        raise InputError("split produced an empty partition; need more data")
+    bal_X, bal_y = smote_oversample(X[tr], y[tr], k=cfg.smote_k, seed=seed)
+    grid = [(n, d) for n in cfg.n_trees_grid for d in cfg.max_depth_grid]
+    model, params = train_random_forest((bal_X, bal_y), (X[va], y[va]), grid=grid, seed=seed)
+    return evaluate_classifier(model, X[te], y[te]), params
+
+
+def split_jobs(X: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig(),
+               groups: Optional[np.ndarray] = None) -> list:
+    """The ``cfg.n_splits`` splits of ``run_split_protocol`` as zero-argument
+    calls, each returning ``(test report, chosen grid point)``."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    return [partial(_protocol_split, X, y, cfg, groups, s) for s in range(cfg.n_splits)]
+
+
 def run_split_protocol(X: np.ndarray, y: np.ndarray,
                        cfg: ForestConfig = ForestConfig(),
                        groups: Optional[np.ndarray] = None) -> ProtocolResult:
     """Repeat the random 80/10/10 evaluation ``cfg.n_splits`` times:
     oversample the training split, tune on validation, score on the untouched
     test split."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    grid = [(n, d) for n in cfg.n_trees_grid for d in cfg.max_depth_grid]
-    reports, chosen = [], []
-    for s in range(cfg.n_splits):
-        seed = cfg.seed + s
-        tr, va, te = split_indices(len(y), _SPLIT_RATIOS, np.random.default_rng(seed),
-                                   groups)
-        if min(len(tr), len(va), len(te)) == 0:
-            raise InputError("split produced an empty partition; need more data")
-        bal_X, bal_y = smote_oversample(X[tr], y[tr], k=cfg.smote_k, seed=seed)
-        model, params = train_random_forest((bal_X, bal_y), (X[va], y[va]),
-                                            grid=grid, seed=seed)
-        reports.append(evaluate_classifier(model, X[te], y[te]))
-        chosen.append(params)
-    return ProtocolResult(reports=reports, chosen_params=chosen)
+    return ProtocolResult.from_splits(run_jobs(split_jobs(X, y, cfg, groups)))
 
 
 # ---------------------------------------------------------------------------

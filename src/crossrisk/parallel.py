@@ -1,12 +1,19 @@
 """Ordered map over forked worker processes, for the train stage's
-independent fits (forest trees, cluster GPs).
+independent jobs (protocol splits, forest trees, cluster GP fits).
 
-``ordered_map(fn, items)`` returns ``[fn(x) for x in items]``. With ``k``
-usable workers it forks ``k - 1`` children; item ``i`` goes to worker
-``i % k``, and worker 0 is the calling process itself. Each child sends its
-results back over a pipe, which the caller reads on its own thread after
-computing its share. Results are collected in input order, so a map whose
-``fn`` depends only on its item gives the serial loop's results bit for bit.
+``ordered_map(fn, items)`` returns ``[fn(x) for x in items]``, and
+``run_jobs(jobs)`` calls zero-argument jobs of any kind the same way. With
+``k`` usable workers a map forks ``k`` children that share one work queue:
+the caller sends each worker the index of the next unclaimed item whenever
+that worker is free, and the worker sends back the item's result over its
+pipe. The caller runs no items itself; it only dispatches and collects, so
+a long item holds back only the worker that runs it, and the caller's memory
+does not grow with the work. Results are collected in input order, so a map
+whose ``fn`` depends only on its item gives the serial loop's results bit
+for bit. After a failure no further item is handed out, the items already
+running finish, and the exception of the lowest failing index is raised. A
+worker that dies raises ``RuntimeError``; every child is ended and joined
+before the map returns or raises.
 
 The map runs serially when only one worker is usable: one CPU in the
 affinity mask, no ``fork`` start method, another Python thread alive (a
@@ -27,6 +34,7 @@ import multiprocessing
 import os
 import threading
 import traceback
+from multiprocessing.connection import wait
 from typing import Callable, Iterator, Sequence
 
 
@@ -84,29 +92,21 @@ def _one_blas_thread() -> Iterator[None]:
             setter(n)
 
 
-def _run_share(fn: Callable, items: Sequence, first: int, step: int
-               ) -> tuple[list, tuple | None]:
-    """``fn`` over ``items[first::step]`` in order, up to the first failure:
-    ``(results, (index, exception) or None)``."""
-    results = []
-    for i in range(first, len(items), step):
+def _worker(fn: Callable, items: Sequence, conn) -> None:
+    """Run ``fn`` on each item index the caller sends, until it sends ``None``;
+    answer each with ``(index, result, exception or None)``."""
+    while (i := conn.recv()) is not None:
         try:
-            results.append(fn(items[i]))
+            reply = (i, fn(items[i]), None)
         except Exception as exc:
-            return results, (i, exc)
-    return results, None
-
-
-def _child(fn: Callable, items: Sequence, first: int, step: int, conn) -> None:
-    results, error = _run_share(fn, items, first, step)
-    if error is not None and hasattr(error[1], "add_note"):  # Python 3.11+
-        # The traceback does not cross the pipe; keep its text on the exception.
-        error[1].add_note("in worker process:\n" + "".join(
-            traceback.format_exception(error[1])))
-    try:
-        conn.send((results, error))
-    except Exception as exc:  # an unpicklable result or exception
-        conn.send(([], (first, RuntimeError(f"worker result could not be sent: {exc!r}"))))
+            if hasattr(exc, "add_note"):  # Python 3.11+
+                # The traceback does not cross the pipe; keep its text on the exception.
+                exc.add_note("in worker process:\n" + "".join(traceback.format_exception(exc)))
+            reply = (i, None, exc)
+        try:
+            conn.send(reply)
+        except Exception as exc:  # an unpicklable result or exception
+            conn.send((i, None, RuntimeError(f"worker result could not be sent: {exc!r}")))
     conn.close()
 
 
@@ -122,32 +122,60 @@ def ordered_map(fn: Callable, items: Sequence) -> list:
         return _forked_map(fn, items, k)
 
 
+def run_jobs(jobs: Sequence[Callable[[], object]]) -> list:
+    """``[job() for job in jobs]`` through ``ordered_map``, so that calls of
+    different kinds share one map."""
+    return ordered_map(lambda job: job(), jobs)
+
+
 def _forked_map(fn: Callable, items: list, k: int) -> list:
+    """Fork ``k`` workers and hand each the next unclaimed item index whenever
+    it is free; this process only dispatches and collects."""
     ctx = multiprocessing.get_context("fork")
-    children = []
+    workers = {}  # caller's end of each worker's pipe -> its process
     try:
-        for w in range(1, k):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_child, args=(fn, items, w, k, send), daemon=True)
+        for _ in range(k):
+            conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(target=_worker, args=(fn, items, child_conn), daemon=True)
             proc.start()
-            send.close()
-            children.append((proc, recv))
-        shares = [_run_share(fn, items, 0, k)]
-        for w, (proc, recv) in enumerate(children, start=1):
-            try:
-                shares.append(recv.recv())
-            except EOFError:
-                proc.join()
-                raise RuntimeError(f"worker {w} exited with code {proc.exitcode} "
-                                   "before sending its results") from None
+            child_conn.close()
+            workers[conn] = proc
+        results, errors = [None] * len(items), {}
+        unclaimed = iter(range(len(items)))
+        busy = set()
+
+        def dispatch(conn) -> None:
+            # After a failure only lower items, all claimed already, can matter.
+            i = None if errors else next(unclaimed, None)
+            conn.send(i)
+            if i is not None:
+                busy.add(conn)
+
+        for conn in workers:
+            dispatch(conn)
+        while busy:
+            for conn in wait(busy):
+                busy.remove(conn)
+                try:
+                    i, result, error = conn.recv()
+                except EOFError:
+                    proc = workers[conn]
+                    proc.join()
+                    raise RuntimeError(f"worker {proc.pid} exited with code "
+                                       f"{proc.exitcode} before sending its result") from None
+                if error is None:
+                    results[i] = result
+                else:
+                    errors[i] = error
+                dispatch(conn)
+        for proc in workers.values():
             proc.join()
     finally:
-        for proc, recv in children:
-            recv.close()
+        for conn, proc in workers.items():
             if proc.is_alive():
                 proc.terminate()
             proc.join()
-    errors = [error for _, error in shares if error is not None]
+            conn.close()
     if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return [shares[i % k][0][i // k] for i in range(len(items))]
+        raise errors[min(errors)]
+    return results

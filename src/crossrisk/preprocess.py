@@ -48,8 +48,7 @@ class MergeCriteria:
     def __post_init__(self) -> None:
         for name in ("max_time_gap", "max_distance_gap", "max_heading_diff",
                      "max_traj_angle_diff"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
+            check_number(getattr(self, name), f"preprocess.merge.{name}", positive=True)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, read_json_object
+from .errors import InputError, check_number, read_json_object
 from .geometry import (
     CROSSWALK_HALF,
     CROSSWALK_OFFSET,
@@ -91,8 +91,8 @@ class ScenarioSpec:
             raise InputError("entity counts must be nonnegative")
         if self.noise_std_position < 0 or self.noise_std_velocity < 0:
             raise InputError("noise levels must be nonnegative")
-        if min(self.cruise_speed, self.turn_speed, self.pedestrian_speed) <= 0:
-            raise InputError("speeds must be positive")
+        for name in ("cruise_speed", "turn_speed", "pedestrian_speed"):
+            check_number(getattr(self, name), f"synth.{name}", positive=True)
         if self.frame_interval <= 0:
             raise InputError("frame_interval must be positive")
         if self.seed < 0:

@@ -1,16 +1,17 @@
 import hashlib
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import row
 
-from crossrisk import evaluation, parallel
+from crossrisk import evaluation, gpr, parallel
 from crossrisk.cli import main
 from crossrisk.config import RunConfig, load_config
-from crossrisk.errors import InputError
+from crossrisk.errors import InputError, NumericalError
 from crossrisk.geometry import CROSSWALK_SEGMENTS, canonical_endpoints, canonical_search_regions
 from crossrisk.gpr import (
     GprModelPair,
@@ -27,6 +28,7 @@ from crossrisk.trajectory import (
     Maneuver,
     ObjectClass,
     Trajectory,
+    load_dataset,
     save_dataset,
 )
 
@@ -201,20 +203,30 @@ class TestCli:
         assert (a / "models" / "forest.json").exists()
         assert (a / "prep" / "density_grid.csv").exists()
 
-    def test_train_outputs_identical_on_one_and_two_workers(self, tmp_path, monkeypatch,
-                                                            capsys):
+    @staticmethod
+    def _two_depth_scene(tmp_path) -> tuple[Path, Path]:
+        """Config and labeled table whose forest grid has two depths, so the
+        protocol splits choose among grid points and the final forest grows
+        in the second map."""
         cfg = _pipeline_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data["forest"]["max_depth_grid"] = [None, 10]
+        cfg.write_text(json.dumps(data))
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "scene")]) == 0
         assert main(["preprocess", "--config", str(cfg),
                      "--in", str(tmp_path / "scene" / "dataset.csv"),
                      "--out", str(tmp_path / "prep")]) == 0
+        return cfg, tmp_path / "prep" / "labeled.csv"
+
+    def test_train_outputs_identical_on_one_and_two_workers(self, tmp_path, monkeypatch,
+                                                            capsys):
+        cfg, labeled = self._two_depth_scene(tmp_path)
         digests = {}
         for workers in (1, 2):
             monkeypatch.setattr(parallel, "worker_count", lambda: workers)
             capsys.readouterr()
             out = tmp_path / f"models{workers}"
-            assert main(["train", "--config", str(cfg),
-                         "--in", str(tmp_path / "prep" / "labeled.csv"),
+            assert main(["train", "--config", str(cfg), "--in", str(labeled),
                          "--out", str(out)]) == 0
             assert f"on {workers} worker process(es)" in capsys.readouterr().out
             digests[workers] = _hash_tree(out)
@@ -222,6 +234,31 @@ class TestCli:
             "classifier_report.csv", "classifier_report.txt", "forest.json",
             "gpr_models.json", "prediction_by_horizon.csv", "prediction_by_start.csv"]
         assert digests[1] == digests[2]
+
+    def test_gp_fit_failure_identical_on_one_and_two_workers(self, tmp_path, monkeypatch,
+                                                             capsys):
+        cfg, labeled = self._two_depth_scene(tmp_path)
+        config = load_config(cfg)
+        fits = gpr.cluster_fit_jobs(load_dataset(labeled, config.data), config.gpr)
+        failing = list(fits.values())[1][1].args[1].tobytes()  # second cluster, y velocity
+        fit_gpr = gpr.fit_gpr
+
+        def fit_or_fail(inputs, targets, *args):
+            if targets.tobytes() == failing:
+                raise NumericalError(f"injected failure on {len(targets)} points")
+            return fit_gpr(inputs, targets, *args)
+
+        monkeypatch.setattr(gpr, "fit_gpr", fit_or_fail)  # before the workers fork
+        errors = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+            capsys.readouterr()
+            assert main(["train", "--config", str(cfg), "--in", str(labeled),
+                         "--out", str(tmp_path / f"models{workers}")]) == 2
+            errors[workers] = capsys.readouterr().err
+        assert "injected failure" in errors[1]
+        assert errors[1] == errors[2]
+        assert multiprocessing.active_children() == []
 
     def test_seed_flag_changes_synth_output(self, tmp_path):
         cfg = _pipeline_config(tmp_path)
@@ -516,6 +553,29 @@ class TestExitCodes:
             argv = ["risk", "--in", str(labeled), "--models", str(models)]
         assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), -1], ids=["nan", "negative"])
+    @pytest.mark.parametrize("command,section,key", [
+        ("synth", "synth", "cruise_speed"),
+        ("synth", "synth", "turn_speed"),
+        ("synth", "synth", "pedestrian_speed"),
+        *(("preprocess", "preprocess", f"merge.{key}") for key in (
+            "max_time_gap", "max_distance_gap", "max_heading_diff", "max_traj_angle_diff")),
+        ("train", "gpr", "learning_rate"),
+    ])
+    def test_non_positive_rate_is_named_before_output(self, tmp_path, default_scene,
+                                                      capsys, command, section, key, value):
+        *outer, leaf = key.split(".")
+        body = {leaf: value}
+        for name in reversed(outer):
+            body = {name: body}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: body}))
+        out = tmp_path / "out"
+        argv = [command] if command == "synth" else [command, "--in", str(default_scene)]
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_too_fine_cell_size_is_exit_code_one(self, tmp_path, default_scene, capsys):

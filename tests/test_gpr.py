@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_solve, lapack
 
-from crossrisk import gpr
+from crossrisk import gpr, parallel
 from crossrisk.errors import InputError, NumericalError
 from crossrisk.gpr import (
     GprModelPair,
@@ -726,7 +726,7 @@ class TestClusterTraining:
             return fit(inputs, targets, cfg, workspace)
 
         monkeypatch.setattr(gpr, "fit_gpr", spy)
-        monkeypatch.setattr(gpr, "ordered_map", lambda fn, items: [fn(x) for x in items])
+        monkeypatch.setattr(parallel, "worker_count", lambda: 1)  # fits in this process
         models = train_cluster_models(labeled_scene, GprConfig(iterations=3, max_points=60))
         assert len(seen) == 2 * len(models)
         largest = max(n for n, _ in seen)

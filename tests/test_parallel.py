@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -31,10 +32,36 @@ def test_equals_the_serial_map(two_workers, n):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
-def test_item_i_runs_on_worker_i_mod_k(two_workers):
-    pids = [pid for _, pid in parallel.ordered_map(square_and_pid, range(7))]
-    assert pids[0::2] == [os.getpid()] * 4
-    assert len(set(pids[1::2])) == 1 and pids[1] != os.getpid()
+def wait_for(path, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+def test_caller_runs_no_item_and_maps_in_workers_stay_serial(two_workers):
+    def inner(x):
+        return parallel.usable_workers(), parallel.ordered_map(square_and_pid, range(3))
+
+    outer = parallel.ordered_map(inner, range(4))
+    assert {workers for workers, _ in outer} == {1}
+    worker_pids = {pid for _, nested in outer for _, pid in nested}
+    assert os.getpid() not in worker_pids and len(worker_pids) <= 2
+    assert all(len({pid for _, pid in nested}) == 1 for _, nested in outer)  # no grandchildren
+
+
+def test_slow_item_does_not_hold_back_the_others(two_workers, tmp_path):
+    def fn(x):
+        if x == 0:  # busy until the other worker has run every other item
+            wait_for(tmp_path / "5")
+        elif x == 5:
+            (tmp_path / "5").touch()
+        return os.getpid()
+
+    start = time.monotonic()
+    pids = parallel.ordered_map(fn, range(6))
+    assert time.monotonic() - start < 5.0
+    assert len(set(pids[1:])) == 1 and pids[0] != pids[1]
+    assert os.getpid() not in pids
 
 
 def test_results_cross_the_pipe_intact(two_workers):
@@ -43,19 +70,29 @@ def test_results_cross_the_pipe_intact(two_workers):
         {**d, "n": 3} for d in items]
 
 
+# The lowest failing item runs until the next item has failed, so the two
+# fail in different workers and the higher failure is reported first.
 @pytest.mark.parametrize("failing, message, kind", [
-    ({3, 4, 6}, "item 3", InputError),  # lowest failure in the child's share
-    ({2, 3}, "item 2", ValueError),  # lowest failure in the caller's share
+    ({3, 4, 6}, "item 3", InputError),
+    ({2, 3}, "item 2", ValueError),
 ])
-def test_lowest_failing_index_is_raised(two_workers, failing, message, kind):
+def test_lowest_failing_index_is_raised(two_workers, tmp_path, failing, message, kind):
+    low = min(failing)
+
     def fn(x):
+        if x == low:
+            wait_for(tmp_path / str(low + 1))
         if x in failing:
+            (tmp_path / str(x)).write_text(str(os.getpid()))
             raise (InputError if x % 2 else ValueError)(f"item {x}")
         return x
 
     with pytest.raises(kind, match=message):
         parallel.ordered_map(fn, range(8))
     assert multiprocessing.active_children() == []
+    failed_in = {int(p.name): int(p.read_text()) for p in tmp_path.iterdir()}
+    assert sorted(failed_in) == [low, low + 1]  # no item past a failure was started
+    assert len(set(failed_in.values())) == 2
 
 
 def test_worker_that_dies_is_an_error(two_workers):
@@ -69,19 +106,24 @@ def test_worker_that_dies_is_an_error(two_workers):
     assert multiprocessing.active_children() == []
 
 
-def test_no_child_outlives_the_call(two_workers):
-    parallel.ordered_map(square_and_pid, range(7))
+def test_worker_that_dies_while_the_other_is_busy(two_workers):
+    def fn(x):
+        if x == 0:
+            time.sleep(60.0)
+        elif x == 1:
+            os._exit(4)
+        return x
+
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="exited with code 4"):
+        parallel.ordered_map(fn, range(4))
+    assert time.monotonic() - start < 30.0
     assert multiprocessing.active_children() == []
 
 
-def test_serial_inside_a_worker(two_workers):
-    def inner(x):
-        return parallel.usable_workers(), parallel.ordered_map(square_and_pid, range(3))
-
-    (outer_workers, outer), (child_workers, nested) = parallel.ordered_map(inner, range(2))
-    assert (outer_workers, child_workers) == (2, 1)
-    assert len({pid for _, pid in nested}) == 1  # no grandchildren
-    assert {pid for _, pid in outer} != {pid for _, pid in nested}
+def test_no_child_outlives_the_call(two_workers):
+    parallel.ordered_map(square_and_pid, range(7))
+    assert multiprocessing.active_children() == []
 
 
 def test_serial_with_one_worker(monkeypatch):
