@@ -591,12 +591,8 @@ class ProtocolResult:
         return np.std([r.metric_array(name) for r in self.reports], axis=0)
 
     def majority_params(self) -> tuple[int, Optional[int]]:
-        counts = Counter(self.chosen_params)
-        top = max(counts.values())
-        for p in self.chosen_params:
-            if counts[p] == top:
-                return p
-        raise AssertionError("unreachable")
+        """The grid point most splits chose; a tie goes to the one chosen first."""
+        return Counter(self.chosen_params).most_common(1)[0][0]
 
 
 def _protocol_split(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,

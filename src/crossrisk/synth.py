@@ -16,14 +16,13 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, check_number, read_json_object
+from .errors import InputError, check_number, is_finite_number, read_json_object
 from .geometry import (
     CROSSWALK_HALF,
     CROSSWALK_OFFSET,
@@ -89,21 +88,21 @@ class ScenarioSpec:
         if min(self.n_vehicles_per_cell, self.n_pedestrians_per_crosswalk,
                self.n_engineered_conflicts, self.n_fast_pedestrians) < 0:
             raise InputError("entity counts must be nonnegative")
-        if self.noise_std_position < 0 or self.noise_std_velocity < 0:
-            raise InputError("noise levels must be nonnegative")
-        for name in ("cruise_speed", "turn_speed", "pedestrian_speed"):
+        for name in ("noise_std_position", "noise_std_velocity", "min_separation"):
+            check_number(getattr(self, name), f"synth.{name}")
+        for name in ("cruise_speed", "turn_speed", "pedestrian_speed", "pet_zone_radius"):
             check_number(getattr(self, name), f"synth.{name}", positive=True)
         if self.frame_interval <= 0:
             raise InputError("frame_interval must be positive")
         if self.seed < 0:
             raise InputError("synth.seed must be nonnegative")
         if len(self.requested_pet_range) != 2 or not all(
-                isinstance(v, numbers.Real) for v in self.requested_pet_range):
-            raise InputError("requested_pet_range must hold two numbers, got "
+                is_finite_number(v) for v in self.requested_pet_range):
+            raise InputError("synth.requested_pet_range must hold two finite numbers, got "
                              f"{self.requested_pet_range!r}")
         lo, hi = self.requested_pet_range
         if not 0 < lo <= hi:
-            raise InputError("requested_pet_range must be positive and ordered")
+            raise InputError("synth.requested_pet_range must be positive and ordered")
 
 
 @dataclass(frozen=True)
@@ -184,65 +183,63 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-class _Segment:
-    """A line or circular arc with arc-length parametrization."""
-
-    def __init__(self, kind: str, **kw):
-        self.kind = kind
-        if kind == "line":
-            self.p0 = np.asarray(kw["p0"], dtype=float)
-            self.p1 = np.asarray(kw["p1"], dtype=float)
-            self.length = float(np.linalg.norm(self.p1 - self.p0))
-            self._dir = (self.p1 - self.p0) / self.length if self.length > 0 else np.zeros(2)
-        else:
-            self.center = np.asarray(kw["center"], dtype=float)
-            self.radius = float(kw["radius"])
-            self.theta0 = float(kw["theta0"])
-            self.theta1 = float(kw["theta1"])
-            self.length = self.radius * abs(self.theta1 - self.theta0)
-
-    def arc_sample(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(positions, unit tangents) at arc lengths ``s`` along an arc."""
-        theta = (self.theta0 + (self.theta1 - self.theta0) * (s / self.length)).tolist()
-        # math, not np.cos/np.sin: numpy's float64 kernels may differ from
-        # libm in the last bit on some builds, and a scene's bytes must not
-        # depend on the build
-        cos = np.array([math.cos(x) for x in theta])
-        sin = np.array([math.sin(x) for x in theta])
-        pos = self.center + self.radius * np.column_stack([cos, sin])
-        sign = 1.0 if self.theta1 > self.theta0 else -1.0
-        return pos, sign * np.column_stack([-sin, cos])
-
-
 class _Path:
-    def __init__(self, segments: Sequence[_Segment]):
-        self.segments = [s for s in segments if s.length > 1e-9]
-        self.cum = np.concatenate([[0.0], np.cumsum([s.length for s in self.segments])])
-        self.total = float(self.cum[-1])
-        # line origins and directions by segment; arc rows stay zero
-        self._p0 = np.zeros((len(self.segments), 2))
-        self._dir = np.zeros((len(self.segments), 2))
-        self._arcs = []
-        for k, seg in enumerate(self.segments):
-            if seg.kind == "line":
-                self._p0[k], self._dir[k] = seg.p0, seg._dir
+    """Pieces joined end to end and parametrized by arc length: lines
+    ``("line", p0, p1)`` and circular arcs ``("arc", center, radius, theta0,
+    theta1)``; pieces no longer than 1e-9 are dropped. With an ``angle``
+    (radians, counterclockwise) every sample is rotated by it. ``None`` is no
+    rotation, unlike 0.0, whose rotation can flip the sign of a zero."""
+
+    def __init__(self, pieces: Sequence[tuple], angle: float | None = None):
+        self.angle = angle
+        self.pieces, self.lengths = [], []
+        for piece in pieces:
+            if piece[0] == "line":
+                _, p0, p1 = piece
+                piece = ("line", np.asarray(p0, dtype=float), np.asarray(p1, dtype=float))
+                length = float(np.linalg.norm(piece[2] - piece[1]))
             else:
-                self._arcs.append(k)
+                _, center, radius, theta0, theta1 = piece
+                piece = ("arc", np.asarray(center, dtype=float), radius, theta0, theta1)
+                length = radius * abs(theta1 - theta0)
+            if length > 1e-9:
+                self.pieces.append(piece)
+                self.lengths.append(length)
+        self.cum = np.concatenate([[0.0], np.cumsum(self.lengths)])
+        self.total = float(self.cum[-1])
+        # line origins and directions by piece; arc rows stay zero
+        self._p0 = np.zeros((len(self.pieces), 2))
+        self._dir = np.zeros((len(self.pieces), 2))
+        for k, (kind, p0, p1, *_) in enumerate(self.pieces):
+            if kind == "line":
+                self._p0[k], self._dir[k] = p0, (p1 - p0) / self.lengths[k]
+        self._arcs = [k for k, piece in enumerate(self.pieces) if piece[0] == "arc"]
 
     def sample(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(positions, unit tangents, curvatures) at arc lengths ``s``,
         clamped to the path."""
         s = np.clip(s, 0.0, self.total)
         i = np.minimum(np.searchsorted(self.cum, s, side="right") - 1,
-                       len(self.segments) - 1)
+                       len(self.pieces) - 1)
         local = s - self.cum[i]
         pos = self._p0[i] + self._dir[i] * local[:, None]
         tangent = self._dir[i]
         curvature = np.zeros(len(s))
         for k in self._arcs:
             on = i == k
-            pos[on], tangent[on] = self.segments[k].arc_sample(local[on])
-            curvature[on] = 1.0 / self.segments[k].radius
+            _, center, radius, theta0, theta1 = self.pieces[k]
+            theta = (theta0 + (theta1 - theta0) * (local[on] / self.lengths[k])).tolist()
+            # math, not np.cos/np.sin: numpy's float64 kernels may differ from
+            # libm in the last bit on some builds, and a scene's bytes must not
+            # depend on the build
+            cos = np.array([math.cos(x) for x in theta])
+            sin = np.array([math.sin(x) for x in theta])
+            sign = 1.0 if theta1 > theta0 else -1.0
+            pos[on] = center + radius * np.column_stack([cos, sin])
+            tangent[on] = sign * np.column_stack([-sin, cos])
+            curvature[on] = 1.0 / radius
+        if self.angle is not None:
+            pos, tangent = _rotate(pos, self.angle), _rotate(tangent, self.angle)
         return pos, tangent, curvature
 
 
@@ -262,20 +259,11 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., :, None])[:, 0, 0]
 
 
-class _SpeedProfile:
-    """Piecewise-linear speed as a function of arc length."""
-
-    def __init__(self, knots_s: Sequence[float], knots_v: Sequence[float]):
-        self.s = np.asarray(knots_s, dtype=float)
-        self.v = np.asarray(knots_v, dtype=float)
-
-    def __call__(self, s) -> np.ndarray:
-        return np.interp(s, self.s, self.v)
-
-
-def _vehicle_geometry(maneuver: Maneuver, cruise: float, turn: float
-                      ) -> tuple[_Path, _SpeedProfile]:
-    """Canonical south-entry path for one maneuver, with its speed profile.
+def _vehicle_geometry(maneuver: Maneuver, cruise: float, turn: float, angle: float
+                      ) -> tuple[_Path, tuple]:
+    """Path for one maneuver, the canonical south-entry path rotated by
+    ``angle``, with its speed profile: the ``(knots_s, knots_v)`` of a
+    piecewise-linear speed over arc length, read with ``np.interp(s, *profile)``.
 
     Left turns exit into the quadrant counterclockwise of the entry (east for
     a south entry), right turns clockwise of it (west), matching the movement
@@ -283,51 +271,23 @@ def _vehicle_geometry(maneuver: Maneuver, cruise: float, turn: float
     """
     lane = LANE_OFFSET
     if maneuver == Maneuver.STRAIGHT:
-        path = _Path([_Segment("line", p0=(lane, -START_DIST), p1=(lane, END_DIST))])
-        profile = _SpeedProfile([0.0, path.total], [cruise, cruise])
-        return path, profile
+        path = _Path([("line", (lane, -START_DIST), (lane, END_DIST))], angle)
+        return path, ([0.0, path.total], [cruise, cruise])
     if maneuver == Maneuver.LEFT:
-        r = LEFT_TURN_RADIUS
-        exit_y = -LANE_OFFSET
-        arc_start_y = exit_y - r
-        center = (lane + r, arc_start_y)
-        segments = [
-            _Segment("line", p0=(lane, -START_DIST), p1=(lane, arc_start_y)),
-            _Segment("arc", center=center, radius=r, theta0=math.pi, theta1=math.pi / 2.0),
-            _Segment("line", p0=(lane + r, exit_y), p1=(END_DIST, exit_y)),
-        ]
+        r, exit_y, theta0, exit_x = LEFT_TURN_RADIUS, -LANE_OFFSET, math.pi, END_DIST
+        center = (lane + r, exit_y - r)
     else:  # RIGHT: exit west
-        r = RIGHT_TURN_RADIUS
-        exit_y = LANE_OFFSET
-        arc_start_y = exit_y - r
-        center = (lane - r, arc_start_y)
-        segments = [
-            _Segment("line", p0=(lane, -START_DIST), p1=(lane, arc_start_y)),
-            _Segment("arc", center=center, radius=r, theta0=0.0, theta1=math.pi / 2.0),
-            _Segment("line", p0=(lane - r, exit_y), p1=(-END_DIST, exit_y)),
-        ]
-    path = _Path(segments)
-    arc_start = path.cum[1]
-    arc_end = path.cum[2]
-    profile = _SpeedProfile(
-        [0.0, max(0.0, arc_start - DECEL_LENGTH), arc_start, arc_end,
-         min(path.total, arc_end + ACCEL_LENGTH), path.total],
-        [cruise, cruise, turn, turn, cruise, cruise],
-    )
-    return path, profile
-
-
-class _RotatedPath:
-    """A canonical path rotated into the target entry direction."""
-
-    def __init__(self, path: _Path, angle: float):
-        self.path = path
-        self.angle = angle
-        self.total = path.total
-
-    def sample(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        pos, tangent, curvature = self.path.sample(s)
-        return _rotate(pos, self.angle), _rotate(tangent, self.angle), curvature
+        r, exit_y, theta0, exit_x = RIGHT_TURN_RADIUS, LANE_OFFSET, 0.0, -END_DIST
+        center = (lane - r, exit_y - r)
+    path = _Path([
+        ("line", (lane, -START_DIST), (lane, exit_y - r)),
+        ("arc", center, r, theta0, math.pi / 2.0),
+        ("line", (center[0], exit_y), (exit_x, exit_y)),
+    ], angle)
+    arc_start, arc_end = path.cum[1], path.cum[2]
+    return path, ([0.0, max(0.0, arc_start - DECEL_LENGTH), arc_start, arc_end,
+                   min(path.total, arc_end + ACCEL_LENGTH), path.total],
+                  [cruise, cruise, turn, turn, cruise, cruise])
 
 
 def _pedestrian_path(crosswalk: Direction, reverse: bool, lateral_offset: float,
@@ -351,11 +311,7 @@ def _pedestrian_path(crosswalk: Direction, reverse: bool, lateral_offset: float,
     exit_pt = b + axis * PED_APPROACH_LENGTH
 
     waypoints = np.vstack([start[None, :], curve, exit_pt[None, :]])
-    segments = [
-        _Segment("line", p0=waypoints[i], p1=waypoints[i + 1])
-        for i in range(len(waypoints) - 1)
-    ]
-    return _Path(segments)
+    return _Path([("line", p0, p1) for p0, p1 in zip(waypoints[:-1], waypoints[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +319,7 @@ def _pedestrian_path(crosswalk: Direction, reverse: bool, lateral_offset: float,
 # ---------------------------------------------------------------------------
 
 
-def _integrate_motion(total_length: float, profile: _SpeedProfile, dt: float,
+def _integrate_motion(total_length: float, profile: tuple, dt: float,
                       substeps: int = 10) -> tuple[np.ndarray, np.ndarray]:
     """Dense (time, arc length) table for motion along a path.
 
@@ -377,7 +333,7 @@ def _integrate_motion(total_length: float, profile: _SpeedProfile, dt: float,
     h = dt / substeps
     max_steps = int(3600.0 / h) + 2  # t is past one hour after this many steps
     # np.interp holds the end values beyond the knots: pad with constant pieces
-    knots_s, knots_v = profile.s.tolist(), profile.v.tolist()
+    knots_s, knots_v = (np.asarray(k, dtype=float).tolist() for k in profile)
     knots_s, knots_v = [-math.inf, *knots_s, math.inf], [knots_v[0], *knots_v, knots_v[-1]]
     pieces = [np.zeros(1)]
     s, n = 0.0, 0
@@ -414,38 +370,30 @@ def _integrate_motion(total_length: float, profile: _SpeedProfile, dt: float,
     return t, np.concatenate(pieces)
 
 
-def _time_at_arclength(s_star: float, t_dense: np.ndarray, s_dense: np.ndarray) -> float:
-    return float(np.interp(s_star, s_dense, t_dense))
-
-
-@dataclass
-class _Entity:
-    entity_id: str
-    object_class: ObjectClass
-    path: object  # _Path or _RotatedPath
-    speed_of_s: _SpeedProfile
-    launch_frame: int = 0
-    noise_seed: int = 0
-
-    def sample(self, dt: float, noise_pos: float, noise_vel: float,
-               t_dense: np.ndarray, s_dense: np.ndarray) -> Trajectory:
-        n_frames = int(math.floor(t_dense[-1] / dt)) + 1
-        s = np.interp(np.arange(n_frames) * dt, t_dense, s_dense)
-        pos, tangent, curvature = self.path.sample(s)
-        v = self.speed_of_s(s)
-        vel = v[:, None] * tangent
-        # Per frame, position noise then velocity noise: the same draws, in
-        # the same order and with the same values, as rng.normal(0, scale, 2)
-        # twice a frame.
-        z = np.random.default_rng(self.noise_seed).standard_normal(
-            (n_frames, 2 * (noise_pos > 0) + 2 * (noise_vel > 0)))
-        if noise_pos > 0:
-            pos = pos + (0.0 + noise_pos * z[:, :2])
-        if noise_vel > 0:
-            vel = vel + (0.0 + noise_vel * z[:, -2:])
-        t = [round((self.launch_frame + k) * dt, 6) for k in range(n_frames)]
-        return Trajectory(id=self.entity_id, object_class=self.object_class,
-                          points=np.column_stack([t, pos, vel, np.abs(v * curvature)]))
+def _sample_track(entity_id: str, object_class: ObjectClass, path: _Path, profile: tuple,
+                  t_dense: np.ndarray, s_dense: np.ndarray, launch_frame: int,
+                  noise_seed: int, spec: ScenarioSpec) -> Trajectory:
+    """The observed track of an entity launched at ``launch_frame`` that moves
+    along ``path`` by its ``(t_dense, s_dense)`` table, one row per frame,
+    with the spec's position and velocity noise drawn from ``noise_seed``."""
+    dt, noise_pos, noise_vel = spec.frame_interval, spec.noise_std_position, spec.noise_std_velocity
+    n_frames = int(math.floor(t_dense[-1] / dt)) + 1
+    s = np.interp(np.arange(n_frames) * dt, t_dense, s_dense)
+    pos, tangent, curvature = path.sample(s)
+    v = np.interp(s, *profile)
+    vel = v[:, None] * tangent
+    # Per frame, position noise then velocity noise: the same draws, in the
+    # same order and with the same values, as rng.normal(0, scale, 2) twice
+    # a frame.
+    z = np.random.default_rng(noise_seed).standard_normal(
+        (n_frames, 2 * (noise_pos > 0) + 2 * (noise_vel > 0)))
+    if noise_pos > 0:
+        pos = pos + (0.0 + noise_pos * z[:, :2])
+    if noise_vel > 0:
+        vel = vel + (0.0 + noise_vel * z[:, -2:])
+    t = [round((launch_frame + k) * dt, 6) for k in range(n_frames)]
+    return Trajectory(id=entity_id, object_class=object_class,
+                      points=np.column_stack([t, pos, vel, np.abs(v * curvature)]))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +441,9 @@ def _fractions_along(spots: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndar
 
 
 class _Schedule:
-    """Reserved crossing times; keeps unrelated vehicle/pedestrian crossings
-    separated by the scenario's minimum time gap."""
+    """Reserved crossing times, appended to as entities are scheduled; keeps
+    unrelated vehicle/pedestrian crossings separated by the scenario's minimum
+    time gap."""
 
     def __init__(self, min_separation: float):
         self.min_separation = min_separation
@@ -527,12 +476,6 @@ class _Schedule:
         spots = np.array([spot for spot, _ in mine]).reshape(-1, 2)
         return np.array([t for _, t in mine]), _fractions_along(spots, a, b)
 
-    def add_vehicle(self, crossings_abs) -> None:
-        self.vehicle_crossings.extend(crossings_abs)
-
-    def add_ped(self, cw, t_a, t_b, a, b) -> None:
-        self.ped_traversals.append((cw, t_a, t_b, a, b))
-
 
 # ---------------------------------------------------------------------------
 # Scenario generation
@@ -541,6 +484,21 @@ class _Schedule:
 
 def _quantize_frame(t: float, dt: float) -> int:
     return max(0, int(round(t / dt)))
+
+
+def _find_launch(base: float, duration: float, horizon: float, dt: float,
+                 fits, kind: str) -> int:
+    """First launch frame that ``fits`` accepts for an entity moving for
+    ``duration`` s: try ``base + 1.7 k`` s for k < 600, wrapped to
+    ``1.7 k mod horizon`` when the entity would still move 60 s past the
+    horizon."""
+    for attempt in range(600):
+        launch = _quantize_frame(base + attempt * 1.7, dt)
+        if launch * dt + duration > horizon + 60.0:
+            launch = _quantize_frame((attempt * 1.7) % horizon, dt)
+        if fits(launch):
+            return launch
+    raise InputError(f"could not schedule a conflict-free {kind}")
 
 
 def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
@@ -574,16 +532,13 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
         hypothesis_crossings = []
         chosen = None
         for m in SUPPORTED_MANEUVERS:
-            path_c, profile_m = _vehicle_geometry(m, cruise, turn)
-            path_m = _RotatedPath(path_c, _ENTRY_ROTATION[direction])
+            path_m, profile_m = _vehicle_geometry(m, cruise, turn, _ENTRY_ROTATION[direction])
             t_m, s_m = _integrate_motion(path_m.total, profile_m, dt)
             if (direction, m) not in route_crossings:
                 route_crossings[direction, m] = _vehicle_crossings(path_m)
             crossings_m = route_crossings[direction, m]
             for cw, s_star, spot in crossings_m:
-                hypothesis_crossings.append(
-                    (cw, _time_at_arclength(s_star, t_m, s_m), spot)
-                )
+                hypothesis_crossings.append((cw, float(np.interp(s_star, s_m, t_m)), spot))
             if m == maneuver:
                 chosen = (path_m, profile_m, t_m, s_m, crossings_m)
         path, profile, t_dense, s_dense, crossings = chosen
@@ -597,20 +552,16 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
         nonlocal ped_counter
         angle = (2.0 * rng.random() - 1.0) * math.radians(60.0)
         path = _pedestrian_path(crosswalk, reverse, lateral_offset, angle)
-        profile = _SpeedProfile([0.0, path.total], [speed, speed])
+        profile = ([0.0, path.total], [speed, speed])
         t_dense, s_dense = _integrate_motion(path.total, profile, dt)
         entity_id = f"ped{ped_counter:04d}"
         ped_counter += 1
         return entity_id, path, profile, t_dense, s_dense
 
     def emit(entity_id, object_class, path, profile, t_dense, s_dense, launch_frame):
-        entity = _Entity(entity_id=entity_id, object_class=object_class, path=path,
-                         speed_of_s=profile, launch_frame=launch_frame,
-                         noise_seed=spec.seed * 1_000_003 + len(trajectories))
-        trajectories.append(
-            entity.sample(dt, spec.noise_std_position, spec.noise_std_velocity,
-                          t_dense, s_dense)
-        )
+        trajectories.append(_sample_track(
+            entity_id, object_class, path, profile, t_dense, s_dense, launch_frame,
+            spec.seed * 1_000_003 + len(trajectories), spec))
 
     # -- engineered conflicts ------------------------------------------------
     turn_cells = [(d, m) for m in (Maneuver.LEFT, Maneuver.RIGHT) for d in Direction]
@@ -627,7 +578,7 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
         cw, s_star, spot = max(exit_crossings, key=lambda c: c[1])
 
         center = _FIRST_EPISODE_CENTER + _EPISODE_PERIOD * i
-        t_rel = _time_at_arclength(s_star, vt, vs)
+        t_rel = float(np.interp(s_star, vs, vt))
         launch_v = _quantize_frame(center - t_rel, dt)
         t_veh_abs = launch_v * dt + t_rel
 
@@ -642,9 +593,9 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
         s_scan = np.linspace(0.0, ppath.total, 2000)
         offsets = ppath.sample(s_scan)[0] - np.asarray(spot)
         s_spot = float(s_scan[int(np.argmin(np.sqrt(_row_dots(offsets, offsets))))])
-        t_ped_rel = _time_at_arclength(s_spot, pt, ps)
+        t_ped_rel = float(np.interp(s_spot, ps, pt))
 
-        v_veh_spot = float(vprofile(s_star))
+        v_veh_spot = float(np.interp(s_star, *vprofile))
         gap = requested + spec.pet_zone_radius * (1.0 / v_veh_spot + 1.0 / ped_speed) - dt
         if gap <= 0:
             raise InputError(
@@ -657,12 +608,12 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
             raise InputError("infeasible conflict timing: pedestrian launch underflow")
         t_ped_abs = launch_p * dt + t_ped_rel
 
-        schedule.add_vehicle([(c, s, launch_v * dt + t_rel_c)
-                              for c, t_rel_c, s in vhypo])
+        schedule.vehicle_crossings.extend(
+            (c, s, launch_v * dt + t_rel_c) for c, t_rel_c, s in vhypo)
         pa, pb = (b, a) if reverse else (a, b)
         t_a = launch_p * dt + PED_APPROACH_LENGTH / ped_speed
         t_b = t_a + float(np.linalg.norm(pb - pa)) / ped_speed
-        schedule.add_ped(cw, t_a, t_b, pa, pb)
+        schedule.ped_traversals.append((cw, t_a, t_b, pa, pb))
 
         emit(vid, ObjectClass.VEHICLE, vpath, vprofile, vt, vs, launch_v)
         emit(pid, ObjectClass.PEDESTRIAN, ppath, pprofile, pt, ps, launch_p)
@@ -677,26 +628,19 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
     # -- background vehicles -------------------------------------------------
     for direction in Direction:
         for maneuver in SUPPORTED_MANEUVERS:
-            for j in range(spec.n_vehicles_per_cell):
+            for _ in range(spec.n_vehicles_per_cell):
                 vid, vpath, vprofile, vt, vs, vcross, vhypo = make_vehicle(
                     direction, maneuver
                 )
+
+                def crossings_at(launch):
+                    return [(cw, spot, launch * dt + t_rel_c) for cw, t_rel_c, spot in vhypo]
+
                 base = (veh_counter * 7.3) % max(horizon - 20.0, 1.0)
-                launch = None
-                for attempt in range(600):
-                    cand = _quantize_frame(base + attempt * 1.7, dt)
-                    if cand * dt + vt[-1] > horizon + 60.0:
-                        cand = _quantize_frame((attempt * 1.7) % horizon, dt)
-                    abs_cross = [
-                        (cw, spot, cand * dt + t_rel_c)
-                        for cw, t_rel_c, spot in vhypo
-                    ]
-                    if schedule.vehicle_ok(abs_cross):
-                        schedule.add_vehicle(abs_cross)
-                        launch = cand
-                        break
-                if launch is None:
-                    raise InputError("could not schedule a conflict-free vehicle")
+                launch = _find_launch(base, vt[-1], horizon, dt,
+                                      lambda cand: schedule.vehicle_ok(crossings_at(cand)),
+                                      "vehicle")
+                schedule.vehicle_crossings.extend(crossings_at(launch))
                 emit(vid, ObjectClass.VEHICLE, vpath, vprofile, vt, vs, launch)
                 truth.vehicles[vid] = (direction, maneuver)
 
@@ -704,8 +648,7 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
     ped_plan = [(cw, j) for cw in Direction for j in range(spec.n_pedestrians_per_crosswalk)]
     fast_plan = [(cw, -1) for cw in list(Direction)[: spec.n_fast_pedestrians]]
     for cw, j in ped_plan + fast_plan:
-        fast = j == -1
-        speed = 3.5 if fast else jitter(spec.pedestrian_speed, 0.1)
+        speed = 3.5 if j == -1 else jitter(spec.pedestrian_speed, 0.1)
         offset = (2.0 * rng.random() - 1.0) * 1.2
         reverse = bool(rng.integers(2))
         pid, ppath, pprofile, pt, ps = make_ped(cw, reverse, offset, speed)
@@ -713,20 +656,17 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[Dataset, GroundTruth]:
         pa, pb = (b, a) if reverse else (a, b)
         crossing_time = float(np.linalg.norm(pb - pa)) / speed
         t_vehicle, fractions = schedule.vehicles_on(cw, pa, pb)
+
+        def traversal_at(launch):
+            t_a = launch * dt + PED_APPROACH_LENGTH / speed
+            return t_a, t_a + crossing_time
+
         base = (ped_counter * 9.1) % max(horizon - 30.0, 1.0)
-        launch = None
-        for attempt in range(600):
-            cand = _quantize_frame(base + attempt * 1.7, dt)
-            if cand * dt + pt[-1] > horizon + 60.0:
-                cand = _quantize_frame((attempt * 1.7) % horizon, dt)
-            t_a = cand * dt + PED_APPROACH_LENGTH / speed
-            t_b = t_a + crossing_time
-            if schedule.clear(t_vehicle, fractions, t_a, t_b):
-                schedule.add_ped(cw, t_a, t_b, pa, pb)
-                launch = cand
-                break
-        if launch is None:
-            raise InputError("could not schedule a conflict-free pedestrian")
+        launch = _find_launch(base, pt[-1], horizon, dt,
+                              lambda cand: schedule.clear(t_vehicle, fractions,
+                                                          *traversal_at(cand)),
+                              "pedestrian")
+        schedule.ped_traversals.append((cw, *traversal_at(launch), pa, pb))
         emit(pid, ObjectClass.PEDESTRIAN, ppath, pprofile, pt, ps, launch)
         truth.pedestrian_crosswalks[pid] = cw
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -182,14 +183,8 @@ def majority_vote_label(per_frame_labels: Sequence[ObjectClass]) -> ObjectClass:
     """Most frequent label; ties go to the earliest-appearing tied label."""
     if not per_frame_labels:
         raise ValueError("cannot vote on an empty label list")
-    counts: dict[ObjectClass, int] = {}
-    for label in per_frame_labels:
-        counts[label] = counts.get(label, 0) + 1
-    best = max(counts.values())
-    for label in per_frame_labels:  # first appearance order breaks ties
-        if counts[label] == best:
-            return label
-    raise AssertionError("unreachable")
+    # Counter keeps first-appearance order and most_common sorts stably
+    return Counter(per_frame_labels).most_common(1)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -555,14 +555,20 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", [float("nan"), -1], ids=["nan", "negative"])
-    @pytest.mark.parametrize("command,section,key", [
-        ("synth", "synth", "cruise_speed"),
-        ("synth", "synth", "turn_speed"),
-        ("synth", "synth", "pedestrian_speed"),
-        *(("preprocess", "preprocess", f"merge.{key}") for key in (
-            "max_time_gap", "max_distance_gap", "max_heading_diff", "max_traj_angle_diff")),
-        ("train", "gpr", "learning_rate"),
+    @pytest.mark.parametrize("command,section,key,value", [
+        *(pytest.param(command, section, key, value, id=f"{command}-{section}-{key}-{name}")
+          for command, section, key in [
+              *(("synth", "synth", key) for key in (
+                  "cruise_speed", "turn_speed", "pedestrian_speed", "noise_std_position",
+                  "noise_std_velocity", "min_separation", "pet_zone_radius")),
+              *(("preprocess", "preprocess", f"merge.{key}") for key in (
+                  "max_time_gap", "max_distance_gap", "max_heading_diff",
+                  "max_traj_angle_diff")),
+              ("train", "gpr", "learning_rate"),
+          ]
+          for value, name in [(float("nan"), "nan"), (-1, "negative")]),
+        pytest.param("synth", "synth", "requested_pet_range", [0.8, math.inf],
+                     id="synth-synth-requested_pet_range-infinite"),
     ])
     def test_non_positive_rate_is_named_before_output(self, tmp_path, default_scene,
                                                       capsys, command, section, key, value):

@@ -11,6 +11,7 @@ from crossrisk.errors import InputError
 from crossrisk.maneuver import (
     DIRECTION_FEATURE_INDEX,
     ForestConfig,
+    ProtocolResult,
     _nearest_neighbors,
     classification_metrics,
     evaluate_classifier,
@@ -642,6 +643,15 @@ class TestSplitProtocol:
         X, y = make_clusters((2, 2, 1), seed=11)
         with pytest.raises(InputError, match="empty partition"):
             run_split_protocol(X, y, ForestConfig(n_splits=1))
+
+    @pytest.mark.parametrize("chosen,want", [
+        ([(100, 10), (300, None), (300, None), (100, 10)], (100, 10)),
+        ([(300, None), (100, 10), (100, 10), (300, None)], (300, None)),
+        ([(300, None), (100, 10), (100, 10)], (100, 10)),
+    ], ids=["tie-first-wins", "tie-other-first", "strict-majority"])
+    def test_majority_params_tie_goes_to_first_chosen(self, chosen, want):
+        result = ProtocolResult(reports=[None] * len(chosen), chosen_params=chosen)
+        assert result.majority_params() == want
 
     def test_deterministic(self):
         X, y = make_clusters((60, 25, 25), seed=10)

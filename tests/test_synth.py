@@ -23,13 +23,10 @@ from crossrisk.synth import (
     _ENTRY_ROTATION,
     _EPISODE_PERIOD,
     _FIRST_EPISODE_CENTER,
-    _RotatedPath,
-    _SpeedProfile,
     _crosswalk_axis,
     _integrate_motion,
     _pedestrian_path,
     _quantize_frame,
-    _time_at_arclength,
     _vehicle_crossings,
     _vehicle_geometry,
     generate_scenario,
@@ -169,6 +166,14 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             ScenarioSpec(requested_pet_range=(0.0, 1.0))
 
+    @pytest.mark.parametrize("n_conflicts,kind", [(0, "pedestrian"), (1, "vehicle")])
+    def test_unschedulable_scene_rejected(self, n_conflicts, kind):
+        # no launch keeps a million-second gap between crossings
+        spec = ScenarioSpec(seed=0, n_vehicles_per_cell=1, n_pedestrians_per_crosswalk=1,
+                            n_engineered_conflicts=n_conflicts, min_separation=1e6)
+        with pytest.raises(InputError, match=f"could not schedule a conflict-free {kind}$"):
+            generate_scenario(spec)
+
     def test_infeasible_conflict_timing_rejected(self):
         # a requested gap smaller than the zone compensation cannot be staged
         spec = ScenarioSpec(seed=0, n_engineered_conflicts=1,
@@ -209,14 +214,14 @@ class TestSearchRegions:
 # ---------------------------------------------------------------------------
 
 
-def ref_integrate_motion(total_length, speed_of_s, dt, substeps=10):
+def ref_integrate_motion(total_length, profile, dt, substeps=10):
     h = dt / substeps
     t_list = [0.0]
     s_list = [0.0]
     s = 0.0
     t = 0.0
     while s < total_length:
-        v = float(speed_of_s(s))
+        v = float(np.interp(s, *profile))
         if v <= 1e-6:
             break
         s = min(total_length, s + v * h)
@@ -228,15 +233,17 @@ def ref_integrate_motion(total_length, speed_of_s, dt, substeps=10):
     return np.asarray(t_list), np.asarray(s_list)
 
 
-def ref_segment_at(seg, s):
-    if seg.kind == "line":
-        return seg.p0 + seg._dir * s, seg._dir, 0.0
-    frac = s / seg.length if seg.length > 0 else 0.0
-    theta = seg.theta0 + (seg.theta1 - seg.theta0) * frac
-    pos = seg.center + seg.radius * np.array([math.cos(theta), math.sin(theta)])
-    sign = 1.0 if seg.theta1 > seg.theta0 else -1.0
+def ref_piece_at(piece, s):
+    if piece[0] == "line":
+        _, p0, p1 = piece
+        direction = (p1 - p0) / float(np.linalg.norm(p1 - p0))
+        return p0 + direction * s, direction, 0.0
+    _, center, radius, theta0, theta1 = piece
+    theta = theta0 + (theta1 - theta0) * (s / (radius * abs(theta1 - theta0)))
+    pos = center + radius * np.array([math.cos(theta), math.sin(theta)])
+    sign = 1.0 if theta1 > theta0 else -1.0
     tangent = sign * np.array([-math.sin(theta), math.cos(theta)])
-    return pos, tangent, 1.0 / seg.radius
+    return pos, tangent, 1.0 / radius
 
 
 def ref_rotate(points, angle):
@@ -246,19 +253,19 @@ def ref_rotate(points, angle):
 
 
 def ref_at(path, s):
-    """(position, unit tangent, curvature) of a _Path or _RotatedPath at one
-    arc length."""
-    if isinstance(path, _RotatedPath):
-        pos, tangent, curv = ref_at(path.path, s)
-        return (ref_rotate(pos[None, :], path.angle)[0],
-                ref_rotate(tangent[None, :], path.angle)[0], curv)
+    """(position, unit tangent, curvature) of a _Path at one arc length: the
+    piece it falls on, then the path's rotation if it has one."""
     s = min(max(s, 0.0), path.total)
     i = int(np.searchsorted(path.cum, s, side="right")) - 1
-    i = min(i, len(path.segments) - 1)
-    return ref_segment_at(path.segments[i], s - path.cum[i])
+    i = min(i, len(path.pieces) - 1)
+    pos, tangent, curv = ref_piece_at(path.pieces[i], s - path.cum[i])
+    if path.angle is None:
+        return pos, tangent, curv
+    return (ref_rotate(pos[None, :], path.angle)[0],
+            ref_rotate(tangent[None, :], path.angle)[0], curv)
 
 
-def ref_sample(entity_id, object_class, path, speed_of_s, launch_frame, noise_seed,
+def ref_sample(entity_id, object_class, path, profile, launch_frame, noise_seed,
                dt, noise_pos, noise_vel, t_dense, s_dense):
     rng = np.random.default_rng(noise_seed)
     n_frames = int(math.floor(t_dense[-1] / dt)) + 1
@@ -266,7 +273,7 @@ def ref_sample(entity_id, object_class, path, speed_of_s, launch_frame, noise_se
     for k in range(n_frames):
         s = float(np.interp(k * dt, t_dense, s_dense))
         pos, tangent, curv = ref_at(path, s)
-        v = float(speed_of_s(s))
+        v = float(np.interp(s, *profile))
         vel = v * tangent
         if noise_pos > 0:
             pos = pos + rng.normal(0.0, noise_pos, size=2)
@@ -353,12 +360,11 @@ def ref_generate_scenario(spec):
         hypothesis_crossings = []
         chosen = None
         for m in SUPPORTED_MANEUVERS:
-            path_c, profile_m = _vehicle_geometry(m, cruise, turn)
-            path_m = _RotatedPath(path_c, _ENTRY_ROTATION[direction])
+            path_m, profile_m = _vehicle_geometry(m, cruise, turn, _ENTRY_ROTATION[direction])
             t_m, s_m = ref_integrate_motion(path_m.total, profile_m, dt)
             crossings_m = ref_vehicle_crossings(path_m)
             for cw, s_star, spot in crossings_m:
-                hypothesis_crossings.append((cw, _time_at_arclength(s_star, t_m, s_m), spot))
+                hypothesis_crossings.append((cw, float(np.interp(s_star, s_m, t_m)), spot))
             if m == maneuver:
                 chosen = (path_m, profile_m, t_m, s_m, crossings_m)
         entity_id = f"veh{counters['veh']:04d}"
@@ -368,7 +374,7 @@ def ref_generate_scenario(spec):
     def make_ped(crosswalk, reverse, lateral_offset, speed):
         angle = (2.0 * rng.random() - 1.0) * math.radians(60.0)
         path = _pedestrian_path(crosswalk, reverse, lateral_offset, angle)
-        profile = _SpeedProfile([0.0, path.total], [speed, speed])
+        profile = ([0.0, path.total], [speed, speed])
         t_dense, s_dense = ref_integrate_motion(path.total, profile, dt)
         entity_id = f"ped{counters['ped']:04d}"
         counters["ped"] += 1
@@ -391,7 +397,7 @@ def ref_generate_scenario(spec):
         exit_crossings = [c for c in vcross if c[1] > vs[-1] * 0.4]
         cw, s_star, spot = max(exit_crossings, key=lambda c: c[1])
         center = _FIRST_EPISODE_CENTER + _EPISODE_PERIOD * i
-        t_rel = _time_at_arclength(s_star, vt, vs)
+        t_rel = float(np.interp(s_star, vs, vt))
         launch_v = _quantize_frame(center - t_rel, dt)
         t_veh_abs = launch_v * dt + t_rel
         a, b = _crosswalk_axis(cw)
@@ -401,8 +407,8 @@ def ref_generate_scenario(spec):
         s_scan = np.linspace(0.0, ppath.total, 2000)
         d_scan = [np.linalg.norm(ref_at(ppath, s)[0] - np.asarray(spot)) for s in s_scan]
         s_spot = float(s_scan[int(np.argmin(d_scan))])
-        t_ped_rel = _time_at_arclength(s_spot, pt, ps)
-        v_veh_spot = float(vprofile(s_star))
+        t_ped_rel = float(np.interp(s_spot, ps, pt))
+        v_veh_spot = float(np.interp(s_star, *vprofile))
         gap = requested + spec.pet_zone_radius * (1.0 / v_veh_spot + 1.0 / ped_speed) - dt
         sign = 1.0 if i % 2 == 0 else -1.0
         t_ped_target = t_veh_abs + sign * gap
@@ -478,14 +484,14 @@ def speed_profiles(draw):
         speeds[-1] = 0.0
     total = draw(st.floats(0.5, 60.0))
     dt = draw(st.sampled_from([0.05, 0.1, 0.2]))
-    return total, _SpeedProfile(knots_s, speeds), dt
+    return total, (knots_s, speeds), dt
 
 
 class TestArraySynthMatchesScalarReference:
     @settings(max_examples=60, deadline=None)
     @given(speed_profiles())
     # a knot 5e-324 m past another: the slope between them overflows to -inf
-    @example((1.0, _SpeedProfile([0.0, 5e-324], [3.0, 0.0]), 0.05))
+    @example((1.0, ([0.0, 5e-324], [3.0, 0.0]), 0.05))
     def test_integration_tables_bitwise(self, case):
         total, profile, dt = case
         t, s = _integrate_motion(total, profile, dt)
@@ -496,17 +502,16 @@ class TestArraySynthMatchesScalarReference:
     @pytest.mark.parametrize("knots_v", [(1e-5, 1e-5), (2e-6, 1e-5)])
     def test_one_hour_guard(self, knots_v):
         with pytest.raises(InputError, match="one hour"):
-            _integrate_motion(10.0, _SpeedProfile([0.0, 10.0], knots_v), 0.1)
+            _integrate_motion(10.0, ([0.0, 10.0], knots_v), 0.1)
 
     def test_path_sampling_bitwise(self):
         rng = np.random.default_rng(0)
-        paths = [_RotatedPath(_vehicle_geometry(m, 11.0, 6.0)[0], _ENTRY_ROTATION[d])
+        paths = [_vehicle_geometry(m, 11.0, 6.0, _ENTRY_ROTATION[d])[0]
                  for m in SUPPORTED_MANEUVERS for d in Direction]
         paths += [_pedestrian_path(cw, bool(k % 2), 0.9 * k - 1.0, 0.4 * k - 0.8)
                   for k, cw in enumerate(Direction)]
         for path in paths:
-            knots = getattr(path, "path", path).cum
-            s = np.concatenate([[-1.0, path.total + 1.0], knots,
+            s = np.concatenate([[-1.0, path.total + 1.0], path.cum,
                                 rng.random(300) * path.total])
             pos, tangent, curvature = path.sample(s)
             for k, sk in enumerate(s):
