@@ -3,7 +3,8 @@
 output on the benchmark scenes of ``perfbench/workloads.py``, with preprocess, train
 and risk run in process through ``crossrisk.cli.main``; the risk stage runs twice,
 with the scene's mean rollouts into ``risk/`` and with ``rollout_mode: sample`` into
-``risk_sample/``:
+``risk_sample/``, and the train stage runs again with ``forest.n_splits: 3`` into
+``models_splits3/``, so that the mean and spread over splits are hashed too:
 
     python scripts/output_digests.py --src OTHER_CHECKOUT/src --out old.json
     python scripts/output_digests.py --out new.json [--workloads fit --seeds 1 2]
@@ -22,19 +23,24 @@ def digests(workload: str, seed: int) -> dict:
     from crossrisk.cli import main
     from perfbench.workloads import WORKLOADS, build_scene
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp) / "run"  # hashed; the sample-mode config stays outside it
+        work = Path(tmp) / "run"  # hashed
         scene = build_scene(WORKLOADS[workload], seed, work / "scene")
-        config = json.loads(scene.config_json.read_text())
-        config["risk"]["rollout_mode"] = "sample"
-        sample_config = Path(tmp) / "sample_config.json"
-        sample_config.write_text(json.dumps(config))
+        variants = {}  # config files outside the hashed tree
+        for name, section, key, value in (("sample", "risk", "rollout_mode", "sample"),
+                                          ("splits3", "forest", "n_splits", 3)):
+            config = json.loads(scene.config_json.read_text())
+            config[section][key] = value
+            variants[name] = Path(tmp) / f"{name}_config.json"
+            variants[name].write_text(json.dumps(config))
         prep, models = work / "prep", work / "models"
+        train = ["train", "--in", prep / "labeled.csv", "--out"]
         risk = ["risk", "--in", prep / "labeled.csv", "--models", models]
         for argv, config_json in (
                 (["preprocess", "--in", scene.input_csv, "--out", prep], scene.config_json),
-                (["train", "--in", prep / "labeled.csv", "--out", models], scene.config_json),
+                ([*train, models], scene.config_json),
+                ([*train, work / "models_splits3"], variants["splits3"]),
                 ([*risk, "--out", work / "risk"], scene.config_json),
-                ([*risk, "--out", work / "risk_sample"], sample_config)):
+                ([*risk, "--out", work / "risk_sample"], variants["sample"])):
             with contextlib.redirect_stdout(io.StringIO()):
                 if main([*map(str, argv), "--config", str(config_json)]) != 0:
                     raise SystemExit(f"{workload} seed {seed}: {argv[0]} failed")

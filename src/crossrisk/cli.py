@@ -16,6 +16,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, load_config
 from .errors import InputError, NumericalError
 from .evaluation import compute_risk_streams, prediction_error_study
@@ -23,9 +25,9 @@ from .geometry import build_geometry
 from .gpr import cluster_fit_jobs, load_cluster_models, pair_models, save_cluster_models
 from .maneuver import (
     ForestModel,
-    ProtocolResult,
     build_feature_table,
     load_forest,
+    majority_params,
     save_forest,
     smote_oversample,
     split_jobs,
@@ -103,14 +105,12 @@ def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
         partial(smote_oversample, X, y, k=cfg.forest.smote_k, seed=cfg.forest.seed),
         *(fit for pair in gp_fits.values() for fit in pair),
     ])
-    protocol = ProtocolResult.from_splits(results[:len(splits)])
+    scores, split_params = zip(*results[:len(splits)])  # a (3, N_CLASSES) table per split
     bal_X, bal_y = results[len(splits)]
     models = pair_models(gp_fits, results[len(splits) + 1:])
 
-    mean_p = protocol.mean_metric("precision")
-    mean_r = protocol.mean_metric("recall")
-    mean_f = protocol.mean_metric("f1")
-    std_f = protocol.std_metric("f1")
+    mean_p, mean_r, mean_f = np.mean(scores, axis=0)
+    std_f = np.std(scores, axis=0)[2]
     _write_csv(
         out_dir / "classifier_report.csv",
         ["maneuver", "precision_mean", "recall_mean", "f1_mean", "f1_std"],
@@ -124,7 +124,7 @@ def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
              "maneuver      precision  recall  f1"]
     for i, m in enumerate(SUPPORTED_MANEUVERS):
         lines.append(f"{m.value:12s}  {mean_p[i]:.3f}      {mean_r[i]:.3f}   {mean_f[i]:.3f}")
-    chosen = protocol.majority_params()
+    chosen = majority_params(split_params)
     lines.append(f"selected forest: n_trees={chosen[0]} max_depth={chosen[1]}")
     (out_dir / "classifier_report.txt").write_text("\n".join(lines) + "\n")
     save_cluster_models(models, out_dir / "gpr_models.json")

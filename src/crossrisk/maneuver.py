@@ -32,9 +32,12 @@ from .trajectory import (
 
 #: Class codes: left=0, right=1, straight=2.
 MANEUVER_CODES = {m: i for i, m in enumerate(SUPPORTED_MANEUVERS)}
+N_CLASSES = len(SUPPORTED_MANEUVERS)
 
 #: Column index of the integer-coded entering direction in the feature row.
 DIRECTION_FEATURE_INDEX = 4
+#: Columns of a feature row.
+N_FEATURES = 5
 
 FOREST_FILE_VERSION = 2
 
@@ -104,14 +107,13 @@ def _nearest_neighbors(sub: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def smote_oversample(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0,
-                     categorical: Sequence[int] = (DIRECTION_FEATURE_INDEX,)
+def smote_oversample(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Upsample every minority class to the majority count.
 
     Each synthetic row interpolates a base sample toward one of its ``k``
-    same-class nearest neighbors (continuous features only; categorical
-    columns are copied from the base sample). ``k`` is reduced to
+    same-class nearest neighbors (continuous features only; the direction
+    column is copied from the base sample). ``k`` is reduced to
     ``class size - 1`` for small classes; a singleton class is duplicated.
     Deterministic for a fixed seed.
     """
@@ -122,7 +124,7 @@ def smote_oversample(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0,
     if X.shape[0] == 0:
         raise InputError("cannot oversample an empty table")
     rng = np.random.default_rng(seed)
-    cont = [j for j in range(X.shape[1]) if j not in set(categorical)]
+    cont = [j for j in range(X.shape[1]) if j != DIRECTION_FEATURE_INDEX]
     counts = Counter(y.tolist())
     majority = max(counts.values())
 
@@ -189,15 +191,15 @@ class Tree:
         return out
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int],
-                n_classes: int) -> Optional[tuple[float, int, float]]:
+def _best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int]
+                ) -> Optional[tuple[float, int, float]]:
     """Lowest weighted Gini split over the candidate features.
 
     Returns (gini, feature, threshold); ties resolved by scanning features in
     ascending order and keeping strictly better splits only.
     """
     n = len(y)
-    onehot = np.zeros((n, n_classes))
+    onehot = np.zeros((n, N_CLASSES))
     onehot[np.arange(n), y] = 1.0
     best = None
     for f in features:
@@ -221,19 +223,19 @@ def _best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int],
     return best
 
 
-def _list_best_split(rows: list, labels: list, features: Sequence[int],
-                     n_classes: int) -> Optional[tuple[float, int, float]]:
+def _list_best_split(rows: list, labels: list, features: Sequence[int]
+                     ) -> Optional[tuple[float, int, float]]:
     """``_best_split`` on Python lists of rows and labels, with the same float
     operations in the same order, so it returns the same split."""
     n = len(labels)
-    total = [0] * n_classes
+    total = [0] * N_CLASSES
     for c in labels:
         total[c] += 1
-    classes = range(n_classes)
+    classes = range(N_CLASSES)
     best = None
     for f in features:
         pairs = sorted(zip([row[f] for row in rows], labels), key=itemgetter(0))
-        left, right = [0] * n_classes, total[:]
+        left, right = [0] * N_CLASSES, total[:]
         best_f = None  # (weighted gini, rows left of the cut) of this feature
         x_prev, c = pairs[0]
         for n_left in range(1, n):
@@ -259,27 +261,26 @@ def _list_best_split(rows: list, labels: list, features: Sequence[int],
 
 
 def _grow_small_tree(rows: list, labels: list, depth: int, max_depth: Optional[int],
-                     mtry: int, n_classes: int, rng: np.random.Generator,
-                     nodes: list) -> None:
+                     mtry: int, rng: np.random.Generator, nodes: list) -> None:
     """``_grow_tree`` on Python lists: the same nodes and the same feature
     draws from ``rng``, faster than numpy on nodes of a few dozen rows."""
-    counts = [0] * n_classes
+    counts = [0] * N_CLASSES
     for c in labels:
         counts[c] += 1
     node = [-1, 0.0, -1, -1, counts]
     nodes.append(node)
     if (
         len(labels) < 2
-        or counts.count(0) == n_classes - 1
+        or counts.count(0) == N_CLASSES - 1
         or (max_depth is not None and depth >= max_depth)
     ):
         return
     n_features = len(rows[0])
     features = sorted(rng.choice(n_features, size=mtry, replace=False).tolist())
-    split = _list_best_split(rows, labels, features, n_classes)
+    split = _list_best_split(rows, labels, features)
     if split is None:
         # the sampled features are constant here; fall back to all features
-        split = _list_best_split(rows, labels, range(n_features), n_classes)
+        split = _list_best_split(rows, labels, range(n_features))
     if split is None:
         return
     _, f, threshold = split
@@ -293,11 +294,9 @@ def _grow_small_tree(rows: list, labels: list, depth: int, max_depth: Optional[i
             right_rows.append(row)
             right_labels.append(c)
     node[2] = len(nodes)
-    _grow_small_tree(left_rows, left_labels, depth + 1, max_depth, mtry, n_classes,
-                     rng, nodes)
+    _grow_small_tree(left_rows, left_labels, depth + 1, max_depth, mtry, rng, nodes)
     node[3] = len(nodes)
-    _grow_small_tree(right_rows, right_labels, depth + 1, max_depth, mtry, n_classes,
-                     rng, nodes)
+    _grow_small_tree(right_rows, right_labels, depth + 1, max_depth, mtry, rng, nodes)
 
 
 #: Nodes with at most this many rows grow their whole subtree in
@@ -306,15 +305,13 @@ _SMALL_NODE_ROWS = 64
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, depth: int, max_depth: Optional[int],
-               mtry: int, n_classes: int, rng: np.random.Generator,
-               nodes: list) -> None:
+               mtry: int, rng: np.random.Generator, nodes: list) -> None:
     """Append the subtree fitted to (X, y) to ``nodes`` in preorder, one
     ``[feature, threshold, left, right, counts]`` row per node."""
     if len(y) <= _SMALL_NODE_ROWS:
-        _grow_small_tree(X.tolist(), y.tolist(), depth, max_depth, mtry, n_classes,
-                         rng, nodes)
+        _grow_small_tree(X.tolist(), y.tolist(), depth, max_depth, mtry, rng, nodes)
         return
-    counts = np.bincount(y, minlength=n_classes)
+    counts = np.bincount(y, minlength=N_CLASSES)
     node = [-1, 0.0, -1, -1, counts]
     nodes.append(node)
     if (
@@ -324,19 +321,19 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, depth: int, max_depth: Optional[int
     ):
         return
     features = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
-    split = _best_split(X, y, features, n_classes)
+    split = _best_split(X, y, features)
     if split is None:
         # the sampled features are constant here; fall back to all features
-        split = _best_split(X, y, range(X.shape[1]), n_classes)
+        split = _best_split(X, y, range(X.shape[1]))
     if split is None:
         return
     _, f, threshold = split
     mask = X[:, f] <= threshold
     node[0], node[1] = int(f), threshold
     node[2] = len(nodes)  # the left child comes next in preorder
-    _grow_tree(X[mask], y[mask], depth + 1, max_depth, mtry, n_classes, rng, nodes)
+    _grow_tree(X[mask], y[mask], depth + 1, max_depth, mtry, rng, nodes)
     node[3] = len(nodes)
-    _grow_tree(X[~mask], y[~mask], depth + 1, max_depth, mtry, n_classes, rng, nodes)
+    _grow_tree(X[~mask], y[~mask], depth + 1, max_depth, mtry, rng, nodes)
 
 
 @dataclass
@@ -346,10 +343,6 @@ class ForestModel:
     trees: list
     n_features: int
 
-    @property
-    def n_classes(self) -> int:
-        return self.trees[0].counts.shape[1]
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n_features:
@@ -357,7 +350,7 @@ class ForestModel:
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
         rows = X.tolist()
-        acc = np.zeros((len(rows), self.n_classes))
+        acc = np.zeros((len(rows), N_CLASSES))
         for tree in self.trees:
             acc += tree.proba[tree.leaves(rows)]
         return acc / len(self.trees)
@@ -367,17 +360,17 @@ class ForestModel:
 
 
 def _fit_tree(X: np.ndarray, y: np.ndarray, max_depth: Optional[int], mtry: int,
-              n_classes: int, tree_seed: int) -> Tree:
+              tree_seed: int) -> Tree:
     tree_rng = np.random.default_rng(tree_seed)
     boot = tree_rng.integers(0, len(y), size=len(y))
     nodes = []
-    _grow_tree(X[boot], y[boot], 0, max_depth, mtry, n_classes, tree_rng, nodes)
+    _grow_tree(X[boot], y[boot], 0, max_depth, mtry, tree_rng, nodes)
     feature, threshold, left, right, counts = zip(*nodes)
     return Tree(feature, threshold, left, right, np.array(counts))
 
 
 def tree_jobs(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: Optional[int] = None,
-              seed: int = 0, n_classes: int = 3) -> list:
+              seed: int = 0) -> list:
     """The trees of ``train_forest`` as zero-argument calls, in order. Each
     depends only on its seed, so the trees fit in any process."""
     X = np.asarray(X, dtype=float)
@@ -389,14 +382,13 @@ def tree_jobs(X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: Optional[in
     mtry = max(1, int(round(math.sqrt(X.shape[1]))))
     rng = np.random.default_rng(seed)
     tree_seeds = rng.integers(0, 2**63 - 1, size=n_trees).tolist()
-    return [partial(_fit_tree, X, y, max_depth, mtry, n_classes, s) for s in tree_seeds]
+    return [partial(_fit_tree, X, y, max_depth, mtry, s) for s in tree_seeds]
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
-                 max_depth: Optional[int] = None, seed: int = 0,
-                 n_classes: int = 3) -> ForestModel:
+                 max_depth: Optional[int] = None, seed: int = 0) -> ForestModel:
     """Fit a forest of ``n_trees`` bootstrap trees; sqrt-feature subsampling."""
-    trees = run_jobs(tree_jobs(X, y, n_trees, max_depth, seed, n_classes))
+    trees = run_jobs(tree_jobs(X, y, n_trees, max_depth, seed))
     return ForestModel(trees=trees, n_features=np.shape(X)[1])
 
 
@@ -405,70 +397,30 @@ def train_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-    flags: tuple = ()
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` per class, 0 where ``den`` is 0."""
+    return np.divide(num, den, out=np.zeros(N_CLASSES), where=den > 0)
 
 
-@dataclass
-class ClassificationReport:
-    per_class: dict  # class code -> ClassMetrics
-    macro_f1: float
-
-    def metric_array(self, name: str) -> np.ndarray:
-        return np.array([getattr(self.per_class[c], name) for c in sorted(self.per_class)])
-
-
-def classification_metrics(y_true: np.ndarray, y_pred: np.ndarray,
-                           n_classes: int) -> ClassificationReport:
-    """One-vs-rest precision/recall/F1 per class plus the macro-averaged F1.
-
-    Ratios with a zero denominator are reported as 0 and flagged.
-    """
+def classification_scores(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
+    """One-vs-rest scores of every class as a ``(3, N_CLASSES)`` table whose
+    rows are precision, recall and F1. A ratio with a zero denominator is 0."""
     y = np.asarray(y_true, dtype=int)
     pred = np.asarray(y_pred, dtype=int)
     if len(y) == 0:
         raise ValueError("cannot evaluate on an empty split")
-    per_class = {}
-    for c in range(n_classes):
-        tp = int(np.sum((pred == c) & (y == c)))
-        fp = int(np.sum((pred == c) & (y != c)))
-        fn = int(np.sum((pred != c) & (y == c)))
-        flags = []
-        if tp + fp > 0:
-            precision = tp / (tp + fp)
-        else:
-            precision = 0.0
-            flags.append("precision_undefined")
-        if tp + fn > 0:
-            recall = tp / (tp + fn)
-        else:
-            recall = 0.0
-            flags.append("recall_undefined")
-        if precision + recall > 0:
-            f1 = 2 * precision * recall / (precision + recall)
-        else:
-            f1 = 0.0
-            flags.append("f1_undefined")
-        per_class[c] = ClassMetrics(precision=precision, recall=recall, f1=f1,
-                                    flags=tuple(flags))
-    return ClassificationReport(
-        per_class=per_class,
-        macro_f1=float(np.mean([m.f1 for m in per_class.values()])),
-    )
+    classes = np.arange(N_CLASSES)[:, None]
+    predicted, actual = pred == classes, y == classes
+    tp = np.sum(predicted & actual, axis=1)
+    precision = _ratio(tp, predicted.sum(axis=1))
+    recall = _ratio(tp, actual.sum(axis=1))
+    return np.stack([precision, recall,
+                     _ratio(2 * precision * recall, precision + recall)])
 
 
-def evaluate_classifier(model: ForestModel, X: np.ndarray, y: np.ndarray
-                        ) -> ClassificationReport:
-    """Score the model's predictions on a held-out split."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if len(y) == 0:
-        raise ValueError("cannot evaluate on an empty split")
-    return classification_metrics(y, model.predict(X), model.n_classes)
+def evaluate_classifier(model: ForestModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``classification_scores`` of the model's predictions on a held-out split."""
+    return classification_scores(y, model.predict(X))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +469,7 @@ def train_random_forest(train: tuple[np.ndarray, np.ndarray],
                         grid: Sequence[tuple[int, Optional[int]]], seed: int = 0
                         ) -> tuple[ForestModel, tuple[int, Optional[int]]]:
     """Search the ``(n_trees, max_depth)`` grid points on the validation
-    macro-F1.
+    macro-F1, the mean of the per-class F1 scores.
 
     Returns the winning model and its parameters; exact F1 ties go to the
     smaller model (fewer trees, then shallower), so the choice does not depend
@@ -537,7 +489,7 @@ def train_random_forest(train: tuple[np.ndarray, np.ndarray],
         for n_trees in sizes:
             params = (n_trees, depth)
             model = ForestModel(trees=forest.trees[:n_trees], n_features=forest.n_features)
-            f1 = evaluate_classifier(model, val_X, val_y).macro_f1
+            f1 = evaluate_classifier(model, val_X, val_y)[2].mean()
             if (
                 best is None
                 or f1 > best[0]
@@ -574,30 +526,15 @@ def split_indices(n: int, ratios: tuple[float, float, float],
     return to_idx(train_g), to_idx(val_g), to_idx(test_g)
 
 
-@dataclass
-class ProtocolResult:
-    reports: list  # ClassificationReport per split
-    chosen_params: list
-
-    @classmethod
-    def from_splits(cls, splits: Sequence[tuple]) -> "ProtocolResult":
-        """Collect the ``(report, params)`` results of ``split_jobs``."""
-        return cls(reports=[r for r, _ in splits], chosen_params=[p for _, p in splits])
-
-    def mean_metric(self, name: str) -> np.ndarray:
-        return np.mean([r.metric_array(name) for r in self.reports], axis=0)
-
-    def std_metric(self, name: str) -> np.ndarray:
-        return np.std([r.metric_array(name) for r in self.reports], axis=0)
-
-    def majority_params(self) -> tuple[int, Optional[int]]:
-        """The grid point most splits chose; a tie goes to the one chosen first."""
-        return Counter(self.chosen_params).most_common(1)[0][0]
+def majority_params(chosen: Sequence[tuple[int, Optional[int]]]
+                    ) -> tuple[int, Optional[int]]:
+    """The grid point most splits chose; a tie goes to the one chosen first."""
+    return Counter(chosen).most_common(1)[0][0]
 
 
 def _protocol_split(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
                     groups: Optional[np.ndarray], s: int
-                    ) -> tuple[ClassificationReport, tuple[int, Optional[int]]]:
+                    ) -> tuple[np.ndarray, tuple[int, Optional[int]]]:
     """Split ``s`` of the protocol: oversample its training part, tune on its
     validation part (the grid forests grow serially here), and score the
     chosen model on its untouched test part."""
@@ -614,7 +551,7 @@ def _protocol_split(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
 def split_jobs(X: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig(),
                groups: Optional[np.ndarray] = None) -> list:
     """The ``cfg.n_splits`` splits of ``run_split_protocol`` as zero-argument
-    calls, each returning ``(test report, chosen grid point)``."""
+    calls, each returning ``(test scores, chosen grid point)``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     return [partial(_protocol_split, X, y, cfg, groups, s) for s in range(cfg.n_splits)]
@@ -622,11 +559,13 @@ def split_jobs(X: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig(),
 
 def run_split_protocol(X: np.ndarray, y: np.ndarray,
                        cfg: ForestConfig = ForestConfig(),
-                       groups: Optional[np.ndarray] = None) -> ProtocolResult:
+                       groups: Optional[np.ndarray] = None) -> tuple[np.ndarray, list]:
     """Repeat the random 80/10/10 evaluation ``cfg.n_splits`` times:
     oversample the training split, tune on validation, score on the untouched
-    test split."""
-    return ProtocolResult.from_splits(run_jobs(split_jobs(X, y, cfg, groups)))
+    test split. Returns the ``(n_splits, 3, N_CLASSES)`` stack of test scores
+    (``classification_scores``) and the grid point each split chose."""
+    scores, chosen = zip(*run_jobs(split_jobs(X, y, cfg, groups)))
+    return np.stack(scores), list(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +578,7 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": FOREST_FILE_VERSION,
-        "n_classes": model.n_classes,
+        "n_classes": N_CLASSES,
         "n_features": model.n_features,
         "trees": [
             {"feature": list(t.feature), "threshold": list(t.threshold),
@@ -651,7 +590,7 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
     path.write_text(json.dumps(payload, sort_keys=True))
 
 
-def _tree_from_dict(data: dict, n_features: int, n_classes: int) -> Tree:
+def _tree_from_dict(data: dict) -> Tree:
     """Rebuild one tree, rejecting arrays that could not have come from
     ``train_forest``."""
     try:
@@ -674,12 +613,12 @@ def _tree_from_dict(data: dict, n_features: int, n_classes: int) -> Tree:
         raise InputError("tree child indices must lie after their parent and "
                          "inside the tree, or both be -1 at a leaf")
     split_f = feature[internal]
-    if np.any((split_f < 0) | (split_f >= n_features)):
-        raise InputError(f"tree split features must lie in [0, {n_features})")
+    if np.any((split_f < 0) | (split_f >= N_FEATURES)):
+        raise InputError(f"tree split features must lie in [0, {N_FEATURES})")
     if not np.all(np.isfinite(threshold[internal])):
         raise InputError("tree split thresholds must be finite")
-    if counts.shape != (n, n_classes):
-        raise InputError(f"tree counts must be {n} rows of {n_classes} classes")
+    if counts.shape != (n, N_CLASSES):
+        raise InputError(f"tree counts must be {n} rows of {N_CLASSES} classes")
     if not np.all(np.isfinite(counts)) or np.any(counts < 0) or np.any(counts.sum(axis=1) <= 0):
         raise InputError("tree counts must be finite, nonnegative and nonzero per node")
     return Tree(tuple(feature.tolist()), tuple(threshold.tolist()),
@@ -688,10 +627,11 @@ def _tree_from_dict(data: dict, n_features: int, n_classes: int) -> Tree:
 
 def load_forest(path: str | Path) -> ForestModel:
     payload = read_json_object(path, "forest", FOREST_FILE_VERSION, "train")
-    n_features, n_classes, trees = (payload.get(k) for k in ("n_features", "n_classes", "trees"))
-    if not all(type(v) is int and v > 0 for v in (n_features, n_classes)):
-        raise InputError("forest n_features and n_classes must be positive integers")
+    sizes = [payload.get(k) for k in ("n_classes", "n_features")]
+    if sizes != [N_CLASSES, N_FEATURES] or not all(type(v) is int for v in sizes):
+        raise InputError(f"forest file {path} must have n_classes {N_CLASSES} and "
+                         f"n_features {N_FEATURES}, got {sizes[0]!r} and {sizes[1]!r}")
+    trees = payload.get("trees")
     if not isinstance(trees, list) or not trees:
         raise InputError("forest file holds no trees")
-    return ForestModel(trees=[_tree_from_dict(t, n_features, n_classes) for t in trees],
-                       n_features=n_features)
+    return ForestModel(trees=[_tree_from_dict(t) for t in trees], n_features=N_FEATURES)

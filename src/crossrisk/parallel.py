@@ -1,26 +1,26 @@
 """Ordered map over forked worker processes, for the train stage's
 independent jobs (protocol splits, forest trees, cluster GP fits).
 
-``ordered_map(fn, items)`` returns ``[fn(x) for x in items]``, and
-``run_jobs(jobs)`` calls zero-argument jobs of any kind the same way. With
-``k`` usable workers a map forks ``k`` children that share one work queue:
-the caller sends each worker the index of the next unclaimed item whenever
-that worker is free, and the worker sends back the item's result over its
-pipe. The caller runs no items itself; it only dispatches and collects, so
-a long item holds back only the worker that runs it, and the caller's memory
-does not grow with the work. Results are collected in input order, so a map
-whose ``fn`` depends only on its item gives the serial loop's results bit
-for bit. After a failure no further item is handed out, the items already
-running finish, and the exception of the lowest failing index is raised. A
-worker that dies raises ``RuntimeError``; every child is ended and joined
-before the map returns or raises.
+``run_jobs(jobs)`` returns ``[job() for job in jobs]`` for zero-argument
+jobs of any kind. With ``k`` usable workers it forks ``k`` children that
+share one work queue: the caller sends each worker the index of the next
+unclaimed job whenever that worker is free, and the worker sends back the
+job's result over its pipe. The caller runs no jobs itself; it only
+dispatches and collects, so a long job holds back only the worker that runs
+it, and the caller's memory does not grow with the work. Results are
+collected in input order, so jobs that each depend only on their own
+arguments give the serial loop's results bit for bit. After a failure no
+further job is handed out, the jobs already running finish, and the
+exception of the lowest failing index is raised. A worker that dies raises
+``RuntimeError``; every child is ended and joined before the map returns or
+raises.
 
 The map runs serially when only one worker is usable: one CPU in the
 affinity mask, no ``fork`` start method, another Python thread alive (a
 forked child would inherit its locks in whatever state they are), or when
 the caller is itself a worker process (no nested forks).
 
-Serial or not, ``fn`` runs with one OpenBLAS thread per process. Workers
+Serial or not, the jobs run with one OpenBLAS thread per process. Workers
 that each started a BLAS thread per CPU would oversubscribe the CPUs, and
 OpenBLAS results can differ in the last bit with the thread count, so this
 also keeps results independent of the worker count and of the host's CPUs.
@@ -47,7 +47,7 @@ def worker_count() -> int:
 
 
 def usable_workers() -> int:
-    """Worker processes ``ordered_map`` would use for enough items: 1 when
+    """Worker processes ``run_jobs`` would use for enough jobs: 1 when
     one of the serial fallbacks applies, else ``worker_count()``."""
     if (
         multiprocessing.parent_process() is not None
@@ -92,12 +92,12 @@ def _one_blas_thread() -> Iterator[None]:
             setter(n)
 
 
-def _worker(fn: Callable, items: Sequence, conn) -> None:
-    """Run ``fn`` on each item index the caller sends, until it sends ``None``;
-    answer each with ``(index, result, exception or None)``."""
+def _worker(jobs: Sequence[Callable[[], object]], conn) -> None:
+    """Run each job index the caller sends, until it sends ``None``; answer
+    each with ``(index, result, exception or None)``."""
     while (i := conn.recv()) is not None:
         try:
-            reply = (i, fn(items[i]), None)
+            reply = (i, jobs[i](), None)
         except Exception as exc:
             if hasattr(exc, "add_note"):  # Python 3.11+
                 # The traceback does not cross the pipe; keep its text on the exception.
@@ -110,42 +110,36 @@ def _worker(fn: Callable, items: Sequence, conn) -> None:
     conn.close()
 
 
-def ordered_map(fn: Callable, items: Sequence) -> list:
-    """``[fn(x) for x in items]``, computed on up to ``usable_workers()``
-    processes. If some calls raise, the exception of the lowest failing
-    index is raised, as the serial loop would raise it."""
-    items = list(items)
-    k = min(usable_workers(), len(items))
+def run_jobs(jobs: Sequence[Callable[[], object]]) -> list:
+    """``[job() for job in jobs]``, computed on up to ``usable_workers()``
+    processes. If some jobs raise, the exception of the lowest failing index
+    is raised, as the serial loop would raise it."""
+    jobs = list(jobs)
+    k = min(usable_workers(), len(jobs))
     with _one_blas_thread():
         if k < 2:
-            return [fn(x) for x in items]
-        return _forked_map(fn, items, k)
+            return [job() for job in jobs]
+        return _forked_map(jobs, k)
 
 
-def run_jobs(jobs: Sequence[Callable[[], object]]) -> list:
-    """``[job() for job in jobs]`` through ``ordered_map``, so that calls of
-    different kinds share one map."""
-    return ordered_map(lambda job: job(), jobs)
-
-
-def _forked_map(fn: Callable, items: list, k: int) -> list:
-    """Fork ``k`` workers and hand each the next unclaimed item index whenever
+def _forked_map(jobs: list, k: int) -> list:
+    """Fork ``k`` workers and hand each the next unclaimed job index whenever
     it is free; this process only dispatches and collects."""
     ctx = multiprocessing.get_context("fork")
     workers = {}  # caller's end of each worker's pipe -> its process
     try:
         for _ in range(k):
             conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_worker, args=(fn, items, child_conn), daemon=True)
+            proc = ctx.Process(target=_worker, args=(jobs, child_conn), daemon=True)
             proc.start()
             child_conn.close()
             workers[conn] = proc
-        results, errors = [None] * len(items), {}
-        unclaimed = iter(range(len(items)))
+        results, errors = [None] * len(jobs), {}
+        unclaimed = iter(range(len(jobs)))
         busy = set()
 
         def dispatch(conn) -> None:
-            # After a failure only lower items, all claimed already, can matter.
+            # After a failure only lower jobs, all claimed already, can matter.
             i = None if errors else next(unclaimed, None)
             conn.send(i)
             if i is not None:

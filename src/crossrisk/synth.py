@@ -92,8 +92,7 @@ class ScenarioSpec:
             check_number(getattr(self, name), f"synth.{name}")
         for name in ("cruise_speed", "turn_speed", "pedestrian_speed", "pet_zone_radius"):
             check_number(getattr(self, name), f"synth.{name}", positive=True)
-        if self.frame_interval <= 0:
-            raise InputError("frame_interval must be positive")
+        check_number(self.frame_interval, "frame_interval", positive=True)
         if self.seed < 0:
             raise InputError("synth.seed must be nonnegative")
         if len(self.requested_pet_range) != 2 or not all(

@@ -481,6 +481,19 @@ class TestExitCodes:
         corrupt(models / target)
         assert _run_risk(tmp_path, labeled, models) == 1
 
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.update(n_classes=2, trees=[
+            {**t, "counts": [[a, b + c] for a, b, c in t["counts"]]} for t in p["trees"]]),
+        lambda p: p.update(n_features=6),
+    ], ids=["two-classes", "six-features"])
+    def test_forest_of_other_shape_is_exit_code_one(self, tmp_path, capsys, edit):
+        labeled, models = _tiny_risk_inputs(tmp_path)
+        _edit_models(edit)(models / "forest.json")
+        assert _run_risk(tmp_path, labeled, models) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and str(models / "forest.json") in err
+        assert not (tmp_path / "risk").exists()
+
     @pytest.mark.parametrize("column,value", [("entering_direction", "Q"),
                                               ("maneuver", "sideways")])
     def test_unknown_dataset_label_is_exit_code_one(self, tmp_path, column, value):

@@ -11,12 +11,12 @@ from crossrisk.errors import InputError
 from crossrisk.maneuver import (
     DIRECTION_FEATURE_INDEX,
     ForestConfig,
-    ProtocolResult,
     _nearest_neighbors,
-    classification_metrics,
+    classification_scores,
     evaluate_classifier,
     extract_features,
     load_forest,
+    majority_params,
     run_split_protocol,
     save_forest,
     smote_oversample,
@@ -45,7 +45,7 @@ def make_clusters(n_per_class=(60, 60, 60), seed=0, spread=0.4):
 
 def reference_proba(model, X):
     """Scalar walk of each row down each tree, leaf counts normalized in place."""
-    out = np.zeros((len(X), model.n_classes))
+    out = np.zeros((len(X), 3))
     for r, row in enumerate(np.asarray(X, dtype=float)):
         for tree in model.trees:
             node = 0
@@ -235,8 +235,7 @@ class TestForest:
     def test_separable_data_learns(self):
         X, y = make_clusters()
         model = train_forest(X, y, n_trees=40, seed=0)
-        report = evaluate_classifier(model, X, y)
-        assert report.macro_f1 >= 0.99
+        assert evaluate_classifier(model, X, y)[2].mean() >= 0.99
 
     def test_grid_search_reaches_high_f1(self):
         X, y = make_clusters((90, 60, 90), seed=1)
@@ -247,7 +246,7 @@ class TestForest:
             (X[tr], y[tr]), (X[va], y[va]),
             grid=[(n, d) for n in (20, 40) for d in (None, 10)], seed=0,
         )
-        assert evaluate_classifier(model, X[va], y[va]).macro_f1 >= 0.95
+        assert evaluate_classifier(model, X[va], y[va])[2].mean() >= 0.95
         assert params in [(n, d) for n in (20, 40) for d in (None, 10)]
 
     def test_single_class_train_raises(self):
@@ -361,7 +360,7 @@ def grown_nodes(X, y, max_depth, seed, small_rows, depth=0, mtry=2):
     nodes = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(maneuver, "_SMALL_NODE_ROWS", small_rows)
-        maneuver._grow_tree(X, y, depth, max_depth, mtry, 3, rng, nodes)
+        maneuver._grow_tree(X, y, depth, max_depth, mtry, rng, nodes)
     for f, t, *_ in nodes:
         assert type(f) is int and type(t) is float
     return ([(f, t, left, right, [int(c) for c in counts])
@@ -384,8 +383,8 @@ class TestSmallNodeGrower:
     def test_list_split_matches_numpy_split(self, seed, n, constant_sampled, features):
         X, y = node_table(seed, n, constant_sampled)
         features = sorted(features)
-        want = maneuver._best_split(X, y, features, 3)
-        got = maneuver._list_best_split(X.tolist(), y.tolist(), features, 3)
+        want = maneuver._best_split(X, y, features)
+        got = maneuver._list_best_split(X.tolist(), y.tolist(), features)
         assert got == want
         if got is not None:
             assert type(got[1]) is int and type(got[2]) is float
@@ -394,8 +393,8 @@ class TestSmallNodeGrower:
         # cuts 0|123 and 012|3 tie, on two identical columns
         X = np.repeat(np.arange(4.0)[:, None], 2, axis=1)
         y = np.array([0, 1, 1, 0])
-        split = maneuver._list_best_split(X.tolist(), y.tolist(), [0, 1], 3)
-        assert split == maneuver._best_split(X, y, [0, 1], 3)
+        split = maneuver._list_best_split(X.tolist(), y.tolist(), [0, 1])
+        assert split == maneuver._best_split(X, y, [0, 1])
         assert split[1:] == (0, 0.5)
 
     @settings(max_examples=60, deadline=None)
@@ -462,7 +461,7 @@ class TestTreePrefixes:
         for p in grid:
             f1 = evaluate_classifier(
                 train_forest(X[tr], y[tr], n_trees=p[0], max_depth=p[1], seed=4),
-                X[va], y[va]).macro_f1
+                X[va], y[va])[2].mean()
             if best is None or f1 > best[0] or (f1 == best[0] and maneuver._size_key(p)
                                                 < maneuver._size_key(best[1])):
                 best = (f1, p)
@@ -509,6 +508,13 @@ def _first_leaf(payload):
     return payload["trees"][0]["left"].index(-1)
 
 
+def _two_classes(payload):
+    """A consistent two-class file: ``n_classes`` 2 and two-column counts."""
+    payload["n_classes"] = 2
+    for tree in payload["trees"]:
+        tree["counts"] = [[left, right + straight] for left, right, straight in tree["counts"]]
+
+
 class TestForestFile:
     @pytest.mark.parametrize("mutate", [
         pytest.param(lambda p: p.update(version=1), id="v1-file"),
@@ -532,6 +538,8 @@ class TestForestFile:
         pytest.param(lambda p: p["trees"][0]["counts"][_first_leaf(p)].append(1),
                      id="count-row-too-wide"),
         pytest.param(lambda p: p.update(n_classes=2), id="count-rows-not-n-classes-wide"),
+        pytest.param(_two_classes, id="two-classes-with-two-column-counts"),
+        pytest.param(lambda p: p.update(n_features=6), id="six-features"),
         pytest.param(_set_at("left", 0, 1.5), id="fractional-child"),
         pytest.param(lambda p: p["trees"][0].pop("counts"), id="missing-array"),
         pytest.param(lambda p: p.update(trees=[]), id="no-trees"),
@@ -565,7 +573,7 @@ class TestForestFile:
     def test_unmutated_payload_loads(self, tmp_path):
         path = tmp_path / "good.json"
         path.write_text(json.dumps(_forest_payload(tmp_path)))
-        assert load_forest(path).n_classes == 3
+        assert load_forest(path).predict_proba(np.zeros((2, 5))).shape == (2, 3)
 
 
 class TestManeuverDistribution:
@@ -579,22 +587,50 @@ class TestManeuverDistribution:
             crossing_risk((None, None, 10), probs=(-0.1, 0.6, 0.5))
 
 
+def reference_scores(y_true, y_pred):
+    """The per-class loop the score table replaced: column ``c`` holds class
+    ``c``'s precision, recall and F1, each 0 where its denominator is 0."""
+    out = np.zeros((3, 3))
+    for c in range(3):
+        tp = int(np.sum((y_pred == c) & (y_true == c)))
+        fp = int(np.sum((y_pred == c) & (y_true != c)))
+        fn = int(np.sum((y_pred != c) & (y_true == c)))
+        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        out[:, c] = precision, recall, f1
+    return out
+
+
+@st.composite
+def label_pairs(draw):
+    """True and predicted labels of length 1-60 over a subset of the three
+    classes (absent classes), with predictions that are random, all right or
+    all wrong."""
+    classes = draw(st.sampled_from([[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]))
+    n = draw(st.integers(1, 60))
+    y_true = np.array(draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["random", "right", "wrong"]))
+    if kind == "random":
+        y_pred = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    elif kind == "right":
+        y_pred = y_true.copy()
+    else:
+        y_pred = (y_true + draw(st.integers(1, 2))) % 3
+    return y_true, y_pred
+
+
 class TestMetrics:
     def test_perfect_predictions(self):
         y = np.array([0, 1, 2, 0, 1, 2])
-        report = classification_metrics(y, y, 3)
-        assert report.macro_f1 == 1.0
-        for m in report.per_class.values():
-            assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
-            assert m.flags == ()
+        scores = classification_scores(y, y)
+        assert scores.shape == (3, 3)
+        assert (scores == 1.0).all()
 
-    def test_all_wrong_two_class_flags(self):
+    def test_all_wrong_two_class_predictions(self):
         y_true = np.array([0, 0, 1, 1])
         y_pred = np.array([1, 1, 0, 0])
-        report = classification_metrics(y_true, y_pred, 2)
-        for m in report.per_class.values():
-            assert m.precision == 0.0 and m.recall == 0.0 and m.f1 == 0.0
-            assert "f1_undefined" in m.flags
+        assert (classification_scores(y_true, y_pred) == 0.0).all()
 
     def test_hand_computed_six_sample_case(self):
         # confusion worked out by hand:
@@ -603,31 +639,56 @@ class TestMetrics:
         # class2: tp=1 fp=0 fn=1 -> p=1.0 r=0.5 f1=2/3
         y_true = np.array([0, 0, 1, 1, 2, 2])
         y_pred = np.array([0, 1, 1, 1, 2, 0])
-        report = classification_metrics(y_true, y_pred, 3)
-        assert report.per_class[0].precision == pytest.approx(0.5)
-        assert report.per_class[0].f1 == pytest.approx(0.5)
-        assert report.per_class[1].precision == pytest.approx(2 / 3)
-        assert report.per_class[1].recall == pytest.approx(1.0)
-        assert report.per_class[1].f1 == pytest.approx(0.8)
-        assert report.per_class[2].precision == pytest.approx(1.0)
-        assert report.per_class[2].f1 == pytest.approx(2 / 3)
-        assert report.macro_f1 == pytest.approx((0.5 + 0.8 + 2 / 3) / 3)
+        precision, recall, f1 = classification_scores(y_true, y_pred)
+        assert precision[0] == pytest.approx(0.5)
+        assert f1[0] == pytest.approx(0.5)
+        assert precision[1] == pytest.approx(2 / 3)
+        assert recall[1] == pytest.approx(1.0)
+        assert f1[1] == pytest.approx(0.8)
+        assert precision[2] == pytest.approx(1.0)
+        assert f1[2] == pytest.approx(2 / 3)
+        assert f1.mean() == pytest.approx((0.5 + 0.8 + 2 / 3) / 3)
 
-    def test_unseen_class_flagged_not_crashed(self):
+    def test_unseen_class_scores_zero_not_crashed(self):
         y_true = np.array([0, 0, 1])
         y_pred = np.array([0, 0, 1])
-        report = classification_metrics(y_true, y_pred, 3)
-        assert report.per_class[2].flags != ()
+        scores = classification_scores(y_true, y_pred)
+        assert scores[:, 2].tolist() == [0.0, 0.0, 0.0]
+        assert (scores[:, :2] == 1.0).all()
+
+    def test_empty_split_raises(self):
+        with pytest.raises(ValueError, match="empty split"):
+            classification_scores(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_pairs())
+    def test_table_equals_per_class_reference(self, labels):
+        y_true, y_pred = labels
+        assert classification_scores(y_true, y_pred).tobytes() == \
+            reference_scores(y_true, y_pred).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(label_pairs(), min_size=1, max_size=12))
+    def test_split_mean_and_std_equal_per_metric_reference(self, splits):
+        # the train report's mean and F1 spread over splits, as the stacked
+        # tables give them and as the per-metric lists gave them
+        stacked = np.stack([classification_scores(t, p) for t, p in splits])
+        refs = [reference_scores(t, p) for t, p in splits]
+        for row in range(3):
+            want_mean = np.mean([r[row] for r in refs], axis=0)
+            want_std = np.std([r[row] for r in refs], axis=0)
+            assert np.mean(stacked, axis=0)[row].tobytes() == want_mean.tobytes()
+            assert np.std(stacked, axis=0)[row].tobytes() == want_std.tobytes()
 
 
 class TestSplitProtocol:
     def test_imbalanced_separable_protocol(self):
         X, y = make_clusters((240, 60, 60), seed=8)
-        result = run_split_protocol(
+        scores, chosen = run_split_protocol(
             X, y, ForestConfig(n_trees_grid=(25,), max_depth_grid=(None,), n_splits=4))
-        assert len(result.reports) == 4
-        assert (result.mean_metric("f1") >= 0.9).all()
-        assert (result.std_metric("f1") < 0.1).all()
+        assert scores.shape == (4, 3, 3) and chosen == [(25, None)] * 4
+        assert (scores[:, 2].mean(axis=0) >= 0.9).all()
+        assert (scores[:, 2].std(axis=0) < 0.1).all()
 
     def test_group_split_keeps_groups_together(self):
         X, y = make_clusters((40, 40, 40), seed=9)
@@ -650,12 +711,11 @@ class TestSplitProtocol:
         ([(300, None), (100, 10), (100, 10)], (100, 10)),
     ], ids=["tie-first-wins", "tie-other-first", "strict-majority"])
     def test_majority_params_tie_goes_to_first_chosen(self, chosen, want):
-        result = ProtocolResult(reports=[None] * len(chosen), chosen_params=chosen)
-        assert result.majority_params() == want
+        assert majority_params(chosen) == want
 
     def test_deterministic(self):
         X, y = make_clusters((60, 25, 25), seed=10)
         cfg = ForestConfig(n_trees_grid=(15,), max_depth_grid=(10,), n_splits=3, seed=2)
-        a = run_split_protocol(X, y, cfg)
-        b = run_split_protocol(X, y, cfg)
-        assert np.array_equal(a.mean_metric("f1"), b.mean_metric("f1"))
+        a, a_chosen = run_split_protocol(X, y, cfg)
+        b, b_chosen = run_split_protocol(X, y, cfg)
+        assert np.array_equal(a, b) and a_chosen == b_chosen

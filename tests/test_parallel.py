@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,10 @@ def two_workers(monkeypatch):
     monkeypatch.setattr(parallel, "worker_count", lambda: 2)
 
 
+def run_map(fn, items):
+    return parallel.run_jobs([partial(fn, x) for x in items])
+
+
 def square_and_pid(x):
     return x * x, os.getpid()
 
@@ -26,7 +31,7 @@ def draws(seed):
 
 @pytest.mark.parametrize("n", [0, 1, 7])
 def test_equals_the_serial_map(two_workers, n):
-    got = parallel.ordered_map(draws, range(n))
+    got = run_map(draws, range(n))
     want = [draws(x) for x in range(n)]
     assert len(got) == n
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
@@ -40,9 +45,9 @@ def wait_for(path, seconds=10.0):
 
 def test_caller_runs_no_item_and_maps_in_workers_stay_serial(two_workers):
     def inner(x):
-        return parallel.usable_workers(), parallel.ordered_map(square_and_pid, range(3))
+        return parallel.usable_workers(), run_map(square_and_pid, range(3))
 
-    outer = parallel.ordered_map(inner, range(4))
+    outer = run_map(inner, range(4))
     assert {workers for workers, _ in outer} == {1}
     worker_pids = {pid for _, nested in outer for _, pid in nested}
     assert os.getpid() not in worker_pids and len(worker_pids) <= 2
@@ -58,7 +63,7 @@ def test_slow_item_does_not_hold_back_the_others(two_workers, tmp_path):
         return os.getpid()
 
     start = time.monotonic()
-    pids = parallel.ordered_map(fn, range(6))
+    pids = run_map(fn, range(6))
     assert time.monotonic() - start < 5.0
     assert len(set(pids[1:])) == 1 and pids[0] != pids[1]
     assert os.getpid() not in pids
@@ -66,7 +71,7 @@ def test_slow_item_does_not_hold_back_the_others(two_workers, tmp_path):
 
 def test_results_cross_the_pipe_intact(two_workers):
     items = [{"k": i, "v": [float(i)] * 3} for i in range(5)]
-    assert parallel.ordered_map(lambda d: {**d, "n": len(d["v"])}, items) == [
+    assert run_map(lambda d: {**d, "n": len(d["v"])}, items) == [
         {**d, "n": 3} for d in items]
 
 
@@ -88,7 +93,7 @@ def test_lowest_failing_index_is_raised(two_workers, tmp_path, failing, message,
         return x
 
     with pytest.raises(kind, match=message):
-        parallel.ordered_map(fn, range(8))
+        run_map(fn, range(8))
     assert multiprocessing.active_children() == []
     failed_in = {int(p.name): int(p.read_text()) for p in tmp_path.iterdir()}
     assert sorted(failed_in) == [low, low + 1]  # no item past a failure was started
@@ -102,7 +107,7 @@ def test_worker_that_dies_is_an_error(two_workers):
         return x
 
     with pytest.raises(RuntimeError, match="exited with code 3"):
-        parallel.ordered_map(fn, range(4))
+        run_map(fn, range(4))
     assert multiprocessing.active_children() == []
 
 
@@ -116,20 +121,20 @@ def test_worker_that_dies_while_the_other_is_busy(two_workers):
 
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="exited with code 4"):
-        parallel.ordered_map(fn, range(4))
+        run_map(fn, range(4))
     assert time.monotonic() - start < 30.0
     assert multiprocessing.active_children() == []
 
 
 def test_no_child_outlives_the_call(two_workers):
-    parallel.ordered_map(square_and_pid, range(7))
+    run_map(square_and_pid, range(7))
     assert multiprocessing.active_children() == []
 
 
 def test_serial_with_one_worker(monkeypatch):
     monkeypatch.setattr(parallel, "worker_count", lambda: 1)
     assert parallel.usable_workers() == 1
-    assert {pid for _, pid in parallel.ordered_map(square_and_pid, range(5))} == {os.getpid()}
+    assert {pid for _, pid in run_map(square_and_pid, range(5))} == {os.getpid()}
 
 
 def test_serial_while_another_thread_is_alive(two_workers):
@@ -138,7 +143,7 @@ def test_serial_while_another_thread_is_alive(two_workers):
     thread.start()
     try:
         assert parallel.usable_workers() == 1
-        pids = {pid for _, pid in parallel.ordered_map(square_and_pid, range(5))}
+        pids = {pid for _, pid in run_map(square_and_pid, range(5))}
     finally:
         stop.set()
         thread.join(5)
@@ -149,7 +154,7 @@ def test_serial_while_another_thread_is_alive(two_workers):
 def test_serial_without_fork(two_workers, monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert parallel.usable_workers() == 1
-    assert {pid for _, pid in parallel.ordered_map(square_and_pid, range(5))} == {os.getpid()}
+    assert {pid for _, pid in run_map(square_and_pid, range(5))} == {os.getpid()}
 
 
 def test_worker_count_is_the_affinity_mask():
@@ -170,5 +175,5 @@ def test_fn_runs_on_one_blas_thread(monkeypatch, workers):
     before = blas_threads()
     if not before:
         pytest.skip("numpy and scipy use no OpenBLAS library here")
-    assert parallel.ordered_map(blas_threads, range(3)) == [[1] * len(before)] * 3
+    assert run_map(blas_threads, range(3)) == [[1] * len(before)] * 3
     assert blas_threads() == before

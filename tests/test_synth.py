@@ -24,6 +24,7 @@ from crossrisk.synth import (
     _EPISODE_PERIOD,
     _FIRST_EPISODE_CENTER,
     _crosswalk_axis,
+    _find_launch,
     _integrate_motion,
     _pedestrian_path,
     _quantize_frame,
@@ -160,6 +161,11 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             ScenarioSpec(n_vehicles_per_cell=-1)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+    def test_bad_frame_interval_rejected(self, dt):
+        with pytest.raises(InputError, match="frame_interval must be finite and > 0"):
+            ScenarioSpec(frame_interval=dt)
+
     def test_bad_pet_range_rejected(self):
         with pytest.raises(InputError):
             ScenarioSpec(requested_pet_range=(2.0, 1.0))
@@ -173,6 +179,26 @@ class TestSpecValidation:
                             n_engineered_conflicts=n_conflicts, min_separation=1e6)
         with pytest.raises(InputError, match=f"could not schedule a conflict-free {kind}$"):
             generate_scenario(spec)
+
+    def test_launch_search_wraps_into_the_horizon(self):
+        # candidates base + 1.7 k s until the 1 s crossing would end 60 s past
+        # the 2 s horizon, then 1.7 k s wrapped into the horizon
+        base, duration, horizon, dt = 0.5, 1.0, 2.0, 0.1
+        tried = []
+
+        def fits(launch):
+            tried.append(launch)
+            return False
+
+        with pytest.raises(InputError, match="could not schedule a conflict-free vehicle$"):
+            _find_launch(base, duration, horizon, dt, fits, "vehicle")
+        assert len(tried) == 600
+        direct = [_quantize_frame(base + k * 1.7, dt) for k in range(600)]
+        overrun = [k for k in range(600) if direct[k] * dt + duration > horizon + 60.0]
+        assert overrun == list(range(overrun[0], 600)) and overrun[0] == 36
+        assert tried[:36] == direct[:36]
+        assert tried[36:] == [_quantize_frame((k * 1.7) % horizon, dt) for k in overrun]
+        assert 0 <= min(tried[36:]) and max(tried[36:]) <= horizon / dt
 
     def test_infeasible_conflict_timing_rejected(self):
         # a requested gap smaller than the zone compensation cannot be staged
