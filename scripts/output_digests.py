@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """SHA-256 of the scene (``scene/input.csv``, ``scene/config.json``) and of every stage
 output on the benchmark scenes of ``perfbench/workloads.py``, with preprocess, train
-and risk run in process through ``crossrisk.cli.main``; the risk stage runs twice,
-with the scene's mean rollouts into ``risk/`` and with ``rollout_mode: sample`` into
-``risk_sample/``, and the train stage runs again with ``forest.n_splits: 3`` into
-``models_splits3/``, so that the mean and spread over splits are hashed too:
+and risk run in process through ``crossrisk.cli.main``. The risk stage runs three
+times: with the scene's mean rollouts into ``risk/``, with ``rollout_mode: sample``
+into ``risk_sample/``, and with ``sample_seed: 7`` as well into
+``risk_sample_seed7/``, so that the sample seed is hashed. The train stage runs again
+with ``forest.n_splits: 3`` into ``models_splits3/``, so that the mean and spread over
+splits are hashed too:
 
     python scripts/output_digests.py --src OTHER_CHECKOUT/src --out old.json
     python scripts/output_digests.py --out new.json [--workloads fit --seeds 1 2]
@@ -26,10 +28,12 @@ def digests(workload: str, seed: int) -> dict:
         work = Path(tmp) / "run"  # hashed
         scene = build_scene(WORKLOADS[workload], seed, work / "scene")
         variants = {}  # config files outside the hashed tree
-        for name, section, key, value in (("sample", "risk", "rollout_mode", "sample"),
-                                          ("splits3", "forest", "n_splits", 3)):
+        for name, section, updates in (
+                ("sample", "risk", {"rollout_mode": "sample"}),
+                ("sample_seed7", "risk", {"rollout_mode": "sample", "sample_seed": 7}),
+                ("splits3", "forest", {"n_splits": 3})):
             config = json.loads(scene.config_json.read_text())
-            config[section][key] = value
+            config[section].update(updates)
             variants[name] = Path(tmp) / f"{name}_config.json"
             variants[name].write_text(json.dumps(config))
         prep, models = work / "prep", work / "models"
@@ -40,7 +44,8 @@ def digests(workload: str, seed: int) -> dict:
                 ([*train, models], scene.config_json),
                 ([*train, work / "models_splits3"], variants["splits3"]),
                 ([*risk, "--out", work / "risk"], scene.config_json),
-                ([*risk, "--out", work / "risk_sample"], variants["sample"])):
+                ([*risk, "--out", work / "risk_sample"], variants["sample"]),
+                ([*risk, "--out", work / "risk_sample_seed7"], variants["sample_seed7"])):
             with contextlib.redirect_stdout(io.StringIO()):
                 if main([*map(str, argv), "--config", str(config_json)]) != 0:
                     raise SystemExit(f"{workload} seed {seed}: {argv[0]} failed")

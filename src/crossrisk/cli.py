@@ -187,7 +187,8 @@ def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path) -> 
 
     if streams or truth:
         report = evaluate_detection(
-            {pair: stream.risk.max() for pair, stream in streams.items()}, truth)
+            {pair: stream.risk.max() for pair, stream in streams.items()},
+            [event.pair for event in truth])
         (out_dir / "detection_report.txt").write_text(report.to_text())
         _write_csv(out_dir / "roc.csv", ["threshold", "tpr", "fpr"],
                    [[_fmt(t if t not in (float("inf"), float("-inf")) else None),

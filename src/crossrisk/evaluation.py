@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, check_count, check_number, is_count
-from .gpr import RolloutConfig, rollout
+from .gpr import rollout
 from .maneuver import MANEUVER_CODES, ForestModel, extract_features
 from .risk import estimate_risk
 from .ssm import co_present_pairs
@@ -153,10 +153,10 @@ def prediction_error_study(dataset: Dataset, models: dict, cfg: TrainConfig
         for traj in vehicles:
             starts.setdefault((traj.entering_direction, traj.maneuver), {})[
                 (traj.id, idx)] = traj.xy[idx]
-    rollout_cfg = RolloutConfig(steps=max([cfg.rollout_steps, *cfg.horizons]), dt=dt)
+    steps = max([cfg.rollout_steps, *cfg.horizons])
     predicted = {}
     for cluster, batch in starts.items():
-        _, paths = rollout(models[cluster], np.array(list(batch.values())), rollout_cfg)
+        paths = rollout(models[cluster], np.array(list(batch.values())), steps, dt)
         predicted.update(zip(batch, paths))
     return tuple(
         [row for group, idx, steps in table
@@ -203,10 +203,10 @@ def compute_risk_streams(
     The rollouts run ``cfg.horizon_steps`` frames of ``dataset.frame_interval``.
     In sample mode each (vehicle, maneuver) keeps its own noise stream,
     seeded by ``cfg.sample_seed``, the vehicle's ordinal in
-    ``dataset.vehicles`` and the maneuver code, whatever else is in the batch.
+    ``dataset.vehicles`` and the maneuver code, whatever else is in the batch;
+    mean mode passes no streams.
     """
-    rollout_cfg = RolloutConfig(steps=cfg.horizon_steps, dt=dataset.frame_interval,
-                                mode=cfg.rollout_mode, seed=cfg.sample_seed)
+    dt = dataset.frame_interval
     ped_index = {}
     for ped in dataset.pedestrians:
         rows = np.flatnonzero(ped.valid).tolist()
@@ -239,9 +239,10 @@ def compute_risk_streams(
         if m not in SUPPORTED_MANEUVERS or not batch:
             continue
         starts = np.concatenate([plan.vehicle.xy[plan.frames] for plan in batch])
-        noise = [((rollout_cfg.seed, ordinal[plan.vehicle.id], MANEUVER_CODES[m]),
-                  len(plan.frames)) for plan in batch]
-        _, ahead = rollout(pair, starts, rollout_cfg, noise)
+        noise = ([((cfg.sample_seed, ordinal[plan.vehicle.id], MANEUVER_CODES[m]),
+                   len(plan.frames)) for plan in batch]
+                 if cfg.rollout_mode == "sample" else None)
+        ahead = rollout(pair, starts, cfg.horizon_steps, dt, noise)
         cluster_paths = np.concatenate([starts[:, None, :], ahead], axis=1)
         lo = 0
         for plan in batch:
@@ -258,7 +259,7 @@ def compute_risk_streams(
             at, ped_rows = np.array(shared).T
             streams[(veh.id, ped.id)] = estimate_risk(
                 veh_rows[at, 0], veh_rows[at, 1:5], ped.points[ped_rows, 1:5], probs[at],
-                {m: path[at] for m, path in paths.items()}, rollout_cfg,
+                {m: path[at] for m, path in paths.items()}, dt,
                 radius=cfg.conflict_radius, ttc_radius=ttc_radius,
             )
     return streams

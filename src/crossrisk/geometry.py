@@ -188,13 +188,10 @@ class IntersectionGeometry:
             for d in Direction
         )
 
-    def in_roadway_region(self, p: Point) -> bool:
-        return bool(self.roadway_mask(np.array([p], dtype=float))[0])
-
     def roadway_mask(self, xy: np.ndarray) -> np.ndarray:
-        """``in_roadway_region`` of each ``(n, 2)`` row: the roadway polygon
-        when one is given, else the endpoints' bounding box inflated by
-        ``crosswalk_inflation``."""
+        """Whether each ``(n, 2)`` row lies in the roadway region: the roadway
+        polygon when one is given, else the endpoints' bounding box inflated
+        by ``crosswalk_inflation``."""
         if self.roadway_polygon:
             return np.array([point_in_polygon(p, self.roadway_polygon)
                              for p in xy.tolist()], dtype=bool)

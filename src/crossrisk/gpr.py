@@ -446,61 +446,44 @@ class GprModelPair:
             raise ValueError("paired models must share training inputs")
 
 
-@dataclass(frozen=True)
-class RolloutConfig:
-    steps: int
-    dt: float = 0.1
-    mode: str = "mean"  # "mean" | "sample"
-    seed: int | tuple = 0  # entropy of the sample-mode noise (ints)
+def rollout(pair: GprModelPair, starts: np.ndarray, steps: int, dt: float,
+            streams: Sequence[tuple] | None = None) -> np.ndarray:
+    """Integrate the predicted velocity field forward from ``(B, 2)`` starts
+    over ``steps`` Euler steps of ``dt``; returns the ``(B, steps, 2)``
+    predicted points.
 
-    def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise InputError("rollout dt must be positive")
-        if self.steps < 1:
-            raise InputError("rollout needs at least one step")
-        if self.mode not in ("mean", "sample"):
-            raise InputError(f"unknown rollout mode: {self.mode!r}")
+    Each step queries both component GPs at the ``B`` current positions; the
+    two GPs share their training inputs, so one distance matrix serves both.
+    The rows are evaluated at most ``_ROLLOUT_BLOCK_ROWS`` at a time, so the
+    kernel temporaries stay O(_ROLLOUT_BLOCK_ROWS n) however large ``B`` is.
 
-
-def rollout(pair: GprModelPair, starts: np.ndarray, cfg: RolloutConfig,
-            streams: Sequence[tuple] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the predicted velocity field forward from ``(B, 2)`` starts.
-
-    Each step queries both component GPs at the ``B`` current positions and
-    Euler steps by ``dt``; the two GPs share their training inputs, so one
-    distance matrix serves both. The rows are evaluated at most
-    ``_ROLLOUT_BLOCK_ROWS`` at a time, so the kernel temporaries stay
-    O(_ROLLOUT_BLOCK_ROWS n) however large ``B`` is. Returns
-    ``(times, positions)``: the ``steps`` times relative to the start and the
-    ``(B, steps, 2)`` predicted points.
-
-    Mean mode is deterministic. Sample mode draws each component from its
-    predictive normal, independently per start and step. ``streams`` splits
-    the rows, in order, into noise streams of ``(entropy, rows)``: each seeds
-    ``np.random.default_rng(entropy)`` and draws one ``(rows, 2)`` normal per
-    step, so a stream's noise does not depend on the rows batched with it.
-    The default is one stream over every row, seeded with ``cfg.seed``.
+    Without ``streams`` the rollout follows the predictive mean. With them it
+    samples each component from its predictive normal, independently per
+    start and step: ``streams`` splits the rows, in order, into noise streams
+    of ``(entropy, rows)``, each seeding ``np.random.default_rng(entropy)``
+    and drawing one ``(rows, 2)`` normal per step, so a stream's noise does
+    not depend on the rows batched with it.
     """
+    if steps < 1 or not dt > 0:
+        raise ValueError(f"rollout needs steps >= 1 and dt > 0, got {steps!r} and {dt!r}")
     pos = np.asarray(starts, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2 or not np.all(np.isfinite(pos)):
         raise ValueError("starts must be finite (x, y) rows of shape (B, 2)")
-    if streams is None:
-        streams = [(cfg.seed, len(pos))]
-    sizes = [rows for _, rows in streams]
-    if sum(sizes) != len(pos) or any(rows < 0 for rows in sizes):
-        raise ValueError("streams must split the rows into consecutive runs")
-    bounds = np.cumsum([0, *sizes]).tolist()
-    rngs = ([(np.random.default_rng(entropy), lo, hi)
-             for (entropy, _), lo, hi in zip(streams, bounds, bounds[1:])]
-            if cfg.mode == "sample" else [])
+    rngs = []
+    if streams is not None:
+        sizes = [rows for _, rows in streams]
+        if sum(sizes) != len(pos) or any(rows < 0 for rows in sizes):
+            raise ValueError("streams must split the rows into consecutive runs")
+        bounds = np.cumsum([0, *sizes]).tolist()
+        rngs = [(np.random.default_rng(entropy), lo, hi)
+                for (entropy, _), lo, hi in zip(streams, bounds, bounds[1:])]
     gps = (pair.gp_x, pair.gp_y)
     train_x = pair.gp_x.train_x
     train_sq = np.sum(train_x * train_x, axis=1)
-    times = np.arange(1, cfg.steps + 1, dtype=float) * cfg.dt
-    out = np.empty((len(pos), cfg.steps, 2), dtype=float)
+    out = np.empty((len(pos), steps, 2), dtype=float)
     vel = np.empty_like(pos)
     sd = np.empty_like(pos)
-    for i in range(cfg.steps):
+    for i in range(steps):
         for lo in range(0, len(pos), _ROLLOUT_BLOCK_ROWS):
             block = pos[lo:lo + _ROLLOUT_BLOCK_ROWS]
             d2 = _sq_dists(block, train_x, train_sq)
@@ -511,9 +494,9 @@ def rollout(pair: GprModelPair, starts: np.ndarray, cfg: RolloutConfig,
                     sd[lo:lo + len(block), c] = np.sqrt(_predictive_variance(gp, k.T))
         for rng, lo, hi in rngs:
             vel[lo:hi] = rng.normal(vel[lo:hi], sd[lo:hi])
-        pos = pos + vel * cfg.dt
+        pos = pos + vel * dt
         out[:, i] = pos
-    return times, out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +586,7 @@ def _model_from_dict(data: dict, x: np.ndarray) -> GprModel:
         alpha_vec = np.asarray(data["alpha_vec"], dtype=float)
         kind = data["kind"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed GP entry in model file: {exc!r}") from exc
+        raise InputError(f"malformed GP entry: {exc!r}") from exc
     bad = [k for k, v in params.items() if not (math.isfinite(v) and v > 0)]
     if bad:
         raise InputError(f"GP parameters {bad} must be positive and finite")
@@ -646,20 +629,22 @@ def load_cluster_models(path: str | Path) -> dict:
     clusters = payload.get("clusters")
     if not isinstance(clusters, dict):
         raise InputError(f"model file {path} holds no clusters mapping")
-    models = {}
-    for key, entry in clusters.items():
-        try:
-            d_str, m_str = key.split(":")
-            cell = (Direction(d_str), Maneuver(m_str))
-            x = np.asarray(entry["train_x"], dtype=float)
-            gp_x, gp_y = entry["gp_x"], entry["gp_y"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed cluster {key!r} in model file: {exc!r}") from exc
-        if x.ndim != 2 or x.shape[1] != 2 or len(x) == 0 or not np.all(np.isfinite(x)):
-            raise InputError(f"train_x for cluster {key} must be finite (n, 2) rows")
-        models[cell] = GprModelPair(
-            gp_x=_model_from_dict(gp_x, x),
-            gp_y=_model_from_dict(gp_y, x),
-            cluster=cell,
-        )
-    return models
+    try:
+        return dict(_pair_from_dict(key, entry) for key, entry in clusters.items())
+    except InputError as exc:
+        raise InputError(f"model file {path}: {exc}") from exc
+
+
+def _pair_from_dict(key: str, entry: dict) -> tuple:
+    """One cluster of a model file: its cell and its ``GprModelPair``."""
+    try:
+        d_str, m_str = key.split(":")
+        cell = (Direction(d_str), Maneuver(m_str))
+        x = np.asarray(entry["train_x"], dtype=float)
+        gp_x, gp_y = entry["gp_x"], entry["gp_y"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed cluster {key!r}: {exc!r}") from exc
+    if x.ndim != 2 or x.shape[1] != 2 or len(x) == 0 or not np.all(np.isfinite(x)):
+        raise InputError(f"train_x for cluster {key} must be finite (n, 2) rows")
+    return cell, GprModelPair(gp_x=_model_from_dict(gp_x, x), gp_y=_model_from_dict(gp_y, x),
+                              cluster=cell)

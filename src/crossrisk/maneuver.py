@@ -598,7 +598,7 @@ def _tree_from_dict(data: dict) -> Tree:
         threshold = np.asarray(data["threshold"], dtype=float)
         counts = np.asarray(data["counts"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed tree in forest file: {exc!r}") from exc
+        raise InputError(f"malformed tree: {exc!r}") from exc
     n = len(feature) if feature.ndim == 1 else 0
     if n == 0 or any(a.shape != (n,) for a in (threshold, left, right)):
         raise InputError("tree arrays must be nonempty and of equal length")
@@ -633,5 +633,8 @@ def load_forest(path: str | Path) -> ForestModel:
                          f"n_features {N_FEATURES}, got {sizes[0]!r} and {sizes[1]!r}")
     trees = payload.get("trees")
     if not isinstance(trees, list) or not trees:
-        raise InputError("forest file holds no trees")
-    return ForestModel(trees=[_tree_from_dict(t) for t in trees], n_features=N_FEATURES)
+        raise InputError(f"forest file {path} holds no trees")
+    try:
+        return ForestModel(trees=[_tree_from_dict(t) for t in trees], n_features=N_FEATURES)
+    except InputError as exc:
+        raise InputError(f"forest file {path}: {exc}") from exc

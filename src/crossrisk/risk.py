@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gpr import RolloutConfig
 from .ssm import compute_ttc
 from .trajectory import SUPPORTED_MANEUVERS
 
@@ -90,7 +89,7 @@ def estimate_risk(
     pedestrian: np.ndarray,
     probs: np.ndarray,
     paths: dict,
-    cfg: RolloutConfig,
+    dt: float,
     radius: float = 1.0,
     ttc_radius: float = 1.0,
 ) -> RiskStream:
@@ -100,9 +99,11 @@ def estimate_risk(
     ``vehicle`` and ``pedestrian`` are ``(m, 4)`` rows of ``x, y, vx, vy`` at
     the frame times ``t``, and ``probs`` the frames' ``(m, 3)`` maneuver
     probabilities, each row in [0, 1] and summing to 1. ``paths`` maps each
-    maneuver whose cluster model exists to the vehicle's
-    ``(m, cfg.steps + 1, 2)`` predicted paths, the vehicle position first; a maneuver without paths contributes zero risk. The
-    pedestrian is extrapolated at constant velocity over the same steps.
+    maneuver whose cluster model exists to the vehicle's ``(m, steps + 1, 2)``
+    predicted paths, the vehicle position first and one point per ``dt``,
+    with the same ``steps`` for every maneuver; a maneuver without paths
+    contributes zero risk. The pedestrian is extrapolated at constant
+    velocity over the same steps.
     Each maneuver's risk is ``exp(-|t_vehicle - t_pedestrian|)`` at its
     conflict point (0 without one), and the risk is their mixture under
     ``probs``, capped at 1.
@@ -122,8 +123,9 @@ def estimate_risk(
     if (np.abs(probs.sum(axis=1) - 1.0) > 1e-9).any():
         raise ValueError("each frame's maneuver probabilities must sum to 1")
 
-    ahead = np.arange(1, cfg.steps + 1, dtype=float)[:, None] * cfg.dt
-    ped_paths = np.empty((m, cfg.steps + 1, 2))
+    steps = np.shape(next(iter(paths.values())))[1] - 1
+    ahead = np.arange(1, steps + 1, dtype=float)[:, None] * dt
+    ped_paths = np.empty((m, steps + 1, 2))
     ped_paths[:, 0] = pedestrian[:, :2]
     ped_paths[:, 1:] = pedestrian[:, None, :2] + pedestrian[:, None, 2:] * ahead
 
@@ -132,7 +134,7 @@ def estimate_risk(
     for col, maneuver in enumerate(SUPPORTED_MANEUVERS):
         if maneuver in paths:
             hit, j, k = find_conflict_point(paths[maneuver], ped_paths, radius)
-            gaps = np.abs(j[hit] * cfg.dt - k[hit] * cfg.dt).tolist()
+            gaps = np.abs(j[hit] * dt - k[hit] * dt).tolist()
             maneuver_risk[hit, col] = [math.exp(-gap) for gap in gaps]
         risk = risk + maneuver_risk[:, col] * probs[:, col]
 

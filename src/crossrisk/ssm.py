@@ -179,15 +179,12 @@ def evaluate_detection(scores: Mapping[tuple, float], truth: Sequence) -> Detect
     """Event-level detection scoring.
 
     ``scores`` maps (vehicle id, pedestrian id) to the pair's score, its
-    maximum risk over time. ``truth`` holds :class:`ConflictEvent` instances
-    or raw pairs; a ground-truth pair without a score (no frame of it was
-    scored) scores 0, a miss. The operating point declares a conflict
-    whenever the score exceeds zero; the ROC sweeps the threshold over all
-    observed scores.
+    maximum risk over time. ``truth`` holds the ground-truth pairs; one
+    without a score (no frame of it was scored) scores 0, a miss. The
+    operating point declares a conflict whenever the score exceeds zero; the
+    ROC sweeps the threshold over all observed scores.
     """
-    truth_pairs = set()
-    for item in truth:
-        truth_pairs.add(item.pair if isinstance(item, ConflictEvent) else tuple(item))
+    truth_pairs = set(map(tuple, truth))
 
     pairs = sorted(set(scores) | truth_pairs)
     labels = np.array([p in truth_pairs for p in pairs], dtype=bool)

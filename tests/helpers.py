@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from crossrisk.gpr import RolloutConfig
 from crossrisk.risk import estimate_risk
 from crossrisk.trajectory import SUPPORTED_MANEUVERS
 
@@ -21,13 +20,11 @@ def crossing_risk(arrivals, probs=(0.0, 0.0, 1.0), radius=0.04):
     path touches the origin; elsewhere the path stays 100 m away, and
     ``None`` is a path that never touches it.
     """
-    cfg = RolloutConfig(steps=30, dt=0.1)
     paths = {}
     for maneuver, step in zip(SUPPORTED_MANEUVERS, arrivals):
-        path = np.column_stack([100.0 + np.arange(cfg.steps + 1.0),
-                                np.full(cfg.steps + 1, 100.0)])
+        path = np.column_stack([100.0 + np.arange(31.0), np.full(31, 100.0)])
         if step is not None:
             path[step] = 0.0
         paths[maneuver] = path[None]
     return estimate_risk([0.0], [[100.0, 100.0, 1.0, 0.0]], [[0.0, -1.0, 0.0, 1.0]],
-                         [probs], paths, cfg, radius=radius)
+                         [probs], paths, 0.1, radius=radius)

@@ -295,7 +295,8 @@ def test_ac6_detection_metrics(conflict_scene):
     events = identify_conflicts_pet(labeled, threshold=3.0,
                                     zone_radius=spec.pet_zone_radius)
     report = evaluate_detection(
-        {pair: stream.risk.max() for pair, stream in streams.items()}, events)
+        {pair: stream.risk.max() for pair, stream in streams.items()},
+        [e.pair for e in events])
     negatives = report.fp + report.tn
     check(6, {
         "sixteen_ground_truth_conflicts": len(events) == 16,

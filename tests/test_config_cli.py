@@ -461,6 +461,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("target,corrupt", [
         ("forest.json", lambda path: path.write_text('{"version": 2, "trees": [')),
+        ("forest.json", _edit_models(lambda p: p["trees"][0]["counts"][0].append(1))),
         ("gpr_models.json", lambda path: path.write_text('{"version": 2, "clusters": {')),
         ("gpr_models.json", _edit_models(lambda p: p.pop("clusters"))),
         ("gpr_models.json", _edit_models(lambda p: p["clusters"]["W:straight"].pop("gp_x"))),
@@ -473,13 +474,14 @@ class TestExitCodes:
         ("gpr_models.json", _edit_models(
             lambda p: p["clusters"]["W:straight"]["gp_y"]["alpha_vec"].__setitem__(
                 0, float("nan")))),
-    ], ids=["forest-json", "models-json", "no-clusters", "no-gp_x", "no-gp_y",
+    ], ids=["forest-json", "forest-counts-too-wide", "models-json", "no-clusters", "no-gp_x", "no-gp_y",
             "key-without-colon", "unknown-direction", "unknown-maneuver",
             "short-alpha-vec", "nan-alpha-vec"])
-    def test_bad_model_file_is_exit_code_one(self, tmp_path, target, corrupt):
+    def test_bad_model_file_is_exit_code_one(self, tmp_path, capsys, target, corrupt):
         labeled, models = _tiny_risk_inputs(tmp_path)
         corrupt(models / target)
         assert _run_risk(tmp_path, labeled, models) == 1
+        assert str(models / target) in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         lambda p: p.update(n_classes=2, trees=[

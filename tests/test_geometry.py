@@ -92,16 +92,14 @@ class TestRegions:
         assert not geom.in_crosswalk_region((0.0, 0.0))  # intersection middle
 
     def test_roadway_box_membership(self, geom):
-        assert geom.in_roadway_region((0.0, 0.0))
-        assert not geom.in_roadway_region((40.0, 40.0))
+        assert geom.roadway_mask(np.array([[0.0, 0.0], [40.0, 40.0]])).tolist() == [True, False]
 
     def test_polygon_override(self):
         g = IntersectionGeometry(
             endpoints=canonical_endpoints(),
             roadway_polygon=((-1, -1), (1, -1), (1, 1), (-1, 1)),
         )
-        assert g.in_roadway_region((0.0, 0.0))
-        assert not g.in_roadway_region((5.0, 0.0))
+        assert g.roadway_mask(np.array([[0.0, 0.0], [5.0, 0.0]])).tolist() == [True, False]
 
     @pytest.mark.parametrize("polygon", [None, ((-1, -1), (1, -1), (1.5, 2), (-1, 1))])
     def test_roadway_mask_matches_the_per_point_rule(self, polygon):
@@ -121,7 +119,7 @@ class TestRegions:
         xy = np.vstack([rng.uniform(-25, 25, size=(400, 2)), edges])
         want = [reference(p) for p in xy.tolist()]
         assert g.roadway_mask(xy).tolist() == want
-        assert [g.in_roadway_region(p) for p in xy.tolist()] == want
+        assert [g.roadway_mask(np.array([p])).item() for p in xy.tolist()] == want  # row by row
         assert sum(want[-7:-3]) == (0 if polygon else 4)  # box edges count as inside
 
     def test_point_in_polygon_edge_counts_inside(self):

@@ -4,7 +4,6 @@ import json
 import math
 import pickle
 import signal
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from crossrisk.gpr import (
     GprModelPair,
     GprConfig,
     KernelConfig,
-    RolloutConfig,
     _factorize,
     _jittered_cholesky,
     _neg_lml,
@@ -530,14 +528,14 @@ class TestRollout:
 
     def test_constant_field_integrates_linearly(self):
         pair = self._constant_field_pair()
-        times, (pos,) = rollout(pair, [(0.0, 0.0)], RolloutConfig(steps=10, dt=0.1))
+        (pos,) = rollout(pair, [(0.0, 0.0)], 10, 0.1)
+        assert pos.shape == (10, 2)
         assert pos[-1][0] == pytest.approx(1.0, abs=1e-6)
         assert pos[-1][1] == pytest.approx(0.0, abs=1e-6)
-        assert times[-1] == pytest.approx(1.0)
 
     def test_single_step(self):
         pair = self._constant_field_pair(vx=2.0, vy=-1.0)
-        _, paths = rollout(pair, [(1.0, 1.0)], RolloutConfig(steps=1, dt=0.1))
+        paths = rollout(pair, [(1.0, 1.0)], 1, 0.1)
         assert paths.shape == (1, 1, 2)
         pos = paths[0]
         assert pos[0][0] == pytest.approx(1.2, abs=1e-6)
@@ -545,27 +543,23 @@ class TestRollout:
 
     def test_sampling_deterministic_per_seed(self):
         pair = self._constant_field_pair()
-        cfg = RolloutConfig(steps=8, dt=0.1, mode="sample", seed=99)
-        _, a = rollout(pair, [(0.0, 0.0)], cfg)
-        _, b = rollout(pair, [(0.0, 0.0)], cfg)
+        a = rollout(pair, [(0.0, 0.0)], 8, 0.1, [(99, 1)])
+        b = rollout(pair, [(0.0, 0.0)], 8, 0.1, [(99, 1)])
         assert np.array_equal(a, b)
-        _, c = rollout(pair, [(0.0, 0.0)],
-                       RolloutConfig(steps=8, dt=0.1, mode="sample", seed=100))
+        c = rollout(pair, [(0.0, 0.0)], 8, 0.1, [(100, 1)])
         assert not np.array_equal(a, c)
 
     def test_mean_mode_is_pure(self):
         pair = self._constant_field_pair()
-        cfg = RolloutConfig(steps=5, dt=0.1)
-        _, a = rollout(pair, [(0.5, 0.5)], cfg)
-        _, b = rollout(pair, [(0.5, 0.5)], cfg)
+        a = rollout(pair, [(0.5, 0.5)], 5, 0.1)
+        b = rollout(pair, [(0.5, 0.5)], 5, 0.1)
         assert np.array_equal(a, b)
 
     def test_sample_mode_draws_per_start(self):
         pair = self._constant_field_pair()
-        cfg = RolloutConfig(steps=8, dt=0.1, mode="sample", seed=7)
         starts = [(0.0, 0.0), (0.0, 0.0)]
-        _, a = rollout(pair, starts, cfg)
-        _, b = rollout(pair, starts, cfg)
+        a = rollout(pair, starts, 8, 0.1, [(7, 2)])
+        b = rollout(pair, starts, 8, 0.1, [(7, 2)])
         assert not np.array_equal(a[0], a[1])
         assert np.array_equal(a, b)
 
@@ -582,12 +576,12 @@ class TestRollout:
             gp.__dict__["chol"] = _factorize(gp.kernel, _sq_dists(x, x), ys)[0]
         save_cluster_models({pair.cluster: pair}, tmp_path / "m.json")
         (loaded,) = load_cluster_models(tmp_path / "m.json").values()
-        cfg = RolloutConfig(steps=12, dt=0.1, mode="sample", seed=(3, 1, 2))
         starts = rng.uniform(-4, 4, size=(5, 2))
-        _, want = rollout(eager, starts, cfg)
+        streams = [((3, 1, 2), 5)]
+        want = rollout(eager, starts, 12, 0.1, streams)
         for p in (pair, loaded):
             assert "chol" not in vars(p.gp_x) and "chol" not in vars(p.gp_y)
-            assert rollout(p, starts, cfg)[1].tobytes() == want.tobytes()
+            assert rollout(p, starts, 12, 0.1, streams).tobytes() == want.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(["rbf", "rq"]), st.integers(1, 16), st.integers(0, 10_000))
@@ -600,11 +594,10 @@ class TestRollout:
                             gp_y=build_gpr_model(x, rng.normal(-0.5, 0.5, 25), cfg),
                             cluster=(Direction.N, Maneuver.LEFT))
         starts = rng.uniform(-8, 8, size=(batch, 2))
-        rcfg = RolloutConfig(steps=20, dt=0.1)
-        _, paths = rollout(pair, starts, rcfg)
+        paths = rollout(pair, starts, 20, 0.1)
         assert paths.shape == (batch, 20, 2)
         for start, path in zip(starts, paths):
-            assert np.max(np.abs(path - reference_rollout(pair, start, rcfg))) <= 1e-9
+            assert np.max(np.abs(path - reference_rollout(pair, start, 20, 0.1))) <= 1e-9
 
 
     @settings(max_examples=20, deadline=None)
@@ -626,12 +619,13 @@ class TestRollout:
         streams = [((seed, v, 1), rows) for v, rows in enumerate(sizes)]
         bounds = np.cumsum([0, *sizes])
         for mode in ("mean", "sample"):
-            rcfg = RolloutConfig(steps=steps, dt=0.1, mode=mode, seed=seed)
+            noise = streams if mode == "sample" else None
             with recorded_draws() as batched_draws:
-                _, batched = rollout(pair, starts, rcfg, streams)
+                batched = rollout(pair, starts, steps, 0.1, noise)
             assert batched.shape == (len(starts), steps, 2)
             with recorded_draws() as own_draws:
-                own = [rollout(pair, starts[lo:hi], replace(rcfg, seed=entropy))[1]
+                own = [rollout(pair, starts[lo:hi], steps, 0.1,
+                               [(entropy, hi - lo)] if noise else None)
                        for (entropy, _), lo, hi in zip(streams, bounds, bounds[1:])]
             assert np.max(np.abs(batched - np.concatenate(own))) <= 1e-12
             assert batched_draws.keys() == own_draws.keys()
@@ -644,10 +638,14 @@ class TestRollout:
 
     def test_streams_must_cover_the_rows(self):
         pair = self._constant_field_pair()
-        cfg = RolloutConfig(steps=2, dt=0.1, mode="sample")
         for streams in ([(0, 2)], [(0, 4), (1, -1)]):
             with pytest.raises(ValueError):
-                rollout(pair, np.zeros((3, 2)), cfg, streams)
+                rollout(pair, np.zeros((3, 2)), 2, 0.1, streams)
+
+    @pytest.mark.parametrize("steps,dt", [(0, 0.1), (1, 0.0), (1, -0.1), (1, float("nan"))])
+    def test_rejects_no_steps_or_a_nonpositive_dt(self, steps, dt):
+        with pytest.raises(ValueError, match="steps >= 1 and dt > 0"):
+            rollout(self._constant_field_pair(), np.zeros((2, 2)), steps, dt)
 
 
 @contextlib.contextmanager
@@ -673,18 +671,18 @@ def recorded_draws():
         np.random.default_rng = real
 
 
-def reference_rollout(pair, start, cfg):
+def reference_rollout(pair, start, steps, dt):
     """Mean-mode Euler rollout from one start, one kernel row per component
     and step: the single-start loop the batched rollout replaced."""
     pos = np.asarray(start, dtype=float).copy()
-    out = np.empty((cfg.steps, 2))
-    for i in range(cfg.steps):
+    out = np.empty((steps, 2))
+    for i in range(steps):
         vel = [
             gp.y_mean + gp.y_std * float(
                 kernel_matrix(gp.kernel, gp.train_x, pos[None, :])[:, 0] @ gp.alpha_vec)
             for gp in (pair.gp_x, pair.gp_y)
         ]
-        pos = pos + np.array(vel) * cfg.dt
+        pos = pos + np.array(vel) * dt
         out[i] = pos
     return out
 
@@ -800,6 +798,8 @@ class TestClusterTraining:
         pytest.param(lambda p: _cluster(p)["gp_y"]["alpha_vec"].__setitem__(2, float("inf")),
                      id="alpha-vec-inf"),
         pytest.param(lambda p: _cluster(p)["gp_x"].pop("alpha_vec"), id="alpha-vec-missing"),
+        pytest.param(lambda p: _cluster(p)["gp_y"].update(jitter=-1.0), id="jitter-negative"),
+        pytest.param(lambda p: _cluster(p)["gp_x"].update(kind="linear"), id="unknown-kernel"),
     ])
     def test_loader_rejects(self, tmp_path, mutate):
         path = tmp_path / "models.json"
@@ -807,8 +807,9 @@ class TestClusterTraining:
         payload = json.loads(path.read_text())
         mutate(payload)
         path.write_text(json.dumps(payload))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as exc:
             load_cluster_models(path)
+        assert str(path) in str(exc.value)
 
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "list.json"

@@ -549,8 +549,9 @@ class TestForestFile:
         mutate(payload)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as exc:
             load_forest(path)
+        assert str(path) in str(exc.value)
 
     def test_v1_file_asks_for_retraining(self, tmp_path):
         path = tmp_path / "old.json"

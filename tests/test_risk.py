@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +17,12 @@ from crossrisk.gpr import (
     GprConfig,
     GprModelPair,
     KernelConfig,
-    RolloutConfig,
     build_gpr_model,
     rollout,
     train_cluster_models,
 )
 from crossrisk.maneuver import (
+    MANEUVER_CODES,
     ForestModel,
     Tree,
     build_feature_table,
@@ -85,7 +89,6 @@ def reference_pooled_rows(dataset, models, start_point, steps, group_value):
     rows = []
     dt = dataset.frame_interval
     idx = start_point - 1
-    cfg = RolloutConfig(steps=steps, dt=dt)
     for maneuver in SUPPORTED_MANEUVERS:
         vehicles = [
             traj for traj in dataset.vehicles
@@ -100,7 +103,7 @@ def reference_pooled_rows(dataset, models, start_point, steps, group_value):
             batch = [traj for traj in vehicles if traj.entering_direction == direction]
             if batch:
                 starts = np.array([traj.xy[idx] for traj in batch])
-                _, paths = rollout(models[(direction, maneuver)], starts, cfg)
+                paths = rollout(models[(direction, maneuver)], starts, steps, dt)
                 predicted.update(zip((traj.id for traj in batch), paths))
         g, d = [], []
         for traj in vehicles:
@@ -139,17 +142,15 @@ def reference_ttc(veh, ped, radius):
     return t_enter if t_enter >= 0.0 else None
 
 
-def reference_frame_risk(ped_row, probs, paths, cfg, radius):
+def reference_frame_risk(ped_row, probs, paths, steps, dt, radius):
     """The per-frame mixer that the batched ``estimate_risk`` replaced:
     per-maneuver risks and their mixture for one frame, given the frame's
     probabilities and its ``(steps + 1, 2)`` vehicle path per maneuver."""
     x, y, vx, vy = ped_row
-    ped_path = np.array([(x + vx * (k * cfg.dt), y + vy * (k * cfg.dt))
-                         for k in range(cfg.steps + 1)])
+    ped_path = np.array([(x + vx * (k * dt), y + vy * (k * dt)) for k in range(steps + 1)])
     risks, total = [], 0.0
     for col, m in enumerate(SUPPORTED_MANEUVERS):
-        hit = None if m not in paths else reference_conflict(paths[m], ped_path, cfg.dt,
-                                                             radius)
+        hit = None if m not in paths else reference_conflict(paths[m], ped_path, dt, radius)
         risks.append(0.0 if hit is None else math.exp(-abs(hit[1] - hit[2])))
         if hit is not None:
             total += risks[-1] * float(probs[col])
@@ -198,10 +199,20 @@ def searched_pedestrian_path(monkeypatch, ped_row, dt, steps):
 
     monkeypatch.setattr(risk, "find_conflict_point", recording)
     estimate_risk([0.0], [[0.0, 0.0, 0.0, 0.0]], [ped_row], [[0.0, 0.0, 1.0]],
-                  {Maneuver.STRAIGHT: np.zeros((1, steps + 1, 2))},
-                  RolloutConfig(steps=steps, dt=dt))
+                  {Maneuver.STRAIGHT: np.zeros((1, steps + 1, 2))}, dt)
     (path,) = seen[0]
     return path
+
+
+def test_importing_risk_loads_no_gp_code():
+    # scoring takes plain steps and dt, so it needs neither the GP module nor LAPACK
+    src = str(Path(risk.__file__).resolve().parent.parent)
+    code = ("import sys, crossrisk.risk; "
+            "print(sorted({'crossrisk.gpr', 'scipy.linalg'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestPedestrianPrediction:
@@ -407,7 +418,7 @@ def certain_forest(target_class):
     return train_forest(X, y, n_trees=20, seed=0), target_class
 
 
-def frame_hypotheses(veh, index, direction, models, forest, cfg):
+def frame_hypotheses(veh, index, direction, models, forest, steps, dt):
     """Normalized maneuver probabilities of one vehicle frame and, per
     maneuver with a cluster model, its predicted path with the vehicle
     position first; all with one leading row."""
@@ -416,16 +427,16 @@ def frame_hypotheses(veh, index, direction, models, forest, cfg):
     paths = {}
     for m in SUPPORTED_MANEUVERS:
         if (direction, m) in models:
-            _, path = rollout(models[(direction, m)], start[None, :], cfg)
+            path = rollout(models[(direction, m)], start[None, :], steps, dt)
             paths[m] = np.concatenate([start[None, None, :], path], axis=1)
     return probs / probs.sum(axis=1, keepdims=True), paths
 
 
-def score(veh, index, direction, ped, models, forest, cfg, **kwargs):
+def score(veh, index, direction, ped, models, forest, steps, dt, **kwargs):
     """One-frame stream of pedestrian row ``ped`` against vehicle frame ``index``."""
     return estimate_risk(veh.t[[index]], veh.points[[index], 1:5], [ped],
-                         *frame_hypotheses(veh, index, direction, models, forest, cfg),
-                         cfg, **kwargs)
+                         *frame_hypotheses(veh, index, direction, models, forest, steps, dt),
+                         dt, **kwargs)
 
 
 class TestEstimateRisk:
@@ -438,7 +449,7 @@ class TestEstimateRisk:
                   for m in SUPPORTED_MANEUVERS}
         forest, _ = certain_forest(2)
         stream = score(self._vehicle(), 0, Direction.S, (500.0, 500.0, 0.0, 0.0), models,
-                       forest, RolloutConfig(steps=30, dt=0.1))
+                       forest, 30, 0.1)
         assert stream.risk.tolist() == [0.0]
         assert not stream.maneuver_risk.any()
         assert np.isnan(stream.ttc).all()
@@ -456,7 +467,7 @@ class TestEstimateRisk:
         forest = train_forest(X, y, n_trees=25, seed=0)
         ped = (1.0, -1.0, 0.0, 1.0)  # meets at (1, 0), t=1
         stream = score(self._vehicle(), 0, Direction.S, ped, models,
-                       forest, RolloutConfig(steps=30, dt=0.1), radius=0.4)
+                       forest, 30, 0.1, radius=0.4)
         left, right, straight = stream.maneuver_risk[0]
         assert straight == pytest.approx(1.0, abs=1e-6)
         assert stream.probs[0, 2] == 1.0
@@ -481,7 +492,7 @@ class TestEstimateRisk:
         ped = (2.0, -1.0, 0.0, 1.0)  # at (2, 0) after 1 s
         # vehicle reaches x=2 after 2 s; tiny radius pins the exact-hit pair
         stream = score(self._vehicle(), 0, Direction.S, ped, models,
-                       forest, RolloutConfig(steps=30, dt=0.1), radius=0.04)
+                       forest, 30, 0.1, radius=0.04)
         left, right, straight = stream.maneuver_risk[0]
         assert straight == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert stream.probs[0].tolist() == [0.5, 0.0, 0.5]
@@ -493,30 +504,31 @@ class TestEstimateRisk:
                   for m in SUPPORTED_MANEUVERS}
         forest, _ = certain_forest(0)
         ped = (2.0, -0.5, 0.0, 0.5)
-        cfg = RolloutConfig(steps=20, dt=0.1)
-        a = score(self._vehicle(), 0, Direction.S, ped, models, forest, cfg)
-        b = score(self._vehicle(), 0, Direction.S, ped, models, forest, cfg)
+        a = score(self._vehicle(), 0, Direction.S, ped, models, forest, 20, 0.1)
+        b = score(self._vehicle(), 0, Direction.S, ped, models, forest, 20, 0.1)
         assert a.risk.tobytes() == b.risk.tobytes()
 
     def test_all_models_absent_raises(self):
         forest, _ = certain_forest(0)
         with pytest.raises(ValueError):
-            score(self._vehicle(), 0, Direction.S, (2.0, -0.5, 0.0, 0.5), {}, forest,
-                  RolloutConfig(steps=10, dt=0.1))
+            score(self._vehicle(), 0, Direction.S, (2.0, -0.5, 0.0, 0.5), {}, forest, 10, 0.1)
 
     def test_missing_probabilities_or_bad_paths_raise(self):
         models = {(Direction.S, Maneuver.STRAIGHT):
                   constant_pair(Direction.S, Maneuver.STRAIGHT, 1.0, 0.0)}
         forest, _ = certain_forest(0)
-        cfg = RolloutConfig(steps=10, dt=0.1)
         veh = self._vehicle()
-        probs, paths = frame_hypotheses(veh, 0, Direction.S, models, forest, cfg)
+        probs, paths = frame_hypotheses(veh, 0, Direction.S, models, forest, 10, 0.1)
         args = ([12.3], veh.points[:, 1:5], [[2.0, -0.5, 0.0, 0.5]])
         for bad in (probs[:0], probs[:, :2]):  # no row, or a maneuver short
             with pytest.raises(ValueError):
-                estimate_risk(*args, bad, paths, cfg)
-        with pytest.raises(ValueError):  # paths of the wrong step count
-            estimate_risk(*args, probs, {Maneuver.STRAIGHT: np.zeros((1, 5, 2))}, cfg)
+                estimate_risk(*args, bad, paths, 0.1)
+        # paths of two step counts, the shorter read first or last: the
+        # horizon comes from the paths, so every maneuver's must agree
+        short = np.zeros((1, 5, 2))
+        for bad in ({**paths, Maneuver.LEFT: short}, {Maneuver.LEFT: short, **paths}):
+            with pytest.raises(ValueError, match="one shape"):
+                estimate_risk(*args, probs, bad, 0.1)
 
     def test_risk_stays_in_unit_interval(self):
         models = {(Direction.S, m): constant_pair(Direction.S, m, 1.0, (i - 1) * 0.3)
@@ -525,8 +537,7 @@ class TestEstimateRisk:
         rng = np.random.default_rng(4)
         for _ in range(25):
             ped = tuple(rng.uniform([-3, -3, -1, -1], [6, 3, 1, 1]).tolist())
-            stream = score(self._vehicle(), 0, Direction.S, ped,
-                           models, forest, RolloutConfig(steps=15, dt=0.1))
+            stream = score(self._vehicle(), 0, Direction.S, ped, models, forest, 15, 0.1)
             assert 0.0 <= stream.risk[0] <= 1.0
             mix = float(np.sum(stream.maneuver_risk[0] * stream.probs[0]))
             assert stream.risk[0] == pytest.approx(mix, abs=1e-12)
@@ -541,15 +552,14 @@ class TestEstimateRisk:
     )
     def test_mixture_bounded_by_largest_maneuver_risk(self, weights, vels, ped_state,
                                                       radius):
-        cfg = RolloutConfig(steps=20, dt=0.1)
         w = np.asarray(weights)
-        steps = np.arange(cfg.steps + 1)[:, None] * cfg.dt
+        steps = np.arange(21)[:, None] * 0.1
         paths = {m: (steps * np.asarray(v))[None] for m, v in zip(SUPPORTED_MANEUVERS, vels)
                  if v is not None}
         if not paths:  # one hypothesis at least, as the caller guarantees
             paths = {Maneuver.STRAIGHT: (steps * np.array([1.0, 0.0]))[None]}
         stream = estimate_risk([12.3], [[0.0, 0.0, 1.0, 0.0]], [ped_state],
-                               [w / w.sum()], paths, cfg, radius=radius)
+                               [w / w.sum()], paths, 0.1, radius=radius)
         assert 0.0 <= stream.risk[0] <= 1.0
         assert stream.risk[0] <= stream.maneuver_risk.max() + 1e-12
 
@@ -575,8 +585,7 @@ def mean_frames():
 
 
 class TestRiskStreams:
-    CFG = RiskConfig(horizon_steps=15)
-    ROLLOUT = RolloutConfig(steps=15, dt=0.1)  # CFG's rollouts on the 0.1 s frames
+    CFG = RiskConfig(horizon_steps=15)  # rolled out on small_scene's 0.1 s frames
 
     def test_vehicle_side_computed_once_per_vehicle(self, small_scene, monkeypatch):
         labeled, models, forest = small_scene
@@ -584,9 +593,9 @@ class TestRiskStreams:
         real_rollout, real_predict = evaluation.rollout, ForestModel.predict_proba
         real_estimate = evaluation.estimate_risk
 
-        def counting_rollout(pair, starts, cfg, streams=None):
+        def counting_rollout(pair, starts, steps, dt, streams=None):
             rollouts.append(pair.cluster)
-            return real_rollout(pair, starts, cfg, streams)
+            return real_rollout(pair, starts, steps, dt, streams)
 
         def counting_predict(model, X):
             predicts.append(len(X))
@@ -623,24 +632,39 @@ class TestRiskStreams:
         labeled, models, forest = small_scene
         cfg = replace(self.CFG, rollout_mode=mode, sample_seed=seed, conflict_radius=radius,
                       frame_stride=stride)
-        calls = {}
-        real_estimate = evaluation.estimate_risk
+        calls, rollout_calls = {}, []
+        real_estimate, real_rollout = evaluation.estimate_risk, evaluation.rollout
 
         def recording(*args, **kwargs):
             stream = real_estimate(*args, **kwargs)
             calls[id(stream)] = args
             return stream
 
-        evaluation.estimate_risk = recording
+        def recording_rollout(pair, starts, steps, dt, streams=None):
+            rollout_calls.append((pair.cluster, steps, dt, streams))
+            return real_rollout(pair, starts, steps, dt, streams)
+
+        evaluation.estimate_risk, evaluation.rollout = recording, recording_rollout
         try:
             streams = compute_risk_streams(labeled, models, forest, cfg, ttc_radius=radius)
         finally:
-            evaluation.estimate_risk = real_estimate
-        assert streams
+            evaluation.estimate_risk, evaluation.rollout = real_estimate, real_rollout
+        assert streams and rollout_calls
+        for (direction, maneuver), steps, dt, noise in rollout_calls:
+            assert (steps, dt) == (15, 0.1)
+            if mode == "mean":
+                assert noise is None
+                continue
+            # one stream per vehicle, seeded by the seed, its ordinal and the maneuver
+            entropies = [entropy for entropy, _ in noise]
+            assert len(set(entropies)) == len(entropies)
+            for sample_seed, ordinal, code in entropies:
+                assert (sample_seed, code) == (seed, MANEUVER_CODES[maneuver])
+                assert labeled.vehicles[ordinal].entering_direction == direction
         for (vid, pid), stream in streams.items():
             veh, ped = labeled.by_id(vid), labeled.by_id(pid)
-            _, _, _, probs, paths, rollout_cfg = calls[id(stream)]
-            assert rollout_cfg == replace(self.ROLLOUT, mode=mode, seed=seed)
+            _, _, _, probs, paths, dt = calls[id(stream)]
+            assert dt == 0.1 and all(path.shape[1] == 16 for path in paths.values())
             ped_rows = {round(t, 6): i for i, t in enumerate(ped.t.tolist())}
             for r, t in enumerate(stream.t.tolist()):
                 vi = veh.t.tolist().index(t)
@@ -648,7 +672,7 @@ class TestRiskStreams:
                 assert vi % stride == 0 and veh.valid[vi] and ped.valid[pi]
                 if (vid, vi) not in mean_frames:
                     mean_frames[(vid, vi)] = frame_hypotheses(
-                        veh, vi, veh.entering_direction, models, forest, self.ROLLOUT)
+                        veh, vi, veh.entering_direction, models, forest, 15, 0.1)
                 want_probs, want_paths = mean_frames[(vid, vi)]
                 assert stream.probs[r].tobytes() == want_probs[0].tobytes()
                 assert set(paths) == set(want_paths)
@@ -657,7 +681,7 @@ class TestRiskStreams:
                         assert np.allclose(paths[m][r], path[0], rtol=0, atol=1e-9)
                 risks, total = reference_frame_risk(
                     ped.points[pi, 1:5].tolist(), stream.probs[r],
-                    {m: path[r] for m, path in paths.items()}, self.ROLLOUT, radius)
+                    {m: path[r] for m, path in paths.items()}, 15, 0.1, radius)
                 assert stream.maneuver_risk[r].tolist() == risks
                 assert stream.risk[r] == total
                 ttc = reference_ttc(veh.points[vi, 1:5].tolist(),
@@ -684,20 +708,25 @@ class TestRiskStreams:
                                      cluster=cell)}
         forest, _ = certain_forest(2)
         real_rollout = evaluation.rollout
+        frames = [len(track)] * len(vehicles)  # every frame of each vehicle is scored
 
         def drawn_paths(mode):
             calls = []
 
-            def recording_rollout(pair, starts, cfg, streams=None):
-                out = real_rollout(pair, starts, cfg, streams)
-                calls.append((streams, out[1]))
+            def recording_rollout(pair, starts, steps, dt, streams=None):
+                out = real_rollout(pair, starts, steps, dt, streams)
+                calls.append((streams, out))
                 return out
 
             monkeypatch.setattr(evaluation, "rollout", recording_rollout)
             cfg = RiskConfig(horizon_steps=10, rollout_mode=mode, sample_seed=3)
             assert len(compute_risk_streams(dataset, models, forest, cfg, ttc_radius=1.0)) == 2
             ((streams, paths),) = calls  # one rollout for the one cluster
-            bounds = np.cumsum([0] + [rows for _, rows in streams])
+            if mode == "sample":
+                assert [rows for _, rows in streams] == frames
+            else:
+                assert streams is None
+            bounds = np.cumsum([0, *frames])
             return [paths[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
         first, again, mean = drawn_paths("sample"), drawn_paths("sample"), drawn_paths("mean")
@@ -733,9 +762,9 @@ class TestPredictionStudy:
         calls = []
         real_rollout = evaluation.rollout
 
-        def counting_rollout(pair, starts, cfg, streams=None):
-            calls.append((pair.cluster, cfg.steps))
-            return real_rollout(pair, starts, cfg, streams)
+        def counting_rollout(pair, starts, steps, dt, streams=None):
+            calls.append((pair.cluster, steps))
+            return real_rollout(pair, starts, steps, dt, streams)
 
         monkeypatch.setattr(evaluation, "rollout", counting_rollout)
         evaluation.prediction_error_study(
