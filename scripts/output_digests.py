@@ -6,7 +6,9 @@ times: with the scene's mean rollouts into ``risk/``, with ``rollout_mode: sampl
 into ``risk_sample/``, and with ``sample_seed: 7`` as well into
 ``risk_sample_seed7/``, so that the sample seed is hashed. The train stage runs again
 with ``forest.n_splits: 3`` into ``models_splits3/``, so that the mean and spread over
-splits are hashed too:
+splits are hashed too. The preprocess stage runs again with the strict
+``preprocess.filter`` of ``STRICT_FILTER`` into ``prep_strict/``, so that every filter
+rule removes pedestrians on every scene (the default filter removes none):
 
     python scripts/output_digests.py --src OTHER_CHECKOUT/src --out old.json
     python scripts/output_digests.py --out new.json [--workloads fit --seeds 1 2]
@@ -19,6 +21,8 @@ from pathlib import Path
 # One BLAS thread in this process, so that digests do not depend on the host.
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1"))
 ROOT = Path(__file__).resolve().parent.parent
+STRICT_FILTER = {"min_region_fraction": 1.0, "max_offcrosswalk_fraction": 0.02,
+                 "speed_limit": 1.45, "speed_run_length": 3}
 
 
 def digests(workload: str, seed: int) -> dict:
@@ -31,7 +35,8 @@ def digests(workload: str, seed: int) -> dict:
         for name, section, updates in (
                 ("sample", "risk", {"rollout_mode": "sample"}),
                 ("sample_seed7", "risk", {"rollout_mode": "sample", "sample_seed": 7}),
-                ("splits3", "forest", {"n_splits": 3})):
+                ("splits3", "forest", {"n_splits": 3}),
+                ("strict", "preprocess", {"filter": STRICT_FILTER})):
             config = json.loads(scene.config_json.read_text())
             config[section].update(updates)
             variants[name] = Path(tmp) / f"{name}_config.json"
@@ -41,6 +46,8 @@ def digests(workload: str, seed: int) -> dict:
         risk = ["risk", "--in", prep / "labeled.csv", "--models", models]
         for argv, config_json in (
                 (["preprocess", "--in", scene.input_csv, "--out", prep], scene.config_json),
+                (["preprocess", "--in", scene.input_csv, "--out", work / "prep_strict"],
+                 variants["strict"]),
                 ([*train, models], scene.config_json),
                 ([*train, work / "models_splits3"], variants["splits3"]),
                 ([*risk, "--out", work / "risk"], scene.config_json),

@@ -11,6 +11,7 @@ criteria before filtering.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -203,15 +204,16 @@ def merge_pedestrian_trajectories(trajs: Sequence[Trajectory],
 
     Fragments are processed in start-time order. Each chain repeatedly
     absorbs the best candidate continuation (lexicographic smallest time gap,
-    then distance, then heading difference); every input fragment is consumed
-    at most once, so a second pass over the output is a no-op once all gaps
-    are used up.
+    then distance, then heading difference, then the earliest in start-time
+    order); every input fragment is consumed at most once, so a second pass
+    over the output is a no-op once all gaps are used up.
     """
     for t in trajs:
         if t.object_class != ObjectClass.PEDESTRIAN:
             raise InputError(f"trajectory {t.id!r} is not a pedestrian")
     pool = sorted(trajs, key=lambda t: (t.start_time, t.id))
     candidates = [(t, e) for t in pool if (e := _ends(t)) is not None]
+    starts = [e.start_time for _, e in candidates]  # ascending
     consumed: set[str] = set()
     merged: list[Trajectory] = []
     for head in pool:
@@ -221,7 +223,13 @@ def merge_pedestrian_trajectories(trajs: Sequence[Trajectory],
         while chain_ends is not None:
             best = None
             best_key = None
-            for tail, tail_ends in candidates:
+            # Only starts in (end, end + 2 max_time_gap] can pass the gap test:
+            # a rounded difference s - end <= max_time_gap means s < end + 2
+            # max_time_gap exactly, and rounding keeps that order.
+            end = chain_ends.end_time
+            window = candidates[bisect_right(starts, end):
+                                bisect_right(starts, end + 2.0 * criteria.max_time_gap)]
+            for tail, tail_ends in window:
                 if tail.id in consumed or tail.id == head.id:
                     continue
                 key = _link_key(chain_ends, tail_ends, criteria)
@@ -246,11 +254,10 @@ def merge_pedestrian_trajectories(trajs: Sequence[Trajectory],
 
 
 def _max_fast_run(traj: Trajectory, speed_limit: float) -> int:
-    run = best = 0
-    for fast in (traj.valid & (traj.speed >= speed_limit)).tolist():
-        run = run + 1 if fast else 0
-        best = max(best, run)
-    return best
+    """Most consecutive valid rows at ``speed_limit`` or faster."""
+    fast = np.concatenate(([False], traj.valid & (traj.speed >= speed_limit), [False]))
+    edges = np.flatnonzero(fast[1:] != fast[:-1])  # run starts and ends, alternating
+    return int((edges[1::2] - edges[::2]).max(initial=0))
 
 
 def _violated_rules(traj: Trajectory, geom: Optional[IntersectionGeometry],
@@ -264,16 +271,12 @@ def _violated_rules(traj: Trajectory, geom: Optional[IntersectionGeometry],
         rules.append("too_fast")
     if geom is not None:
         xy = traj.xy[traj.valid]
-        valid = xy.tolist()
-        if valid:
-            in_any = off_cross = 0
-            for p, roadway in zip(valid, geom.roadway_mask(xy).tolist()):
-                crosswalk = geom.in_crosswalk_region(p)
-                in_any += crosswalk or roadway
-                off_cross += roadway and not crosswalk
-            if in_any / len(valid) < settings.min_region_fraction:
+        if len(xy):
+            crosswalk, roadway = geom.crosswalk_mask(xy), geom.roadway_mask(xy)
+            if np.count_nonzero(crosswalk | roadway) / len(xy) < settings.min_region_fraction:
                 rules.append("outside_regions")
-            elif off_cross / len(valid) > settings.max_offcrosswalk_fraction:
+            elif (np.count_nonzero(roadway & ~crosswalk) / len(xy)
+                  > settings.max_offcrosswalk_fraction):
                 rules.append("leaves_crosswalk")
         else:
             rules.append("outside_regions")

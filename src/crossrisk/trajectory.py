@@ -128,7 +128,7 @@ class Trajectory:
     def speed(self) -> np.ndarray:
         """``math.hypot(vx, vy)`` per row, computed on first use; meaningful
         on valid rows only."""
-        speed = np.array([math.hypot(vx, vy) for vx, vy in self.v.tolist()])
+        speed = np.array(list(map(math.hypot, self.v[:, 0].tolist(), self.v[:, 1].tolist())))
         speed.flags.writeable = False
         return speed
 
@@ -137,8 +137,8 @@ class Trajectory:
 
     def path_length(self) -> float:
         """Cumulative length over consecutive valid points, meters."""
-        xy = self.xy[self.valid]
-        return float(sum(math.hypot(dx, dy) for dx, dy in (xy[1:] - xy[:-1]).tolist()))
+        x, y = self.xy[self.valid].T
+        return float(sum(map(math.hypot, np.diff(x).tolist(), np.diff(y).tolist())))
 
     def with_labels(self, entering_direction: Optional[Direction] = None,
                     maneuver: Optional[Maneuver] = None) -> "Trajectory":

@@ -122,6 +122,58 @@ class TestRegions:
         assert [g.roadway_mask(np.array([p])).item() for p in xy.tolist()] == want  # row by row
         assert sum(want[-7:-3]) == (0 if polygon else 4)  # box edges count as inside
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-30, 30), st.floats(-30, 30)), min_size=1, max_size=40),
+           st.floats(0, 6), st.floats(-math.pi, math.pi))
+    def test_crosswalk_mask_matches_the_per_point_rule(self, points, inflation, angle):
+        c, s = math.cos(angle), math.sin(angle)
+        rotated = {k: (c * x - s * y, s * x + c * y) for k, (x, y) in canonical_endpoints().items()}
+        for endpoints in (canonical_endpoints(), rotated):
+            g = IntersectionGeometry(endpoints=endpoints, crosswalk_inflation=inflation)
+            assert g.crosswalk_mask(np.array(points)).tolist() == [
+                g.in_crosswalk_region(p) for p in points]
+
+    def test_crosswalk_mask_at_the_inflation_boundary(self, geom):
+        # each point's distance to each crosswalk as the inflation, and one
+        # step either side of it: every point sits on a region's edge
+        rng = np.random.default_rng(4)
+        s = 2.0 / math.sqrt(2.0)
+        points = [*rng.uniform(-14, 14, size=(200, 2)).tolist(),
+                  [0.0, 12.0], [8.0 + s, 10.0 + s], [-8.0 - s, 10.0 + s], [12.0, 8.0]]
+        for p in points:
+            for d in Direction:
+                dist = point_segment_distance(p, *geom.crosswalk_segment(d))
+                for m in (np.nextafter(dist, -np.inf), dist, np.nextafter(dist, np.inf)):
+                    g = IntersectionGeometry(endpoints=canonical_endpoints(),
+                                             crosswalk_inflation=float(m))
+                    assert g.crosswalk_mask(np.array([p])).tolist() == [g.in_crosswalk_region(p)]
+        # and at the default inflation, points one step either side of it
+        edge = [[0.0, y] for y in (np.nextafter(12.0, 0.0), 12.0, np.nextafter(12.0, 13.0))]
+        edge += [[8.0 + dx, 10.0 + s] for dx in (np.nextafter(s, 0.0), s, np.nextafter(s, 2.0))]
+        assert geom.crosswalk_mask(np.array(edge)).tolist() == [
+            geom.in_crosswalk_region(p) for p in edge]
+        assert geom.crosswalk_mask(np.array(edge)).tolist()[:3] == [True, True, False]
+
+    def test_crosswalk_mask_with_a_zero_length_segment(self):
+        endpoints = {**canonical_endpoints(), "N_NW": (0.0, 10.0), "N_NE": (0.0, 10.0)}
+        g = IntersectionGeometry(endpoints=endpoints)
+        rng = np.random.default_rng(5)
+        xy = np.vstack([rng.uniform(-14, 14, size=(300, 2)),
+                        [[0.0, 12.0], [0.0, np.nextafter(12.0, 13.0)], [2.0, 10.0]]])
+        want = [g.in_crosswalk_region(p) for p in xy.tolist()]
+        assert g.crosswalk_mask(xy).tolist() == want
+        assert want[-3:] == [True, False, True]
+
+    def test_crosswalk_mask_with_polygon_override(self):
+        polygons = {d.value: ((-8, 8), (8, 8), (8, 12), (-8, 12)) for d in Direction}
+        polygons["E"] = ((8, -8), (12, -8), (12.5, 8), (8, 8))
+        g = IntersectionGeometry(endpoints=canonical_endpoints(), crosswalk_polygons=polygons)
+        rng = np.random.default_rng(6)
+        xy = np.vstack([rng.uniform(-14, 14, size=(300, 2)), [[0.0, 12.0], [0.0, 12.5]]])
+        want = [g.in_crosswalk_region(p) for p in xy.tolist()]
+        assert g.crosswalk_mask(xy).tolist() == want
+        assert want[-2:] == [True, False]
+
     def test_point_in_polygon_edge_counts_inside(self):
         square = [(0, 0), (2, 0), (2, 2), (0, 2)]
         assert point_in_polygon((1.0, 0.0), square)

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 from helpers import row
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crossrisk.errors import InputError
 from crossrisk.geometry import IntersectionGeometry, canonical_endpoints
 from crossrisk.preprocess import (
     MergeCriteria,
+    _ends,
+    _link_key,
+    _max_fast_run,
     classify_entering_direction,
     classify_movement,
     filter_pedestrian_trajectories,
@@ -227,6 +230,96 @@ class TestMergeCriteria:
         for m in merged:
             ts = m.t.tolist()
             assert ts == sorted(ts) and len(set(ts)) == len(ts)
+
+
+def _brute_force_merge(trajs, criteria=MergeCriteria()):
+    """Fragment linking that scores every candidate against every chain."""
+    pool = sorted(trajs, key=lambda t: (t.start_time, t.id))
+    candidates = [(t, e) for t in pool if (e := _ends(t)) is not None]
+    consumed, merged = set(), []
+    for head in pool:
+        if head.id in consumed:
+            continue
+        chain, chain_ends = head, _ends(head)
+        while chain_ends is not None:
+            best = best_key = None
+            for tail, tail_ends in candidates:
+                if tail.id in consumed or tail.id == head.id:
+                    continue
+                key = _link_key(chain_ends, tail_ends, criteria)
+                if key is not None and (best_key is None or key < best_key):
+                    best, best_key = tail, key
+            if best is None:
+                break
+            consumed.add(best.id)
+            chain = Trajectory(id=chain.id, object_class=ObjectClass.PEDESTRIAN,
+                               points=np.concatenate([chain.points, best.points]))
+            chain_ends = _ends(chain)
+        merged.append(chain)
+    return merged
+
+
+# One fragment: start step, rows, start cell (x, y), heading (deg), invalid rows.
+_fragment_specs = st.tuples(st.integers(0, 24), st.integers(1, 5), st.integers(-3, 3),
+                            st.integers(-3, 3), st.sampled_from([0, 30, 90, 180, 270]),
+                            st.sets(st.integers(0, 4), max_size=2))
+
+
+class TestWindowedMerge:
+    """Linking scores only candidates starting just after the chain's end;
+    the result must be that of scoring every candidate."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_fragment_specs, min_size=1, max_size=14),
+           st.sampled_from([0.0, 1e6, 1e6 + 0.1, -3.3]), st.sampled_from([0.2, 0.25, 0.375]),
+           st.sampled_from([0.125, 0.1]))
+    @example([(0, 3, 0, 0, 0, set()), (5, 3, 1, 0, 0, set()), (5, 3, 1, 0, 0, set())],
+             0.0, 0.25, 0.125)  # gap exactly max_time_gap; two identical tails
+    def test_matches_scoring_every_candidate(self, specs, offset, max_gap, dt):
+        criteria = MergeCriteria(max_time_gap=max_gap)
+        frags = []
+        for i, (k, n, cx, cy, heading, invalid) in enumerate(specs):
+            vx, vy = math.cos(math.radians(heading)), math.sin(math.radians(heading))
+            samples = [(offset + (k + j) * dt, 0.25 * cx + vx * j * dt, 0.25 * cy + vy * j * dt,
+                        vx, vy) for j in range(n)]
+            samples = [(t, *(float("nan"),) * 4) if j in invalid else (t, *rest)
+                       for j, (t, *rest) in enumerate(samples)]
+            frags.append(_traj(f"f{i:02d}", samples))
+        want = _brute_force_merge(frags, criteria)
+        got = merge_pedestrian_trajectories(frags, criteria)
+        assert [m.id for m in got] == [m.id for m in want]
+        assert [m.points.tobytes() for m in got] == [m.points.tobytes() for m in want]
+
+    def test_equal_keys_link_the_earliest_candidate(self):
+        # gap exactly max_time_gap; "b" and "b2" tie on every key, and "b"
+        # comes first in (start time, id) order
+        criteria = MergeCriteria(max_time_gap=0.25)
+        a = _traj("a", [(0.0, 0.0, 0.0, 1.0, 0.0), (0.25, 0.25, 0.0, 1.0, 0.0)])
+        tail = [(0.5, 0.5, 0.0, 1.0, 0.0), (0.75, 0.75, 0.0, 1.0, 0.0)]
+        merged = merge_pedestrian_trajectories([a, _traj("b2", tail), _traj("b", tail)], criteria)
+        assert [(m.id, len(m)) for m in merged] == [("a", 4), ("b2", 2)]
+
+
+def _scalar_max_fast_run(traj, speed_limit):
+    run = best = 0
+    for fast in (traj.valid & (traj.speed >= speed_limit)).tolist():
+        run = run + 1 if fast else 0
+        best = max(best, run)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.sampled_from([0.5, 2.0, 3.0, 4.5])),
+                min_size=1, max_size=40))
+@example([(True, 4.5)] * 7)  # all fast
+@example([(True, 0.5)] * 7)  # none fast
+@example([(False, 4.5)] * 7)  # fast but invalid
+@example([(True, 3.0), (False, 4.5), (True, 3.0), (True, 4.5)])
+def test_max_fast_run_matches_the_scalar_loop(rows):
+    samples = [(0.1 * i, 0.0 if valid else float("nan"), 0.0, speed, 0.0)
+               for i, (valid, speed) in enumerate(rows)]
+    traj = _traj("p", samples)
+    assert _max_fast_run(traj, 3.0) == _scalar_max_fast_run(traj, 3.0)
 
 
 class TestFilters:
