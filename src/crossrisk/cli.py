@@ -89,11 +89,6 @@ def cmd_preprocess(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
 
 
 def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
-    # Load the GP fits' LAPACK before the stage's data: imported later, with
-    # the fit jobs, it raised the process's peak RSS by about 1.4 MB on the
-    # benchmark's risk_crowded scene.
-    import scipy.linalg  # noqa: F401
-
     dataset = load_dataset(in_path, cfg.data)
     out_dir.mkdir(parents=True, exist_ok=True)
 

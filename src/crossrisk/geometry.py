@@ -192,33 +192,26 @@ class IntersectionGeometry:
         """``in_crosswalk_region`` of each ``(n, 2)`` row.
 
         The four point-segment distances are those of
-        ``point_segment_distance``, operation for operation, except that
-        ``np.hypot`` may differ from ``math.hypot`` in the last bit; so a row
-        with a distance within 1e-9 (relative, 1e-300 absolute for subnormal
-        distances) of ``crosswalk_inflation``, or a non-finite one, is decided
-        by ``in_crosswalk_region`` itself. A polygon override is tested row by
-        row."""
+        ``point_segment_distance``, operation for operation: the clamp keeps
+        the order of its ``min``/``max`` and the lengths are ``math.hypot``
+        of column lists. A polygon override is tested row by row."""
         if self.crosswalk_polygons:
             return np.array([self.in_crosswalk_region(p) for p in xy.tolist()], dtype=bool)
-        m = self.crosswalk_inflation
-        tol = 1e-9 * abs(m) + 1e-300
         px, py = xy[:, 0], xy[:, 1]
         inside = np.zeros(len(xy), dtype=bool)
-        unsure = np.zeros(len(xy), dtype=bool)
         for d in Direction:
             (ax, ay), b = self.crosswalk_segment(d)
             dx, dy = b[0] - ax, b[1] - ay
             seg_sq = dx * dx + dy * dy
             if seg_sq == 0.0:
-                dist = np.hypot(px - ax, py - ay)
+                ex, ey = px - ax, py - ay
             else:
                 u = ((px - ax) * dx + (py - ay) * dy) / seg_sq
-                u = np.minimum(1.0, np.maximum(0.0, u))
-                dist = np.hypot(px - (ax + u * dx), py - (ay + u * dy))
-            inside |= dist <= m
-            unsure |= ~(np.isfinite(dist) & (np.abs(dist - m) > tol))
-        for i in np.flatnonzero(unsure).tolist():
-            inside[i] = self.in_crosswalk_region(xy[i].tolist())
+                u = np.where(u > 0.0, u, 0.0)  # max(0.0, u)
+                u = np.where(u < 1.0, u, 1.0)  # min(1.0, u)
+                ex, ey = px - (ax + u * dx), py - (ay + u * dy)
+            dist = np.array(list(map(math.hypot, ex.tolist(), ey.tolist())))
+            inside |= dist <= self.crosswalk_inflation
         return inside
 
     def roadway_mask(self, xy: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 
 from .errors import InputError, NumericalError, check_number, read_json_object
 from .parallel import run_jobs
@@ -127,7 +128,6 @@ def _jittered_cholesky(k: np.ndarray, noise_variance: float, jitter: float,
     escalating the jitter tenfold up to MAX_JITTER (from MIN_ESCALATED_JITTER
     when it starts at 0). The factor is formed in ``work``, a Fortran-order
     array of ``k``'s shape, allocated when not given."""
-    from scipy.linalg import cholesky
     if work is None:
         work = np.array(k, order="F")  # LAPACK's layout, so it is factored in place
     else:
@@ -151,7 +151,6 @@ def _factorize(cfg: KernelConfig, d2: np.ndarray, y_standardized: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, float]:
     """Cholesky of K + (noise + jitter) I from the training inputs' squared
     distances, escalating jitter up to MAX_JITTER."""
-    from scipy.linalg import cho_solve
     chol, jitter = _jittered_cholesky(_kernel_from_d2(cfg, d2), cfg.noise_variance,
                                       cfg.jitter)
     alpha_vec = cho_solve((chol, True), y_standardized)
@@ -204,7 +203,6 @@ def posterior_predict(model: GprModel, queries: np.ndarray
 def _predictive_variance(model: GprModel, k_star: np.ndarray) -> np.ndarray:
     """Predictive variances (including observation noise) from the ``(n, m)``
     kernel matrix between the training inputs and ``m`` queries."""
-    from scipy.linalg import solve_triangular
     v = solve_triangular(model.chol, k_star, lower=True)
     var_std = 1.0 - np.sum(v * v, axis=0) + model.kernel.noise_variance
     var_std = np.maximum(var_std, 0.0)
@@ -296,7 +294,6 @@ def _neg_lml(theta: np.ndarray, d2: np.ndarray, ys: np.ndarray, kind: str,
     ``base`` come from ``_kernel_from_d2``; the gradient's arithmetic is that
     of the plain expressions, step for step.
     """
-    from scipy.linalg import cho_solve, lapack
     cfg = _theta_to_config(theta, kind, jitter)
     n = d2.shape[0]
     if work is None:
@@ -516,13 +513,7 @@ def cluster_fit_jobs(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict:
     -> (fit of its x velocity, fit of its y velocity). Every fit depends only
     on its data, so the fits run in any process; they share one
     ``_Workspace`` sized to the largest cluster (one copy per forked worker),
-    released with the calls.
-
-    It loads ``scipy.linalg``, which the module otherwise imports only where a
-    factorisation runs: processes that fit nothing skip its import, and
-    workers forked to run these calls inherit it, with its OpenBLAS library
-    loaded before ``parallel.run_jobs`` pins every OpenBLAS to one thread."""
-    import scipy.linalg  # noqa: F401
+    released with the calls."""
     buckets: dict[tuple, list] = {}
     for traj in dataset.vehicles:
         if traj.entering_direction is None or traj.maneuver is None:

@@ -143,6 +143,5 @@ def estimate_risk(
         # unit risks an ulp above 1
         t=t, probs=probs, maneuver_risk=maneuver_risk, risk=np.minimum(risk, 1.0),
         ttc=compute_ttc(vehicle, pedestrian, ttc_radius),
-        vehicle_speed=np.array(list(map(math.hypot, vehicle[:, 2].tolist(),
-                                        vehicle[:, 3].tolist()))),
+        vehicle_speed=np.array([math.hypot(vx, vy) for vx, vy in vehicle[:, 2:].tolist()]),
     )

@@ -2,9 +2,6 @@ import hashlib
 import json
 import math
 import multiprocessing
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -662,61 +659,3 @@ class TestExitCodes:
         monkeypatch.setattr(evaluation, "estimate_risk", broken)
         with pytest.raises(ValueError, match="injected"):
             _run_risk(tmp_path, labeled, models)
-
-
-def _python(code: str) -> list:
-    """Lines a fresh interpreter prints running ``code`` on this tree's ``src``."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    return out.stdout.split()
-
-
-class TestScipyImport:
-    """``scipy.linalg`` loads only where GP factorisations run."""
-
-    def test_importing_the_cli_leaves_it_out(self):
-        assert _python("import sys, crossrisk.cli; print('scipy.linalg' in sys.modules)"
-                       ) == ["False"]
-
-    def test_building_the_gp_fit_jobs_loads_it(self):
-        # forked fit workers inherit it, so that run_jobs pins its OpenBLAS
-        code = ("import sys; from crossrisk.gpr import cluster_fit_jobs; "
-                "from crossrisk.trajectory import Dataset; "
-                "print('scipy.linalg' in sys.modules); cluster_fit_jobs(Dataset([])); "
-                "print('scipy.linalg' in sys.modules)")
-        assert _python(code) == ["False", "True"]
-
-    def test_train_loads_it_before_its_first_map(self):
-        # the first map forks the workers, which must inherit scipy's OpenBLAS
-        # for run_jobs to pin it to one thread
-        code = """
-import sys, tempfile
-from pathlib import Path
-from crossrisk import cli
-from crossrisk.config import RunConfig
-from crossrisk.geometry import IntersectionGeometry, canonical_endpoints
-from crossrisk.preprocess import preprocess_dataset
-from crossrisk.synth import ScenarioSpec, generate_scenario
-from crossrisk.trajectory import save_dataset
-
-class FirstMap(Exception):
-    pass
-
-def first_map(jobs):
-    print("scipy.linalg" in sys.modules)
-    raise FirstMap
-
-scene, _ = generate_scenario(ScenarioSpec(seed=2, n_vehicles_per_cell=1,
-                                          n_pedestrians_per_crosswalk=0))
-labeled, _ = preprocess_dataset(scene, IntersectionGeometry(endpoints=canonical_endpoints()))
-cli.run_jobs = first_map
-with tempfile.TemporaryDirectory() as tmp:
-    save_dataset(labeled, Path(tmp) / "labeled.csv")
-    print("scipy.linalg" in sys.modules)
-    try:
-        cli.cmd_train(RunConfig(), Path(tmp) / "labeled.csv", Path(tmp) / "models")
-    except FirstMap:
-        pass
-"""
-        assert _python(code) == ["False", "True"]
