@@ -8,7 +8,10 @@ into ``risk_sample/``, and with ``sample_seed: 7`` as well into
 with ``forest.n_splits: 3`` into ``models_splits3/``, so that the mean and spread over
 splits are hashed too. The preprocess stage runs again with the strict
 ``preprocess.filter`` of ``STRICT_FILTER`` into ``prep_strict/``, so that every filter
-rule removes pedestrians on every scene (the default filter removes none):
+rule removes pedestrians on every scene (the default filter removes none). The risk
+stage runs a fourth time with the wider ground truth of ``ZONE_SSM`` into
+``risk_zone/``, so that more pairs reach the encroachment-time search and more of
+them become events:
 
     python scripts/output_digests.py --src OTHER_CHECKOUT/src --out old.json
     python scripts/output_digests.py --out new.json [--workloads fit --seeds 1 2]
@@ -23,6 +26,7 @@ os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), "1"
 ROOT = Path(__file__).resolve().parent.parent
 STRICT_FILTER = {"min_region_fraction": 1.0, "max_offcrosswalk_fraction": 0.02,
                  "speed_limit": 1.45, "speed_run_length": 3}
+ZONE_SSM = {"zone_radius": 2.5, "pet_threshold": 5.0}
 
 
 def digests(workload: str, seed: int) -> dict:
@@ -36,7 +40,8 @@ def digests(workload: str, seed: int) -> dict:
                 ("sample", "risk", {"rollout_mode": "sample"}),
                 ("sample_seed7", "risk", {"rollout_mode": "sample", "sample_seed": 7}),
                 ("splits3", "forest", {"n_splits": 3}),
-                ("strict", "preprocess", {"filter": STRICT_FILTER})):
+                ("strict", "preprocess", {"filter": STRICT_FILTER}),
+                ("zone", "ssm", ZONE_SSM)):
             config = json.loads(scene.config_json.read_text())
             config[section].update(updates)
             variants[name] = Path(tmp) / f"{name}_config.json"
@@ -52,7 +57,8 @@ def digests(workload: str, seed: int) -> dict:
                 ([*train, work / "models_splits3"], variants["splits3"]),
                 ([*risk, "--out", work / "risk"], scene.config_json),
                 ([*risk, "--out", work / "risk_sample"], variants["sample"]),
-                ([*risk, "--out", work / "risk_sample_seed7"], variants["sample_seed7"])):
+                ([*risk, "--out", work / "risk_sample_seed7"], variants["sample_seed7"]),
+                ([*risk, "--out", work / "risk_zone"], variants["zone"])):
             with contextlib.redirect_stdout(io.StringIO()):
                 if main([*map(str, argv), "--config", str(config_json)]) != 0:
                     raise SystemExit(f"{workload} seed {seed}: {argv[0]} failed")

@@ -6,7 +6,7 @@ whole."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InputError, check_count, check_number, is_count
 from .gpr import rollout
 from .maneuver import MANEUVER_CODES, ForestModel, extract_features
-from .risk import estimate_risk
+from .risk import RiskStream, estimate_risk
 from .ssm import co_present_pairs
 from .trajectory import Dataset, Maneuver, SUPPORTED_MANEUVERS, Trajectory
 
@@ -198,8 +198,10 @@ def compute_risk_streams(
     frames are planned, those some co-present pedestrian shares, with one
     forest call over them. Then each cluster model rolls out the planned
     frames of every vehicle entering from its direction in one batch, and
-    each vehicle takes its own rows. Each pedestrian is then scored in one
-    :func:`estimate_risk` call over the frames it shares with the vehicle.
+    each vehicle takes its own rows. Each vehicle is then scored in one
+    :func:`estimate_risk` call over the frames it shares with each of its
+    pedestrians, one pedestrian after another, and the rows are cut into one
+    stream per pedestrian.
     The rollouts run ``cfg.horizon_steps`` frames of ``dataset.frame_interval``.
     In sample mode each (vehicle, maneuver) keeps its own noise stream,
     seeded by ``cfg.sample_seed``, the vehicle's ordinal in
@@ -251,15 +253,25 @@ def compute_risk_streams(
 
     streams: dict = {}
     for veh, peds, lookups, frames, keys, probs, paths in plans:
-        veh_rows = veh.points[frames]
+        # every column of estimate_risk is computed row by row, so one call
+        # over all pedestrians' shared frames gives each pedestrian the rows
+        # a call of its own would
+        scored, at, ped_rows = [], [], []
         for ped, lookup in zip(peds, lookups):
             shared = [(row, lookup[key]) for row, key in enumerate(keys) if key in lookup]
-            if not shared:
-                continue
-            at, ped_rows = np.array(shared).T
-            streams[(veh.id, ped.id)] = estimate_risk(
-                veh_rows[at, 0], veh_rows[at, 1:5], ped.points[ped_rows, 1:5], probs[at],
-                {m: path[at] for m, path in paths.items()}, dt,
-                radius=cfg.conflict_radius, ttc_radius=ttc_radius,
-            )
+            if shared:
+                scored.append((ped.id, len(shared)))
+                at.extend(row for row, _ in shared)
+                ped_rows.append(ped.points[[i for _, i in shared], 1:5])
+        veh_rows = veh.points[frames][at]
+        stream = estimate_risk(
+            veh_rows[:, 0], veh_rows[:, 1:5], np.concatenate(ped_rows), probs[at],
+            {m: path[at] for m, path in paths.items()}, dt,
+            radius=cfg.conflict_radius, ttc_radius=ttc_radius,
+        )
+        lo = 0
+        for ped_id, n in scored:
+            streams[(veh.id, ped_id)] = RiskStream(
+                *(getattr(stream, f.name)[lo:lo + n] for f in fields(RiskStream)))
+            lo += n
     return streams

@@ -154,11 +154,19 @@ class _Ends(NamedTuple):
 
     start_time: float
     end_time: float
-    first: list  # [x, y, vx, vy] of the first valid row
-    last: list  # ... and of the last
+    head: list  # [x, y, vx, vy] of the first 3 valid rows (fewer if there are fewer)
+    tail: list  # ... and of the last 3
     start_heading: Optional[float]
     end_heading: Optional[float]
     chord: Optional[float]  # bearing from the first to the last valid row
+
+
+def _summary(start_time: float, end_time: float, head: list, tail: list) -> _Ends:
+    first, last = head[0], tail[-1]
+    # head holds every valid row when there are fewer than 3
+    chord = _bearing(last[0] - first[0], last[1] - first[1]) if len(head) >= 2 else None
+    return _Ends(start_time, end_time, head, tail, _endpoint_heading(head, at_start=True),
+                 _endpoint_heading(tail, at_start=False), chord)
 
 
 def _ends(traj: Trajectory) -> Optional[_Ends]:
@@ -166,12 +174,15 @@ def _ends(traj: Trajectory) -> Optional[_Ends]:
     rows = traj.points[traj.valid, 1:5]
     if len(rows) == 0:
         return None
-    head, tail = rows[:3].tolist(), rows[-3:].tolist()
-    first, last = head[0], tail[-1]
-    chord = _bearing(last[0] - first[0], last[1] - first[1]) if len(rows) >= 2 else None
-    return _Ends(traj.start_time, traj.end_time, first, last,
-                 _endpoint_heading(head, at_start=True),
-                 _endpoint_heading(tail, at_start=False), chord)
+    return _summary(traj.start_time, traj.end_time, rows[:3].tolist(), rows[-3:].tolist())
+
+
+def _joined(chain: _Ends, tail: _Ends) -> _Ends:
+    """The link summary of a chain extended by a fragment that starts after it:
+    ``_ends`` of the concatenated points. A side with fewer than 3 valid rows
+    holds all of them, so the windows reach across the junction."""
+    return _summary(chain.start_time, tail.end_time, (chain.head + tail.head)[:3],
+                    (chain.tail + tail.tail)[-3:])
 
 
 def _link_key(head: _Ends, tail: _Ends,
@@ -180,7 +191,7 @@ def _link_key(head: _Ends, tail: _Ends,
     gap = tail.start_time - head.end_time
     if not (0.0 < gap <= criteria.max_time_gap):
         return None
-    a, b = head.last, tail.first
+    a, b = head.tail[-1], tail.head[0]
     dist = math.hypot(b[0] - a[0], b[1] - a[1])
     if dist > criteria.max_distance_gap:
         return None
@@ -219,7 +230,7 @@ def merge_pedestrian_trajectories(trajs: Sequence[Trajectory],
     for head in pool:
         if head.id in consumed:
             continue
-        chain, chain_ends = head, _ends(head)
+        parts, chain_ends = [head], _ends(head)
         while chain_ends is not None:
             best = None
             best_key = None
@@ -234,17 +245,16 @@ def merge_pedestrian_trajectories(trajs: Sequence[Trajectory],
                     continue
                 key = _link_key(chain_ends, tail_ends, criteria)
                 if key is not None and (best_key is None or key < best_key):
-                    best, best_key = tail, key
+                    best, best_ends, best_key = tail, tail_ends, key
             if best is None:
                 break
             consumed.add(best.id)
-            chain = Trajectory(
-                id=chain.id,
-                object_class=ObjectClass.PEDESTRIAN,
-                points=np.concatenate([chain.points, best.points]),
-            )
-            chain_ends = _ends(chain)
-        merged.append(chain)
+            parts.append(best)
+            chain_ends = _joined(chain_ends, best_ends)
+        # one concatenation per chain, validated once
+        merged.append(head if len(parts) == 1 else Trajectory(
+            id=head.id, object_class=ObjectClass.PEDESTRIAN,
+            points=np.concatenate([part.points for part in parts])))
     return merged
 
 
@@ -260,8 +270,11 @@ def _max_fast_run(traj: Trajectory, speed_limit: float) -> int:
     return int((edges[1::2] - edges[::2]).max(initial=0))
 
 
-def _violated_rules(traj: Trajectory, geom: Optional[IntersectionGeometry],
+def _violated_rules(traj: Trajectory, regions: Optional[tuple[int, int, int]],
                     settings: FilterSettings) -> list[str]:
+    """The rules ``traj`` breaks. ``regions`` counts its valid points, those
+    in the crosswalk or roadway region and those in the roadway off the
+    crosswalk; ``None`` skips the region rules."""
     rules = []
     if traj.duration <= settings.min_duration or traj.path_length() <= settings.min_path_length:
         rules.append("too_short")
@@ -269,18 +282,28 @@ def _violated_rules(traj: Trajectory, geom: Optional[IntersectionGeometry],
         rules.append("invalid_points")
     if _max_fast_run(traj, settings.speed_limit) >= settings.speed_run_length:
         rules.append("too_fast")
-    if geom is not None:
-        xy = traj.xy[traj.valid]
-        if len(xy):
-            crosswalk, roadway = geom.crosswalk_mask(xy), geom.roadway_mask(xy)
-            if np.count_nonzero(crosswalk | roadway) / len(xy) < settings.min_region_fraction:
-                rules.append("outside_regions")
-            elif (np.count_nonzero(roadway & ~crosswalk) / len(xy)
-                  > settings.max_offcrosswalk_fraction):
-                rules.append("leaves_crosswalk")
-        else:
+    if regions is not None:
+        n, in_region, off_crosswalk = regions
+        if n == 0 or in_region / n < settings.min_region_fraction:
             rules.append("outside_regions")
+        elif off_crosswalk / n > settings.max_offcrosswalk_fraction:
+            rules.append("leaves_crosswalk")
     return rules
+
+
+def _region_counts(trajs: Sequence[Trajectory], geom: IntersectionGeometry
+                   ) -> list[tuple[int, int, int]]:
+    """Per trajectory: its valid points, those in the crosswalk or roadway
+    region and those in the roadway off the crosswalk. Both masks are per
+    row, so they run once over every trajectory's valid points."""
+    tracks = [traj.xy[traj.valid] for traj in trajs]
+    xy = np.concatenate([np.empty((0, 2))] + tracks)
+    crosswalk, roadway = geom.crosswalk_mask(xy), geom.roadway_mask(xy)
+    bounds = np.cumsum([0] + [len(track) for track in tracks])
+    # running totals, so that a trajectory without valid points counts 0
+    totals = [np.concatenate(([0], np.cumsum(mask)))[bounds]
+              for mask in (crosswalk | roadway, roadway & ~crosswalk)]
+    return list(zip(np.diff(bounds).tolist(), *(np.diff(t).tolist() for t in totals)))
 
 
 def filter_pedestrian_trajectories(
@@ -289,10 +312,11 @@ def filter_pedestrian_trajectories(
     settings: FilterSettings = FilterSettings(),
 ) -> tuple[list[Trajectory], dict]:
     """Keep trajectories violating no rule; report which rules removed the rest."""
+    regions = _region_counts(trajs, geom) if geom is not None else [None] * len(trajs)
     kept = []
     removed: dict[str, list[str]] = {}
-    for traj in trajs:
-        rules = _violated_rules(traj, geom, settings)
+    for traj, counts in zip(trajs, regions):
+        rules = _violated_rules(traj, counts, settings)
         if rules:
             removed[traj.id] = rules
         else:

@@ -101,6 +101,14 @@ def compute_pet(veh: Trajectory, ped: Trajectory, zone_radius: float = 1.0
     veh_xy, ped_xy = veh.xy[veh.valid], ped.xy[ped.valid]
     if len(veh_xy) == 0 or len(ped_xy) == 0:
         return None
+    # Every point pair is at least as far apart as the two bounding boxes, and
+    # the rounded differences, squares and sums below keep that order; the
+    # 1e-9 slack absorbs the rounding of the squares against the radius.
+    lo_v, hi_v = veh_xy.min(axis=0), veh_xy.max(axis=0)
+    lo_p, hi_p = ped_xy.min(axis=0), ped_xy.max(axis=0)
+    gx, gy = np.maximum(np.maximum(lo_p - hi_v, lo_v - hi_p), 0.0).tolist()
+    if gx * gx + gy * gy > zone_radius * zone_radius * (1.0 + 1e-9):
+        return None
     veh_t, ped_t = veh.t[veh.valid], ped.t[ped.valid]
 
     diff = veh_xy[:, None, :] - ped_xy[None, :, :]

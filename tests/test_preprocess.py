@@ -10,6 +10,7 @@ from crossrisk.geometry import IntersectionGeometry, canonical_endpoints
 from crossrisk.preprocess import (
     MergeCriteria,
     _ends,
+    _joined,
     _link_key,
     _max_fast_run,
     classify_entering_direction,
@@ -298,6 +299,31 @@ class TestWindowedMerge:
         tail = [(0.5, 0.5, 0.0, 1.0, 0.0), (0.75, 0.75, 0.0, 1.0, 0.0)]
         merged = merge_pedestrian_trajectories([a, _traj("b2", tail), _traj("b", tail)], criteria)
         assert [(m.id, len(m)) for m in merged] == [("a", 4), ("b2", 2)]
+
+
+# One fragment row: valid, x, y, speed (0 and 0.05 fall back on the window's
+# displacement for the heading).
+_summary_rows = st.lists(st.tuples(st.booleans(), st.integers(-4, 4), st.integers(-4, 4),
+                                   st.sampled_from([0.0, 0.05, 1.0])), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_summary_rows.filter(lambda rows: any(v for v, *_ in rows)),
+                min_size=2, max_size=4))
+def test_joined_summary_is_that_of_the_concatenation(fragments):
+    # a chain's summary, extended one fragment at a time, equals the summary
+    # of its concatenated points, even where a short fragment leaves the
+    # heading windows reaching back across earlier junctions
+    nan = float("nan")
+    samples, ends = [], None
+    for rows in fragments:
+        part = [(0.1 * (len(samples) + i), *((0.5 * x, 0.5 * y, speed, 0.0) if valid
+                                             else (nan,) * 4))
+                for i, (valid, x, y, speed) in enumerate(rows)]
+        samples += part
+        frag = _ends(_traj("f", part))
+        ends = frag if ends is None else _joined(ends, frag)
+        assert ends == _ends(_traj("chain", samples))
 
 
 def _scalar_max_fast_run(traj, speed_limit):

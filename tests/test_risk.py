@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -584,12 +584,27 @@ def mean_frames():
     return {}
 
 
+def _call_rows(streams, calls):
+    """``(pair, stream, (args, result) of its vehicle's estimate_risk call, first
+    row of the stream in that call)`` for every stream: the calls come one per
+    vehicle in stream order, each over its streams' rows one after another."""
+    vehicles = list(dict.fromkeys(vid for vid, _ in streams))
+    assert len(calls) == len(vehicles)
+    call_of = dict(zip(vehicles, calls))
+    lo_of: dict = {}
+    for (vid, pid), stream in streams.items():
+        lo = lo_of.get(vid, 0)
+        lo_of[vid] = lo + len(stream.t)
+        yield (vid, pid), stream, call_of[vid], lo
+    assert all(lo_of[vid] == len(call_of[vid][0][0]) for vid in vehicles)
+
+
 class TestRiskStreams:
     CFG = RiskConfig(horizon_steps=15)  # rolled out on small_scene's 0.1 s frames
 
     def test_vehicle_side_computed_once_per_vehicle(self, small_scene, monkeypatch):
         labeled, models, forest = small_scene
-        rollouts, predicts, scored_pairs = [], [], []
+        rollouts, predicts, scored_rows = [], [], []
         real_rollout, real_predict = evaluation.rollout, ForestModel.predict_proba
         real_estimate = evaluation.estimate_risk
 
@@ -602,7 +617,7 @@ class TestRiskStreams:
             return real_predict(model, X)
 
         def counting_estimate(*args, **kwargs):
-            scored_pairs.append(len(args[0]))
+            scored_rows.append(len(args[0]))
             return real_estimate(*args, **kwargs)
 
         monkeypatch.setattr(evaluation, "rollout", counting_rollout)
@@ -617,8 +632,13 @@ class TestRiskStreams:
         assert len(predicts) == len(scored)
         # one rollout per cluster model that some scored vehicle needs
         assert len(rollouts) == len(clusters) and set(rollouts) == clusters
-        # one estimate_risk call per stream, over all of the stream's frames
-        assert sorted(scored_pairs) == sorted(len(s.t) for s in streams.values())
+        # one estimate_risk call per scored vehicle, in the order the streams
+        # come, over the frames of all of the vehicle's streams
+        rows_of: dict = {}
+        for (vid, _), stream in streams.items():
+            rows_of[vid] = rows_of.get(vid, 0) + len(stream.t)
+        assert len(scored_rows) == len(scored)
+        assert scored_rows == list(rows_of.values())
         assert all(isinstance(s, RiskStream) for s in streams.values())
 
     @settings(max_examples=8, deadline=None)
@@ -627,17 +647,17 @@ class TestRiskStreams:
     def test_streams_match_per_frame_scoring(self, small_scene, mean_frames, mode, stride,
                                              radius, seed):
         # the vehicle side (probabilities and rollouts) is taken from the
-        # stream's own call; every column must then equal the per-frame
-        # reference scoring bit for bit
+        # stream's rows of its vehicle's call; every column must then equal
+        # the per-frame reference scoring bit for bit
         labeled, models, forest = small_scene
         cfg = replace(self.CFG, rollout_mode=mode, sample_seed=seed, conflict_radius=radius,
                       frame_stride=stride)
-        calls, rollout_calls = {}, []
+        calls, rollout_calls = [], []
         real_estimate, real_rollout = evaluation.estimate_risk, evaluation.rollout
 
         def recording(*args, **kwargs):
             stream = real_estimate(*args, **kwargs)
-            calls[id(stream)] = args
+            calls.append((args, stream))
             return stream
 
         def recording_rollout(pair, starts, steps, dt, streams=None):
@@ -661,12 +681,15 @@ class TestRiskStreams:
             for sample_seed, ordinal, code in entropies:
                 assert (sample_seed, code) == (seed, MANEUVER_CODES[maneuver])
                 assert labeled.vehicles[ordinal].entering_direction == direction
-        for (vid, pid), stream in streams.items():
+        for (vid, pid), stream, (args, whole), lo in _call_rows(streams, calls):
             veh, ped = labeled.by_id(vid), labeled.by_id(pid)
-            _, _, _, probs, paths, dt = calls[id(stream)]
+            _, _, _, probs, paths, dt = args
             assert dt == 0.1 and all(path.shape[1] == 16 for path in paths.values())
+            for f in fields(RiskStream):
+                want = getattr(whole, f.name)[lo:lo + len(stream.t)]
+                assert getattr(stream, f.name).tobytes() == want.tobytes()
             ped_rows = {round(t, 6): i for i, t in enumerate(ped.t.tolist())}
-            for r, t in enumerate(stream.t.tolist()):
+            for r, t in enumerate(stream.t.tolist(), start=lo):
                 vi = veh.t.tolist().index(t)
                 pi = ped_rows[round(t, 6)]
                 assert vi % stride == 0 and veh.valid[vi] and ped.valid[pi]
@@ -674,20 +697,55 @@ class TestRiskStreams:
                     mean_frames[(vid, vi)] = frame_hypotheses(
                         veh, vi, veh.entering_direction, models, forest, 15, 0.1)
                 want_probs, want_paths = mean_frames[(vid, vi)]
-                assert stream.probs[r].tobytes() == want_probs[0].tobytes()
+                assert whole.probs[r].tobytes() == want_probs[0].tobytes()
                 assert set(paths) == set(want_paths)
                 if mode == "mean":
                     for m, path in want_paths.items():
                         assert np.allclose(paths[m][r], path[0], rtol=0, atol=1e-9)
                 risks, total = reference_frame_risk(
-                    ped.points[pi, 1:5].tolist(), stream.probs[r],
+                    ped.points[pi, 1:5].tolist(), whole.probs[r],
                     {m: path[r] for m, path in paths.items()}, 15, 0.1, radius)
-                assert stream.maneuver_risk[r].tolist() == risks
-                assert stream.risk[r] == total
+                assert whole.maneuver_risk[r].tolist() == risks
+                assert whole.risk[r] == total
                 ttc = reference_ttc(veh.points[vi, 1:5].tolist(),
                                     ped.points[pi, 1:5].tolist(), radius)
-                assert (math.isnan(stream.ttc[r]) if ttc is None else stream.ttc[r] == ttc)
-                assert stream.vehicle_speed[r] == veh.speed[vi]
+                assert (math.isnan(whole.ttc[r]) if ttc is None else whole.ttc[r] == ttc)
+                assert whole.vehicle_speed[r] == veh.speed[vi]
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.sampled_from(["mean", "sample"]), st.integers(1, 4), st.floats(0.5, 3.0))
+    def test_streams_equal_per_pair_calls(self, small_scene, mode, stride, radius):
+        # one call per vehicle gives each pedestrian the bytes of a call of
+        # its own over the same vehicle side and its own rows
+        labeled, models, forest = small_scene
+        cfg = replace(self.CFG, rollout_mode=mode, conflict_radius=radius, frame_stride=stride)
+        calls = []
+        real_estimate = evaluation.estimate_risk
+
+        def recording(*args, **kwargs):
+            stream = real_estimate(*args, **kwargs)
+            calls.append((args, stream))
+            return stream
+
+        evaluation.estimate_risk = recording
+        try:
+            streams = compute_risk_streams(labeled, models, forest, cfg, ttc_radius=radius)
+        finally:
+            evaluation.estimate_risk = real_estimate
+        # some call scores several pedestrians across a conflict-search block
+        assert any(lo % 16 and len(args[0]) > 16
+                   for _, _, (args, _), lo in _call_rows(streams, calls))
+        for (vid, pid), stream, (args, _), lo in _call_rows(streams, calls):
+            veh, ped = labeled.by_id(vid), labeled.by_id(pid)
+            times = stream.t.tolist()
+            vi = [veh.t.tolist().index(t) for t in times]
+            pi = [ped.t.tolist().index(t) for t in times]
+            rows = slice(lo, lo + len(times))
+            pair = estimate_risk(veh.points[vi, 0], veh.points[vi, 1:5], ped.points[pi, 1:5],
+                                 args[3][rows], {m: p[rows] for m, p in args[4].items()},
+                                 0.1, radius=radius, ttc_radius=radius)
+            for f in fields(RiskStream):
+                assert getattr(stream, f.name).tobytes() == getattr(pair, f.name).tobytes()
 
     def test_sample_mode_draws_per_vehicle(self, monkeypatch):
         # two vehicles on identical tracks share one cluster: each draws its

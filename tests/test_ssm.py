@@ -162,6 +162,78 @@ class TestComputePet:
             ConflictEvent("v", "p", (2.0, 1.0), 0.5, (0.0, 0.0))
 
 
+def reference_pet(veh, ped, zone_radius):
+    """``compute_pet`` without its bounding-box test: the full closest-pair
+    search on every pair."""
+    veh_xy, ped_xy = veh.xy[veh.valid], ped.xy[ped.valid]
+    if len(veh_xy) == 0 or len(ped_xy) == 0:
+        return None
+    veh_t, ped_t = veh.t[veh.valid], ped.t[ped.valid]
+    diff = veh_xy[:, None, :] - ped_xy[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    j, k = np.unravel_index(int(np.argmin(d2)), d2.shape)
+    if math.sqrt(d2[j, k]) > zone_radius:
+        return None
+    center = (veh_xy[j] + ped_xy[k]) / 2.0
+    intervals = []
+    for times, xy in ((veh_t, veh_xy), (ped_t, ped_xy)):
+        inside = np.nonzero(np.linalg.norm(xy - center[None, :], axis=1) <= zone_radius)[0]
+        if inside.size == 0:
+            return None
+        intervals.append((float(times[inside[0]]), float(times[inside[-1]])))
+    (v0, v1), (p0, p1) = intervals
+    return ConflictEvent(vehicle_id=veh.id, pedestrian_id=ped.id,
+                         window=(min(v0, p0), max(v1, p1)),
+                         pet=max(0.0, max(v0, p0) - min(v1, p1)),
+                         zone_center=(float(center[0]), float(center[1])))
+
+
+class TestPetBoxTest:
+    """``compute_pet`` skips the pair search when the paths' bounding boxes
+    lie farther apart than the zone radius; it must return what the full
+    search returns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.9, 1.1), st.floats(0.0, math.pi / 2),
+           st.sampled_from([0.5, 1.0, 2.5, 0.3]), st.sampled_from([1.0, -1.0]),
+           st.sampled_from([1.0, -1.0]), st.integers(1, 12), st.integers(1, 12))
+    def test_matches_the_full_search_near_the_radius(self, seed, factor, angle, radius,
+                                                      sx, sy, n_veh, n_ped):
+        # the pedestrian's box sits off a corner (or side) of the vehicle's,
+        # factor * radius away, with a point on the near corner of each box
+        rng = np.random.default_rng(seed)
+        veh_xy = rng.uniform(0.0, 3.0, size=(n_veh, 2))
+        veh_xy[0] = 3.0
+        gap = factor * radius * np.array([math.cos(angle), math.sin(angle)])
+        ped_xy = 3.0 + gap + rng.uniform(0.0, 3.0, size=(n_ped, 2))
+        ped_xy[0] = 3.0 + gap
+        sign = np.array([sx, sy])
+        veh_xy, ped_xy = veh_xy * sign + 10.0, ped_xy * sign + 10.0
+        invalid = rng.random(n_ped) < 0.2
+        invalid[0] = False
+
+        def path(traj_id, cls, xy, nan_rows):
+            pts = [row(0.1 * i, *((math.nan,) * 4 if bad else (x, y, 1.0, 0.0)))
+                   for i, ((x, y), bad) in enumerate(zip(xy.tolist(), nan_rows))]
+            return Trajectory(id=traj_id, object_class=cls, points=pts)
+
+        veh = path("veh", ObjectClass.VEHICLE, veh_xy, [False] * n_veh)
+        ped = path("ped", ObjectClass.PEDESTRIAN, ped_xy, invalid)
+        assert compute_pet(veh, ped, radius) == reference_pet(veh, ped, radius)
+
+    @pytest.mark.parametrize("offset", [(2.5, 0.0), (0.0, -2.5), (1.5, 2.0), (-2.0, -1.5)])
+    def test_pair_exactly_at_the_radius_is_an_event(self, offset):
+        # both agents move along one line away from each other: the boxes,
+        # like the closest pair, are exactly zone_radius apart
+        veh = _path("veh", ObjectClass.VEHICLE, [(0.0, 0.0, 0.0, 1.0, 0.0),
+                                                 (0.1, -offset[0], -offset[1], 1.0, 0.0)])
+        ped = _path("ped", ObjectClass.PEDESTRIAN, [(0.0, *offset, 0.0, 1.0),
+                                                    (0.1, 2 * offset[0], 2 * offset[1], 0.0, 1.0)])
+        event = compute_pet(veh, ped, zone_radius=2.5)
+        assert event is not None and event == reference_pet(veh, ped, 2.5)
+        assert compute_pet(veh, ped, zone_radius=math.nextafter(2.5, 0.0)) is None
+
+
 class TestIdentifyConflicts:
     def _scene(self, gaps):
         trajs = []
