@@ -11,7 +11,9 @@ splits are hashed too. The preprocess stage runs again with the strict
 rule removes pedestrians on every scene (the default filter removes none). The risk
 stage runs a fourth time with the wider ground truth of ``ZONE_SSM`` into
 ``risk_zone/``, so that more pairs reach the encroachment-time search and more of
-them become events:
+them become events. A fifth risk run with ``risk.frame_stride: 1`` into
+``risk_stride1/`` scores every usable vehicle frame (the scenes score at stride 10
+or 30):
 
     python scripts/output_digests.py --src OTHER_CHECKOUT/src --out old.json
     python scripts/output_digests.py --out new.json [--workloads fit --seeds 1 2]
@@ -41,7 +43,8 @@ def digests(workload: str, seed: int) -> dict:
                 ("sample_seed7", "risk", {"rollout_mode": "sample", "sample_seed": 7}),
                 ("splits3", "forest", {"n_splits": 3}),
                 ("strict", "preprocess", {"filter": STRICT_FILTER}),
-                ("zone", "ssm", ZONE_SSM)):
+                ("zone", "ssm", ZONE_SSM),
+                ("stride1", "risk", {"frame_stride": 1})):
             config = json.loads(scene.config_json.read_text())
             config[section].update(updates)
             variants[name] = Path(tmp) / f"{name}_config.json"
@@ -58,7 +61,8 @@ def digests(workload: str, seed: int) -> dict:
                 ([*risk, "--out", work / "risk"], scene.config_json),
                 ([*risk, "--out", work / "risk_sample"], variants["sample"]),
                 ([*risk, "--out", work / "risk_sample_seed7"], variants["sample_seed7"]),
-                ([*risk, "--out", work / "risk_zone"], variants["zone"])):
+                ([*risk, "--out", work / "risk_zone"], variants["zone"]),
+                ([*risk, "--out", work / "risk_stride1"], variants["stride1"])):
             with contextlib.redirect_stdout(io.StringIO()):
                 if main([*map(str, argv), "--config", str(config_json)]) != 0:
                     raise SystemExit(f"{workload} seed {seed}: {argv[0]} failed")

@@ -7,7 +7,6 @@ whole."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -170,18 +169,6 @@ def prediction_error_study(dataset: Dataset, models: dict, cfg: TrainConfig
 # ---------------------------------------------------------------------------
 
 
-class _Plan(NamedTuple):
-    """One vehicle's scored frames, planned before the cluster rollouts."""
-
-    vehicle: Trajectory
-    pedestrians: list  # the co-present pedestrians
-    lookups: list  # per pedestrian: rounded time -> valid row
-    frames: list  # scored vehicle rows
-    keys: list  # their rounded times
-    probs: np.ndarray  # (frames, 3) normalized maneuver probabilities
-    paths: dict  # maneuver -> (frames, steps + 1, 2) predicted paths
-
-
 def compute_risk_streams(
     dataset: Dataset,
     models: dict,
@@ -192,16 +179,15 @@ def compute_risk_streams(
     """Risk stream of every co-present vehicle-pedestrian pair, keyed by
     ``(vehicle id, pedestrian id)``.
 
-    Frames are matched on identical timestamps (the shared frame grid).
-    Pairs whose vehicle lacks every cluster model are skipped. The vehicle
-    side is computed once per vehicle frame. First each vehicle's scored
-    frames are planned, those some co-present pedestrian shares, with one
-    forest call over them. Then each cluster model rolls out the planned
-    frames of every vehicle entering from its direction in one batch, and
-    each vehicle takes its own rows. Each vehicle is then scored in one
-    :func:`estimate_risk` call over the frames it shares with each of its
-    pedestrians, one pedestrian after another, and the rows are cut into one
-    stream per pedestrian.
+    Frames are matched on identical timestamps (the shared frame grid). The
+    scene is scored one entering direction at a time, since the direction
+    fixes a vehicle's maneuver hypotheses; pairs whose direction has no
+    cluster model are skipped. Each vehicle is matched once against its
+    co-present pedestrians, and its scored frames are those some pedestrian
+    shares. The direction's vehicle side takes one forest call over the
+    scored frames of all its vehicles and one rollout per cluster model over
+    the same frames. One :func:`estimate_risk` call then scores every pair's
+    shared frames, and its rows are cut into one stream per pair.
     The rollouts run ``cfg.horizon_steps`` frames of ``dataset.frame_interval``.
     In sample mode each (vehicle, maneuver) keeps its own noise stream,
     seeded by ``cfg.sample_seed``, the vehicle's ordinal in
@@ -214,64 +200,62 @@ def compute_risk_streams(
         rows = np.flatnonzero(ped.valid).tolist()
         ped_index[ped.id] = {round(t, 6): i for i, t in zip(rows, ped.t[rows].tolist())}
     ordinal = {veh.id: i for i, veh in enumerate(dataset.vehicles)}
-    peds_of: dict = {}
+    by_direction: dict = {}  # direction -> vehicle id -> (vehicle, [(pedestrian, lookup)])
     for veh, ped in co_present_pairs(dataset):
-        peds_of.setdefault(veh.id, (veh, []))[1].append(ped)
-
-    plans = []
-    for veh, peds in peds_of.values():
-        direction = veh.entering_direction
-        if not any((direction, m) in models for m in SUPPORTED_MANEUVERS):
-            continue
-        lookups = [ped_index[ped.id] for ped in peds]
-        keys = [round(t, 6) for t in veh.t.tolist()]
-        usable = (veh.valid & np.isfinite(veh.yaw_rate)).tolist()
-        frames = [
-            vi for vi in range(0, len(veh), cfg.frame_stride)
-            if usable[vi] and any(keys[vi] in lookup for lookup in lookups)
-        ]
-        if not frames:
-            continue
-        probs = forest.predict_proba(extract_features(veh, frames, direction))
-        plans.append(_Plan(veh, peds, lookups, frames, [keys[vi] for vi in frames],
-                           probs / probs.sum(axis=1, keepdims=True), {}))
-
-    for (direction, m), pair in models.items():
-        batch = [plan for plan in plans if plan.vehicle.entering_direction == direction]
-        if m not in SUPPORTED_MANEUVERS or not batch:
-            continue
-        starts = np.concatenate([plan.vehicle.xy[plan.frames] for plan in batch])
-        noise = ([((cfg.sample_seed, ordinal[plan.vehicle.id], MANEUVER_CODES[m]),
-                   len(plan.frames)) for plan in batch]
-                 if cfg.rollout_mode == "sample" else None)
-        ahead = rollout(pair, starts, cfg.horizon_steps, dt, noise)
-        cluster_paths = np.concatenate([starts[:, None, :], ahead], axis=1)
-        lo = 0
-        for plan in batch:
-            plan.paths[m] = cluster_paths[lo:lo + len(plan.frames)]
-            lo += len(plan.frames)
+        by_direction.setdefault(veh.entering_direction, {}).setdefault(
+            veh.id, (veh, []))[1].append((ped, ped_index[ped.id]))
 
     streams: dict = {}
-    for veh, peds, lookups, frames, keys, probs, paths in plans:
+    for direction, peds_of in by_direction.items():
+        maneuvers = [m for m in SUPPORTED_MANEUVERS if (direction, m) in models]
+        if not maneuvers:
+            continue
+        scored = []  # (vehicle, scored rows), the batch's frames in order
+        pairs, at, ped_rows = [], [], []  # at: the batch frame of each shared frame
+        for veh, peds in peds_of.values():
+            keys = [round(t, 6) for t in veh.t.tolist()]
+            usable = (veh.valid & np.isfinite(veh.yaw_rate)).tolist()
+            candidates = [(vi, keys[vi]) for vi in range(0, len(veh), cfg.frame_stride)
+                          if usable[vi]]
+            # per pedestrian, its shared frames as (vehicle row, pedestrian row)
+            shared = [(ped, [(vi, lookup[key]) for vi, key in candidates if key in lookup])
+                      for ped, lookup in peds]
+            frames = sorted({vi for _, rows in shared for vi, _ in rows})
+            if not frames:
+                continue
+            offset = sum(len(f) for _, f in scored)  # the batch's rows so far
+            batch_row = {vi: offset + r for r, vi in enumerate(frames)}
+            scored.append((veh, frames))
+            for ped, rows in shared:
+                if rows:
+                    pairs.append(((veh.id, ped.id), len(rows)))
+                    at.extend(batch_row[vi] for vi, _ in rows)
+                    ped_rows.append(ped.points[[pi for _, pi in rows], 1:5])
+        if not scored:
+            continue
+
+        probs = forest.predict_proba(np.concatenate(
+            [extract_features(veh, frames, direction) for veh, frames in scored]))
+        probs = probs / probs.sum(axis=1, keepdims=True)
+        starts = np.concatenate([veh.xy[frames] for veh, frames in scored])
+        paths = {}
+        for m in maneuvers:
+            noise = ([((cfg.sample_seed, ordinal[veh.id], MANEUVER_CODES[m]), len(frames))
+                      for veh, frames in scored]
+                     if cfg.rollout_mode == "sample" else None)
+            ahead = rollout(models[(direction, m)], starts, cfg.horizon_steps, dt, noise)
+            paths[m] = np.concatenate([starts[:, None, :], ahead], axis=1)[at]
         # every column of estimate_risk is computed row by row, so one call
-        # over all pedestrians' shared frames gives each pedestrian the rows
-        # a call of its own would
-        scored, at, ped_rows = [], [], []
-        for ped, lookup in zip(peds, lookups):
-            shared = [(row, lookup[key]) for row, key in enumerate(keys) if key in lookup]
-            if shared:
-                scored.append((ped.id, len(shared)))
-                at.extend(row for row, _ in shared)
-                ped_rows.append(ped.points[[i for _, i in shared], 1:5])
-        veh_rows = veh.points[frames][at]
+        # over all pairs' shared frames gives each pair the rows a call of its
+        # own would
+        veh_rows = np.concatenate([veh.points[frames] for veh, frames in scored])[at]
         stream = estimate_risk(
-            veh_rows[:, 0], veh_rows[:, 1:5], np.concatenate(ped_rows), probs[at],
-            {m: path[at] for m, path in paths.items()}, dt,
+            veh_rows[:, 0], veh_rows[:, 1:5], np.concatenate(ped_rows), probs[at], paths, dt,
             radius=cfg.conflict_radius, ttc_radius=ttc_radius,
         )
         lo = 0
-        for ped_id, n in scored:
-            streams[(veh.id, ped_id)] = RiskStream(
+        for pair, n in pairs:
+            streams[pair] = RiskStream(
                 *(getattr(stream, f.name)[lo:lo + n] for f in fields(RiskStream)))
             lo += n
     return streams

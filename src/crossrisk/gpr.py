@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 
-from .errors import InputError, NumericalError, check_number, read_json_object
+from .errors import InputError, NumericalError, check_number, is_finite_number, read_json_object
 from .parallel import run_jobs
 from .trajectory import Dataset, Direction, Maneuver, SUPPORTED_MANEUVERS
 
@@ -585,8 +585,11 @@ def _model_from_dict(data: dict, x: np.ndarray) -> GprModel:
         y = np.asarray(data["train_y"], dtype=float)
         alpha_vec = np.asarray(data["alpha_vec"], dtype=float)
         kind = data["kind"]
+        loss_trace = data.get("loss_trace", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed GP entry: {exc!r}") from exc
+    if not (isinstance(loss_trace, list) and all(map(is_finite_number, loss_trace))):
+        raise InputError("GP loss_trace must be a list of finite numbers")
     bad = [k for k, v in params.items() if not (math.isfinite(v) and v > 0)]
     if bad:
         raise InputError(f"GP parameters {bad} must be positive and finite")
@@ -600,7 +603,7 @@ def _model_from_dict(data: dict, x: np.ndarray) -> GprModel:
                        noise_variance=params["noise_variance"], jitter=jitter)
     return GprModel(kernel=cfg, train_x=x, train_y=y, y_mean=y_mean,
                     y_std=params["y_std"], alpha_vec=alpha_vec,
-                    jitter_used=jitter, loss_trace=list(data.get("loss_trace", [])))
+                    jitter_used=jitter, loss_trace=loss_trace)
 
 
 def save_cluster_models(models: dict, path: str | Path) -> None:

@@ -210,15 +210,16 @@ def evaluate_detection(scores: Mapping[tuple, float], truth: Sequence) -> Detect
     n_neg = int((~labels).sum())
     roc = [(math.inf, 0.0, 0.0)]
     if n_pos > 0 and n_neg > 0:
-        for thr in sorted(set(pair_scores), reverse=True):
-            hit = pair_scores >= thr
-            roc.append((
-                float(thr),
-                float(np.sum(hit & labels)) / n_pos,
-                float(np.sum(hit & ~labels)) / n_neg,
-            ))
-        if roc[-1][1:] != (1.0, 1.0):
-            roc.append((-math.inf, 1.0, 1.0))
+        # one stable sort, highest score first: each run of equal scores is a
+        # threshold, written as its first pair's score, whose hits are the
+        # pairs up to the run's last; the lowest threshold hits every pair
+        order = np.argsort(-pair_scores, kind="stable")
+        ranked = pair_scores[order]
+        last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+        first = np.append(0, last[:-1] + 1)
+        hit_pos = np.cumsum(labels[order])[last]
+        roc += zip(ranked[first].tolist(), (hit_pos / n_pos).tolist(),
+                   ((last + 1 - hit_pos) / n_neg).tolist())
         fpr = np.array([r[2] for r in roc])
         tpr = np.array([r[1] for r in roc])
         auc = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0))

@@ -274,15 +274,19 @@ def load_dataset(path: str | Path, data: DataFormat = DataFormat()) -> Dataset:
         raise InputError(f"dataset file not found: {path}")
     names = {c: data.schema.get(c, c) for c in CANONICAL_COLUMNS}  # canonical -> header
 
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        index = {name: i for i, name in enumerate(header)}  # last duplicate wins
-        missing = [name for name in names.values() if name not in index]
-        if missing:
-            raise InputError(f"{path}: missing required columns {missing}")
-        width = len(header)
-        rows = [r if len(r) >= width else r + [""] * (width - len(r)) for r in reader if r]
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            index = {name: i for i, name in enumerate(header)}  # last duplicate wins
+            missing = [name for name in names.values() if name not in index]
+            if missing:
+                raise InputError(f"{path}: missing required columns {missing}")
+            width = len(header)
+            rows = [r if len(r) >= width else r + [""] * (width - len(r))
+                    for r in reader if r]
+    except (UnicodeDecodeError, csv.Error) as exc:  # undecodable bytes, an oversized field
+        raise InputError(f"dataset file {path} is not readable CSV text: {exc}") from exc
 
     def column(name: str) -> list:
         i = index[name]

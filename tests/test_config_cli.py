@@ -474,14 +474,28 @@ class TestExitCodes:
         ("gpr_models.json", _edit_models(
             lambda p: p["clusters"]["W:straight"]["gp_y"]["alpha_vec"].__setitem__(
                 0, float("nan")))),
+        *(("gpr_models.json", _edit_models(
+            lambda p, v=value: p["clusters"]["W:straight"]["gp_x"].__setitem__("loss_trace", v)))
+          for value in (5, None, "abc")),
     ], ids=["forest-json", "forest-counts-too-wide", "models-json", "no-clusters", "no-gp_x", "no-gp_y",
             "key-without-colon", "unknown-direction", "unknown-maneuver",
-            "short-alpha-vec", "nan-alpha-vec"])
+            "short-alpha-vec", "nan-alpha-vec", "number-loss-trace", "null-loss-trace",
+            "string-loss-trace"])
     def test_bad_model_file_is_exit_code_one(self, tmp_path, capsys, target, corrupt):
         labeled, models = _tiny_risk_inputs(tmp_path)
         corrupt(models / target)
         assert _run_risk(tmp_path, labeled, models) == 1
         assert str(models / target) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text.encode().replace(b"v1", b"v\xff", 1),
+        lambda text: (text + '"' + "x" * 131073 + '"\n').encode(),
+    ], ids=["undecodable-byte", "oversized-field"])
+    def test_unreadable_dataset_text_is_exit_code_one(self, tmp_path, capsys, corrupt):
+        labeled, _ = _tiny_risk_inputs(tmp_path)
+        labeled.write_bytes(corrupt(labeled.read_text()))
+        assert main(["preprocess", "--in", str(labeled), "--out", str(tmp_path / "prep")]) == 1
+        assert str(labeled) in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         lambda p: p.update(n_classes=2, trees=[

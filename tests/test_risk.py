@@ -584,32 +584,34 @@ def mean_frames():
     return {}
 
 
-def _call_rows(streams, calls):
-    """``(pair, stream, (args, result) of its vehicle's estimate_risk call, first
-    row of the stream in that call)`` for every stream: the calls come one per
-    vehicle in stream order, each over its streams' rows one after another."""
-    vehicles = list(dict.fromkeys(vid for vid, _ in streams))
-    assert len(calls) == len(vehicles)
-    call_of = dict(zip(vehicles, calls))
+def _call_rows(dataset, streams, calls):
+    """``(pair, stream, (args, result) of its direction's estimate_risk call,
+    first row of the stream in that call)`` for every stream: the calls come
+    one per entering direction in stream order, each over its streams' rows
+    one after another."""
+    direction = {veh.id: veh.entering_direction for veh in dataset.vehicles}
+    directions = list(dict.fromkeys(direction[vid] for vid, _ in streams))
+    assert len(calls) == len(directions)
+    call_of = dict(zip(directions, calls))
     lo_of: dict = {}
     for (vid, pid), stream in streams.items():
-        lo = lo_of.get(vid, 0)
-        lo_of[vid] = lo + len(stream.t)
-        yield (vid, pid), stream, call_of[vid], lo
-    assert all(lo_of[vid] == len(call_of[vid][0][0]) for vid in vehicles)
+        lo = lo_of.get(direction[vid], 0)
+        lo_of[direction[vid]] = lo + len(stream.t)
+        yield (vid, pid), stream, call_of[direction[vid]], lo
+    assert all(lo_of[d] == len(call_of[d][0][0]) for d in directions)
 
 
 class TestRiskStreams:
     CFG = RiskConfig(horizon_steps=15)  # rolled out on small_scene's 0.1 s frames
 
-    def test_vehicle_side_computed_once_per_vehicle(self, small_scene, monkeypatch):
+    def test_vehicle_side_computed_once_per_direction(self, small_scene, monkeypatch):
         labeled, models, forest = small_scene
         rollouts, predicts, scored_rows = [], [], []
         real_rollout, real_predict = evaluation.rollout, ForestModel.predict_proba
         real_estimate = evaluation.estimate_risk
 
         def counting_rollout(pair, starts, steps, dt, streams=None):
-            rollouts.append(pair.cluster)
+            rollouts.append((pair.cluster, len(starts)))
             return real_rollout(pair, starts, steps, dt, streams)
 
         def counting_predict(model, X):
@@ -628,17 +630,29 @@ class TestRiskStreams:
         scored = {v for v, _ in streams}
         assert len(streams) > len(scored)  # some vehicle is scored against several pedestrians
         direction = {t.id: t.entering_direction for t in labeled.vehicles}
+        directions = list(dict.fromkeys(direction[v] for v, _ in streams))
+        assert len(directions) > 1
+        # the streams come direction by direction
+        assert [direction[v] for v, _ in streams] == sorted(
+            (direction[v] for v, _ in streams), key=directions.index)
+        # one forest call per direction over the distinct scored frames of its vehicles
+        frames_of: dict = {}
+        for (vid, _), stream in streams.items():
+            frames_of.setdefault(direction[vid], set()).update(
+                (vid, t) for t in stream.t.tolist())
+        assert predicts == [len(frames_of[d]) for d in directions]
+        # one rollout per cluster model that some scored vehicle needs, over
+        # the same frames
         clusters = {(direction[v], m) for v in scored for m in SUPPORTED_MANEUVERS} & set(models)
-        assert len(predicts) == len(scored)
-        # one rollout per cluster model that some scored vehicle needs
-        assert len(rollouts) == len(clusters) and set(rollouts) == clusters
-        # one estimate_risk call per scored vehicle, in the order the streams
-        # come, over the frames of all of the vehicle's streams
+        assert len(rollouts) == len(clusters)
+        assert {cluster for cluster, _ in rollouts} == clusters
+        assert all(rows == len(frames_of[d]) for (d, _), rows in rollouts)
+        # one estimate_risk call per direction, in the order the streams come,
+        # over the frames of all of the direction's streams
         rows_of: dict = {}
         for (vid, _), stream in streams.items():
-            rows_of[vid] = rows_of.get(vid, 0) + len(stream.t)
-        assert len(scored_rows) == len(scored)
-        assert scored_rows == list(rows_of.values())
+            rows_of[direction[vid]] = rows_of.get(direction[vid], 0) + len(stream.t)
+        assert scored_rows == [rows_of[d] for d in directions]
         assert all(isinstance(s, RiskStream) for s in streams.values())
 
     @settings(max_examples=8, deadline=None)
@@ -647,7 +661,7 @@ class TestRiskStreams:
     def test_streams_match_per_frame_scoring(self, small_scene, mean_frames, mode, stride,
                                              radius, seed):
         # the vehicle side (probabilities and rollouts) is taken from the
-        # stream's rows of its vehicle's call; every column must then equal
+        # stream's rows of its direction's call; every column must then equal
         # the per-frame reference scoring bit for bit
         labeled, models, forest = small_scene
         cfg = replace(self.CFG, rollout_mode=mode, sample_seed=seed, conflict_radius=radius,
@@ -681,7 +695,7 @@ class TestRiskStreams:
             for sample_seed, ordinal, code in entropies:
                 assert (sample_seed, code) == (seed, MANEUVER_CODES[maneuver])
                 assert labeled.vehicles[ordinal].entering_direction == direction
-        for (vid, pid), stream, (args, whole), lo in _call_rows(streams, calls):
+        for (vid, pid), stream, (args, whole), lo in _call_rows(labeled, streams, calls):
             veh, ped = labeled.by_id(vid), labeled.by_id(pid)
             _, _, _, probs, paths, dt = args
             assert dt == 0.1 and all(path.shape[1] == 16 for path in paths.values())
@@ -715,8 +729,8 @@ class TestRiskStreams:
     @settings(max_examples=6, deadline=None)
     @given(st.sampled_from(["mean", "sample"]), st.integers(1, 4), st.floats(0.5, 3.0))
     def test_streams_equal_per_pair_calls(self, small_scene, mode, stride, radius):
-        # one call per vehicle gives each pedestrian the bytes of a call of
-        # its own over the same vehicle side and its own rows
+        # one call per direction gives each pair the bytes of a call of its
+        # own over the same vehicle side and its own rows
         labeled, models, forest = small_scene
         cfg = replace(self.CFG, rollout_mode=mode, conflict_radius=radius, frame_stride=stride)
         calls = []
@@ -734,8 +748,8 @@ class TestRiskStreams:
             evaluation.estimate_risk = real_estimate
         # some call scores several pedestrians across a conflict-search block
         assert any(lo % 16 and len(args[0]) > 16
-                   for _, _, (args, _), lo in _call_rows(streams, calls))
-        for (vid, pid), stream, (args, _), lo in _call_rows(streams, calls):
+                   for _, _, (args, _), lo in _call_rows(labeled, streams, calls))
+        for (vid, pid), stream, (args, _), lo in _call_rows(labeled, streams, calls):
             veh, ped = labeled.by_id(vid), labeled.by_id(pid)
             times = stream.t.tolist()
             vi = [veh.t.tolist().index(t) for t in times]
@@ -746,6 +760,79 @@ class TestRiskStreams:
                                  0.1, radius=radius, ttc_radius=radius)
             for f in fields(RiskStream):
                 assert getattr(stream, f.name).tobytes() == getattr(pair, f.name).tobytes()
+
+    def test_streams_only_for_covered_directions(self, monkeypatch):
+        # W has two of the three maneuver models, E only an unsupported
+        # cluster, N none, and one vehicle has no entering direction: only
+        # W's vehicles are scored, with one rollout per W model, and each
+        # stream is the bytes of a per-pair call over its rows of the batch
+        frames = 6
+
+        def vehicle(vid, direction, y):
+            return Trajectory(id=vid, object_class=ObjectClass.VEHICLE,
+                              points=[row(0.1 * i, 0.5 * i, y, 5.0, 0.0, 0.0)
+                                      for i in range(frames)],
+                              entering_direction=direction, maneuver=Maneuver.STRAIGHT)
+
+        vehicles = [vehicle("w1", Direction.W, 0.0), vehicle("e1", Direction.E, 0.0),
+                    vehicle("x1", None, 0.0), vehicle("n1", Direction.N, 0.0),
+                    vehicle("w2", Direction.W, 0.5)]
+        peds = [Trajectory(id="p1", object_class=ObjectClass.PEDESTRIAN,
+                           points=[row(0.1 * i, 2.0, -1.0 + 0.1 * i, 0.0, 1.0)
+                                   for i in range(frames)]),
+                Trajectory(id="p2", object_class=ObjectClass.PEDESTRIAN,
+                           points=[row(0.1 * i, 3.0, 1.5 - 0.1 * i, 0.0, -1.0)
+                                   for i in range(3, frames)])]
+        dataset = Dataset(trajectories=vehicles + peds)
+        models = {(Direction.W, Maneuver.STRAIGHT):
+                  constant_pair(Direction.W, Maneuver.STRAIGHT, 5.0, 0.0),
+                  (Direction.W, Maneuver.LEFT):
+                  constant_pair(Direction.W, Maneuver.LEFT, 4.0, 1.0, seed=1),
+                  (Direction.E, Maneuver.UNSUPPORTED):
+                  constant_pair(Direction.E, Maneuver.UNSUPPORTED, 5.0, 0.0)}
+        forest, _ = certain_forest(2)
+        rollouts, calls = [], []
+        real_rollout, real_estimate = evaluation.rollout, evaluation.estimate_risk
+
+        def recording_rollout(pair, starts, steps, dt, streams=None):
+            out = real_rollout(pair, starts, steps, dt, streams)
+            rollouts.append((pair.cluster, starts, out))
+            return out
+
+        def recording(*args, **kwargs):
+            stream = real_estimate(*args, **kwargs)
+            calls.append(args)
+            return stream
+
+        monkeypatch.setattr(evaluation, "rollout", recording_rollout)
+        monkeypatch.setattr(evaluation, "estimate_risk", recording)
+        cfg = RiskConfig(horizon_steps=10, conflict_radius=0.5)
+        streams = compute_risk_streams(dataset, models, forest, cfg, ttc_radius=1.0)
+        assert list(streams) == [("w1", "p1"), ("w1", "p2"), ("w2", "p1"), ("w2", "p2")]
+        clusters = [cluster for cluster, _, _ in rollouts]
+        assert len(clusters) == 2 and set(clusters) == {
+            (Direction.W, Maneuver.LEFT), (Direction.W, Maneuver.STRAIGHT)}
+        w1, w2 = vehicles[0], vehicles[4]
+        for _, starts, _ in rollouts:  # w1's frames, then w2's
+            assert starts.tobytes() == np.concatenate([w1.xy, w2.xy]).tobytes()
+        (args,) = calls
+        assert set(args[4]) == {Maneuver.LEFT, Maneuver.STRAIGHT}
+        for (vid, pid), stream in streams.items():
+            veh, ped = dataset.by_id(vid), dataset.by_id(pid)
+            vi = [veh.t.tolist().index(t) for t in stream.t.tolist()]
+            pi = [ped.t.tolist().index(t) for t in stream.t.tolist()]
+            assert vi == (list(range(frames)) if pid == "p1" else [3, 4, 5])
+            rows = np.array(vi) + (0 if vid == "w1" else frames)  # rows of the batch
+            probs = forest.predict_proba(extract_features(veh, vi, Direction.W))
+            paths = {cluster[1]: np.concatenate([starts[:, None], out], axis=1)[rows]
+                     for cluster, starts, out in rollouts}
+            pair = estimate_risk(veh.points[vi, 0], veh.points[vi, 1:5], ped.points[pi, 1:5],
+                                 probs / probs.sum(axis=1, keepdims=True), paths, 0.1,
+                                 radius=0.5, ttc_radius=1.0)
+            for f in fields(RiskStream):
+                assert getattr(stream, f.name).tobytes() == getattr(pair, f.name).tobytes()
+            assert not stream.maneuver_risk[:, SUPPORTED_MANEUVERS.index(Maneuver.RIGHT)].any()
+        assert any(stream.maneuver_risk.any() for stream in streams.values())
 
     def test_sample_mode_draws_per_vehicle(self, monkeypatch):
         # two vehicles on identical tracks share one cluster: each draws its

@@ -280,6 +280,26 @@ class TestIdentifyConflicts:
         assert [(e.pair, e.pet) for e in events] == [(e.pair, e.pet) for e in events_r]
 
 
+def reference_roc(scores, truth):
+    """The ROC rows and AUC as ``evaluate_detection`` once computed them: one
+    pass over every pair per distinct score."""
+    truth_pairs = set(map(tuple, truth))
+    pairs = sorted(set(scores) | truth_pairs)
+    labels = np.array([p in truth_pairs for p in pairs], dtype=bool)
+    pair_scores = np.array([float(scores.get(p, 0.0)) for p in pairs])
+    n_pos, n_neg = int(labels.sum()), int((~labels).sum())
+    roc = [(math.inf, 0.0, 0.0)]
+    for thr in sorted(set(pair_scores), reverse=True):
+        hit = pair_scores >= thr
+        roc.append((float(thr), float(np.sum(hit & labels)) / n_pos,
+                    float(np.sum(hit & ~labels)) / n_neg))
+    if roc[-1][1:] != (1.0, 1.0):
+        roc.append((-math.inf, 1.0, 1.0))
+    fpr = np.array([r[2] for r in roc])
+    tpr = np.array([r[1] for r in roc])
+    return roc, float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0))
+
+
 class TestEvaluateDetection:
     def test_perfect_separation(self):
         scores = {("v1", "p1"): 1.0, ("v2", "p2"): 1.0,
@@ -334,6 +354,25 @@ class TestEvaluateDetection:
             dict(zip(pairs, [math.ldexp(s, -7) for s in raw])), truth
         )
         assert squashed.auc == pytest.approx(base.auc, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+                              st.floats(0.0, 1.0)), min_size=2, max_size=40),
+           st.data())
+    def test_roc_equals_the_per_threshold_reference(self, raw, data):
+        # ties (a run of equal scores, 0.0 and -0.0 among them) are one
+        # threshold; truth pairs without a score count as 0
+        pairs = [(f"v{i:02d}", "p") for i in range(len(raw))]
+        labels = data.draw(st.lists(st.booleans(), min_size=len(raw), max_size=len(raw))
+                           .filter(lambda ls: any(ls) and not all(ls)))
+        truth = [pair for pair, positive in zip(pairs, labels) if positive]
+        truth += data.draw(st.lists(st.sampled_from([("w1", "p"), ("w2", "p")]),
+                                    max_size=2))
+        scores = dict(zip(pairs, raw))
+        report = evaluate_detection(scores, truth)
+        roc, auc = reference_roc(scores, truth)
+        assert repr(report.roc) == repr(roc)
+        assert report.auc.hex() == auc.hex()
 
     def test_report_text_renders(self):
         report = evaluate_detection({("v", "p"): 1.0, ("w", "p"): 0.0}, [("v", "p")])
