@@ -88,6 +88,13 @@ def _zone_interval(times: np.ndarray, positions: np.ndarray, center: np.ndarray,
     return float(times[inside[0]]), float(times[inside[-1]])
 
 
+def _near_box(xy: np.ndarray, other: np.ndarray, limit: float) -> np.ndarray:
+    """Mask of the points of ``xy`` whose squared distance to the bounding box
+    of ``other`` is at most ``limit``."""
+    gap = np.maximum(np.maximum(other.min(axis=0) - xy, xy - other.max(axis=0)), 0.0)
+    return gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1] <= limit
+
+
 def compute_pet(veh: Trajectory, ped: Trajectory, zone_radius: float = 1.0
                 ) -> Optional[ConflictEvent]:
     """Encroachment time at the observed paths' closest approach.
@@ -101,21 +108,26 @@ def compute_pet(veh: Trajectory, ped: Trajectory, zone_radius: float = 1.0
     veh_xy, ped_xy = veh.xy[veh.valid], ped.xy[ped.valid]
     if len(veh_xy) == 0 or len(ped_xy) == 0:
         return None
-    # Every point pair is at least as far apart as the two bounding boxes, and
-    # the rounded differences, squares and sums below keep that order; the
-    # 1e-9 slack absorbs the rounding of the squares against the radius.
-    lo_v, hi_v = veh_xy.min(axis=0), veh_xy.max(axis=0)
-    lo_p, hi_p = ped_xy.min(axis=0), ped_xy.max(axis=0)
-    gx, gy = np.maximum(np.maximum(lo_p - hi_v, lo_v - hi_p), 0.0).tolist()
-    if gx * gx + gy * gy > zone_radius * zone_radius * (1.0 + 1e-9):
+    # A point is at least as far from any point of the other path as from that
+    # path's bounding box, and the rounded differences, squares and sums keep
+    # that order; the 1e-9 slack absorbs the rounding of the squares against
+    # the radius. So a pair within zone_radius joins two points that lie within
+    # it of the other path's box, and the search runs over those points only.
+    # They keep their order, so argmin finds the first closest pair of the
+    # full search whenever that pair is within zone_radius.
+    limit = zone_radius * zone_radius * (1.0 + 1e-9)
+    near_v = np.flatnonzero(_near_box(veh_xy, ped_xy, limit))
+    near_p = np.flatnonzero(_near_box(ped_xy, veh_xy, limit))
+    if len(near_v) == 0 or len(near_p) == 0:
         return None
     veh_t, ped_t = veh.t[veh.valid], ped.t[ped.valid]
 
-    diff = veh_xy[:, None, :] - ped_xy[None, :, :]
+    diff = veh_xy[near_v, None, :] - ped_xy[None, near_p, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    j, k = np.unravel_index(int(np.argmin(d2)), d2.shape)
-    if math.sqrt(d2[j, k]) > zone_radius:
+    a, b = np.unravel_index(int(np.argmin(d2)), d2.shape)
+    if math.sqrt(d2[a, b]) > zone_radius:
         return None
+    j, k = near_v[a], near_p[b]
     center = (veh_xy[j] + ped_xy[k]) / 2.0
 
     veh_iv = _zone_interval(veh_t, veh_xy, center, zone_radius)

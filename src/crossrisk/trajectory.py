@@ -9,11 +9,13 @@ are reduced to a single trajectory class by majority vote at load time.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -235,10 +237,9 @@ def _parse_float(raw: str) -> float:
 def _parse_column(raw: list) -> np.ndarray:
     """Floats of one column; blank or unparseable cells become NaN."""
     try:
-        values = list(map(float, raw))
+        return np.fromiter(map(float, raw), float, len(raw))
     except ValueError:
-        values = list(map(_parse_float, raw))
-    return np.array(values, dtype=float)
+        return np.fromiter(map(_parse_float, raw), float, len(raw))
 
 
 def _parse_class(raw: str) -> ObjectClass:
@@ -248,21 +249,63 @@ def _parse_class(raw: str) -> ObjectClass:
     raise InputError(f"unknown object class label: {raw!r}")
 
 
+def _majority_class(raw: Sequence[str]) -> ObjectClass:
+    """:func:`majority_vote_label` of the parsed labels, parsing each distinct text once.
+
+    Counters keep first-appearance order, so the classes enter ``votes`` in the
+    order they first appear among the rows, and ties break as in the vote.
+    """
+    votes: Counter = Counter()
+    for text, n in Counter(raw).items():
+        votes[_parse_class(text)] += n
+    return votes.most_common(1)[0][0]
+
+
 def _last_label(raw: Sequence[str], kind: type) -> Optional[Enum]:
     """The last non-empty label as a ``kind`` member; every non-empty label must be one."""
-    texts = [r.strip() for r in raw]
     try:
-        parsed = {text: kind(text) for text in set(texts) - {""}}
+        parsed = {text: kind(text.strip()) for text in set(raw) if text.strip()}
     except ValueError as exc:
         raise InputError(f"unknown {kind.__name__.lower()} label: {exc}") from None
-    return next((parsed[text] for text in reversed(texts) if text), None)
+    return next((parsed[text] for text in reversed(raw) if text in parsed), None)
+
+
+def _read_cells(path: Path) -> tuple[list, list]:
+    """The header and the data cells of a comma-separated file, row after row.
+
+    Blank lines are skipped, and each data row is cut or padded with blank
+    cells to the header's width, so column ``i`` is ``cells[i::width]``. Text
+    that ``csv.reader`` would split exactly at its commas and line breaks is
+    split with ``str.split``: no quote, no lone carriage return, no NUL (which
+    ``csv.reader`` rejects before Python 3.11), no line over the field size
+    limit and as many cells on every data row as in the header. Any other
+    text goes through ``csv.reader``.
+    """
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    lines = text.replace("\r\n", "\n").split("\n")
+    header = lines[0].split(",") if lines[0] else []
+    width = len(header)
+    rows = list(filter(None, lines[1:]))
+    if ('"' not in text and "\0" not in text and text.count("\r") == text.count("\r\n")
+            and max(map(len, lines)) <= csv.field_size_limit()
+            and set(map(str.count, rows, repeat(","))) <= {width - 1}):
+        joined = ",".join(rows)
+        del text, lines, rows  # the split below is a load's peak of memory
+        return header, joined.split(",") if joined else []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    width = len(header)
+    return header, [cell for r in reader if r
+                    for cell in (r[:width] + [""] * (width - len(r)))]
 
 
 def load_dataset(path: str | Path, data: DataFormat = DataFormat()) -> Dataset:
     """Read a comma-separated trajectory file, laid out as ``data`` says, into
     a :class:`Dataset` with ``data``'s frame interval.
 
-    One row per (object, frame). Rows without a finite timestamp are dropped.
+    The file is UTF-8 text, with or without a byte-order mark. One row per
+    (object, frame). Rows without a finite timestamp are dropped.
     The rest are grouped by object id in order of first appearance, sorted by
     time, and duplicate (id, t) frames are dropped keeping the first
     occurrence. Rows with non-finite kinematics are kept as invalid rows.
@@ -275,25 +318,20 @@ def load_dataset(path: str | Path, data: DataFormat = DataFormat()) -> Dataset:
     names = {c: data.schema.get(c, c) for c in CANONICAL_COLUMNS}  # canonical -> header
 
     try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            index = {name: i for i, name in enumerate(header)}  # last duplicate wins
-            missing = [name for name in names.values() if name not in index]
-            if missing:
-                raise InputError(f"{path}: missing required columns {missing}")
-            width = len(header)
-            rows = [r if len(r) >= width else r + [""] * (width - len(r))
-                    for r in reader if r]
+        header, cells = _read_cells(path)
     except (UnicodeDecodeError, csv.Error) as exc:  # undecodable bytes, an oversized field
         raise InputError(f"dataset file {path} is not readable CSV text: {exc}") from exc
+    index = {name: i for i, name in enumerate(header)}  # last duplicate wins
+    missing = [name for name in names.values() if name not in index]
+    if missing:
+        raise InputError(f"{path}: missing required columns {missing}")
+    width = len(header)
 
     def column(name: str) -> list:
-        i = index[name]
-        return [r[i] for r in rows]
+        return cells[index[name]::width]
 
     t = _parse_column(column(names["t"]))
-    ids = [raw.strip() for raw in column(names["id"])]
+    ids = list(map(str.strip, column(names["id"])))
     groups: dict[str, list[int]] = {}
     for i in np.flatnonzero(np.isfinite(t)).tolist():
         groups.setdefault(ids[i], []).append(i)
@@ -322,7 +360,7 @@ def load_dataset(path: str | Path, data: DataFormat = DataFormat()) -> Dataset:
         trajectories.append(
             Trajectory(
                 id=traj_id,
-                object_class=majority_vote_label([_parse_class(classes[i]) for i in keep]),
+                object_class=_majority_class(list(map(classes.__getitem__, keep))),
                 points=table[keep],
                 entering_direction=direction,
                 maneuver=maneuver,
@@ -332,25 +370,34 @@ def load_dataset(path: str | Path, data: DataFormat = DataFormat()) -> Dataset:
     return Dataset(trajectories=trajectories, frame_interval=data.frame_interval)
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as a cell of a ``csv.writer`` row: quoted when it holds a
+    comma, a quote or a line break."""
+    buf = io.StringIO()
+    # A second, empty cell: a row of one empty cell would be written as "".
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[:-len(",\r\n")]
+
+
 def save_dataset(dataset: Dataset, path: str | Path, include_labels: bool = True) -> None:
-    """Write a dataset back to the canonical delimited format.
+    """Write a dataset back to the canonical delimited format, as UTF-8 text
+    with ``csv.writer``'s quoting and ``\\r\\n`` line ends.
 
     Floats are written with shortest round-trip ``repr`` so that a
-    load/save/load cycle is the identity on every numeric field.
+    load/save/load cycle is the identity on every numeric field. Each
+    trajectory's rows go to the file as one string.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = list(CANONICAL_COLUMNS) + (list(LABEL_COLUMNS) if include_labels else [])
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\r\n")
         for traj in dataset.trajectories:
-            labels = []
+            texts = [traj.id, traj.object_class.value]
             if include_labels:
-                labels = [traj.entering_direction.value if traj.entering_direction else "",
+                texts += [traj.entering_direction.value if traj.entering_direction else "",
                           traj.maneuver.value if traj.maneuver else ""]
-            cls = traj.object_class.value
-            writer.writerows(
-                [repr(t), traj.id, cls, repr(x), repr(y), repr(vx), repr(vy), repr(yaw), *labels]
-                for t, x, y, vx, vy, yaw in traj.points.tolist()
-            )
+            traj_id, cls, *labels = map(repeat, map(_csv_cell, texts))
+            t, x, y, vx, vy, yaw = (map(repr, col) for col in traj.points.T.tolist())
+            rows = zip(t, traj_id, cls, x, y, vx, vy, yaw, *labels)
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")

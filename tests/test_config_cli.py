@@ -490,7 +490,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("corrupt", [
         lambda text: text.encode().replace(b"v1", b"v\xff", 1),
         lambda text: (text + '"' + "x" * 131073 + '"\n').encode(),
-    ], ids=["undecodable-byte", "oversized-field"])
+        lambda text: (text + "x" * 131073 + "\n").encode(),
+    ], ids=["undecodable-byte", "oversized-field", "oversized-unquoted-field"])
     def test_unreadable_dataset_text_is_exit_code_one(self, tmp_path, capsys, corrupt):
         labeled, _ = _tiny_risk_inputs(tmp_path)
         labeled.write_bytes(corrupt(labeled.read_text()))

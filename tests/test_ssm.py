@@ -189,9 +189,10 @@ def reference_pet(veh, ped, zone_radius):
 
 
 class TestPetBoxTest:
-    """``compute_pet`` skips the pair search when the paths' bounding boxes
-    lie farther apart than the zone radius; it must return what the full
-    search returns."""
+    """``compute_pet`` searches only the points that lie within the zone
+    radius of the other path's bounding box, and none when the boxes lie
+    farther apart than the radius; it must return what the full search
+    returns."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.9, 1.1), st.floats(0.0, math.pi / 2),
@@ -232,6 +233,29 @@ class TestPetBoxTest:
         event = compute_pet(veh, ped, zone_radius=2.5)
         assert event is not None and event == reference_pet(veh, ped, 2.5)
         assert compute_pet(veh, ped, zone_radius=math.nextafter(2.5, 0.0)) is None
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 1.0, 2.5]),
+           st.sampled_from([0.5, 0.25, 0.1]), st.integers(2, 40), st.integers(2, 40))
+    def test_pruned_search_matches_the_full_search(self, seed, radius, step, n_veh, n_ped):
+        # random walks on a lattice of exactly representable steps through a
+        # shared area: many pairs lie exactly at the radius (3-4-5 and axis
+        # steps) and many tie for the closest distance
+        rng = np.random.default_rng(seed)
+
+        def walk(traj_id, cls, n):
+            xy = np.cumsum(rng.integers(-2, 3, size=(n, 2)) * step, axis=0)
+            xy += rng.integers(-4, 5, size=2) * step
+            bad = rng.random(n) < 0.1
+            pts = [row(0.1 * i, *((math.nan,) * 4 if b else (x, y, 1.0, 0.0)))
+                   for i, ((x, y), b) in enumerate(zip(xy.tolist(), bad))]
+            return Trajectory(id=traj_id, object_class=cls, points=pts)
+
+        veh = walk("veh", ObjectClass.VEHICLE, n_veh)
+        ped = walk("ped", ObjectClass.PEDESTRIAN, n_ped)
+        for r in (radius, math.nextafter(radius, 0.0), math.nextafter(radius, math.inf)):
+            assert compute_pet(veh, ped, r) == reference_pet(veh, ped, r)
 
 
 class TestIdentifyConflicts:

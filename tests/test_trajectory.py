@@ -1,9 +1,11 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 from helpers import row
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crossrisk.errors import InputError
 from crossrisk.ssm import co_present_pairs
@@ -14,6 +16,8 @@ from crossrisk.trajectory import (
     Maneuver,
     ObjectClass,
     Trajectory,
+    _parse_class,
+    _read_cells,
     load_dataset,
     majority_vote_label,
     save_dataset,
@@ -24,6 +28,38 @@ def _write(tmp_path, rows, header="t,id,class,x,y,vx,vy,yaw_rate"):
     path = tmp_path / "data.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     return path
+
+
+def _assert_same_datasets(a, b):
+    """Equal ids, classes, labels and bit patterns of every point."""
+    assert [(t.id, t.object_class, t.entering_direction, t.maneuver) for t in a.trajectories] \
+        == [(t.id, t.object_class, t.entering_direction, t.maneuver) for t in b.trajectories]
+    assert [t.points.tobytes() for t in a.trajectories] \
+        == [t.points.tobytes() for t in b.trajectories]
+
+
+def _csv_reader_cells(text):
+    """What ``_read_cells`` must return for ``text``: ``csv.reader``'s rows
+    with blank rows skipped, each cut or padded to the header's width."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    width = len(header)
+    return header, [cell for r in reader if r for cell in (r + [""] * width)[:width]]
+
+
+def _csv_writer_text(dataset, include_labels=True):
+    """The dataset as ``csv.writer`` writes it, row by row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t", "id", "class", "x", "y", "vx", "vy", "yaw_rate"]
+                    + (["entering_direction", "maneuver"] if include_labels else []))
+    for traj in dataset.trajectories:
+        labels = [traj.entering_direction.value if traj.entering_direction else "",
+                  traj.maneuver.value if traj.maneuver else ""] if include_labels else []
+        for t, x, y, vx, vy, yaw in traj.points.tolist():
+            writer.writerow([repr(t), traj.id, traj.object_class.value,
+                             repr(x), repr(y), repr(vx), repr(vy), repr(yaw), *labels])
+    return buf.getvalue()
 
 
 class TestMajorityVote:
@@ -241,3 +277,126 @@ class TestRoundTrip:
         assert back.maneuver == Maneuver.LEFT
         assert back.valid.tolist() == traj.valid.tolist() == [True] * 20 + [False]
         assert np.array_equal(back.points, traj.points, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(alphabet='ab ,"\r\né', min_size=1, max_size=6)
+                    .filter(lambda s: s == s.strip()), min_size=1, max_size=4, unique=True),
+           st.lists(st.floats(allow_nan=False), min_size=5, max_size=5),
+           st.sampled_from([True, False]))
+    def test_save_writes_what_csv_writer_writes(self, tmp_path_factory, ids, values,
+                                                include_labels):
+        # ids that need quoting round-trip, as do empty labels and every float
+        ds = Dataset(trajectories=[
+            Trajectory(id=traj_id, object_class=ObjectClass.VEHICLE,
+                       points=[row(float(k), *values), row(k + 0.5, math.nan, *values[1:])],
+                       entering_direction=Direction.W if include_labels and k % 2 else None,
+                       maneuver=Maneuver.LEFT if include_labels and k % 3 else None)
+            for k, traj_id in enumerate(ids)])
+        path = tmp_path_factory.mktemp("ids") / "data.csv"
+        save_dataset(ds, path, include_labels=include_labels)
+        assert path.read_bytes() == _csv_writer_text(ds, include_labels).encode()
+        _assert_same_datasets(load_dataset(path), ds)
+
+
+_LABELED_HEADER = "t,id,class,x,y,vx,vy,yaw_rate,entering_direction,maneuver"
+_LABELED_ROWS = [
+    ["0.0", "7", "vehicle", "1.0", "2.0", "3.0", "4.0", "0.1", "S", "left"],
+    ["0.1", "7", " Car ", "1.25", "2.5", "nan", "4.0", "", "S", ""],
+    ["0.0", "p 1", "pedestrian", "-1e-3", "0", "1", "0", "0", "", ""],
+    ["0.1", "p 1", "PED", "0.1", "inf", "1", "0", "0", "", " "],
+    ["0.05", "7", "vehicle", "x", "2.2", "3", "4", "0", "", "left"],
+    ["", "7", "vehicle", "1", "2", "3", "4", "0", "", ""],
+]
+
+
+def _rows_text(lineterminator="\n", quoting=csv.QUOTE_MINIMAL):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=lineterminator, quoting=quoting).writerows(
+        [_LABELED_HEADER.split(","), *_LABELED_ROWS])
+    return buf.getvalue()
+
+
+def _through_csv_reader(text):
+    """``text`` with its first header cell quoted: the same cells, read by ``csv.reader``."""
+    assert text.startswith("t,")
+    return '"t"' + text[1:]
+
+
+class TestCsvText:
+    """``load_dataset`` splits plain text itself and hands anything else to
+    ``csv.reader``; both must read the same cells."""
+
+    def _load(self, tmp_path, data, name="data.csv"):
+        path = tmp_path / name
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        return load_dataset(path)
+
+    def test_line_endings_and_quoting_load_alike(self, tmp_path):
+        lf = self._load(tmp_path, _rows_text("\n"))
+        assert [(t.id, t.object_class, len(t)) for t in lf.trajectories] == [
+            ("7", ObjectClass.VEHICLE, 3), ("p 1", ObjectClass.PEDESTRIAN, 2)]
+        for text in (_rows_text("\r\n"), _rows_text("\n", csv.QUOTE_ALL),
+                     _rows_text("\r\n", csv.QUOTE_ALL), _through_csv_reader(_rows_text("\n"))):
+            _assert_same_datasets(self._load(tmp_path, text), lf)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        for text in (_rows_text("\r\n"), _rows_text("\n", csv.QUOTE_ALL)):
+            plain = self._load(tmp_path, text)
+            _assert_same_datasets(self._load(tmp_path, b"\xef\xbb\xbf" + text.encode()), plain)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\n\n"),
+        lambda text: text.replace("\r\n", "\r\n\r\n", 3),
+        lambda text: text.rstrip("\r\n"),
+        lambda text: text + "\n\n",
+    ], ids=["blank-lines", "blank-crlf-lines", "no-final-newline", "trailing-blank-lines"])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_blank_lines_and_last_newline_change_nothing(self, tmp_path, edit, ending):
+        plain = self._load(tmp_path, _rows_text(ending))
+        text = edit(_rows_text(ending))
+        _assert_same_datasets(self._load(tmp_path, text), plain)
+        _assert_same_datasets(self._load(tmp_path, _through_csv_reader(text)), plain)
+
+    def test_long_rows_ignore_extra_cells(self, tmp_path):
+        plain = self._load(tmp_path, _rows_text())
+        text = _rows_text().replace(",left\n", ",left,9,extra\n")
+        _assert_same_datasets(self._load(tmp_path, text), plain)
+
+    def test_blank_header_line_has_no_columns(self, tmp_path):
+        for text in ("\n" + _rows_text(), "\r\n" + _rows_text(), ""):
+            with pytest.raises(InputError, match="missing required columns"):
+                self._load(tmp_path, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet='ab,"\r\n \x00', max_size=40))
+    def test_cells_match_csv_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("cells") / "data.csv"
+        path.write_bytes(text.encode())
+        assert _read_cells(path) == _csv_reader_cells(text)
+
+    @pytest.mark.parametrize("text,error", [
+        ("t,id\n1,abcdefgh\n", False), ("t,id\n1,abcdefghij\n", True),
+        ("t,id\n12345678,12345678\n", False), ("t,id\n1,abc\n", False),
+    ], ids=["field-at-limit", "field-over-limit", "line-over-limit", "short-lines"])
+    def test_field_size_limit_is_kept(self, tmp_path, text, error):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        old = csv.field_size_limit(8)
+        try:
+            if error:
+                with pytest.raises(csv.Error):
+                    _read_cells(path)
+            else:
+                assert _read_cells(path) == _csv_reader_cells(text)
+        finally:
+            csv.field_size_limit(old)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(["vehicle", " Car", "VEH", "ped", "Pedestrian ",
+                                     "cyclist", "bicycle", "misc"]), min_size=1, max_size=12))
+    def test_class_is_the_vote_over_parsed_labels(self, tmp_path_factory, classes):
+        path = tmp_path_factory.mktemp("vote") / "data.csv"
+        path.write_text("t,id,class,x,y,vx,vy,yaw_rate\n" + "".join(
+            f"{k},1,{cls},0,0,0,0,0\n" for k, cls in enumerate(classes)))
+        expected = majority_vote_label([_parse_class(cls) for cls in classes])
+        assert load_dataset(path).by_id("1").object_class == expected
