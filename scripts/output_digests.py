@@ -6,12 +6,13 @@ times: with the scene's mean rollouts into ``risk/``, with ``rollout_mode: sampl
 into ``risk_sample/``, and with ``sample_seed: 7`` as well into
 ``risk_sample_seed7/``, so that the sample seed is hashed. The train stage runs again
 with ``forest.n_splits: 3`` into ``models_splits3/``, so that the mean and spread over
-splits are hashed too. The preprocess stage runs again with the strict
-``preprocess.filter`` of ``STRICT_FILTER`` into ``prep_strict/``, so that every filter
-rule removes pedestrians on every scene (the default filter removes none). The risk
-stage runs a fourth time with the wider ground truth of ``ZONE_SSM`` into
-``risk_zone/``, so that more pairs reach the encroachment-time search and more of
-them become events. A fifth risk run with ``risk.frame_stride: 1`` into
+splits are hashed too, and a third time with ``gpr.kernel: rbf`` into ``models_rbf/``,
+so that the RBF branch of the GP loss is hashed. The preprocess stage runs again with
+the strict ``preprocess.filter`` of ``STRICT_FILTER`` into ``prep_strict/``, so that
+every filter rule removes pedestrians on every scene (the default filter removes
+none). The risk stage runs a fourth time with the wider ground truth of ``ZONE_SSM``
+into ``risk_zone/``, so that more pairs reach the encroachment-time search and more
+of them become events. A fifth risk run with ``risk.frame_stride: 1`` into
 ``risk_stride1/`` scores every usable vehicle frame (the scenes score at stride 10
 or 30):
 
@@ -42,6 +43,7 @@ def digests(workload: str, seed: int) -> dict:
                 ("sample", "risk", {"rollout_mode": "sample"}),
                 ("sample_seed7", "risk", {"rollout_mode": "sample", "sample_seed": 7}),
                 ("splits3", "forest", {"n_splits": 3}),
+                ("rbf", "gpr", {"kernel": "rbf"}),
                 ("strict", "preprocess", {"filter": STRICT_FILTER}),
                 ("zone", "ssm", ZONE_SSM),
                 ("stride1", "risk", {"frame_stride": 1})):
@@ -58,6 +60,7 @@ def digests(workload: str, seed: int) -> dict:
                  variants["strict"]),
                 ([*train, models], scene.config_json),
                 ([*train, work / "models_splits3"], variants["splits3"]),
+                ([*train, work / "models_rbf"], variants["rbf"]),
                 ([*risk, "--out", work / "risk"], scene.config_json),
                 ([*risk, "--out", work / "risk_sample"], variants["sample"]),
                 ([*risk, "--out", work / "risk_sample_seed7"], variants["sample_seed7"]),

@@ -22,7 +22,7 @@ from .config import RunConfig, load_config
 from .errors import InputError, NumericalError
 from .evaluation import compute_risk_streams, prediction_error_study
 from .geometry import build_geometry
-from .gpr import cluster_fit_jobs, load_cluster_models, pair_models, save_cluster_models
+from .gpr import cluster_fit_jobs, load_cluster_models, save_cluster_models
 from .maneuver import (
     ForestModel,
     build_feature_table,
@@ -95,19 +95,19 @@ def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
     # Two maps over the worker processes. The first holds every job that needs
     # only the input table, in the serial order of the stage, so that a failure
     # reports what the serial loop would: the repeated-split evaluation of the
-    # maneuver classifier, the balanced table of its final model and the
-    # velocity-field GP fits per cluster.
+    # maneuver classifier, the balanced table of its final model and one
+    # velocity-field GP job per cluster.
     X, y, groups = build_feature_table(dataset)
     splits = split_jobs(X, y, cfg.forest, groups)
     gp_fits = cluster_fit_jobs(dataset, cfg.gpr)
     results = run_jobs([
         *splits,
         partial(smote_oversample, X, y, k=cfg.forest.smote_k, seed=cfg.forest.seed),
-        *(fit for pair in gp_fits.values() for fit in pair),
+        *gp_fits.values(),
     ])
     scores, split_params = zip(*results[:len(splits)])  # a (3, N_CLASSES) table per split
     bal_X, bal_y = results[len(splits)]
-    models = pair_models(gp_fits, results[len(splits) + 1:])
+    models = dict(zip(gp_fits, results[len(splits) + 1:]))
 
     mean_p, mean_r, mean_f = np.mean(scores, axis=0)
     std_f = np.std(scores, axis=0)[2]

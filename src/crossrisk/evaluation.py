@@ -6,6 +6,8 @@ whole."""
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -195,15 +197,17 @@ def compute_risk_streams(
     mean mode passes no streams.
     """
     dt = dataset.frame_interval
-    ped_index = {}
+    ped_index = {}  # pedestrian id -> ({frame key: valid row}, first key, last key)
     for ped in dataset.pedestrians:
         rows = np.flatnonzero(ped.valid).tolist()
-        ped_index[ped.id] = {round(t, 6): i for i, t in zip(rows, ped.t[rows].tolist())}
+        keys = [round(t, 6) for t in ped.t[rows].tolist()]  # nondecreasing, as t is
+        ped_index[ped.id] = (dict(zip(keys, rows)),
+                             *((keys[0], keys[-1]) if keys else (math.inf, -math.inf)))
     ordinal = {veh.id: i for i, veh in enumerate(dataset.vehicles)}
-    by_direction: dict = {}  # direction -> vehicle id -> (vehicle, [(pedestrian, lookup)])
+    by_direction: dict = {}  # direction -> vehicle id -> (vehicle, [(pedestrian, *index)])
     for veh, ped in co_present_pairs(dataset):
         by_direction.setdefault(veh.entering_direction, {}).setdefault(
-            veh.id, (veh, []))[1].append((ped, ped_index[ped.id]))
+            veh.id, (veh, []))[1].append((ped, *ped_index[ped.id]))
 
     streams: dict = {}
     for direction, peds_of in by_direction.items():
@@ -217,9 +221,12 @@ def compute_risk_streams(
             usable = (veh.valid & np.isfinite(veh.yaw_rate)).tolist()
             candidates = [(vi, keys[vi]) for vi in range(0, len(veh), cfg.frame_stride)
                           if usable[vi]]
-            # per pedestrian, its shared frames as (vehicle row, pedestrian row)
-            shared = [(ped, [(vi, lookup[key]) for vi, key in candidates if key in lookup])
-                      for ped, lookup in peds]
+            cand_keys = [key for _, key in candidates]  # nondecreasing
+            shared = []  # per pedestrian, its shared frames as (vehicle row, pedestrian row)
+            for ped, lookup, first, last in peds:
+                # only candidates within the pedestrian's first and last valid frame
+                window = candidates[bisect_left(cand_keys, first):bisect_right(cand_keys, last)]
+                shared.append((ped, [(vi, lookup[key]) for vi, key in window if key in lookup]))
             frames = sorted({vi for _, rows in shared for vi, _ in rows})
             if not frames:
                 continue

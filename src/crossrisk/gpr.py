@@ -277,16 +277,20 @@ class _Workspace:
         return [buf.reshape(n, n) for buf in square] + [lapack_order.reshape(n, n, order="F")]
 
 
-def _neg_lml(theta: np.ndarray, d2: np.ndarray, ys: np.ndarray, kind: str,
+def _neg_lml(theta: np.ndarray, d2: np.ndarray, targets: Sequence[np.ndarray], kind: str,
              jitter: float, work: Sequence[np.ndarray] | None = None
-             ) -> tuple[float, np.ndarray, tuple]:
-    """Negated log marginal likelihood, its gradient and the ``(alpha_vec,
-    jitter_used)`` they were computed from.
+             ) -> list[tuple[float, np.ndarray, tuple]]:
+    """Negated log marginal likelihood of each standardized target vector in
+    ``targets``, its gradient and the ``(alpha_vec, jitter_used)`` they were
+    computed from: one triple per target.
 
     Each gradient entry is ``-(alpha' dK alpha - tr(K^-1 dK)) / 2`` (Rasmussen &
     Williams 2006, eq. 5.9). The trace reads the lower triangle of ``K^-1``,
     which LAPACK ``potri`` forms from the Cholesky factor, with the
-    off-diagonal part counted twice.
+    off-diagonal part counted twice. The targets share the kernel, its
+    derivatives, the factor, ``K^-1`` and the traces; each target is solved
+    with its own ``cho_solve``, so its triple is the one a call with that
+    target alone returns, bit for bit.
 
     Every n x n intermediate is written into ``work``: five C-order arrays
     and one Fortran-order array of ``d2``'s shape, the last six of
@@ -314,28 +318,28 @@ def _neg_lml(theta: np.ndarray, d2: np.ndarray, ys: np.ndarray, kind: str,
         dk = [d_ls, d_alpha]
 
     chol, jitter_used = _jittered_cholesky(k_f, cfg.noise_variance, jitter, k_work)
-    alpha_vec = cho_solve((chol, True), ys)
-    lml = (
-        -0.5 * float(ys @ alpha_vec)
-        - float(np.sum(np.log(np.diag(chol))))
-        - 0.5 * n * math.log(2.0 * math.pi)
-    )
-    # in place: the factor is spent once alpha_vec and the log-determinant are read
+    alpha_vecs = [cho_solve((chol, True), ys) for ys in targets]
+    half_logdet = float(np.sum(np.log(np.diag(chol))))
+    # in place: the factor is spent once the alphas and the log-determinant are read
     k_inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)  # lower triangle, zeros above
     if info != 0:
         raise NumericalError(f"covariance inverse failed (LAPACK potri info={info})")
     k_inv_diag = np.diag(k_inv)
     # dK is symmetric, so the transpose (a view) sums the same entries.
-    grad_lml = [
-        0.5 * (float(alpha_vec @ (dk_j @ alpha_vec))
-               - (2.0 * float(np.vdot(k_inv.T, dk_j))
-                  - float(k_inv_diag @ np.diag(dk_j))))
-        for dk_j in dk
-    ]
-    # d/d log noise_variance: dK = noise * I
-    grad_lml.append(0.5 * cfg.noise_variance
-                    * (float(alpha_vec @ alpha_vec) - float(np.sum(k_inv_diag))))
-    return -lml, -np.array(grad_lml), (alpha_vec, jitter_used)
+    traces = [2.0 * float(np.vdot(k_inv.T, dk_j)) - float(k_inv_diag @ np.diag(dk_j))
+              for dk_j in dk]
+    noise_trace = float(np.sum(k_inv_diag))
+    results = []
+    for ys, alpha_vec in zip(targets, alpha_vecs):
+        lml = (-0.5 * float(ys @ alpha_vec) - half_logdet
+               - 0.5 * n * math.log(2.0 * math.pi))
+        grad_lml = [0.5 * (float(alpha_vec @ (dk_j @ alpha_vec)) - trace)
+                    for dk_j, trace in zip(dk, traces)]
+        # d/d log noise_variance: dK = noise * I
+        grad_lml.append(0.5 * cfg.noise_variance
+                        * (float(alpha_vec @ alpha_vec) - noise_trace))
+        results.append((-lml, -np.array(grad_lml), (alpha_vec, jitter_used)))
+    return results
 
 
 def gpr_loss_and_grad(theta: np.ndarray, d2: np.ndarray, ys: np.ndarray,
@@ -345,14 +349,16 @@ def gpr_loss_and_grad(theta: np.ndarray, d2: np.ndarray, ys: np.ndarray,
 
     Parameters are ``(log length_scale, [log rq_alpha,] log noise_variance)``.
     """
-    loss, grad, _ = _neg_lml(theta, d2, ys, kind, jitter)
+    (loss, grad, _), = _neg_lml(theta, d2, [ys], kind, jitter)
     return loss, grad
 
 
-def _adam_minimize(fun, theta0: np.ndarray, cfg: GprConfig
+def _adam_minimize(fun, theta0: np.ndarray, cfg: GprConfig, first: tuple | None = None
                    ) -> tuple[np.ndarray, list, object]:
     """Adam with early stopping on ``fun(theta) -> (loss, grad, state)``;
-    returns the best iterate, the loss trace and the best iterate's state."""
+    returns the best iterate, the loss trace and the best iterate's state.
+    ``first``, when given, is ``fun(theta0)`` computed beforehand, and stands
+    in for the first call."""
     theta = theta0.astype(float).copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -362,7 +368,8 @@ def _adam_minimize(fun, theta0: np.ndarray, cfg: GprConfig
     best_state = None
     last_improvement = 0
     for it in range(1, cfg.iterations + 1):
-        loss, grad, state = fun(theta)
+        loss, grad, state = fun(theta) if first is None else first
+        first = None
         if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise NumericalError("non-finite loss during hyperparameter optimization")
         trace.append(loss)
@@ -392,24 +399,27 @@ def _initial_length_scale(x: np.ndarray, seed: int) -> float:
     return med if med > 1e-9 else 1.0
 
 
-def fit_gpr(inputs: np.ndarray, targets: np.ndarray, cfg: GprConfig = GprConfig(),
-            workspace: _Workspace | None = None) -> GprModel:
-    """Standardize targets, optimize hyperparameters with Adam, and return the
-    model conditioned at the best loss seen, with the ``alpha_vec`` and jitter
-    that loss was computed from. The work arrays come from ``workspace``, of at
-    least as many points; by default one is allocated for this fit."""
+def _fit_targets(inputs: np.ndarray, targets: Sequence[np.ndarray], cfg: GprConfig,
+                 workspace: _Workspace | None = None) -> list[GprModel]:
+    """One GP per target vector of ``targets`` on the shared ``inputs``, each
+    the model ``fit_gpr`` fits on that target alone, bit for bit.
+
+    The fits share the squared distances, the initial hyperparameters and the
+    loss evaluation at them; then Adam runs each fit to its end in turn, so an
+    error of one fit, the shared evaluation counting as the first fit's, is
+    raised before anything of the fits after it."""
     x = np.asarray(inputs, dtype=float).reshape(-1, 2)
-    y = np.asarray(targets, dtype=float).reshape(-1)
+    raw = [np.asarray(y, dtype=float).reshape(-1) for y in targets]
     if x.shape[0] < 2:
         raise ValueError("fitting needs at least two training points")
-    if not np.all(np.isfinite(y)):
+    if not all(np.all(np.isfinite(y)) for y in raw):
         raise ValueError("targets must be finite")
 
-    y_mean = float(np.mean(y))
-    y_std = float(np.std(y))
-    if y_std < 1e-12:
-        y_std = 1.0
-    ys = (y - y_mean) / y_std
+    scales = []  # (y_mean, y_std) per target
+    for y in raw:
+        y_std = float(np.std(y))
+        scales.append((float(np.mean(y)), y_std if y_std >= 1e-12 else 1.0))
+    standardized = [(y - y_mean) / y_std for y, (y_mean, y_std) in zip(raw, scales)]
 
     log_ls0 = math.log(_initial_length_scale(x, cfg.seed))
     log_noise0 = math.log(cfg.init_noise)
@@ -418,12 +428,27 @@ def fit_gpr(inputs: np.ndarray, targets: np.ndarray, cfg: GprConfig = GprConfig(
 
     work = (workspace or _Workspace(len(x))).arrays(len(x))
     d2 = _sq_dists(x, x, out=work[:2])  # the Gram matrix is loss scratch afterwards
-    best_theta, trace, (alpha_vec, jitter_used) = _adam_minimize(
-        lambda th: _neg_lml(th, d2, ys, cfg.kernel, cfg.jitter, work[1:]), theta0, cfg
-    )
-    kernel = _theta_to_config(best_theta, cfg.kernel, cfg.jitter)
-    return GprModel(kernel=kernel, train_x=x, train_y=y, y_mean=y_mean, y_std=y_std,
-                    alpha_vec=alpha_vec, jitter_used=jitter_used, loss_trace=trace)
+    firsts = _neg_lml(theta0, d2, standardized, cfg.kernel, cfg.jitter, work[1:])
+    models = []
+    for y, (y_mean, y_std), target, first in zip(raw, scales, standardized, firsts):
+        best_theta, trace, (alpha_vec, jitter_used) = _adam_minimize(
+            lambda th, target=target: _neg_lml(th, d2, [target], cfg.kernel, cfg.jitter,
+                                               work[1:])[0],
+            theta0, cfg, first)
+        kernel = _theta_to_config(best_theta, cfg.kernel, cfg.jitter)
+        models.append(GprModel(kernel=kernel, train_x=x, train_y=y, y_mean=y_mean,
+                               y_std=y_std, alpha_vec=alpha_vec, jitter_used=jitter_used,
+                               loss_trace=trace))
+    return models
+
+
+def fit_gpr(inputs: np.ndarray, targets: np.ndarray, cfg: GprConfig = GprConfig(),
+            workspace: _Workspace | None = None) -> GprModel:
+    """Standardize targets, optimize hyperparameters with Adam, and return the
+    model conditioned at the best loss seen, with the ``alpha_vec`` and jitter
+    that loss was computed from. The work arrays come from ``workspace``, of at
+    least as many points; by default one is allocated for this fit."""
+    return _fit_targets(inputs, [targets], cfg, workspace)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +533,23 @@ def cluster_key(direction: Direction, maneuver: Maneuver) -> str:
     return f"{direction.value}:{maneuver.value}"
 
 
+def fit_cluster(cluster: tuple, points: np.ndarray, cfg: GprConfig,
+                workspace: _Workspace | None = None) -> GprModelPair:
+    """The model pair of one cluster from its ``(n, 4)`` rows of x, y, vx and
+    vy: both velocity components fitted together on the shared positions, the
+    x velocity first, each as ``fit_gpr`` fits it alone."""
+    gp_x, gp_y = _fit_targets(points[:, :2], (points[:, 2], points[:, 3]), cfg, workspace)
+    return GprModelPair(gp_x=gp_x, gp_y=gp_y, cluster=cluster)
+
+
 def cluster_fit_jobs(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict:
     """The fits of ``train_cluster_models`` as zero-argument calls: cluster
-    -> (fit of its x velocity, fit of its y velocity). Every fit depends only
-    on its data, so the fits run in any process; they share one
-    ``_Workspace`` sized to the largest cluster (one copy per forked worker),
-    released with the calls."""
+    -> its ``fit_cluster`` call, which returns the cluster's ``GprModelPair``.
+    One job per cluster computes the squared distances, the initial
+    hyperparameters and the loss evaluation at them once for both velocity
+    components. Every job depends only on its data, so the jobs run in any
+    process; they share one ``_Workspace`` sized to the largest cluster (one
+    copy per forked worker), released with the calls."""
     buckets: dict[tuple, list] = {}
     for traj in dataset.vehicles:
         if traj.entering_direction is None or traj.maneuver is None:
@@ -536,16 +572,8 @@ def cluster_fit_jobs(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict:
         cluster_data[cell] = data
 
     workspace = _Workspace(max(map(len, cluster_data.values()), default=0))
-    return {cell: tuple(partial(fit_gpr, data[:, :2], data[:, c], cfg, workspace)
-                        for c in (2, 3))
+    return {cell: partial(fit_cluster, cell, data, cfg, workspace)
             for cell, data in cluster_data.items()}
-
-
-def pair_models(clusters: Sequence, gps: Sequence[GprModel]) -> dict:
-    """Cluster -> ``GprModelPair`` from the fits of ``cluster_fit_jobs``, two
-    per cluster in its order."""
-    return {cell: GprModelPair(gp_x=gps[2 * i], gp_y=gps[2 * i + 1], cluster=cell)
-            for i, cell in enumerate(clusters)}
 
 
 def train_cluster_models(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict:
@@ -557,7 +585,7 @@ def train_cluster_models(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict
     through ``parallel.run_jobs``.
     """
     jobs = cluster_fit_jobs(dataset, cfg)
-    return pair_models(jobs, run_jobs([fit for pair in jobs.values() for fit in pair]))
+    return dict(zip(jobs, run_jobs(jobs.values())))
 
 
 def _model_to_dict(model: GprModel) -> dict:

@@ -84,26 +84,37 @@ def build_feature_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.nd
 _KNN_BLOCK_ROWS = 256
 
 
-def _nearest_neighbors(sub: np.ndarray, k: int) -> np.ndarray:
-    """The ``k`` nearest other rows of every row of ``sub``, nearest first and
-    ties broken by row index: the first ``k`` columns of a stable argsort of
-    the squared-distance matrix, computed ``_KNN_BLOCK_ROWS`` rows at a time."""
+def _nearest_neighbors(sub: np.ndarray, k: int, rows: np.ndarray | None = None
+                       ) -> np.ndarray:
+    """The ``k`` nearest other rows of each of the given ``rows`` of ``sub``
+    (in increasing order; every row by default), nearest first and ties broken
+    by row index: the first ``k`` columns of a stable argsort of each row's
+    squared distances.
+
+    The Gram matrix is formed in fixed blocks of ``_KNN_BLOCK_ROWS`` rows of
+    ``sub``, skipping the blocks that hold none of ``rows``: the last bit of a
+    BLAS product depends on the shape of the block it is computed in, so this
+    keeps every distance, and every neighbour list, that of the full search."""
     n = len(sub)
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
     sq = np.sum(sub * sub, axis=1)
-    out = np.empty((n, k), dtype=np.intp)
-    for lo in range(0, n, _KNN_BLOCK_ROWS):
-        hi = min(lo + _KNN_BLOCK_ROWS, n)
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (sub[lo:hi] @ sub.T)
-        rows = np.arange(hi - lo)
-        d2[rows, rows + lo] = np.inf
+    out = np.empty((len(rows), k), dtype=np.intp)
+    bounds = np.searchsorted(rows, range(0, n + _KNN_BLOCK_ROWS, _KNN_BLOCK_ROWS)).tolist()
+    for lo, first, last in zip(range(0, n, _KNN_BLOCK_ROWS), bounds, bounds[1:]):
+        if first == last:
+            continue
+        block = rows[first:last]
+        gram = sub[lo:lo + _KNN_BLOCK_ROWS] @ sub.T
+        d2 = sq[block, None] + sq[None, :] - 2.0 * gram[block - lo]
+        d2[np.arange(len(block)), block] = np.inf
         cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
         cand_d2 = np.take_along_axis(d2, cand, axis=1)
         order = np.lexsort((cand, cand_d2), axis=1)
-        out[lo:hi] = np.take_along_axis(cand, order, axis=1)
+        out[first:last] = np.take_along_axis(cand, order, axis=1)
         # Rows whose k-th distance is tied (or NaN) have no unique candidate set.
         kth = cand_d2.max(axis=1, keepdims=True)
         for r in np.flatnonzero(np.sum(d2 <= kth, axis=1) != k):
-            out[lo + r] = np.argsort(d2[r], kind="stable")[:k]
+            out[first + r] = np.argsort(d2[r], kind="stable")[:k]
     return out
 
 
@@ -115,7 +126,9 @@ def smote_oversample(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0
     same-class nearest neighbors (continuous features only; the direction
     column is copied from the base sample). ``k`` is reduced to
     ``class size - 1`` for small classes; a singleton class is duplicated.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed: per synthetic row, in order, the base
+    sample, the neighbour's rank and the interpolation weight are drawn; the
+    neighbour search then runs only for the distinct base samples drawn.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -138,14 +151,15 @@ def smote_oversample(X: np.ndarray, y: np.ndarray, k: int = 5, seed: int = 0
             new_rows.append(np.repeat(rows, need, axis=0))
         else:
             k_eff = max(1, min(k, len(rows) - 1))
-            neighbor_idx = _nearest_neighbors(rows[:, cont], k_eff)
             s = np.empty(need, dtype=np.intp)
-            nn = np.empty(need, dtype=np.intp)
+            rank = np.empty(need, dtype=np.intp)
             u = np.empty((need, 1))
             for i in range(need):  # scalar draws, in the seeded order
                 s[i] = rng.integers(len(rows))
-                nn[i] = neighbor_idx[s[i], rng.integers(k_eff)]
+                rank[i] = rng.integers(k_eff)
                 u[i] = rng.random()
+            base, at = np.unique(s, return_inverse=True)
+            nn = _nearest_neighbors(rows[:, cont], k_eff, base)[at, rank]
             synthetic = rows[s]
             synthetic[:, cont] += u * (rows[nn][:, cont] - synthetic[:, cont])
             new_rows.append(synthetic)

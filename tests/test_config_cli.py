@@ -240,15 +240,25 @@ class TestCli:
         cfg, labeled = self._two_depth_scene(tmp_path)
         config = load_config(cfg)
         fits = gpr.cluster_fit_jobs(load_dataset(labeled, config.data), config.gpr)
-        failing = list(fits.values())[1][1].args[1].tobytes()  # second cluster, y velocity
-        fit_gpr = gpr.fit_gpr
+        failing = list(fits)[1]  # second cluster; its y-velocity fit fails
+        fit_cluster, adam = gpr.fit_cluster, gpr._adam_minimize
 
-        def fit_or_fail(inputs, targets, *args):
-            if targets.tobytes() == failing:
-                raise NumericalError(f"injected failure on {len(targets)} points")
-            return fit_gpr(inputs, targets, *args)
+        def fit_or_fail(cluster, points, *args):
+            if cluster != failing:
+                return fit_cluster(cluster, points, *args)
+            runs = []
 
-        monkeypatch.setattr(gpr, "fit_gpr", fit_or_fail)  # before the workers fork
+            def adam_or_fail(*adam_args):  # the x fit runs, the y fit fails
+                runs.append(cluster)
+                if len(runs) == 2:
+                    raise NumericalError(f"injected failure on {len(points)} points")
+                return adam(*adam_args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gpr, "_adam_minimize", adam_or_fail)
+                return fit_cluster(cluster, points, *args)
+
+        monkeypatch.setattr(gpr, "fit_cluster", fit_or_fail)  # before the workers fork
         errors = {}
         for workers in (1, 2):
             monkeypatch.setattr(parallel, "worker_count", lambda: workers)

@@ -267,7 +267,7 @@ class TestGradients:
         ys = rng.normal(size=30)
         theta = np.array([1.0, 0.0, -20.0] if kind == "rq" else [1.0, -20.0])
         d2 = _sq_dists(x, x)
-        *_, (_, jitter_used) = _neg_lml(theta, d2, ys, kind, 1e-8)
+        (*_, (_, jitter_used)), = _neg_lml(theta, d2, [ys], kind, 1e-8)
         assert jitter_used >= 1e-6
         loss, grad = gpr_loss_and_grad(theta, d2, ys, kind, 1e-8)
         want_loss, want_grad = reference_loss_and_grad(theta, x, ys, kind, 1e-8)
@@ -286,19 +286,24 @@ class TestGradients:
             theta = [0.3, 0.0 if case == "rq-alpha-one" else -0.4, -2.0]
         theta = np.array(theta if kind == "rq" else theta[::2])
         ys = rng.normal(size=len(x))
-        want_loss, want_grad, want_alpha, want_jitter = plain_neg_lml(
-            theta, plain_sq_dists(x, x), ys, kind, 1e-8)
+        ys_other = rng.normal(size=len(x))
+        wants = [plain_neg_lml(theta, plain_sq_dists(x, x), target, kind, 1e-8)
+                 for target in (ys, ys_other)]
         d2 = _sq_dists(x, x)
         assert d2.tobytes() == plain_sq_dists(x, x).tobytes()
         work = gpr._Workspace(len(x) + 5).arrays(len(x))
         for arr in work:
             arr.fill(np.nan)  # nothing may be read before it is written
         for _ in range(2):  # and the second pass reads nothing the first left
-            loss, grad, (alpha_vec, jitter_used) = _neg_lml(theta, d2, ys, kind, 1e-8,
-                                                             work[1:])
-            assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
-            assert alpha_vec.tobytes() == want_alpha.tobytes()
-            assert jitter_used == want_jitter
+            # one target alone, then two sharing the factor: each as it is alone
+            for targets in ([ys], [ys, ys_other]):
+                results = _neg_lml(theta, d2, targets, kind, 1e-8, work[1:])
+                assert len(results) == len(targets)
+                for (loss, grad, (alpha_vec, jitter_used)), want in zip(results, wants):
+                    want_loss, want_grad, want_alpha, want_jitter = want
+                    assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+                    assert alpha_vec.tobytes() == want_alpha.tobytes()
+                    assert jitter_used == want_jitter
         assert (jitter_used > 1e-8) == (case == "escalated")
 
 
@@ -432,8 +437,8 @@ class TestFit:
         best_states = []
         adam = gpr._adam_minimize
 
-        def spy(fun, theta0, cfg):
-            result = adam(fun, theta0, cfg)
+        def spy(*args):
+            result = adam(*args)
             best_states.append(result[2])
             return result
 
@@ -463,6 +468,60 @@ class TestFit:
             shared = fit_gpr(x, y, fit_cfg, workspace)
             assert model_bytes(shared) == model_bytes(fit_gpr(x, y, fit_cfg))
         assert shared.jitter_used > 1e-8
+
+    @pytest.mark.parametrize("kind", ["rbf", "rq"])
+    @pytest.mark.parametrize("case", ["plain", "one-iteration", "constant", "two-points",
+                                      "escalated", "escalated-one-iteration"])
+    def test_cluster_pair_equals_two_separate_fits(self, kind, case):
+        rng = np.random.default_rng(12)
+        iterations = 1 if case.endswith("one-iteration") else 20
+        if case.startswith("escalated"):  # tripled points 1e6 m out, as above
+            x = 1e6 + np.repeat(rng.uniform(-1, 1, size=(10, 2)), 3, axis=0)
+            fit_cfg = GprConfig(kernel=kind, iterations=iterations, init_noise=1e-12,
+                                jitter=1e-8)
+        else:
+            x = rng.uniform(-4, 4, size=(2 if case == "two-points" else 30, 2))
+            fit_cfg = GprConfig(kernel=kind, iterations=iterations, jitter=1e-8)
+        vx = np.cos(0.7 * x[:, 0]) + 0.05 * rng.normal(size=len(x))
+        vy = np.full(len(x), -1.25) if case == "constant" else np.sin(0.7 * x[:, 1])
+        cell = (Direction.N, Maneuver.LEFT)
+        pair = gpr.fit_cluster(cell, np.column_stack([x, vx, vy]), fit_cfg,
+                               gpr._Workspace(len(x) + 3))
+        assert pair.cluster == cell
+        assert model_bytes(pair.gp_x) == model_bytes(fit_gpr(x, vx, fit_cfg))
+        assert model_bytes(pair.gp_y) == model_bytes(fit_gpr(x, vy, fit_cfg))
+        assert (len(pair.gp_x.loss_trace) == 1) == (iterations == 1)
+        if case == "constant":
+            assert pair.gp_y.y_std == 1.0
+        if case == "escalated-one-iteration":  # the shared evaluation escalated
+            assert pair.gp_x.jitter_used > 1e-8 and pair.gp_y.jitter_used > 1e-8
+
+    def test_x_fit_error_is_raised_before_the_y_fit_runs(self, monkeypatch):
+        runs = []
+
+        def fail(fun, theta0, cfg, first):
+            runs.append(first)
+            raise NumericalError(f"fit {len(runs)} failed")
+
+        monkeypatch.setattr(gpr, "_adam_minimize", fail)
+        x = np.random.default_rng(4).uniform(-4, 4, size=(20, 2))
+        points = np.column_stack([x, np.cos(x[:, 0]), np.sin(x[:, 1])])
+        with pytest.raises(NumericalError, match="fit 1 failed"):
+            gpr.fit_cluster((Direction.N, Maneuver.LEFT), points, GprConfig(iterations=5))
+        assert len(runs) == 1 and runs[0] is not None  # x's run, from the shared evaluation
+
+    def test_shared_evaluation_error_is_raised_before_any_fit_runs(self, monkeypatch):
+        runs = []
+        adam = gpr._adam_minimize
+        monkeypatch.setattr(gpr, "_adam_minimize", lambda *args: runs.append(args) or adam(*args))
+        # tripled points 1e7 m out with negligible noise: no jitter up to
+        # MAX_JITTER makes the covariance factorizable at the initial hyperparameters
+        x = 1e7 + np.repeat(np.random.default_rng(3).uniform(-1, 1, size=(10, 2)), 3, axis=0)
+        points = np.column_stack([x, np.cos(x[:, 0]), np.sin(x[:, 1])])
+        with pytest.raises(NumericalError, match="not positive definite"):
+            gpr.fit_cluster((Direction.N, Maneuver.LEFT), points,
+                            GprConfig(iterations=5, init_noise=1e-12, jitter=1e-8))
+        assert runs == []
 
     def test_pickles_to_o_n_bytes_until_the_factor_is_read(self):
         n = 300
@@ -717,16 +776,16 @@ class TestClusterTraining:
     def test_fits_share_one_workspace_sized_to_the_largest_cluster(self, labeled_scene,
                                                                   monkeypatch):
         seen = []
-        fit = gpr.fit_gpr
+        fit = gpr.fit_cluster
 
-        def spy(inputs, targets, cfg, workspace):
-            seen.append((len(inputs), workspace))
-            return fit(inputs, targets, cfg, workspace)
+        def spy(cluster, points, cfg, workspace):
+            seen.append((len(points), workspace))
+            return fit(cluster, points, cfg, workspace)
 
-        monkeypatch.setattr(gpr, "fit_gpr", spy)
+        monkeypatch.setattr(gpr, "fit_cluster", spy)
         monkeypatch.setattr(parallel, "worker_count", lambda: 1)  # fits in this process
         models = train_cluster_models(labeled_scene, GprConfig(iterations=3, max_points=60))
-        assert len(seen) == 2 * len(models)
+        assert len(seen) == len(models)  # one job fits both velocity components
         largest = max(n for n, _ in seen)
         workspaces = {id(w) for _, w in seen}
         assert len(workspaces) == 1

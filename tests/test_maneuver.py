@@ -210,6 +210,29 @@ class TestSmote:
         assert bx.tobytes() == ref_x.tobytes() and bx.shape == ref_x.shape
         assert np.array_equal(by, ref_y) and by.dtype == ref_y.dtype
 
+    @settings(max_examples=60, deadline=None)
+    @given(smote_tables(), st.integers(1, 6), st.data())
+    def test_row_subset_search_equals_full_search(self, table, k, data):
+        X, y = table
+        cont = [j for j in range(X.shape[1]) if j != DIRECTION_FEATURE_INDEX]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(maneuver, "_KNN_BLOCK_ROWS", 3)  # many block edges
+            for cls in np.unique(y):
+                sub = X[y == cls][:, cont]
+                copies = data.draw(st.lists(st.integers(0, len(sub) - 1), max_size=4))
+                sub = np.vstack([sub, sub[copies]])  # duplicate rows tie at distance 0
+                if len(sub) < 2:
+                    continue
+                k_eff = min(k, len(sub) - 1)
+                full = _nearest_neighbors(sub, k_eff)
+                picked = data.draw(st.lists(st.integers(0, len(sub) - 1), min_size=1,
+                                            unique=True))
+                subsets = [[r] for r in range(len(sub))] + [list(range(len(sub))),
+                                                             sorted(picked)]
+                for rows in subsets:
+                    assert np.array_equal(_nearest_neighbors(sub, k_eff, np.array(rows)),
+                                          full[rows])
+
     @pytest.mark.parametrize("integer_valued", [True, False])
     def test_neighbors_across_default_blocks(self, integer_valued):
         rng = np.random.default_rng(8)
