@@ -9,7 +9,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from crossrisk.cli import main as cli_main
+# The checkout's package, so that the script runs without an install.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from crossrisk.cli import main as cli_main  # noqa: E402
 
 
 def main() -> int:

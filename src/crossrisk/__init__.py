@@ -9,6 +9,5 @@ from .trajectory import (  # noqa: F401
     ObjectClass,
     Trajectory,
     load_dataset,
-    majority_vote_label,
     save_dataset,
 )

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 
 from .errors import InputError, NumericalError, check_number, is_finite_number, read_json_object
-from .parallel import run_jobs
 from .trajectory import Dataset, Direction, Maneuver, SUPPORTED_MANEUVERS
 
 KERNEL_KINDS = ("rbf", "rq")
@@ -147,16 +146,6 @@ def _jittered_cholesky(k: np.ndarray, noise_variance: float, jitter: float,
                 )
 
 
-def _factorize(cfg: KernelConfig, d2: np.ndarray, y_standardized: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cholesky of K + (noise + jitter) I from the training inputs' squared
-    distances, escalating jitter up to MAX_JITTER."""
-    chol, jitter = _jittered_cholesky(_kernel_from_d2(cfg, d2), cfg.noise_variance,
-                                      cfg.jitter)
-    alpha_vec = cho_solve((chol, True), y_standardized)
-    return chol, alpha_vec, jitter
-
-
 def build_gpr_model(inputs: np.ndarray, targets: np.ndarray, cfg: KernelConfig,
                     standardize: bool = True) -> GprModel:
     """Condition a GP with fixed hyperparameters on (position, velocity) data."""
@@ -176,7 +165,9 @@ def build_gpr_model(inputs: np.ndarray, targets: np.ndarray, cfg: KernelConfig,
     else:
         y_mean, y_std = 0.0, 1.0
     ys = (y - y_mean) / y_std
-    _, alpha_vec, jitter = _factorize(cfg, _sq_dists(x, x), ys)
+    chol, jitter = _jittered_cholesky(_kernel_from_d2(cfg, _sq_dists(x, x)),
+                                      cfg.noise_variance, cfg.jitter)
+    alpha_vec = cho_solve((chol, True), ys)
     return GprModel(kernel=cfg, train_x=x, train_y=y, y_mean=y_mean, y_std=y_std,
                     alpha_vec=alpha_vec, jitter_used=jitter)
 
@@ -340,17 +331,6 @@ def _neg_lml(theta: np.ndarray, d2: np.ndarray, targets: Sequence[np.ndarray], k
                         * (float(alpha_vec @ alpha_vec) - noise_trace))
         results.append((-lml, -np.array(grad_lml), (alpha_vec, jitter_used)))
     return results
-
-
-def gpr_loss_and_grad(theta: np.ndarray, d2: np.ndarray, ys: np.ndarray,
-                      kind: str, jitter: float) -> tuple[float, np.ndarray]:
-    """Negated log marginal likelihood and its gradient in log-parameter space,
-    given the training inputs' squared distances ``d2``.
-
-    Parameters are ``(log length_scale, [log rq_alpha,] log noise_variance)``.
-    """
-    (loss, grad, _), = _neg_lml(theta, d2, [ys], kind, jitter)
-    return loss, grad
 
 
 def _adam_minimize(fun, theta0: np.ndarray, cfg: GprConfig, first: tuple | None = None
@@ -543,13 +523,14 @@ def fit_cluster(cluster: tuple, points: np.ndarray, cfg: GprConfig,
 
 
 def cluster_fit_jobs(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict:
-    """The fits of ``train_cluster_models`` as zero-argument calls: cluster
-    -> its ``fit_cluster`` call, which returns the cluster's ``GprModelPair``.
-    One job per cluster computes the squared distances, the initial
-    hyperparameters and the loss evaluation at them once for both velocity
-    components. Every job depends only on its data, so the jobs run in any
-    process; they share one ``_Workspace`` sized to the largest cluster (one
-    copy per forked worker), released with the calls."""
+    """One zero-argument job per (direction, maneuver) cluster of at least two
+    rows: cluster -> its ``fit_cluster`` call, which returns the cluster's
+    ``GprModelPair``. A cluster over ``cfg.max_points`` rows is subsampled with
+    a seed from its fixed index. Each job computes the squared distances, the
+    initial hyperparameters and the first loss evaluation once for both
+    velocity components. The jobs run in any process; they share one
+    ``_Workspace`` sized to the largest cluster (one copy per forked worker),
+    released with the calls."""
     buckets: dict[tuple, list] = {}
     for traj in dataset.vehicles:
         if traj.entering_direction is None or traj.maneuver is None:
@@ -574,18 +555,6 @@ def cluster_fit_jobs(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict:
     workspace = _Workspace(max(map(len, cluster_data.values()), default=0))
     return {cell: partial(fit_cluster, cell, data, cfg, workspace)
             for cell, data in cluster_data.items()}
-
-
-def train_cluster_models(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict:
-    """Fit one model pair per non-empty (direction, maneuver) cluster.
-
-    Clusters larger than ``cfg.max_points`` are uniformly subsampled with a
-    seed derived from the cluster's fixed index, so retraining is reproducible.
-    Empty clusters are simply absent from the returned mapping. The fits run
-    through ``parallel.run_jobs``.
-    """
-    jobs = cluster_fit_jobs(dataset, cfg)
-    return dict(zip(jobs, run_jobs(jobs.values())))
 
 
 def _model_to_dict(model: GprModel) -> dict:

@@ -514,15 +514,12 @@ def train_random_forest(train: tuple[np.ndarray, np.ndarray],
 
 
 def split_indices(n: int, ratios: tuple[float, float, float],
-                  rng: np.random.Generator,
-                  groups: Optional[np.ndarray] = None
+                  rng: np.random.Generator, groups: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random train/val/test index split; group-aware when groups are given."""
-    if groups is None:
-        perm = rng.permutation(n)
-        n_train = int(round(ratios[0] * n))
-        n_val = int(round(ratios[1] * n))
-        return perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
+    """Random train/val/test index split of ``n`` rows that keeps each group
+    within one partition: the groups, in random order, fill the partitions
+    until each reaches its share of ``n`` rows. Rows that are their own
+    groups (``np.arange(n)``) give a row-level split."""
     unique = np.unique(groups)
     perm = rng.permutation(unique)
     counts = {g: int(np.sum(groups == g)) for g in unique}
@@ -547,7 +544,7 @@ def majority_params(chosen: Sequence[tuple[int, Optional[int]]]
 
 
 def _protocol_split(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
-                    groups: Optional[np.ndarray], s: int
+                    groups: np.ndarray, s: int
                     ) -> tuple[np.ndarray, tuple[int, Optional[int]]]:
     """Split ``s`` of the protocol: oversample its training part, tune on its
     validation part (the grid forests grow serially here), and score the
@@ -562,24 +559,14 @@ def _protocol_split(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     return evaluate_classifier(model, X[te], y[te]), params
 
 
-def split_jobs(X: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig(),
-               groups: Optional[np.ndarray] = None) -> list:
-    """The ``cfg.n_splits`` splits of ``run_split_protocol`` as zero-argument
-    calls, each returning ``(test scores, chosen grid point)``."""
+def split_jobs(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, groups: np.ndarray
+               ) -> list:
+    """The repeated random 80/10/10 evaluation as ``cfg.n_splits`` zero-argument
+    calls, each returning one split's ``(test scores, chosen grid point)``.
+    Each part of a split holds whole groups (trajectories, in the train stage)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     return [partial(_protocol_split, X, y, cfg, groups, s) for s in range(cfg.n_splits)]
-
-
-def run_split_protocol(X: np.ndarray, y: np.ndarray,
-                       cfg: ForestConfig = ForestConfig(),
-                       groups: Optional[np.ndarray] = None) -> tuple[np.ndarray, list]:
-    """Repeat the random 80/10/10 evaluation ``cfg.n_splits`` times:
-    oversample the training split, tune on validation, score on the untouched
-    test split. Returns the ``(n_splits, 3, N_CLASSES)`` stack of test scores
-    (``classification_scores``) and the grid point each split chose."""
-    scores, chosen = zip(*run_jobs(split_jobs(X, y, cfg, groups)))
-    return np.stack(scores), list(chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, check_number, is_finite_number, read_json_object
+from .errors import InputError, check_number, is_finite_number
 from .geometry import (
     CROSSWALK_HALF,
     CROSSWALK_OFFSET,
@@ -151,30 +151,6 @@ def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
         ],
     }
     path.write_text(json.dumps(payload, indent=1, sort_keys=True))
-
-
-def read_ground_truth(path: str | Path) -> GroundTruth:
-    payload = read_json_object(path, "ground-truth", GROUND_TRUTH_VERSION, "synth")
-    truth = GroundTruth()
-    try:
-        for vid, entry in payload["vehicles"].items():
-            truth.vehicles[vid] = (Direction(entry["direction"]), Maneuver(entry["maneuver"]))
-        for pid, entry in payload.get("pedestrians", {}).items():
-            truth.pedestrian_crosswalks[pid] = Direction(entry["crosswalk"])
-        for c in payload["conflicts"]:
-            truth.conflicts.append(
-                ConflictTruth(
-                    vehicle_id=c["vehicle_id"],
-                    pedestrian_id=c["pedestrian_id"],
-                    requested_pet=c["requested_pet"],
-                    point=tuple(c["point"]),
-                    t_vehicle=c["t_vehicle"],
-                    t_pedestrian=c["t_pedestrian"],
-                )
-            )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed ground-truth file {path}: {exc!r}") from exc
-    return truth
 
 
 # ---------------------------------------------------------------------------

@@ -181,14 +181,6 @@ class Dataset:
         return self.of_class(ObjectClass.PEDESTRIAN)
 
 
-def majority_vote_label(per_frame_labels: Sequence[ObjectClass]) -> ObjectClass:
-    """Most frequent label; ties go to the earliest-appearing tied label."""
-    if not per_frame_labels:
-        raise ValueError("cannot vote on an empty label list")
-    # Counter keeps first-appearance order and most_common sorts stably
-    return Counter(per_frame_labels).most_common(1)[0][0]
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
@@ -221,6 +213,10 @@ class DataFormat:
             raise InputError(f"unknown canonical column(s) {unknown} in data.schema")
         if not all(isinstance(name, str) for name in self.schema.values()):
             raise InputError(f"data.schema must map to header names, got {self.schema!r}")
+        headers = [self.schema.get(c, c) for c in CANONICAL_COLUMNS]
+        repeated = sorted({h for h in headers if headers.count(h) > 1})
+        if repeated:
+            raise InputError(f"data.schema maps several columns onto header(s) {repeated}")
         if self.yaw_rate_unit not in ("rad_s", "deg_s"):
             raise InputError(f"unknown yaw_rate_unit: {self.yaw_rate_unit!r}")
         if not (is_finite_number(self.frame_interval) and self.frame_interval > 0):
@@ -250,10 +246,9 @@ def _parse_class(raw: str) -> ObjectClass:
 
 
 def _majority_class(raw: Sequence[str]) -> ObjectClass:
-    """:func:`majority_vote_label` of the parsed labels, parsing each distinct text once.
-
-    Counters keep first-appearance order, so the classes enter ``votes`` in the
-    order they first appear among the rows, and ties break as in the vote.
+    """The most frequent class of the labels ``raw``, parsing each distinct
+    text once. A tie goes to the tied class that appears first: counters keep
+    first-appearance order, and ``most_common`` sorts stably.
     """
     votes: Counter = Counter()
     for text, n in Counter(raw).items():
@@ -337,6 +332,9 @@ def load_dataset(path: str | Path, data: DataFormat = DataFormat()) -> Dataset:
         groups.setdefault(ids[i], []).append(i)
     if not groups:
         raise InputError(f"{path}: no usable rows")
+    if "" in groups:
+        raise InputError(f"{path}: {len(groups[''])} row(s) with a finite timestamp "
+                         "have a blank object id")
 
     table = np.column_stack([t] + [_parse_column(column(names[c]))
                                    for c in POINT_COLUMNS[1:]])

@@ -1,7 +1,10 @@
-"""Row and risk-input builders shared by the tests."""
+"""Row, risk-input and trained-model builders shared by the tests."""
 
 import numpy as np
 
+from crossrisk.gpr import cluster_fit_jobs
+from crossrisk.maneuver import split_jobs
+from crossrisk.parallel import run_jobs
 from crossrisk.risk import estimate_risk
 from crossrisk.trajectory import SUPPORTED_MANEUVERS
 
@@ -28,3 +31,18 @@ def crossing_risk(arrivals, probs=(0.0, 0.0, 1.0), radius=0.04):
         paths[maneuver] = path[None]
     return estimate_risk([0.0], [[100.0, 100.0, 1.0, 0.0]], [[0.0, -1.0, 0.0, 1.0]],
                          [probs], paths, 0.1, radius=radius)
+
+
+def fit_clusters(dataset, cfg):
+    """The cluster model pairs as the train stage fits them: every
+    ``cluster_fit_jobs`` job through ``run_jobs``."""
+    jobs = cluster_fit_jobs(dataset, cfg)
+    return dict(zip(jobs, run_jobs(jobs.values())))
+
+
+def run_protocol(X, y, cfg):
+    """The train stage's split protocol on a table without trajectories, every
+    row its own group: the ``(n_splits, 3, N_CLASSES)`` score stack and the
+    grid point each split chose."""
+    scores, chosen = zip(*run_jobs(split_jobs(X, y, cfg, np.arange(len(y)))))
+    return np.stack(scores), list(chosen)

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import crossing_risk, row
+from helpers import crossing_risk, fit_clusters, row, run_protocol
 
 from crossrisk.cli import main
 from crossrisk.evaluation import (
@@ -22,17 +22,15 @@ from crossrisk.geometry import IntersectionGeometry, canonical_endpoints
 from crossrisk.gpr import (
     GprConfig,
     KernelConfig,
+    _neg_lml,
     _sq_dists,
     build_gpr_model,
-    gpr_loss_and_grad,
     kernel_matrix,
     posterior_predict,
-    train_cluster_models,
 )
 from crossrisk.maneuver import (
     ForestConfig,
     build_feature_table,
-    run_split_protocol,
     smote_oversample,
     train_forest,
 )
@@ -109,15 +107,15 @@ def test_ac1_gpr_numerical_core():
         ys = rng.normal(size=5)
         theta = rng.uniform(-1, 1, size=3 if kind == "rq" else 2)
         d2 = _sq_dists(x, x)
-        _, grad = gpr_loss_and_grad(theta, d2, ys, kind, 1e-6)
+        _, grad = _neg_lml(theta, d2, [ys], kind, 1e-6)[0][:2]
         fd = np.zeros_like(theta)
         h = 1e-6
         for j in range(len(theta)):
             tp, tm = theta.copy(), theta.copy()
             tp[j] += h
             tm[j] -= h
-            fd[j] = (gpr_loss_and_grad(tp, d2, ys, kind, 1e-6)[0]
-                     - gpr_loss_and_grad(tm, d2, ys, kind, 1e-6)[0]) / (2 * h)
+            fd[j] = (_neg_lml(tp, d2, [ys], kind, 1e-6)[0][0]
+                     - _neg_lml(tm, d2, [ys], kind, 1e-6)[0][0]) / (2 * h)
         rel = np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-4))
         worst_grad = max(worst_grad, float(rel))
 
@@ -178,7 +176,7 @@ def trend_scene():
                         noise_std_position=0.1, noise_std_velocity=0.1)
     dataset, truth = generate_scenario(spec)
     labeled, _ = preprocess_dataset(dataset, GEOM)
-    models = train_cluster_models(
+    models = fit_clusters(
         labeled, GprConfig(kernel="rq", max_points=400, iterations=80, seed=0))
     start_rows, horizon_rows = prediction_error_study(
         labeled, models, TrainConfig(starting_points=[10, 15, 20], horizons=[10, 15, 20],
@@ -253,7 +251,7 @@ def test_ac5_classifier_protocol():
     X = np.vstack(rows)
     y = np.concatenate(labels).astype(int)
 
-    scores, _ = run_split_protocol(X, y, ForestConfig(n_splits=10, seed=0, smote_k=5))
+    scores, _ = run_protocol(X, y, ForestConfig(n_splits=10, seed=0, smote_k=5))
     mean_f1 = np.mean(scores, axis=0)[2]
     std_f1 = np.std(scores, axis=0)[2]
     check(5, {
@@ -282,7 +280,7 @@ def conflict_scene():
     X, y, groups = build_feature_table(labeled)
     bal_X, bal_y = smote_oversample(X, y, seed=0)
     forest = train_forest(bal_X, bal_y, n_trees=50, max_depth=None, seed=0)
-    models = train_cluster_models(
+    models = fit_clusters(
         labeled, GprConfig(kernel="rq", max_points=400, iterations=60, seed=0))
     streams = compute_risk_streams(
         labeled, models, forest,

@@ -2,6 +2,9 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,6 @@ from crossrisk.gpr import (
     save_cluster_models,
 )
 from crossrisk.maneuver import load_forest, save_forest, train_forest
-from crossrisk.synth import read_ground_truth
 from crossrisk.trajectory import (
     Dataset,
     Direction,
@@ -175,6 +177,15 @@ def _hash_tree(root: Path) -> dict:
 
 
 class TestCli:
+    def test_pipeline_script_runs_from_a_checkout(self, tmp_path):
+        # no installed package and no PYTHONPATH: the script finds the checkout's src/
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_pipeline.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out = subprocess.run([sys.executable, str(script), "--help"], cwd=tmp_path, env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert "--out" in out.stdout
+
     def test_full_pipeline_and_rerun_identical(self, tmp_path):
         cfg = _pipeline_config(tmp_path)
 
@@ -547,6 +558,7 @@ class TestExitCodes:
         {"data": 5},
         {"synth": {"seed": "x"}},
         {"data": {"frame_interval": "a"}},
+        {"data": {"schema": {"y": "x"}}},
         {"synth": {"n_vehicles_per_cell": 1.5}},
         {"forest": {"n_trees_grid": [0]}},
         {"forest": {"n_trees_grid": [-1]}},
@@ -567,7 +579,8 @@ class TestExitCodes:
         {"synth": {"requested_pet_range": ["a", "b"]}},
         *(section for section, _ in _OUT_OF_RANGE),
     ], ids=["one-value-pet-range", "empty-tree-grid", "empty-depth-grid", "no-splits",
-            "non-object-section", "string-seed", "string-float", "float-int",
+            "non-object-section", "string-seed", "string-float", "repeated-schema-header",
+            "float-int",
             "zero-trees", "negative-trees", "string-trees", "string-depth",
             "no-gp-points", "one-gp-point", "zero-init-noise", "negative-init-noise",
             "negative-gpr-seed", "negative-forest-seed", "negative-synth-seed",
@@ -661,8 +674,7 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not out.exists()  # rejected with the config, before any output
 
-    @pytest.mark.parametrize("reader", [load_config, load_forest, load_cluster_models,
-                                        read_ground_truth])
+    @pytest.mark.parametrize("reader", [load_config, load_forest, load_cluster_models])
     @pytest.mark.parametrize("content", ["{", "[1]", '{"version": 1}'],
                              ids=["cut", "list", "version-only"])
     def test_malformed_json_file_is_input_error(self, tmp_path, reader, content):

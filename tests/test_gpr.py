@@ -7,6 +7,7 @@ import signal
 
 import numpy as np
 import pytest
+from helpers import fit_clusters
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_solve, lapack
 
@@ -16,21 +17,18 @@ from crossrisk.gpr import (
     GprModelPair,
     GprConfig,
     KernelConfig,
-    _factorize,
     _jittered_cholesky,
     _neg_lml,
     _sq_dists,
     _theta_to_config,
     build_gpr_model,
     fit_gpr,
-    gpr_loss_and_grad,
     kernel_matrix,
     load_cluster_models,
     log_marginal_likelihood,
     posterior_predict,
     rollout,
     save_cluster_models,
-    train_cluster_models,
 )
 from crossrisk.preprocess import preprocess_dataset
 from crossrisk.geometry import IntersectionGeometry, canonical_endpoints
@@ -66,8 +64,8 @@ def fd_gradient(theta, x, ys, kind, jitter, h=1e-6):
         tp[j] += h
         tm[j] -= h
         grad[j] = (
-            gpr_loss_and_grad(tp, d2, ys, kind, jitter)[0]
-            - gpr_loss_and_grad(tm, d2, ys, kind, jitter)[0]
+            _neg_lml(tp, d2, [ys], kind, jitter)[0][0]
+            - _neg_lml(tm, d2, [ys], kind, jitter)[0][0]
         ) / (2 * h)
     return grad
 
@@ -238,7 +236,7 @@ class TestGradients:
         ys = rng.normal(size=5)
         n_par = 3 if kind == "rq" else 2
         theta = rng.uniform(-1.0, 1.0, size=n_par)
-        _, grad = gpr_loss_and_grad(theta, _sq_dists(x, x), ys, kind, 1e-6)
+        _, grad = _neg_lml(theta, _sq_dists(x, x), [ys], kind, 1e-6)[0][:2]
         fd = fd_gradient(theta, x, ys, kind, 1e-6)
         scale = np.maximum(np.abs(fd), 1e-4)
         assert np.max(np.abs(grad - fd) / scale) < 1e-4
@@ -250,7 +248,7 @@ class TestGradients:
         x = rng.uniform(-5, 5, size=(n, 2))
         ys = rng.normal(size=n)
         theta = rng.uniform(-1.5, 1.5, size=3 if kind == "rq" else 2)
-        loss, grad = gpr_loss_and_grad(theta, _sq_dists(x, x), ys, kind, 1e-6)
+        loss, grad = _neg_lml(theta, _sq_dists(x, x), [ys], kind, 1e-6)[0][:2]
         want_loss, want_grad = reference_loss_and_grad(theta, x, ys, kind, 1e-6)
         assert loss == pytest.approx(want_loss, rel=1e-10)
         # elementwise, so an entry that is exactly zero in both (a kernel that
@@ -267,9 +265,8 @@ class TestGradients:
         ys = rng.normal(size=30)
         theta = np.array([1.0, 0.0, -20.0] if kind == "rq" else [1.0, -20.0])
         d2 = _sq_dists(x, x)
-        (*_, (_, jitter_used)), = _neg_lml(theta, d2, [ys], kind, 1e-8)
+        (loss, grad, (_, jitter_used)), = _neg_lml(theta, d2, [ys], kind, 1e-8)
         assert jitter_used >= 1e-6
-        loss, grad = gpr_loss_and_grad(theta, d2, ys, kind, 1e-8)
         want_loss, want_grad = reference_loss_and_grad(theta, x, ys, kind, 1e-8)
         assert loss == pytest.approx(want_loss, rel=1e-10)
         assert np.max(np.abs(grad - want_grad) / np.abs(want_grad)) < 1e-10
@@ -419,7 +416,9 @@ class TestFit:
         model = fit_gpr(x, y, fit_cfg)
         assert (model.jitter_used > 1e-8) == escalated
         ys = (y - model.y_mean) / model.y_std
-        chol, alpha_vec, jitter_used = _factorize(model.kernel, _sq_dists(x, x), ys)
+        chol, jitter_used = _jittered_cholesky(kernel_matrix(model.kernel, x, x),
+                                               model.kernel.noise_variance, model.kernel.jitter)
+        alpha_vec = cho_solve((chol, True), ys)
         assert model.chol.tobytes() == chol.tobytes()
         assert model.alpha_vec.tobytes() == alpha_vec.tobytes()
         assert model.jitter_used == jitter_used
@@ -495,6 +494,32 @@ class TestFit:
             assert pair.gp_y.y_std == 1.0
         if case == "escalated-one-iteration":  # the shared evaluation escalated
             assert pair.gp_x.jitter_used > 1e-8 and pair.gp_y.jitter_used > 1e-8
+
+    @pytest.mark.parametrize("kind", ["rbf", "rq"])
+    @pytest.mark.parametrize("iterations", [1, 40])
+    @pytest.mark.parametrize("escalated", [False, True])
+    def test_log_evidence_is_the_best_loss_of_the_trace(self, tmp_path, kind, iterations,
+                                                        escalated):
+        # Adam keeps the state of its best iterate, so a fitted model's log
+        # evidence is the negated smallest loss it recorded, to the bit, and
+        # stays so through the model file
+        rng = np.random.default_rng(13)
+        if escalated:  # tripled points 1e6 m out, as above
+            x = 1e6 + np.repeat(rng.uniform(-1, 1, size=(10, 2)), 3, axis=0)
+            fit_cfg = GprConfig(kernel=kind, iterations=iterations, init_noise=1e-12,
+                                jitter=1e-8)
+        else:
+            x = rng.uniform(-4, 4, size=(30, 2))
+            fit_cfg = GprConfig(kernel=kind, iterations=iterations, jitter=1e-8)
+        points = np.column_stack([x, np.cos(0.7 * x[:, 0]), np.sin(0.7 * x[:, 1])])
+        cell = (Direction.N, Maneuver.LEFT)
+        pair = gpr.fit_cluster(cell, points, fit_cfg)
+        assert (pair.gp_x.jitter_used > 1e-8) == escalated
+        save_cluster_models({cell: pair}, tmp_path / "m.json")
+        (loaded,) = load_cluster_models(tmp_path / "m.json").values()
+        for gp in (pair.gp_x, pair.gp_y, loaded.gp_x, loaded.gp_y):
+            assert (len(gp.loss_trace) > 1) == (iterations > 1)
+            assert log_marginal_likelihood(gp) == -min(gp.loss_trace)
 
     def test_x_fit_error_is_raised_before_the_y_fit_runs(self, monkeypatch):
         runs = []
@@ -631,8 +656,9 @@ class TestRollout:
                             cluster=(Direction.N, Maneuver.LEFT))
         eager = copy.deepcopy(pair)  # the factor stored up front, as fitting once did
         for gp in (eager.gp_x, eager.gp_y):
-            ys = (gp.train_y - gp.y_mean) / gp.y_std
-            gp.__dict__["chol"] = _factorize(gp.kernel, _sq_dists(x, x), ys)[0]
+            gp.__dict__["chol"] = _jittered_cholesky(kernel_matrix(gp.kernel, x, x),
+                                                     gp.kernel.noise_variance,
+                                                     gp.kernel.jitter)[0]
         save_cluster_models({pair.cluster: pair}, tmp_path / "m.json")
         (loaded,) = load_cluster_models(tmp_path / "m.json").values()
         starts = rng.uniform(-4, 4, size=(5, 2))
@@ -764,11 +790,11 @@ class TestClusterTraining:
                       and t.maneuver == Maneuver.STRAIGHT]
         from crossrisk.trajectory import Dataset
         ds = Dataset(trajectories=only_south)
-        models = train_cluster_models(ds, GprConfig(iterations=5))
+        models = fit_clusters(ds, GprConfig(iterations=5))
         assert set(models) == {(Direction.S, Maneuver.STRAIGHT)}
 
     def test_subsampling_cap(self, labeled_scene):
-        models = train_cluster_models(labeled_scene, GprConfig(iterations=5, max_points=30))
+        models = fit_clusters(labeled_scene, GprConfig(iterations=5, max_points=30))
         for pair in models.values():
             assert pair.gp_x.n_train <= 30
             assert np.array_equal(pair.gp_x.train_x, pair.gp_y.train_x)
@@ -784,7 +810,7 @@ class TestClusterTraining:
 
         monkeypatch.setattr(gpr, "fit_cluster", spy)
         monkeypatch.setattr(parallel, "worker_count", lambda: 1)  # fits in this process
-        models = train_cluster_models(labeled_scene, GprConfig(iterations=3, max_points=60))
+        models = fit_clusters(labeled_scene, GprConfig(iterations=3, max_points=60))
         assert len(seen) == len(models)  # one job fits both velocity components
         largest = max(n for n, _ in seen)
         workspaces = {id(w) for _, w in seen}
@@ -795,14 +821,14 @@ class TestClusterTraining:
 
     def test_training_deterministic(self, labeled_scene):
         fit_cfg = GprConfig(iterations=10, max_points=50, seed=3)
-        m1 = train_cluster_models(labeled_scene, fit_cfg)
-        m2 = train_cluster_models(labeled_scene, fit_cfg)
+        m1 = fit_clusters(labeled_scene, fit_cfg)
+        m2 = fit_clusters(labeled_scene, fit_cfg)
         for cell in m1:
             assert np.array_equal(m1[cell].gp_x.train_y, m2[cell].gp_x.train_y)
             assert m1[cell].gp_x.kernel == m2[cell].gp_x.kernel
 
     def test_persistence_roundtrip(self, labeled_scene, tmp_path):
-        models = train_cluster_models(labeled_scene, GprConfig(iterations=10, max_points=40))
+        models = fit_clusters(labeled_scene, GprConfig(iterations=10, max_points=40))
         path = tmp_path / "models.json"
         save_cluster_models(models, path)
         back = load_cluster_models(path)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from helpers import crossing_risk, row
+from helpers import crossing_risk, row, run_protocol
 from hypothesis import assume, given, settings, strategies as st
 
 from crossrisk import maneuver
@@ -17,9 +17,9 @@ from crossrisk.maneuver import (
     extract_features,
     load_forest,
     majority_params,
-    run_split_protocol,
     save_forest,
     smote_oversample,
+    split_indices,
     train_forest,
     train_random_forest,
 )
@@ -708,7 +708,7 @@ class TestMetrics:
 class TestSplitProtocol:
     def test_imbalanced_separable_protocol(self):
         X, y = make_clusters((240, 60, 60), seed=8)
-        scores, chosen = run_split_protocol(
+        scores, chosen = run_protocol(
             X, y, ForestConfig(n_trees_grid=(25,), max_depth_grid=(None,), n_splits=4))
         assert scores.shape == (4, 3, 3) and chosen == [(25, None)] * 4
         assert (scores[:, 2].mean(axis=0) >= 0.9).all()
@@ -717,7 +717,6 @@ class TestSplitProtocol:
     def test_group_split_keeps_groups_together(self):
         X, y = make_clusters((40, 40, 40), seed=9)
         groups = np.repeat(np.arange(30), 4)
-        from crossrisk.maneuver import split_indices
         rng = np.random.default_rng(0)
         tr, va, te = split_indices(len(y), (0.8, 0.1, 0.1), rng, groups)
         assert set(groups[tr]) & set(groups[va]) == set()
@@ -727,7 +726,7 @@ class TestSplitProtocol:
     def test_too_few_rows_is_input_error(self):
         X, y = make_clusters((2, 2, 1), seed=11)
         with pytest.raises(InputError, match="empty partition"):
-            run_split_protocol(X, y, ForestConfig(n_splits=1))
+            run_protocol(X, y, ForestConfig(n_splits=1))
 
     @pytest.mark.parametrize("chosen,want", [
         ([(100, 10), (300, None), (300, None), (100, 10)], (100, 10)),
@@ -740,6 +739,6 @@ class TestSplitProtocol:
     def test_deterministic(self):
         X, y = make_clusters((60, 25, 25), seed=10)
         cfg = ForestConfig(n_trees_grid=(15,), max_depth_grid=(10,), n_splits=3, seed=2)
-        a, a_chosen = run_split_protocol(X, y, cfg)
-        b, b_chosen = run_split_protocol(X, y, cfg)
+        a, a_chosen = run_protocol(X, y, cfg)
+        b, b_chosen = run_protocol(X, y, cfg)
         assert np.array_equal(a, b) and a_chosen == b_chosen

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import crossing_risk, row
+from helpers import crossing_risk, fit_clusters, row
 from hypothesis import given, settings, strategies as st
 
 from crossrisk import evaluation, risk
@@ -19,7 +19,6 @@ from crossrisk.gpr import (
     KernelConfig,
     build_gpr_model,
     rollout,
-    train_cluster_models,
 )
 from crossrisk.maneuver import (
     MANEUVER_CODES,
@@ -573,7 +572,7 @@ def small_scene():
                                     IntersectionGeometry(endpoints=canonical_endpoints()))
     X, y, _ = build_feature_table(labeled)
     forest = train_forest(X, y, n_trees=3, seed=0)
-    models = train_cluster_models(labeled, GprConfig(max_points=60, iterations=3))
+    models = fit_clusters(labeled, GprConfig(max_points=60, iterations=3))
     return labeled, models, forest
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from crossrisk.geometry import (
 from crossrisk.preprocess import classify_entering_direction, classify_movement
 from crossrisk.ssm import compute_pet, identify_conflicts_pet
 from crossrisk.synth import (
+    GROUND_TRUTH_VERSION,
     PED_APPROACH_LENGTH,
     ConflictTruth,
     GroundTruth,
@@ -31,7 +33,6 @@ from crossrisk.synth import (
     _vehicle_crossings,
     _vehicle_geometry,
     generate_scenario,
-    read_ground_truth,
     write_ground_truth,
 )
 from crossrisk.trajectory import (
@@ -217,11 +218,15 @@ class TestGroundTruthFile:
         _, truth = generate_scenario(spec)
         path = tmp_path / "truth.json"
         write_ground_truth(truth, path)
-        back = read_ground_truth(path)
-        assert back.vehicles == truth.vehicles
-        assert back.pedestrian_crosswalks == truth.pedestrian_crosswalks
-        assert [c.pair for c in back.conflicts] == [c.pair for c in truth.conflicts]
-        assert back.conflicts[0].requested_pet == truth.conflicts[0].requested_pet
+        back = json.loads(path.read_text())
+        assert back["version"] == GROUND_TRUTH_VERSION
+        assert back["vehicles"] == {vid: {"direction": d.value, "maneuver": m.value}
+                                    for vid, (d, m) in truth.vehicles.items()}
+        assert back["pedestrians"] == {pid: {"crosswalk": d.value}
+                                       for pid, d in truth.pedestrian_crosswalks.items()}
+        assert [(c["vehicle_id"], c["pedestrian_id"]) for c in back["conflicts"]] == \
+            [c.pair for c in truth.conflicts]
+        assert back["conflicts"][0]["requested_pet"] == truth.conflicts[0].requested_pet
 
 
 class TestSearchRegions:

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from crossrisk.trajectory import (
     Maneuver,
     ObjectClass,
     Trajectory,
+    _majority_class,
     _parse_class,
     _read_cells,
     load_dataset,
-    majority_vote_label,
     save_dataset,
 )
 
@@ -64,25 +65,21 @@ def _csv_writer_text(dataset, include_labels=True):
 
 class TestMajorityVote:
     def test_strict_majority(self):
-        labels = [ObjectClass.PEDESTRIAN, ObjectClass.PEDESTRIAN, ObjectClass.VEHICLE]
-        assert majority_vote_label(labels) == ObjectClass.PEDESTRIAN
+        assert _majority_class(["ped", "Pedestrian", "vehicle"]) == ObjectClass.PEDESTRIAN
 
     def test_singleton(self):
-        assert majority_vote_label([ObjectClass.VEHICLE]) == ObjectClass.VEHICLE
+        assert _majority_class(["vehicle"]) == ObjectClass.VEHICLE
 
     def test_tie_breaks_to_first_appearing(self):
-        labels = [ObjectClass.VEHICLE, ObjectClass.PEDESTRIAN]
-        assert majority_vote_label(labels) == ObjectClass.VEHICLE
-        labels = [ObjectClass.PEDESTRIAN, ObjectClass.VEHICLE]
-        assert majority_vote_label(labels) == ObjectClass.PEDESTRIAN
+        assert _majority_class(["car", "ped"]) == ObjectClass.VEHICLE
+        assert _majority_class(["ped", "car"]) == ObjectClass.PEDESTRIAN
+        # the tie is between classes, not between the texts that name them
+        assert _majority_class(["ped", "car", "vehicle", "pedestrian"]) == ObjectClass.PEDESTRIAN
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            majority_vote_label([])
-
-    @given(st.lists(st.sampled_from(list(ObjectClass)), min_size=1, max_size=30))
+    @given(st.lists(st.sampled_from(["vehicle", "car", "ped", "pedestrian", "cyclist",
+                                     "bicycle", "misc"]), min_size=1, max_size=30))
     def test_winner_always_in_input(self, labels):
-        assert majority_vote_label(labels) in labels
+        assert _majority_class(labels) in {_parse_class(text) for text in labels}
 
 
 def _one(*fields):
@@ -189,6 +186,18 @@ class TestLoadDataset:
         assert traj.end_time == 0.2
         assert co_present_pairs(ds) == []  # an infinite end time would overlap p
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["split", "csv-reader"])
+    def test_blank_object_ids_rejected(self, tmp_path, quote):
+        # a quote anywhere sends the text through csv.reader
+        path = _write(tmp_path, [
+            "0.1,,pedestrian,0,0,1,0,0",
+            "0.2, ,vehicle,5,0,1,0,0",
+            "nan,,vehicle,0,0,0,0,0",  # no finite timestamp: dropped first
+            f"0.0,7,{quote}vehicle{quote},1,2,3,4,0",
+        ])
+        with pytest.raises(InputError, match="2 row.* blank object id"):
+            load_dataset(path)
+
     def test_short_row_reads_missing_cells_as_blank(self, tmp_path):
         path = _write(tmp_path, ["0.0,1,vehicle,1.0,2.0", "0.1,1,vehicle,1,2,3,4,0"])
         traj = load_dataset(path).by_id("1")
@@ -250,14 +259,20 @@ class TestLoadDataset:
         traj = load_dataset(path, data).by_id("5")
         assert traj.yaw_rate[0] == pytest.approx(math.pi / 2.0)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"schema": {"time": "t"}}, {"schema": {"t": 0}}, {"yaw_rate_unit": "rpm"},
-        {"frame_interval": 0.0}, {"frame_interval": float("nan")}, {"frame_interval": 10**400},
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"schema": {"time": "t"}}, "'time'"), ({"schema": {"t": 0}}, "'t': 0"),
+        ({"yaw_rate_unit": "rpm"}, "'rpm'"), ({"frame_interval": 0.0}, "frame_interval"),
+        ({"frame_interval": float("nan")}, "frame_interval"),
+        ({"frame_interval": 10**400}, "frame_interval"),
+        ({"schema": {"y": "x"}}, "['x']"), ({"schema": {"vx": "id"}}, "['id']"),
+        ({"schema": {"t": "a", "x": "a"}}, "['a']"),
     ], ids=["unknown-column", "non-string-header", "unknown-unit", "zero-interval",
-            "nan-interval", "huge-int-interval"])
-    def test_bad_data_format_rejected(self, kwargs):
-        with pytest.raises(InputError):
+            "nan-interval", "huge-int-interval", "schema-onto-default", "schema-onto-id",
+            "schema-two-onto-one"])
+    def test_bad_data_format_rejected(self, kwargs, named):
+        with pytest.raises(InputError) as exc:
             DataFormat(**kwargs)
+        assert named in str(exc.value)
 
 
 class TestRoundTrip:
@@ -398,5 +413,6 @@ class TestCsvText:
         path = tmp_path_factory.mktemp("vote") / "data.csv"
         path.write_text("t,id,class,x,y,vx,vy,yaw_rate\n" + "".join(
             f"{k},1,{cls},0,0,0,0,0\n" for k, cls in enumerate(classes)))
-        expected = majority_vote_label([_parse_class(cls) for cls in classes])
+        # the vote over every row's parsed label, a tie going to the class seen first
+        expected = Counter(map(_parse_class, classes)).most_common(1)[0][0]
         assert load_dataset(path).by_id("1").object_class == expected
