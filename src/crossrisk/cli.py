@@ -127,14 +127,17 @@ def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
     chosen = majority_params(split_params)
     lines.append(f"selected forest: n_trees={chosen[0]} max_depth={chosen[1]}")
     (out_dir / "classifier_report.txt").write_text("\n".join(lines) + "\n")
-    save_cluster_models(models, out_dir / "gpr_models.json")
 
-    # The second map: the final forest, on the full balanced table with the
-    # most frequently chosen grid point, and the two GP accuracy tables.
+    # The second map, again in the serial order: the model file of the cluster
+    # GPs, the final forest, on the full balanced table with the most
+    # frequently chosen grid point, and the two GP accuracy tables.
     tree_fits = tree_jobs(bal_X, bal_y, n_trees=chosen[0], max_depth=chosen[1],
                           seed=cfg.forest.seed)
-    *trees, (start_rows, horizon_rows) = run_jobs(
-        [*tree_fits, partial(prediction_error_study, dataset, models, cfg.train)])
+    _, *trees, (start_rows, horizon_rows) = run_jobs([
+        partial(save_cluster_models, models, out_dir / "gpr_models.json"),
+        *tree_fits,
+        partial(prediction_error_study, dataset, models, cfg.train),
+    ])
     save_forest(ForestModel(trees=trees, n_features=bal_X.shape[1]), out_dir / "forest.json")
 
     header = ["group", "maneuver", "gpr_mean", "gpr_std", "dynamic_mean",

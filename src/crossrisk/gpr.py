@@ -5,7 +5,9 @@ one velocity component each. Kernels are the unit-amplitude radial basis
 function and rational quadratic over Euclidean distance; targets are
 standardized per cluster so a zero prior mean is appropriate. Hyperparameters
 (log length scale, log shape for RQ, log noise variance) are optimized by
-Adam on the negated log marginal likelihood with analytic gradients.
+Adam on the negated log marginal likelihood with analytic gradients. A
+gradient is computed only at an iterate Adam may step from: never at the last
+iterate of the budget, whose loss alone is read.
 """
 
 from __future__ import annotations
@@ -269,11 +271,13 @@ class _Workspace:
 
 
 def _neg_lml(theta: np.ndarray, d2: np.ndarray, targets: Sequence[np.ndarray], kind: str,
-             jitter: float, work: Sequence[np.ndarray] | None = None
-             ) -> list[tuple[float, np.ndarray, tuple]]:
+             jitter: float, work: Sequence[np.ndarray] | None = None, *,
+             gradient: bool = True) -> list[tuple[float, np.ndarray | None, tuple]]:
     """Negated log marginal likelihood of each standardized target vector in
     ``targets``, its gradient and the ``(alpha_vec, jitter_used)`` they were
-    computed from: one triple per target.
+    computed from: one triple per target. With ``gradient=False`` the gradient
+    is ``None`` and none of its work is done; the loss and the state are the
+    same floats either way, as the gradient is computed after them.
 
     Each gradient entry is ``-(alpha' dK alpha - tr(K^-1 dK)) / 2`` (Rasmussen &
     Williams 2006, eq. 5.9). The trace reads the lower triangle of ``K^-1``,
@@ -294,8 +298,17 @@ def _neg_lml(theta: np.ndarray, d2: np.ndarray, targets: Sequence[np.ndarray], k
     if work is None:
         work = _Workspace(n).arrays(n)[1:]
     tmp, base, k_f, d_ls, d_alpha, k_work = work
-    ls2 = cfg.length_scale**2
     _kernel_from_d2(cfg, d2, out=k_f, base=base)
+    chol, jitter_used = _jittered_cholesky(k_f, cfg.noise_variance, jitter, k_work)
+    alpha_vecs = [cho_solve((chol, True), ys) for ys in targets]
+    half_logdet = float(np.sum(np.log(np.diag(chol))))
+    lmls = [-0.5 * float(ys @ alpha_vec) - half_logdet - 0.5 * n * math.log(2.0 * math.pi)
+            for ys, alpha_vec in zip(targets, alpha_vecs)]
+    if not gradient:
+        return [(-lml, None, (alpha_vec, jitter_used))
+                for lml, alpha_vec in zip(lmls, alpha_vecs)]
+
+    ls2 = cfg.length_scale**2
     if kind == "rbf":
         dk = [np.divide(np.multiply(k_f, d2, out=d_ls), ls2, out=d_ls)]  # d/d log ls
     else:
@@ -307,10 +320,6 @@ def _neg_lml(theta: np.ndarray, d2: np.ndarray, targets: Sequence[np.ndarray], k
         np.subtract(tmp, np.log(base, out=d_alpha), out=d_alpha)
         np.multiply(np.multiply(k_f, cfg.rq_alpha, out=tmp), d_alpha, out=d_alpha)
         dk = [d_ls, d_alpha]
-
-    chol, jitter_used = _jittered_cholesky(k_f, cfg.noise_variance, jitter, k_work)
-    alpha_vecs = [cho_solve((chol, True), ys) for ys in targets]
-    half_logdet = float(np.sum(np.log(np.diag(chol))))
     # in place: the factor is spent once the alphas and the log-determinant are read
     k_inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)  # lower triangle, zeros above
     if info != 0:
@@ -321,9 +330,7 @@ def _neg_lml(theta: np.ndarray, d2: np.ndarray, targets: Sequence[np.ndarray], k
               for dk_j in dk]
     noise_trace = float(np.sum(k_inv_diag))
     results = []
-    for ys, alpha_vec in zip(targets, alpha_vecs):
-        lml = (-0.5 * float(ys @ alpha_vec) - half_logdet
-               - 0.5 * n * math.log(2.0 * math.pi))
+    for lml, alpha_vec in zip(lmls, alpha_vecs):
         grad_lml = [0.5 * (float(alpha_vec @ (dk_j @ alpha_vec)) - trace)
                     for dk_j, trace in zip(dk, traces)]
         # d/d log noise_variance: dK = noise * I
@@ -335,10 +342,18 @@ def _neg_lml(theta: np.ndarray, d2: np.ndarray, targets: Sequence[np.ndarray], k
 
 def _adam_minimize(fun, theta0: np.ndarray, cfg: GprConfig, first: tuple | None = None
                    ) -> tuple[np.ndarray, list, object]:
-    """Adam with early stopping on ``fun(theta) -> (loss, grad, state)``;
-    returns the best iterate, the loss trace and the best iterate's state.
-    ``first``, when given, is ``fun(theta0)`` computed beforehand, and stands
-    in for the first call."""
+    """Adam with early stopping on ``fun(theta, gradient) -> (loss, grad,
+    state)``; returns the best iterate, the loss trace and the best iterate's
+    state. ``first``, when given, is ``fun(theta0, cfg.iterations > 1)``
+    computed beforehand, and stands in for the first call.
+
+    Adam reads a gradient only at an iterate it steps from, so ``fun`` is asked
+    for one (``gradient=True``) at every iterate but the last of the budget;
+    where it is not asked, ``grad`` may be ``None``. An iterate at which the
+    early stop ends the fit has its gradient computed but not read, because
+    only its loss shows that the fit stops there. A non-finite loss, or a
+    non-finite gradient at an iterate Adam steps from, raises
+    ``NumericalError`` naming which of the two it was."""
     theta = theta0.astype(float).copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -348,10 +363,11 @@ def _adam_minimize(fun, theta0: np.ndarray, cfg: GprConfig, first: tuple | None 
     best_state = None
     last_improvement = 0
     for it in range(1, cfg.iterations + 1):
-        loss, grad, state = fun(theta) if first is None else first
+        loss, grad, state = fun(theta, it < cfg.iterations) if first is None else first
         first = None
-        if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-            raise NumericalError("non-finite loss during hyperparameter optimization")
+        if not math.isfinite(loss):
+            raise NumericalError(f"non-finite loss at iteration {it} of hyperparameter "
+                                 "optimization")
         trace.append(loss)
         if loss < best_loss - _EARLY_STOP_TOL:
             last_improvement = it
@@ -359,8 +375,11 @@ def _adam_minimize(fun, theta0: np.ndarray, cfg: GprConfig, first: tuple | None 
             best_loss = loss
             best_theta = theta.copy()
             best_state = state
-        if it - last_improvement >= _EARLY_STOP_WINDOW:
+        if it == cfg.iterations or it - last_improvement >= _EARLY_STOP_WINDOW:
             break
+        if not np.all(np.isfinite(grad)):
+            raise NumericalError(f"non-finite gradient at iteration {it} of hyperparameter "
+                                 "optimization")
         m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grad
         v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad * grad
         m_hat = m / (1.0 - _ADAM_BETA1**it)
@@ -408,12 +427,13 @@ def _fit_targets(inputs: np.ndarray, targets: Sequence[np.ndarray], cfg: GprConf
 
     work = (workspace or _Workspace(len(x))).arrays(len(x))
     d2 = _sq_dists(x, x, out=work[:2])  # the Gram matrix is loss scratch afterwards
-    firsts = _neg_lml(theta0, d2, standardized, cfg.kernel, cfg.jitter, work[1:])
+    firsts = _neg_lml(theta0, d2, standardized, cfg.kernel, cfg.jitter, work[1:],
+                      gradient=cfg.iterations > 1)
     models = []
     for y, (y_mean, y_std), target, first in zip(raw, scales, standardized, firsts):
         best_theta, trace, (alpha_vec, jitter_used) = _adam_minimize(
-            lambda th, target=target: _neg_lml(th, d2, [target], cfg.kernel, cfg.jitter,
-                                               work[1:])[0],
+            lambda th, gradient, target=target: _neg_lml(
+                th, d2, [target], cfg.kernel, cfg.jitter, work[1:], gradient=gradient)[0],
             theta0, cfg, first)
         kernel = _theta_to_config(best_theta, cfg.kernel, cfg.jitter)
         models.append(GprModel(kernel=kernel, train_x=x, train_y=y, y_mean=y_mean,

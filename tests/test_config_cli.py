@@ -281,6 +281,37 @@ class TestCli:
         assert errors[1] == errors[2]
         assert multiprocessing.active_children() == []
 
+    def test_model_file_error_is_reported_before_the_forest_on_one_and_two_workers(
+            self, tmp_path, monkeypatch, capsys):
+        # the model file is the first job of the second map, so its error is
+        # the one raised, as in the serial order, and no later output is written
+        cfg, labeled = self._two_depth_scene(tmp_path)
+        for workers in (1, 2):
+            monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+            out = tmp_path / f"models{workers}"
+            (out / "gpr_models.json").mkdir(parents=True)
+            capsys.readouterr()
+            assert main(["train", "--config", str(cfg), "--in", str(labeled),
+                         "--out", str(out)]) == 1
+            assert str(out / "gpr_models.json") in capsys.readouterr().err
+            assert sorted(p.name for p in out.iterdir()) == [
+                "classifier_report.csv", "classifier_report.txt", "gpr_models.json"]
+        assert multiprocessing.active_children() == []
+
+    def test_non_finite_gradient_is_exit_code_two(self, tmp_path, monkeypatch, capsys):
+        cfg, labeled = self._two_depth_scene(tmp_path)
+        neg_lml = gpr._neg_lml
+
+        def nan_gradients(*args, **kwargs):
+            return [(loss, None if grad is None else np.full_like(grad, np.nan), state)
+                    for loss, grad, state in neg_lml(*args, **kwargs)]
+
+        monkeypatch.setattr(gpr, "_neg_lml", nan_gradients)  # before the workers fork
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--in", str(labeled),
+                     "--out", str(tmp_path / "models")]) == 2
+        assert "non-finite gradient at iteration 1" in capsys.readouterr().err
+
     def test_seed_flag_changes_synth_output(self, tmp_path):
         cfg = _pipeline_config(tmp_path)
         assert main(["synth", "--config", str(cfg), "--out",

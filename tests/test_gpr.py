@@ -304,6 +304,108 @@ class TestGradients:
         assert (jitter_used > 1e-8) == (case == "escalated")
 
 
+def count_inverses(monkeypatch) -> list:
+    """Record every ``lapack.dpotri`` call the loss makes: one per loss
+    evaluation that computes gradients."""
+    calls = []
+    dpotri = lapack.dpotri
+    monkeypatch.setattr(gpr.lapack, "dpotri",
+                        lambda *args, **kwargs: calls.append(1) or dpotri(*args, **kwargs))
+    return calls
+
+
+class TestGradientsOnlyWhereAdamSteps:
+    @pytest.mark.parametrize("iterations, inverses", [(1, 0), (2, 1), (3, 2)])
+    def test_fit_computes_no_gradient_at_its_last_iterate(self, monkeypatch, iterations,
+                                                         inverses):
+        calls = count_inverses(monkeypatch)
+        x = np.random.default_rng(4).uniform(-4, 4, size=(20, 2))
+        model = fit_gpr(x, np.cos(x[:, 0]), GprConfig(iterations=iterations))
+        assert len(model.loss_trace) == iterations
+        assert len(calls) == inverses
+
+    def test_cluster_fits_share_the_first_gradients(self, monkeypatch):
+        calls = count_inverses(monkeypatch)
+        x = np.random.default_rng(4).uniform(-4, 4, size=(20, 2))
+        points = np.column_stack([x, np.cos(x[:, 0]), np.sin(x[:, 1])])
+        gpr.fit_cluster((Direction.N, Maneuver.LEFT), points, GprConfig(iterations=3))
+        assert len(calls) == 3  # the shared first evaluation, then iteration 2 of each fit
+
+    @pytest.mark.parametrize("kind", ["rbf", "rq"])
+    @pytest.mark.parametrize("iterations", [3, 200])  # rbf stops early at 200
+    def test_models_equal_a_fit_that_computes_every_gradient(self, monkeypatch, kind,
+                                                             iterations):
+        rng = np.random.default_rng(12)
+        x = rng.uniform(-4, 4, size=(30, 2))
+        points = np.column_stack([x, np.cos(0.7 * x[:, 0]) + 0.05 * rng.normal(size=30),
+                                  np.sin(0.7 * x[:, 1])])
+        cell, fit_cfg = (Direction.N, Maneuver.LEFT), GprConfig(kernel=kind,
+                                                                iterations=iterations)
+        lean = gpr.fit_cluster(cell, points, fit_cfg)
+        calls = count_inverses(monkeypatch)
+        neg_lml = gpr._neg_lml
+        monkeypatch.setattr(gpr, "_neg_lml", lambda *args, gradient: neg_lml(*args))
+        full = gpr.fit_cluster(cell, points, fit_cfg)
+        evaluations = len(full.gp_x.loss_trace) + len(full.gp_y.loss_trace) - 1
+        assert len(calls) == evaluations  # the forced run did compute every gradient
+        if kind == "rbf" and iterations == 200:
+            assert len(full.gp_x.loss_trace) < iterations
+        for got, want in ((lean.gp_x, full.gp_x), (lean.gp_y, full.gp_y)):
+            assert model_bytes(got) == model_bytes(want)
+
+
+class TestAdamNonFinite:
+    @staticmethod
+    def stub(bad_loss_at=(), bad_grad_at=(), steady=False):
+        """A loss of two parameters that falls by one per call (is constant
+        with ``steady``), with a gradient of ones whether asked for or not; the
+        loss or gradient is NaN at the given 1-based calls. Returns the
+        callable and the list of its ``gradient`` arguments."""
+        asked = []
+
+        def fun(theta, gradient):
+            asked.append(gradient)
+            it = len(asked)
+            loss = math.nan if it in bad_loss_at else (0.0 if steady else -float(it))
+            grad = np.full(2, math.nan if it in bad_grad_at else 1.0)
+            return loss, grad, it
+
+        return fun, asked
+
+    @pytest.mark.parametrize("at", [1, 3, 5])
+    def test_non_finite_loss_raises_at_any_iterate(self, at):
+        fun, _ = self.stub(bad_loss_at=(at,))
+        with pytest.raises(NumericalError, match=f"non-finite loss at iteration {at}"):
+            gpr._adam_minimize(fun, np.zeros(2), GprConfig(iterations=5))
+
+    @pytest.mark.parametrize("at", [1, 2, 4])
+    def test_non_finite_gradient_raises_where_adam_steps(self, at):
+        fun, _ = self.stub(bad_grad_at=(at,))
+        with pytest.raises(NumericalError, match=f"non-finite gradient at iteration {at}"):
+            gpr._adam_minimize(fun, np.zeros(2), GprConfig(iterations=5))
+
+    def test_last_iterate_gradient_is_neither_asked_for_nor_read(self):
+        fun, asked = self.stub(bad_grad_at=(5,))
+        theta, trace, state = gpr._adam_minimize(fun, np.zeros(2), GprConfig(iterations=5))
+        assert asked == [True, True, True, True, False]
+        assert trace == [-1.0, -2.0, -3.0, -4.0, -5.0] and state == 5
+
+    def test_early_stop_iterate_gradient_is_not_read(self):
+        # a constant loss ends the fit at iteration 1 + _EARLY_STOP_WINDOW
+        stop = 1 + gpr._EARLY_STOP_WINDOW
+        fun, asked = self.stub(bad_grad_at=(stop,), steady=True)
+        theta, trace, state = gpr._adam_minimize(fun, np.zeros(2), GprConfig(iterations=50))
+        assert len(trace) == len(asked) == stop and all(asked)
+        assert state == 1
+
+    def test_first_evaluation_stands_in_for_the_first_call(self):
+        fun, asked = self.stub()
+        first = (7.0, np.full(2, math.nan), "first")
+        with pytest.raises(NumericalError, match="non-finite gradient at iteration 1"):
+            gpr._adam_minimize(fun, np.zeros(2), GprConfig(iterations=3), first)
+        assert asked == []
+
+
 class TestPosterior:
     def test_matches_dense_inverse_three_points(self):
         cfg = KernelConfig(kind="rq", length_scale=1.4, rq_alpha=0.6,
