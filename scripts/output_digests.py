@@ -14,7 +14,13 @@ none). The risk stage runs a fourth time with the wider ground truth of ``ZONE_S
 into ``risk_zone/``, so that more pairs reach the encroachment-time search and more
 of them become events. A fifth risk run with ``risk.frame_stride: 1`` into
 ``risk_stride1/`` scores every usable vehicle frame (the scenes score at stride 10
-or 30):
+or 30).
+
+Every ``gpr_models.json`` also gets a ``<path>#values`` key: the SHA-256 of the
+values the ``--src`` tree's ``gpr.load_cluster_models`` reads from it, per cluster in
+key order the ``train_x``, ``train_y`` and ``alpha_vec`` bytes and the ``repr`` of each
+scalar and of ``loss_trace``. A change of the file's encoding alone then shows as
+equal ``#values`` keys beside a differing file digest:
 
     python scripts/output_digests.py --src OTHER_CHECKOUT/src --out old.json
     python scripts/output_digests.py --out new.json [--workloads fit --seeds 1 2]
@@ -69,8 +75,27 @@ def digests(workload: str, seed: int) -> dict:
             with contextlib.redirect_stdout(io.StringIO()):
                 if main([*map(str, argv), "--config", str(config_json)]) != 0:
                     raise SystemExit(f"{workload} seed {seed}: {argv[0]} failed")
-        return {f"{workload}/{seed}/{p.relative_to(work)}": sha256(p.read_bytes()).hexdigest()
-                for p in sorted(work.rglob("*")) if p.is_file()}
+        result = {f"{workload}/{seed}/{p.relative_to(work)}": sha256(p.read_bytes()).hexdigest()
+                  for p in sorted(work.rglob("*")) if p.is_file()}
+        result.update({f"{workload}/{seed}/{p.relative_to(work)}#values": model_values(p)
+                       for p in sorted(work.rglob("gpr_models.json"))})
+        return result
+
+
+def model_values(path: Path) -> str:
+    """SHA-256 of the cluster models loaded from the model file ``path``."""
+    from crossrisk.gpr import cluster_key, load_cluster_models
+    models = load_cluster_models(path)
+    digest = sha256()
+    for key, pair in sorted((cluster_key(*cell), pair) for cell, pair in models.items()):
+        digest.update(key.encode() + pair.gp_x.train_x.tobytes())
+        for gp in (pair.gp_x, pair.gp_y):
+            k = gp.kernel
+            scalars = (k.kind, k.length_scale, k.rq_alpha, k.noise_variance, gp.jitter_used,
+                       gp.y_mean, gp.y_std)
+            digest.update(gp.train_y.tobytes() + gp.alpha_vec.tobytes()
+                          + repr((scalars, gp.loss_trace)).encode())
+    return digest.hexdigest()
 
 
 def main() -> int:

@@ -128,15 +128,18 @@ def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
     lines.append(f"selected forest: n_trees={chosen[0]} max_depth={chosen[1]}")
     (out_dir / "classifier_report.txt").write_text("\n".join(lines) + "\n")
 
-    # The second map, again in the serial order: the model file of the cluster
-    # GPs, the final forest, on the full balanced table with the most
-    # frequently chosen grid point, and the two GP accuracy tables.
+    save_cluster_models(models, out_dir / "gpr_models.json")
+
+    # The second map: the two GP accuracy tables, then the trees of the final
+    # forest, on the full balanced table with the most frequently chosen grid
+    # point. The study is the map's longest job, so it goes first and the
+    # trees fill the other workers meanwhile; a failing study is the error
+    # reported.
     tree_fits = tree_jobs(bal_X, bal_y, n_trees=chosen[0], max_depth=chosen[1],
                           seed=cfg.forest.seed)
-    _, *trees, (start_rows, horizon_rows) = run_jobs([
-        partial(save_cluster_models, models, out_dir / "gpr_models.json"),
-        *tree_fits,
+    (start_rows, horizon_rows), *trees = run_jobs([
         partial(prediction_error_study, dataset, models, cfg.train),
+        *tree_fits,
     ])
     save_forest(ForestModel(trees=trees, n_features=bal_X.shape[1]), out_dir / "forest.json")
 

@@ -12,6 +12,7 @@ iterate of the budget, whose loss alone is read.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 
 from .errors import InputError, NumericalError, check_number, is_finite_number, read_json_object
+from .parallel import _one_blas_thread
 from .trajectory import Dataset, Direction, Maneuver, SUPPORTED_MANEUVERS
 
 KERNEL_KINDS = ("rbf", "rq")
@@ -33,7 +35,7 @@ MAX_JITTER = 1e-4
 #: alone would never raise.
 MIN_ESCALATED_JITTER = 1e-10
 
-MODEL_FILE_VERSION = 3
+MODEL_FILE_VERSION = 4
 
 #: Most rows one kernel evaluation of a rollout step covers.
 _ROLLOUT_BLOCK_ROWS = 256
@@ -447,8 +449,11 @@ def fit_gpr(inputs: np.ndarray, targets: np.ndarray, cfg: GprConfig = GprConfig(
     """Standardize targets, optimize hyperparameters with Adam, and return the
     model conditioned at the best loss seen, with the ``alpha_vec`` and jitter
     that loss was computed from. The work arrays come from ``workspace``, of at
-    least as many points; by default one is allocated for this fit."""
-    return _fit_targets(inputs, [targets], cfg, workspace)[0]
+    least as many points; by default one is allocated for this fit. The fit
+    runs on one BLAS thread, as it does in ``parallel.run_jobs``, so it gives
+    the same bits wherever it is called."""
+    with _one_blas_thread():
+        return _fit_targets(inputs, [targets], cfg, workspace)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +542,9 @@ def fit_cluster(cluster: tuple, points: np.ndarray, cfg: GprConfig,
                 workspace: _Workspace | None = None) -> GprModelPair:
     """The model pair of one cluster from its ``(n, 4)`` rows of x, y, vx and
     vy: both velocity components fitted together on the shared positions, the
-    x velocity first, each as ``fit_gpr`` fits it alone."""
-    gp_x, gp_y = _fit_targets(points[:, :2], (points[:, 2], points[:, 3]), cfg, workspace)
+    x velocity first, each as ``fit_gpr`` fits it alone, on one BLAS thread."""
+    with _one_blas_thread():
+        gp_x, gp_y = _fit_targets(points[:, :2], (points[:, 2], points[:, 3]), cfg, workspace)
     return GprModelPair(gp_x=gp_x, gp_y=gp_y, cluster=cluster)
 
 
@@ -577,6 +583,33 @@ def cluster_fit_jobs(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict:
             for cell, data in cluster_data.items()}
 
 
+def _pack(values: np.ndarray) -> str:
+    """Base64 text of ``values`` as little-endian IEEE-754 float64 bytes, rows
+    one after another."""
+    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unpack(text, name: str, width: int = 1) -> np.ndarray:
+    """The float64 values that ``_pack`` wrote as ``text``, as a writable
+    native array: ``(n,)`` for ``width`` 1, else ``(n, width)``. A ``text``
+    that is not a string, not strict base64 (only the base64 alphabet, and
+    exactly the padding its last group needs) or not a whole number of rows
+    raises ``InputError`` naming ``name``."""
+    if not isinstance(text, str):
+        raise InputError(f"{name} must be base64 text, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise InputError(f"{name} is not base64 text: {exc}") from exc
+    if len(text) != (len(raw) + 2) // 3 * 4:  # the decoder skips padding past the end
+        raise InputError(f"{name} is not base64 text: {len(text)} characters for "
+                         f"{len(raw)} bytes")
+    if len(raw) % (8 * width):
+        raise InputError(f"{name} holds {len(raw)} bytes, not a multiple of {8 * width}")
+    values = np.frombuffer(raw, dtype="<f8").astype(float)  # a native, writable copy
+    return values if width == 1 else values.reshape(-1, width)
+
+
 def _model_to_dict(model: GprModel) -> dict:
     return {
         "kind": model.kernel.kind,
@@ -586,8 +619,8 @@ def _model_to_dict(model: GprModel) -> dict:
         "jitter": model.jitter_used,
         "y_mean": model.y_mean,
         "y_std": model.y_std,
-        "train_y": model.train_y.tolist(),
-        "alpha_vec": model.alpha_vec.tolist(),
+        "train_y": _pack(model.train_y),
+        "alpha_vec": _pack(model.alpha_vec),
         "loss_trace": list(model.loss_trace),
     }
 
@@ -599,8 +632,7 @@ def _model_from_dict(data: dict, x: np.ndarray) -> GprModel:
         params = {k: float(data[k]) for k in ("length_scale", "rq_alpha",
                                               "noise_variance", "y_std")}
         jitter, y_mean = float(data["jitter"]), float(data["y_mean"])
-        y = np.asarray(data["train_y"], dtype=float)
-        alpha_vec = np.asarray(data["alpha_vec"], dtype=float)
+        y_text, alpha_text = data["train_y"], data["alpha_vec"]
         kind = data["kind"]
         loss_trace = data.get("loss_trace", [])
     except (KeyError, TypeError, ValueError) as exc:
@@ -612,6 +644,7 @@ def _model_from_dict(data: dict, x: np.ndarray) -> GprModel:
         raise InputError(f"GP parameters {bad} must be positive and finite")
     if not (math.isfinite(jitter) and jitter >= 0 and math.isfinite(y_mean)):
         raise InputError("GP jitter must be nonnegative and y_mean finite")
+    y, alpha_vec = _unpack(y_text, "GP train_y"), _unpack(alpha_text, "GP alpha_vec")
     for name, values in (("train_y", y), ("alpha_vec", alpha_vec)):
         if values.shape != (len(x),) or not np.all(np.isfinite(values)):
             raise InputError(f"GP {name} must hold {len(x)} finite values")
@@ -625,14 +658,18 @@ def _model_from_dict(data: dict, x: np.ndarray) -> GprModel:
 
 def save_cluster_models(models: dict, path: str | Path) -> None:
     """Write every cluster's shared training inputs once, then its two GPs,
-    as compact JSON."""
+    as compact JSON. The arrays ``train_x`` (row-major), ``train_y`` and
+    ``alpha_vec`` are stored as base64 text of their little-endian float64
+    bytes, so the file holds the fitted values exactly and neither writing
+    nor reading it formats or parses a float as decimal text; the scalars and
+    ``loss_trace`` are plain JSON numbers."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": MODEL_FILE_VERSION,
         "clusters": {
             cluster_key(d, m): {
-                "train_x": pair.gp_x.train_x.tolist(),
+                "train_x": _pack(pair.gp_x.train_x),
                 "gp_x": _model_to_dict(pair.gp_x),
                 "gp_y": _model_to_dict(pair.gp_y),
             }
@@ -645,6 +682,13 @@ def save_cluster_models(models: dict, path: str | Path) -> None:
 
 
 def load_cluster_models(path: str | Path) -> dict:
+    """The cluster model pairs of a ``save_cluster_models`` file, keyed by
+    ``(Direction, Maneuver)``, each GP the saved model bit for bit, with
+    writable native float64 arrays. A file of another version, or with a
+    malformed entry (an array field that is not strict base64 text of a whole
+    number of points, the wrong point count, a non-finite value, a
+    hyperparameter that is not positive and finite), raises ``InputError``
+    naming the file."""
     payload = read_json_object(path, "model", MODEL_FILE_VERSION, "train")
     clusters = payload.get("clusters")
     if not isinstance(clusters, dict):
@@ -660,11 +704,11 @@ def _pair_from_dict(key: str, entry: dict) -> tuple:
     try:
         d_str, m_str = key.split(":")
         cell = (Direction(d_str), Maneuver(m_str))
-        x = np.asarray(entry["train_x"], dtype=float)
-        gp_x, gp_y = entry["gp_x"], entry["gp_y"]
+        x_text, gp_x, gp_y = entry["train_x"], entry["gp_x"], entry["gp_y"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed cluster {key!r}: {exc!r}") from exc
-    if x.ndim != 2 or x.shape[1] != 2 or len(x) == 0 or not np.all(np.isfinite(x)):
+    x = _unpack(x_text, f"train_x of cluster {key}", width=2)
+    if len(x) == 0 or not np.all(np.isfinite(x)):
         raise InputError(f"train_x for cluster {key} must be finite (n, 2) rows")
     return cell, GprModelPair(gp_x=_model_from_dict(gp_x, x), gp_y=_model_from_dict(gp_y, x),
                               cluster=cell)

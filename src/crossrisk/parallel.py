@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import multiprocessing
 import os
+import sys
 import threading
 import traceback
 from multiprocessing.connection import wait
@@ -58,17 +60,25 @@ def usable_workers() -> int:
     return worker_count()
 
 
-def _openblas_thread_setters() -> list:
+def _openblas_thread_setters() -> tuple:
     """``openblas_set_num_threads_local`` of every OpenBLAS library loaded in
     this process (numpy and scipy may each bundle one). Found through
     ``/proc/self/maps``, so empty where that is missing or for other BLAS
-    builds, which then keep their own threading."""
+    builds, which then keep their own threading. Reading the map takes about
+    half a millisecond, so the lookup is kept until a module is imported,
+    which may load another library."""
+    return _setters_at(len(sys.modules))
+
+
+@functools.lru_cache(maxsize=1)
+def _setters_at(n_modules: int) -> tuple:
+    """The OpenBLAS setters while ``n_modules`` modules are imported."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split()[-1] for line in fh
                      if "openblas" in line.rpartition("/")[2].lower()}
     except OSError:
-        return []
+        return ()
     setters = []
     for path in sorted(paths):
         try:
@@ -77,7 +87,7 @@ def _openblas_thread_setters() -> list:
             continue
         setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
         setters.append(setter)
-    return setters
+    return tuple(setters)
 
 
 @contextlib.contextmanager

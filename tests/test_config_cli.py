@@ -9,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import row
+from helpers import edit_packed, row
 
-from crossrisk import evaluation, gpr, parallel
+from crossrisk import cli, evaluation, gpr, parallel
 from crossrisk.cli import main
 from crossrisk.config import RunConfig, load_config
 from crossrisk.errors import InputError, NumericalError
@@ -298,6 +298,28 @@ class TestCli:
                 "classifier_report.csv", "classifier_report.txt", "gpr_models.json"]
         assert multiprocessing.active_children() == []
 
+    def test_study_error_is_reported_and_no_forest_written_on_one_and_two_workers(
+            self, tmp_path, monkeypatch, capsys):
+        # the prediction study is the first job of the second map: its error
+        # is the one reported, and forest.json, written after the map, is not
+        cfg, labeled = self._two_depth_scene(tmp_path)
+
+        def failing_study(*args):
+            raise NumericalError("injected study failure")
+
+        monkeypatch.setattr(cli, "prediction_error_study", failing_study)
+        for workers in (1, 2):
+            monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+            out = tmp_path / f"models{workers}"
+            capsys.readouterr()
+            assert main(["train", "--config", str(cfg), "--in", str(labeled),
+                         "--out", str(out)]) == 2
+            assert "injected study failure" in capsys.readouterr().err
+            assert sorted(p.name for p in out.iterdir()) == [
+                "classifier_report.csv", "classifier_report.txt", "gpr_models.json"]
+            load_cluster_models(out / "gpr_models.json")  # complete, written before the map
+        assert multiprocessing.active_children() == []
+
     def test_non_finite_gradient_is_exit_code_two(self, tmp_path, monkeypatch, capsys):
         cfg, labeled = self._two_depth_scene(tmp_path)
         neg_lml = gpr._neg_lml
@@ -521,11 +543,12 @@ class TestExitCodes:
         ("gpr_models.json", _rename_cluster("Wstraight")),
         ("gpr_models.json", _rename_cluster("Q:straight")),
         ("gpr_models.json", _rename_cluster("W:sideways")),
-        ("gpr_models.json", _edit_models(
-            lambda p: p["clusters"]["W:straight"]["gp_x"]["alpha_vec"].pop())),
-        ("gpr_models.json", _edit_models(
-            lambda p: p["clusters"]["W:straight"]["gp_y"]["alpha_vec"].__setitem__(
-                0, float("nan")))),
+        ("gpr_models.json", _edit_models(lambda p: edit_packed(
+            p["clusters"]["W:straight"],
+            lambda a: a.update({"gp_x.alpha_vec": a["gp_x.alpha_vec"][:-1]})))),
+        ("gpr_models.json", _edit_models(lambda p: edit_packed(
+            p["clusters"]["W:straight"],
+            lambda a: a["gp_y.alpha_vec"].__setitem__(0, float("nan"))))),
         *(("gpr_models.json", _edit_models(
             lambda p, v=value: p["clusters"]["W:straight"]["gp_x"].__setitem__("loss_trace", v)))
           for value in (5, None, "abc")),

@@ -1,13 +1,15 @@
+import base64
 import contextlib
 import copy
 import json
 import math
 import pickle
 import signal
+from functools import partial
 
 import numpy as np
 import pytest
-from helpers import fit_clusters
+from helpers import blas_threads, edit_packed, fit_clusters
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_solve, lapack
 
@@ -597,6 +599,40 @@ class TestFit:
         if case == "escalated-one-iteration":  # the shared evaluation escalated
             assert pair.gp_x.jitter_used > 1e-8 and pair.gp_y.jitter_used > 1e-8
 
+    @pytest.mark.parametrize("fit", ["fit_cluster", "fit_gpr"])
+    def test_direct_fit_runs_on_one_blas_thread_like_a_mapped_job(self, monkeypatch, fit):
+        # called outside run_jobs, a fit pins the calling thread to one BLAS
+        # thread as a mapped job does, gives a mapped job's bits, and gives
+        # the caller back its own thread count
+        setters = parallel._openblas_thread_setters()
+        if not setters:
+            pytest.skip("numpy and scipy use no OpenBLAS library here")
+        seen = []
+        adam = gpr._adam_minimize
+        monkeypatch.setattr(gpr, "_adam_minimize",
+                            lambda *args: seen.append(blas_threads()) or adam(*args))
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-4, 4, size=(300, 2))
+        vx, vy = np.cos(0.7 * x[:, 0]), np.sin(0.7 * x[:, 1])
+        fit_cfg = GprConfig(iterations=3)
+        job = (partial(gpr.fit_cluster, (Direction.N, Maneuver.LEFT),
+                       np.column_stack([x, vx, vy]), fit_cfg)
+               if fit == "fit_cluster" else partial(fit_gpr, x, vx, fit_cfg))
+        previous = [setter(2) for setter in setters]
+        try:
+            caller = blas_threads()
+            direct = job()
+            assert blas_threads() == caller
+            mapped = parallel.run_jobs([job, job])  # each in a forked worker
+        finally:
+            for setter, n in zip(setters, previous):
+                setter(n)
+        assert seen and all(threads == [1] * len(setters) for threads in seen)
+        gps = (lambda r: (r.gp_x, r.gp_y)) if fit == "fit_cluster" else (lambda r: (r,))
+        for result in mapped:
+            assert list(map(model_bytes, gps(result))) == list(map(model_bytes, gps(direct)))
+
     @pytest.mark.parametrize("kind", ["rbf", "rq"])
     @pytest.mark.parametrize("iterations", [1, 40])
     @pytest.mark.parametrize("escalated", [False, True])
@@ -884,6 +920,12 @@ def labeled_scene():
     return labeled
 
 
+def _packed(edit):
+    """A payload mutation that edits the packed arrays of the ``N:left``
+    cluster through ``helpers.edit_packed``."""
+    return lambda payload: edit_packed(_cluster(payload), edit)
+
+
 class TestClusterTraining:
     def test_only_nonempty_clusters_trained(self, labeled_scene):
         sparse = labeled_scene
@@ -958,22 +1000,24 @@ class TestClusterTraining:
         path = tmp_path / "models.json"
         save_cluster_models(_small_models(), path)
         for entry in json.loads(path.read_text())["clusters"].values():
-            assert len(entry["train_x"]) == 6
+            assert len(base64.b64decode(entry["train_x"])) == 6 * 2 * 8  # 6 rows of 2 float64
             assert "train_x" not in entry["gp_x"] and "train_x" not in entry["gp_y"]
 
     @pytest.mark.parametrize("mutate", [
         pytest.param(lambda p: p.update(version=1), id="v1-file"),
-        pytest.param(lambda p: _cluster(p)["train_x"][0].__setitem__(0, float("nan")),
+        pytest.param(_packed(lambda a: a["train_x"].__setitem__((0, 0), float("nan"))),
                      id="train-x-nan"),
-        pytest.param(lambda p: _cluster(p)["train_x"][0].__setitem__(1, float("inf")),
+        pytest.param(_packed(lambda a: a["train_x"].__setitem__((0, 1), float("inf"))),
                      id="train-x-inf"),
-        pytest.param(lambda p: _cluster(p).update(
-            train_x=[r + [0.0] for r in _cluster(p)["train_x"]]), id="train-x-three-columns"),
-        pytest.param(lambda p: _cluster(p).update(train_x=[]), id="train-x-empty"),
+        # packed, 6 rows of 3 values read as 9 points, which the 6 targets do not fit
+        pytest.param(_packed(lambda a: a.update(
+            train_x=np.column_stack([a["train_x"], np.zeros(6)]))), id="train-x-three-columns"),
+        pytest.param(_packed(lambda a: a.update(train_x=np.empty((0, 2)))), id="train-x-empty"),
         pytest.param(lambda p: _cluster(p).pop("train_x"), id="train-x-missing"),
-        pytest.param(lambda p: _cluster(p)["gp_x"]["train_y"].__setitem__(0, float("nan")),
+        pytest.param(_packed(lambda a: a["gp_x.train_y"].__setitem__(0, float("nan"))),
                      id="train-y-nan"),
-        pytest.param(lambda p: _cluster(p)["gp_y"]["train_y"].pop(), id="train-y-short"),
+        pytest.param(_packed(lambda a: a.update({"gp_y.train_y": a["gp_y.train_y"][:-1]})),
+                     id="train-y-short"),
         pytest.param(lambda p: _cluster(p)["gp_x"].update(length_scale=0.0),
                      id="length-scale-zero"),
         pytest.param(lambda p: _cluster(p)["gp_x"].update(rq_alpha=-1.0), id="rq-alpha-negative"),
@@ -981,8 +1025,9 @@ class TestClusterTraining:
                      id="noise-variance-inf"),
         pytest.param(lambda p: _cluster(p)["gp_x"].update(y_std=0.0), id="y-std-zero"),
         pytest.param(lambda p: _cluster(p)["gp_y"].update(y_std=float("nan")), id="y-std-nan"),
-        pytest.param(lambda p: _cluster(p)["gp_x"]["alpha_vec"].pop(), id="alpha-vec-short"),
-        pytest.param(lambda p: _cluster(p)["gp_y"]["alpha_vec"].__setitem__(2, float("inf")),
+        pytest.param(_packed(lambda a: a.update({"gp_x.alpha_vec": a["gp_x.alpha_vec"][:-1]})),
+                     id="alpha-vec-short"),
+        pytest.param(_packed(lambda a: a["gp_y.alpha_vec"].__setitem__(2, float("inf"))),
                      id="alpha-vec-inf"),
         pytest.param(lambda p: _cluster(p)["gp_x"].pop("alpha_vec"), id="alpha-vec-missing"),
         pytest.param(lambda p: _cluster(p)["gp_y"].update(jitter=-1.0), id="jitter-negative"),
@@ -997,6 +1042,98 @@ class TestClusterTraining:
         with pytest.raises(InputError) as exc:
             load_cluster_models(path)
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("mutate,message", [
+        pytest.param(lambda p: _cluster(p).update(train_x=[[0.0, 1.0]] * 6),
+                     "train_x of cluster N:left must be base64 text, got list",
+                     id="train-x-list"),
+        pytest.param(lambda p: _cluster(p)["gp_x"].update(train_y=1.5),
+                     "GP train_y must be base64 text, got float", id="train-y-number"),
+        pytest.param(lambda p: _cluster(p)["gp_y"].update(alpha_vec=None),
+                     "GP alpha_vec must be base64 text, got NoneType", id="alpha-vec-null"),
+        pytest.param(lambda p: _cluster(p).update(train_x="not base64!"),
+                     "train_x of cluster N:left is not base64 text", id="train-x-not-base64"),
+        pytest.param(lambda p: _cluster(p)["gp_x"].update(
+            train_y=_cluster(p)["gp_x"]["train_y"][:8] + "\n"
+            + _cluster(p)["gp_x"]["train_y"][8:]),
+                     "GP train_y is not base64 text", id="train-y-newline"),
+        pytest.param(lambda p: _cluster(p)["gp_y"].update(
+            alpha_vec=_cluster(p)["gp_y"]["alpha_vec"] + "=="),
+                     "GP alpha_vec is not base64 text", id="alpha-vec-extra-padding"),
+        pytest.param(lambda p: _cluster(p)["gp_y"].update(
+            alpha_vec=_cluster(p)["gp_y"]["alpha_vec"][:-1]),
+                     "GP alpha_vec is not base64 text", id="alpha-vec-cut"),
+        pytest.param(lambda p: _cluster(p)["gp_x"].update(alpha_vec="AAAA\u00e9AAA"),
+                     "GP alpha_vec is not base64 text", id="alpha-vec-non-ascii"),
+        pytest.param(_packed(lambda a: a.update(train_x=a["train_x"].ravel()[:-1])),
+                     "train_x of cluster N:left holds 88 bytes, not a multiple of 16",
+                     id="train-x-odd-values"),
+        pytest.param(lambda p: _cluster(p)["gp_x"].update(train_y=base64.b64encode(
+            base64.b64decode(_cluster(p)["gp_x"]["train_y"])[:-4]).decode()),
+                     "GP train_y holds 44 bytes, not a multiple of 8", id="train-y-cut-bytes"),
+        pytest.param(_packed(lambda a: a.update({"gp_y.train_y": np.append(a["gp_y.train_y"],
+                                                                           0.0)})),
+                     "GP train_y must hold 6 finite values", id="train-y-long"),
+        pytest.param(_packed(lambda a: a.update({"gp_x.alpha_vec": np.append(
+            a["gp_x.alpha_vec"], 0.0)})), "GP alpha_vec must hold 6 finite values",
+                     id="alpha-vec-long"),
+        pytest.param(_packed(lambda a: a["gp_y.train_y"].__setitem__(5, float("-inf"))),
+                     "GP train_y must hold 6 finite values", id="train-y-inf"),
+        pytest.param(_packed(lambda a: a["gp_x.alpha_vec"].__setitem__(0, float("nan"))),
+                     "GP alpha_vec must hold 6 finite values", id="alpha-vec-nan"),
+    ])
+    def test_loader_rejects_malformed_packed_arrays(self, tmp_path, mutate, message):
+        path = tmp_path / "models.json"
+        save_cluster_models(_small_models(), path)
+        payload = json.loads(path.read_text())
+        mutate(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputError) as exc:
+            load_cluster_models(path)
+        assert str(exc.value).startswith(f"model file {path}: ")
+        assert message in str(exc.value)
+
+    def test_round_trip_keeps_every_bit_of_extreme_values(self, tmp_path):
+        specials = [-0.0, 5e-324, 2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308]
+        x = np.array([[v, -v] for v in specials] + [[0.0, -0.0]])
+        values = np.array(specials + [math.pi])
+        cell = (Direction.E, Maneuver.STRAIGHT)
+        kernel = KernelConfig(kind="rbf", length_scale=1e-300, noise_variance=5e-324,
+                              jitter=0.0)
+        gp = gpr.GprModel(kernel=kernel, train_x=x, train_y=values, y_mean=-0.0,
+                          y_std=1.7976931348623157e308, alpha_vec=values[::-1].copy(),
+                          jitter_used=0.0, loss_trace=[5e-324, -0.0, -1.7976931348623157e308])
+        save_cluster_models({cell: GprModelPair(gp_x=gp, gp_y=gp, cluster=cell)},
+                            tmp_path / "m.json")
+        back = load_cluster_models(tmp_path / "m.json")[cell]
+        for loaded in (back.gp_x, back.gp_y):
+            assert loaded.train_x.shape == (6, 2)
+            for name in ("train_x", "train_y", "alpha_vec"):
+                assert getattr(loaded, name).tobytes() == getattr(gp, name).tobytes()
+            assert loaded.kernel == kernel
+            assert [math.copysign(1.0, v) for v in (loaded.y_mean, *loaded.loss_trace)] == [
+                -1.0, 1.0, -1.0, -1.0]
+            assert (loaded.y_std, loaded.loss_trace) == (gp.y_std, gp.loss_trace)
+
+    def test_loaded_arrays_are_writable_native_float64(self, tmp_path):
+        save_cluster_models(_small_models(), tmp_path / "m.json")
+        (pair,) = load_cluster_models(tmp_path / "m.json").values()
+        for array in (pair.gp_x.train_x, pair.gp_x.train_y, pair.gp_x.alpha_vec,
+                      pair.gp_y.train_y, pair.gp_y.alpha_vec):
+            assert array.dtype == np.float64 and array.dtype.isnative
+            assert array.flags.writeable and array.flags.c_contiguous
+            array[0] = 1.0
+
+    def test_v3_file_asks_for_retraining(self, tmp_path):
+        # version 3 stored the arrays as lists of JSON numbers
+        path = tmp_path / "old.json"
+        gp = {"kind": "rbf", "length_scale": 1.0, "rq_alpha": 1.0, "noise_variance": 0.1,
+              "jitter": 1e-6, "y_mean": 0.0, "y_std": 1.0, "train_y": [0.5],
+              "alpha_vec": [0.25], "loss_trace": []}
+        path.write_text(json.dumps({"version": 3, "clusters": {
+            "N:left": {"train_x": [[0.0, 1.0]], "gp_x": gp, "gp_y": gp}}}))
+        with pytest.raises(InputError, match=r"version 3 \(expected 4\); re-run `crossrisk train`"):
+            load_cluster_models(path)
 
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "list.json"
@@ -1055,3 +1192,4 @@ def _small_models():
 
 def _cluster(payload):
     return payload["clusters"]["N:left"]
+

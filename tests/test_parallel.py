@@ -1,11 +1,14 @@
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 from functools import partial
 
 import numpy as np
 import pytest
+from helpers import blas_threads
 
 from crossrisk import parallel
 from crossrisk.errors import InputError
@@ -161,14 +164,6 @@ def test_worker_count_is_the_affinity_mask():
     assert parallel.worker_count() == len(os.sched_getaffinity(0))
 
 
-def blas_threads(_=None):
-    """The calling thread's OpenBLAS thread count in each loaded library."""
-    counts = [setter(1) for setter in parallel._openblas_thread_setters()]
-    for setter, n in zip(parallel._openblas_thread_setters(), counts):
-        setter(n)
-    return counts
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_fn_runs_on_one_blas_thread(monkeypatch, workers):
     monkeypatch.setattr(parallel, "worker_count", lambda: workers)
@@ -177,3 +172,25 @@ def test_fn_runs_on_one_blas_thread(monkeypatch, workers):
         pytest.skip("numpy and scipy use no OpenBLAS library here")
     assert run_map(blas_threads, range(3)) == [[1] * len(before)] * 3
     assert blas_threads() == before
+
+
+def test_setter_lookup_is_cached_until_a_module_import():
+    # a fresh process: numpy alone loads one OpenBLAS library; scipy.linalg,
+    # imported after the first lookup, may load its own, which must be found
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import numpy\n"
+        "from crossrisk import parallel\n"
+        "first = parallel._openblas_thread_setters()\n"
+        "assert parallel._openblas_thread_setters() is first\n"
+        "import scipy.linalg\n"
+        "print(len(first), len(parallel._openblas_thread_setters()),"
+        " len(parallel._setters_at.__wrapped__(-1)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(parallel.__file__))
+    out = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True,
+                         check=True).stdout.split()
+    before, after, fresh = map(int, out)
+    if not fresh:
+        pytest.skip("numpy and scipy use no OpenBLAS library here")
+    assert after == fresh >= before
