@@ -6,8 +6,6 @@ whole."""
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -171,6 +169,19 @@ def prediction_error_study(dataset: Dataset, models: dict, cfg: TrainConfig
 # ---------------------------------------------------------------------------
 
 
+def _frame_codes(trajs: list) -> list:
+    """The integer frame code of every row of ``trajs``, one array per
+    trajectory. Two rows share a code exactly when their ``round(t, 6)`` keys
+    are equal, and codes rise with the key; ``round`` runs once per distinct
+    timestamp."""
+    distinct, inverse = np.unique(np.concatenate([traj.t for traj in trajs]),
+                                  return_inverse=True)
+    # nondecreasing, as round is monotone
+    keys = np.array([round(t, 6) for t in distinct.tolist()])
+    codes = np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1])))[inverse]
+    return np.split(codes, np.cumsum([len(traj) for traj in trajs])[:-1])
+
+
 def compute_risk_streams(
     dataset: Dataset,
     models: dict,
@@ -181,15 +192,18 @@ def compute_risk_streams(
     """Risk stream of every co-present vehicle-pedestrian pair, keyed by
     ``(vehicle id, pedestrian id)``.
 
-    Frames are matched on identical timestamps (the shared frame grid). The
-    scene is scored one entering direction at a time, since the direction
-    fixes a vehicle's maneuver hypotheses; pairs whose direction has no
-    cluster model are skipped. Each vehicle is matched once against its
-    co-present pedestrians, and its scored frames are those some pedestrian
-    shares. The direction's vehicle side takes one forest call over the
-    scored frames of all its vehicles and one rollout per cluster model over
-    the same frames. One :func:`estimate_risk` call then scores every pair's
-    shared frames, and its rows are cut into one stream per pair.
+    Frames are matched on equal ``round(t, 6)`` timestamps (the shared frame
+    grid), through integer frame codes computed once for the scene; of a
+    pedestrian's valid rows with one key, the last is matched. The scene is
+    scored one entering direction at a time, since the direction fixes a
+    vehicle's maneuver hypotheses; pairs whose direction has no cluster model
+    are skipped. Each vehicle's candidate frames are looked up at once among
+    the valid rows of its co-present pedestrians, and its scored frames are
+    those some pedestrian shares. The direction's vehicle side takes one
+    forest call over the scored frames of all its vehicles and one rollout
+    per cluster model over the same frames. One :func:`estimate_risk` call
+    then scores every pair's shared frames, and its rows are cut into one
+    stream per pair.
     The rollouts run ``cfg.horizon_steps`` frames of ``dataset.frame_interval``.
     In sample mode each (vehicle, maneuver) keeps its own noise stream,
     seeded by ``cfg.sample_seed``, the vehicle's ordinal in
@@ -197,17 +211,28 @@ def compute_risk_streams(
     mean mode passes no streams.
     """
     dt = dataset.frame_interval
-    ped_index = {}  # pedestrian id -> ({frame key: valid row}, first key, last key)
-    for ped in dataset.pedestrians:
-        rows = np.flatnonzero(ped.valid).tolist()
-        keys = [round(t, 6) for t in ped.t[rows].tolist()]  # nondecreasing, as t is
-        ped_index[ped.id] = (dict(zip(keys, rows)),
-                             *((keys[0], keys[-1]) if keys else (math.inf, -math.inf)))
-    ordinal = {veh.id: i for i, veh in enumerate(dataset.vehicles)}
-    by_direction: dict = {}  # direction -> vehicle id -> (vehicle, [(pedestrian, *index)])
+    vehicles, peds = dataset.vehicles, dataset.pedestrians
+    ordinal = {veh.id: i for i, veh in enumerate(vehicles)}
+    ped_ordinal = {ped.id: j for j, ped in enumerate(peds)}
+    by_direction: dict = {}  # direction -> vehicle id -> (vehicle, co-present pedestrian ordinals)
     for veh, ped in co_present_pairs(dataset):
         by_direction.setdefault(veh.entering_direction, {}).setdefault(
-            veh.id, (veh, []))[1].append((ped, *ped_index[ped.id]))
+            veh.id, (veh, []))[1].append(ped_ordinal[ped.id])
+    if not by_direction:
+        return {}
+    codes = _frame_codes(vehicles + peds)
+    # The match table: every pedestrian's valid rows, as rows of ped_points,
+    # sorted by frame code. Of a pedestrian's valid rows with one code only
+    # the last is kept, as a dict keyed by round(t, 6) would keep it.
+    ped_points = np.concatenate([ped.points for ped in peds])
+    owner = np.repeat(np.arange(len(peds)), [len(ped) for ped in peds])
+    ped_code = np.concatenate(codes[len(vehicles):])
+    rows = np.flatnonzero(np.concatenate([ped.valid for ped in peds]))
+    last = np.ones(len(rows), dtype=bool)
+    last[:-1] = (owner[rows[1:]] != owner[rows[:-1]]) | (ped_code[rows[1:]] != ped_code[rows[:-1]])
+    rows = rows[last]
+    table = rows[np.argsort(ped_code[rows], kind="stable")]
+    table_code = ped_code[table]
 
     streams: dict = {}
     for direction, peds_of in by_direction.items():
@@ -216,30 +241,33 @@ def compute_risk_streams(
             continue
         scored = []  # (vehicle, scored rows), the batch's frames in order
         pairs, at, ped_rows = [], [], []  # at: the batch frame of each shared frame
-        for veh, peds in peds_of.values():
-            keys = [round(t, 6) for t in veh.t.tolist()]
-            usable = (veh.valid & np.isfinite(veh.yaw_rate)).tolist()
-            candidates = [(vi, keys[vi]) for vi in range(0, len(veh), cfg.frame_stride)
-                          if usable[vi]]
-            cand_keys = [key for _, key in candidates]  # nondecreasing
-            shared = []  # per pedestrian, its shared frames as (vehicle row, pedestrian row)
-            for ped, lookup, first, last in peds:
-                # only candidates within the pedestrian's first and last valid frame
-                window = candidates[bisect_left(cand_keys, first):bisect_right(cand_keys, last)]
-                shared.append((ped, [(vi, lookup[key]) for vi, key in window if key in lookup]))
-            frames = sorted({vi for _, rows in shared for vi, _ in rows})
-            if not frames:
+        offset = 0  # the batch's rows so far
+        for veh, co_present in peds_of.values():
+            candidates = np.arange(0, len(veh), cfg.frame_stride)
+            candidates = candidates[(veh.valid & np.isfinite(veh.yaw_rate))[candidates]]
+            code = codes[ordinal[veh.id]][candidates]
+            lo = np.searchsorted(table_code, code, "left")
+            n = np.searchsorted(table_code, code, "right") - lo  # pedestrian rows per candidate
+            hit = table[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)]
+            vi, who = np.repeat(candidates, n), owner[hit]
+            mask = np.zeros(len(peds), dtype=bool)
+            mask[co_present] = True
+            keep = np.flatnonzero(mask[who])
+            # pair after pair in pedestrian order, each pair's frames in row order
+            order = keep[np.argsort(who[keep], kind="stable")]
+            if not len(order):
                 continue
-            offset = sum(len(f) for _, f in scored)  # the batch's rows so far
-            batch_row = {vi: offset + r for r, vi in enumerate(frames)}
+            hit, vi, who = hit[order], vi[order], who[order]
+            frames = np.unique(vi)
             scored.append((veh, frames))
-            for ped, rows in shared:
-                if rows:
-                    pairs.append(((veh.id, ped.id), len(rows)))
-                    at.extend(batch_row[vi] for vi, _ in rows)
-                    ped_rows.append(ped.points[[pi for _, pi in rows], 1:5])
+            at.append(offset + np.searchsorted(frames, vi))
+            offset += len(frames)
+            ped_rows.append(hit)
+            pairs.extend(((veh.id, peds[j].id), rows) for j, rows in
+                         zip(*(a.tolist() for a in np.unique(who, return_counts=True))))
         if not scored:
             continue
+        at = np.concatenate(at)
 
         probs = forest.predict_proba(np.concatenate(
             [extract_features(veh, frames, direction) for veh, frames in scored]))
@@ -257,7 +285,8 @@ def compute_risk_streams(
         # own would
         veh_rows = np.concatenate([veh.points[frames] for veh, frames in scored])[at]
         stream = estimate_risk(
-            veh_rows[:, 0], veh_rows[:, 1:5], np.concatenate(ped_rows), probs[at], paths, dt,
+            veh_rows[:, 0], veh_rows[:, 1:5], ped_points[np.concatenate(ped_rows), 1:5],
+            probs[at], paths, dt,
             radius=cfg.conflict_radius, ttc_radius=ttc_radius,
         )
         lo = 0

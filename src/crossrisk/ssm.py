@@ -88,6 +88,13 @@ def _zone_interval(times: np.ndarray, positions: np.ndarray, center: np.ndarray,
     return float(times[inside[0]]), float(times[inside[-1]])
 
 
+def _search_limit(zone_radius: float) -> float:
+    """The squared box gap up to which a point can be in a pair within
+    ``zone_radius``; the 1e-9 slack absorbs the rounding of the squares
+    against the radius."""
+    return zone_radius * zone_radius * (1.0 + 1e-9)
+
+
 def _near_box(xy: np.ndarray, other: np.ndarray, limit: float) -> np.ndarray:
     """Mask of the points of ``xy`` whose squared distance to the bounding box
     of ``other`` is at most ``limit``."""
@@ -110,12 +117,11 @@ def compute_pet(veh: Trajectory, ped: Trajectory, zone_radius: float = 1.0
         return None
     # A point is at least as far from any point of the other path as from that
     # path's bounding box, and the rounded differences, squares and sums keep
-    # that order; the 1e-9 slack absorbs the rounding of the squares against
-    # the radius. So a pair within zone_radius joins two points that lie within
+    # that order. So a pair within zone_radius joins two points that lie within
     # it of the other path's box, and the search runs over those points only.
     # They keep their order, so argmin finds the first closest pair of the
     # full search whenever that pair is within zone_radius.
-    limit = zone_radius * zone_radius * (1.0 + 1e-9)
+    limit = _search_limit(zone_radius)
     near_v = np.flatnonzero(_near_box(veh_xy, ped_xy, limit))
     near_p = np.flatnonzero(_near_box(ped_xy, veh_xy, limit))
     if len(near_v) == 0 or len(near_p) == 0:
@@ -154,9 +160,31 @@ def co_present_pairs(dataset: Dataset) -> list[tuple[Trajectory, Trajectory]]:
 def identify_conflicts_pet(dataset: Dataset, threshold: float = 3.0,
                            zone_radius: float = 1.0) -> list[ConflictEvent]:
     """Ground-truth conflicts: co-present pairs with encroachment time at or
-    below ``threshold`` seconds."""
+    below ``threshold`` seconds.
+
+    :func:`compute_pet` runs only on the pairs whose valid-point bounding
+    boxes lie within ``zone_radius`` of each other. A vehicle point's gap to
+    the pedestrian's box is at least the gap between the two boxes, in
+    rounded arithmetic too, so on any other pair ``compute_pet`` keeps no
+    vehicle point and returns ``None``; it returns ``None`` too on a
+    trajectory without a valid point, which has no box.
+    """
+    limit = _search_limit(zone_radius)
+    boxes = {}  # trajectory id -> (min x, min y, max x, max y) of its valid points
+    for traj in (*dataset.vehicles, *dataset.pedestrians):
+        xy = traj.xy[traj.valid]
+        if len(xy):
+            boxes[traj.id] = (*xy.min(axis=0).tolist(), *xy.max(axis=0).tolist())
     events = []
     for veh, ped in co_present_pairs(dataset):
+        if veh.id not in boxes or ped.id not in boxes:
+            continue
+        v_lo_x, v_lo_y, v_hi_x, v_hi_y = boxes[veh.id]
+        p_lo_x, p_lo_y, p_hi_x, p_hi_y = boxes[ped.id]
+        gx = max(p_lo_x - v_hi_x, v_lo_x - p_hi_x, 0.0)
+        gy = max(p_lo_y - v_hi_y, v_lo_y - p_hi_y, 0.0)
+        if gx * gx + gy * gy > limit:
+            continue
         event = compute_pet(veh, ped, zone_radius)
         if event is not None and event.pet <= threshold:
             events.append(event)

@@ -30,6 +30,7 @@ from crossrisk.maneuver import (
 )
 from crossrisk.preprocess import preprocess_dataset
 from crossrisk.risk import RiskStream, estimate_risk, find_conflict_point
+from crossrisk.ssm import co_present_pairs
 from crossrisk.synth import ScenarioSpec, generate_scenario
 from crossrisk.trajectory import (
     Dataset,
@@ -760,6 +761,33 @@ class TestRiskStreams:
             for f in fields(RiskStream):
                 assert getattr(stream, f.name).tobytes() == getattr(pair, f.name).tobytes()
 
+    def test_one_frame_scoring_equals_the_full_stream(self, small_scene):
+        # the objects of one timestamp, scored as one-row trajectories, give
+        # each pair the row that the stride-1 stream of the whole scene holds
+        # at that frame, up to the last bits the rollout's batch size moves
+        labeled, models, forest = small_scene
+        cfg = replace(self.CFG, frame_stride=1)
+        full = compute_risk_streams(labeled, models, forest, cfg, ttc_radius=1.0)
+        want: dict = {}  # t -> pair -> row of the pair's full stream
+        for pair, stream in full.items():
+            for r, t in enumerate(stream.t.tolist()):
+                want.setdefault(t, {})[pair] = r
+        frames: dict = {}
+        for traj in labeled.trajectories:
+            for i, t in enumerate(traj.t.tolist()):
+                frames.setdefault(t, []).append(replace(traj, points=traj.points[i:i + 1]))
+        assert want and set(want) < set(frames)
+        for t, trajs in frames.items():
+            got = compute_risk_streams(Dataset(trajectories=trajs), models, forest, cfg,
+                                       ttc_radius=1.0)
+            assert set(got) == set(want.get(t, {}))
+            for pair, stream in got.items():
+                assert stream.t.tolist() == [t]
+                for f in fields(RiskStream):
+                    np.testing.assert_allclose(getattr(stream, f.name)[0],
+                                               getattr(full[pair], f.name)[want[t][pair]],
+                                               rtol=1e-12, atol=1e-15)
+
     def test_streams_only_for_covered_directions(self, monkeypatch):
         # W has two of the three maneuver models, E only an unsupported
         # cluster, N none, and one vehicle has no entering direction: only
@@ -879,6 +907,127 @@ class TestRiskStreams:
         assert [a.tobytes() for a in first] == [a.tobytes() for a in again]
         # rows of one batched call agree to the last bits that BLAS leaves
         assert np.allclose(mean[0], mean[1], rtol=0, atol=1e-12)
+
+
+def reference_matching(dataset, models, stride):
+    """Frame matching on ``round(t, 6)`` keys, written with dicts: per scored
+    direction in stream order, the scored ``(vehicle id, rows)`` and each
+    pair's ``(vehicle row, pedestrian row)`` list, pair after pair. A
+    pedestrian's key maps to the last of its valid rows with that key."""
+    lookup = {}
+    for ped in dataset.pedestrians:
+        rows = np.flatnonzero(ped.valid).tolist()
+        lookup[ped.id] = dict(zip((round(t, 6) for t in ped.t[rows].tolist()), rows))
+    by_direction: dict = {}
+    for veh, ped in co_present_pairs(dataset):
+        by_direction.setdefault(veh.entering_direction, {}).setdefault(
+            veh.id, (veh, []))[1].append(ped)
+    matched = []
+    for direction, peds_of in by_direction.items():
+        if not any((direction, m) in models for m in SUPPORTED_MANEUVERS):
+            continue
+        scored, pairs = [], []
+        for veh, peds in peds_of.values():
+            keys = [round(t, 6) for t in veh.t.tolist()]
+            usable = veh.valid & np.isfinite(veh.yaw_rate)
+            candidates = [vi for vi in range(0, len(veh), stride) if usable[vi]]
+            shared = [(ped, [(vi, lookup[ped.id][keys[vi]]) for vi in candidates
+                             if keys[vi] in lookup[ped.id]]) for ped in peds]
+            frames = sorted({vi for _, rows in shared for vi, _ in rows})
+            if frames:
+                scored.append((veh.id, frames))
+                pairs.extend(((veh.id, ped.id), rows) for ped, rows in shared if rows)
+        if scored:
+            matched.append((scored, pairs))
+    return matched
+
+
+@st.composite
+def matching_scenes(draw):
+    """Vehicles and pedestrians on a 0.1 s grid, each with its own start,
+    dropped frames, a time offset under half a key, and maybe a row 1e-7 s
+    after another that shares its key. Vehicle rows may be invalid or have a
+    non-finite yaw rate, and pedestrian rows may be invalid; one vehicle has
+    no entering direction and one pedestrian no valid row. Each valid row's
+    x is its object's number times 1000 plus its row index."""
+
+    def track(k, object_class, no_valid=False, direction=None):
+        start = draw(st.integers(0, 10))
+        frames = sorted(draw(st.sets(st.integers(start, start + 14), min_size=1, max_size=12)))
+        t = [0.1 * f + draw(st.sampled_from([-3e-7, 0.0, 3e-7])) for f in frames]
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(t) - 1))
+            t.insert(i + 1, t[i] + 1e-7)
+            assert round(t[i], 6) == round(t[i + 1], 6)
+        n = len(t)
+        invalid = [no_valid or b for b in draw(st.lists(st.booleans(), min_size=n, max_size=n))]
+        yaw = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, math.nan, math.inf]),
+                            min_size=n, max_size=n))
+        points = [row(ti, *((math.nan,) * 4 if bad else (1000.0 * k + i, 0.1 * k, 1.0, 0.5)),
+                      yaw_rate=w)
+                  for i, (ti, bad, w) in enumerate(zip(t, invalid, yaw))]
+        return Trajectory(id=f"{object_class.value}{k}", object_class=object_class,
+                          points=points, entering_direction=direction,
+                          maneuver=Maneuver.STRAIGHT if direction else None)
+
+    n_veh, n_ped = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    vehicles = [track(k, ObjectClass.VEHICLE,
+                      direction=draw(st.sampled_from([Direction.W, Direction.E, Direction.N])))
+                for k in range(n_veh)]
+    vehicles.append(track(n_veh, ObjectClass.VEHICLE))
+    peds = [track(k, ObjectClass.PEDESTRIAN) for k in range(n_veh + 1, n_veh + n_ped + 1)]
+    peds.append(track(n_veh + n_ped + 1, ObjectClass.PEDESTRIAN, no_valid=True))
+    return Dataset(trajectories=draw(st.permutations(vehicles + peds)))
+
+
+class TestFrameMatching:
+    # W has two cluster models, E one and N none
+    MODELS = {(Direction.W, Maneuver.LEFT): None, (Direction.W, Maneuver.STRAIGHT): None,
+              (Direction.E, Maneuver.RIGHT): None}
+    FOREST, _ = certain_forest(2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(matching_scenes(), st.integers(1, 3))
+    def test_matches_the_dict_matcher(self, dataset, stride):
+        # the rollout follows the start, so each batch row's path starts at
+        # the position of the vehicle row it scores
+        def standing(pair, starts, steps, dt, streams=None):
+            return np.repeat(starts[:, None], steps, axis=1)
+
+        def recording_features(veh, rows, direction):
+            features.append((veh.id, list(rows)))
+            return real_features(veh, rows, direction)
+
+        def recording_estimate(*args, **kwargs):
+            calls.append(args)
+            return real_estimate(*args, **kwargs)
+
+        features, calls = [], []
+        real_features, real_estimate = evaluation.extract_features, evaluation.estimate_risk
+        saved = evaluation.rollout
+        evaluation.rollout, evaluation.extract_features, evaluation.estimate_risk = (
+            standing, recording_features, recording_estimate)
+        try:
+            streams = compute_risk_streams(dataset, self.MODELS, self.FOREST,
+                                           RiskConfig(horizon_steps=3, frame_stride=stride),
+                                           ttc_radius=1.0)
+        finally:
+            evaluation.rollout, evaluation.extract_features, evaluation.estimate_risk = (
+                saved, real_features, real_estimate)
+        want = reference_matching(dataset, self.MODELS, stride)
+        assert features == [frames for scored, _ in want for frames in scored]
+        assert list(streams) == [pair for _, pairs in want for pair, _ in pairs]
+        assert len(calls) == len(want)
+        by_id = {traj.id: traj for traj in dataset.trajectories}
+        for (_, pairs), args in zip(want, calls):
+            rows = [(vid, pid, vi, pi) for (vid, pid), shared in pairs for vi, pi in shared]
+            # x holds the row index, so each call row names its vehicle and
+            # pedestrian rows; each path starts at the vehicle row's position
+            assert args[1][:, 0].tolist() == [by_id[v].points[vi, 1] for v, _, vi, _ in rows]
+            assert args[2][:, 0].tolist() == [by_id[p].points[pi, 1] for _, p, _, pi in rows]
+            assert args[0].tolist() == [by_id[v].t[vi] for v, _, vi, _ in rows]
+            for path in args[4].values():
+                assert path[:, 0].tobytes() == np.ascontiguousarray(args[1][:, :2]).tobytes()
 
 
 class TestPredictionStudy:

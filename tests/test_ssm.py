@@ -5,6 +5,7 @@ import pytest
 from helpers import row
 from hypothesis import example, given, settings, strategies as st
 
+from crossrisk import ssm
 from crossrisk.ssm import (
     ConflictEvent,
     compute_pet,
@@ -302,6 +303,69 @@ class TestIdentifyConflicts:
         reversed_ds = Dataset(trajectories=list(reversed(ds.trajectories)))
         events_r = identify_conflicts_pet(reversed_ds, 3.0, 0.05)
         assert [(e.pair, e.pet) for e in events] == [(e.pair, e.pet) for e in events_r]
+
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 1.0, 2.5]),
+           st.sampled_from([0.5, 0.25, 0.1]), st.sampled_from([0.0, 0.5, 3.0]))
+    def test_equals_compute_pet_on_every_co_present_pair(self, seed, radius, step, threshold):
+        # lattice walks that start at different times, so that only some
+        # pairs are co-present; many boxes lie exactly the radius apart. Two
+        # trajectories have no valid point, and one pair, alone in its time
+        # span, lies exactly the radius apart along an axis.
+        rng = np.random.default_rng(seed)
+
+        def walk(traj_id, cls):
+            n = int(rng.integers(2, 30))
+            xy = np.cumsum(rng.integers(-2, 3, size=(n, 2)) * step, axis=0)
+            xy += rng.integers(-12, 13, size=2) * step
+            bad = rng.random(n) < 0.1
+            t0 = 0.1 * int(rng.integers(0, 30))
+            pts = [row(t0 + 0.1 * i, *((math.nan,) * 4 if b else (x, y, 1.0, 0.0)))
+                   for i, ((x, y), b) in enumerate(zip(xy.tolist(), bad))]
+            return Trajectory(id=traj_id, object_class=cls, points=pts)
+
+        def blank(traj_id, cls):
+            return Trajectory(id=traj_id, object_class=cls,
+                              points=[row(0.1 * i, *(math.nan,) * 4) for i in range(60)])
+
+        trajs = [walk(f"veh{i}", ObjectClass.VEHICLE) for i in range(4)]
+        trajs += [walk(f"ped{i}", ObjectClass.PEDESTRIAN) for i in range(4)]
+        trajs += [blank("veh_blank", ObjectClass.VEHICLE),
+                  blank("ped_blank", ObjectClass.PEDESTRIAN),
+                  _path("veh_at", ObjectClass.VEHICLE, [(50.0, 0.0, 0.0, 1.0, 0.0),
+                                                        (50.1, -radius, 0.0, 1.0, 0.0)]),
+                  _path("ped_at", ObjectClass.PEDESTRIAN, [(50.0, radius, 0.0, 0.0, 1.0),
+                                                           (50.1, 2 * radius, 0.0, 0.0, 1.0)])]
+        dataset = Dataset(trajectories=trajs)
+        want = [event for veh, ped in co_present_pairs(dataset)
+                if (event := compute_pet(veh, ped, radius)) is not None
+                and event.pet <= threshold]
+        got = identify_conflicts_pet(dataset, threshold, radius)
+        assert got == sorted(want, key=lambda e: e.pair)
+        assert ("veh_at", "ped_at") in [e.pair for e in got]
+
+    def test_pairs_with_distant_boxes_skip_compute_pet(self, monkeypatch):
+        # of the four co-present pairs, one has boxes more than the radius
+        # apart and two hold a vehicle without a valid point
+        veh, ped = crossing_pair(t_ped_cross=5.0, t_veh_cross=5.5)
+        far = Trajectory(id="far", object_class=ObjectClass.PEDESTRIAN,
+                         points=[(t, x, y + 100.0, vx, vy, yaw)
+                                 for t, x, y, vx, vy, yaw in ped.points.tolist()])
+        blank = Trajectory(id="blank", object_class=ObjectClass.VEHICLE,
+                           points=[row(0.1 * i, *(math.nan,) * 4) for i in range(20)])
+        calls = []
+
+        def counting(v, p, zone_radius):
+            calls.append((v.id, p.id))
+            return compute_pet(v, p, zone_radius)
+
+        monkeypatch.setattr(ssm, "compute_pet", counting)
+        dataset = Dataset(trajectories=[veh, ped, far, blank])
+        assert len(co_present_pairs(dataset)) == 4
+        events = identify_conflicts_pet(dataset, 3.0, zone_radius=0.5)
+        assert calls == [("veh", "ped")]
+        assert [e.pair for e in events] == [("veh", "ped")]
 
 
 def reference_roc(scores, truth):
