@@ -6,7 +6,9 @@ seed, keeps the last JSON line of each run, and writes the median and
 quartiles of every metric per workload. Each run has ``perfbench/run.py``'s
 own default length. It also times the ``train`` stage on
 ``configs/example.json`` (median of 3 runs, with the worker count), which the
-benchmark workloads, with their few trees, do not show.
+benchmark workloads, with their few trees, do not show, and once more with
+the timing process bound to one CPU (as ``taskset -c`` binds it) under
+``example_train_one_cpu``.
 
     python scripts/bench_record.py --label pr11 [--checkout .] [--seeds 1 2 3]
 """
@@ -68,12 +70,16 @@ def bench_run(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
-def example_train(checkout: Path) -> dict:
+def example_train(checkout: Path, runs: int = TRAIN_RUNS, one_cpu: bool = False) -> dict:
+    """Train-stage times on ``configs/example.json``; with ``one_cpu`` the
+    timing process may run on the lowest CPU of this process's set only."""
+    cpu = {min(os.sched_getaffinity(0))}
+    bind = (lambda: os.sched_setaffinity(0, cpu)) if one_cpu else None
     with tempfile.TemporaryDirectory() as work:
         env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
         proc = subprocess.run(
             [sys.executable, "-c", _TRAIN_TIMER, str(checkout / "configs" / "example.json"),
-             work, str(TRAIN_RUNS)], env=env, capture_output=True, text=True)
+             work, str(runs)], env=env, capture_output=True, text=True, preexec_fn=bind)
     if proc.returncode != 0:
         raise SystemExit(f"example train failed:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -103,7 +109,8 @@ def main() -> int:
         }
         print(f"{workload}: {len(results)} runs", file=sys.stderr)
     record = {"label": args.label, "seeds": args.seeds, "cpus": os.cpu_count(),
-              "workloads": workloads, "example_train": example_train(checkout)}
+              "workloads": workloads, "example_train": example_train(checkout),
+              "example_train_one_cpu": example_train(checkout, runs=1, one_cpu=True)}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")

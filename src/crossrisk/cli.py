@@ -33,11 +33,11 @@ from .maneuver import (
     split_jobs,
     tree_jobs,
 )
-from .parallel import run_jobs, usable_workers
+from .parallel import Pool, usable_workers
 from .preprocess import preprocess_dataset
-from .ssm import evaluate_detection, identify_conflicts_pet
+from .ssm import co_present_pairs, evaluate_detection, identify_conflicts_pet
 from .synth import generate_scenario, write_ground_truth
-from .trajectory import SUPPORTED_MANEUVERS, load_dataset, save_dataset
+from .trajectory import SUPPORTED_MANEUVERS, ObjectClass, load_dataset, save_dataset
 
 _MANEUVER_NAMES = {m: m.value for m in SUPPORTED_MANEUVERS}
 
@@ -59,6 +59,29 @@ def _fmt(x) -> str:
 def _ttc_cells(stream) -> list:
     """A stream's TTC column as CSV cells, blank where there is none."""
     return ["" if math.isnan(ttc) else _fmt(ttc) for ttc in stream.ttc.tolist()]
+
+
+def _write_classifier_reports(out_dir: Path, scores: tuple, chosen: tuple) -> None:
+    """``classifier_report.csv`` and ``.txt``: the mean precision, recall and
+    F1 over the protocol splits' ``scores`` tables, the F1 spread, and the
+    chosen forest grid point."""
+    mean_p, mean_r, mean_f = np.mean(scores, axis=0)
+    std_f = np.std(scores, axis=0)[2]
+    _write_csv(
+        out_dir / "classifier_report.csv",
+        ["maneuver", "precision_mean", "recall_mean", "f1_mean", "f1_std"],
+        [
+            [_MANEUVER_NAMES[m], _fmt(mean_p[i]), _fmt(mean_r[i]), _fmt(mean_f[i]),
+             _fmt(std_f[i])]
+            for i, m in enumerate(SUPPORTED_MANEUVERS)
+        ],
+    )
+    lines = [f"maneuver classification over {len(scores)} splits",
+             "maneuver      precision  recall  f1"]
+    for i, m in enumerate(SUPPORTED_MANEUVERS):
+        lines.append(f"{m.value:12s}  {mean_p[i]:.3f}      {mean_r[i]:.3f}   {mean_f[i]:.3f}")
+    lines.append(f"selected forest: n_trees={chosen[0]} max_depth={chosen[1]}")
+    (out_dir / "classifier_report.txt").write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -89,58 +112,43 @@ def cmd_preprocess(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
 
 
 def cmd_train(cfg: RunConfig, in_path: Path, out_dir: Path) -> None:
-    dataset = load_dataset(in_path, cfg.data)
+    # Every train job reads vehicles only.
+    dataset = load_dataset(in_path, cfg.data, classes={ObjectClass.VEHICLE})
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Two maps over the worker processes. The first holds every job that needs
-    # only the input table, in the serial order of the stage, so that a failure
-    # reports what the serial loop would: the repeated-split evaluation of the
-    # maneuver classifier, the balanced table of its final model and one
-    # velocity-field GP job per cluster.
+    def final_jobs(bal_X, bal_y, chosen, models) -> list:
+        # The second map: the two GP accuracy tables, then the trees of the
+        # final forest, on the full balanced table with the most frequently
+        # chosen grid point. The study is the map's longest job, so it goes
+        # first and the trees fill the other workers meanwhile; a failing study
+        # is the error reported. The workers hold the dataset since the fork
+        # and receive only these inputs.
+        return [partial(prediction_error_study, dataset, models, cfg.train),
+                *tree_jobs(bal_X, bal_y, n_trees=chosen[0], max_depth=chosen[1],
+                           seed=cfg.forest.seed)]
+
+    # Two maps over one pool of worker processes. The first holds every job
+    # that needs only the input table, in the serial order of the stage, so
+    # that a failure reports what the serial loop would: the repeated-split
+    # evaluation of the maneuver classifier, the balanced table of its final
+    # model and one velocity-field GP job per cluster.
     X, y, groups = build_feature_table(dataset)
     splits = split_jobs(X, y, cfg.forest, groups)
     gp_fits = cluster_fit_jobs(dataset, cfg.gpr)
-    results = run_jobs([
-        *splits,
-        partial(smote_oversample, X, y, k=cfg.forest.smote_k, seed=cfg.forest.seed),
-        *gp_fits.values(),
-    ])
-    scores, split_params = zip(*results[:len(splits)])  # a (3, N_CLASSES) table per split
-    bal_X, bal_y = results[len(splits)]
-    models = dict(zip(gp_fits, results[len(splits) + 1:]))
+    with Pool(final_jobs) as pool:
+        results = pool.map([
+            *splits,
+            partial(smote_oversample, X, y, k=cfg.forest.smote_k, seed=cfg.forest.seed),
+            *gp_fits.values(),
+        ])
+        scores, split_params = zip(*results[:len(splits)])  # a (3, N_CLASSES) table per split
+        bal_X, bal_y = results[len(splits)]
+        models = dict(zip(gp_fits, results[len(splits) + 1:]))
 
-    mean_p, mean_r, mean_f = np.mean(scores, axis=0)
-    std_f = np.std(scores, axis=0)[2]
-    _write_csv(
-        out_dir / "classifier_report.csv",
-        ["maneuver", "precision_mean", "recall_mean", "f1_mean", "f1_std"],
-        [
-            [_MANEUVER_NAMES[m], _fmt(mean_p[i]), _fmt(mean_r[i]), _fmt(mean_f[i]),
-             _fmt(std_f[i])]
-            for i, m in enumerate(SUPPORTED_MANEUVERS)
-        ],
-    )
-    lines = [f"maneuver classification over {cfg.forest.n_splits} splits",
-             "maneuver      precision  recall  f1"]
-    for i, m in enumerate(SUPPORTED_MANEUVERS):
-        lines.append(f"{m.value:12s}  {mean_p[i]:.3f}      {mean_r[i]:.3f}   {mean_f[i]:.3f}")
-    chosen = majority_params(split_params)
-    lines.append(f"selected forest: n_trees={chosen[0]} max_depth={chosen[1]}")
-    (out_dir / "classifier_report.txt").write_text("\n".join(lines) + "\n")
-
-    save_cluster_models(models, out_dir / "gpr_models.json")
-
-    # The second map: the two GP accuracy tables, then the trees of the final
-    # forest, on the full balanced table with the most frequently chosen grid
-    # point. The study is the map's longest job, so it goes first and the
-    # trees fill the other workers meanwhile; a failing study is the error
-    # reported.
-    tree_fits = tree_jobs(bal_X, bal_y, n_trees=chosen[0], max_depth=chosen[1],
-                          seed=cfg.forest.seed)
-    (start_rows, horizon_rows), *trees = run_jobs([
-        partial(prediction_error_study, dataset, models, cfg.train),
-        *tree_fits,
-    ])
+        chosen = majority_params(split_params)
+        _write_classifier_reports(out_dir, scores, chosen)
+        save_cluster_models(models, out_dir / "gpr_models.json")
+        (start_rows, horizon_rows), *trees = pool.map(final_jobs, bal_X, bal_y, chosen, models)
     save_forest(ForestModel(trees=trees, n_features=bal_X.shape[1]), out_dir / "forest.json")
 
     header = ["group", "maneuver", "gpr_mean", "gpr_std", "dynamic_mean",
@@ -162,7 +170,8 @@ def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path) -> 
     forest = load_forest(models_dir / "forest.json")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    truth = identify_conflicts_pet(dataset, cfg.ssm.pet_threshold, cfg.ssm.zone_radius)
+    pairs = co_present_pairs(dataset)
+    truth = identify_conflicts_pet(dataset, cfg.ssm.pet_threshold, cfg.ssm.zone_radius, pairs)
     _write_csv(
         out_dir / "conflict_events.csv",
         ["vehicle_id", "pedestrian_id", "pet", "window_start", "window_end",
@@ -174,7 +183,7 @@ def cmd_risk(cfg: RunConfig, in_path: Path, models_dir: Path, out_dir: Path) -> 
         ],
     )
 
-    streams = compute_risk_streams(dataset, models, forest, cfg.risk, cfg.ssm.ttc_radius)
+    streams = compute_risk_streams(dataset, models, forest, cfg.risk, cfg.ssm.ttc_radius, pairs)
 
     series_rows = []
     for (vid, pid) in sorted(streams):

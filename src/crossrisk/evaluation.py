@@ -7,6 +7,7 @@ whole."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -188,9 +189,11 @@ def compute_risk_streams(
     forest: ForestModel,
     cfg: RiskConfig,
     ttc_radius: float,
+    pairs: Optional[Sequence[tuple[Trajectory, Trajectory]]] = None,
 ) -> dict:
     """Risk stream of every co-present vehicle-pedestrian pair, keyed by
-    ``(vehicle id, pedestrian id)``.
+    ``(vehicle id, pedestrian id)``; ``pairs`` are ``co_present_pairs(dataset)``,
+    computed here when not given.
 
     Frames are matched on equal ``round(t, 6)`` timestamps (the shared frame
     grid), through integer frame codes computed once for the scene; of a
@@ -215,7 +218,7 @@ def compute_risk_streams(
     ordinal = {veh.id: i for i, veh in enumerate(vehicles)}
     ped_ordinal = {ped.id: j for j, ped in enumerate(peds)}
     by_direction: dict = {}  # direction -> vehicle id -> (vehicle, co-present pedestrian ordinals)
-    for veh, ped in co_present_pairs(dataset):
+    for veh, ped in co_present_pairs(dataset) if pairs is None else pairs:
         by_direction.setdefault(veh.entering_direction, {}).setdefault(
             veh.id, (veh, []))[1].append(ped_ordinal[ped.id])
     if not by_direction:

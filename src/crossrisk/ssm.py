@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -81,8 +81,8 @@ class ConflictEvent:
 
 def _zone_interval(times: np.ndarray, positions: np.ndarray, center: np.ndarray,
                    radius: float) -> Optional[tuple[float, float]]:
-    d = np.linalg.norm(positions - center[None, :], axis=1)
-    inside = np.nonzero(d <= radius)[0]
+    dx, dy = positions[:, 0] - center[0], positions[:, 1] - center[1]
+    inside = np.nonzero(np.sqrt(dx * dx + dy * dy) <= radius)[0]
     if inside.size == 0:
         return None
     return float(times[inside[0]]), float(times[inside[-1]])
@@ -95,25 +95,50 @@ def _search_limit(zone_radius: float) -> float:
     return zone_radius * zone_radius * (1.0 + 1e-9)
 
 
-def _near_box(xy: np.ndarray, other: np.ndarray, limit: float) -> np.ndarray:
+def _near_box(xy: np.ndarray, other: ValidPath, limit: float) -> np.ndarray:
     """Mask of the points of ``xy`` whose squared distance to the bounding box
     of ``other`` is at most ``limit``."""
-    gap = np.maximum(np.maximum(other.min(axis=0) - xy, xy - other.max(axis=0)), 0.0)
+    gap = np.maximum(np.maximum(other.lo - xy, xy - other.hi), 0.0)
     return gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1] <= limit
 
 
-def compute_pet(veh: Trajectory, ped: Trajectory, zone_radius: float = 1.0
-                ) -> Optional[ConflictEvent]:
+class ValidPath(NamedTuple):
+    """The valid rows of one trajectory as the encroachment-time search reads
+    them: the trajectory's id, the rows' times and positions, and the lower
+    and upper corners of the positions' bounding box."""
+
+    id: str
+    t: np.ndarray
+    xy: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def valid_path(traj: Trajectory) -> Optional[ValidPath]:
+    """``traj``'s :class:`ValidPath`; ``None`` when it has no valid row."""
+    xy = traj.xy[traj.valid]
+    if len(xy) == 0:
+        return None
+    return ValidPath(traj.id, traj.t[traj.valid], xy, xy.min(axis=0), xy.max(axis=0))
+
+
+def compute_pet(veh: Trajectory | ValidPath | None, ped: Trajectory | ValidPath | None,
+                zone_radius: float = 1.0) -> Optional[ConflictEvent]:
     """Encroachment time at the observed paths' closest approach.
 
     The zone is a disc of ``zone_radius`` around the midpoint of the closest
     sample pair. The event time window spans first entry to last exit over
     both agents; the encroachment time is the gap between their in-zone
     intervals (zero when they overlap). ``None`` when the paths never come
-    within ``zone_radius``.
+    within ``zone_radius``. Either agent may be given as its
+    :func:`valid_path`, as :func:`identify_conflicts_pet` holds them, with
+    ``None`` for a trajectory without a valid row.
     """
-    veh_xy, ped_xy = veh.xy[veh.valid], ped.xy[ped.valid]
-    if len(veh_xy) == 0 or len(ped_xy) == 0:
+    if isinstance(veh, Trajectory):
+        veh = valid_path(veh)
+    if isinstance(ped, Trajectory):
+        ped = valid_path(ped)
+    if veh is None or ped is None:
         return None
     # A point is at least as far from any point of the other path as from that
     # path's bounding box, and the rounded differences, squares and sums keep
@@ -122,22 +147,20 @@ def compute_pet(veh: Trajectory, ped: Trajectory, zone_radius: float = 1.0
     # They keep their order, so argmin finds the first closest pair of the
     # full search whenever that pair is within zone_radius.
     limit = _search_limit(zone_radius)
-    near_v = np.flatnonzero(_near_box(veh_xy, ped_xy, limit))
-    near_p = np.flatnonzero(_near_box(ped_xy, veh_xy, limit))
+    near_v = np.flatnonzero(_near_box(veh.xy, ped, limit))
+    near_p = np.flatnonzero(_near_box(ped.xy, veh, limit))
     if len(near_v) == 0 or len(near_p) == 0:
         return None
-    veh_t, ped_t = veh.t[veh.valid], ped.t[ped.valid]
 
-    diff = veh_xy[near_v, None, :] - ped_xy[None, near_p, :]
+    diff = veh.xy[near_v, None, :] - ped.xy[None, near_p, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     a, b = np.unravel_index(int(np.argmin(d2)), d2.shape)
     if math.sqrt(d2[a, b]) > zone_radius:
         return None
-    j, k = near_v[a], near_p[b]
-    center = (veh_xy[j] + ped_xy[k]) / 2.0
+    center = (veh.xy[near_v[a]] + ped.xy[near_p[b]]) / 2.0
 
-    veh_iv = _zone_interval(veh_t, veh_xy, center, zone_radius)
-    ped_iv = _zone_interval(ped_t, ped_xy, center, zone_radius)
+    veh_iv = _zone_interval(veh.t, veh.xy, center, zone_radius)
+    ped_iv = _zone_interval(ped.t, ped.xy, center, zone_radius)
     if veh_iv is None or ped_iv is None:
         return None
     pet = max(0.0, max(veh_iv[0], ped_iv[0]) - min(veh_iv[1], ped_iv[1]))
@@ -158,25 +181,29 @@ def co_present_pairs(dataset: Dataset) -> list[tuple[Trajectory, Trajectory]]:
 
 
 def identify_conflicts_pet(dataset: Dataset, threshold: float = 3.0,
-                           zone_radius: float = 1.0) -> list[ConflictEvent]:
+                           zone_radius: float = 1.0,
+                           pairs: Optional[Sequence[tuple[Trajectory, Trajectory]]] = None
+                           ) -> list[ConflictEvent]:
     """Ground-truth conflicts: co-present pairs with encroachment time at or
-    below ``threshold`` seconds.
+    below ``threshold`` seconds. ``pairs`` are ``co_present_pairs(dataset)``,
+    computed here when not given.
 
-    :func:`compute_pet` runs only on the pairs whose valid-point bounding
-    boxes lie within ``zone_radius`` of each other. A vehicle point's gap to
-    the pedestrian's box is at least the gap between the two boxes, in
-    rounded arithmetic too, so on any other pair ``compute_pet`` keeps no
-    vehicle point and returns ``None``; it returns ``None`` too on a
-    trajectory without a valid point, which has no box.
+    Each trajectory's :func:`valid_path` is taken once, and :func:`compute_pet`
+    runs on those, only for the pairs whose bounding boxes lie within
+    ``zone_radius`` of each other. A vehicle point's gap to the pedestrian's
+    box is at least the gap between the two boxes, in rounded arithmetic too,
+    so on any other pair ``compute_pet`` keeps no vehicle point and returns
+    ``None``; it returns ``None`` too on a trajectory without a valid point,
+    which has no box.
     """
     limit = _search_limit(zone_radius)
-    boxes = {}  # trajectory id -> (min x, min y, max x, max y) of its valid points
+    paths, boxes = {}, {}  # trajectory id -> its valid path; (min x, min y, max x, max y)
     for traj in (*dataset.vehicles, *dataset.pedestrians):
-        xy = traj.xy[traj.valid]
-        if len(xy):
-            boxes[traj.id] = (*xy.min(axis=0).tolist(), *xy.max(axis=0).tolist())
+        path = paths[traj.id] = valid_path(traj)
+        if path is not None:
+            boxes[traj.id] = (*path.lo.tolist(), *path.hi.tolist())
     events = []
-    for veh, ped in co_present_pairs(dataset):
+    for veh, ped in co_present_pairs(dataset) if pairs is None else pairs:
         if veh.id not in boxes or ped.id not in boxes:
             continue
         v_lo_x, v_lo_y, v_hi_x, v_hi_y = boxes[veh.id]
@@ -185,7 +212,7 @@ def identify_conflicts_pet(dataset: Dataset, threshold: float = 3.0,
         gy = max(p_lo_y - v_hi_y, v_lo_y - p_hi_y, 0.0)
         if gx * gx + gy * gy > limit:
             continue
-        event = compute_pet(veh, ped, zone_radius)
+        event = compute_pet(paths[veh.id], paths[ped.id], zone_radius)
         if event is not None and event.pet <= threshold:
             events.append(event)
     events.sort(key=lambda e: e.pair)

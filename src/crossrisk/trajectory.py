@@ -17,7 +17,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -295,7 +295,8 @@ def _read_cells(path: Path) -> tuple[list, list]:
                     for cell in (r[:width] + [""] * (width - len(r)))]
 
 
-def load_dataset(path: str | Path, data: DataFormat = DataFormat()) -> Dataset:
+def load_dataset(path: str | Path, data: DataFormat = DataFormat(),
+                 classes: Optional[Collection[ObjectClass]] = None) -> Dataset:
     """Read a comma-separated trajectory file, laid out as ``data`` says, into
     a :class:`Dataset` with ``data``'s frame interval.
 
@@ -306,6 +307,13 @@ def load_dataset(path: str | Path, data: DataFormat = DataFormat()) -> Dataset:
     occurrence. Rows with non-finite kinematics are kept as invalid rows.
     The trajectory class is the majority vote over its per-frame labels; the
     label columns, when present, take their last non-empty value.
+
+    With ``classes`` given, only the trajectories whose class is one of them
+    are built, each as the full load builds it, in the full load's order. The
+    t, id, class and label cells are still read and checked for every
+    trajectory, so a file the full load rejects is rejected with the same
+    :class:`InputError`; the kinematic cells are parsed for the kept
+    trajectories only.
     """
     path = Path(path)
     if not path.exists():
@@ -336,35 +344,42 @@ def load_dataset(path: str | Path, data: DataFormat = DataFormat()) -> Dataset:
         raise InputError(f"{path}: {len(groups[''])} row(s) with a finite timestamp "
                          "have a blank object id")
 
-    table = np.column_stack([t] + [_parse_column(column(names[c]))
-                                   for c in POINT_COLUMNS[1:]])
-    if data.yaw_rate_unit == "deg_s":
-        yaw = table[:, 5]
-        table[:, 5] = np.where(np.isfinite(yaw), yaw * (math.pi / 180.0), yaw)
-    classes = column(names["class"])
+    class_cells = column(names["class"])
     labels = ({c: column(c) for c in LABEL_COLUMNS}
               if all(c in index for c in LABEL_COLUMNS) else None)
-
     times = t.tolist()
-    trajectories = []
+    kept = []  # (id, class, direction, maneuver, rows) of each trajectory to build
     for traj_id, members in groups.items():
         members.sort(key=times.__getitem__)  # stable: file order preserved on ties
-        keep = [members[0]] + [b for a, b in zip(members, members[1:])
+        rows = [members[0]] + [b for a, b in zip(members, members[1:])
                                if times[b] > times[a]]  # duplicate timestamp: keep first
         direction = maneuver = None
         if labels is not None:
-            direction = _last_label([labels["entering_direction"][i] for i in keep], Direction)
-            maneuver = _last_label([labels["maneuver"][i] for i in keep], Maneuver)
-        trajectories.append(
-            Trajectory(
-                id=traj_id,
-                object_class=_majority_class(list(map(classes.__getitem__, keep))),
-                points=table[keep],
-                entering_direction=direction,
-                maneuver=maneuver,
-            )
-        )
+            direction = _last_label([labels["entering_direction"][i] for i in rows], Direction)
+            maneuver = _last_label([labels["maneuver"][i] for i in rows], Maneuver)
+        object_class = _majority_class(list(map(class_cells.__getitem__, rows)))
+        if classes is None or object_class in classes:
+            kept.append((traj_id, object_class, direction, maneuver, rows))
 
+    order = [i for *_, rows in kept for i in rows]
+    if classes is None:  # nearly every row is kept: parse whole columns
+        table = np.column_stack([t] + [_parse_column(column(names[c]))
+                                       for c in POINT_COLUMNS[1:]])[order]
+    else:
+        table = np.column_stack([t[order]] + [
+            _parse_column(list(map(column(names[c]).__getitem__, order)))
+            for c in POINT_COLUMNS[1:]])
+    if data.yaw_rate_unit == "deg_s":
+        yaw = table[:, 5]
+        table[:, 5] = np.where(np.isfinite(yaw), yaw * (math.pi / 180.0), yaw)
+
+    trajectories = []
+    lo = 0
+    for traj_id, object_class, direction, maneuver, rows in kept:
+        trajectories.append(Trajectory(id=traj_id, object_class=object_class,
+                                       points=table[lo:lo + len(rows)],
+                                       entering_direction=direction, maneuver=maneuver))
+        lo += len(rows)
     return Dataset(trajectories=trajectories, frame_interval=data.frame_interval)
 
 

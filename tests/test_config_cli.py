@@ -246,6 +246,36 @@ class TestCli:
             "gpr_models.json", "prediction_by_horizon.csv", "prediction_by_start.csv"]
         assert digests[1] == digests[2]
 
+    def test_train_outputs_identical_without_the_non_vehicle_rows(self, tmp_path):
+        cfg, labeled = self._two_depth_scene(tmp_path)
+        header, *rows = labeled.read_text().splitlines()
+        column = header.split(",").index("class")
+        vehicle_rows = [r for r in rows if r.split(",")[column] == "vehicle"]
+        assert 0 < len(vehicle_rows) < len(rows)
+        vehicles_only = tmp_path / "vehicles.csv"
+        vehicles_only.write_text("\n".join([header, *vehicle_rows]) + "\n")
+        digests = []
+        for table in (labeled, vehicles_only):
+            out = tmp_path / f"models_{table.stem}"
+            assert main(["train", "--config", str(cfg), "--in", str(table),
+                         "--out", str(out)]) == 0
+            digests.append(_hash_tree(out))
+        assert len(digests[0]) == 6 and digests[0] == digests[1]
+
+    def test_train_forks_one_pool_of_workers(self, tmp_path, monkeypatch):
+        cfg, labeled = self._two_depth_scene(tmp_path)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert main(["train", "--config", str(cfg), "--in", str(labeled),
+                     "--out", str(tmp_path / "models")]) == 0
+        assert forks == [os.getpid()] * 2
+
     def test_gp_fit_failure_identical_on_one_and_two_workers(self, tmp_path, monkeypatch,
                                                              capsys):
         cfg, labeled = self._two_depth_scene(tmp_path)

@@ -1,3 +1,4 @@
+import contextlib
 import multiprocessing
 import os
 import subprocess
@@ -194,3 +195,97 @@ def test_setter_lookup_is_cached_until_a_module_import():
     if not fresh:
         pytest.skip("numpy and scipy use no OpenBLAS library here")
     assert after == fresh >= before
+
+
+def later_draws(scale, seeds, held=None):
+    """A later map's jobs: ``draws(seed) * scale``, plus ``held`` (reached by
+    the builder, not sent) where given, with the worker's pid."""
+    def job(seed):
+        out = draws(seed) * scale
+        return (out if held is None else out + held.value), os.getpid()
+    return [partial(job, s) for s in seeds]
+
+
+class Held:
+    """A value that cannot be pickled: a builder can reach it only through
+    the fork."""
+
+    def __init__(self, value):
+        self.value = value
+        self.lock = threading.Lock()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_two_maps_through_one_pool_equal_the_serial_maps(monkeypatch, workers):
+    monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+    held = Held(np.full((3, 2), 0.25))
+
+    def later(scale, seeds):
+        return later_draws(scale, seeds, held)
+
+    with parallel.Pool(later) as pool:
+        first = pool.map([partial(square_and_pid, x) for x in range(5)])
+        alive = multiprocessing.active_children()
+        second = pool.map(later, 3.0, range(7))
+    assert [r for r, _ in first] == [x * x for x in range(5)]
+    assert [r.tobytes() for r, _ in second] == [
+        (draws(s) * 3.0 + held.value).tobytes() for s in range(7)]
+    pids = {pid for _, pid in first + second}
+    if workers == 1:
+        assert pids == {os.getpid()} and alive == []
+    else:
+        assert os.getpid() not in pids and pids <= {proc.pid for proc in alive}
+        assert len(alive) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_later_map_must_name_a_builder_of_the_pool(two_workers):
+    with parallel.Pool(later_draws) as pool:
+        pool.map([partial(square_and_pid, x) for x in range(3)])
+        with pytest.raises(ValueError, match="not a builder of this pool"):
+            pool.map([partial(square_and_pid, 1)])
+        assert [r.tobytes() for r, _ in pool.map(later_draws, 2.0, [4])] == [
+            (draws(4) * 2.0).tobytes()]
+    with pytest.raises(ValueError, match="closed pool"):
+        pool.map(later_draws, 2.0, [4])
+
+
+def test_unpicklable_input_of_a_later_map_is_named(two_workers):
+    start = time.monotonic()
+    with pytest.raises(TypeError, match=r"input 2 of later_draws \(Held\) cannot be sent"):
+        with parallel.Pool(later_draws) as pool:
+            pool.map([partial(square_and_pid, x) for x in range(3)])
+            pool.map(later_draws, 2.0, range(3), Held(1.0))
+    assert time.monotonic() - start < 30.0
+    assert multiprocessing.active_children() == []
+
+
+def dies_at(bad, x):
+    if x == bad:
+        os._exit(5)
+    return x
+
+
+def test_worker_that_dies_in_a_later_map_is_an_error(two_workers):
+    def later(n):
+        return [partial(dies_at, 2, x) for x in range(n)]
+
+    with pytest.raises(RuntimeError, match="exited with code 5"):
+        with parallel.Pool(later) as pool:
+            assert pool.map([partial(dies_at, -1, x) for x in range(4)]) == [0, 1, 2, 3]
+            pool.map(later, 4)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_no_child_outlives_the_pool(two_workers, fail):
+    def later(n):
+        return [partial(dies_at, -1, x) for x in range(n)] + [partial(int, "x")] * fail
+
+    with contextlib.suppress(ValueError):
+        with parallel.Pool(later) as pool:
+            pool.map([partial(square_and_pid, x) for x in range(3)])
+            assert len(multiprocessing.active_children()) == 2
+            pool.map(later, 3)
+            assert len(multiprocessing.active_children()) == 2
+    assert multiprocessing.active_children() == []

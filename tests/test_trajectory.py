@@ -275,6 +275,81 @@ class TestLoadDataset:
         assert named in str(exc.value)
 
 
+_LABELED_HEADER = "t,id,class,x,y,vx,vy,yaw_rate,entering_direction,maneuver"
+
+
+def _frame_major_rows(seed):
+    """A frame-major labeled file's rows: per frame, the objects present in a
+    shuffled order, with 17-digit kinematics and yaw rates in degrees. It holds
+    duplicate timestamps, rows without a finite timestamp, rows of non-finite
+    kinematics, cyclists, and objects whose class labels disagree."""
+    rng = np.random.default_rng(seed)
+    classes = {"v1": ["vehicle"], "v2": ["car", "veh"], "v3": ["vehicle", "pedestrian"],
+               "p1": ["pedestrian"], "p2": ["ped", "vehicle", "ped"], "c1": ["cyclist"],
+               "c2": ["bicycle", "cyclists"], "m1": ["misc"]}
+    spans = {obj: sorted(rng.integers(0, 40, size=2).tolist()) for obj in classes}
+    rows = []
+    for frame in range(40):
+        present = [obj for obj, (a, b) in spans.items() if a <= frame <= b]
+        for obj in rng.permutation(present).tolist():
+            label = classes[obj][frame % len(classes[obj])]
+            t = repr(round(0.1 * frame, 6))
+            x, y, vx, vy, yaw = (repr(v) for v in rng.normal(0.0, 10.0, size=5).tolist())
+            u = rng.random()
+            if u < 0.05:
+                t = str(rng.choice(["nan", "", "inf", "-inf"]))
+            elif u < 0.1:
+                x = "nan"
+            elif u < 0.15:
+                yaw = ""
+            direction, maneuver = ("S", "left") if frame % 3 else ("", "")
+            rows.append(f"{t},{obj},{label},{x},{y},{vx},{vy},{yaw},{direction},{maneuver}")
+            if u > 0.9:  # a duplicate timestamp, which the load drops
+                rows.append(f"{t},{obj},{label},1,2,3,4,5,N,right")
+    return rows
+
+
+class TestClassFilter:
+    """``load_dataset(..., classes=...)`` builds the full load's trajectories
+    of those classes, bit for bit, and rejects what the full load rejects."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("unit", ["deg_s", "rad_s"])
+    def test_vehicles_equal_the_full_loads_vehicles(self, tmp_path, seed, unit):
+        path = _write(tmp_path, _frame_major_rows(seed), header=_LABELED_HEADER)
+        data = DataFormat(yaw_rate_unit=unit, frame_interval=0.2)
+        full = load_dataset(path, data)
+        vehicles = load_dataset(path, data, classes={ObjectClass.VEHICLE})
+        assert vehicles.frame_interval == 0.2
+        assert {t.object_class for t in full.trajectories} >= {
+            ObjectClass.VEHICLE, ObjectClass.PEDESTRIAN, ObjectClass.CYCLIST}
+        _assert_same_datasets(vehicles, Dataset(full.vehicles))
+        kinds = {ObjectClass.CYCLIST, ObjectClass.MISC}
+        _assert_same_datasets(load_dataset(path, data, classes=kinds),
+                              Dataset([t for t in full.trajectories if t.object_class in kinds]))
+
+    @pytest.mark.parametrize("column, value", [(2, "tram"), (9, "sideways"), (8, "Q")])
+    def test_bad_label_on_a_pedestrian_row_is_the_full_loads_error(self, tmp_path, column,
+                                                                    value):
+        rows = _frame_major_rows(0)
+        at = next(i for i, r in enumerate(rows) if ",p1,pedestrian," in r
+                  and math.isfinite(float(r.split(",")[0] or "nan")))
+        cells = rows[at].split(",")
+        cells[column] = value
+        rows[at] = ",".join(cells)
+        path = _write(tmp_path, rows, header=_LABELED_HEADER)
+        with pytest.raises(InputError) as full:
+            load_dataset(path)
+        with pytest.raises(InputError) as vehicles:
+            load_dataset(path, classes={ObjectClass.VEHICLE})
+        assert value in str(full.value)
+        assert str(vehicles.value) == str(full.value)
+
+    def test_no_trajectory_of_the_classes(self, tmp_path):
+        path = _write(tmp_path, ["0.0,p,pedestrian,0,0,1,0,0"])
+        assert load_dataset(path, classes={ObjectClass.VEHICLE}).trajectories == []
+
+
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):
         rng = np.random.default_rng(0)
