@@ -170,17 +170,14 @@ def prediction_error_study(dataset: Dataset, models: dict, cfg: TrainConfig
 # ---------------------------------------------------------------------------
 
 
-def _frame_codes(trajs: list) -> list:
-    """The integer frame code of every row of ``trajs``, one array per
-    trajectory. Two rows share a code exactly when their ``round(t, 6)`` keys
-    are equal, and codes rise with the key; ``round`` runs once per distinct
-    timestamp."""
-    distinct, inverse = np.unique(np.concatenate([traj.t for traj in trajs]),
-                                  return_inverse=True)
+def _frame_codes(t: np.ndarray) -> np.ndarray:
+    """The integer frame code of each timestamp of ``t``. Two timestamps
+    share a code exactly when their ``round(t, 6)`` keys are equal, and codes
+    rise with the key; ``round`` runs once per distinct timestamp."""
+    distinct, inverse = np.unique(t, return_inverse=True)
     # nondecreasing, as round is monotone
     keys = np.array([round(t, 6) for t in distinct.tolist()])
-    codes = np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1])))[inverse]
-    return np.split(codes, np.cumsum([len(traj) for traj in trajs])[:-1])
+    return np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1])))[inverse]
 
 
 def compute_risk_streams(
@@ -200,13 +197,13 @@ def compute_risk_streams(
     pedestrian's valid rows with one key, the last is matched. The scene is
     scored one entering direction at a time, since the direction fixes a
     vehicle's maneuver hypotheses; pairs whose direction has no cluster model
-    are skipped. Each vehicle's candidate frames are looked up at once among
-    the valid rows of its co-present pedestrians, and its scored frames are
-    those some pedestrian shares. The direction's vehicle side takes one
-    forest call over the scored frames of all its vehicles and one rollout
-    per cluster model over the same frames. One :func:`estimate_risk` call
-    then scores every pair's shared frames, and its rows are cut into one
-    stream per pair.
+    are skipped. The candidate frames of all of a direction's vehicles are
+    looked up at once among the pedestrians' valid rows, and a vehicle's
+    scored frames are those one of its co-present pedestrians shares. The
+    direction's vehicle side takes one forest call over the scored frames of
+    all its vehicles and one rollout per cluster model over the same frames.
+    One :func:`estimate_risk` call then scores every pair's shared frames,
+    and its rows are cut into one stream per pair.
     The rollouts run ``cfg.horizon_steps`` frames of ``dataset.frame_interval``.
     In sample mode each (vehicle, maneuver) keeps its own noise stream,
     seeded by ``cfg.sample_seed``, the vehicle's ordinal in
@@ -223,78 +220,95 @@ def compute_risk_streams(
             veh.id, (veh, []))[1].append(ped_ordinal[ped.id])
     if not by_direction:
         return {}
-    codes = _frame_codes(vehicles + peds)
-    # The match table: every pedestrian's valid rows, as rows of ped_points,
-    # sorted by frame code. Of a pedestrian's valid rows with one code only
-    # the last is kept, as a dict keyed by round(t, 6) would keep it.
-    ped_points = np.concatenate([ped.points for ped in peds])
-    owner = np.repeat(np.arange(len(peds)), [len(ped) for ped in peds])
-    ped_code = np.concatenate(codes[len(vehicles):])
-    rows = np.flatnonzero(np.concatenate([ped.valid for ped in peds]))
-    last = np.ones(len(rows), dtype=bool)
-    last[:-1] = (owner[rows[1:]] != owner[rows[:-1]]) | (ped_code[rows[1:]] != ped_code[rows[:-1]])
-    rows = rows[last]
-    table = rows[np.argsort(ped_code[rows], kind="stable")]
-    table_code = ped_code[table]
+    # Every row of the scene, vehicles first: its point, frame code and owner
+    # (the vehicle's ordinal, or len(vehicles) plus the pedestrian's).
+    trajs = vehicles + peds
+    sizes = [len(traj) for traj in trajs]
+    first = np.cumsum([0, *sizes])  # each trajectory's first row
+    n_veh = first[len(vehicles)]
+    points = np.concatenate([traj.points for traj in trajs])
+    code = _frame_codes(points[:, 0])
+    owner = np.repeat(np.arange(len(trajs)), sizes)
+    # The match table: every pedestrian's valid rows, sorted by frame code. Of
+    # a pedestrian's valid rows with one code only the last is kept, as a dict
+    # keyed by round(t, 6) would keep it.
+    ped_rows = n_veh + np.flatnonzero(np.isfinite(points[n_veh:, 1:5]).all(axis=1))
+    last = np.ones(len(ped_rows), dtype=bool)
+    last[:-1] = ((owner[ped_rows[1:]] != owner[ped_rows[:-1]])
+                 | (code[ped_rows[1:]] != code[ped_rows[:-1]]))
+    ped_rows = ped_rows[last]
+    table = ped_rows[np.argsort(code[ped_rows], kind="stable")]
+    table_code = code[table]
+    # A vehicle row is a candidate frame when it lies a multiple of the stride
+    # after its trajectory's first row, is valid and has a finite yaw rate.
+    candidate = (((np.arange(n_veh) - first[owner[:n_veh]]) % cfg.frame_stride == 0)
+                 & np.isfinite(points[:n_veh, 1:]).all(axis=1))
 
     streams: dict = {}
     for direction, peds_of in by_direction.items():
         maneuvers = [m for m in SUPPORTED_MANEUVERS if (direction, m) in models]
         if not maneuvers:
             continue
-        scored = []  # (vehicle, scored rows), the batch's frames in order
-        pairs, at, ped_rows = [], [], []  # at: the batch frame of each shared frame
-        offset = 0  # the batch's rows so far
-        for veh, co_present in peds_of.values():
-            candidates = np.arange(0, len(veh), cfg.frame_stride)
-            candidates = candidates[(veh.valid & np.isfinite(veh.yaw_rate))[candidates]]
-            code = codes[ordinal[veh.id]][candidates]
-            lo = np.searchsorted(table_code, code, "left")
-            n = np.searchsorted(table_code, code, "right") - lo  # pedestrian rows per candidate
-            hit = table[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)]
-            vi, who = np.repeat(candidates, n), owner[hit]
-            mask = np.zeros(len(peds), dtype=bool)
-            mask[co_present] = True
-            keep = np.flatnonzero(mask[who])
-            # pair after pair in pedestrian order, each pair's frames in row order
-            order = keep[np.argsort(who[keep], kind="stable")]
-            if not len(order):
-                continue
-            hit, vi, who = hit[order], vi[order], who[order]
-            frames = np.unique(vi)
-            scored.append((veh, frames))
-            at.append(offset + np.searchsorted(frames, vi))
-            offset += len(frames)
-            ped_rows.append(hit)
-            pairs.extend(((veh.id, peds[j].id), rows) for j, rows in
-                         zip(*(a.tolist() for a in np.unique(who, return_counts=True))))
-        if not scored:
+        # The direction's vehicles are ranked in their order in peds_of, and a
+        # (vehicle rank, pedestrian ordinal) pair is coded rank * len(peds) + ordinal.
+        members = [ordinal[vid] for vid in peds_of]
+        rank = np.full(len(vehicles), -1)
+        rank[members] = np.arange(len(members))
+        co_present = np.zeros(len(members) * len(peds), dtype=bool)
+        co_present[[r * len(peds) + j
+                    for r, (_, js) in enumerate(peds_of.values()) for j in js]] = True
+        # every vehicle's candidate rows at once, vehicle after vehicle, each
+        # vehicle's in row order
+        cand = np.flatnonzero(candidate & (rank[owner[:n_veh]] >= 0))
+        cand_rank = rank[owner[cand]]
+        order = np.argsort(cand_rank, kind="stable")
+        cand, cand_rank = cand[order], cand_rank[order]
+        lo = np.searchsorted(table_code, code[cand], "left")
+        n = np.searchsorted(table_code, code[cand], "right") - lo  # pedestrian rows per candidate
+        hit = table[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)]
+        of = np.repeat(np.arange(len(cand)), n)  # the candidate of each hit
+        pair = cand_rank[of] * len(peds) + (owner[hit] - len(vehicles))
+        keep = np.flatnonzero(co_present[pair])
+        if not len(keep):
             continue
-        at = np.concatenate(at)
+        # pair after pair in code order, each pair's frames in row order
+        keep = keep[np.argsort(pair[keep], kind="stable")]
+        hit, of, pair = hit[keep], of[keep], pair[keep]
+        # the scored rows, vehicle after vehicle, and the one of each shared frame
+        scored = np.zeros(len(cand), dtype=bool)
+        scored[of] = True
+        at = (np.cumsum(scored) - 1)[of]
+        rows, ranks = cand[scored], cand_rank[scored]
+        # where each scored vehicle's rows and each pair's shared frames begin
+        bounds = [0, *(np.flatnonzero(ranks[1:] != ranks[:-1]) + 1).tolist(), len(rows)]
+        by_vehicle = [(members[r], lo, hi) for r, lo, hi in
+                      zip(ranks[bounds[:-1]].tolist(), bounds, bounds[1:])]
+        pair_bounds = [0, *(np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist(), len(pair)]
 
+        local = rows - first[owner[rows]]  # each scored row's index in its trajectory
         probs = forest.predict_proba(np.concatenate(
-            [extract_features(veh, frames, direction) for veh, frames in scored]))
+            [extract_features(vehicles[v], local[lo:hi], direction) for v, lo, hi in by_vehicle]))
         probs = probs / probs.sum(axis=1, keepdims=True)
-        starts = np.concatenate([veh.xy[frames] for veh, frames in scored])
+        veh_rows = points[rows]
+        starts = veh_rows[:, 1:3].copy()
         paths = {}
         for m in maneuvers:
-            noise = ([((cfg.sample_seed, ordinal[veh.id], MANEUVER_CODES[m]), len(frames))
-                      for veh, frames in scored]
+            noise = ([((cfg.sample_seed, v, MANEUVER_CODES[m]), hi - lo)
+                      for v, lo, hi in by_vehicle]
                      if cfg.rollout_mode == "sample" else None)
             ahead = rollout(models[(direction, m)], starts, cfg.horizon_steps, dt, noise)
             paths[m] = np.concatenate([starts[:, None, :], ahead], axis=1)[at]
         # every column of estimate_risk is computed row by row, so one call
         # over all pairs' shared frames gives each pair the rows a call of its
         # own would
-        veh_rows = np.concatenate([veh.points[frames] for veh, frames in scored])[at]
+        veh_rows = veh_rows[at]
         stream = estimate_risk(
-            veh_rows[:, 0], veh_rows[:, 1:5], ped_points[np.concatenate(ped_rows), 1:5],
+            veh_rows[:, 0], veh_rows[:, 1:5], points[hit, 1:5],
             probs[at], paths, dt,
             radius=cfg.conflict_radius, ttc_radius=ttc_radius,
         )
-        lo = 0
-        for pair, n in pairs:
-            streams[pair] = RiskStream(
-                *(getattr(stream, f.name)[lo:lo + n] for f in fields(RiskStream)))
-            lo += n
+        for c, lo, hi in zip(pair[pair_bounds[:-1]].tolist(), pair_bounds, pair_bounds[1:]):
+            veh, ped = vehicles[members[c // len(peds)]], peds[c % len(peds)]
+            streams[(veh.id, ped.id)] = RiskStream(
+                *(getattr(stream, f.name)[lo:hi] for f in fields(RiskStream)))
     return streams

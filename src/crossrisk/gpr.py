@@ -8,6 +8,13 @@ standardized per cluster so a zero prior mean is appropriate. Hyperparameters
 Adam on the negated log marginal likelihood with analytic gradients. A
 gradient is computed only at an iterate Adam may step from: never at the last
 iterate of the budget, whose loss alone is read.
+
+LAPACK (``scipy.linalg``) is imported on first use, so a process that never
+factorises a covariance (synth, preprocess, a mean-mode risk run) does not
+load it; ``cho_solve``, ``cholesky``, ``lapack`` and ``solve_triangular``
+are still attributes of this module. An entry point that factorises loads it
+before it pins BLAS to one thread or its caller forks workers, so that the
+OpenBLAS library scipy brings is pinned with numpy's.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 
 from .errors import InputError, NumericalError, check_number, is_finite_number, read_json_object
 from .parallel import _one_blas_thread
@@ -39,6 +45,24 @@ MODEL_FILE_VERSION = 4
 
 #: Most rows one kernel evaluation of a rollout step covers.
 _ROLLOUT_BLOCK_ROWS = 256
+
+#: The ``scipy.linalg`` functions this module offers as its own attributes.
+_LINALG_NAMES = frozenset({"cho_solve", "cholesky", "lapack", "solve_triangular"})
+
+
+def _linalg():
+    """``scipy.linalg``, imported at the first call: about 0.2 s and 28 MB of
+    resident memory that only a process that factorises pays."""
+    import scipy.linalg
+
+    return scipy.linalg
+
+
+def __getattr__(name: str):
+    """The functions of ``_LINALG_NAMES``, from ``scipy.linalg``."""
+    if name in _LINALG_NAMES:
+        return getattr(_linalg(), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +163,7 @@ def _jittered_cholesky(k: np.ndarray, noise_variance: float, jitter: float,
     while True:
         np.fill_diagonal(work, diagonal + (noise_variance + jitter))
         try:
-            return cholesky(work, lower=True, overwrite_a=True), jitter
+            return _linalg().cholesky(work, lower=True, overwrite_a=True), jitter
         except np.linalg.LinAlgError:
             work[...] = k  # undo the partial factorization
             jitter = jitter * 10.0 if jitter > 0 else MIN_ESCALATED_JITTER
@@ -171,7 +195,7 @@ def build_gpr_model(inputs: np.ndarray, targets: np.ndarray, cfg: KernelConfig,
     ys = (y - y_mean) / y_std
     chol, jitter = _jittered_cholesky(_kernel_from_d2(cfg, _sq_dists(x, x)),
                                       cfg.noise_variance, cfg.jitter)
-    alpha_vec = cho_solve((chol, True), ys)
+    alpha_vec = _linalg().cho_solve((chol, True), ys)
     return GprModel(kernel=cfg, train_x=x, train_y=y, y_mean=y_mean, y_std=y_std,
                     alpha_vec=alpha_vec, jitter_used=jitter)
 
@@ -198,7 +222,7 @@ def posterior_predict(model: GprModel, queries: np.ndarray
 def _predictive_variance(model: GprModel, k_star: np.ndarray) -> np.ndarray:
     """Predictive variances (including observation noise) from the ``(n, m)``
     kernel matrix between the training inputs and ``m`` queries."""
-    v = solve_triangular(model.chol, k_star, lower=True)
+    v = _linalg().solve_triangular(model.chol, k_star, lower=True)
     var_std = 1.0 - np.sum(v * v, axis=0) + model.kernel.noise_variance
     var_std = np.maximum(var_std, 0.0)
     return (model.y_std**2) * var_std
@@ -301,8 +325,9 @@ def _neg_lml(theta: np.ndarray, d2: np.ndarray, targets: Sequence[np.ndarray], k
         work = _Workspace(n).arrays(n)[1:]
     tmp, base, k_f, d_ls, d_alpha, k_work = work
     _kernel_from_d2(cfg, d2, out=k_f, base=base)
+    linalg = _linalg()
     chol, jitter_used = _jittered_cholesky(k_f, cfg.noise_variance, jitter, k_work)
-    alpha_vecs = [cho_solve((chol, True), ys) for ys in targets]
+    alpha_vecs = [linalg.cho_solve((chol, True), ys) for ys in targets]
     half_logdet = float(np.sum(np.log(np.diag(chol))))
     lmls = [-0.5 * float(ys @ alpha_vec) - half_logdet - 0.5 * n * math.log(2.0 * math.pi)
             for ys, alpha_vec in zip(targets, alpha_vecs)]
@@ -323,7 +348,7 @@ def _neg_lml(theta: np.ndarray, d2: np.ndarray, targets: Sequence[np.ndarray], k
         np.multiply(np.multiply(k_f, cfg.rq_alpha, out=tmp), d_alpha, out=d_alpha)
         dk = [d_ls, d_alpha]
     # in place: the factor is spent once the alphas and the log-determinant are read
-    k_inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)  # lower triangle, zeros above
+    k_inv, info = linalg.lapack.dpotri(chol, lower=1, overwrite_c=1)  # lower triangle, zeros above
     if info != 0:
         raise NumericalError(f"covariance inverse failed (LAPACK potri info={info})")
     k_inv_diag = np.diag(k_inv)
@@ -452,6 +477,7 @@ def fit_gpr(inputs: np.ndarray, targets: np.ndarray, cfg: GprConfig = GprConfig(
     least as many points; by default one is allocated for this fit. The fit
     runs on one BLAS thread, as it does in ``parallel.run_jobs``, so it gives
     the same bits wherever it is called."""
+    _linalg()  # before the pin, which then holds scipy's OpenBLAS too
     with _one_blas_thread():
         return _fit_targets(inputs, [targets], cfg, workspace)[0]
 
@@ -492,7 +518,8 @@ def rollout(pair: GprModelPair, starts: np.ndarray, steps: int, dt: float,
     start and step: ``streams`` splits the rows, in order, into noise streams
     of ``(entropy, rows)``, each seeding ``np.random.default_rng(entropy)``
     and drawing one ``(rows, 2)`` normal per step, so a stream's noise does
-    not depend on the rows batched with it.
+    not depend on the rows batched with it. Sampling reads the Cholesky
+    factors, so a sampled rollout loads LAPACK before its first step.
     """
     if steps < 1 or not dt > 0:
         raise ValueError(f"rollout needs steps >= 1 and dt > 0, got {steps!r} and {dt!r}")
@@ -501,6 +528,7 @@ def rollout(pair: GprModelPair, starts: np.ndarray, steps: int, dt: float,
         raise ValueError("starts must be finite (x, y) rows of shape (B, 2)")
     rngs = []
     if streams is not None:
+        _linalg()
         sizes = [rows for _, rows in streams]
         if sum(sizes) != len(pos) or any(rows < 0 for rows in sizes):
             raise ValueError("streams must split the rows into consecutive runs")
@@ -543,6 +571,7 @@ def fit_cluster(cluster: tuple, points: np.ndarray, cfg: GprConfig,
     """The model pair of one cluster from its ``(n, 4)`` rows of x, y, vx and
     vy: both velocity components fitted together on the shared positions, the
     x velocity first, each as ``fit_gpr`` fits it alone, on one BLAS thread."""
+    _linalg()  # before the pin, which then holds scipy's OpenBLAS too
     with _one_blas_thread():
         gp_x, gp_y = _fit_targets(points[:, :2], (points[:, 2], points[:, 3]), cfg, workspace)
     return GprModelPair(gp_x=gp_x, gp_y=gp_y, cluster=cluster)
@@ -556,7 +585,9 @@ def cluster_fit_jobs(dataset: Dataset, cfg: GprConfig = GprConfig()) -> dict:
     initial hyperparameters and the first loss evaluation once for both
     velocity components. The jobs run in any process; they share one
     ``_Workspace`` sized to the largest cluster (one copy per forked worker),
-    released with the calls."""
+    released with the calls. LAPACK is loaded here, so that workers forked
+    to run the jobs inherit it pinned to one BLAS thread."""
+    _linalg()
     buckets: dict[tuple, list] = {}
     for traj in dataset.vehicles:
         if traj.entering_direction is None or traj.maneuver is None:

@@ -34,6 +34,12 @@ Serial or not, the jobs run with one OpenBLAS thread per process. Workers
 that each started a BLAS thread per CPU would oversubscribe the CPUs, and
 OpenBLAS results can differ in the last bit with the thread count, so this
 also keeps results independent of the worker count and of the host's CPUs.
+The pool pins the libraries loaded when it opens, so a worker starts on
+one thread in each of them. A worker leaves that pin as it is: the fork shut
+each library's thread server down, and setting any thread count would start
+the server again, with a helper thread per further CPU. Only a library the
+pool did not pin, one loaded after the pool opened, is pinned in the worker,
+by the job that enters ``_one_blas_thread``.
 """
 
 from __future__ import annotations
@@ -101,13 +107,27 @@ def _setters_at(n_modules: int) -> tuple:
     return tuple(setters)
 
 
+def _address(setter) -> int:
+    """Where a setter's function is in memory: one value per loaded library,
+    however often the library is looked up."""
+    return ctypes.cast(setter, ctypes.c_void_p).value
+
+
+#: The addresses of the setters that the pool which forked this process held
+#: at one thread when it forked; empty outside a pool's worker.
+_pinned_at_fork: frozenset = frozenset()
+
+
 @contextlib.contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Run the calling thread, and processes it forks, on one BLAS thread."""
-    setters = _openblas_thread_setters()
+def _one_blas_thread() -> Iterator[tuple]:
+    """Run the calling thread, and processes it forks, on one BLAS thread;
+    yields the setters it pinned. A library that a pool's worker inherited
+    pinned is skipped, since calling its setter would restart its threads."""
+    setters = tuple(s for s in _openblas_thread_setters()
+                    if _address(s) not in _pinned_at_fork)
     previous = [setter(1) for setter in setters]
     try:
-        yield
+        yield setters
     finally:
         for setter, n in zip(setters, previous):
             setter(n)
@@ -116,11 +136,14 @@ def _one_blas_thread() -> Iterator[None]:
 Job = Callable[[], object]
 
 
-def _worker(jobs: Sequence[Job], builders: tuple, conn) -> None:
+def _worker(jobs: Sequence[Job], builders: tuple, conn, pinned: tuple) -> None:
     """Run each job index the caller sends, and answer each with ``(index,
     result, exception or None)``, until the pool ends the process. A
     ``(builder index, pickled inputs)`` message starts a later map, whose jobs
-    that builder makes from those inputs."""
+    that builder makes from those inputs. ``pinned`` are the setters the pool
+    held at one thread at the fork."""
+    global _pinned_at_fork
+    _pinned_at_fork = frozenset(map(_address, pinned))
     while True:
         message = conn.recv()
         if isinstance(message, tuple):
@@ -161,9 +184,10 @@ class Pool:
         self._started = False  # whether the first map has run
         self._closed = False
         self._blas = contextlib.ExitStack()
+        self._pinned: tuple = ()  # the setters held at one thread while the pool is open
 
     def __enter__(self) -> "Pool":
-        self._blas.enter_context(_one_blas_thread())
+        self._pinned = self._blas.enter_context(_one_blas_thread())
         return self
 
     def __exit__(self, *exc) -> None:
@@ -220,8 +244,8 @@ class Pool:
         try:
             for _ in range(k):
                 conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(target=_worker, args=(jobs, self._builders, child_conn),
-                                   daemon=True)
+                proc = ctx.Process(target=_worker, daemon=True,
+                                   args=(jobs, self._builders, child_conn, self._pinned))
                 proc.start()
                 child_conn.close()
                 self._workers[conn] = proc

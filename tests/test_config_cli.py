@@ -214,6 +214,49 @@ class TestCli:
         assert (a / "models" / "forest.json").exists()
         assert (a / "prep" / "density_grid.csv").exists()
 
+    def test_only_train_and_a_sampled_risk_run_load_lapack(self, tmp_path):
+        # Each process imports the CLI, runs the stages of sys.argv[2] and
+        # prints whether scipy.linalg was loaded after the import and after
+        # each stage.
+        script = (
+            "import contextlib, io, json, sys; sys.path.insert(0, sys.argv[1])\n"
+            "from crossrisk.cli import main\n"
+            "loaded = ['scipy.linalg' in sys.modules]\n"
+            "for argv in json.loads(sys.argv[2]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    loaded.append('scipy.linalg' in sys.modules)\n"
+            "print(json.dumps(loaded))\n")
+
+        def loaded_after(*stages):
+            out = subprocess.run([sys.executable, "-c", script, str(ROOT / "src"),
+                                  json.dumps(stages)], capture_output=True, text=True)
+            assert out.returncode == 0, out.stderr
+            return json.loads(out.stdout)
+
+        cfg = _pipeline_config(tmp_path)
+        sampled = tmp_path / "sampled.json"
+        sampled.write_text(json.dumps({**json.loads(cfg.read_text()),
+                                       "risk": {"frame_stride": 4, "rollout_mode": "sample"}}))
+        labeled, models = tmp_path / "prep" / "labeled.csv", tmp_path / "models"
+        assert loaded_after(
+            ["synth", "--config", str(cfg), "--out", str(tmp_path / "scene")],
+            ["preprocess", "--config", str(cfg), "--in", str(tmp_path / "scene" / "dataset.csv"),
+             "--out", str(tmp_path / "prep")],
+            ["train", "--config", str(cfg), "--in", str(labeled), "--out", str(models)],
+        ) == [False, False, False, True]
+        risk = ["risk", "--in", str(labeled), "--models", str(models)]
+        assert loaded_after(
+            [*risk, "--config", str(cfg), "--out", str(tmp_path / "mean")],
+            [*risk, "--config", str(sampled), "--out", str(tmp_path / "fresh")],
+        ) == [False, False, True]
+        # the sampled series of a process that loaded LAPACK before the run
+        import scipy.linalg  # noqa: F401
+        assert main([*risk, "--config", str(sampled), "--out", str(tmp_path / "preloaded")]) == 0
+        series = [(tmp_path / run / "risk_series.csv").read_bytes()
+                  for run in ("mean", "fresh", "preloaded")]
+        assert series[1] == series[2] != series[0]
+
     @staticmethod
     def _two_depth_scene(tmp_path) -> tuple[Path, Path]:
         """Config and labeled table whose forest grid has two depths, so the

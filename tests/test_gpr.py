@@ -3,9 +3,13 @@ import contextlib
 import copy
 import json
 import math
+import os
 import pickle
 import signal
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,6 +470,35 @@ class TestPosterior:
         assert var >= 0.0
 
 
+#: A ``fit_gpr`` or ``fit_cluster`` call, as the fourth argument names, in a
+#: fresh process, with ``scipy.linalg`` imported first when the third is
+#: ``preload``: prints the OpenBLAS thread counts seen at each Adam run, the
+#: number of OpenBLAS libraries loaded afterwards and the models' bytes.
+_FRESH_PROCESS_FIT = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+if sys.argv[3] == "preload":
+    import scipy.linalg
+import numpy as np
+from helpers import blas_threads
+from crossrisk import gpr, parallel
+from crossrisk.trajectory import Direction, Maneuver
+seen, adam = [], gpr._adam_minimize
+gpr._adam_minimize = lambda *args: seen.append(blas_threads()) or adam(*args)
+rng = np.random.default_rng(11)
+x = rng.uniform(-4, 4, size=(300, 2))
+vx, vy = np.cos(0.7 * x[:, 0]), np.sin(0.7 * x[:, 1])
+fit_cfg = gpr.GprConfig(iterations=3)
+if sys.argv[4] == "fit_gpr":
+    gps = [gpr.fit_gpr(x, vx, fit_cfg)]
+else:
+    pair = gpr.fit_cluster((Direction.N, Maneuver.LEFT), np.column_stack([x, vx, vy]), fit_cfg)
+    gps = [pair.gp_x, pair.gp_y]
+models = [json.dumps(gpr._model_to_dict(gp), sort_keys=True) for gp in gps]
+print(json.dumps([seen, len(parallel._openblas_thread_setters()), models]))
+"""
+
+
 class TestFit:
     def test_zero_targets_give_zero_mean(self):
         rng = np.random.default_rng(0)
@@ -632,6 +665,25 @@ class TestFit:
         gps = (lambda r: (r.gp_x, r.gp_y)) if fit == "fit_cluster" else (lambda r: (r,))
         for result in mapped:
             assert list(map(model_bytes, gps(result))) == list(map(model_bytes, gps(direct)))
+
+    @pytest.mark.parametrize("fit, targets", [("fit_gpr", 1), ("fit_cluster", 2)])
+    def test_fit_in_a_fresh_process_loads_lapack_before_the_pin(self, fit, targets):
+        # gpr imports scipy.linalg at the first fit, and the fit pins the
+        # OpenBLAS library scipy brings with numpy's; without a thread count in
+        # the environment, an unpinned library would run a thread per CPU
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        paths = [str(Path(gpr.__file__).resolve().parent.parent), str(Path(__file__).parent)]
+        runs = {}
+        for preload in ("fresh", "preload"):
+            out = subprocess.run([sys.executable, "-c", _FRESH_PROCESS_FIT, *paths, preload, fit],
+                                 env=env, capture_output=True, text=True, check=True)
+            runs[preload] = json.loads(out.stdout.strip().splitlines()[-1])
+        (seen, libraries, models), (seen_preloaded, _, preloaded) = runs.values()
+        if not libraries:
+            pytest.skip("numpy and scipy use no OpenBLAS library here")
+        assert seen == seen_preloaded == [[1] * libraries] * targets
+        assert len(models) == targets and models == preloaded
 
     @pytest.mark.parametrize("kind", ["rbf", "rq"])
     @pytest.mark.parametrize("iterations", [1, 40])

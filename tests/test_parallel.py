@@ -197,6 +197,43 @@ def test_setter_lookup_is_cached_until_a_module_import():
     assert after == fresh >= before
 
 
+#: Two cluster fits on two workers, as the train stage runs them; each job
+#: answers the thread count of its worker process after the fit.
+_FIT_THEN_COUNT_THREADS = """
+import os, sys; sys.path.insert(0, sys.argv[1])
+from functools import partial
+import numpy as np
+from crossrisk import gpr, parallel
+from crossrisk.trajectory import Dataset, Direction, Maneuver, ObjectClass, Trajectory
+parallel.worker_count = lambda: 2
+rng = np.random.default_rng(0)
+t = 0.1 * np.arange(40)
+vehicles = [
+    Trajectory(id=f"v{k}", object_class=ObjectClass.VEHICLE,
+               points=np.column_stack([t, *rng.uniform(-5, 5, (4, 40)), np.zeros(40)]),
+               entering_direction=direction, maneuver=Maneuver.STRAIGHT)
+    for k, direction in enumerate([Direction.N, Direction.S] * 2)]
+jobs = gpr.cluster_fit_jobs(Dataset(trajectories=vehicles), gpr.GprConfig(iterations=3))
+def fit_then_count(job):
+    job()
+    return len(os.listdir("/proc/self/task"))
+print(parallel.run_jobs([partial(fit_then_count, job) for job in jobs.values()]))
+"""
+
+
+def test_a_worker_keeps_the_blas_pin_it_inherits():
+    # Without a thread count in the environment, each OpenBLAS library runs a
+    # helper thread per further CPU. The pool pins them before the fork, and
+    # the fork leaves a worker one thread; a worker that set a thread count
+    # again would restart the helpers of every library.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(parallel.__file__))
+    out = subprocess.run([sys.executable, "-c", _FIT_THEN_COUNT_THREADS, src], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[1, 1]"
+
+
 def later_draws(scale, seeds, held=None):
     """A later map's jobs: ``draws(seed) * scale``, plus ``held`` (reached by
     the builder, not sent) where given, with the worker's pid."""
