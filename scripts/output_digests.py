@@ -10,7 +10,9 @@ splits are hashed too, and a third time with ``gpr.kernel: rbf`` into ``models_r
 so that the RBF branch of the GP loss is hashed. The preprocess stage runs again with
 the strict ``preprocess.filter`` of ``STRICT_FILTER`` into ``prep_strict/``, so that
 every filter rule removes pedestrians on every scene (the default filter removes
-none). The risk stage runs a fourth time with the wider ground truth of ``ZONE_SSM``
+none), and a third time with the finer grid and narrower crosswalk of ``FINE_PREP``
+into ``prep_fine/``, so that the density grid, the endpoint centroids and the
+crosswalk mask are hashed at other settings than the defaults. The risk stage runs a fourth time with the wider ground truth of ``ZONE_SSM``
 into ``risk_zone/``, so that more pairs reach the encroachment-time search and more
 of them become events. A fifth risk run with ``risk.frame_stride: 1`` into
 ``risk_stride1/`` scores every usable vehicle frame (the scenes score at stride 10
@@ -36,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 STRICT_FILTER = {"min_region_fraction": 1.0, "max_offcrosswalk_fraction": 0.02,
                  "speed_limit": 1.45, "speed_run_length": 3}
 ZONE_SSM = {"zone_radius": 2.5, "pet_threshold": 5.0}
+FINE_PREP = {"cell_size": 0.25, "geometry": {"mode": "estimate", "crosswalk_inflation": 1.0}}
 
 
 def digests(workload: str, seed: int) -> dict:
@@ -51,6 +54,7 @@ def digests(workload: str, seed: int) -> dict:
                 ("splits3", "forest", {"n_splits": 3}),
                 ("rbf", "gpr", {"kernel": "rbf"}),
                 ("strict", "preprocess", {"filter": STRICT_FILTER}),
+                ("fine", "preprocess", FINE_PREP),
                 ("zone", "ssm", ZONE_SSM),
                 ("stride1", "risk", {"frame_stride": 1})):
             config = json.loads(scene.config_json.read_text())
@@ -64,6 +68,8 @@ def digests(workload: str, seed: int) -> dict:
                 (["preprocess", "--in", scene.input_csv, "--out", prep], scene.config_json),
                 (["preprocess", "--in", scene.input_csv, "--out", work / "prep_strict"],
                  variants["strict"]),
+                (["preprocess", "--in", scene.input_csv, "--out", work / "prep_fine"],
+                 variants["fine"]),
                 ([*train, models], scene.config_json),
                 ([*train, work / "models_splits3"], variants["splits3"]),
                 ([*train, work / "models_rbf"], variants["rbf"]),

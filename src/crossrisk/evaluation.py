@@ -13,10 +13,10 @@ import numpy as np
 
 from .errors import InputError, check_count, check_number, is_count
 from .gpr import rollout
-from .maneuver import MANEUVER_CODES, ForestModel, extract_features
+from .maneuver import MANEUVER_CODES, ForestModel, feature_rows
 from .risk import RiskStream, estimate_risk
 from .ssm import co_present_pairs
-from .trajectory import Dataset, Maneuver, SUPPORTED_MANEUVERS, Trajectory
+from .trajectory import DIRECTION_CODES, Dataset, Maneuver, SUPPORTED_MANEUVERS, Trajectory
 
 
 @dataclass
@@ -200,8 +200,9 @@ def compute_risk_streams(
     are skipped. The candidate frames of all of a direction's vehicles are
     looked up at once among the pedestrians' valid rows, and a vehicle's
     scored frames are those one of its co-present pedestrians shares. The
-    direction's vehicle side takes one forest call over the scored frames of
-    all its vehicles and one rollout per cluster model over the same frames.
+    direction's vehicle side takes one feature build and one forest call over
+    the scored frames of all its vehicles, and one rollout per cluster model
+    over the same frames.
     One :func:`estimate_risk` call then scores every pair's shared frames,
     and its rows are cut into one stream per pair.
     The rollouts run ``cfg.horizon_steps`` frames of ``dataset.frame_interval``.
@@ -285,11 +286,9 @@ def compute_risk_streams(
                       zip(ranks[bounds[:-1]].tolist(), bounds, bounds[1:])]
         pair_bounds = [0, *(np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist(), len(pair)]
 
-        local = rows - first[owner[rows]]  # each scored row's index in its trajectory
-        probs = forest.predict_proba(np.concatenate(
-            [extract_features(vehicles[v], local[lo:hi], direction) for v, lo, hi in by_vehicle]))
-        probs = probs / probs.sum(axis=1, keepdims=True)
         veh_rows = points[rows]
+        probs = forest.predict_proba(feature_rows(veh_rows, DIRECTION_CODES[direction]))
+        probs = probs / probs.sum(axis=1, keepdims=True)
         starts = veh_rows[:, 1:3].copy()
         paths = {}
         for m in maneuvers:

@@ -118,6 +118,11 @@ def point_in_polygon(p: Point, polygon: Sequence[Point]) -> bool:
     return inside
 
 
+#: Smallest squared distance whose rounding error ``crosswalk_mask`` takes as
+#: relative: below it a square may hold underflowed terms.
+_MIN_RELATIVE_SQUARE = 2.0**-900
+
+
 @dataclass(frozen=True)
 class IntersectionGeometry:
     """Eight labeled crosswalk endpoints plus the quadrant partition they induce."""
@@ -191,14 +196,24 @@ class IntersectionGeometry:
     def crosswalk_mask(self, xy: np.ndarray) -> np.ndarray:
         """``in_crosswalk_region`` of each ``(n, 2)`` row.
 
-        The four point-segment distances are those of
-        ``point_segment_distance``, operation for operation: the clamp keeps
-        the order of its ``min``/``max`` and the lengths are ``math.hypot``
-        of column lists. A polygon override is tested row by row."""
+        The offsets from each row to the four segments' nearest points are
+        those of ``point_segment_distance``, operation for operation (the
+        clamp keeps the order of its ``min``/``max``). A row is then decided
+        by its squared distance ``d2`` against ``r2``, the squared
+        inflation: both carry a relative rounding error of a few ulps, far
+        inside the band ``|d2 - r2| <= 1e-9 r2``, so outside it the squares
+        order as ``math.hypot`` and the inflation do. Rows in the band, rows
+        whose ``d2`` is too small for its rounding to be relative, and NaN
+        or overflowed squares are decided by ``math.hypot``. A polygon
+        override is tested row by row."""
         if self.crosswalk_polygons:
             return np.array([self.in_crosswalk_region(p) for p in xy.tolist()], dtype=bool)
         px, py = xy[:, 0], xy[:, 1]
         inside = np.zeros(len(xy), dtype=bool)
+        r = self.crosswalk_inflation
+        if not r >= 0.0:  # no distance is at most a negative or NaN inflation
+            return inside
+        r2 = r * r
         for d in Direction:
             (ax, ay), b = self.crosswalk_segment(d)
             dx, dy = b[0] - ax, b[1] - ay
@@ -210,8 +225,12 @@ class IntersectionGeometry:
                 u = np.where(u > 0.0, u, 0.0)  # max(0.0, u)
                 u = np.where(u < 1.0, u, 1.0)  # min(1.0, u)
                 ex, ey = px - (ax + u * dx), py - (ay + u * dy)
-            dist = np.array(list(map(math.hypot, ex.tolist(), ey.tolist())))
-            inside |= dist <= self.crosswalk_inflation
+            d2 = ex * ex + ey * ey
+            band = ~(np.abs(d2 - r2) > 1e-9 * r2) | (d2 < _MIN_RELATIVE_SQUARE)
+            inside |= (d2 <= r2) & ~band
+            rows = np.flatnonzero(band)
+            dist = np.array(list(map(math.hypot, ex[rows].tolist(), ey[rows].tolist())))
+            inside[rows[dist <= r]] = True
         return inside
 
     def roadway_mask(self, xy: np.ndarray) -> np.ndarray:
@@ -231,8 +250,7 @@ class IntersectionGeometry:
 # ---------------------------------------------------------------------------
 
 
-#: Most cells a density grid may have: endpoint estimation and the CSV writer
-#: visit every cell in Python, and the cell indices must fit an integer.
+#: Most cells a density grid may have: the cell indices must fit an integer.
 _MAX_GRID_CELLS = 2**24
 
 
@@ -250,19 +268,24 @@ class DensityGrid:
             self.origin[1] + (iy + 0.5) * self.cell_size,
         )
 
+    def visited_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(ix, iy, x, y)`` of every cell with a positive count, in C order
+        (``ix`` major), ``x`` and ``y`` being ``cell_center``'s formula applied
+        elementwise, so each is bit for bit the centre it returns."""
+        ix, iy = np.nonzero(self.counts > 0)
+        return (ix, iy, self.origin[0] + (ix + 0.5) * self.cell_size,
+                self.origin[1] + (iy + 0.5) * self.cell_size)
+
     def write_csv(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        ix, iy, x, y = self.visited_cells()
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x_center", "y_center", "count"])
-            nx, ny = self.counts.shape
-            for ix in range(nx):
-                for iy in range(ny):
-                    c = int(self.counts[ix, iy])
-                    if c > 0:
-                        cx, cy = self.cell_center(ix, iy)
-                        writer.writerow([f"{cx:.3f}", f"{cy:.3f}", c])
+            writer.writerows(zip((f"{cx:.3f}" for cx in x.tolist()),
+                                 (f"{cy:.3f}" for cy in y.tolist()),
+                                 self.counts[ix, iy].tolist()))
 
 
 def build_density_grid(trajectories: Sequence[Trajectory], cell_size: float) -> DensityGrid:
@@ -278,11 +301,11 @@ def build_density_grid(trajectories: Sequence[Trajectory], cell_size: float) -> 
         raise InputError(f"cell_size {cell_size!r} gives a {shape[0]:.0f} x {shape[1]:.0f} "
                          f"density grid, more than {_MAX_GRID_CELLS} cells; use larger cells")
     nx, ny = shape.astype(int)
-    cells = []
-    for xy in tracks:  # each trajectory counts once per cell it visits
-        ix, iy = np.floor((xy - origin) / cell_size).astype(int).T
-        cells.append(np.unique(ix * ny + iy))
-    counts = np.bincount(np.concatenate(cells), minlength=nx * ny).reshape(nx, ny)
+    ix, iy = np.floor((all_pts - origin) / cell_size).astype(int).T
+    # each trajectory counts once per cell it visits: one (trajectory, cell) key per visit
+    owner = np.repeat(np.arange(len(tracks)), [len(xy) for xy in tracks])
+    visits = np.unique(owner * (nx * ny) + ix * ny + iy) % (nx * ny)
+    counts = np.bincount(visits, minlength=nx * ny).reshape(nx, ny)
     return DensityGrid(cell_size=cell_size, origin=origin, counts=counts)
 
 
@@ -290,17 +313,12 @@ def _dense_cluster_centroid(grid: DensityGrid, box: Sequence[float],
                             threshold_fraction: float = 0.9) -> Point:
     """Count-weighted centroid of the flood-filled cluster of cells holding at
     least ``threshold_fraction`` of the box's maximum count, seeded at the
-    maximal cell (ties to the lowest cell index)."""
+    maximal cell (ties to the lowest cell index). Only visited cells are
+    tested against the box."""
     xmin, ymin, xmax, ymax = box
-    nx, ny = grid.counts.shape
-    in_box = []
-    for ix in range(nx):
-        for iy in range(ny):
-            if grid.counts[ix, iy] <= 0:
-                continue
-            cx, cy = grid.cell_center(ix, iy)
-            if xmin <= cx <= xmax and ymin <= cy <= ymax:
-                in_box.append((ix, iy))
+    ix, iy, x, y = grid.visited_cells()
+    hit = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
+    in_box = list(zip(ix[hit].tolist(), iy[hit].tolist()))
     if not in_box:
         raise InputError(f"search region {box} contains no visited cells")
     peak = max(c for c in (grid.counts[i] for i in in_box))

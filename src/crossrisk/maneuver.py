@@ -25,9 +25,7 @@ from .parallel import run_jobs
 from .trajectory import (
     DIRECTION_CODES,
     Dataset,
-    Direction,
     SUPPORTED_MANEUVERS,
-    Trajectory,
 )
 
 #: Class codes: left=0, right=1, straight=2.
@@ -42,37 +40,38 @@ N_FEATURES = 5
 FOREST_FILE_VERSION = 2
 
 
-def extract_features(traj: Trajectory, rows: Sequence[int], direction: Direction
-                     ) -> np.ndarray:
-    """Feature rows of the given frames: (x, y, speed, yaw_rate, direction code)."""
-    rows = np.asarray(rows, dtype=int)
-    if not traj.valid[rows].all():
-        raise ValueError("cannot extract features from an invalid point")
-    yaw_rate = traj.yaw_rate[rows]
-    if not np.isfinite(yaw_rate).all():
-        raise ValueError("yaw rate must be finite for feature extraction")
-    code = np.full(len(rows), float(DIRECTION_CODES[direction]))
-    return np.column_stack([traj.xy[rows], traj.speed[rows], yaw_rate, code])
+def feature_rows(points: np.ndarray, codes) -> np.ndarray:
+    """Feature rows (x, y, speed, yaw_rate, direction code) of gathered point
+    rows: ``points`` is ``(n, 6)`` with the columns of ``POINT_COLUMNS``, each
+    row valid with a finite yaw rate, and ``codes`` is each row's direction
+    code, or one code for all. The speed is ``math.hypot(vx, vy)``, as
+    ``Trajectory.speed`` has it."""
+    speed = np.array(list(map(math.hypot, points[:, 3].tolist(), points[:, 4].tolist())))
+    code = np.broadcast_to(np.asarray(codes, dtype=float), len(points))
+    return np.column_stack([points[:, 1:3], speed, points[:, 5], code])
 
 
 def build_feature_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack features over all labeled vehicle frames.
+    """Stack features over all labeled vehicle frames, gathered into one
+    :func:`feature_rows` call.
 
     Returns ``(X, y, groups)`` where ``y`` holds maneuver class codes and
     ``groups`` the row's trajectory index (for leakage-free splitting).
     Frames without finite yaw rate are skipped.
     """
-    tables, labels, groups = [], [], []
+    points, codes, labels, groups = [], [], [], []
     for g, traj in enumerate(dataset.vehicles):
         if traj.entering_direction is None or traj.maneuver not in MANEUVER_CODES:
             continue
         rows = np.flatnonzero(traj.valid & np.isfinite(traj.yaw_rate))
-        tables.append(extract_features(traj, rows, traj.entering_direction))
+        points.append(traj.points[rows])
+        codes += [DIRECTION_CODES[traj.entering_direction]] * len(rows)
         labels += [MANEUVER_CODES[traj.maneuver]] * len(rows)
         groups += [g] * len(rows)
     if not labels:
         raise InputError("no labeled vehicle frames available for training")
-    return np.concatenate(tables), np.asarray(labels, dtype=int), np.asarray(groups, dtype=int)
+    return (feature_rows(np.concatenate(points), codes), np.asarray(labels, dtype=int),
+            np.asarray(groups, dtype=int))
 
 
 # ---------------------------------------------------------------------------

@@ -97,21 +97,20 @@ def classify_entering_direction(traj: Trajectory, geom: IntersectionGeometry) ->
 
 
 def classify_movement(traj: Trajectory, geom: IntersectionGeometry) -> Maneuver:
-    """Map the visited-quadrant sequence to a maneuver.
+    """Map the entry and exit quadrants to a maneuver.
 
-    Consecutive repeats are collapsed. Exit opposite the entry is straight;
-    exit one quadrant counterclockwise of the entry is a left turn and one
-    clockwise a right turn. Anything else (never crossing, returning to the
-    entry quadrant) is unsupported.
+    The entry is the quadrant of the first valid point and the exit that of
+    the last. Exit opposite the entry is straight; exit one quadrant
+    counterclockwise of the entry is a left turn and one clockwise a right
+    turn. Anything else (no valid point, never leaving the entry quadrant or
+    returning to it) is unsupported. The quadrants in between do not matter:
+    they are the inner runs of the visited-quadrant sequence, whose first and
+    last runs are the entry and the exit.
     """
-    sequence: list[Direction] = []
-    for point in traj.xy[traj.valid].tolist():
-        q = geom.quadrant(point)
-        if not sequence or sequence[-1] != q:
-            sequence.append(q)
-    if len(sequence) < 2:
+    rows = np.flatnonzero(traj.valid)
+    if rows.size == 0:
         return Maneuver.UNSUPPORTED
-    entry, exit_ = sequence[0], sequence[-1]
+    entry, exit_ = (geom.quadrant(p) for p in traj.xy[rows[[0, -1]]].tolist())
     if exit_ == _ccw_step(entry, 2):
         return Maneuver.STRAIGHT
     if exit_ == _ccw_step(entry, 1):

@@ -8,11 +8,12 @@ are reduced to a single trajectory class by majority vote at load time.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
@@ -144,7 +145,11 @@ class Trajectory:
 
     def with_labels(self, entering_direction: Optional[Direction] = None,
                     maneuver: Optional[Maneuver] = None) -> "Trajectory":
-        return replace(self, entering_direction=entering_direction, maneuver=maneuver)
+        """A copy with these labels that shares this trajectory's read-only,
+        already validated arrays (and its speed, once computed)."""
+        labeled = copy.copy(self)
+        labeled.entering_direction, labeled.maneuver = entering_direction, maneuver
+        return labeled
 
 
 @dataclass

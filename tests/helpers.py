@@ -8,12 +8,20 @@ from crossrisk.gpr import cluster_fit_jobs
 from crossrisk.maneuver import split_jobs
 from crossrisk.parallel import _openblas_thread_setters, run_jobs
 from crossrisk.risk import estimate_risk
-from crossrisk.trajectory import SUPPORTED_MANEUVERS
+from crossrisk.trajectory import DIRECTION_CODES, SUPPORTED_MANEUVERS
 
 
 def row(t, x, y, vx, vy, yaw_rate=float("nan")):
     """One ``Trajectory.points`` row: (t, x, y, vx, vy, yaw_rate)."""
     return (t, x, y, vx, vy, yaw_rate)
+
+
+def frame_features(traj, rows, direction):
+    """Feature rows of the frames ``rows`` of ``traj``, built per trajectory
+    from its cached ``Trajectory.speed``: (x, y, speed, yaw rate, direction
+    code)."""
+    code = np.full(len(rows), float(DIRECTION_CODES[direction]))
+    return np.column_stack([traj.xy[rows], traj.speed[rows], traj.yaw_rate[rows], code])
 
 
 def crossing_risk(arrivals, probs=(0.0, 0.0, 1.0), radius=0.04):

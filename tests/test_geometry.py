@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -174,6 +175,41 @@ class TestRegions:
         assert g.crosswalk_mask(xy).tolist() == want
         assert want[-2:] == [True, False]
 
+    @pytest.mark.parametrize("north", [None, ((-8.0, 0.0), (8.0, 0.0)), ((0.0, 0.0), (0.0, 0.0))],
+                             ids=["canonical", "through-origin", "zero-length-at-origin"])
+    def test_crosswalk_mask_a_few_ulps_around_each_distance(self, north):
+        # Each point's exact distance to each crosswalk, and up to 3 ulps
+        # either side of it, as the inflation: where the squared distance and
+        # math.hypot could disagree. Inflation 0, points on a segment, and
+        # distances under 1e-150 m, whose squares lose their relative
+        # precision, are included (the north crosswalk moved to the origin,
+        # where such distances can be written).
+        endpoints = canonical_endpoints()
+        if north:
+            endpoints = {**endpoints, "N_NW": north[0], "N_NE": north[1]}
+        g = IntersectionGeometry(endpoints=endpoints)
+        rng = np.random.default_rng(8)
+        points = [*rng.uniform(-14, 14, size=(40, 2)).tolist(),
+                  [3.0, 10.0], [10.0, 2.5], [0.0, 0.0], [0.0, 3e-160],
+                  [1e-200, 0.0], [-7e-155, 0.0], [2e-160, -1.5e-160],
+                  [6.369616873214543e-161, 2.697867137638703e-161]]
+        xy = np.array(points)
+        inflations = {0.0, 1e-160, 2.5e-160}
+        for p in points:
+            for d in Direction:
+                dist = point_segment_distance(p, *g.crosswalk_segment(d))
+                for step in range(-3, 4):
+                    m = dist
+                    for _ in range(abs(step)):
+                        m = np.nextafter(m, math.copysign(np.inf, step))
+                    inflations.add(max(float(m), 0.0))
+        for m in sorted(inflations):
+            g = IntersectionGeometry(endpoints=endpoints, crosswalk_inflation=m)
+            assert g.crosswalk_mask(xy).tolist() == [g.in_crosswalk_region(p) for p in points], m
+        if north:  # at inflation 0 only a point on the north crosswalk is inside
+            g = IntersectionGeometry(endpoints=endpoints, crosswalk_inflation=0.0)
+            assert g.crosswalk_mask(xy[-6:-4]).tolist() == [True, False]
+
     def test_point_in_polygon_edge_counts_inside(self):
         square = [(0, 0), (2, 0), (2, 2), (0, 2)]
         assert point_in_polygon((1.0, 0.0), square)
@@ -212,6 +248,111 @@ class TestDensityGrid:
         out = tmp_path / "grid.csv"
         grid.write_csv(out)
         assert out.read_text().startswith("x_center,y_center,count")
+
+
+def reference_counts(trajectories, cell_size):
+    """Grid counts cell by cell, in Python: each trajectory adds one to
+    every distinct cell its valid points fall in."""
+    pts = [p for t in trajectories for p in t.xy[t.valid].tolist()]
+    ox, oy = min(x for x, _ in pts), min(y for _, y in pts)
+    counts = np.zeros((math.floor((max(x for x, _ in pts) - ox) / cell_size) + 1,
+                       math.floor((max(y for _, y in pts) - oy) / cell_size) + 1), dtype=int)
+    for t in trajectories:
+        for cell in {(math.floor((x - ox) / cell_size), math.floor((y - oy) / cell_size))
+                     for x, y in t.xy[t.valid].tolist()}:
+            counts[cell] += 1
+    return counts
+
+
+def reference_centroid(grid, box, threshold_fraction=0.9):
+    """The dense-cluster centroid with every cell of the grid scanned."""
+    xmin, ymin, xmax, ymax = box
+    nx, ny = grid.counts.shape
+    in_box = []
+    for ix in range(nx):
+        for iy in range(ny):
+            if grid.counts[ix, iy] <= 0:
+                continue
+            cx, cy = grid.cell_center(ix, iy)
+            if xmin <= cx <= xmax and ymin <= cy <= ymax:
+                in_box.append((ix, iy))
+    if not in_box:
+        return None
+    peak = max(grid.counts[i] for i in in_box)
+    seed = min(i for i in in_box if grid.counts[i] == peak)
+    member, cluster, stack = set(in_box), set(), [seed]
+    while stack:
+        cell = stack.pop()
+        if cell in cluster or cell not in member or grid.counts[cell] < threshold_fraction * peak:
+            continue
+        cluster.add(cell)
+        ix, iy = cell
+        stack.extend([(ix + 1, iy), (ix - 1, iy), (ix, iy + 1), (ix, iy - 1)])
+    total = sum(grid.counts[c] for c in cluster)
+    return (sum(grid.cell_center(*c)[0] * grid.counts[c] for c in cluster) / total,
+            sum(grid.cell_center(*c)[1] * grid.counts[c] for c in cluster) / total)
+
+
+def reference_grid_csv(grid, path):
+    """The grid file written cell by cell."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x_center", "y_center", "count"])
+        nx, ny = grid.counts.shape
+        for ix in range(nx):
+            for iy in range(ny):
+                if grid.counts[ix, iy] > 0:
+                    cx, cy = grid.cell_center(ix, iy)
+                    writer.writerow([f"{cx:.3f}", f"{cy:.3f}", int(grid.counts[ix, iy])])
+
+
+@st.composite
+def revisiting_walks(draw):
+    """Pedestrian tracks stepping among a few nearby spots, so that tracks
+    revisit cells and share them; some rows are invalid."""
+    spots = draw(st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=1, max_size=8))
+    trajs = []
+    for k in range(draw(st.integers(1, 6))):
+        walk = draw(st.lists(st.sampled_from(spots), min_size=1, max_size=12))
+        invalid = draw(st.lists(st.booleans(), min_size=len(walk), max_size=len(walk)))
+        trajs.append(Trajectory(id=f"p{k}", object_class=ObjectClass.PEDESTRIAN, points=[
+            row(0.1 * i, *((math.nan, math.nan) if bad else (x, y)), 1.0, 0.0)
+            for i, ((x, y), bad) in enumerate(zip(walk, invalid))]))
+    return trajs
+
+
+class TestGridScans:
+    @settings(max_examples=80, deadline=None)
+    @given(revisiting_walks(), st.sampled_from([0.25, 0.3, 0.5, 1.0]),
+           st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4), st.floats(0, 5), st.floats(0, 5)),
+                    min_size=1, max_size=4))
+    def test_equal_the_cell_by_cell_scans(self, tmp_path_factory, trajs, cell_size, boxes):
+        if not any(t.valid.any() for t in trajs):
+            with pytest.raises(InputError):
+                build_density_grid(trajs, cell_size)
+            return
+        grid = build_density_grid(trajs, cell_size)
+        want = reference_counts(trajs, cell_size)
+        assert grid.counts.shape == want.shape and grid.counts.tolist() == want.tolist()
+        for x, y, w, h in boxes:
+            box = (x, y, x + w, y + h)
+            want = reference_centroid(grid, box)
+            if want is None:
+                with pytest.raises(InputError):
+                    _dense_cluster_centroid(grid, box)
+            else:
+                assert _dense_cluster_centroid(grid, box) == want  # bit for bit
+        out = tmp_path_factory.mktemp("grid")
+        grid.write_csv(out / "grid.csv")
+        reference_grid_csv(grid, out / "want.csv")
+        assert (out / "grid.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+    def test_csv_rows_run_x_major(self, tmp_path):
+        # two cells in one column and one in another: rows go column by column
+        grid = build_density_grid([_walk("a", [(0.0, 0.0), (0.0, 1.2), (0.6, 0.0)])], 0.5)
+        grid.write_csv(tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_text().splitlines() == [
+            "x_center,y_center,count", "0.250,0.250,1", "0.250,1.250,1", "0.750,0.250,1"]
 
 
 class TestEndpointEstimation:

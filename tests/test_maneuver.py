@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from helpers import crossing_risk, row, run_protocol
+from helpers import crossing_risk, frame_features, row, run_protocol
 from hypothesis import assume, given, settings, strategies as st
 
 from crossrisk import maneuver
@@ -11,10 +11,12 @@ from crossrisk.errors import InputError
 from crossrisk.maneuver import (
     DIRECTION_FEATURE_INDEX,
     ForestConfig,
+    MANEUVER_CODES,
     _nearest_neighbors,
+    build_feature_table,
     classification_scores,
     evaluate_classifier,
-    extract_features,
+    feature_rows,
     load_forest,
     majority_params,
     save_forest,
@@ -23,7 +25,14 @@ from crossrisk.maneuver import (
     train_forest,
     train_random_forest,
 )
-from crossrisk.trajectory import Direction, ObjectClass, Trajectory
+from crossrisk.trajectory import (
+    DIRECTION_CODES,
+    Dataset,
+    Direction,
+    Maneuver,
+    ObjectClass,
+    Trajectory,
+)
 
 
 def make_clusters(n_per_class=(60, 60, 60), seed=0, spread=0.4):
@@ -123,32 +132,51 @@ def smote_tables(draw):
     return X, y
 
 
-def _frame(*fields):
-    """Feature row of a one-frame vehicle track."""
-    return Trajectory(id="v", object_class=ObjectClass.VEHICLE, points=[row(*fields)])
+def _features(*fields, codes=0):
+    """Feature rows of the one point row ``fields``, once per code."""
+    n = len(codes) if isinstance(codes, list) else 1
+    return feature_rows(np.array([row(*fields)] * n), codes)
 
 
 class TestFeatures:
     def test_speed_is_magnitude(self):
-        f = extract_features(_frame(0.0, 1.0, 2.0, 3.0, 4.0, 0.2), [0], Direction.N)
-        assert f.tolist() == [[1.0, 2.0, 5.0, 0.2, 0.0]]
+        assert _features(0.0, 1.0, 2.0, 3.0, 4.0, 0.2).tolist() == [[1.0, 2.0, 5.0, 0.2, 0.0]]
 
     def test_stationary_speed_zero(self):
-        traj = _frame(0.0, 1.0, 2.0, 0.0, 0.0, 0.0)
-        assert extract_features(traj, [0], Direction.N)[0, 2] == 0.0
+        assert _features(0.0, 1.0, 2.0, 0.0, 0.0, 0.0)[0, 2] == 0.0
 
     def test_direction_codes(self):
-        traj = _frame(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-        codes = [extract_features(traj, [0], d)[0, DIRECTION_FEATURE_INDEX] for d in
-                 (Direction.N, Direction.E, Direction.S, Direction.W)]
-        assert codes == [0.0, 1.0, 2.0, 3.0]
+        codes = [DIRECTION_CODES[d] for d in (Direction.N, Direction.E, Direction.S, Direction.W)]
+        f = _features(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, codes=codes)
+        assert f[:, DIRECTION_FEATURE_INDEX].tolist() == [0.0, 1.0, 2.0, 3.0]
 
-    def test_invalid_point_rejected(self):
-        traj = _frame(0.0, float("nan"), 2.0, 3.0, 4.0, 0.2)
-        with pytest.raises(ValueError):
-            extract_features(traj, [0], Direction.N)
-        with pytest.raises(ValueError):  # a NaN yaw rate keeps the row valid but unusable
-            extract_features(_frame(0.0, 1.0, 2.0, 3.0, 4.0), [0], Direction.N)
+    def test_table_equals_the_per_vehicle_features(self):
+        # the one gathered build against per-vehicle rows whose speed comes
+        # from Trajectory.speed: invalid rows, NaN yaw rates, unlabeled and
+        # row-less vehicles, pedestrians
+        rng = np.random.default_rng(3)
+        trajs = []
+        for k in range(12):
+            pts = rng.normal(size=(int(rng.integers(1, 30)), 6)) * 7.0
+            pts[:, 0] = np.arange(len(pts)) * 0.1
+            pts[rng.random(len(pts)) < 0.2, 1 + int(rng.integers(4))] = np.nan
+            pts[rng.random(len(pts)) < 0.2, 5] = np.nan
+            labels = ((list(Direction)[k % 4], list(Maneuver)[k % 4]) if k % 5 else (None, None))
+            trajs.append(Trajectory(id=f"v{k}", object_class=ObjectClass.VEHICLE, points=pts,
+                                    entering_direction=labels[0], maneuver=labels[1]))
+        trajs.append(Trajectory(id="p", object_class=ObjectClass.PEDESTRIAN, points=pts))
+        X, y, groups = build_feature_table(Dataset(trajectories=trajs))
+        want_X, want_y, want_g = [], [], []
+        for g, traj in enumerate(trajs[:-1]):
+            if traj.entering_direction is None or traj.maneuver not in MANEUVER_CODES:
+                continue
+            rows = np.flatnonzero(traj.valid & np.isfinite(traj.yaw_rate))
+            want_X.append(frame_features(traj, rows, traj.entering_direction))
+            want_y += [MANEUVER_CODES[traj.maneuver]] * len(rows)
+            want_g += [g] * len(rows)
+        assert X.tobytes() == np.concatenate(want_X).tobytes() and X.shape[1] == 5
+        assert y.tolist() == want_y and groups.tolist() == want_g
+        assert {int(c) for c in X[:, 4]} == {0, 1, 2, 3} - {DIRECTION_CODES[Direction.W]}
 
 
 class TestSmote:

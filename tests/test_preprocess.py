@@ -49,6 +49,44 @@ def _vehicle_path(traj_id, xy_list, dt=0.1):
     return _traj(traj_id, samples, ObjectClass.VEHICLE)
 
 
+def reference_movement(traj, geom):
+    """The maneuver from the whole visited-quadrant sequence, run by run."""
+    ccw = [Direction.E, Direction.N, Direction.W, Direction.S]
+    sequence = []
+    for point in traj.xy[traj.valid].tolist():
+        q = geom.quadrant(point)
+        if not sequence or sequence[-1] != q:
+            sequence.append(q)
+    if len(sequence) < 2:
+        return Maneuver.UNSUPPORTED
+    turn = (ccw.index(sequence[-1]) - ccw.index(sequence[0])) % 4
+    return {1: Maneuver.LEFT, 2: Maneuver.STRAIGHT, 3: Maneuver.RIGHT}.get(
+        turn, Maneuver.UNSUPPORTED)
+
+
+#: A point of each quadrant of the canonical geometry at distance r from the
+#: centre, offset along the crosswalk by s in (-r, r).
+_IN_QUADRANT = {Direction.N: lambda r, s: (s, r), Direction.S: lambda r, s: (s, -r),
+                Direction.E: lambda r, s: (r, s), Direction.W: lambda r, s: (-r, s)}
+
+
+@st.composite
+def quadrant_walks(draw):
+    """A vehicle track through a random sequence of quadrants, with repeats,
+    returns to earlier quadrants and invalid rows anywhere."""
+    quadrants = draw(st.lists(st.sampled_from(list(Direction)), max_size=12))
+    points = []
+    for i, q in enumerate(quadrants):
+        r = draw(st.floats(0.5, 40))
+        x, y = _IN_QUADRANT[q](r, draw(st.floats(-0.99, 0.99)) * r)
+        if draw(st.integers(0, 3)) == 0:
+            points.append(row(0.1 * len(points), math.nan, math.nan, 0.0, 0.0))
+        points.append(row(0.1 * len(points), x, y, 1.0, 0.0))
+    if not points or draw(st.booleans()):  # a trailing invalid row, or the only one
+        points.append(row(0.1 * len(points), math.nan, math.nan, 0.0, 0.0))
+    return Trajectory(id="v", object_class=ObjectClass.VEHICLE, points=points)
+
+
 class TestEnteringDirection:
     def test_deep_south_point(self, geom):
         t = _vehicle_path("v", [(1.0, -25.0), (1.0, -24.0)])
@@ -98,6 +136,19 @@ class TestMovement:
     def test_u_turn_is_unsupported(self, geom):
         t = _vehicle_path("v", [(1.0, -25.0), (0.0, 5.0), (-1.0, -25.0)])
         assert classify_movement(t, geom) == Maneuver.UNSUPPORTED
+
+    @settings(max_examples=300, deadline=None)
+    @given(quadrant_walks())
+    # one quadrant throughout, a return to the entry, a detour, a first valid
+    # point in its own quadrant, and no valid point
+    @example(_vehicle_path("v", [(1.0, -25.0), (0.5, -20.0), (-0.5, -15.0)]))
+    @example(_vehicle_path("v", [(1.0, -25.0), (20.0, 1.0), (1.0, -20.0)]))
+    @example(_vehicle_path("v", [(1.0, -25.0), (20.0, 1.0), (0.0, 20.0), (-20.0, 1.0)]))
+    @example(_vehicle_path("v", [(1.0, -25.0), (20.0, 1.0), (21.0, 1.0), (1.0, 25.0)]))
+    @example(Trajectory(id="v", object_class=ObjectClass.VEHICLE,
+                        points=[row(0.0, math.nan, 0.0, 0.0, 0.0)]))
+    def test_entry_and_exit_decide_as_the_whole_sequence(self, geom, traj):
+        assert classify_movement(traj, geom) == reference_movement(traj, geom)
 
 
 def _fragment(traj_id, t0, p0, heading_deg, n=6, speed=1.0, dt=0.1):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import crossing_risk, fit_clusters, row
+from helpers import crossing_risk, fit_clusters, frame_features, row
 from hypothesis import given, settings, strategies as st
 
 from crossrisk import evaluation, risk
@@ -25,7 +25,6 @@ from crossrisk.maneuver import (
     ForestModel,
     Tree,
     build_feature_table,
-    extract_features,
     train_forest,
 )
 from crossrisk.preprocess import preprocess_dataset
@@ -33,6 +32,7 @@ from crossrisk.risk import RiskStream, estimate_risk, find_conflict_point
 from crossrisk.ssm import co_present_pairs
 from crossrisk.synth import ScenarioSpec, generate_scenario
 from crossrisk.trajectory import (
+    DIRECTION_CODES,
     Dataset,
     Direction,
     Maneuver,
@@ -422,7 +422,7 @@ def frame_hypotheses(veh, index, direction, models, forest, steps, dt):
     """Normalized maneuver probabilities of one vehicle frame and, per
     maneuver with a cluster model, its predicted path with the vehicle
     position first; all with one leading row."""
-    probs = forest.predict_proba(extract_features(veh, [index], direction))
+    probs = forest.predict_proba(frame_features(veh, [index], direction))
     start = veh.xy[index]
     paths = {}
     for m in SUPPORTED_MANEUVERS:
@@ -850,7 +850,7 @@ class TestRiskStreams:
             pi = [ped.t.tolist().index(t) for t in stream.t.tolist()]
             assert vi == (list(range(frames)) if pid == "p1" else [3, 4, 5])
             rows = np.array(vi) + (0 if vid == "w1" else frames)  # rows of the batch
-            probs = forest.predict_proba(extract_features(veh, vi, Direction.W))
+            probs = forest.predict_proba(frame_features(veh, vi, Direction.W))
             paths = {cluster[1]: np.concatenate([starts[:, None], out], axis=1)[rows]
                      for cluster, starts, out in rollouts}
             pair = estimate_risk(veh.points[vi, 0], veh.points[vi, 1:5], ped.points[pi, 1:5],
@@ -994,31 +994,37 @@ class TestFrameMatching:
         def standing(pair, starts, steps, dt, streams=None):
             return np.repeat(starts[:, None], steps, axis=1)
 
-        def recording_features(veh, rows, direction):
-            features.append((veh.id, list(rows)))
-            return real_features(veh, rows, direction)
+        def recording_features(points, codes):
+            features.append((points.copy(), codes))
+            return real_features(points, codes)
 
         def recording_estimate(*args, **kwargs):
             calls.append(args)
             return real_estimate(*args, **kwargs)
 
         features, calls = [], []
-        real_features, real_estimate = evaluation.extract_features, evaluation.estimate_risk
+        real_features, real_estimate = evaluation.feature_rows, evaluation.estimate_risk
         saved = evaluation.rollout
-        evaluation.rollout, evaluation.extract_features, evaluation.estimate_risk = (
+        evaluation.rollout, evaluation.feature_rows, evaluation.estimate_risk = (
             standing, recording_features, recording_estimate)
         try:
             streams = compute_risk_streams(dataset, self.MODELS, self.FOREST,
                                            RiskConfig(horizon_steps=3, frame_stride=stride),
                                            ttc_radius=1.0)
         finally:
-            evaluation.rollout, evaluation.extract_features, evaluation.estimate_risk = (
+            evaluation.rollout, evaluation.feature_rows, evaluation.estimate_risk = (
                 saved, real_features, real_estimate)
         want = reference_matching(dataset, self.MODELS, stride)
-        assert features == [frames for scored, _ in want for frames in scored]
+        by_id = {traj.id: traj for traj in dataset.trajectories}
+        # one feature build per scored direction, over its vehicles' scored
+        # rows, vehicle after vehicle
+        assert len(features) == len(want)
+        for (points, code), (scored, _) in zip(features, want):
+            assert points.tobytes() == np.concatenate(
+                [by_id[v].points[frames] for v, frames in scored]).tobytes()
+            assert code == DIRECTION_CODES[by_id[scored[0][0]].entering_direction]
         assert list(streams) == [pair for _, pairs in want for pair, _ in pairs]
         assert len(calls) == len(want)
-        by_id = {traj.id: traj for traj in dataset.trajectories}
         for (_, pairs), args in zip(want, calls):
             rows = [(vid, pid, vi, pi) for (vid, pid), shared in pairs for vi, pi in shared]
             # x holds the row index, so each call row names its vehicle and

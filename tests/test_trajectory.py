@@ -132,6 +132,21 @@ class TestTrajectoryInvariants:
         with pytest.raises(ValueError):
             traj.xy[0, 0] = 9.0
 
+    def test_with_labels_shares_the_read_only_arrays(self):
+        traj = Trajectory(id="a", object_class=ObjectClass.VEHICLE,
+                          points=[row(0.0, 1.0, 2.0, 3.0, 4.0, 0.5), row(0.1, math.nan, 2.0, 3.0, 4.0)])
+        speed = traj.speed
+        labeled = traj.with_labels(Direction.S, Maneuver.LEFT)
+        assert (labeled.entering_direction, labeled.maneuver) == (Direction.S, Maneuver.LEFT)
+        assert (traj.entering_direction, traj.maneuver) == (None, None)
+        assert (labeled.id, labeled.object_class) == (traj.id, traj.object_class)
+        for name in ("points", "t", "xy", "v", "yaw_rate", "valid", "speed"):
+            assert getattr(labeled, name) is getattr(traj, name), name
+        assert labeled.speed is speed and not labeled.points.flags.writeable
+        with pytest.raises(ValueError):
+            labeled.points[0, 1] = 9.0
+        assert labeled.with_labels().maneuver is None and labeled.maneuver == Maneuver.LEFT
+
 
 class TestLoadDataset:
     def test_single_object(self, tmp_path):
